@@ -15,7 +15,6 @@ from .qsim import (
     apply_gate,
     fidelity_up_to_phase,
     haar_random_state,
-    measure,
     partial_trace,
     trace_distance,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "apply_gate",
     "fidelity_up_to_phase",
     "haar_random_state",
-    "measure",
     "partial_trace",
     "trace_distance",
 ]

@@ -107,9 +107,7 @@ def _bob_view_blocks(
     from .protocols.measure_client import p1_hrz_on_runtime
 
     def run_fn(source: OutcomeSource):
-        rt = QuantumRuntime(source)
-        labels = [f"r{i}" for i in range(state.num_qubits)]
-        rt.load(state, labels, BOB)
+        rt, labels = QuantumRuntime.from_state(state, source, BOB)
         tape = Transcript()
 
         def checkpoint(at: int) -> None:
@@ -304,8 +302,7 @@ def audit_gadget_view_tv(
 
         def add(weight: float, drive: Callable) -> None:
             def body(src: OutcomeSource):
-                rt = QuantumRuntime(src)
-                rt.load(state, ["r0"], BOB)
+                rt, _ = QuantumRuntime.from_state(state, src, BOB)  # its one qubit is "r0"
                 tape = Transcript()
                 drive(rt, tape)
                 return tuple(tape.bob_classical_values())

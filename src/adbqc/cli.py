@@ -32,17 +32,7 @@ from .blindness import (
     audit_transcript_tv,
 )
 from .oracle import GADGET_FIDELITY_ATOL, ORACLE_GADGETS, branch_table, table_passes
-from .protocols import (
-    AdversaryConfig,
-    HONEST,
-    RunManifest,
-    config_from_dict,
-    run_protocol1,
-    run_protocol2,
-    run_sueki,
-)
-
-RUNNERS = {"sueki": run_sueki, "p1": run_protocol1, "p2": run_protocol2}
+from .protocols import AdversaryConfig, HONEST, RunManifest, config_from_dict, run
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -143,7 +133,7 @@ def cmd_run(args) -> int:
     base.setdefault("depth", 1)
     config = config_from_dict(base)
 
-    result = RUNNERS[config.protocol](config)
+    result = run(config)
     if args.manifest_out:
         manifest = RunManifest(
             config=config,
@@ -307,11 +297,7 @@ def cmd_blindness(args) -> int:
             if config_a.protocol != config_b.protocol:
                 raise ValueError("tv audit configs must share a protocol")
             res = audit_transcript_tv(
-                RUNNERS[config_a.protocol],
-                config_a,
-                config_b,
-                runs=args.runs,
-                seed=args.seed,
+                run, config_a, config_b, runs=args.runs, seed=args.seed
             )
         else:
             # exact enumerated gadget-view distributions

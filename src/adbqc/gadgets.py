@@ -3,14 +3,19 @@
 Each gadget couples ancilla qubits to register qubits with the fixed
 two-qubit entangler E = (H x H) CZ and consumes the ancillas by
 measurement, leaving a gate on the register up to Pauli by-products that a
-classical frame records. The building blocks:
+classical frame records. Gadgets act on labeled qubits of a
+``QuantumRuntime``; to run one on a bare state, load it with
+``QuantumRuntime.from_state``. The building blocks:
 
 - ``kraus_backaction``: the two back-action operators on the register for a
   single coupling, given the ancilla preparation and its measurement basis.
-- ``gadget_hrz_sueki``: the prepare-only client's H R_Z(theta) gadget. A
-  hiding angle and a pad bit make the announced angle uniform; the realized
-  gate is X^(s2 xor pad) H R_Z(theta) exactly, on every outcome branch.
-- ``gadget_cz``: CZ between two register qubits from one shared ancilla
+- ``couple`` and ``h_cancel``: one entangler coupling, and a |0> ancilla
+  coupled then discarded, which leaves a deterministic H on the register.
+- ``sueki_hrz_on_runtime``: the prepare-only client's H R_Z(theta) gadget.
+  A hiding angle and a pad bit make the announced angle uniform; the
+  realized gate is X^(s2 xor pad) H R_Z(theta) exactly, on every outcome
+  branch.
+- ``cz_on_runtime``: CZ between two register qubits from one shared ancilla
   (outcome s leaves a Z^s by-product on the first qubit) followed by one
   Hadamard-cancelling |0> coupling on each qubit.
 - ``frame_conjugate`` and ``PauliFrame``: pushing X/Z records through the
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qsim import Gate, MeasurementBasis, StateVector, plus_state
-from .runtime import QuantumRuntime, SampledOutcomes
+from .runtime import QuantumRuntime
 from .transcript import ALICE, BOB, Transcript
 
 OCTANT = math.pi / 4
@@ -306,46 +311,6 @@ def cz_on_runtime(
     h_cancel(rt, target_i, a_hi, tape, prep_party)
     h_cancel(rt, target_j, a_hj, tape, prep_party)
     return CzResult(s, s)
-
-
-# ---------------------------------------------------------------------------
-# Pure state-in/state-out wrappers
-
-
-def _runtime_from_state(state: StateVector, coins) -> tuple[QuantumRuntime, list[str]]:
-    rt = QuantumRuntime(SampledOutcomes(coins=coins))
-    labels = [f"r{i}" for i in range(state.num_qubits)]
-    rt.load(state, labels, BOB)
-    return rt, labels
-
-
-def gadget_hrz_sueki(
-    state: StateVector,
-    target: int,
-    target_octant: int,
-    hiding_octant: int,
-    pad_bit: int,
-    coins: tuple[float, float],
-    prep_sign: int = +1,
-) -> tuple[int, tuple[int, int], tuple[int, int], StateVector]:
-    """State-level form of the prepare-only H R_Z gadget.
-
-    Returns (announced octant, outcomes, frame delta on target, new state).
-    """
-    rt, labels = _runtime_from_state(state, coins)
-    res = sueki_hrz_on_runtime(
-        rt, labels[target], target_octant, hiding_octant, pad_bit, prep_sign
-    )
-    return res.theta_public, res.outcomes, res.frame_delta, rt.snapshot(labels)
-
-
-def gadget_cz(
-    state: StateVector, target_i: int, target_j: int, coin: float
-) -> tuple[int, tuple[int, int], StateVector]:
-    """State-level CZ gadget: returns (outcome, (z_i delta, z_j delta), state)."""
-    rt, labels = _runtime_from_state(state, (coin,))
-    res = cz_on_runtime(rt, labels[target_i], labels[target_j])
-    return res.outcome, (res.frame_delta_z_first, 0), rt.snapshot(labels)
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,7 @@ def branch_table(
         target = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
 
     def run(src: OutcomeSource):
-        rt = QuantumRuntime(src)
-        labels = [f"r{i}" for i in range(num_qubits)]
-        rt.load(state, labels, BOB)
+        rt, labels = QuantumRuntime.from_state(state, src, BOB)
         announced = None
         if gadget == "hrz-sueki":
             res = sueki_hrz_on_runtime(

@@ -13,16 +13,19 @@ from .config import (
     config_from_dict,
     config_to_dict,
 )
-from .driver import Session, compile_layers, new_session, run_grid
-from .gate_client import P2RunResult, p2_hrz, p2_hrz_on_runtime, run_protocol2
-from .measure_client import (
-    P1RunResult,
-    classify_angle,
-    p1_hrz,
-    p1_hrz_on_runtime,
+from .driver import (
+    RunResult,
+    Session,
+    compile_layers,
+    new_session,
+    run,
+    run_grid,
     run_protocol1,
-    solve_phase_choice,
+    run_protocol2,
+    run_sueki,
 )
+from .gate_client import p2_hrz_on_runtime
+from .measure_client import classify_angle, p1_hrz_on_runtime, solve_phase_choice
 from .reference import (
     enumerated_distribution,
     reference_distribution,
@@ -31,7 +34,6 @@ from .reference import (
     total_variation,
 )
 from .schedule import Layer, schedule
-from .sueki import SuekiRunResult, run_sueki
 from .traps import (
     TRAP_STATES,
     DecodedOutput,
@@ -48,13 +50,11 @@ __all__ = [
     "GateRequest",
     "HONEST",
     "Layer",
-    "P1RunResult",
-    "P2RunResult",
     "PROTOCOLS",
     "ProtocolConfig",
     "RunManifest",
+    "RunResult",
     "Session",
-    "SuekiRunResult",
     "TRAP_STATES",
     "TrapLayout",
     "VerificationReport",
@@ -65,13 +65,12 @@ __all__ = [
     "decode_output",
     "enumerated_distribution",
     "new_session",
-    "p1_hrz",
     "p1_hrz_on_runtime",
-    "p2_hrz",
     "p2_hrz_on_runtime",
     "place_traps",
     "reference_distribution",
     "reference_state",
+    "run",
     "run_grid",
     "run_protocol1",
     "run_protocol2",

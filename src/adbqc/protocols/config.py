@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, replace
 
 from ..gadgets import NAMED_GATE_OCTANTS
+from ..qsim import MAX_QUBITS
 
 PROTOCOLS = ("sueki", "p1", "p2")
 
@@ -22,6 +23,10 @@ CAPABILITY_BY_PROTOCOL = {
     "p1": "measure_only",
     "p2": "gate_only",
 }
+
+# most ancillas one gadget holds beside the register at once: p1's H R_Z
+# holds a Bell pair, every other gadget one qubit at a time
+PEAK_ANCILLAS = {"sueki": 1, "p1": 2, "p2": 1}
 
 
 @dataclass(frozen=True)
@@ -148,6 +153,12 @@ class ProtocolConfig:
             raise ValueError("need at least one register qubit")
         if self.depth < 1:
             raise ValueError("need at least one layer")
+        peak = self.num_qubits + PEAK_ANCILLAS[self.protocol]
+        if peak > MAX_QUBITS:
+            raise ValueError(
+                f"{self.protocol} at N={self.num_qubits} peaks at {peak} qubits, "
+                f"over the budget of {MAX_QUBITS}"
+            )
         object.__setattr__(self, "algorithm", tuple(self.algorithm))
         # resolve the trap count
         if self.protocol == "sueki":

@@ -1,4 +1,11 @@
-"""Shared two-party execution machinery for the three protocols.
+"""The one run driver for all three protocols.
+
+Every protocol is the same ancilla-driven run: a session, a trap layout,
+the register, the compiled gadget grid, the server's deviation, the output
+measurements and the decoding. The protocols differ in two places only:
+the client's part of each H R_Z gadget (``HRZ_BY_PROTOCOL``), and, through
+the client's capability, who prepares the CZ ancilla and who measures the
+output register.
 
 A session bundles the joint quantum runtime, the transcript, and one named
 random stream per decision maker (client choices, server choices,
@@ -9,20 +16,20 @@ or an outcome-enumeration replay repeats every choice exactly.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from ..gadgets import NAMED_GATE_OCTANTS, PauliFrame, cz_on_runtime
-from ..qsim import Gate
+from ..qsim import Gate, MeasurementBasis
 from ..rng import stream
 from ..runtime import OutcomeSource, QuantumRuntime, SampledOutcomes
-from ..transcript import BOB, Transcript
-from .config import ProtocolConfig
+from ..transcript import ALICE, BOB, Transcript
+from . import gate_client, measure_client, sueki
+from .config import ProtocolConfig, VerificationReport
 from .schedule import Layer, schedule
-from .traps import TRAP_PREP_GATE, TrapLayout
+from .traps import TRAP_PREP_GATE, DecodedOutput, TrapLayout, decode_output, place_traps
 
 
 @dataclass
@@ -75,29 +82,25 @@ class PhysicalLayer:
 
 
 def compile_layers(
-    config: ProtocolConfig, layout: TrapLayout | None
+    config: ProtocolConfig, layout: TrapLayout
 ) -> tuple[PhysicalLayer, ...]:
     """Map scheduled logical layers onto physical positions, pad idle
     positions with identity patterns and append trap preparations in the
     final layer."""
-    width = config.logical_width
-    logical_layers: tuple[Layer, ...] = schedule(config.algorithm, width, config.depth)
-    n = config.num_qubits
+    logical_layers: tuple[Layer, ...] = schedule(
+        config.algorithm, config.logical_width, config.depth
+    )
     out = []
     for idx, layer in enumerate(logical_layers):
-        patterns = [(0, 0, 0)] * n
+        patterns = [(0, 0, 0)] * config.num_qubits
         for q, octants in layer.patterns:
-            pos = layout.position_of_logical(q) if layout else q
-            patterns[pos] = octants
-        if layout and idx == config.depth - 1:
+            patterns[layout.position_of_logical(q)] = octants
+        if idx == config.depth - 1:
             for s in layout.trap_slots:
                 pos = layout.permutation[s]
                 patterns[pos] = NAMED_GATE_OCTANTS[TRAP_PREP_GATE[layout.roles[s]]]
         czs = tuple(
-            (
-                layout.position_of_logical(i) if layout else i,
-                layout.position_of_logical(j) if layout else j,
-            )
+            (layout.position_of_logical(i), layout.position_of_logical(j))
             for i, j in layer.czs
         )
         out.append(PhysicalLayer(tuple(patterns), czs))
@@ -169,3 +172,113 @@ def apply_attack(session: Session, hits: tuple[tuple[str, int], ...]) -> None:
             session.rt.apply(Gate.z(), [label])
         if "x" in kind:
             session.rt.apply(Gate.x(), [label])
+
+
+def _server_measures(session: Session, bases: tuple[str, ...]) -> tuple[int, ...]:
+    """The client announces a basis per position; the server measures there
+    and reports, possibly lying under the tamper model."""
+    adv = session.config.adversary
+    raw = []
+    for pos, basis_name in enumerate(bases):
+        label = register_label(pos)
+        session.tape.msg(ALICE, to=BOB, op="measure", qubit=label, basis=basis_name)
+        basis = MeasurementBasis.z() if basis_name == "z" else MeasurementBasis.x()
+        bit, _ = session.rt.measure(label, basis)
+        if adv.kind == "trap_tamper" and session.adversary_rng.random() >= adv.tamper_rate:
+            bit ^= 1
+        session.tape.outcome(BOB, bit, qubit=label)
+        session.tape.msg(BOB, to=ALICE, op="report", qubit=label, bit=bit)
+        raw.append(bit)
+    return tuple(raw)
+
+
+def _client_measures(session: Session, bases: tuple[str, ...]) -> tuple[int, ...]:
+    """The server hands the whole register over; the client measures it."""
+    for pos in range(len(bases)):
+        session.rt.transfer(register_label(pos), ALICE)
+        session.tape.transfer(BOB, ALICE, register_label(pos))
+    raw = []
+    for pos, basis_name in enumerate(bases):
+        basis = MeasurementBasis.z() if basis_name == "z" else MeasurementBasis.x()
+        bit, _ = session.rt.measure(register_label(pos), basis)
+        session.tape.outcome(ALICE, bit, qubit=register_label(pos))
+        raw.append(bit)
+    return tuple(raw)
+
+
+@dataclass(frozen=True)
+class RunResult:
+    transcript: Transcript
+    report: VerificationReport
+    layout: TrapLayout
+    frame: PauliFrame
+    raw_bits: tuple[int, ...]
+    decoded: DecodedOutput
+    attack_hits: tuple[tuple[str, int], ...]
+
+
+# the client's part of each H R_Z gadget: prepare, measure or rotate
+HRZ_BY_PROTOCOL: dict[str, HrzFn] = {
+    "sueki": sueki.hrz,
+    "p1": measure_client.hrz,
+    "p2": gate_client.hrz,
+}
+
+
+def run(config: ProtocolConfig, outcomes: OutcomeSource | None = None) -> RunResult:
+    """Execute one run of ``config``; ``outcomes`` overrides the sampled
+    measurement outcomes (exact enumeration replays through it)."""
+    capability = config.capability.kind
+    session = new_session(config, outcomes)
+    n = config.num_qubits
+    if config.trap_count:
+        layout = place_traps(n, config.trap_count, config.protocol, session.alice_rng)
+    else:  # all compute, identity placement: draws nothing
+        layout = TrapLayout(n, tuple(range(n)), ("compute",) * n)
+    prepare_register(session)
+    layers = compile_layers(config, layout)
+    cz_prep_party = ALICE if capability == "prepare_only" else BOB
+    frame = run_grid(session, layers, HRZ_BY_PROTOCOL[config.protocol], cz_prep_party)
+
+    # server-side deviation strikes just before the output stage
+    hits = sample_attack(session)
+    apply_attack(session, hits)
+
+    bases = layout.basis_plan(config.plan())
+    if capability == "measure_only":
+        raw = _client_measures(session, bases)
+    else:
+        raw = _server_measures(session, bases)
+    decoded = decode_output(raw, bases, frame, layout)
+    report = VerificationReport(
+        accepted=decoded.trap_errors == 0,
+        trap_errors=decoded.trap_errors,
+        trap_total=decoded.trap_total,
+        computation_bits=decoded.computation_bits,
+        transcript_digest=session.tape.digest(),
+    )
+    return RunResult(session.tape, report, layout, frame, raw, decoded, hits)
+
+
+def _expect(config: ProtocolConfig, protocol: str) -> None:
+    if config.protocol != protocol:
+        raise ValueError(f"config is for protocol {config.protocol!r}")
+
+
+def run_sueki(config: ProtocolConfig, outcomes: OutcomeSource | None = None) -> RunResult:
+    _expect(config, "sueki")
+    return run(config, outcomes)
+
+
+def run_protocol1(
+    config: ProtocolConfig, outcomes: OutcomeSource | None = None
+) -> RunResult:
+    _expect(config, "p1")
+    return run(config, outcomes)
+
+
+def run_protocol2(
+    config: ProtocolConfig, outcomes: OutcomeSource | None = None
+) -> RunResult:
+    _expect(config, "p2")
+    return run(config, outcomes)

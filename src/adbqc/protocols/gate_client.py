@@ -17,23 +17,15 @@ absorbs the pads, so decoding is unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from ..gadgets import OCTANT, PauliFrame, couple
-from ..qsim import Gate, MeasurementBasis, StateVector, plus_state
-from ..runtime import OutcomeSource, QuantumRuntime, SampledOutcomes
+from ..gadgets import OCTANT, couple
+from ..qsim import Gate, MeasurementBasis, plus_state
+from ..runtime import QuantumRuntime
 from ..transcript import ALICE, BOB, Transcript
-from .config import ProtocolConfig, VerificationReport
-from .driver import (
-    Session,
-    compile_layers,
-    new_session,
-    prepare_register,
-    register_label,
-    run_grid,
-)
-from .traps import DecodedOutput, TrapLayout, decode_output, place_traps
+
+if TYPE_CHECKING:
+    from .driver import Session
 
 
 def p2_hrz_on_runtime(
@@ -73,18 +65,7 @@ def p2_hrz_on_runtime(
     return s
 
 
-def p2_hrz(
-    state: StateVector, target: int, octant: int, coin: float
-) -> tuple[int, int, StateVector]:
-    """State-level form: returns (server outcome, X by-product, new state)."""
-    rt = QuantumRuntime(SampledOutcomes(coins=(coin,)))
-    labels = [f"r{i}" for i in range(state.num_qubits)]
-    rt.load(state, labels, BOB)
-    s = p2_hrz_on_runtime(rt, labels[target], octant)
-    return s, s, rt.snapshot(labels)
-
-
-def _hrz(session: Session, label: str, octant: int) -> int:
+def hrz(session: Session, label: str, octant: int) -> int:
     # private half-turn pad: one-time-pads the by-product bit (see module
     # docstring); the returned delta accounts for it, the server cannot
     pad = int(session.alice_rng.integers(2))
@@ -92,55 +73,3 @@ def _hrz(session: Session, label: str, octant: int) -> int:
         session.rt, label, (octant + 4 * pad) % 8, session.tape, mint=session.fresh
     )
     return s ^ pad
-
-
-@dataclass(frozen=True)
-class P2RunResult:
-    transcript: Transcript
-    report: VerificationReport
-    layout: TrapLayout
-    frame: PauliFrame
-    raw_bits: tuple[int, ...]
-    decoded: DecodedOutput
-
-
-def run_protocol2(
-    config: ProtocolConfig, outcomes: OutcomeSource | None = None
-) -> P2RunResult:
-    if config.protocol != "p2":
-        raise ValueError(f"config is for protocol {config.protocol!r}")
-    session = new_session(config, outcomes)
-    layout = place_traps(
-        config.num_qubits, config.trap_count, "p2", session.alice_rng
-    )
-    prepare_register(session)
-    layers = compile_layers(config, layout)
-    frame = run_grid(session, layers, _hrz, cz_prep_party=BOB)
-
-    # the client announces a basis per position; the server measures there
-    # and reports, possibly lying with the tamper model
-    adv = config.adversary
-    bases = layout.basis_plan(config.plan())
-    raw = []
-    for pos in range(config.num_qubits):
-        label = register_label(pos)
-        session.tape.msg(ALICE, to=BOB, op="measure", qubit=label, basis=bases[pos])
-        basis = MeasurementBasis.z() if bases[pos] == "z" else MeasurementBasis.x()
-        bit, _ = session.rt.measure(label, basis)
-        reported = bit
-        if adv.kind == "trap_tamper":
-            if session.adversary_rng.random() >= adv.tamper_rate:
-                reported = bit ^ 1
-        session.tape.outcome(BOB, reported, qubit=label)
-        session.tape.msg(BOB, to=ALICE, op="report", qubit=label, bit=reported)
-        raw.append(reported)
-
-    decoded = decode_output(tuple(raw), bases, frame, layout)
-    report = VerificationReport(
-        accepted=decoded.trap_errors == 0,
-        trap_errors=decoded.trap_errors,
-        trap_total=decoded.trap_total,
-        computation_bits=decoded.computation_bits,
-        transcript_digest=session.tape.digest(),
-    )
-    return P2RunResult(session.tape, report, layout, frame, tuple(raw), decoded)

@@ -23,25 +23,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from ..gadgets import OCTANT, PauliFrame, couple, h_cancel
+from ..gadgets import OCTANT, couple, h_cancel
 from ..qsim import Gate, MeasurementBasis, StateVector
-from ..runtime import OutcomeSource, QuantumRuntime, SampledOutcomes
+from ..runtime import QuantumRuntime
 from ..transcript import ALICE, BOB, Transcript
-from .config import ProtocolConfig, VerificationReport
-from .driver import (
-    Session,
-    apply_attack,
-    compile_layers,
-    new_session,
-    prepare_register,
-    register_label,
-    run_grid,
-    sample_attack,
-)
-from .traps import DecodedOutput, TrapLayout, decode_output, place_traps
+
+if TYPE_CHECKING:
+    from .driver import Session
 
 BELL = StateVector.of([1, 0, 0, 1])
 
@@ -179,79 +169,7 @@ def p1_hrz_on_runtime(
     return z_bell ^ m_bit ^ rho
 
 
-def p1_hrz(
-    state: StateVector, target: int, octant: int, coins: tuple[float, float, float]
-) -> tuple[tuple[int, int, int], int, StateVector]:
-    """State-level form: returns (client outcomes, X by-product, new state).
-
-    ``coins`` feed the client's three measurements in protocol order.
-    """
-    rt = QuantumRuntime(SampledOutcomes(coins=coins))
-    labels = [f"r{i}" for i in range(state.num_qubits)]
-    rt.load(state, labels, BOB)
-    seen: list[int] = []
-    tape = Transcript()
-    delta = p1_hrz_on_runtime(rt, labels[target], octant, tape)
-    for event in tape.events:
-        if event.kind == "outcome" and event.party == ALICE:
-            seen.append(event.payload["bit"])
-    return tuple(seen), delta, rt.snapshot(labels)  # type: ignore[return-value]
-
-
-def _hrz(session: Session, label: str, octant: int) -> int:
+def hrz(session: Session, label: str, octant: int) -> int:
     return p1_hrz_on_runtime(
         session.rt, label, octant, session.tape, mint=session.fresh
-    )
-
-
-@dataclass(frozen=True)
-class P1RunResult:
-    transcript: Transcript
-    report: VerificationReport
-    layout: TrapLayout
-    frame: PauliFrame
-    raw_bits: tuple[int, ...]
-    decoded: DecodedOutput
-    attack_hits: tuple[tuple[str, int], ...]
-
-
-def run_protocol1(
-    config: ProtocolConfig, outcomes: OutcomeSource | None = None
-) -> P1RunResult:
-    if config.protocol != "p1":
-        raise ValueError(f"config is for protocol {config.protocol!r}")
-    session = new_session(config, outcomes)
-    layout = place_traps(
-        config.num_qubits, config.trap_count, "p1", session.alice_rng
-    )
-    prepare_register(session)
-    layers = compile_layers(config, layout)
-    frame = run_grid(session, layers, _hrz, cz_prep_party=BOB)
-
-    # server-side deviation strikes just before the handover
-    hits = sample_attack(session)
-    apply_attack(session, hits)
-
-    # the server hands the whole register over; the client measures
-    bases = layout.basis_plan(config.plan())
-    raw = []
-    for pos in range(config.num_qubits):
-        session.rt.transfer(register_label(pos), ALICE)
-        session.tape.transfer(BOB, ALICE, register_label(pos))
-    for pos in range(config.num_qubits):
-        basis = MeasurementBasis.z() if bases[pos] == "z" else MeasurementBasis.x()
-        bit, _ = session.rt.measure(register_label(pos), basis)
-        session.tape.outcome(ALICE, bit, qubit=register_label(pos))
-        raw.append(bit)
-
-    decoded = decode_output(tuple(raw), bases, frame, layout)
-    report = VerificationReport(
-        accepted=decoded.trap_errors == 0,
-        trap_errors=decoded.trap_errors,
-        trap_total=decoded.trap_total,
-        computation_bits=decoded.computation_bits,
-        transcript_digest=session.tape.digest(),
-    )
-    return P1RunResult(
-        session.tape, report, layout, frame, tuple(raw), decoded, hits
     )

@@ -53,9 +53,9 @@ def enumerated_distribution(
 ) -> dict[tuple[int, ...], float]:
     """Exact decoded-output distribution of a protocol, all branches.
 
-    ``run_protocol`` is one of the three run entry points; every outcome
-    path is replayed and the decoded computation bits accumulated with
-    their path probabilities.
+    ``run_protocol`` runs a config against an outcome source, like
+    ``protocols.run``; every outcome path is replayed and the decoded
+    computation bits accumulated with their path probabilities.
     """
     quiet = replace(config, record_transcript=False)
 

@@ -9,32 +9,15 @@ random preparation angle, the preparation sign, and a pad bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..gadgets import PauliFrame, sueki_hrz_on_runtime
-from ..qsim import MeasurementBasis
-from ..runtime import OutcomeSource
-from ..transcript import ALICE, BOB, Transcript
-from .config import ProtocolConfig, VerificationReport
-from .driver import (
-    Session,
-    compile_layers,
-    new_session,
-    prepare_register,
-    register_label,
-    run_grid,
-)
+from ..gadgets import sueki_hrz_on_runtime
+
+if TYPE_CHECKING:
+    from .driver import Session
 
 
-@dataclass(frozen=True)
-class SuekiRunResult:
-    transcript: Transcript
-    report: VerificationReport
-    frame: PauliFrame
-    raw_bits: tuple[int, ...]
-
-
-def _hrz(session: Session, label: str, octant: int) -> int:
+def hrz(session: Session, label: str, octant: int) -> int:
     """One hidden rotation: the client draws the pad and preparation angle."""
     rng = session.alice_rng
     hiding = int(rng.integers(8))
@@ -51,39 +34,3 @@ def _hrz(session: Session, label: str, octant: int) -> int:
         labels=(session.fresh("a"), session.fresh("a"), session.fresh("a")),
     )
     return res.frame_delta[0]
-
-
-def run_sueki(
-    config: ProtocolConfig, outcomes: OutcomeSource | None = None
-) -> SuekiRunResult:
-    if config.protocol != "sueki":
-        raise ValueError(f"config is for protocol {config.protocol!r}")
-    session = new_session(config, outcomes)
-    prepare_register(session)
-    layers = compile_layers(session.config, layout=None)
-    frame = run_grid(session, layers, _hrz, cz_prep_party=ALICE)
-
-    bases = config.plan()
-    raw = []
-    for pos in range(config.num_qubits):
-        basis_name = bases[pos]
-        session.tape.msg(ALICE, to=BOB, op="measure", qubit=register_label(pos), basis=basis_name)
-        basis = MeasurementBasis.z() if basis_name == "z" else MeasurementBasis.x()
-        bit, _ = session.rt.measure(register_label(pos), basis)
-        session.tape.outcome(BOB, bit, qubit=register_label(pos))
-        session.tape.msg(BOB, to=ALICE, op="report", qubit=register_label(pos), bit=bit)
-        raw.append(bit)
-
-    decoded = []
-    for pos, basis_name in enumerate(bases):
-        flip = frame.x[pos] if basis_name == "z" else frame.z[pos]
-        decoded.append(raw[pos] ^ flip)
-
-    report = VerificationReport(
-        accepted=True,
-        trap_errors=0,
-        trap_total=0,
-        computation_bits=tuple(decoded),
-        transcript_digest=session.tape.digest(),
-    )
-    return SuekiRunResult(session.tape, report, frame, tuple(raw))

@@ -15,6 +15,7 @@ Conventions, fixed across the whole package:
   as the most significant bit.
 
 States are value objects: every operation returns a new ``StateVector``.
+Measurement and outcome enumeration live in ``runtime``.
 """
 
 from __future__ import annotations
@@ -271,105 +272,6 @@ def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int]) -> StateV
         state.num_qubits,
         _apply_matrix(state.amplitudes, gate.matrix, targets, state.num_qubits),
     )
-
-
-@dataclass(frozen=True)
-class MeasureResult:
-    outcome: int
-    probability: float
-    state: StateVector
-
-
-def _outcome_probability(
-    amps: np.ndarray, qubit: int, eigenstate: np.ndarray, n: int
-) -> tuple[float, np.ndarray]:
-    """Probability of projecting ``qubit`` onto ``eigenstate`` plus the
-    overlap tensor (the state of the remaining qubits, unnormalized)."""
-    axis = n - 1 - qubit
-    psi = amps.reshape([2] * n)
-    overlap = np.tensordot(eigenstate.conj(), psi, axes=([0], [axis]))
-    p = float(np.vdot(overlap, overlap).real)
-    return p, overlap
-
-
-def measure(
-    state: StateVector, qubit: int, basis: MeasurementBasis, coin: float
-) -> MeasureResult:
-    """Projectively measure ``qubit``; outcome 0 iff ``coin`` < P(outcome 0).
-
-    The post-measurement state keeps the qubit, collapsed onto the winning
-    eigenstate. Degenerate (non-orthonormal) bases are rejected.
-    """
-    if not 0.0 <= coin < 1.0:
-        raise ValueError(f"coin must lie in [0, 1), got {coin}")
-    if not 0 <= qubit < state.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
-    if not basis.is_orthonormal():
-        raise ValueError(f"degenerate measurement basis: {basis.kind}")
-    n = state.num_qubits
-    p0, overlap0 = _outcome_probability(state.amplitudes, qubit, basis.eigenstates[0], n)
-    p0 = min(max(p0, 0.0), 1.0)
-    outcome = 0 if coin < p0 else 1
-    prob = p0 if outcome == 0 else 1.0 - p0
-    if outcome == 0:
-        overlap = overlap0
-    else:
-        _, overlap = _outcome_probability(state.amplitudes, qubit, basis.eigenstates[1], n)
-    axis = n - 1 - qubit
-    post = np.tensordot(basis.eigenstates[outcome], overlap, axes=0)
-    post = np.moveaxis(post, 0, axis)
-    post = post.reshape(-1) / math.sqrt(max(prob, BRANCH_PROB_FLOOR))
-    return MeasureResult(outcome, prob, StateVector(n, post))
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One measurement-outcome path of a program."""
-
-    outcomes: tuple[int, ...]
-    probability: float
-    final_state: StateVector
-
-
-def enumerate_branches(
-    initial: StateVector, program: Sequence[tuple]
-) -> list[Branch]:
-    """Exhaustively expand every measurement of ``program``.
-
-    Steps are ``("gate", gate, targets)`` or ``("measure", qubit, basis)``.
-    Zero-probability branches are dropped; the total branch count must stay
-    within 2**16.
-    """
-    measure_count = sum(1 for step in program if step[0] == "measure")
-    if 2**measure_count > BRANCH_BUDGET:
-        raise ValueError(
-            f"{measure_count} measurements exceed the branch budget of 2^16"
-        )
-    branches: list[Branch] = []
-
-    def walk(state: StateVector, idx: int, outcomes: tuple[int, ...], prob: float):
-        if prob < BRANCH_PROB_FLOOR:
-            return
-        if idx == len(program):
-            branches.append(Branch(outcomes, prob, state))
-            return
-        step = program[idx]
-        if step[0] == "gate":
-            _, gate, targets = step
-            walk(apply_gate(state, gate, targets), idx + 1, outcomes, prob)
-        elif step[0] == "measure":
-            _, qubit, basis = step
-            for forced in (0, 1):
-                coin = 0.0 if forced == 0 else 1.0 - 1e-15
-                res = measure(state, qubit, basis, coin)
-                if res.outcome != forced or res.probability < BRANCH_PROB_FLOOR:
-                    continue
-                walk(res.state, idx + 1, outcomes + (forced,), prob * res.probability)
-        else:
-            raise ValueError(f"unknown program step kind: {step[0]!r}")
-
-    walk(initial, 0, (), 1.0)
-    return branches
 
 
 def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:

@@ -1,11 +1,13 @@
-"""Labeled-qubit runtime shared by gadget and protocol code.
+"""Labeled-qubit runtime: the package's one measurement and enumeration core.
 
 A ``QuantumRuntime`` holds one joint statevector with string-labeled qubits
 and an owner tag per qubit, so two-party protocols can be written once and
 executed either by sampling measurement outcomes (``SampledOutcomes``) or by
 exhaustively enumerating every outcome path (``enumerate_runs``, which
 replays the whole computation once per path and therefore handles adaptive
-protocols where later steps depend on earlier outcomes).
+protocols where later steps depend on earlier outcomes). Gadgets, protocol
+runs, oracles and audits all measure through ``QuantumRuntime.measure``;
+``qsim`` only builds states and applies gates.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ class SampledOutcomes(OutcomeSource):
                 coin = float(next(self._coins))
             except StopIteration:
                 raise ValueError("ran out of supplied coins") from None
+            if not 0.0 <= coin < 1.0:
+                raise ValueError(f"coin must lie in [0, 1), got {coin}")
         bit = 0 if coin < p0 else 1
         self.trace.append((bit, p0))
         return bit
@@ -106,6 +110,16 @@ class QuantumRuntime:
         self._labels: list[str] = []  # index in this list == qubit index
         self._owners: dict[str, str] = {}
         self.path_probability: float = 1.0
+
+    @classmethod
+    def from_state(
+        cls, state: StateVector, outcomes: OutcomeSource, owner: str
+    ) -> tuple["QuantumRuntime", list[str]]:
+        """A runtime holding ``state`` as qubits labeled r0, r1, ... (qubit order)."""
+        rt = cls(outcomes)
+        labels = [f"r{i}" for i in range(state.num_qubits)]
+        rt.load(state, labels, owner)
+        return rt, labels
 
     @property
     def num_qubits(self) -> int:

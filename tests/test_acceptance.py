@@ -28,6 +28,7 @@ from adbqc.blindness import audit_no_signaling, audit_theta_uniformity
 from adbqc.gadgets import announced_octant, cz_on_runtime, octant_angle
 from adbqc.oracle import soundness_sweep
 from adbqc.protocols import (
+    AdversaryConfig,
     GateRequest,
     ProtocolConfig,
     RunManifest,
@@ -276,3 +277,113 @@ def test_acceptance_9_determinism(acceptance):
         identical = identical and same_transcript and same_report
     acceptance(9, "determinism", identical)
     assert identical
+
+
+# ---------------------------------------------------------------------------
+# Pinned run outputs: criterion 9 checks a rerun within one build; these
+# literals hold the outputs fixed across code versions.
+
+
+def _pinned(config, accepted, trap_errors, trap_total, bits, digest, raw, frame_x, frame_z):
+    report = {
+        "accepted": accepted,
+        "trap_errors": trap_errors,
+        "trap_total": trap_total,
+        "computation_bits": bits,
+        "transcript_digest": digest,
+    }
+    return config, report, tuple(raw), (tuple(frame_x), tuple(frame_z))
+
+
+_PINNED_RUNS = {
+    "sueki-d2": _pinned(
+        ProtocolConfig(
+            "sueki", 3, 2, seed=31, output_bases=("x", "z", "z"),
+            algorithm=(
+                GateRequest.single(0, name="h"), GateRequest.single(1, name="t"),
+                GateRequest.cz_pair(0, 1), GateRequest.single(0, name="s"),
+                GateRequest.single(2, octants=(3, 5, 1)), GateRequest.cz_pair(1, 2),
+            ),
+        ),
+        True, 0, 0, [1, 0, 1],
+        "1368e15d6b54d1c7089d4ce8a0b08c1d73d1444fd21dfea4fe8a571403bb2dea",
+        [0, 0, 1], [0, 0, 0], [1, 0, 1],
+    ),
+    "p1-d2": _pinned(
+        ProtocolConfig(
+            "p1", 6, 2, seed=32, output_bases=("z", "x"),
+            algorithm=(
+                GateRequest.single(0, name="h"), GateRequest.cz_pair(0, 1),
+                GateRequest.single(1, name="t"),
+            ),
+        ),
+        True, 0, 4, [0, 1],
+        "92fd744a21e00a3d5c79b563d8ae07df74798cd376559097a17cdf1349564c42",
+        [0, 1, 0, 1, 0, 1], [1, 1, 0, 1, 1, 1], [0, 1, 1, 1, 0, 0],
+    ),
+    "p2-d2": _pinned(
+        ProtocolConfig(
+            "p2", 4, 2, trap_count=2, seed=33,
+            algorithm=(
+                GateRequest.single(0, name="x"), GateRequest.single(1, octants=(1, 2, 3)),
+                GateRequest.cz_pair(0, 1), GateRequest.single(0, name="t"),
+            ),
+        ),
+        True, 0, 2, [1, 0],
+        "6953faaafe2405495a241314f64c376da983f274950c91781e5067064f30dfcf",
+        [1, 1, 1, 1], [1, 0, 0, 1], [0, 0, 0, 1],
+    ),
+    "p1-pauli-counts": _pinned(
+        ProtocolConfig(
+            "p1", 6, 1, seed=34, algorithm=(GateRequest.single(0, name="h"),),
+            adversary=AdversaryConfig("random_pauli", pauli_counts=(1, 1, 0)),
+        ),
+        False, 1, 4, [0, 0],
+        "38227a88e43e1d413037131329de91e770e4ccf696fbc5fbf8b4164efae25366",
+        [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 1, 1], [0, 1, 0, 0, 1, 1],
+    ),
+    "p1-pauli-positions": _pinned(
+        ProtocolConfig(
+            "p1", 3, 1, seed=35,
+            adversary=AdversaryConfig(
+                "random_pauli", pauli_positions=(("xz", 1), ("z", 0))
+            ),
+        ),
+        True, 0, 2, [1],
+        "ed30382d4f84890e10037d2d95cc974e482325112d6cfea7be402e47ee1299b6",
+        [0, 0, 1], [0, 1, 1], [0, 0, 1],
+    ),
+    "p2-tamper": _pinned(
+        ProtocolConfig(
+            "p2", 4, 1, trap_count=2, seed=36, algorithm=(GateRequest.single(0, name="h"),),
+            adversary=AdversaryConfig("trap_tamper", tamper_rate=0.7),
+        ),
+        False, 1, 2, [1, 0],
+        "70ada03a59bdfff72b2341eb6dcbf96807f166fe8b84c81bc9920c11f6576951",
+        [1, 0, 1, 0], [1, 1, 0, 1], [1, 1, 1, 1],
+    ),
+    "p2-quiet": _pinned(
+        ProtocolConfig(
+            "p2", 3, 2, trap_count=1, seed=37, record_transcript=False,
+            algorithm=(
+                GateRequest.single(0, name="h"), GateRequest.cz_pair(0, 1),
+                GateRequest.single(1, name="hx"),
+            ),
+        ),
+        True, 0, 1, [1, 0],
+        # sha256 of the empty event log
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        [1, 0, 0], [0, 0, 0], [1, 0, 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_RUNS))
+def test_pinned_run_outputs(case):
+    config, report, raw, frame = _PINNED_RUNS[case]
+    runners = {"sueki": run_sueki, "p1": run_protocol1, "p2": run_protocol2}
+    result = runners[config.protocol](config)
+    assert result.report.as_dict() == report
+    assert result.transcript.digest() == report["transcript_digest"]
+    assert result.raw_bits == raw
+    assert (result.frame.x, result.frame.z) == frame

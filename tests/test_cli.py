@@ -51,6 +51,13 @@ def test_run_rejects_traps_for_the_prepare_only_protocol(capsys):
     assert "error" in err
 
 
+def test_run_rejects_an_over_budget_width(capsys):
+    code, out, err = run_cli(capsys, "run", "--protocol", "sueki", "--qubits", "16")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "over the budget of 16" in err
+
+
 def test_run_requires_a_protocol(capsys):
     code, _, err = run_cli(capsys, "run", "--qubits", "3")
     assert code == EXIT_ERROR

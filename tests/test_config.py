@@ -14,6 +14,7 @@ from adbqc.protocols import (
     VerificationReport,
     config_from_dict,
     config_to_dict,
+    run,
 )
 from adbqc.transcript import ALICE, BOB, Transcript
 
@@ -114,11 +115,31 @@ def test_trap_counts_by_protocol():
         dict(protocol="p2", num_qubits=4, depth=1),  # trap count required
         dict(protocol="p2", num_qubits=4, depth=1, trap_count=0),
         dict(protocol="p2", num_qubits=4, depth=1, trap_count=4),
+        dict(protocol="sueki", num_qubits=40, depth=1),  # far over the qubit budget
     ],
 )
 def test_bad_configs_rejected(kwargs):
     with pytest.raises(ValueError):
         ProtocolConfig(**kwargs)
+
+
+# widest register each protocol fits in the 16-qubit budget beside its
+# gadget's ancillas (p1 holds a Bell pair, the others one qubit), and the
+# next width up
+_WIDEST_AND_OVER = {
+    "sueki": (dict(num_qubits=15), dict(num_qubits=16)),
+    "p1": (dict(num_qubits=12), dict(num_qubits=15)),
+    "p2": (dict(num_qubits=15, trap_count=1), dict(num_qubits=16, trap_count=1)),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(_WIDEST_AND_OVER))
+def test_widest_register_runs_and_next_width_is_rejected(protocol):
+    widest, over = _WIDEST_AND_OVER[protocol]
+    result = run(ProtocolConfig(protocol, depth=1, seed=1, **widest))
+    assert result.report.accepted
+    with pytest.raises(ValueError, match="over the budget of 16"):
+        ProtocolConfig(protocol, depth=1, **over)
 
 
 def test_algorithm_targets_checked_against_logical_width():

@@ -19,8 +19,6 @@ from adbqc.gadgets import (
     cz_on_runtime,
     decompose_unitary,
     frame_conjugate,
-    gadget_cz,
-    gadget_hrz_sueki,
     h_cancel,
     kraus_backaction,
     octant_angle,
@@ -68,10 +66,7 @@ def haar_unitary(gen: np.random.Generator) -> np.ndarray:
 
 
 def fresh_runtime(state: StateVector, coins) -> tuple[QuantumRuntime, list[str]]:
-    rt = QuantumRuntime(SampledOutcomes(coins=coins))
-    labels = [f"r{i}" for i in range(state.num_qubits)]
-    rt.load(state, labels, BOB)
-    return rt, labels
+    return QuantumRuntime.from_state(state, SampledOutcomes(coins=coins), BOB)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +253,12 @@ def test_announced_octant_covers_octants_two_to_one():
 def test_sueki_gadget_soundness(octant, coin_pair):
     """Every realized branch equals H R_Z(k pi/4) after the frame correction."""
     state = haar_random_state(1, rng.stream(151, "sueki-state", octant))
-    announced, outcomes, delta, out = gadget_hrz_sueki(
-        state, 0, octant, hiding_octant=3, pad_bit=1, coins=coin_pair
+    rt, labels = fresh_runtime(state, coin_pair)
+    res = sueki_hrz_on_runtime(rt, labels[0], octant, hiding_octant=3, pad_bit=1)
+    assert res.theta_public == announced_octant(octant, 3, 1, res.outcomes[0])
+    corrected = PauliFrame((res.frame_delta[0],), (res.frame_delta[1],)).matrix_on(
+        rt.snapshot(labels)
     )
-    assert announced == announced_octant(octant, 3, 1, outcomes[0])
-    corrected = PauliFrame((delta[0],), (delta[1],)).matrix_on(out)
     want = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
     assert fidelity_up_to_phase(corrected, want) == pytest.approx(1.0, abs=1e-9)
 
@@ -278,11 +274,14 @@ def test_sueki_gadget_branch_weights_on_zero_input():
 def test_sueki_gadget_prep_sign_branches():
     state = haar_random_state(1, rng.stream(152, "sueki-sign"))
     for coins in ((0.1, 0.1), (0.9, 0.9)):
-        announced, outcomes, delta, out = gadget_hrz_sueki(
-            state, 0, 5, hiding_octant=6, pad_bit=0, coins=coins, prep_sign=-1
+        rt, labels = fresh_runtime(state, coins)
+        res = sueki_hrz_on_runtime(
+            rt, labels[0], 5, hiding_octant=6, pad_bit=0, prep_sign=-1
         )
-        assert announced == announced_octant(5, 6, 0, outcomes[0], prep_sign=-1)
-        corrected = PauliFrame((delta[0],), (delta[1],)).matrix_on(out)
+        assert res.theta_public == announced_octant(5, 6, 0, res.outcomes[0], prep_sign=-1)
+        corrected = PauliFrame((res.frame_delta[0],), (res.frame_delta[1],)).matrix_on(
+            rt.snapshot(labels)
+        )
         want = apply_gate(state, Gate.hrz(octant_angle(5)), [0])
         assert fidelity_up_to_phase(corrected, want) == pytest.approx(1.0, abs=1e-9)
 
@@ -294,11 +293,12 @@ def test_sueki_gadget_prep_sign_branches():
 @pytest.mark.parametrize("coin", [0.25, 0.75])
 def test_cz_gadget_soundness(coin):
     state = haar_random_state(2, rng.stream(153, "cz-state"))
-    outcome, delta, out = gadget_cz(state, 0, 1, coin)
-    frame = PauliFrame((0, 0), (delta[0], delta[1]))
-    corrected = frame.matrix_on(out)
+    rt, labels = fresh_runtime(state, (coin,))
+    res = cz_on_runtime(rt, labels[0], labels[1])
+    frame = PauliFrame((0, 0), (res.frame_delta_z_first, 0))
+    corrected = frame.matrix_on(rt.snapshot(labels))
     want = apply_gate(state, Gate.cz(), [0, 1])
-    assert delta == (outcome, 0)
+    assert res.frame_delta_z_first == res.outcome
     assert fidelity_up_to_phase(corrected, want) == pytest.approx(1.0, abs=1e-9)
 
 

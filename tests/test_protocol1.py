@@ -21,7 +21,6 @@ from adbqc.protocols import (
 )
 from adbqc.protocols.measure_client import (
     classify_angle,
-    p1_hrz,
     p1_hrz_on_runtime,
     solve_phase_choice,
 )
@@ -36,7 +35,7 @@ from adbqc.qsim import (
     trace_distance,
 )
 from adbqc.runtime import QuantumRuntime, SampledOutcomes, enumerate_runs
-from adbqc.transcript import BOB
+from adbqc.transcript import ALICE, BOB, Transcript
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +75,12 @@ def test_gadget_soundness_all_branches(octant):
     want = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
     for bits in itertools.product((0, 1), repeat=3):
         coins = tuple(0.2 if b == 0 else 0.8 for b in bits)
-        outcomes, delta, out = p1_hrz(state, 0, octant, coins)
+        rt, labels = QuantumRuntime.from_state(state, SampledOutcomes(coins=coins), BOB)
+        tape = Transcript()
+        delta = p1_hrz_on_runtime(rt, labels[0], octant, tape)
+        outcomes = [ev for ev in tape.events if ev.kind == "outcome" and ev.party == ALICE]
         assert len(outcomes) == 3
-        corrected = PauliFrame((delta,), (0,)).matrix_on(out)
+        corrected = PauliFrame((delta,), (0,)).matrix_on(rt.snapshot(labels))
         assert fidelity_up_to_phase(corrected, want) == pytest.approx(1.0, abs=1e-9)
 
 

@@ -13,7 +13,7 @@ from adbqc.protocols import (
     place_traps,
     run_protocol2,
 )
-from adbqc.protocols.gate_client import p2_hrz, p2_hrz_on_runtime
+from adbqc.protocols.gate_client import p2_hrz_on_runtime
 from adbqc.protocols.reference import reference_distribution, total_variation
 from adbqc.qsim import (
     Gate,
@@ -23,7 +23,7 @@ from adbqc.qsim import (
     haar_random_state,
 )
 from adbqc.runtime import QuantumRuntime, SampledOutcomes, enumerate_runs
-from adbqc.transcript import ALICE, BOB
+from adbqc.transcript import ALICE, BOB, Transcript
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +36,12 @@ def test_gadget_soundness(octant, coin):
     """Returned-ancilla gadget equals H R_Z(k pi/4) after the X correction."""
     state = haar_random_state(1, rng.stream(300, "p2-state", octant))
     want = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
-    s, delta, out = p2_hrz(state, 0, octant, coin)
-    assert delta == s
-    corrected = PauliFrame((delta,), (0,)).matrix_on(out)
+    rt, labels = QuantumRuntime.from_state(state, SampledOutcomes(coins=(coin,)), BOB)
+    tape = Transcript()
+    delta = p2_hrz_on_runtime(rt, labels[0], octant, tape)
+    (announced,) = [ev.payload["bit"] for ev in tape.events if ev.kind == "outcome"]
+    assert delta == announced
+    corrected = PauliFrame((delta,), (0,)).matrix_on(rt.snapshot(labels))
     assert fidelity_up_to_phase(corrected, want) == pytest.approx(1.0, abs=1e-9)
 
 

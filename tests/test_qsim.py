@@ -1,7 +1,10 @@
 """Statevector core: conventions, gates, measurement, branching, reductions.
 
-Expected values are either worked out inline with raw numpy (independent of
-the code under test) or are small enough to assert directly.
+Measurement and branch enumeration run through the runtime
+(``QuantumRuntime.measure`` and ``enumerate_runs``), the package's only
+measurement core. Expected values are either worked out inline with raw
+numpy (independent of the code under test) or are small enough to assert
+directly.
 """
 
 import numpy as np
@@ -11,22 +14,21 @@ from adbqc import rng
 from adbqc.qsim import (
     BRANCH_PROB_FLOOR,
     MAX_QUBITS,
-    Branch,
     DensityMatrix,
     Gate,
     MeasurementBasis,
     StateVector,
     apply_gate,
-    enumerate_branches,
     fidelity_up_to_phase,
     haar_random_state,
-    measure,
     partial_trace,
     plus_state,
     rx_matrix,
     rz_matrix,
     trace_distance,
 )
+from adbqc.runtime import QuantumRuntime, RunBranch, SampledOutcomes, enumerate_runs
+from adbqc.transcript import BOB
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -65,6 +67,33 @@ def projection_weight(psi: np.ndarray, qubit: int, eigen: np.ndarray) -> float:
             amp = np.conj(eigen[0]) * psi[j] + np.conj(eigen[1]) * psi[j | (1 << qubit)]
             acc += abs(amp) ** 2
     return acc
+
+
+def measure(state: StateVector, qubit: int, basis: MeasurementBasis, coin: float):
+    """One runtime measurement of ``state`` driven by ``coin``.
+
+    Returns (outcome, probability of the outcome, post-measurement state);
+    the measured qubit stays in the state, collapsed onto its eigenstate.
+    """
+    rt, labels = QuantumRuntime.from_state(state, SampledOutcomes(coins=(coin,)), BOB)
+    outcome, probability = rt.measure(labels[qubit], basis)
+    return outcome, probability, rt.snapshot()
+
+
+def run_program(initial: StateVector, program, source):
+    """Run ``("gate", gate, targets)`` / ``("measure", qubit, basis)`` steps
+    on a runtime fed by ``source``; returns the final state."""
+    rt, labels = QuantumRuntime.from_state(initial, source, BOB)
+    for step in program:
+        if step[0] == "gate":
+            rt.apply(step[1], [labels[q] for q in step[2]])
+        else:
+            rt.measure(labels[step[1]], step[2])
+    return rt.snapshot()
+
+
+def enumerate_program(initial: StateVector, program) -> list[RunBranch]:
+    return enumerate_runs(lambda source: run_program(initial, program, source))
 
 
 # ---------------------------------------------------------------------------
@@ -221,36 +250,45 @@ def test_apply_gate_rejects_bad_targets():
 
 def test_measure_plus_in_x_is_deterministic():
     plus = StateVector.of(plus_state(np.pi / 2, 0.0))
-    res = measure(plus, 0, MeasurementBasis.x(), coin=0.999999)
-    assert res.outcome == 0
-    assert res.probability == pytest.approx(1.0, abs=1e-12)
+    outcome, probability, _ = measure(plus, 0, MeasurementBasis.x(), coin=0.999999)
+    assert outcome == 0
+    assert probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_zero_in_x_is_fair():
-    res0 = measure(StateVector.zero(1), 0, MeasurementBasis.x(), coin=0.25)
-    res1 = measure(StateVector.zero(1), 0, MeasurementBasis.x(), coin=0.75)
-    assert (res0.outcome, res1.outcome) == (0, 1)
-    assert res0.probability == pytest.approx(0.5, abs=1e-12)
-    assert res1.probability == pytest.approx(0.5, abs=1e-12)
+    out0, prob0, _ = measure(StateVector.zero(1), 0, MeasurementBasis.x(), coin=0.25)
+    out1, prob1, _ = measure(StateVector.zero(1), 0, MeasurementBasis.x(), coin=0.75)
+    assert (out0, out1) == (0, 1)
+    assert prob0 == pytest.approx(0.5, abs=1e-12)
+    assert prob1 == pytest.approx(0.5, abs=1e-12)
 
 
 def test_measure_tilted_state_in_z():
     """cos(pi/6)^2 = 3/4 lands on outcome 0."""
     state = StateVector.of(plus_state(np.pi / 3, np.pi / 2))
-    res = measure(state, 0, MeasurementBasis.z(), coin=0.74)
-    assert res.outcome == 0
-    assert res.probability == pytest.approx(0.75, abs=1e-12)
-    res = measure(state, 0, MeasurementBasis.z(), coin=0.76)
-    assert res.outcome == 1
-    assert res.probability == pytest.approx(0.25, abs=1e-12)
+    outcome, probability, _ = measure(state, 0, MeasurementBasis.z(), coin=0.74)
+    assert outcome == 0
+    assert probability == pytest.approx(0.75, abs=1e-12)
+    outcome, probability, _ = measure(state, 0, MeasurementBasis.z(), coin=0.76)
+    assert outcome == 1
+    assert probability == pytest.approx(0.25, abs=1e-12)
 
 
 def test_measure_coin_boundary_is_half_open():
     """Outcome 0 exactly when coin < p0, checked where p0 is 0 or 1."""
     zero = StateVector.zero(1)
     one = StateVector.of([0.0, 1.0])
-    assert measure(zero, 0, MeasurementBasis.z(), coin=0.9999999).outcome == 0
-    assert measure(one, 0, MeasurementBasis.z(), coin=0.0).outcome == 1
+    assert measure(zero, 0, MeasurementBasis.z(), coin=0.9999999)[0] == 0
+    assert measure(one, 0, MeasurementBasis.z(), coin=0.0)[0] == 1
+
+
+@pytest.mark.parametrize("coin", [1.0, 1.5, -0.1])
+def test_supplied_coins_must_lie_in_unit_interval(coin):
+    """A coin of 1 would pick outcome 1 of |0> in Z: an impossible outcome."""
+    rt = QuantumRuntime(SampledOutcomes(coins=(coin,)))
+    rt.add_qubit("q", np.array([1, 0], dtype=complex), BOB)
+    with pytest.raises(ValueError, match=r"coin must lie in \[0, 1\)"):
+        rt.measure("q", MeasurementBasis.z())
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -263,18 +301,19 @@ def test_measure_probability_matches_projection(trial):
     p0 = projection_weight(state.amplitudes, qubit, basis.eigenstates[0])
     p1 = projection_weight(state.amplitudes, qubit, basis.eigenstates[1])
     assert p0 + p1 == pytest.approx(1.0, abs=1e-10)
-    res = measure(state, qubit, basis, coin=0.0 if p0 > 0 else 0.5)
-    assert res.probability == pytest.approx(p0 if res.outcome == 0 else p1, abs=1e-10)
-    assert res.state.num_qubits == n
-    assert abs(np.linalg.norm(res.state.amplitudes) - 1.0) < 1e-9
+    outcome, probability, post = measure(state, qubit, basis, coin=0.0 if p0 > 0 else 0.5)
+    assert probability == pytest.approx(p0 if outcome == 0 else p1, abs=1e-10)
+    assert post.num_qubits == n
+    assert abs(np.linalg.norm(post.amplitudes) - 1.0) < 1e-9
 
 
 def test_measure_post_state_is_eigenstate():
     state = haar_random_state(2, rng.stream(92, "post"))
-    res = measure(state, 1, MeasurementBasis.x(), coin=0.3)
-    again = measure(res.state, 1, MeasurementBasis.x(), coin=0.3)
-    assert again.outcome == res.outcome
-    assert again.probability == pytest.approx(1.0, abs=1e-10)
+    rt, labels = QuantumRuntime.from_state(state, SampledOutcomes(coins=(0.3, 0.3)), BOB)
+    outcome, _ = rt.measure(labels[1], MeasurementBasis.x())
+    again, probability = rt.measure(labels[1], MeasurementBasis.x())
+    assert again == outcome
+    assert probability == pytest.approx(1.0, abs=1e-10)
 
 
 def test_degenerate_basis_rejected():
@@ -303,7 +342,7 @@ def test_sampled_outcomes_track_born_rule():
     gen = rng.stream(93, "qsim-sampling")
     trials = 10_000
     zeros = sum(
-        measure(state, 0, MeasurementBasis.z(), coin=float(gen.random())).outcome == 0
+        measure(state, 0, MeasurementBasis.z(), coin=float(gen.random()))[0] == 0
         for _ in range(trials)
     )
     sigma = np.sqrt(trials * 0.75 * 0.25)
@@ -316,7 +355,7 @@ def test_sampled_outcomes_track_born_rule():
 
 def test_enumerate_branches_drops_zero_probability():
     program = [("measure", 0, MeasurementBasis.z())]
-    branches = enumerate_branches(StateVector.zero(1), program)
+    branches = enumerate_program(StateVector.zero(1), program)
     assert len(branches) == 1
     assert branches[0].outcomes == (0,)
     assert branches[0].probability == pytest.approx(1.0)
@@ -330,12 +369,12 @@ def test_enumerate_branches_covers_all_paths():
         ("gate", Gate.h(), [1]),
         ("measure", 1, MeasurementBasis.z()),
     ]
-    branches = enumerate_branches(StateVector.zero(2), program)
+    branches = enumerate_program(StateVector.zero(2), program)
     assert len(branches) == 4
     assert sorted(b.outcomes for b in branches) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-12)
     for b in branches:
-        assert isinstance(b, Branch)
+        assert isinstance(b, RunBranch)
         assert b.probability == pytest.approx(0.25, abs=1e-12)
 
 
@@ -349,23 +388,16 @@ def test_enumeration_matches_sequential_sampling():
         ("measure", 1, MeasurementBasis.equatorial(np.pi / 4)),
     ]
     initial = apply_gate(StateVector.zero(2), Gate.h(), [1])
-    branches = enumerate_branches(initial, program)
+    branches = enumerate_program(initial, program)
     assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-12)
 
     gen = rng.stream(94, "qsim-branch-sampling")
     trials = 10_000
     counts = {b.outcomes: 0 for b in branches}
     for _ in range(trials):
-        state = initial
-        outcomes = []
-        for step in program:
-            if step[0] == "gate":
-                state = apply_gate(state, step[1], step[2])
-            else:
-                res = measure(state, step[1], step[2], coin=float(gen.random()))
-                outcomes.append(res.outcome)
-                state = res.state
-        counts[tuple(outcomes)] += 1
+        source = SampledOutcomes(coins=[float(gen.random()), float(gen.random())])
+        run_program(initial, program, source)
+        counts[source.bits] += 1
     for b in branches:
         sigma = np.sqrt(trials * b.probability * (1 - b.probability))
         assert abs(counts[b.outcomes] - trials * b.probability) <= 4 * sigma
