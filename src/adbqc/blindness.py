@@ -17,7 +17,6 @@ show it would catch a real leak.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -31,6 +30,8 @@ from .adversary import (
     probe_gram_closed_form,
 )
 from .gadgets import announced_octant
+from .oracle import admissible_octants, drive_gadget
+from .protocols.measure_client import p1_hrz_on_runtime
 from .qsim import StateVector, haar_random_state
 from .rng import stream
 from .runtime import OutcomeSource, QuantumRuntime, enumerate_runs
@@ -104,7 +105,6 @@ def _bob_view_blocks(
     """Server view at a gadget checkpoint, as subnormalized density blocks
     keyed by the server-visible classical record, summed over the client's
     unseen outcome branches."""
-    from .protocols.measure_client import p1_hrz_on_runtime
 
     def run_fn(source: OutcomeSource):
         rt, labels = QuantumRuntime.from_state(state, source, BOB)
@@ -117,27 +117,17 @@ def _bob_view_blocks(
                     key = key + (octant % 8,)
                 raise _Halt(key, rt.density_of(BOB))
 
-        p1_hrz_on_runtime(rt, labels[0], octant, tape, checkpoint=checkpoint)
+        try:
+            p1_hrz_on_runtime(rt, labels[0], octant, tape, checkpoint=checkpoint)
+        except _Halt as halt:
+            return halt
         raise AssertionError(f"checkpoint {step} never reached")
 
     blocks: dict[tuple, np.ndarray] = {}
-    for branch in enumerate_runs(_catching(run_fn)):
+    for branch in enumerate_runs(run_fn):
         halt = branch.value
-        if halt.key in blocks:
-            blocks[halt.key] = blocks[halt.key] + branch.probability * halt.rho
-        else:
-            blocks[halt.key] = branch.probability * halt.rho
+        blocks[halt.key] = blocks.get(halt.key, 0.0) + branch.probability * halt.rho
     return blocks
-
-
-def _catching(run_fn: Callable) -> Callable:
-    def wrapped(source: OutcomeSource):
-        try:
-            run_fn(source)
-        except _Halt as halt:
-            return halt
-
-    return wrapped
 
 
 def block_trace_distance(
@@ -283,47 +273,31 @@ def audit_gadget_view_tv(
     gadgets the distance must vanish; with ``leak`` the secret octant is
     appended to every view, which must push the distance to one.
     """
-    from .protocols.gate_client import p2_hrz_on_runtime
-    from .protocols.measure_client import p1_hrz_on_runtime
-    from .gadgets import sueki_hrz_on_runtime
-
-    if gadget not in ("hrz-sueki", "p1-a", "p1-b", "p2"):
+    if gadget == "cz":
         raise ValueError(f"gadget {gadget!r} has no angle to hide")
     for octant in (octant_a, octant_b):
-        if gadget == "p1-a" and octant % 2:
-            raise ValueError("the even-octant gadget needs even octants")
-        if gadget == "p1-b" and not octant % 2:
-            raise ValueError("the odd-octant gadget needs odd octants")
+        if octant % 8 not in admissible_octants(gadget):
+            raise ValueError(f"octant {octant} is not admissible for gadget {gadget!r}")
     if state is None:
         state = haar_random_state(1, stream(99, "gadget-view-input"))
+    coins = [(0, 0, +1)]  # the prepare-only client's coins are enumerated
+    if gadget == "hrz-sueki":
+        coins = [(h, p, s) for h in range(8) for p in (0, 1) for s in (+1, -1)]
+    weight = 1.0 / len(coins)
 
     def distribution(octant: int) -> dict:
         probs: dict = {}
+        for hidden in coins:
 
-        def add(weight: float, drive: Callable) -> None:
             def body(src: OutcomeSource):
-                rt, _ = QuantumRuntime.from_state(state, src, BOB)  # its one qubit is "r0"
+                rt, labels = QuantumRuntime.from_state(state, src, BOB)
                 tape = Transcript()
-                drive(rt, tape)
+                drive_gadget(gadget, rt, labels, octant, hidden, tape)
                 return tuple(tape.bob_classical_values())
 
             for br in enumerate_runs(body):
                 sig = br.value + ((octant,) if leak else ())
                 probs[sig] = probs.get(sig, 0.0) + weight * br.probability
-
-        if gadget == "hrz-sueki":
-            coins = [(h, p, s) for h in range(8) for p in (0, 1) for s in (+1, -1)]
-            for hiding, pad, sign in coins:
-                add(
-                    1.0 / len(coins),
-                    lambda rt, tape, h=hiding, p=pad, g=sign: sueki_hrz_on_runtime(
-                        rt, "r0", octant, h, p, g, tape
-                    ),
-                )
-        elif gadget in ("p1-a", "p1-b"):
-            add(1.0, lambda rt, tape: p1_hrz_on_runtime(rt, "r0", octant, tape))
-        else:
-            add(1.0, lambda rt, tape: p2_hrz_on_runtime(rt, "r0", octant, tape))
         return probs
 
     pa = distribution(octant_a)

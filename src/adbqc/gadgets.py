@@ -9,6 +9,11 @@ classical frame records. Gadgets act on labeled qubits of a
 
 - ``kraus_backaction``: the two back-action operators on the register for a
   single coupling, given the ancilla preparation and its measurement basis.
+- ``couple_in`` and ``measure_out``: the ancilla step every gadget shares.
+  ``couple_in`` prepares an ancilla, hands it to the server and couples it
+  to each target; ``measure_out`` has the server measure it, record and
+  announce the outcome, and drop it. Both record their transcript events.
+  ``local_mint`` names ancillas when no run session supplies labels.
 - ``couple`` and ``h_cancel``: one entangler coupling, and a |0> ancilla
   coupled then discarded, which leaves a deterministic H on the register.
 - ``sueki_hrz_on_runtime``: the prepare-only client's H R_Z(theta) gadget.
@@ -21,7 +26,9 @@ classical frame records. Gadgets act on labeled qubits of a
 - ``frame_conjugate`` and ``PauliFrame``: pushing X/Z records through the
   gates the gadgets realize.
 - ``decompose_unitary``: Z-X-Z Euler angles in this package's conventions,
-  with an octant-snapping variant used to compile gate requests.
+  and ``octant_euler``, which snaps them to octants. Gate requests do not
+  use it: named gates resolve through ``NAMED_GATE_OCTANTS``, and the tests
+  check that table against ``octant_euler``.
 
 All angles at protocol boundaries are octant integers k, meaning k*pi/4.
 """
@@ -29,8 +36,10 @@ All angles at protocol boundaries are octant integers k, meaning k*pi/4.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -162,10 +171,50 @@ def frame_conjugate(
 # ---------------------------------------------------------------------------
 # Gadget primitives on a runtime
 
+Mint = Callable[[str], str]
+
+
+def local_mint(target: str) -> Mint:
+    """Ancilla labels ``<prefix><n>_<target>``, numbered per gadget call."""
+    counter = itertools.count()
+    return lambda prefix: f"{prefix}{next(counter)}_{target}"
+
 
 def couple(rt: QuantumRuntime, ancilla: str, register: str) -> None:
     """Apply the entangler with the ancilla as the high matrix bit."""
     rt.apply(ENTANGLER, [ancilla, register])
+
+
+def couple_in(
+    rt: QuantumRuntime,
+    tape: Transcript,
+    label: str,
+    amplitudes: np.ndarray,
+    which: str,
+    prep_party: str,
+    targets: tuple[str, ...],
+) -> None:
+    """Prepare an ancilla, hand it to the server and couple it to each target."""
+    rt.add_qubit(label, amplitudes, prep_party)
+    tape.local(prep_party, op="prepare", qubit=label, which=which)
+    if prep_party != BOB:
+        tape.transfer(prep_party, BOB, label)
+    rt.transfer(label, BOB)
+    for target in targets:
+        couple(rt, label, target)
+        tape.local(BOB, op="couple", qubits=[label, target])
+
+
+def measure_out(
+    rt: QuantumRuntime, tape: Transcript, label: str, basis: MeasurementBasis
+) -> int:
+    """The server measures the ancilla, records and announces the outcome,
+    and drops the ancilla."""
+    s, _ = rt.measure(label, basis)
+    tape.outcome(BOB, s, qubit=label)
+    tape.msg(BOB, ALICE, outcome=s)
+    rt.discard(label)
+    return s
 
 
 def h_cancel(
@@ -176,18 +225,11 @@ def h_cancel(
     prep_party: str = BOB,
 ) -> None:
     """Couple a fresh |0> ancilla and discard it: a deterministic H."""
-    rt.add_qubit(label, np.array([1, 0], dtype=complex), prep_party)
-    if tape:
-        tape.local(prep_party, op="prepare", qubit=label, which="zero")
-        if prep_party != BOB:
-            tape.transfer(prep_party, BOB, label)
-    rt.transfer(label, BOB)
-    couple(rt, label, register)
-    if tape:
-        tape.local(BOB, op="couple", qubits=[label, register])
+    tape = tape or Transcript(record=False)
+    zero = np.array([1, 0], dtype=complex)
+    couple_in(rt, tape, label, zero, "zero", prep_party, (register,))
     rt.discard(label)
-    if tape:
-        tape.local(BOB, op="discard", qubit=label)
+    tape.local(BOB, op="discard", qubit=label)
 
 
 @dataclass(frozen=True)
@@ -195,6 +237,14 @@ class SuekiHrzResult:
     theta_public: int  # announced octant
     outcomes: tuple[int, int]
     frame_delta: tuple[int, int]  # (x, z) delta on the target qubit
+
+
+def draw_sueki_secrets(rng: np.random.Generator) -> tuple[int, int, int]:
+    """The prepare-only client's secrets for one rotation, in draw order:
+    (hiding octant, pad bit, prep sign)."""
+    hiding = int(rng.integers(8))
+    pad = int(rng.integers(2))
+    return hiding, pad, -1 if rng.integers(2) else +1
 
 
 def announced_octant(
@@ -221,7 +271,7 @@ def sueki_hrz_on_runtime(
     pad_bit: int,
     prep_sign: int = +1,
     tape: Transcript | None = None,
-    labels: tuple[str, str, str] = ("anc_hide", "anc_h", "anc_drive"),
+    mint: Mint | None = None,
 ) -> SuekiHrzResult:
     """Prepare-only client's H R_Z gadget; realizes X^(s2^pad) H R_Z(k pi/4).
 
@@ -229,45 +279,28 @@ def sueki_hrz_on_runtime(
     bit, prep sign) shape only the announced angle; the announced octant is
     uniform when hiding octant and pad bit are uniform.
     """
-    a_hide, a_h, a_drive = labels
+    tape = tape or Transcript(record=False)
+    mint = mint or local_mint(target)
     k_target = target_octant % 8
     k_hide = hiding_octant % 8
 
     # hidden-rotation coupling
-    rt.add_qubit(a_hide, plus_state(octant_angle(k_hide), math.pi / 2, prep_sign), ALICE)
-    if tape:
-        tape.local(ALICE, op="prepare", qubit=a_hide, which="hidden")
-        tape.transfer(ALICE, BOB, a_hide)
-    rt.transfer(a_hide, BOB)
-    couple(rt, a_hide, target)
-    s1, _ = rt.measure(a_hide, MeasurementBasis.z())
-    if tape:
-        tape.local(BOB, op="couple", qubits=[a_hide, target])
-        tape.outcome(BOB, s1, qubit=a_hide)
-        tape.msg(BOB, ALICE, outcome=s1)
-    rt.discard(a_hide)
+    a_hide = mint("a")
+    hidden = plus_state(octant_angle(k_hide), math.pi / 2, prep_sign)
+    couple_in(rt, tape, a_hide, hidden, "hidden", ALICE, (target,))
+    s1 = measure_out(rt, tape, a_hide, MeasurementBasis.z())
 
     # Hadamard-cancelling coupling
-    h_cancel(rt, target, a_h, tape, prep_party=ALICE)
+    h_cancel(rt, target, mint("a"), tape, prep_party=ALICE)
 
     # announced angle folds the secrets with the first outcome
     k_public = announced_octant(k_target, k_hide, pad_bit, s1, prep_sign)
-    if tape:
-        tape.msg(ALICE, BOB, theta_octant=k_public)
+    tape.msg(ALICE, BOB, theta_octant=k_public)
 
     # driven coupling measured in the announced equatorial basis
-    rt.add_qubit(a_drive, plus_state(math.pi / 2, 0.0), ALICE)
-    if tape:
-        tape.local(ALICE, op="prepare", qubit=a_drive, which="plus")
-        tape.transfer(ALICE, BOB, a_drive)
-    rt.transfer(a_drive, BOB)
-    couple(rt, a_drive, target)
-    s2, _ = rt.measure(a_drive, MeasurementBasis.equatorial(octant_angle(k_public)))
-    if tape:
-        tape.local(BOB, op="couple", qubits=[a_drive, target])
-        tape.outcome(BOB, s2, qubit=a_drive)
-        tape.msg(BOB, ALICE, outcome=s2)
-    rt.discard(a_drive)
+    a_drive = mint("a")
+    couple_in(rt, tape, a_drive, plus_state(math.pi / 2, 0.0), "plus", ALICE, (target,))
+    s2 = measure_out(rt, tape, a_drive, MeasurementBasis.equatorial(octant_angle(k_public)))
 
     return SuekiHrzResult(k_public, (s1, s2), (s2 ^ pad_bit, 0))
 
@@ -284,7 +317,7 @@ def cz_on_runtime(
     target_j: str,
     tape: Transcript | None = None,
     prep_party: str = BOB,
-    labels: tuple[str, str, str] = ("anc_cz", "anc_hi", "anc_hj"),
+    mint: Mint | None = None,
 ) -> CzResult:
     """CZ between two register qubits; realizes Z_i^s CZ_ij exactly.
 
@@ -292,24 +325,14 @@ def cz_on_runtime(
     travels server to client); a |0> coupling on each qubit absorbs the
     leftover Hadamards.
     """
-    a_cz, a_hi, a_hj = labels
-    rt.add_qubit(a_cz, plus_state(math.pi / 2, 0.0), prep_party)
-    if tape:
-        tape.local(prep_party, op="prepare", qubit=a_cz, which="plus")
-        if prep_party != BOB:
-            tape.transfer(prep_party, BOB, a_cz)
-    rt.transfer(a_cz, BOB)
-    couple(rt, a_cz, target_i)
-    couple(rt, a_cz, target_j)
-    s, _ = rt.measure(a_cz, MeasurementBasis.z())
-    if tape:
-        tape.local(BOB, op="couple", qubits=[a_cz, target_i])
-        tape.local(BOB, op="couple", qubits=[a_cz, target_j])
-        tape.outcome(BOB, s, qubit=a_cz)
-        tape.msg(BOB, ALICE, outcome=s)
-    rt.discard(a_cz)
-    h_cancel(rt, target_i, a_hi, tape, prep_party)
-    h_cancel(rt, target_j, a_hj, tape, prep_party)
+    tape = tape or Transcript(record=False)
+    mint = mint or local_mint(target_i)
+    a_cz = mint("c")
+    plus = plus_state(math.pi / 2, 0.0)
+    couple_in(rt, tape, a_cz, plus, "plus", prep_party, (target_i, target_j))
+    s = measure_out(rt, tape, a_cz, MeasurementBasis.z())
+    h_cancel(rt, target_i, mint("c"), tape, prep_party)
+    h_cancel(rt, target_j, mint("c"), tape, prep_party)
     return CzResult(s, s)
 
 

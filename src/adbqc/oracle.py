@@ -12,12 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import rng
-from .gadgets import PauliFrame, cz_on_runtime, octant_angle, sueki_hrz_on_runtime
+from .gadgets import (
+    EVEN_OCTANTS,
+    ODD_OCTANTS,
+    PauliFrame,
+    cz_on_runtime,
+    draw_sueki_secrets,
+    octant_angle,
+    sueki_hrz_on_runtime,
+)
 from .protocols.gate_client import p2_hrz_on_runtime
 from .protocols.measure_client import p1_hrz_on_runtime
 from .qsim import Gate, StateVector, apply_gate, fidelity_up_to_phase, haar_random_state
 from .runtime import OutcomeSource, QuantumRuntime, enumerate_runs
-from .transcript import BOB
+from .transcript import BOB, Transcript
 
 GADGET_FIDELITY_ATOL = 1e-9
 
@@ -44,12 +52,39 @@ def admissible_octants(gadget: str) -> tuple[int, ...]:
     if gadget not in ORACLE_GADGETS:
         raise ValueError(f"unknown gadget {gadget!r}")
     if gadget == "p1-a":
-        return (0, 2, 4, 6)
+        return EVEN_OCTANTS
     if gadget == "p1-b":
-        return (1, 3, 5, 7)
+        return ODD_OCTANTS
     if gadget == "cz":
         return (0,)
     return tuple(range(8))
+
+
+def drive_gadget(
+    gadget: str,
+    rt: QuantumRuntime,
+    labels: list[str],
+    octant: int,
+    hidden: tuple[int, int, int] = (0, 0, +1),
+    tape: Transcript | None = None,
+) -> tuple[PauliFrame, int | None]:
+    """Apply one oracle gadget to ``labels``; the one map from a gadget
+    name to its function.
+
+    ``hidden`` holds the prepare-only client's (hiding octant, pad bit,
+    prep sign). Returns the by-product frame over ``labels`` and the octant
+    that client announces (None for the other gadgets).
+    """
+    if gadget == "hrz-sueki":
+        res = sueki_hrz_on_runtime(rt, labels[0], octant, *hidden, tape)
+        return PauliFrame((res.frame_delta[0],), (res.frame_delta[1],)), res.theta_public
+    if gadget == "cz":
+        res = cz_on_runtime(rt, labels[0], labels[1], tape)
+        return PauliFrame((0, 0), (res.frame_delta_z_first, 0)), None
+    if gadget not in ("p1-a", "p1-b", "p2"):
+        raise ValueError(f"unknown gadget {gadget!r}")
+    hrz = p2_hrz_on_runtime if gadget == "p2" else p1_hrz_on_runtime
+    return PauliFrame((hrz(rt, labels[0], octant, tape),), (0,)), None
 
 
 def branch_table(
@@ -73,8 +108,7 @@ def branch_table(
     if state.num_qubits != num_qubits:
         raise ValueError(f"gadget {gadget!r} acts on {num_qubits} qubit(s)")
     if hidden is None:
-        draw = rng.stream(seed, "oracle-secrets")
-        hidden = (int(draw.integers(8)), int(draw.integers(2)), -1 if draw.integers(2) else +1)
+        hidden = draw_sueki_secrets(rng.stream(seed, "oracle-secrets"))
 
     if gadget == "cz":
         target = apply_gate(state, Gate.cz(), [1, 0])
@@ -83,20 +117,7 @@ def branch_table(
 
     def run(src: OutcomeSource):
         rt, labels = QuantumRuntime.from_state(state, src, BOB)
-        announced = None
-        if gadget == "hrz-sueki":
-            res = sueki_hrz_on_runtime(
-                rt, labels[0], octant, hidden[0], hidden[1], prep_sign=hidden[2]
-            )
-            frame = PauliFrame((res.frame_delta[0],), (res.frame_delta[1],))
-            announced = res.theta_public
-        elif gadget in ("p1-a", "p1-b"):
-            frame = PauliFrame((p1_hrz_on_runtime(rt, labels[0], octant),), (0,))
-        elif gadget == "p2":
-            frame = PauliFrame((p2_hrz_on_runtime(rt, labels[0], octant),), (0,))
-        else:
-            res = cz_on_runtime(rt, labels[0], labels[1])
-            frame = PauliFrame((0, 0), (res.frame_delta_z_first, 0))
+        frame, announced = drive_gadget(gadget, rt, labels, octant, hidden)
         out = frame.matrix_on(rt.snapshot(labels))
         return fidelity_up_to_phase(out, target), announced
 
@@ -125,12 +146,7 @@ def soundness_sweep(states_per_octant: int = 4, seed: int = 2026) -> tuple[float
         for octant in admissible_octants(gadget):
             for _ in range(states_per_octant):
                 state = haar_random_state(width, rng.stream(seed, "oracle-sweep", count))
-                draw = rng.stream(seed, "oracle-secrets", count)
-                hidden = (
-                    int(draw.integers(8)),
-                    int(draw.integers(2)),
-                    -1 if draw.integers(2) else +1,
-                )
+                hidden = draw_sueki_secrets(rng.stream(seed, "oracle-secrets", count))
                 rows = branch_table(gadget, octant, state=state, hidden=hidden)
                 worst = min(worst, min(row.fidelity for row in rows))
                 count += 1

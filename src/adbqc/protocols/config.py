@@ -262,7 +262,7 @@ def config_to_dict(config: ProtocolConfig) -> dict:
             params["pauli_positions"] = [[k, p] for k, p in adv.pauli_positions]
     elif adv.kind == "trap_tamper":
         params["tamper_rate"] = adv.tamper_rate
-    return {
+    data = {
         "protocol": config.protocol,
         "num_register_qubits": config.num_qubits,
         "depth": config.depth,
@@ -280,6 +280,10 @@ def config_to_dict(config: ProtocolConfig) -> dict:
         "output_bases": list(config.output_bases) if config.output_bases else None,
         "adversary": {"kind": adv.kind, "params": params},
     }
+    # written only when off, so every recording config keeps its dict
+    if not config.record_transcript:
+        data["record_transcript"] = False
+    return data
 
 
 def config_from_dict(data: dict) -> ProtocolConfig:
@@ -310,6 +314,9 @@ def config_from_dict(data: dict) -> ProtocolConfig:
     width = data.get("num_register_qubits", data.get("num_qubits"))
     if width is None:
         raise ValueError("config needs num_register_qubits")
+    record = data.get("record_transcript", True)
+    if not isinstance(record, bool):
+        raise ValueError(f"record_transcript must be true or false, got {record!r}")
     return ProtocolConfig(
         protocol=data["protocol"],
         num_qubits=int(width),
@@ -319,6 +326,7 @@ def config_from_dict(data: dict) -> ProtocolConfig:
         algorithm=algorithm,
         output_bases=tuple(bases) if bases else None,
         adversary=adversary,
+        record_transcript=record,
     )
 
 

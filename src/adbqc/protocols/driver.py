@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..gadgets import NAMED_GATE_OCTANTS, PauliFrame, cz_on_runtime
+from ..gadgets import NAMED_GATE_OCTANTS, PauliFrame, cz_on_runtime, frame_conjugate
 from ..qsim import Gate, MeasurementBasis
 from ..rng import stream
 from ..runtime import OutcomeSource, QuantumRuntime, SampledOutcomes
@@ -38,7 +38,6 @@ class Session:
     rt: QuantumRuntime
     tape: Transcript
     alice_rng: np.random.Generator
-    bob_rng: np.random.Generator
     adversary_rng: np.random.Generator
     counter: "itertools.count[int]" = field(default_factory=itertools.count)
 
@@ -55,7 +54,6 @@ def new_session(
         rt=QuantumRuntime(source),
         tape=Transcript(record=config.record_transcript),
         alice_rng=stream(config.seed, "alice"),
-        bob_rng=stream(config.seed, "bob"),
         adversary_rng=stream(config.seed, "adversary"),
     )
 
@@ -118,33 +116,28 @@ def run_grid(
 ) -> PauliFrame:
     """Drive every pattern slot and CZ through gadgets, tracking the frame.
 
-    Each pattern is four H R_Z invocations with angles (0, b, g, d); the
-    frame's pending X flips the sign of the angle actually driven, and each
-    invocation swaps the X/Z records and absorbs the gadget's by-product.
+    Each pattern is four H R_Z invocations with angles (0, b, g, d). The
+    frame is pushed through each gate (``frame_conjugate``), which also
+    gives the sign of the angle actually driven; the gadget's by-product
+    then flips the frame's X (H R_Z) or first-qubit Z (CZ) record.
     """
-    n = session.config.num_qubits
-    x = [0] * n
-    z = [0] * n
+    frame = PauliFrame.identity(session.config.num_qubits)
     for layer in layers:
-        for pos in range(n):
-            kb, kg, kd = layer.patterns[pos]
+        for pos, (kb, kg, kd) in enumerate(layer.patterns):
             label = register_label(pos)
             for k in (kd, kg, kb, 0):
-                k_eff = k if x[pos] == 0 else (-k) % 8
-                delta = hrz(session, label, k_eff)
-                x[pos], z[pos] = delta ^ z[pos], x[pos]
+                frame, sign = frame_conjugate(frame, "hrz", (pos,))
+                if hrz(session, label, (sign * k) % 8):
+                    frame = frame.flip_x(pos)
         for pi, pj in layer.czs:
+            frame, _ = frame_conjugate(frame, "cz", (pi, pj))
             res = cz_on_runtime(
-                session.rt,
-                register_label(pi),
-                register_label(pj),
-                session.tape,
-                prep_party=cz_prep_party,
-                labels=(session.fresh("c"), session.fresh("c"), session.fresh("c")),
+                session.rt, register_label(pi), register_label(pj),
+                session.tape, cz_prep_party, session.fresh,
             )
-            z[pi] ^= x[pj] ^ res.frame_delta_z_first
-            z[pj] ^= x[pi]
-    return PauliFrame(tuple(x), tuple(z))
+            if res.frame_delta_z_first:
+                frame = frame.flip_z(pi)
+    return frame
 
 
 def sample_attack(

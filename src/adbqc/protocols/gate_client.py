@@ -17,9 +17,9 @@ absorbs the pads, so decoding is unchanged.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from ..gadgets import OCTANT, couple
+from ..gadgets import OCTANT, Mint, couple_in, local_mint, measure_out
 from ..qsim import Gate, MeasurementBasis, plus_state
 from ..runtime import QuantumRuntime
 from ..transcript import ALICE, BOB, Transcript
@@ -33,36 +33,26 @@ def p2_hrz_on_runtime(
     target: str,
     octant: int,
     tape: Transcript | None = None,
-    mint: Callable[[str], str] | None = None,
+    mint: Mint | None = None,
 ) -> int:
     """One gate-driven H R_Z(octant * pi/4); returns the X by-product.
 
     Exactly one qubit travels each way and one classical bit comes back.
     """
+    tape = tape or Transcript(record=False)
     octant %= 8
-    anc = mint("g") if mint is not None else f"g_{target}"
+    anc = (mint or local_mint(target))("g")
+    couple_in(rt, tape, anc, plus_state(math.pi / 2, 0.0), "plus", BOB, (target,))
 
-    rt.add_qubit(anc, plus_state(math.pi / 2, 0.0), BOB)
-    couple(rt, anc, target)
+    # lent out for the client's whole contribution: k turns of its fixed rotation
     rt.transfer(anc, ALICE)
-    if tape:
-        tape.local(BOB, op="prepare", qubit=anc, which="plus")
-        tape.local(BOB, op="couple", qubits=[anc, target])
-        tape.transfer(BOB, ALICE, anc)
-
-    # the client's whole contribution: k turns of its fixed rotation
+    tape.transfer(BOB, ALICE, anc)
     rt.apply(Gate.rz(octant * OCTANT), [anc])
+    tape.local(ALICE, op="rotate", qubit=anc, turns=octant)
     rt.transfer(anc, BOB)
-    if tape:
-        tape.local(ALICE, op="rotate", qubit=anc, turns=octant)
-        tape.transfer(ALICE, BOB, anc)
+    tape.transfer(ALICE, BOB, anc)
 
-    s, _ = rt.measure(anc, MeasurementBasis.x())
-    if tape:
-        tape.outcome(BOB, s, qubit=anc)
-        tape.msg(BOB, to=ALICE, outcome=s)
-    rt.discard(anc)
-    return s
+    return measure_out(rt, tape, anc, MeasurementBasis.x())
 
 
 def hrz(session: Session, label: str, octant: int) -> int:

@@ -21,11 +21,10 @@ by-product is X^(z_bell ^ m ^ rho) with z_bell the Z-basis Bell outcome.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import TYPE_CHECKING, Callable
 
-from ..gadgets import OCTANT, couple, h_cancel
+from ..gadgets import OCTANT, Mint, couple, h_cancel, local_mint
 from ..qsim import Gate, MeasurementBasis, StateVector
 from ..runtime import QuantumRuntime
 from ..transcript import ALICE, BOB, Transcript
@@ -67,106 +66,73 @@ def p1_hrz_on_runtime(
     target: str,
     octant: int,
     tape: Transcript | None = None,
-    mint: Callable[[str], str] | None = None,
+    mint: Mint | None = None,
     checkpoint: Checkpoint | None = None,
 ) -> int:
     """One measurement-driven H R_Z(octant * pi/4); returns the X by-product.
 
-    The nine numbered stages match the audit checkpoints: odd stages are
-    server moves, even stages are client measurements or discards.
+    Two Bell-pair segments (stages 1-4, driven, and 6-9, undriven) flank a
+    Hadamard-cancelling coupling (stage 5). The nine numbered stages match
+    the audit checkpoints: odd stages are server moves, even stages are
+    client measurements or discards.
     """
+    tape = tape or Transcript(record=False)
+    names = mint or local_mint(target)
+    mark = checkpoint or (lambda step: None)
     octant %= 8
     case = classify_angle(octant)
-    if mint is None:
-        counter = itertools.count()
-        mint = lambda prefix: f"{prefix}{next(counter)}_{target}"  # noqa: E731
-    names = mint
+
+    def segment(step: int, half: str, kept: str, drive: bool, active: bool) -> int:
+        """Stages step..step+3 of one segment; returns its share of the
+        by-product: the Z-basis Bell outcome of the idle segment, or
+        m ^ rho of the active one."""
+        # a Bell pair, one half handed to the client
+        rt.load(BELL, [half, kept], BOB)
+        tape.local(BOB, op="prepare_bell", qubits=[half, kept])
+        tape.transfer(BOB, ALICE, half)
+        rt.transfer(half, ALICE)
+        mark(step)
+
+        # the client measures its half; the basis choice is its secret
+        basis = MeasurementBasis.x() if active else MeasurementBasis.z()
+        bell_bit, _ = rt.measure(half, basis)
+        tape.outcome(ALICE, bell_bit, qubit=half)
+        rt.discard(half)
+        mark(step + 1)
+
+        # the server couples the kept half, drives it one octant if asked,
+        # and sends it over
+        couple(rt, kept, target)
+        tape.local(BOB, op="couple", qubits=[kept, target])
+        if drive:
+            rt.apply(Gate.rz(OCTANT), [kept])
+            tape.local(BOB, op="drive", qubit=kept)
+        rt.transfer(kept, ALICE)
+        tape.transfer(BOB, ALICE, kept)
+        mark(step + 2)
+
+        # the active segment realizes the rotation on the kept half
+        share = bell_bit
+        if active:
+            f, rho = solve_phase_choice(octant, case, bell_bit)
+            m_bit, _ = rt.measure(kept, MeasurementBasis.equatorial(f * math.pi / 2))
+            tape.outcome(ALICE, m_bit, qubit=kept)
+            share = m_bit ^ rho
+        else:
+            tape.local(ALICE, op="discard", qubit=kept)
+        rt.discard(kept)
+        mark(step + 3)
+        return share
+
     e1a, e1b = names("e"), names("e")
     e2a, e2b = names("e"), names("e")
-
-    def mark(step: int) -> None:
-        if checkpoint is not None:
-            checkpoint(step)
-
-    # 1: first Bell pair, one half handed to the client
-    rt.load(BELL, [e1a, e1b], BOB)
-    if tape:
-        tape.local(BOB, op="prepare_bell", qubits=[e1a, e1b])
-        tape.transfer(BOB, ALICE, e1a)
-    rt.transfer(e1a, ALICE)
-    mark(1)
-
-    # 2: client measures its half; the basis choice is the first secret
-    basis = MeasurementBasis.z() if case == "a" else MeasurementBasis.x()
-    a_bit, _ = rt.measure(e1a, basis)
-    if tape:
-        tape.outcome(ALICE, a_bit, qubit=e1a)
-    rt.discard(e1a)
-    mark(2)
-
-    # 3: server couples the kept half, drives it one octant, sends it over
-    couple(rt, e1b, target)
-    rt.apply(Gate.rz(OCTANT), [e1b])
-    rt.transfer(e1b, ALICE)
-    if tape:
-        tape.local(BOB, op="couple", qubits=[e1b, target])
-        tape.local(BOB, op="drive", qubit=e1b)
-        tape.transfer(BOB, ALICE, e1b)
-    mark(3)
-
-    # 4: odd octants realize the rotation on the driven ancilla
-    m_bit = rho = 0
-    if case == "b":
-        f, rho = solve_phase_choice(octant, case, a_bit)
-        m_bit, _ = rt.measure(e1b, MeasurementBasis.equatorial(f * math.pi / 2))
-        if tape:
-            tape.outcome(ALICE, m_bit, qubit=e1b)
-    elif tape:
-        tape.local(ALICE, op="discard", qubit=e1b)
-    rt.discard(e1b)
-    mark(4)
-
+    # odd octants realize the rotation in the driven segment
+    by_product = segment(1, e1a, e1b, drive=True, active=case == "b")
     # 5: server absorbs the stray Hadamard with a fresh |0> coupling
     h_cancel(rt, target, names("h"), tape, prep_party=BOB)
     mark(5)
-
-    # 6: second Bell pair
-    rt.load(BELL, [e2a, e2b], BOB)
-    if tape:
-        tape.local(BOB, op="prepare_bell", qubits=[e2a, e2b])
-        tape.transfer(BOB, ALICE, e2a)
-    rt.transfer(e2a, ALICE)
-    mark(6)
-
-    # 7: client measures the second Bell half in the complementary basis
-    basis = MeasurementBasis.x() if case == "a" else MeasurementBasis.z()
-    b_bit, _ = rt.measure(e2a, basis)
-    if tape:
-        tape.outcome(ALICE, b_bit, qubit=e2a)
-    rt.discard(e2a)
-    mark(7)
-
-    # 8: second coupling, no drive
-    couple(rt, e2b, target)
-    rt.transfer(e2b, ALICE)
-    if tape:
-        tape.local(BOB, op="couple", qubits=[e2b, target])
-        tape.transfer(BOB, ALICE, e2b)
-    mark(8)
-
-    # 9: even octants realize the rotation on the second ancilla
-    if case == "a":
-        f, rho = solve_phase_choice(octant, case, b_bit)
-        m_bit, _ = rt.measure(e2b, MeasurementBasis.equatorial(f * math.pi / 2))
-        if tape:
-            tape.outcome(ALICE, m_bit, qubit=e2b)
-    elif tape:
-        tape.local(ALICE, op="discard", qubit=e2b)
-    rt.discard(e2b)
-    mark(9)
-
-    z_bell = a_bit if case == "a" else b_bit
-    return z_bell ^ m_bit ^ rho
+    # even octants realize it in the undriven one
+    return by_product ^ segment(6, e2a, e2b, drive=False, active=case == "a")
 
 
 def hrz(session: Session, label: str, octant: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..gadgets import sueki_hrz_on_runtime
+from ..gadgets import draw_sueki_secrets, sueki_hrz_on_runtime
 
 if TYPE_CHECKING:
     from .driver import Session
@@ -19,18 +19,8 @@ if TYPE_CHECKING:
 
 def hrz(session: Session, label: str, octant: int) -> int:
     """One hidden rotation: the client draws the pad and preparation angle."""
-    rng = session.alice_rng
-    hiding = int(rng.integers(8))
-    pad = int(rng.integers(2))
-    sign = 1 if int(rng.integers(2)) == 0 else -1
+    hiding, pad, sign = draw_sueki_secrets(session.alice_rng)
     res = sueki_hrz_on_runtime(
-        session.rt,
-        label,
-        octant,
-        hiding,
-        pad,
-        sign,
-        session.tape,
-        labels=(session.fresh("a"), session.fresh("a"), session.fresh("a")),
+        session.rt, label, octant, hiding, pad, sign, session.tape, session.fresh
     )
     return res.frame_delta[0]

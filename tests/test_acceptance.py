@@ -25,7 +25,7 @@ from adbqc.adversary import (
     tamper_acceptance_exact,
 )
 from adbqc.blindness import audit_no_signaling, audit_theta_uniformity
-from adbqc.gadgets import announced_octant, cz_on_runtime, octant_angle
+from adbqc.gadgets import announced_octant, cz_on_runtime
 from adbqc.oracle import soundness_sweep
 from adbqc.protocols import (
     AdversaryConfig,

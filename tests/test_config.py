@@ -5,7 +5,6 @@ import json
 import pytest
 
 from adbqc.protocols import (
-    HONEST,
     AdversaryConfig,
     ClientCapability,
     GateRequest,
@@ -226,6 +225,7 @@ ROUNDTRIP_CONFIGS = [
         output_bases=("x", "z"),
         adversary=AdversaryConfig(kind="trap_tamper", tamper_rate=0.25),
     ),
+    ProtocolConfig("p2", 3, 1, trap_count=1, seed=5, record_transcript=False),
 ]
 
 
@@ -240,6 +240,13 @@ def test_config_from_dict_accepts_qubit_alias():
     data = config_to_dict(ProtocolConfig("p1", 3, 1))
     data["num_qubits"] = data.pop("num_register_qubits")
     assert config_from_dict(data) == ProtocolConfig("p1", 3, 1)
+
+
+def test_config_from_dict_rejects_a_non_boolean_record_flag():
+    data = config_to_dict(ROUNDTRIP_CONFIGS[3])
+    data["record_transcript"] = "false"
+    with pytest.raises(ValueError, match="record_transcript"):
+        config_from_dict(data)
 
 
 def test_config_from_dict_accepts_flattened_adversary():

@@ -13,7 +13,6 @@ from adbqc import rng
 from adbqc.gadgets import (
     NAMED_GATE_OCTANTS,
     AncillaPrep,
-    EulerAngles,
     PauliFrame,
     announced_octant,
     cz_on_runtime,
