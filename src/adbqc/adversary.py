@@ -27,7 +27,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .qsim import Gate, StateVector, apply_gate
+from .qsim import PROBABILITY_SLACK, Gate, StateVector, apply_gate
 
 ATTACK_KINDS = ("x", "z", "xz")
 
@@ -212,7 +212,7 @@ def probe_gram_closed_form(weight_one: float) -> np.ndarray:
     server no residual system at all; this form quantifies the best case
     for a server that keeps one.
     """
-    if not -1e-12 <= weight_one <= 1.0 + 1e-12:
+    if not -PROBABILITY_SLACK <= weight_one <= 1.0 + PROBABILITY_SLACK:
         raise ValueError("weight must be a probability")
     ks = np.arange(8)
     delta = ks[None, :] - ks[:, None]

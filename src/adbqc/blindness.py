@@ -17,6 +17,7 @@ show it would catch a real leak.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -32,12 +33,19 @@ from .adversary import (
 from .gadgets import announced_octant
 from .oracle import admissible_octants, drive_gadget
 from .protocols.measure_client import p1_hrz_on_runtime
-from .qsim import StateVector, haar_random_state
+from .protocols.reference import total_variation
+from .qsim import (
+    GADGET_VIEW_TV_ATOL,
+    NO_SIGNALING_ATOL,
+    PROBE_GRAM_ATOL,
+    StateVector,
+    haar_random_state,
+    trace_distance,
+)
 from .rng import stream
 from .runtime import OutcomeSource, QuantumRuntime, enumerate_runs
 from .transcript import ALICE, BOB, Transcript
 
-NO_SIGNALING_ATOL = 1e-10
 NULL_SIGMAS = 5.0
 
 CAPABILITY_QUANTUM_ACTIONS = {
@@ -134,23 +142,14 @@ def block_trace_distance(
     a: dict[tuple, np.ndarray], b: dict[tuple, np.ndarray]
 ) -> float:
     """Trace distance between two classical-quantum block states."""
-    total = 0.0
-    for key in set(a) | set(b):
-        if key in a and key in b:
-            diff = a[key] - b[key]
-        elif key in a:
-            diff = a[key]
-        else:
-            diff = -b[key]
-        total += 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-    return total
+    keys = set(a) | set(b)
+    return math.fsum(trace_distance(a.get(k, 0.0), b.get(k, 0.0)) for k in keys)
 
 
 def audit_no_signaling(
     state: StateVector | None = None,
     octants: Sequence[int] = tuple(range(8)),
     steps: Sequence[int] = tuple(range(1, 10)),
-    atol: float = NO_SIGNALING_ATOL,
     leak: bool = False,
     seed: int = 404,
 ) -> AuditResult:
@@ -176,9 +175,9 @@ def audit_no_signaling(
                     worst_at = (step, ka, kb)
     return AuditResult(
         name="no_signaling",
-        passed=worst <= atol,
+        passed=worst <= NO_SIGNALING_ATOL,
         statistic=worst,
-        threshold=atol,
+        threshold=NO_SIGNALING_ATOL,
         details={"worst_at": worst_at, "steps": list(steps), "octants": octants},
     )
 
@@ -193,10 +192,8 @@ def transcript_signature(transcript: Transcript) -> tuple:
 
 
 def _empirical_tv(group_a: list[tuple], group_b: list[tuple]) -> float:
-    ca, cb = Counter(group_a), Counter(group_b)
-    keys = set(ca) | set(cb)
-    na, nb = len(group_a), len(group_b)
-    return 0.5 * sum(abs(ca[k] / na - cb[k] / nb) for k in keys)
+    freq = [{k: c / len(g) for k, c in Counter(g).items()} for g in (group_a, group_b)]
+    return total_variation(*freq)
 
 
 def audit_transcript_tv(
@@ -261,7 +258,6 @@ def audit_gadget_view_tv(
     octant_a: int,
     octant_b: int,
     state: StateVector | None = None,
-    atol: float = 1e-9,
     leak: bool = False,
 ) -> AuditResult:
     """Exact total variation between the server's views of one gadget.
@@ -302,12 +298,12 @@ def audit_gadget_view_tv(
 
     pa = distribution(octant_a)
     pb = distribution(octant_b)
-    tv = 0.5 * sum(abs(pa.get(k, 0.0) - pb.get(k, 0.0)) for k in set(pa) | set(pb))
+    tv = total_variation(pa, pb)
     return AuditResult(
         name="gadget_view_tv",
-        passed=tv <= atol,
+        passed=tv <= GADGET_VIEW_TV_ATOL,
         statistic=float(tv),
-        threshold=atol,
+        threshold=GADGET_VIEW_TV_ATOL,
         details={"gadget": gadget, "views_a": len(pa), "views_b": len(pb)},
     )
 
@@ -316,9 +312,7 @@ def audit_gadget_view_tv(
 # Entangled-probe analysis of the lent-ancilla gadget
 
 
-def audit_probe_gram(
-    num_probes: int = 100, atol: float = 1e-10, seed: int = 77
-) -> AuditResult:
+def audit_probe_gram(num_probes: int = 100, seed: int = 77) -> AuditResult:
     """Check the closed-form probe Gram matrix against direct simulation.
 
     Random two-qubit probes (lent qubit plus server memory): the overlap
@@ -336,9 +330,9 @@ def audit_probe_gram(
         sharpest = max(sharpest, distinguishability(direct))
     return AuditResult(
         name="probe_gram",
-        passed=worst <= atol,
+        passed=worst <= PROBE_GRAM_ATOL,
         statistic=worst,
-        threshold=atol,
+        threshold=PROBE_GRAM_ATOL,
         details={"probes": num_probes, "max_distinguishability": sharpest},
     )
 

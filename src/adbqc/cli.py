@@ -31,8 +31,9 @@ from .blindness import (
     audit_theta_uniformity,
     audit_transcript_tv,
 )
-from .oracle import GADGET_FIDELITY_ATOL, ORACLE_GADGETS, branch_table, table_passes
+from .oracle import ORACLE_GADGETS, branch_table, table_passes
 from .protocols import AdversaryConfig, HONEST, RunManifest, config_from_dict, run
+from .qsim import GADGET_FIDELITY_ATOL, PROBABILITY_SLACK, VARIANCE_FLOOR
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -218,7 +219,7 @@ def cmd_attack(args) -> int:
             "bound": bound,
             "bound_formula": "(2/3)^(alpha/3)",
         }
-        ok = good / total <= bound + 1e-12
+        ok = good / total <= bound + PROBABILITY_SLACK
         if args.trials > 0:
             analysis = simulate_escape(
                 args.qubits, counts, args.trials, rng.stream(args.seed, "adversary")
@@ -252,7 +253,7 @@ def cmd_attack(args) -> int:
         estimate = simulate_tamper_acceptance(
             rate, args.traps, args.trials, rng.stream(args.seed, "adversary")
         )
-        sigma = math.sqrt(max(exact * (1.0 - exact), 1e-12) / args.trials)
+        sigma = math.sqrt(max(exact * (1.0 - exact), VARIANCE_FLOOR) / args.trials)
         z = (estimate - exact) / sigma
         payload.update(trials=args.trials, estimate=estimate, z_score=z)
         ok = abs(z) <= 4.0

@@ -43,7 +43,9 @@ from typing import Callable
 
 import numpy as np
 
-from .qsim import Gate, MeasurementBasis, StateVector, plus_state
+from .qsim import (
+    EULER_RESIDUE_ATOL, EULER_ZERO, Gate, MeasurementBasis, StateVector, plus_state
+)
 from .runtime import QuantumRuntime
 from .transcript import ALICE, BOB, Transcript
 
@@ -364,26 +366,25 @@ def _mod_2pi(t: float) -> float:
     return t % (2 * math.pi)
 
 
-def decompose_unitary(u: np.ndarray, atol: float = 1e-9) -> EulerAngles:
+def decompose_unitary(u: np.ndarray) -> EulerAngles:
     """Z-X-Z Euler angles of a 2x2 unitary.
 
     Degenerate cases are canonicalized: when the X rotation is 0 or pi the
     trailing Z angle is set to zero and the leading one carries the whole
     Z rotation.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not np.allclose(u @ u.conj().T, np.eye(2), atol=1e-9):
+    u = Gate.custom(u).matrix  # raises unless unitary
+    if u.shape != (2, 2):
         raise ValueError("expected a 2x2 unitary")
     a00, a01 = u[0, 0], u[0, 1]
     a10, a11 = u[1, 0], u[1, 1]
     gamma = 2.0 * math.atan2(abs(a01), abs(a00))
-    tiny = 1e-12
-    if abs(a01) <= tiny:  # diagonal: no X component
+    if abs(a01) <= EULER_ZERO:  # diagonal: no X component
         alpha = cmath.phase(a00)
         angles = EulerAngles(
             _mod_2pi(alpha), _mod_2pi(cmath.phase(a11) - alpha), 0.0, 0.0
         )
-    elif abs(a00) <= tiny:  # antidiagonal: full X flip
+    elif abs(a00) <= EULER_ZERO:  # antidiagonal: full X flip
         alpha = cmath.phase(a01) + math.pi / 2
         beta = cmath.phase(a10) - alpha + math.pi / 2
         angles = EulerAngles(_mod_2pi(alpha), _mod_2pi(beta), math.pi, 0.0)
@@ -395,12 +396,12 @@ def decompose_unitary(u: np.ndarray, atol: float = 1e-9) -> EulerAngles:
             _mod_2pi(alpha), _mod_2pi(beta), gamma, _mod_2pi(delta)
         )
     residue = float(np.abs(angles.matrix() - u).max())
-    if residue > atol:
-        raise ValueError(f"decomposition residue {residue} exceeds {atol}")
+    if residue > EULER_RESIDUE_ATOL:
+        raise ValueError(f"decomposition residue {residue} exceeds {EULER_RESIDUE_ATOL}")
     return angles
 
 
-def octant_euler(u: np.ndarray, atol: float = 1e-9) -> tuple[int, int, int]:
+def octant_euler(u: np.ndarray) -> tuple[int, int, int]:
     """Euler angles snapped to octants (beta, gamma, delta as k*pi/4).
 
     Raises if the unitary is not expressible with octant angles.
@@ -416,7 +417,7 @@ def octant_euler(u: np.ndarray, atol: float = 1e-9) -> tuple[int, int, int]:
     m = snapped.matrix()
     phase = np.vdot(m.reshape(-1), u.reshape(-1))
     phase = phase / abs(phase)
-    if float(np.abs(u - phase * m).max()) > atol:
+    if float(np.abs(u - phase * m).max()) > EULER_RESIDUE_ATOL:
         raise ValueError("unitary is not octant-decomposable")
     return tuple(ks)  # type: ignore[return-value]
 

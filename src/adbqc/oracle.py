@@ -23,11 +23,16 @@ from .gadgets import (
 )
 from .protocols.gate_client import p2_hrz_on_runtime
 from .protocols.measure_client import p1_hrz_on_runtime
-from .qsim import Gate, StateVector, apply_gate, fidelity_up_to_phase, haar_random_state
+from .qsim import (
+    GADGET_FIDELITY_ATOL,
+    Gate,
+    StateVector,
+    apply_gate,
+    fidelity_up_to_phase,
+    haar_random_state,
+)
 from .runtime import OutcomeSource, QuantumRuntime, enumerate_runs
 from .transcript import BOB, Transcript
-
-GADGET_FIDELITY_ATOL = 1e-9
 
 ORACLE_GADGETS = ("hrz-sueki", "p1-a", "p1-b", "p2", "cz")
 

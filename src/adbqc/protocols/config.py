@@ -11,6 +11,7 @@ and the root seed.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 
 from ..gadgets import NAMED_GATE_OCTANTS
@@ -27,6 +28,13 @@ CAPABILITY_BY_PROTOCOL = {
 # most ancillas one gadget holds beside the register at once: p1's H R_Z
 # holds a Bell pair, every other gadget one qubit at a time
 PEAK_ANCILLAS = {"sueki": 1, "p1": 2, "p2": 1}
+
+
+def _integer(what: str, value) -> int:
+    """``value`` as an int; a bool, float or string is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,11 @@ class GateRequest:
     name: str | None = None
 
     def __post_init__(self) -> None:
+        targets = tuple(_integer("target", q) for q in self.targets)
+        object.__setattr__(self, "targets", targets)
+        if self.octants is not None:
+            octants = tuple(_integer("octant", k) for k in self.octants)
+            object.__setattr__(self, "octants", octants)
         if self.kind == "su":
             if len(self.targets) != 1:
                 raise ValueError("single-qubit request needs exactly one target")
@@ -107,7 +120,6 @@ class AdversaryConfig:
     kind: str = "none"
     pauli_counts: tuple[int, int, int] = (0, 0, 0)
     tamper_rate: float = 0.0
-    probe_amplitudes: tuple[complex, ...] | None = None
     pauli_positions: tuple[tuple[str, int], ...] | None = None
 
     def __post_init__(self) -> None:
@@ -149,6 +161,10 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        for name in ("num_qubits", "depth", "trap_count", "seed"):
+            value = getattr(self, name)
+            if not (name == "trap_count" and value is None):  # None: resolved below
+                object.__setattr__(self, name, _integer(name, value))
         if self.num_qubits < 1:
             raise ValueError("need at least one register qubit")
         if self.depth < 1:
@@ -319,10 +335,10 @@ def config_from_dict(data: dict) -> ProtocolConfig:
         raise ValueError(f"record_transcript must be true or false, got {record!r}")
     return ProtocolConfig(
         protocol=data["protocol"],
-        num_qubits=int(width),
-        depth=int(data["depth"]),
+        num_qubits=width,
+        depth=data["depth"],
         trap_count=data.get("trap_count"),
-        seed=int(data.get("seed", 0)),
+        seed=data.get("seed", 0),
         algorithm=algorithm,
         output_bases=tuple(bases) if bases else None,
         adversary=adversary,

@@ -7,6 +7,7 @@ logical register and the measurement statistics read off the final state.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -49,7 +50,7 @@ def reference_distribution(config: ProtocolConfig) -> dict[tuple[int, ...], floa
 
 
 def enumerated_distribution(
-    run_protocol, config: ProtocolConfig, branch_budget: int = 1 << 16
+    run_protocol, config: ProtocolConfig
 ) -> dict[tuple[int, ...], float]:
     """Exact decoded-output distribution of a protocol, all branches.
 
@@ -63,7 +64,7 @@ def enumerated_distribution(
         return run_protocol(quiet, outcomes=source).report.computation_bits
 
     out: dict[tuple[int, ...], float] = {}
-    for branch in enumerate_runs(run_fn, branch_budget=branch_budget):
+    for branch in enumerate_runs(run_fn):
         key = tuple(branch.value)
         out[key] = out.get(key, 0.0) + branch.probability
     return out
@@ -84,5 +85,6 @@ def sampled_distribution(
 def total_variation(
     p: dict[tuple[int, ...], float], q: dict[tuple[int, ...], float]
 ) -> float:
+    """Total variation distance; ``fsum`` makes it independent of key order."""
     keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)

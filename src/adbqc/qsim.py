@@ -26,13 +26,27 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-ATOL_NORM = 1e-9
-ATOL_UNITARY = 1e-10
-ATOL_HERMITIAN = 1e-10
-PSD_FLOOR = -1e-9
-BRANCH_PROB_FLOOR = 1e-12
-MAX_QUBITS = 16
-BRANCH_BUDGET = 2**16
+# The package's one tolerance table: every threshold a check compares with.
+NORM_ATOL = 1e-9  # |norm - 1| float rounding leaves on a pure state or qubit
+HERMITIAN_ATOL = 1e-10  # entrywise gap between a density matrix and its adjoint
+TRACE_ATOL = 1e-9  # gap of a density matrix's trace from 1, real and imaginary parts
+PSD_FLOOR = -1e-9  # smallest eigenvalue a density matrix may show
+UNITARITY_ATOL = 1e-9  # entrywise gap between U U^dagger and the identity
+ORTHONORMAL_ATOL = 1e-10  # entrywise gap between a basis's Gram matrix and the identity
+PRODUCT_ATOL = 1e-9  # purity defect of a qubit that counts as product with the rest
+EULER_RESIDUE_ATOL = 1e-9  # entrywise gap between a unitary and its rebuilt Euler form
+EULER_ZERO = 1e-12  # matrix entry that counts as zero when choosing an Euler form
+PROPORTIONALITY_ATOL = 1e-9  # Cauchy-Schwarz gap that makes two operators proportional
+COMPLETENESS_ATOL = 1e-8  # entrywise gap of a wiring's summed K^dagger K from the identity
+GADGET_FIDELITY_ATOL = 1e-9  # infidelity a gadget branch may show against its ideal gate
+NO_SIGNALING_ATOL = 1e-10  # trace distance between the server's views of two octants
+GADGET_VIEW_TV_ATOL = 1e-9  # total variation between the server's views of two octants
+PROBE_GRAM_ATOL = 1e-10  # entrywise gap between the simulated and closed-form probe Gram
+PROBABILITY_SLACK = 1e-12  # rounding allowed when checking or bounding a probability
+VARIANCE_FLOOR = 1e-12  # Bernoulli variance floor that keeps a z-score finite
+BRANCH_PROB_FLOOR = 1e-12  # probability below which an outcome branch is not taken
+MAX_QUBITS = 16  # width of the largest joint state
+BRANCH_BUDGET = 2**16  # most outcome paths one enumeration may walk
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -78,7 +92,7 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes, got {amps.shape[0]}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > ATOL_NORM:
+        if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {norm} deviates from 1")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -118,9 +132,9 @@ class DensityMatrix:
         dim = 2**self.num_qubits
         if m.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=ATOL_HERMITIAN):
+        if not np.allclose(m, m.conj().T, atol=HERMITIAN_ATOL):
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-9 or abs(np.trace(m).imag) > 1e-9:
+        if abs(np.trace(m).real - 1.0) > TRACE_ATOL or abs(np.trace(m).imag) > TRACE_ATOL:
             raise ValueError(f"trace {np.trace(m)} deviates from 1")
         if float(np.linalg.eigvalsh(m).min()) < PSD_FLOOR:
             raise ValueError("density matrix has a negative eigenvalue")
@@ -144,7 +158,7 @@ class Gate:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] & (m.shape[0] - 1):
             raise ValueError(f"matrix shape {m.shape} is not square power of two")
-        if not np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-9):
+        if not np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=UNITARITY_ATOL):
             raise ValueError(f"{self.kind} matrix is not unitary")
         object.__setattr__(self, "matrix", m)
 
@@ -238,10 +252,10 @@ class MeasurementBasis:
     def equatorial(cls, phase: float) -> "MeasurementBasis":
         return cls.rotated(math.pi / 2, phase)
 
-    def is_orthonormal(self, atol: float = 1e-10) -> bool:
+    def is_orthonormal(self) -> bool:
         e = self.eigenstates
         gram = e @ e.conj().T
-        return bool(np.allclose(gram, np.eye(2), atol=atol))
+        return bool(np.allclose(gram, np.eye(2), atol=ORTHONORMAL_ATOL))
 
 
 def _apply_matrix(

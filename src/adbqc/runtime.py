@@ -19,16 +19,15 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .qsim import (
-    ATOL_NORM,
     BRANCH_BUDGET,
     BRANCH_PROB_FLOOR,
     MAX_QUBITS,
+    NORM_ATOL,
+    PRODUCT_ATOL,
     Gate,
     MeasurementBasis,
     StateVector,
 )
-
-PRODUCT_ATOL = 1e-9
 
 
 class OutcomeSource:
@@ -78,19 +77,18 @@ class ReplayOutcomes(OutcomeSource):
     longer forced prefixes walks the whole outcome tree.
     """
 
-    def __init__(self, prefix: Sequence[int], tol: float = BRANCH_PROB_FLOOR) -> None:
+    def __init__(self, prefix: Sequence[int]) -> None:
         super().__init__()
         self.prefix = tuple(prefix)
-        self.tol = tol
 
     def take(self, p0: float) -> int:
         i = len(self.trace)
         if i < len(self.prefix):
             bit = self.prefix[i]
-            if (p0 if bit == 0 else 1.0 - p0) < self.tol:
+            if (p0 if bit == 0 else 1.0 - p0) < BRANCH_PROB_FLOOR:
                 raise ValueError(f"forced outcome {bit} at step {i} has zero probability")
         else:
-            bit = 0 if p0 > self.tol else 1
+            bit = 0 if p0 > BRANCH_PROB_FLOOR else 1
         self.trace.append((bit, p0))
         return bit
 
@@ -129,9 +127,6 @@ class QuantumRuntime:
     def labels(self) -> tuple[str, ...]:
         return tuple(self._labels)
 
-    def owner_of(self, label: str) -> str:
-        return self._owners[label]
-
     def index_of(self, label: str) -> int:
         return self._labels.index(label)
 
@@ -157,7 +152,7 @@ class QuantumRuntime:
         if self.num_qubits + 1 > MAX_QUBITS:
             raise ValueError("qubit budget of 16 exceeded")
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if amps.shape != (2,) or abs(np.linalg.norm(amps) - 1.0) > ATOL_NORM:
+        if amps.shape != (2,) or abs(np.linalg.norm(amps) - 1.0) > NORM_ATOL:
             raise ValueError("new qubit needs a normalized 2-vector")
         self._amps = np.kron(amps, self._amps)
         self._labels.append(label)
@@ -264,11 +259,7 @@ class RunBranch:
     value: Any
 
 
-def enumerate_runs(
-    run_fn: Callable[[OutcomeSource], Any],
-    branch_budget: int = BRANCH_BUDGET,
-    tol: float = BRANCH_PROB_FLOOR,
-) -> list[RunBranch]:
+def enumerate_runs(run_fn: Callable[[OutcomeSource], Any]) -> list[RunBranch]:
     """Enumerate every outcome path of ``run_fn``.
 
     ``run_fn`` must be deterministic apart from the outcomes it takes from
@@ -278,15 +269,15 @@ def enumerate_runs(
     stack: list[tuple[int, ...]] = [()]
     while stack:
         prefix = stack.pop()
-        src = ReplayOutcomes(prefix, tol=tol)
+        src = ReplayOutcomes(prefix)
         value = run_fn(src)
         results.append(RunBranch(src.bits, src.path_probability(), value))
-        if len(results) > branch_budget:
-            raise ValueError(f"branch budget of {branch_budget} exceeded")
+        if len(results) > BRANCH_BUDGET:
+            raise ValueError(f"branch budget of {BRANCH_BUDGET} exceeded")
         for k in range(len(prefix), len(src.trace)):
             bit, p0 = src.trace[k]
             p_other = 1.0 - p0 if bit == 0 else p0
-            if p_other > tol:
+            if p_other > BRANCH_PROB_FLOOR:
                 stack.append(tuple(b for b, _ in src.trace[:k]) + (1 - bit,))
     results.sort(key=lambda br: br.outcomes)
     return results

@@ -29,14 +29,9 @@ from importlib import resources
 import numpy as np
 
 from .qsim import (
-    ATOL_UNITARY,
-    Gate,
-    MeasurementBasis,
-    plus_state,
+    COMPLETENESS_ATOL, PROPORTIONALITY_ATOL, Gate, MeasurementBasis, plus_state
 )
 from .gadgets import octant_angle
-
-PROPORTIONALITY_ATOL = 1e-9
 
 _PREPS = ("zero", "plus") + tuple(f"hidden:{k}" for k in range(8))
 _MEASURES = ("z", "x") + tuple(f"equatorial:{k}" for k in range(8))
@@ -214,10 +209,7 @@ class WiringReport:
 
 
 def validate_wiring(
-    steps: tuple[WiringStep, ...],
-    target: np.ndarray,
-    num_register: int,
-    atol: float = PROPORTIONALITY_ATOL,
+    steps: tuple[WiringStep, ...], target: np.ndarray, num_register: int
 ) -> WiringReport:
     """Check every branch equals (Pauli correction) x target, up to phase
     and a branch weight, and that the branch weights are complete."""
@@ -241,7 +233,7 @@ def validate_wiring(
             if (
                 abs(abs(inner) ** 2 - np.linalg.norm(candidate) ** 2
                     * np.linalg.norm(br.operator) ** 2)
-                <= atol
+                <= PROPORTIONALITY_ATOL
             ):
                 matched = combo
                 break
@@ -252,7 +244,7 @@ def validate_wiring(
             )
         rows.append((br.outcomes, matched, weight))
     defect = float(np.max(np.abs(total - np.eye(dim))))
-    if defect > ATOL_UNITARY * 100:
+    if defect > COMPLETENESS_ATOL:
         return WiringReport(False, tuple(rows), defect, "branches are not complete")
     return WiringReport(True, tuple(rows), defect)
 

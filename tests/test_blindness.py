@@ -1,6 +1,10 @@
 """Blindness audits: angle uniformity, no-signaling, transcript statistics."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,28 @@ def test_gadget_view_audit_flags_a_leak(gadget, octant_a, octant_b):
     result = audit_gadget_view_tv(gadget, octant_a, octant_b, leak=True)
     assert not result.passed
     assert result.statistic == pytest.approx(1.0, abs=1e-12)
+
+
+def test_exact_audit_statistics_do_not_depend_on_the_hash_seed():
+    # the view keys hold label strings, so set iteration order, and with it
+    # the order a plain float sum adds the per-key terms, follows the hash seed
+    script = (
+        "from adbqc.blindness import audit_gadget_view_tv, audit_no_signaling\n"
+        "print(repr(audit_gadget_view_tv('hrz-sueki', 1, 5, leak=True).statistic))\n"
+        "print(repr(audit_no_signaling(octants=(0, 1), steps=(2, 5)).statistic))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        outputs.append(out.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_gadget_view_audit_validates_octant_parity():

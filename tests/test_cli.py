@@ -58,6 +58,27 @@ def test_run_rejects_an_over_budget_width(capsys):
     assert "over the budget of 16" in err
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"protocol": "p2", "num_register_qubits": 3, "trap_count": "1"},
+        {"protocol": "sueki", "num_register_qubits": 2, "seed": 5.7},
+        {"protocol": "p1", "num_register_qubits": 3,
+         "algorithm": [{"kind": "su", "targets": [0.0], "name": "h"}]},
+        {"protocol": "p1", "num_register_qubits": 3,
+         "algorithm": [{"kind": "su", "targets": [0], "octants": [1.5, 0, 0]}]},
+    ],
+)
+def test_run_rejects_a_non_integer_config_field(capsys, tmp_path, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("adbqc: error:") and "must be an integer" in err
+    assert "Traceback" not in err
+
+
 def test_run_requires_a_protocol(capsys):
     code, _, err = run_cli(capsys, "run", "--qubits", "3")
     assert code == EXIT_ERROR

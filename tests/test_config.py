@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from adbqc.protocols import (
@@ -50,6 +51,10 @@ def test_cz_request_has_no_octants():
         dict(kind="cz", targets=(0,)),
         dict(kind="cz", targets=(0, 1), name="h"),
         dict(kind="swap", targets=(0, 1)),
+        dict(kind="su", targets=(0,), octants=(1.5, 0, 0)),  # not an integer
+        dict(kind="su", targets=(0.0,), name="h"),
+        dict(kind="su", targets=(True,), name="h"),
+        dict(kind="cz", targets=(0, 1.0)),
     ],
 )
 def test_bad_requests_rejected(kwargs):
@@ -115,11 +120,48 @@ def test_trap_counts_by_protocol():
         dict(protocol="p2", num_qubits=4, depth=1, trap_count=0),
         dict(protocol="p2", num_qubits=4, depth=1, trap_count=4),
         dict(protocol="sueki", num_qubits=40, depth=1),  # far over the qubit budget
+        dict(protocol="sueki", num_qubits=2.0, depth=1),  # not an integer
+        dict(protocol="sueki", num_qubits=2, depth=1.5),
+        dict(protocol="p2", num_qubits=3, depth=1, trap_count="1"),
+        dict(protocol="sueki", num_qubits=2, depth=1, seed=5.7),
+        dict(protocol="sueki", num_qubits=2, depth=1, seed=True),
     ],
 )
 def test_bad_configs_rejected(kwargs):
     with pytest.raises(ValueError):
         ProtocolConfig(**kwargs)
+
+
+def test_numpy_integers_are_accepted_as_plain_ints():
+    req = GateRequest.single(np.int64(0), octants=np.array([1, 0, 0]))
+    assert req == GateRequest.single(0, octants=(1, 0, 0))
+    assert all(type(v) is int for v in req.targets + req.octants)
+    cfg = ProtocolConfig("p2", np.int64(3), np.int32(1), trap_count=np.int64(1),
+                         seed=np.uint8(5), algorithm=(req,))
+    assert cfg == ProtocolConfig("p2", 3, 1, trap_count=1, seed=5, algorithm=(req,))
+    json.dumps(config_to_dict(cfg))  # still JSON-clean
+
+
+# each dict loads into a config that cannot run: before the integer checks
+# these raised TypeError or AssertionError partway through, or ran as seed 5
+NON_INTEGER_DICTS = [
+    {"protocol": "p2", "num_register_qubits": 3, "depth": 1, "trap_count": "1"},
+    {"protocol": "sueki", "num_register_qubits": 2, "depth": 1,
+     "algorithm": [{"kind": "su", "targets": [0.0], "name": "h"}]},
+    {"protocol": "p1", "num_register_qubits": 3, "depth": 1,
+     "algorithm": [{"kind": "su", "targets": [0], "octants": [1.5, 0, 0]}]},
+    {"protocol": "sueki", "num_register_qubits": 2, "depth": 1,
+     "algorithm": [{"kind": "su", "targets": [0], "octants": [1.5, 0, 0]}]},
+    {"protocol": "sueki", "num_register_qubits": 2, "depth": 1, "seed": 5.7},
+    {"protocol": "sueki", "num_register_qubits": 2.0, "depth": 1},
+    {"protocol": "sueki", "num_register_qubits": 2, "depth": "1"},
+]
+
+
+@pytest.mark.parametrize("data", NON_INTEGER_DICTS)
+def test_config_from_dict_rejects_non_integers(data):
+    with pytest.raises(ValueError, match="must be an integer"):
+        config_from_dict(data)
 
 
 # widest register each protocol fits in the 16-qubit budget beside its
@@ -176,7 +218,7 @@ def test_adversary_protocol_pairing():
 
 
 def test_probe_adversary_not_runnable():
-    probe = AdversaryConfig(kind="entangled_probe", probe_amplitudes=(1.0, 0.0))
+    probe = AdversaryConfig(kind="entangled_probe")
     with pytest.raises(ValueError, match="analysis-only"):
         ProtocolConfig("p2", 4, 1, trap_count=2, adversary=probe)
 
