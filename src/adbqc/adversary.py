@@ -29,24 +29,8 @@ import numpy as np
 
 from .qsim import PROBABILITY_SLACK, Gate, StateVector, apply_gate
 
-ATTACK_KINDS = ("x", "z", "xz")
-
 # register position classes for the equal-thirds layout
 _COMPUTE, _ZERO_TRAP, _PLUS_TRAP = 0, 1, 2
-
-
-def apply_pauli_hits(
-    state: StateVector, hits: tuple[tuple[str, int], ...]
-) -> StateVector:
-    """Apply (kind, qubit) Pauli errors; Z before X at each position."""
-    for kind, pos in hits:
-        if kind not in ATTACK_KINDS:
-            raise ValueError(f"unknown Pauli kind {kind!r}")
-        if "z" in kind:
-            state = apply_gate(state, Gate.z(), [pos])
-        if "x" in kind:
-            state = apply_gate(state, Gate.x(), [pos])
-    return state
 
 
 def pauli_is_caught(kind: str, role_class: int) -> bool:
@@ -129,24 +113,19 @@ def simulate_escape(
     """Monte Carlo of the detection process over random error positions.
 
     Samples the disjoint error positions exactly as a protocol run does and
-    evaluates the deterministic caught/escaped predicate per trial (the
-    layout symmetry above fixes the roles without loss of generality).
+    asks ``pauli_is_caught`` of each hit (the layout symmetry above fixes
+    the roles without loss of generality).
     """
     w = _thirds(num_qubits)
     a, b, c = pauli_counts
     if a + b + c > num_qubits:
         raise ValueError("more errors than positions")
-    roles = np.array([_COMPUTE] * w + [_ZERO_TRAP] * w + [_PLUS_TRAP] * w)
-    k = a + b + c
+    roles = (_COMPUTE,) * w + (_ZERO_TRAP,) * w + (_PLUS_TRAP,) * w
+    kinds = ("x",) * a + ("z",) * b + ("xz",) * c
     escaped = 0
     for _ in range(trials):
-        pos = rng.permutation(num_qubits)[:k]
-        hit_roles = roles[pos]
-        caught = (
-            np.any(hit_roles[:a] == _ZERO_TRAP)
-            or np.any(hit_roles[a : a + b] == _PLUS_TRAP)
-            or np.any(hit_roles[a + b :] != _COMPUTE)
-        )
+        pos = rng.permutation(num_qubits)[: len(kinds)]
+        caught = any(pauli_is_caught(kind, roles[p]) for kind, p in zip(kinds, pos))
         escaped += 0 if caught else 1
     exact = float(escape_probability_exact(num_qubits, pauli_counts))
     estimate = escaped / trials

@@ -74,11 +74,8 @@ def parse_adversary(spec: str) -> AdversaryConfig:
         return HONEST
     kind, sep, params = spec.partition(":")
     if kind == "pauli" and sep:
-        parts = params.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"pauli spec needs three counts, got {spec!r}")
-        a, b, c = (int(x) for x in parts)
-        return AdversaryConfig(kind="random_pauli", pauli_counts=(a, b, c))
+        counts = tuple(int(x) for x in params.split(","))
+        return AdversaryConfig(kind="random_pauli", pauli_counts=counts)
     if kind == "tamper" and sep:
         return AdversaryConfig(kind="trap_tamper", tamper_rate=float(params))
     raise ValueError(f"bad adversary spec {spec!r} (none | pauli:a,b,c | tamper:rate)")

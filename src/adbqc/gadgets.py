@@ -7,8 +7,6 @@ classical frame records. Gadgets act on labeled qubits of a
 ``QuantumRuntime``; to run one on a bare state, load it with
 ``QuantumRuntime.from_state``. The building blocks:
 
-- ``kraus_backaction``: the two back-action operators on the register for a
-  single coupling, given the ancilla preparation and its measurement basis.
 - ``couple_in`` and ``measure_out``: the ancilla step every gadget shares.
   ``couple_in`` prepares an ancilla, hands it to the server and couples it
   to each target; ``measure_out`` has the server measure it, record and
@@ -25,17 +23,15 @@ classical frame records. Gadgets act on labeled qubits of a
   Hadamard-cancelling |0> coupling on each qubit.
 - ``frame_conjugate`` and ``PauliFrame``: pushing X/Z records through the
   gates the gadgets realize.
-- ``decompose_unitary``: Z-X-Z Euler angles in this package's conventions,
-  and ``octant_euler``, which snaps them to octants. Gate requests do not
-  use it: named gates resolve through ``NAMED_GATE_OCTANTS``, and the tests
-  check that table against ``octant_euler``.
+- ``NAMED_GATE_OCTANTS`` and ``pattern_unitary``: named gates as the
+  octants (beta, gamma, delta) of R_Z R_X R_Z, and the unitary that four
+  H R_Z invocations with those octants realize.
 
 All angles at protocol boundaries are octant integers k, meaning k*pi/4.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,9 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .qsim import (
-    EULER_RESIDUE_ATOL, EULER_ZERO, Gate, MeasurementBasis, StateVector, plus_state
-)
+from .qsim import Gate, MeasurementBasis, StateVector, plus_state
 from .runtime import QuantumRuntime
 from .transcript import ALICE, BOB, Transcript
 
@@ -53,50 +47,11 @@ OCTANT = math.pi / 4
 EVEN_OCTANTS = (0, 2, 4, 6)
 ODD_OCTANTS = (1, 3, 5, 7)
 
-ENTANGLER = Gate.entangler("hhcz")
+ENTANGLER = Gate.entangler()
 
 
 def octant_angle(k: int) -> float:
     return (k % 8) * OCTANT
-
-
-@dataclass(frozen=True)
-class AncillaPrep:
-    """Single-qubit preparation cos(polar/2)|0> + sign e^{i phase} sin(polar/2)|1>."""
-
-    polar: float
-    phase: float
-    sign: int = +1
-
-    def amplitudes(self) -> np.ndarray:
-        return plus_state(self.polar, self.phase, self.sign)
-
-
-@dataclass(frozen=True)
-class KrausPair:
-    """Register back-action for outcomes 0 and 1 of one ancilla coupling."""
-
-    k0: np.ndarray
-    k1: np.ndarray
-
-    def completeness_defect(self) -> float:
-        s = self.k0.conj().T @ self.k0 + self.k1.conj().T @ self.k1
-        return float(np.abs(s - np.eye(2)).max())
-
-
-def kraus_backaction(
-    prep: AncillaPrep, basis: MeasurementBasis, variant: str = "hhcz"
-) -> KrausPair:
-    """Back-action operators K_s = <s|_anc E (|prep>_anc x id_reg)."""
-    if not basis.is_orthonormal():
-        raise ValueError("measurement basis must be orthonormal")
-    e4 = Gate.entangler(variant).matrix.reshape(2, 2, 2, 2)  # [a', r', a, r]
-    p = prep.amplitudes()
-    ks = [
-        np.einsum("a,arbq,b->rq", basis.eigenstates[s].conj(), e4, p)
-        for s in (0, 1)
-    ]
-    return KrausPair(ks[0], ks[1])
 
 
 # ---------------------------------------------------------------------------
@@ -339,87 +294,7 @@ def cz_on_runtime(
 
 
 # ---------------------------------------------------------------------------
-# Euler decomposition
-
-
-@dataclass(frozen=True)
-class EulerAngles:
-    """U = e^{i alpha} R_Z(beta) R_X(gamma) R_Z(delta), all angles in [0, 2pi)."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-
-    def matrix(self) -> np.ndarray:
-        from .qsim import rx_matrix, rz_matrix
-
-        return (
-            cmath.exp(1j * self.alpha)
-            * rz_matrix(self.beta)
-            @ rx_matrix(self.gamma)
-            @ rz_matrix(self.delta)
-        )
-
-
-def _mod_2pi(t: float) -> float:
-    return t % (2 * math.pi)
-
-
-def decompose_unitary(u: np.ndarray) -> EulerAngles:
-    """Z-X-Z Euler angles of a 2x2 unitary.
-
-    Degenerate cases are canonicalized: when the X rotation is 0 or pi the
-    trailing Z angle is set to zero and the leading one carries the whole
-    Z rotation.
-    """
-    u = Gate.custom(u).matrix  # raises unless unitary
-    if u.shape != (2, 2):
-        raise ValueError("expected a 2x2 unitary")
-    a00, a01 = u[0, 0], u[0, 1]
-    a10, a11 = u[1, 0], u[1, 1]
-    gamma = 2.0 * math.atan2(abs(a01), abs(a00))
-    if abs(a01) <= EULER_ZERO:  # diagonal: no X component
-        alpha = cmath.phase(a00)
-        angles = EulerAngles(
-            _mod_2pi(alpha), _mod_2pi(cmath.phase(a11) - alpha), 0.0, 0.0
-        )
-    elif abs(a00) <= EULER_ZERO:  # antidiagonal: full X flip
-        alpha = cmath.phase(a01) + math.pi / 2
-        beta = cmath.phase(a10) - alpha + math.pi / 2
-        angles = EulerAngles(_mod_2pi(alpha), _mod_2pi(beta), math.pi, 0.0)
-    else:
-        alpha = cmath.phase(a00)
-        delta = cmath.phase(a01) - alpha + math.pi / 2
-        beta = cmath.phase(a10) - alpha + math.pi / 2
-        angles = EulerAngles(
-            _mod_2pi(alpha), _mod_2pi(beta), gamma, _mod_2pi(delta)
-        )
-    residue = float(np.abs(angles.matrix() - u).max())
-    if residue > EULER_RESIDUE_ATOL:
-        raise ValueError(f"decomposition residue {residue} exceeds {EULER_RESIDUE_ATOL}")
-    return angles
-
-
-def octant_euler(u: np.ndarray) -> tuple[int, int, int]:
-    """Euler angles snapped to octants (beta, gamma, delta as k*pi/4).
-
-    Raises if the unitary is not expressible with octant angles.
-    """
-    angles = decompose_unitary(u)
-    ks = []
-    for t in (angles.beta, angles.gamma, angles.delta):
-        k = round(t / OCTANT) % 8
-        ks.append(int(k))
-    snapped = EulerAngles(
-        angles.alpha, octant_angle(ks[0]), octant_angle(ks[1]), octant_angle(ks[2])
-    )
-    m = snapped.matrix()
-    phase = np.vdot(m.reshape(-1), u.reshape(-1))
-    phase = phase / abs(phase)
-    if float(np.abs(u - phase * m).max()) > EULER_RESIDUE_ATOL:
-        raise ValueError("unitary is not octant-decomposable")
-    return tuple(ks)  # type: ignore[return-value]
+# Named gates and octant patterns
 
 
 NAMED_GATE_OCTANTS: dict[str, tuple[int, int, int]] = {

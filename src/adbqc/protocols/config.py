@@ -110,7 +110,8 @@ class AdversaryConfig:
 
     - none: honest run.
     - random_pauli: X / Z / XZ errors on disjoint uniformly random output
-      positions, counts given by ``pauli_counts``.
+      positions, counts given by ``pauli_counts`` (three integers), or at
+      the fixed (kind, integer position) hits of ``pauli_positions``.
     - trap_tamper: every reported output bit is correct only with
       probability ``tamper_rate``, independently.
     - entangled_probe: analysis-only; a probe state for the gate-driving
@@ -125,16 +126,22 @@ class AdversaryConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "random_pauli", "trap_tamper", "entangled_probe"):
             raise ValueError(f"unknown adversary kind {self.kind!r}")
+        counts = tuple(_integer("pauli count", c) for c in self.pauli_counts)
+        if len(counts) != 3:
+            raise ValueError(f"pauli counts must be three values (X, Z, XZ): {counts}")
+        object.__setattr__(self, "pauli_counts", counts)
         if self.kind == "random_pauli":
             if any(c < 0 for c in self.pauli_counts):
                 raise ValueError("pauli counts must be non-negative")
             if self.pauli_positions is not None:
-                kinds = [k for k, _ in self.pauli_positions]
-                spots = [p for _, p in self.pauli_positions]
-                if any(k not in ("x", "z", "xz") for k in kinds):
+                positions = tuple(
+                    (k, _integer("pauli position", p)) for k, p in self.pauli_positions
+                )
+                if any(k not in ("x", "z", "xz") for k, _ in positions):
                     raise ValueError("pauli position kinds must be x, z or xz")
-                if len(set(spots)) != len(spots):
+                if len({p for _, p in positions}) != len(positions):
                     raise ValueError("pauli positions must be distinct")
+                object.__setattr__(self, "pauli_positions", positions)
         elif self.pauli_positions is not None:
             raise ValueError("pauli_positions only applies to random_pauli")
         if self.kind == "trap_tamper" and not 0.0 <= self.tamper_rate <= 1.0:
@@ -306,16 +313,11 @@ def config_from_dict(data: dict) -> ProtocolConfig:
     adv_data = data.get("adversary") or {}
     # accept the parameters nested under "params" or flattened beside "kind"
     params = {**adv_data, **(adv_data.get("params") or {})}
-    raw_positions = params.get("pauli_positions")
     adversary = AdversaryConfig(
         kind=adv_data.get("kind", "none"),
-        pauli_counts=tuple(params.get("pauli_counts", (0, 0, 0))),
+        pauli_counts=params.get("pauli_counts", (0, 0, 0)),
         tamper_rate=float(params.get("tamper_rate", 0.0)),
-        pauli_positions=(
-            tuple((str(k), int(p)) for k, p in raw_positions)
-            if raw_positions is not None
-            else None
-        ),
+        pauli_positions=params.get("pauli_positions"),
     )
     algorithm = tuple(
         GateRequest(

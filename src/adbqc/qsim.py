@@ -34,8 +34,6 @@ PSD_FLOOR = -1e-9  # smallest eigenvalue a density matrix may show
 UNITARITY_ATOL = 1e-9  # entrywise gap between U U^dagger and the identity
 ORTHONORMAL_ATOL = 1e-10  # entrywise gap between a basis's Gram matrix and the identity
 PRODUCT_ATOL = 1e-9  # purity defect of a qubit that counts as product with the rest
-EULER_RESIDUE_ATOL = 1e-9  # entrywise gap between a unitary and its rebuilt Euler form
-EULER_ZERO = 1e-12  # matrix entry that counts as zero when choosing an Euler form
 PROPORTIONALITY_ATOL = 1e-9  # Cauchy-Schwarz gap that makes two operators proportional
 COMPLETENESS_ATOL = 1e-8  # entrywise gap of a wiring's summed K^dagger K from the identity
 GADGET_FIDELITY_ATOL = 1e-9  # infidelity a gadget branch may show against its ideal gate
@@ -199,14 +197,9 @@ class Gate:
         return cls("cz", _CZ)
 
     @classmethod
-    def entangler(cls, variant: str = "hhcz") -> "Gate":
-        """Two-qubit ancilla-register coupling: (H x H) CZ or CZ (H x H)."""
-        hh = np.kron(_H, _H)
-        if variant == "hhcz":
-            return cls("entangler_hhcz", hh @ _CZ)
-        if variant == "czhh":
-            return cls("entangler_czhh", _CZ @ hh)
-        raise ValueError(f"unknown entangler variant: {variant}")
+    def entangler(cls) -> "Gate":
+        """Two-qubit ancilla-register coupling E = (H x H) CZ."""
+        return cls("entangler", np.kron(_H, _H) @ _CZ)
 
     @classmethod
     def custom(cls, matrix: np.ndarray, kind: str = "custom") -> "Gate":

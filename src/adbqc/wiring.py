@@ -1,4 +1,4 @@
-"""Gadget wiring descriptions: a frozen text format plus template search.
+"""Gadget wiring descriptions: a frozen text format and its evaluator.
 
 A wiring is an ordered list of steps. Each step runs one ancilla through
 its whole life: prepare it, couple it to register qubits with the standard
@@ -7,9 +7,12 @@ named basis or discard it. Discarding is only sound when the ancilla
 deterministically factors out, which the evaluator checks; algebraically
 that restricts outcome-free steps to computational-basis preparations.
 
-The point of the format is bit-exact reproducibility: searched wirings are
-frozen into fixture files and the tests assert the search still lands on
-the same text.
+``wiring_branches`` turns a wiring into one register operator per outcome
+string; ``_couple_chain`` is the package's one computation of the
+back-action <a| E-chain |prep> of a single ancilla. ``validate_wiring``
+checks that every branch is a Pauli correction times a target gate and
+that the branches are complete. The fixtures under ``wirings/`` freeze
+the H, CZ and H R_Z(pi/2) gadgets in this format.
 
 Line format, one step per line (``#`` comments and blank lines allowed):
 
@@ -129,7 +132,7 @@ def _couple_chain(step: WiringStep, num_register: int) -> np.ndarray:
     from .qsim import _apply_matrix
 
     dim = 1 << num_register
-    ent = Gate.entangler("hhcz").matrix
+    ent = Gate.entangler().matrix
     cols = np.zeros((2 * dim, dim), dtype=complex)
     prep = step.prep_vector()
     for col in range(dim):
@@ -250,67 +253,6 @@ def validate_wiring(
 
 
 # ---------------------------------------------------------------------------
-# Template search
-
-
-def _couple_sequences(num_register: int):
-    qubits = range(num_register)
-    for length in (1, 2):
-        for seq in itertools.permutations(qubits, length):
-            yield seq
-
-
-def synthesize_gadget(
-    target: Gate | np.ndarray,
-    num_register: int,
-    max_steps: int = 3,
-) -> tuple[WiringStep, ...]:
-    """Search the step templates for a wiring realizing ``target``.
-
-    The space per step: preparation in {zero, plus, hidden octants},
-    couplings over distinct register qubits, measurement in {z, x,
-    equatorial octants} or discard. Outcome-free steps are restricted to
-    |0> preparations (anything else cannot factor out deterministically),
-    and a wiring gets at most one measuring step. Deterministic order, so
-    repeated searches return the identical wiring. Raises LookupError when
-    the space is exhausted.
-    """
-    matrix = target.matrix if isinstance(target, Gate) else np.asarray(target)
-
-    discard_steps = [
-        WiringStep("zero", seq, None) for seq in _couple_sequences(num_register)
-    ]
-    measure_steps = [
-        WiringStep(prep, seq, meas)
-        for prep in _PREPS
-        for seq in _couple_sequences(num_register)
-        for meas in _MEASURES
-    ]
-
-    def candidates(length: int):
-        # no measuring step at all
-        for combo in itertools.product(discard_steps, repeat=length):
-            yield combo
-        # exactly one measuring step, at each slot
-        for slot in range(length):
-            for meas in measure_steps:
-                for rest in itertools.product(discard_steps, repeat=length - 1):
-                    yield rest[:slot] + (meas,) + rest[slot:]
-
-    for length in range(1, max_steps + 1):
-        for wiring in candidates(length):
-            try:
-                report = validate_wiring(wiring, matrix, num_register)
-            except ValueError:
-                continue
-            if report.valid:
-                return wiring
-    raise LookupError(
-        f"no wiring within {max_steps} steps realizes the target"
-    )
-
-
-# ---------------------------------------------------------------------------
 # Frozen fixtures
 
 
@@ -321,11 +263,3 @@ def load_wiring(name: str) -> tuple[WiringStep, ...]:
     )
     return parse_wiring(text)
 
-
-def list_wirings() -> list[str]:
-    folder = resources.files("adbqc").joinpath("wirings")
-    return sorted(
-        entry.name[: -len(".txt")]
-        for entry in folder.iterdir()
-        if entry.name.endswith(".txt")
-    )

@@ -7,7 +7,6 @@ import pytest
 
 from adbqc import rng
 from adbqc.adversary import (
-    apply_pauli_hits,
     distinguishability,
     escape_bound,
     escape_counts,
@@ -20,27 +19,38 @@ from adbqc.adversary import (
     simulate_tamper_acceptance,
     tamper_acceptance_exact,
 )
+from adbqc.protocols import ProtocolConfig
+from adbqc.protocols.driver import apply_attack, new_session, register_label
 from adbqc.qsim import StateVector, fidelity_up_to_phase, haar_random_state, plus_state
+from adbqc.transcript import BOB
 
 _COMPUTE, _ZERO_TRAP, _PLUS_TRAP = 0, 1, 2
 
 
 # ---------------------------------------------------------------------------
-# Pauli application and the catch predicate
+# Pauli application (the driver's attack) and the catch predicate
 
 
-def test_apply_pauli_hits_examples():
-    plus = StateVector.of(plus_state(np.pi / 2, 0.0))
+def attacked(amplitudes: np.ndarray, hits) -> StateVector:
+    """Register qubit 0 in ``amplitudes`` after ``apply_attack`` on a p1 session."""
+    session = new_session(ProtocolConfig("p1", 3, 1))
+    session.rt.add_qubit(register_label(0), amplitudes, BOB)
+    apply_attack(session, hits)
+    return session.rt.snapshot([register_label(0)])
+
+
+def test_apply_attack_examples():
+    plus = plus_state(np.pi / 2, 0.0)
     minus = StateVector.of(plus_state(np.pi / 2, np.pi))
-    flipped = apply_pauli_hits(plus, (("z", 0),))
+    flipped = attacked(plus, (("z", 0),))
     assert fidelity_up_to_phase(flipped, minus) == pytest.approx(1.0, abs=1e-12)
     # XZ|0> = X|0> = |1>, and XZ|+> = -|->
-    one = apply_pauli_hits(StateVector.zero(1), (("xz", 0),))
+    one = attacked(np.array([1, 0], dtype=complex), (("xz", 0),))
     assert abs(one.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
-    y_on_plus = apply_pauli_hits(plus, (("xz", 0),))
+    y_on_plus = attacked(plus, (("xz", 0),))
     assert fidelity_up_to_phase(y_on_plus, minus) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        apply_pauli_hits(plus, (("y", 0),))
+    # Z then X: XZ|+> carries the sign -1 that ZX|+> would not
+    assert y_on_plus.amplitudes == pytest.approx(-minus.amplitudes, abs=1e-12)
 
 
 @pytest.mark.parametrize(

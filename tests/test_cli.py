@@ -67,6 +67,8 @@ def test_run_rejects_an_over_budget_width(capsys):
          "algorithm": [{"kind": "su", "targets": [0.0], "name": "h"}]},
         {"protocol": "p1", "num_register_qubits": 3,
          "algorithm": [{"kind": "su", "targets": [0], "octants": [1.5, 0, 0]}]},
+        {"protocol": "p1", "num_register_qubits": 3,
+         "adversary": {"kind": "random_pauli", "pauli_counts": [1.5, 0, 0]}},
     ],
 )
 def test_run_rejects_a_non_integer_config_field(capsys, tmp_path, config):

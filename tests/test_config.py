@@ -125,10 +125,23 @@ def test_trap_counts_by_protocol():
         dict(protocol="p2", num_qubits=3, depth=1, trap_count="1"),
         dict(protocol="sueki", num_qubits=2, depth=1, seed=5.7),
         dict(protocol="sueki", num_qubits=2, depth=1, seed=True),
+        # malformed Pauli fields; the adversary is built inside the check
+        dict(protocol="p1", num_qubits=3, depth=1,
+             adversary=dict(kind="random_pauli", pauli_counts=(1.5, 0, 0))),
+        dict(protocol="p1", num_qubits=3, depth=1,
+             adversary=dict(kind="random_pauli", pauli_counts=(1, 0))),
+        dict(protocol="p1", num_qubits=3, depth=1,
+             adversary=dict(kind="random_pauli", pauli_counts=(1, 0, 0),
+                            pauli_positions=(("x", 0.7),))),
+        dict(protocol="p1", num_qubits=3, depth=1,
+             adversary=dict(kind="random_pauli", pauli_counts=(1, 0, 0),
+                            pauli_positions=(("x", True),))),
     ],
 )
 def test_bad_configs_rejected(kwargs):
     with pytest.raises(ValueError):
+        if isinstance(kwargs.get("adversary"), dict):
+            kwargs = {**kwargs, "adversary": AdversaryConfig(**kwargs["adversary"])}
         ProtocolConfig(**kwargs)
 
 
@@ -143,7 +156,8 @@ def test_numpy_integers_are_accepted_as_plain_ints():
 
 
 # each dict loads into a config that cannot run: before the integer checks
-# these raised TypeError or AssertionError partway through, or ran as seed 5
+# these raised TypeError or AssertionError partway through, ran as seed 5,
+# or truncated a Pauli position to 0
 NON_INTEGER_DICTS = [
     {"protocol": "p2", "num_register_qubits": 3, "depth": 1, "trap_count": "1"},
     {"protocol": "sueki", "num_register_qubits": 2, "depth": 1,
@@ -155,6 +169,14 @@ NON_INTEGER_DICTS = [
     {"protocol": "sueki", "num_register_qubits": 2, "depth": 1, "seed": 5.7},
     {"protocol": "sueki", "num_register_qubits": 2.0, "depth": 1},
     {"protocol": "sueki", "num_register_qubits": 2, "depth": "1"},
+    {"protocol": "p1", "num_register_qubits": 3, "depth": 1,
+     "adversary": {"kind": "random_pauli", "params": {"pauli_counts": [1.5, 0, 0]}}},
+    {"protocol": "p1", "num_register_qubits": 3, "depth": 1,
+     "adversary": {"kind": "random_pauli", "pauli_counts": [1, 0, 0],
+                   "pauli_positions": [["x", 0.7]]}},
+    {"protocol": "p1", "num_register_qubits": 3, "depth": 1,
+     "adversary": {"kind": "random_pauli", "pauli_counts": [1, 0, 0],
+                   "pauli_positions": [["x", True]]}},
 ]
 
 

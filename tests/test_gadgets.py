@@ -1,10 +1,8 @@
-"""Measurement-driven gate gadgets: couplings, back-actions, frames, Euler.
+"""Measurement-driven gate gadgets: couplings, back-actions, frames, patterns.
 
 The gadget algebra is checked against explicit matrix identities built with
 raw numpy, never against the gadget code itself.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -12,22 +10,17 @@ import pytest
 from adbqc import rng
 from adbqc.gadgets import (
     NAMED_GATE_OCTANTS,
-    AncillaPrep,
     PauliFrame,
     announced_octant,
     cz_on_runtime,
-    decompose_unitary,
     frame_conjugate,
     h_cancel,
-    kraus_backaction,
     octant_angle,
-    octant_euler,
     pattern_unitary,
     sueki_hrz_on_runtime,
 )
 from adbqc.qsim import (
     Gate,
-    MeasurementBasis,
     StateVector,
     apply_gate,
     fidelity_up_to_phase,
@@ -38,6 +31,7 @@ from adbqc.qsim import (
 )
 from adbqc.runtime import QuantumRuntime, SampledOutcomes
 from adbqc.transcript import BOB
+from adbqc.wiring import WiringStep, wiring_branches
 
 H = Gate.h().matrix
 X = Gate.x().matrix
@@ -58,12 +52,6 @@ def proportional(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool:
     return bool(np.allclose(a, phase * (na / nb) * b, atol=atol))
 
 
-def haar_unitary(gen: np.random.Generator) -> np.ndarray:
-    g = gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2))
-    q, r = np.linalg.qr(g)
-    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-
-
 def fresh_runtime(state: StateVector, coins) -> tuple[QuantumRuntime, list[str]]:
     return QuantumRuntime.from_state(state, SampledOutcomes(coins=coins), BOB)
 
@@ -81,32 +69,27 @@ def test_octant_angle_wraps():
 def test_entangler_on_00():
     plus = plus_state(np.pi / 2, 0.0)
     want = np.kron(plus, plus)
-    got = Gate.entangler("hhcz").matrix @ np.array([1, 0, 0, 0], dtype=complex)
+    got = Gate.entangler().matrix @ np.array([1, 0, 0, 0], dtype=complex)
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_entangler_on_11_gives_minus_minus():
     minus = plus_state(np.pi / 2, np.pi)
     want = -np.kron(minus, minus)
-    got = Gate.entangler("hhcz").matrix @ np.array([0, 0, 0, 1], dtype=complex)
+    got = Gate.entangler().matrix @ np.array([0, 0, 0, 1], dtype=complex)
     assert np.allclose(got, want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# Kraus back-action of one coupling
+# Back-action of one coupling, through the wiring evaluator
 
 
-@pytest.mark.parametrize("prep_octant", range(8))
-@pytest.mark.parametrize(
-    "basis",
-    [MeasurementBasis.z(), MeasurementBasis.x(), MeasurementBasis.equatorial(3 * np.pi / 4)],
-    ids=("z", "x", "eq"),
-)
-@pytest.mark.parametrize("variant", ["hhcz", "czhh"])
-def test_kraus_completeness(prep_octant, basis, variant):
-    prep = AncillaPrep(np.pi / 2, octant_angle(prep_octant))
-    pair = kraus_backaction(prep, basis, variant)
-    assert pair.completeness_defect() < 1e-10
+def one_step_branches(prep: str) -> list[np.ndarray]:
+    """Register operators for outcomes 0 and 1 of one ancilla coupled to
+    qubit 0 and measured in Z."""
+    branches = wiring_branches((WiringStep(prep, (0,), "z"),), 1)
+    assert [b.outcomes for b in branches] == [(0,), (1,)]
+    return [b.operator for b in branches]
 
 
 @pytest.mark.parametrize("k", range(8))
@@ -117,37 +100,17 @@ def test_kraus_of_hidden_rotation(k):
     H R_Z(+g); the fixed pi/2 phase is what makes both outcomes unitary.
     """
     gamma = octant_angle(k)
-    pair = kraus_backaction(AncillaPrep(gamma, np.pi / 2), MeasurementBasis.z())
-    assert proportional(pair.k0, H @ rz_matrix(-gamma))
-    if k != 0:  # gamma = 0 preps |0>, so outcome 1 never fires
-        assert proportional(pair.k1, H @ rz_matrix(+gamma))
-
-
-def test_kraus_spot_value():
-    pair = kraus_backaction(AncillaPrep(np.pi / 2, np.pi / 2), MeasurementBasis.z())
-    assert proportional(pair.k0, H @ rz_matrix(-np.pi / 2))
-
-
-def test_kraus_sign_flips_effective_phase():
-    pair = kraus_backaction(
-        AncillaPrep(np.pi / 2, np.pi / 2, sign=-1), MeasurementBasis.z()
-    )
-    # sign -1 shifts the prep phase by pi.
-    assert proportional(pair.k0, H @ rz_matrix(-(np.pi / 2 + np.pi)))
+    k0, k1 = one_step_branches(f"hidden:{k}")
+    assert proportional(k0, H @ rz_matrix(-gamma))
+    assert proportional(k1, H @ rz_matrix(+gamma))
 
 
 def test_kraus_of_computational_prep_is_deterministic_h():
-    pair = kraus_backaction(AncillaPrep(0.0, 0.0), MeasurementBasis.z())
-    assert proportional(pair.k0, H)
-    assert proportional(pair.k1, H)
-    assert pair.completeness_defect() < 1e-12
-
-
-def test_kraus_rejects_degenerate_basis():
-    e = plus_state(np.pi / 2, 0.0)
-    bad = MeasurementBasis(kind="bad", eigenstates=(e, e))
-    with pytest.raises(ValueError):
-        kraus_backaction(AncillaPrep(np.pi / 2, 0.0), bad)
+    k0, k1 = one_step_branches("zero")
+    assert proportional(k0, H)
+    assert proportional(k1, H)
+    completeness = k0.conj().T @ k0 + k1.conj().T @ k1
+    assert np.abs(completeness - I2).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -320,45 +283,7 @@ def test_h_cancel_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Euler decomposition and octant patterns
-
-
-def test_decompose_identity_and_diagonal():
-    angles = decompose_unitary(I2)
-    assert (angles.alpha, angles.beta, angles.gamma, angles.delta) == (0, 0, 0, 0)
-    angles = decompose_unitary(rz_matrix(1.1))
-    assert angles.beta == pytest.approx(1.1)
-    assert angles.gamma == 0.0
-    assert angles.delta == 0.0
-
-
-def test_decompose_antidiagonal_canonical_form():
-    angles = decompose_unitary(X)
-    assert angles.gamma == pytest.approx(np.pi)
-    assert angles.delta == 0.0
-    assert np.allclose(angles.matrix(), X, atol=1e-12)
-
-
-def test_decompose_hadamard():
-    angles = decompose_unitary(H)
-    assert np.allclose(angles.matrix(), H, atol=1e-12)
-
-
-def test_decompose_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        decompose_unitary(np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
-
-
-@pytest.mark.parametrize("chunk", range(10))
-def test_decompose_roundtrip_sweep(chunk):
-    """500 random unitaries reconstruct to max deviation 1e-9."""
-    gen = rng.stream(156, "euler", chunk)
-    for _ in range(50):
-        u = haar_unitary(gen)
-        angles = decompose_unitary(u)
-        assert float(np.abs(angles.matrix() - u).max()) <= 1e-9
-        for t in (angles.alpha, angles.beta, angles.gamma, angles.delta):
-            assert 0.0 <= t < 2 * math.pi + 1e-12
+# Named gates and octant patterns
 
 
 def named_matrix(name: str) -> np.ndarray:
@@ -372,16 +297,6 @@ def named_matrix(name: str) -> np.ndarray:
         "hx": H @ X,
     }
     return table[name]
-
-
-@pytest.mark.parametrize("name", sorted(NAMED_GATE_OCTANTS))
-def test_named_gate_octants(name):
-    assert octant_euler(named_matrix(name)) == NAMED_GATE_OCTANTS[name]
-
-
-def test_octant_euler_rejects_generic_angle():
-    with pytest.raises(ValueError):
-        octant_euler(rz_matrix(0.3))
 
 
 @pytest.mark.parametrize("trial", range(20))

@@ -4,7 +4,10 @@ This parses each ``.py`` file under ``src/`` and fails on two things: a
 numeric literal whose magnitude lies strictly between 0 and 1e-6 anywhere
 but in a module-level UPPER_CASE assignment of ``qsim.py`` (the table), and
 a function parameter named ``atol``, ``tol`` or ``branch_budget``, through
-which a caller could loosen a check's threshold.
+which a caller could loosen a check's threshold. It also fails on a table
+entry (a public UPPER_CASE name assigned at the top level of ``qsim.py``)
+that no code under ``src/`` reads, so a threshold cannot outlive the check
+that compared with it.
 """
 
 import ast
@@ -73,3 +76,47 @@ def test_the_check_flags_stray_literals_and_knobs():
     assert tolerance_findings(sample, is_table_module=False) == [
         "literal 1e-09 (line 1)", *knobs_and_inline
     ]
+
+
+def unread_table_entries(table: ast.Module, trees: list[ast.Module]) -> list[str]:
+    """Public UPPER_CASE names assigned at the top of ``table`` that no tree
+    reads, as a bare name or as a module attribute."""
+    entries = [
+        target.id
+        for stmt in table.body
+        if isinstance(stmt, ast.Assign)
+        for target in stmt.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+        and not target.id.startswith("_")
+    ]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in entries if name not in read]
+
+
+def test_every_table_entry_is_read():
+    trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SOURCES]
+    table = trees[SOURCES.index(TABLE_MODULE)]
+    assert unread_table_entries(table, trees) == []
+
+
+def test_the_check_flags_unread_entries():
+    table = ast.parse(
+        "USED = 1e-9\n"
+        "VIA_MODULE = 1e-10\n"
+        "IMPORTED_ONLY = 1e-12\n"
+        "_PRIVATE = 2\n"
+        "lower = 3\n"
+    )
+    reader = ast.parse(
+        "from .qsim import IMPORTED_ONLY, USED\n"
+        "from . import qsim\n"
+        "ok = x < USED or x < qsim.VIA_MODULE\n"
+    )
+    assert unread_table_entries(table, [table, reader]) == ["IMPORTED_ONLY"]
+    assert unread_table_entries(table, [table]) == ["USED", "VIA_MODULE", "IMPORTED_ONLY"]

@@ -1,24 +1,17 @@
-"""Wiring text format, branch evaluation, and the frozen template search."""
+"""Wiring text format, branch evaluation, and the frozen fixtures."""
 
 import numpy as np
 import pytest
 
-from adbqc.gadgets import octant_angle
 from adbqc.qsim import Gate
 from adbqc.wiring import (
     WiringStep,
-    list_wirings,
     load_wiring,
     parse_wiring,
     serialize_wiring,
-    synthesize_gadget,
     validate_wiring,
     wiring_branches,
 )
-
-
-def test_list_wirings():
-    assert list_wirings() == ["cz", "h", "hrz2"]
 
 
 # ---------------------------------------------------------------------------
@@ -137,39 +130,20 @@ def test_entangled_discard_is_rejected():
     assert "entangled" in report.reason
 
 
+# one hidden-rotation ancilla measured in each kind of basis
+HIDDEN_STEPS = [
+    WiringStep(f"hidden:{k}", (0,), measure)
+    for k in range(8)
+    for measure in ("z", "x", "equatorial:3")
+]
+
+
 def test_branch_weights_follow_outcome_count():
-    wiring = load_wiring("cz")
-    branches = wiring_branches(wiring, 2)
-    assert sorted(b.outcomes for b in branches) == [(0,), (1,)]
-    total = sum(np.linalg.norm(b.operator) ** 2 for b in branches)
-    assert total == pytest.approx(4.0, abs=1e-9)  # completeness on dim 4
-
-
-# ---------------------------------------------------------------------------
-# Template search
-
-
-@pytest.mark.parametrize(
-    "name,target,width",
-    [
-        ("h", Gate.h(), 1),
-        ("hrz2", Gate.hrz(np.pi / 2), 1),
-        ("cz", Gate.cz(), 2),
-    ],
-)
-def test_search_reproduces_frozen_fixtures(name, target, width):
-    """The deterministic search must land on the fixture text exactly."""
-    found = synthesize_gadget(target, width)
-    assert serialize_wiring(found) == serialize_wiring(load_wiring(name))
-
-
-def test_search_exhaustion_raises():
-    with pytest.raises(LookupError):
-        synthesize_gadget(Gate.rz(octant_angle(1)), 1, max_steps=1)
-
-
-def test_search_result_validates():
-    target = Gate.hrz(octant_angle(6))
-    found = synthesize_gadget(target, 1)
-    report = validate_wiring(found, target.matrix, 1)
-    assert report.valid
+    cases = [(load_wiring("cz"), 2)] + [((step,), 1) for step in HIDDEN_STEPS]
+    for wiring, width in cases:
+        branches = wiring_branches(wiring, width)
+        assert sorted(b.outcomes for b in branches) == [(0,), (1,)]
+        total = sum(np.linalg.norm(b.operator) ** 2 for b in branches)
+        assert total == pytest.approx(2**width, abs=1e-9)
+        completeness = sum(b.operator.conj().T @ b.operator for b in branches)
+        assert np.abs(completeness - np.eye(2**width)).max() < 1e-9, wiring
