@@ -92,6 +92,25 @@ def one_step_branches(prep: str) -> list[np.ndarray]:
     return [b.operator for b in branches]
 
 
+# "hhcz" names the one entangler, E = (H x H) CZ
+@pytest.mark.parametrize(
+    "measure,prep_octant",
+    [
+        pytest.param(measure, k, id=f"hhcz-{label}-{k}")
+        for label, measure in (("z", "z"), ("x", "x"), ("eq", "equatorial:3"))
+        for k in range(8)
+    ],
+)
+def test_kraus_completeness(measure, prep_octant):
+    """One hidden-rotation ancilla, measured in any basis, is a complete
+    measurement on the register: K0^dag K0 + K1^dag K1 = I."""
+    step = WiringStep(f"hidden:{prep_octant}", (0,), measure)
+    branches = wiring_branches((step,), 1)
+    assert [b.outcomes for b in branches] == [(0,), (1,)]
+    completeness = sum(b.operator.conj().T @ b.operator for b in branches)
+    assert np.abs(completeness - I2).max() < 1e-10
+
+
 @pytest.mark.parametrize("k", range(8))
 def test_kraus_of_hidden_rotation(k):
     """Polar-angle prep with phase pi/2, measured in Z, hides a rotation.
