@@ -33,6 +33,7 @@ from .blindness import (
 )
 from .oracle import ORACLE_GADGETS, branch_table, table_passes
 from .protocols import AdversaryConfig, HONEST, RunManifest, config_from_dict, run
+from .protocols.config import _typed
 from .qsim import GADGET_FIDELITY_ATOL, PROBABILITY_SLACK, VARIANCE_FLOOR
 
 EXIT_OK = 0
@@ -102,8 +103,9 @@ def cmd_run(args) -> int:
     base: dict = {}
     if args.config:
         with open(args.config) as fh:
-            data = json.load(fh)
-        base = data.get("config", data)
+            data = _typed("config", json.load(fh), dict, "an object")
+        # a manifest nests the config; flags override its fields
+        base = _typed("config", data.get("config", data), dict, "an object")
     if args.protocol is not None:
         base["protocol"] = args.protocol
     if args.qubits is not None:

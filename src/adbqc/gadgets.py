@@ -95,24 +95,15 @@ class PauliFrame:
 def frame_conjugate(
     frame: PauliFrame, gate_kind: str, targets: tuple[int, ...]
 ) -> tuple[PauliFrame, int]:
-    """Push the frame through a gate about to be applied.
+    """Push the frame through the next gate a layer runs, ``"hrz"`` or ``"cz"``.
 
     Returns the updated frame plus the sign (+1 or -1) that must multiply
-    the gate's angle (for rz/rx/hrz) so that gate-then-frame equals
-    frame-then-original-gate up to global phase.
+    the hrz angle so that gate-then-frame equals frame-then-original-gate
+    up to global phase.
     """
     x, z = list(frame.x), list(frame.z)
     sign = +1
-    if gate_kind == "h":
-        (q,) = targets
-        x[q], z[q] = z[q], x[q]
-    elif gate_kind == "rz":
-        (q,) = targets
-        sign = -1 if x[q] else +1
-    elif gate_kind == "rx":
-        (q,) = targets
-        sign = -1 if z[q] else +1
-    elif gate_kind == "hrz":
+    if gate_kind == "hrz":
         (q,) = targets
         sign = -1 if x[q] else +1
         x[q], z[q] = z[q], x[q]

@@ -29,12 +29,20 @@ CAPABILITY_BY_PROTOCOL = {
 # holds a Bell pair, every other gadget one qubit at a time
 PEAK_ANCILLAS = {"sueki": 1, "p1": 2, "p2": 1}
 
+_LIST = (list, tuple)  # the types a JSON array loads as, or a caller passes
+
+
+def _typed(what: str, value, types, expected: str):
+    """``value`` if it is one of ``types`` and not a bool; otherwise a
+    ValueError naming the field, in place of a TypeError later on."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{what} must be {expected}, got {value!r}")
+    return value
+
 
 def _integer(what: str, value) -> int:
     """``value`` as an int; a bool, float or string is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    return int(_typed(what, value, numbers.Integral, "an integer"))
 
 
 @dataclass(frozen=True)
@@ -63,10 +71,11 @@ class GateRequest:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        targets = tuple(_integer("target", q) for q in self.targets)
-        object.__setattr__(self, "targets", targets)
+        targets = _typed("targets", self.targets, _LIST, "a list")
+        object.__setattr__(self, "targets", tuple(_integer("target", q) for q in targets))
         if self.octants is not None:
-            octants = tuple(_integer("octant", k) for k in self.octants)
+            octants = _typed("octants", self.octants, _LIST, "a list")
+            octants = tuple(_integer("octant", k) for k in octants)
             object.__setattr__(self, "octants", octants)
         if self.kind == "su":
             if len(self.targets) != 1:
@@ -126,7 +135,8 @@ class AdversaryConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "random_pauli", "trap_tamper", "entangled_probe"):
             raise ValueError(f"unknown adversary kind {self.kind!r}")
-        counts = tuple(_integer("pauli count", c) for c in self.pauli_counts)
+        counts = _typed("pauli_counts", self.pauli_counts, _LIST, "a list")
+        counts = tuple(_integer("pauli count", c) for c in counts)
         if len(counts) != 3:
             raise ValueError(f"pauli counts must be three values (X, Z, XZ): {counts}")
         object.__setattr__(self, "pauli_counts", counts)
@@ -134,9 +144,10 @@ class AdversaryConfig:
             if any(c < 0 for c in self.pauli_counts):
                 raise ValueError("pauli counts must be non-negative")
             if self.pauli_positions is not None:
-                positions = tuple(
-                    (k, _integer("pauli position", p)) for k, p in self.pauli_positions
-                )
+                entries = _typed("pauli_positions", self.pauli_positions, _LIST, "a list")
+                pairs = (_typed("pauli_positions entry", e, _LIST, "a [kind, position] pair")
+                         for e in entries)
+                positions = tuple((k, _integer("pauli position", p)) for k, p in pairs)
                 if any(k not in ("x", "z", "xz") for k, _ in positions):
                     raise ValueError("pauli position kinds must be x, z or xz")
                 if len({p for _, p in positions}) != len(positions):
@@ -144,6 +155,8 @@ class AdversaryConfig:
                 object.__setattr__(self, "pauli_positions", positions)
         elif self.pauli_positions is not None:
             raise ValueError("pauli_positions only applies to random_pauli")
+        rate = _typed("tamper_rate", self.tamper_rate, numbers.Real, "a number")
+        object.__setattr__(self, "tamper_rate", float(rate))
         if self.kind == "trap_tamper" and not 0.0 <= self.tamper_rate <= 1.0:
             raise ValueError(f"tamper rate {self.tamper_rate} outside [0, 1]")
 
@@ -209,7 +222,8 @@ class ProtocolConfig:
                     f"{self.logical_width}"
                 )
         if self.output_bases is not None:
-            bases = tuple(b.lower() for b in self.output_bases)
+            bases = _typed("output_bases", self.output_bases, _LIST, "a list")
+            bases = tuple(_typed("output basis", b, str, "a string").lower() for b in bases)
             if len(bases) != self.logical_width or any(b not in ("z", "x") for b in bases):
                 raise ValueError("output_bases needs one of z/x per computation qubit")
             object.__setattr__(self, "output_bases", bases)
@@ -310,23 +324,26 @@ def config_to_dict(config: ProtocolConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ProtocolConfig:
-    adv_data = data.get("adversary") or {}
+    data = _typed("config", data, dict, "an object")
+    adv_data = _typed("adversary", data.get("adversary") or {}, dict, "an object")
     # accept the parameters nested under "params" or flattened beside "kind"
-    params = {**adv_data, **(adv_data.get("params") or {})}
+    nested = _typed("adversary params", adv_data.get("params") or {}, dict, "an object")
+    params = {**adv_data, **nested}
     adversary = AdversaryConfig(
         kind=adv_data.get("kind", "none"),
         pauli_counts=params.get("pauli_counts", (0, 0, 0)),
-        tamper_rate=float(params.get("tamper_rate", 0.0)),
+        tamper_rate=params.get("tamper_rate", 0.0),
         pauli_positions=params.get("pauli_positions"),
     )
+    entries = _typed("algorithm", data.get("algorithm", ()), _LIST, "a list")
     algorithm = tuple(
         GateRequest(
             kind=r["kind"],
-            targets=tuple(r["targets"]),
-            octants=tuple(r["octants"]) if "octants" in r else None,
+            targets=r["targets"],
+            octants=r.get("octants"),
             name=r.get("name"),
         )
-        for r in data.get("algorithm", ())
+        for r in (_typed("algorithm entry", e, dict, "an object") for e in entries)
     )
     bases = data.get("output_bases")
     width = data.get("num_register_qubits", data.get("num_qubits"))
@@ -342,7 +359,7 @@ def config_from_dict(data: dict) -> ProtocolConfig:
         trap_count=data.get("trap_count"),
         seed=data.get("seed", 0),
         algorithm=algorithm,
-        output_bases=tuple(bases) if bases else None,
+        output_bases=bases or None,
         adversary=adversary,
         record_transcript=record,
     )

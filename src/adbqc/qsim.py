@@ -34,8 +34,6 @@ PSD_FLOOR = -1e-9  # smallest eigenvalue a density matrix may show
 UNITARITY_ATOL = 1e-9  # entrywise gap between U U^dagger and the identity
 ORTHONORMAL_ATOL = 1e-10  # entrywise gap between a basis's Gram matrix and the identity
 PRODUCT_ATOL = 1e-9  # purity defect of a qubit that counts as product with the rest
-PROPORTIONALITY_ATOL = 1e-9  # Cauchy-Schwarz gap that makes two operators proportional
-COMPLETENESS_ATOL = 1e-8  # entrywise gap of a wiring's summed K^dagger K from the identity
 GADGET_FIDELITY_ATOL = 1e-9  # infidelity a gadget branch may show against its ideal gate
 NO_SIGNALING_ATOL = 1e-10  # trace distance between the server's views of two octants
 GADGET_VIEW_TV_ATOL = 1e-9  # total variation between the server's views of two octants

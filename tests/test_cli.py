@@ -58,26 +58,47 @@ def test_run_rejects_an_over_budget_width(capsys):
     assert "over the budget of 16" in err
 
 
+_P1 = {"protocol": "p1", "num_register_qubits": 3}
+_BAD_CONFIG_FILES = [
+    ({"protocol": "p2", "num_register_qubits": 3, "trap_count": "1"}, "must be an integer"),
+    ({"protocol": "sueki", "num_register_qubits": 2, "seed": 5.7}, "must be an integer"),
+    ({**_P1, "algorithm": [{"kind": "su", "targets": [0.0], "name": "h"}]},
+     "must be an integer"),
+    ({**_P1, "algorithm": [{"kind": "su", "targets": [0], "octants": [1.5, 0, 0]}]},
+     "must be an integer"),
+    ({**_P1, "adversary": {"kind": "random_pauli", "pauli_counts": [1.5, 0, 0]}},
+     "must be an integer"),
+    # wrong shapes, which used to end in a TypeError or AttributeError traceback
+    ({**_P1, "adversary": {"kind": "random_pauli", "pauli_counts": 3}},
+     "pauli_counts must be a list"),
+    ({**_P1, "adversary": {"kind": "random_pauli", "pauli_counts": [1, 0, 0],
+                           "pauli_positions": [5]}},
+     "pauli_positions entry must be a"),
+    ({**_P1, "algorithm": [{"kind": "su", "targets": 0, "name": "h"}]},
+     "targets must be a list"),
+    ({"protocol": "p2", "num_register_qubits": 3, "trap_count": 1,
+      "adversary": {"kind": "trap_tamper", "tamper_rate": None}},
+     "tamper_rate must be a number"),
+    ({**_P1, "algorithm": [5]}, "algorithm entry must be an object"),
+    ({**_P1, "algorithm": 5}, "algorithm must be a list"),
+    ({**_P1, "adversary": "none"}, "adversary must be an object"),
+    ([_P1], "config must be an object"),
+]
+
+
 @pytest.mark.parametrize(
-    "config",
-    [
-        {"protocol": "p2", "num_register_qubits": 3, "trap_count": "1"},
-        {"protocol": "sueki", "num_register_qubits": 2, "seed": 5.7},
-        {"protocol": "p1", "num_register_qubits": 3,
-         "algorithm": [{"kind": "su", "targets": [0.0], "name": "h"}]},
-        {"protocol": "p1", "num_register_qubits": 3,
-         "algorithm": [{"kind": "su", "targets": [0], "octants": [1.5, 0, 0]}]},
-        {"protocol": "p1", "num_register_qubits": 3,
-         "adversary": {"kind": "random_pauli", "pauli_counts": [1.5, 0, 0]}},
-    ],
+    "config,message",
+    _BAD_CONFIG_FILES,
+    ids=[f"config{i}" for i in range(len(_BAD_CONFIG_FILES))],
 )
-def test_run_rejects_a_non_integer_config_field(capsys, tmp_path, config):
+def test_run_rejects_a_non_integer_config_field(capsys, tmp_path, config, message):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     code, out, err = run_cli(capsys, "run", "--config", str(path))
     assert code == EXIT_ERROR
     assert out == ""
-    assert err.startswith("adbqc: error:") and "must be an integer" in err
+    assert err.startswith("adbqc: error:") and message in err
+    assert err.count("\n") == 1
     assert "Traceback" not in err
 
 

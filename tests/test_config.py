@@ -180,9 +180,37 @@ NON_INTEGER_DICTS = [
 ]
 
 
-@pytest.mark.parametrize("data", NON_INTEGER_DICTS)
-def test_config_from_dict_rejects_non_integers(data):
-    with pytest.raises(ValueError, match="must be an integer"):
+# each input has a field of the wrong shape: before the shape checks these
+# raised TypeError or AttributeError partway through the build
+_P1 = {"protocol": "p1", "num_register_qubits": 3, "depth": 1}
+MALFORMED_INPUTS = [
+    ({**_P1, "adversary": {"kind": "random_pauli", "pauli_counts": 3}},
+     "pauli_counts must be a list"),
+    ({**_P1, "adversary": {"kind": "random_pauli", "pauli_counts": [1, 0, 0],
+                           "pauli_positions": [5]}},
+     "pauli_positions entry must be a"),
+    ({**_P1, "algorithm": [{"kind": "su", "targets": 0, "name": "h"}]},
+     "targets must be a list"),
+    ({"protocol": "p2", "num_register_qubits": 3, "depth": 1, "trap_count": 1,
+      "adversary": {"kind": "trap_tamper", "tamper_rate": None}},
+     "tamper_rate must be a number"),
+    ({**_P1, "algorithm": [5]}, "algorithm entry must be an object"),
+    ({**_P1, "algorithm": 5}, "algorithm must be a list"),
+    ({**_P1, "adversary": "none"}, "adversary must be an object"),
+    ([_P1], "config must be an object"),
+    ({**_P1, "output_bases": 5}, "output_bases must be a list"),
+    ({**_P1, "output_bases": [0]}, "output basis must be a string"),
+    ({**_P1, "adversary": {"kind": "none", "params": 5}},
+     "adversary params must be an object"),
+]
+_REFUSALS = [(data, "must be an integer") for data in NON_INTEGER_DICTS] + MALFORMED_INPUTS
+
+
+@pytest.mark.parametrize(
+    "data,message", _REFUSALS, ids=[f"data{i}" for i in range(len(_REFUSALS))]
+)
+def test_config_from_dict_rejects_non_integers(data, message):
+    with pytest.raises(ValueError, match=message):
         config_from_dict(data)
 
 

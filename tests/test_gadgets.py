@@ -12,6 +12,7 @@ from adbqc.gadgets import (
     NAMED_GATE_OCTANTS,
     PauliFrame,
     announced_octant,
+    couple,
     cz_on_runtime,
     frame_conjugate,
     h_cancel,
@@ -31,7 +32,6 @@ from adbqc.qsim import (
 )
 from adbqc.runtime import QuantumRuntime, SampledOutcomes
 from adbqc.transcript import BOB
-from adbqc.wiring import WiringStep, wiring_branches
 
 H = Gate.h().matrix
 X = Gate.x().matrix
@@ -81,33 +81,45 @@ def test_entangler_on_11_gives_minus_minus():
 
 
 # ---------------------------------------------------------------------------
-# Back-action of one coupling, through the wiring evaluator
+# Back-action of one coupling, from raw matrices
+
+ENTANGLER = np.kron(H, H) @ np.diag([1, 1, 1, -1]).astype(complex)
+Z_BASIS = (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
 
 
-def one_step_branches(prep: str) -> list[np.ndarray]:
-    """Register operators for outcomes 0 and 1 of one ancilla coupled to
-    qubit 0 and measured in Z."""
-    branches = wiring_branches((WiringStep(prep, (0,), "z"),), 1)
-    assert [b.outcomes for b in branches] == [(0,), (1,)]
-    return [b.operator for b in branches]
+def equatorial_basis(phi: float) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(np.array([1, s * np.exp(1j * phi)]) * INV_SQRT2 for s in (+1, -1))
+
+
+def hidden_prep(k: int) -> np.ndarray:
+    """cos(g/2)|0> + i sin(g/2)|1> with g = k pi/4."""
+    gamma = octant_angle(k)
+    return np.array([np.cos(gamma / 2), 1j * np.sin(gamma / 2)])
+
+
+def backaction(prep: np.ndarray, basis) -> list[np.ndarray]:
+    """K_m = (<e_m| x I) E (|prep> x I) for one ancilla, the high bit,
+    coupled once to one register qubit and found in basis state m."""
+    coupled = (ENTANGLER @ np.kron(prep.reshape(2, 1), I2)).reshape(2, 2, 2)
+    return [np.tensordot(e.conj(), coupled, axes=1) for e in basis]
 
 
 # "hhcz" names the one entangler, E = (H x H) CZ
 @pytest.mark.parametrize(
-    "measure,prep_octant",
+    "basis,prep_octant",
     [
-        pytest.param(measure, k, id=f"hhcz-{label}-{k}")
-        for label, measure in (("z", "z"), ("x", "x"), ("eq", "equatorial:3"))
+        pytest.param(basis, k, id=f"hhcz-{label}-{k}")
+        for label, basis in (
+            ("z", Z_BASIS), ("x", equatorial_basis(0.0)), ("eq", equatorial_basis(octant_angle(3)))
+        )
         for k in range(8)
     ],
 )
-def test_kraus_completeness(measure, prep_octant):
+def test_kraus_completeness(basis, prep_octant):
     """One hidden-rotation ancilla, measured in any basis, is a complete
     measurement on the register: K0^dag K0 + K1^dag K1 = I."""
-    step = WiringStep(f"hidden:{prep_octant}", (0,), measure)
-    branches = wiring_branches((step,), 1)
-    assert [b.outcomes for b in branches] == [(0,), (1,)]
-    completeness = sum(b.operator.conj().T @ b.operator for b in branches)
+    k0, k1 = backaction(hidden_prep(prep_octant), basis)
+    completeness = k0.conj().T @ k0 + k1.conj().T @ k1
     assert np.abs(completeness - I2).max() < 1e-10
 
 
@@ -117,15 +129,17 @@ def test_kraus_of_hidden_rotation(k):
 
     cos(g/2)|0> + i sin(g/2)|1> gives the unitary branches H R_Z(-g) and
     H R_Z(+g); the fixed pi/2 phase is what makes both outcomes unitary.
+    At k = 4 both branches are H R_Z(pi); at k = 3 the outcome-1 branch
+    differs from outcome 0 by R_Z(3 pi/2), which no Pauli corrects.
     """
     gamma = octant_angle(k)
-    k0, k1 = one_step_branches(f"hidden:{k}")
+    k0, k1 = backaction(hidden_prep(k), Z_BASIS)
     assert proportional(k0, H @ rz_matrix(-gamma))
     assert proportional(k1, H @ rz_matrix(+gamma))
 
 
 def test_kraus_of_computational_prep_is_deterministic_h():
-    k0, k1 = one_step_branches("zero")
+    k0, k1 = backaction(Z_BASIS[0], Z_BASIS)
     assert proportional(k0, H)
     assert proportional(k1, H)
     completeness = k0.conj().T @ k0 + k1.conj().T @ k1
@@ -152,22 +166,16 @@ def test_frame_flips():
     assert frame.z == (0, 1)
 
 
-def test_h_swaps_frame_components():
-    frame, sign = frame_conjugate(PauliFrame((1,), (0,)), "h", (0,))
-    assert (frame.x, frame.z, sign) == ((0,), (1,), +1)
-
-
 @pytest.mark.parametrize("x", (0, 1))
 @pytest.mark.parametrize("z", (0, 1))
-@pytest.mark.parametrize("kind", ["h", "rz", "rx", "hrz"])
+@pytest.mark.parametrize("kind", ["hrz"])
 def test_frame_conjugation_matches_matrix_identity(x, z, kind):
     """gate . frame = frame' . gate' as matrices, up to global phase."""
     theta = 0.93
-    builders = {"h": Gate.h, "rz": Gate.rz, "rx": Gate.rx, "hrz": Gate.hrz}
-    gate = builders[kind]() if kind == "h" else builders[kind](theta)
+    gate = Gate.hrz(theta)
     frame = PauliFrame((x,), (z,))
     new_frame, sign = frame_conjugate(frame, kind, (0,))
-    new_gate = builders[kind]() if kind == "h" else builders[kind](sign * theta)
+    new_gate = Gate.hrz(sign * theta)
     lhs = gate.matrix @ pauli_matrix(x, z)
     rhs = pauli_matrix(new_frame.x[0], new_frame.z[0]) @ new_gate.matrix
     assert proportional(lhs, rhs)
@@ -191,8 +199,9 @@ def test_cz_frame_conjugation(bits):
 
 
 def test_frame_conjugate_rejects_unknown_gate():
-    with pytest.raises(ValueError):
-        frame_conjugate(PauliFrame.identity(1), "swap", (0,))
+    for kind in ("swap", "h"):
+        with pytest.raises(ValueError):
+            frame_conjugate(PauliFrame.identity(1), kind, (0,))
 
 
 def test_hrz_byproduct_identity():
@@ -299,6 +308,18 @@ def test_h_cancel_is_deterministic():
     assert rt.path_probability == pytest.approx(1.0)
     want = apply_gate(state, Gate.h(), [0])
     assert fidelity_up_to_phase(rt.snapshot(labels), want) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_entangled_discard_is_rejected():
+    """A |+> ancilla coupled to a |+> register qubit is entangled with it:
+    the runtime refuses to discard it or to split the register off."""
+    rt, labels = fresh_runtime(StateVector.of([INV_SQRT2, INV_SQRT2]), ())
+    rt.add_qubit("anc", np.array([INV_SQRT2, INV_SQRT2], dtype=complex), BOB)
+    couple(rt, "anc", labels[0])
+    with pytest.raises(ValueError, match="entangled"):
+        rt.discard("anc")
+    with pytest.raises(ValueError, match="entangled"):
+        rt.snapshot(labels)
 
 
 # ---------------------------------------------------------------------------

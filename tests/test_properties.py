@@ -2,8 +2,9 @@
 
 Configs cover every protocol, every adversary kind a run accepts (none for
 all, stray Paulis for p1, report tampering for p2) and both transcript
-settings; wirings cover every preparation, coupling count and ending.
-Examples are derandomized, so each run of the suite checks the same cases.
+settings; gate programs mix named, octant and CZ requests on one to five
+qubits. Examples are derandomized, so each run of the suite checks the same
+cases.
 """
 
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from adbqc.protocols import (
     config_to_dict,
     schedule,
 )
-from adbqc.wiring import WiringStep, parse_wiring, serialize_wiring
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -131,20 +131,3 @@ def test_schedule_keeps_program_order_per_qubit(program):
         ]
         assert executed[q] == wanted
 
-
-PREPARATIONS = ["zero", "plus"] + [f"hidden:{k}" for k in range(8)]
-ENDINGS = [None, "z", "x"] + [f"equatorial:{k}" for k in range(8)]  # None: discard
-
-
-WIRING_STEPS = st.builds(
-    WiringStep,
-    st.sampled_from(PREPARATIONS),
-    st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
-    st.sampled_from(ENDINGS),
-)
-
-
-@PROPERTY_SETTINGS
-@given(st.lists(WIRING_STEPS, min_size=1, max_size=4).map(tuple))
-def test_wiring_text_roundtrip_property(steps):
-    assert parse_wiring(serialize_wiring(steps)) == steps
