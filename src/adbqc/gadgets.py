@@ -39,7 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .qsim import Gate, MeasurementBasis, StateVector, plus_state
+from .qsim import EQUATORIAL_BY_OCTANT, PLUS_AMPS, X_GATE, Z_BASIS, Z_GATE, ZERO_AMPS
+from .qsim import Gate, MeasurementBasis, StateVector, apply_gate, plus_state
 from .runtime import QuantumRuntime
 from .transcript import ALICE, BOB, Transcript
 
@@ -81,14 +82,12 @@ class PauliFrame:
 
     def matrix_on(self, state: StateVector) -> StateVector:
         """Apply the recorded correction to a state (for oracle checks)."""
-        from .qsim import apply_gate
-
         out = state
         for q in range(state.num_qubits):
             if self.z[q]:
-                out = apply_gate(out, Gate.z(), [q])
+                out = apply_gate(out, Z_GATE, [q])
             if self.x[q]:
-                out = apply_gate(out, Gate.x(), [q])
+                out = apply_gate(out, X_GATE, [q])
         return out
 
 
@@ -174,8 +173,7 @@ def h_cancel(
 ) -> None:
     """Couple a fresh |0> ancilla and discard it: a deterministic H."""
     tape = tape or Transcript(record=False)
-    zero = np.array([1, 0], dtype=complex)
-    couple_in(rt, tape, label, zero, "zero", prep_party, (register,))
+    couple_in(rt, tape, label, ZERO_AMPS, "zero", prep_party, (register,))
     rt.discard(label)
     tape.local(BOB, op="discard", qubit=label)
 
@@ -236,7 +234,7 @@ def sueki_hrz_on_runtime(
     a_hide = mint("a")
     hidden = plus_state(octant_angle(k_hide), math.pi / 2, prep_sign)
     couple_in(rt, tape, a_hide, hidden, "hidden", ALICE, (target,))
-    s1 = measure_out(rt, tape, a_hide, MeasurementBasis.z())
+    s1 = measure_out(rt, tape, a_hide, Z_BASIS)
 
     # Hadamard-cancelling coupling
     h_cancel(rt, target, mint("a"), tape, prep_party=ALICE)
@@ -247,8 +245,8 @@ def sueki_hrz_on_runtime(
 
     # driven coupling measured in the announced equatorial basis
     a_drive = mint("a")
-    couple_in(rt, tape, a_drive, plus_state(math.pi / 2, 0.0), "plus", ALICE, (target,))
-    s2 = measure_out(rt, tape, a_drive, MeasurementBasis.equatorial(octant_angle(k_public)))
+    couple_in(rt, tape, a_drive, PLUS_AMPS, "plus", ALICE, (target,))
+    s2 = measure_out(rt, tape, a_drive, EQUATORIAL_BY_OCTANT[k_public])
 
     return SuekiHrzResult(k_public, (s1, s2), (s2 ^ pad_bit, 0))
 
@@ -276,9 +274,8 @@ def cz_on_runtime(
     tape = tape or Transcript(record=False)
     mint = mint or local_mint(target_i)
     a_cz = mint("c")
-    plus = plus_state(math.pi / 2, 0.0)
-    couple_in(rt, tape, a_cz, plus, "plus", prep_party, (target_i, target_j))
-    s = measure_out(rt, tape, a_cz, MeasurementBasis.z())
+    couple_in(rt, tape, a_cz, PLUS_AMPS, "plus", prep_party, (target_i, target_j))
+    s = measure_out(rt, tape, a_cz, Z_BASIS)
     h_cancel(rt, target_i, mint("c"), tape, prep_party)
     h_cancel(rt, target_j, mint("c"), tape, prep_party)
     return CzResult(s, s)

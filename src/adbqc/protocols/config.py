@@ -32,12 +32,21 @@ PEAK_ANCILLAS = {"sueki": 1, "p1": 2, "p2": 1}
 _LIST = (list, tuple)  # the types a JSON array loads as, or a caller passes
 
 
-def _typed(what: str, value, types, expected: str):
-    """``value`` if it is one of ``types`` and not a bool; otherwise a
-    ValueError naming the field, in place of a TypeError later on."""
-    if isinstance(value, bool) or not isinstance(value, types):
+def _typed(what: str, value, types, expected: str, length: int | None = None):
+    """``value`` if it is one of ``types``, not a bool and of ``length`` if given;
+    otherwise a ValueError naming the field, in place of a TypeError later on."""
+    if isinstance(value, bool) or not isinstance(value, types) or (
+        length is not None and len(value) != length
+    ):
         raise ValueError(f"{what} must be {expected}, got {value!r}")
     return value
+
+
+def _required(data: dict, key: str, where: str):
+    """``data[key]``, or a ValueError naming the missing field and where."""
+    if key not in data:
+        raise ValueError(f"{where} needs {key}")
+    return data[key]
 
 
 def _integer(what: str, value) -> int:
@@ -145,7 +154,7 @@ class AdversaryConfig:
                 raise ValueError("pauli counts must be non-negative")
             if self.pauli_positions is not None:
                 entries = _typed("pauli_positions", self.pauli_positions, _LIST, "a list")
-                pairs = (_typed("pauli_positions entry", e, _LIST, "a [kind, position] pair")
+                pairs = (_typed("pauli_positions entry", e, _LIST, "a [kind, position] pair", 2)
                          for e in entries)
                 positions = tuple((k, _integer("pauli position", p)) for k, p in pairs)
                 if any(k not in ("x", "z", "xz") for k, _ in positions):
@@ -338,12 +347,12 @@ def config_from_dict(data: dict) -> ProtocolConfig:
     entries = _typed("algorithm", data.get("algorithm", ()), _LIST, "a list")
     algorithm = tuple(
         GateRequest(
-            kind=r["kind"],
-            targets=r["targets"],
+            kind=_required(r, "kind", f"algorithm entry {i}"),
+            targets=_required(r, "targets", f"algorithm entry {i}"),
             octants=r.get("octants"),
             name=r.get("name"),
         )
-        for r in (_typed("algorithm entry", e, dict, "an object") for e in entries)
+        for i, r in enumerate(_typed("algorithm entry", e, dict, "an object") for e in entries)
     )
     bases = data.get("output_bases")
     width = data.get("num_register_qubits", data.get("num_qubits"))
@@ -353,9 +362,9 @@ def config_from_dict(data: dict) -> ProtocolConfig:
     if not isinstance(record, bool):
         raise ValueError(f"record_transcript must be true or false, got {record!r}")
     return ProtocolConfig(
-        protocol=data["protocol"],
+        protocol=_required(data, "protocol", "config"),
         num_qubits=width,
-        depth=data["depth"],
+        depth=_required(data, "depth", "config"),
         trap_count=data.get("trap_count"),
         seed=data.get("seed", 0),
         algorithm=algorithm,

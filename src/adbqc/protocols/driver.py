@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from ..gadgets import NAMED_GATE_OCTANTS, PauliFrame, cz_on_runtime, frame_conjugate
-from ..qsim import Gate, MeasurementBasis
+from ..qsim import X_BASIS, X_GATE, Z_BASIS, Z_GATE, ZERO_AMPS
 from ..rng import stream
 from ..runtime import OutcomeSource, QuantumRuntime, SampledOutcomes
 from ..transcript import ALICE, BOB, Transcript
@@ -67,7 +67,7 @@ def prepare_register(session: Session) -> list[str]:
     labels = []
     for pos in range(session.config.num_qubits):
         label = register_label(pos)
-        session.rt.add_qubit(label, np.array([1, 0], dtype=complex), BOB)
+        session.rt.add_qubit(label, ZERO_AMPS, BOB)
         labels.append(label)
     session.tape.local(BOB, op="prepare_register", width=session.config.num_qubits)
     return labels
@@ -162,9 +162,9 @@ def apply_attack(session: Session, hits: tuple[tuple[str, int], ...]) -> None:
     for kind, pos in hits:
         label = register_label(pos)
         if "z" in kind:
-            session.rt.apply(Gate.z(), [label])
+            session.rt.apply(Z_GATE, [label])
         if "x" in kind:
-            session.rt.apply(Gate.x(), [label])
+            session.rt.apply(X_GATE, [label])
 
 
 def _server_measures(session: Session, bases: tuple[str, ...]) -> tuple[int, ...]:
@@ -175,7 +175,7 @@ def _server_measures(session: Session, bases: tuple[str, ...]) -> tuple[int, ...
     for pos, basis_name in enumerate(bases):
         label = register_label(pos)
         session.tape.msg(ALICE, to=BOB, op="measure", qubit=label, basis=basis_name)
-        basis = MeasurementBasis.z() if basis_name == "z" else MeasurementBasis.x()
+        basis = Z_BASIS if basis_name == "z" else X_BASIS
         bit, _ = session.rt.measure(label, basis)
         if adv.kind == "trap_tamper" and session.adversary_rng.random() >= adv.tamper_rate:
             bit ^= 1
@@ -192,7 +192,7 @@ def _client_measures(session: Session, bases: tuple[str, ...]) -> tuple[int, ...
         session.tape.transfer(BOB, ALICE, register_label(pos))
     raw = []
     for pos, basis_name in enumerate(bases):
-        basis = MeasurementBasis.z() if basis_name == "z" else MeasurementBasis.x()
+        basis = Z_BASIS if basis_name == "z" else X_BASIS
         bit, _ = session.rt.measure(register_label(pos), basis)
         session.tape.outcome(ALICE, bit, qubit=register_label(pos))
         raw.append(bit)

@@ -16,11 +16,10 @@ absorbs the pads, so decoding is unchanged.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
-from ..gadgets import OCTANT, Mint, couple_in, local_mint, measure_out
-from ..qsim import Gate, MeasurementBasis, plus_state
+from ..gadgets import Mint, couple_in, local_mint, measure_out
+from ..qsim import PLUS_AMPS, RZ_BY_OCTANT, X_BASIS
 from ..runtime import QuantumRuntime
 from ..transcript import ALICE, BOB, Transcript
 
@@ -42,17 +41,17 @@ def p2_hrz_on_runtime(
     tape = tape or Transcript(record=False)
     octant %= 8
     anc = (mint or local_mint(target))("g")
-    couple_in(rt, tape, anc, plus_state(math.pi / 2, 0.0), "plus", BOB, (target,))
+    couple_in(rt, tape, anc, PLUS_AMPS, "plus", BOB, (target,))
 
     # lent out for the client's whole contribution: k turns of its fixed rotation
     rt.transfer(anc, ALICE)
     tape.transfer(BOB, ALICE, anc)
-    rt.apply(Gate.rz(octant * OCTANT), [anc])
+    rt.apply(RZ_BY_OCTANT[octant], [anc])
     tape.local(ALICE, op="rotate", qubit=anc, turns=octant)
     rt.transfer(anc, BOB)
     tape.transfer(ALICE, BOB, anc)
 
-    return measure_out(rt, tape, anc, MeasurementBasis.x())
+    return measure_out(rt, tape, anc, X_BASIS)
 
 
 def hrz(session: Session, label: str, octant: int) -> int:

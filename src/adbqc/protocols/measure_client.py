@@ -21,11 +21,10 @@ by-product is X^(z_bell ^ m ^ rho) with z_bell the Z-basis Bell outcome.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Callable
 
-from ..gadgets import OCTANT, Mint, couple, h_cancel, local_mint
-from ..qsim import Gate, MeasurementBasis, StateVector
+from ..gadgets import Mint, couple, h_cancel, local_mint
+from ..qsim import EQUATORIAL_BY_OCTANT, RZ_BY_OCTANT, X_BASIS, Z_BASIS, StateVector
 from ..runtime import QuantumRuntime
 from ..transcript import ALICE, BOB, Transcript
 
@@ -94,7 +93,7 @@ def p1_hrz_on_runtime(
         mark(step)
 
         # the client measures its half; the basis choice is its secret
-        basis = MeasurementBasis.x() if active else MeasurementBasis.z()
+        basis = X_BASIS if active else Z_BASIS
         bell_bit, _ = rt.measure(half, basis)
         tape.outcome(ALICE, bell_bit, qubit=half)
         rt.discard(half)
@@ -105,7 +104,7 @@ def p1_hrz_on_runtime(
         couple(rt, kept, target)
         tape.local(BOB, op="couple", qubits=[kept, target])
         if drive:
-            rt.apply(Gate.rz(OCTANT), [kept])
+            rt.apply(RZ_BY_OCTANT[1], [kept])
             tape.local(BOB, op="drive", qubit=kept)
         rt.transfer(kept, ALICE)
         tape.transfer(BOB, ALICE, kept)
@@ -115,7 +114,7 @@ def p1_hrz_on_runtime(
         share = bell_bit
         if active:
             f, rho = solve_phase_choice(octant, case, bell_bit)
-            m_bit, _ = rt.measure(kept, MeasurementBasis.equatorial(f * math.pi / 2))
+            m_bit, _ = rt.measure(kept, EQUATORIAL_BY_OCTANT[2 * f])
             tape.outcome(ALICE, m_bit, qubit=kept)
             share = m_bit ^ rho
         else:

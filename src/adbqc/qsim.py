@@ -16,12 +16,16 @@ Conventions, fixed across the whole package:
 
 States are value objects: every operation returns a new ``StateVector``.
 Measurement and outcome enumeration live in ``runtime``.
+Gates apply through one kernel, ``_apply_matrix`` (also behind
+``QuantumRuntime.apply``): one ``matrix @ psi`` on the view with the target
+axes in front. The gates, bases and ancilla amplitudes every run reuses are
+built and validated once, below the classes, with read-only arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -210,12 +214,15 @@ class MeasurementBasis:
 
     kind: str
     eigenstates: np.ndarray
+    _orthonormal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         e = np.asarray(self.eigenstates, dtype=complex)
         if e.shape != (2, 2):
             raise ValueError(f"eigenstates must be 2x2, got {e.shape}")
         object.__setattr__(self, "eigenstates", e)
+        gram_ok = np.allclose(e @ e.conj().T, np.eye(2), atol=ORTHONORMAL_ATOL)
+        object.__setattr__(self, "_orthonormal", bool(gram_ok))
 
     @classmethod
     def z(cls) -> "MeasurementBasis":
@@ -244,21 +251,33 @@ class MeasurementBasis:
         return cls.rotated(math.pi / 2, phase)
 
     def is_orthonormal(self) -> bool:
-        e = self.eigenstates
-        gram = e @ e.conj().T
-        return bool(np.allclose(gram, np.eye(2), atol=ORTHONORMAL_ATOL))
+        return self._orthonormal  # reached once, at construction
+
+
+# Built once and read-only; octant k means the angle k*pi/4.
+Z_GATE = Gate.z()
+X_GATE = Gate.x()
+RZ_BY_OCTANT = tuple(Gate.rz(k * math.pi / 4) for k in range(8))
+Z_BASIS = MeasurementBasis.z()
+X_BASIS = MeasurementBasis.x()
+EQUATORIAL_BY_OCTANT = tuple(MeasurementBasis.equatorial(k * math.pi / 4) for k in range(8))
+ZERO_AMPS = np.array([1, 0], dtype=complex)
+PLUS_AMPS = plus_state(math.pi / 2, 0.0)
+for _shared in (ZERO_AMPS, PLUS_AMPS, *(g.matrix for g in (Z_GATE, X_GATE, *RZ_BY_OCTANT)),
+                *(b.eigenstates for b in (Z_BASIS, X_BASIS, *EQUATORIAL_BY_OCTANT))):
+    _shared.flags.writeable = False
 
 
 def _apply_matrix(
     amps: np.ndarray, matrix: np.ndarray, targets: Sequence[int], n: int
 ) -> np.ndarray:
-    k = len(targets)
-    axes = [n - 1 - q for q in targets]
-    psi = amps.reshape([2] * n)
-    mat = matrix.reshape([2] * (2 * k))
-    psi = np.tensordot(mat, psi, axes=(list(range(k, 2 * k)), axes))
-    psi = np.moveaxis(psi, range(k), axes)
-    return np.ascontiguousarray(psi).reshape(-1)
+    """``matrix`` on ``targets``: one gemm on the view with the target axes in front."""
+    perm = [n - 1 - q for q in targets]
+    perm += [ax for ax in range(n) if ax not in perm]
+    inverse = sorted(range(n), key=perm.__getitem__)
+    shape = (2,) * n
+    front = amps.reshape(shape).transpose(perm).reshape(matrix.shape[0], -1)
+    return (matrix @ front).reshape(shape).transpose(inverse).reshape(-1)
 
 
 def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int]) -> StateVector:

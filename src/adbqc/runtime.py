@@ -8,6 +8,11 @@ replays the whole computation once per path and therefore handles adaptive
 protocols where later steps depend on earlier outcomes). Gadgets, protocol
 runs, oracles and audits all measure through ``QuantumRuntime.measure``;
 ``qsim`` only builds states and applies gates.
+
+Each operation is a few numpy calls: ``measure`` and ``discard`` make one
+pass over the (hi, 2, lo) view that splits the amplitudes by the qubit's bit
+(``discard`` reads its 2x2 reduced state from three ``vdot``s), and
+``add_qubit`` and ``load`` prepend with ``np.outer``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from .qsim import (
     Gate,
     MeasurementBasis,
     StateVector,
+    _apply_matrix,
+    partial_trace,
 )
 
 
@@ -140,10 +147,9 @@ class QuantumRuntime:
                 raise ValueError(f"label {lb!r} already in use")
         if self.num_qubits + state.num_qubits > MAX_QUBITS:
             raise ValueError("qubit budget of 16 exceeded")
-        self._amps = np.kron(state.amplitudes, self._amps)
+        self._amps = np.outer(state.amplitudes, self._amps).reshape(-1)
         self._labels.extend(labels)
-        for lb in labels:
-            self._owners[lb] = owner
+        self._owners.update(dict.fromkeys(labels, owner))
 
     def add_qubit(self, label: str, amplitudes: np.ndarray, owner: str) -> None:
         """Append a fresh qubit (becomes the most significant one)."""
@@ -152,15 +158,13 @@ class QuantumRuntime:
         if self.num_qubits + 1 > MAX_QUBITS:
             raise ValueError("qubit budget of 16 exceeded")
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if amps.shape != (2,) or abs(np.linalg.norm(amps) - 1.0) > NORM_ATOL:
+        if amps.shape != (2,) or abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) > NORM_ATOL:
             raise ValueError("new qubit needs a normalized 2-vector")
-        self._amps = np.kron(amps, self._amps)
+        self._amps = np.outer(amps, self._amps).reshape(-1)
         self._labels.append(label)
         self._owners[label] = owner
 
     def apply(self, gate: Gate, labels: Sequence[str]) -> None:
-        from .qsim import _apply_matrix
-
         targets = [self.index_of(lb) for lb in labels]
         self._amps = _apply_matrix(self._amps, gate.matrix, targets, self.num_qubits)
 
@@ -168,38 +172,34 @@ class QuantumRuntime:
         """Collapse ``label`` in ``basis``; returns (bit, probability of bit)."""
         if not basis.is_orthonormal():
             raise ValueError(f"degenerate measurement basis: {basis.kind}")
-        n = self.num_qubits
-        axis = n - 1 - self.index_of(label)
-        psi = self._amps.reshape([2] * n)
-        overlap0 = np.tensordot(basis.eigenstates[0].conj(), psi, axes=([0], [axis]))
-        p0 = min(max(float(np.vdot(overlap0, overlap0).real), 0.0), 1.0)
+        v = self._amps.reshape(-1, 2, 1 << self.index_of(label))  # (hi, 2, lo)
+        low, high = v[:, 0], v[:, 1]
+        bras = basis.eigenstates.conj()
+        overlap = bras[0, 0] * low + bras[0, 1] * high
+        p0 = min(max(float(np.vdot(overlap, overlap).real), 0.0), 1.0)
         bit = self.outcomes.take(p0)
         prob = p0 if bit == 0 else 1.0 - p0
-        if bit == 0:
-            overlap = overlap0
-        else:
-            overlap = np.tensordot(basis.eigenstates[1].conj(), psi, axes=([0], [axis]))
-        post = np.tensordot(basis.eigenstates[bit], overlap, axes=0)
-        post = np.moveaxis(post, 0, axis)
+        if bit == 1:
+            overlap = bras[1, 0] * low + bras[1, 1] * high
+        post = basis.eigenstates[bit][:, None] * overlap[:, None, :]
         self._amps = post.reshape(-1) / math.sqrt(max(prob, BRANCH_PROB_FLOOR))
         self.path_probability *= prob
         return bit, prob
 
     def discard(self, label: str) -> None:
         """Remove a qubit that is in a product state with the rest."""
-        n = self.num_qubits
         q = self.index_of(label)
-        axis = n - 1 - q
-        m = np.moveaxis(self._amps.reshape([2] * n), axis, 0).reshape(2, -1)
-        rho = m @ m.conj().T
-        purity = float(np.trace(rho @ rho).real)
+        v = self._amps.reshape(-1, 2, 1 << q)  # (hi, 2, lo)
+        low, high = v[:, 0], v[:, 1]
+        w0, w1 = float(np.vdot(low, low).real), float(np.vdot(high, high).real)
+        coherence = abs(complex(np.vdot(high, low)))
+        purity = w0 * w0 + w1 * w1 + 2.0 * coherence * coherence
         if purity < 1.0 - PRODUCT_ATOL:
             raise ValueError(
                 f"qubit {label!r} is entangled (purity {purity}); cannot discard"
             )
-        row = int(np.argmax(np.abs(np.diag(rho))))
-        rest = m[row] / np.linalg.norm(m[row])
-        self._amps = rest
+        rest, weight = (low, w0) if w0 >= w1 else (high, w1)  # |0> half on a tie
+        self._amps = (rest / math.sqrt(weight)).reshape(-1)
         self._labels.pop(q)
         del self._owners[label]
 
@@ -213,8 +213,6 @@ class QuantumRuntime:
 
     def density(self, labels: Sequence[str]) -> np.ndarray:
         """Reduced density matrix over ``labels`` in qubit-index order."""
-        from .qsim import partial_trace
-
         keep = sorted(self.index_of(lb) for lb in labels)
         if not keep:
             return np.ones((1, 1), dtype=complex)

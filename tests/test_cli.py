@@ -83,6 +83,12 @@ _BAD_CONFIG_FILES = [
     ({**_P1, "algorithm": 5}, "algorithm must be a list"),
     ({**_P1, "adversary": "none"}, "adversary must be an object"),
     ([_P1], "config must be an object"),
+    ({**_P1, "adversary": {"kind": "random_pauli", "pauli_positions": [["x"]]}},
+     "pauli_positions entry must be a"),
+    # a required key is missing (the CLI itself asks for a protocol and
+    # defaults the depth to 1, so only algorithm entry keys reach the config)
+    ({**_P1, "algorithm": [{"targets": [0], "name": "h"}]}, "algorithm entry 0 needs kind"),
+    ({**_P1, "algorithm": [{"kind": "su", "name": "h"}]}, "algorithm entry 0 needs targets"),
 ]
 
 

@@ -202,6 +202,15 @@ MALFORMED_INPUTS = [
     ({**_P1, "output_bases": [0]}, "output basis must be a string"),
     ({**_P1, "adversary": {"kind": "none", "params": 5}},
      "adversary params must be an object"),
+    ({**_P1, "adversary": {"kind": "random_pauli", "pauli_positions": [["x"]]}},
+     "pauli_positions entry must be a"),
+    # a required key is missing
+    ({"num_register_qubits": 3, "depth": 1}, "config needs protocol"),
+    ({"protocol": "p1", "num_register_qubits": 3}, "config needs depth"),
+    ({**_P1, "algorithm": [{"targets": [0], "name": "h"}]}, "algorithm entry 0 needs kind"),
+    ({**_P1, "algorithm": [{"kind": "su", "targets": [0], "name": "h"},
+                           {"kind": "su", "name": "h"}]},
+     "algorithm entry 1 needs targets"),
 ]
 _REFUSALS = [(data, "must be an integer") for data in NON_INTEGER_DICTS] + MALFORMED_INPUTS
 

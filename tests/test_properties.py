@@ -1,14 +1,20 @@
-"""Property-based checks over random valid configs and gate programs.
+"""Property-based checks over random valid configs, gate programs and the
+statevector kernels.
 
 Configs cover every protocol, every adversary kind a run accepts (none for
 all, stray Paulis for p1, report tampering for p2) and both transcript
 settings; gate programs mix named, octant and CZ requests on one to five
-qubits. Examples are derandomized, so each run of the suite checks the same
-cases.
+qubits. The runtime's gate, measurement and discard kernels are checked
+against dense references on Haar-random states and unitaries of one to
+seven qubits. Examples are derandomized, so each run of the suite checks
+the same cases.
 """
 
-from hypothesis import given, settings
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_qsim import embed_apply
 
 from adbqc.gadgets import NAMED_GATE_OCTANTS
 from adbqc.protocols import (
@@ -21,6 +27,16 @@ from adbqc.protocols import (
     config_to_dict,
     schedule,
 )
+from adbqc.qsim import (
+    Gate,
+    MeasurementBasis,
+    StateVector,
+    apply_gate,
+    haar_random_state,
+    partial_trace,
+)
+from adbqc.runtime import QuantumRuntime, ReplayOutcomes
+from adbqc.transcript import BOB
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -131,3 +147,101 @@ def test_schedule_keeps_program_order_per_qubit(program):
         ]
         assert executed[q] == wanted
 
+
+
+# ---------------------------------------------------------------------------
+# Kernels against dense references
+
+KERNEL_ATOL = 1e-12
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary: QR of a complex Gaussian matrix, phases fixed."""
+    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def gate_placements(draw) -> tuple[int, list[int], int]:
+    """(width, distinct targets, seed) for a one- or two-qubit gate."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, min(2, n)))
+    targets = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    return n, targets, draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(gate_placements())
+@example((7, [0, 6], 0))
+@example((7, [6, 0], 1))
+@example((2, [0, 1], 2))
+@example((2, [1, 0], 3))
+@example((1, [0], 4))
+def test_apply_gate_matches_bit_surgery(placement):
+    n, targets, seed = placement
+    rng = np.random.default_rng(seed)
+    state = haar_random_state(n, rng)
+    u = haar_unitary(2 ** len(targets), rng)
+    got = apply_gate(state, Gate.custom(u), targets).amplitudes
+    want = embed_apply(u, targets, state.amplitudes)
+    assert np.allclose(got, want, rtol=0.0, atol=KERNEL_ATOL)
+
+
+@st.composite
+def measurements(draw) -> tuple[int, int, int, int]:
+    """(width, measured qubit, forced bit, seed)."""
+    n = draw(st.integers(1, 7))
+    return n, draw(st.integers(0, n - 1)), draw(st.integers(0, 1)), draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(measurements())
+@example((7, 0, 1, 0))
+@example((7, 6, 0, 1))
+def test_forced_measurement_matches_projector(case):
+    n, q, bit, seed = case
+    rng = np.random.default_rng(seed)
+    state = haar_random_state(n, rng)
+    basis = MeasurementBasis("haar", haar_unitary(2, rng))  # rows: the two eigenstates
+    e = basis.eigenstates[bit]
+    projected = embed_apply(np.outer(e, e.conj()), [q], state.amplitudes)
+    want_prob = float(np.vdot(projected, projected).real)
+
+    rt, labels = QuantumRuntime.from_state(state, ReplayOutcomes([bit]), BOB)
+    got_bit, got_prob = rt.measure(labels[q], basis)
+    assert got_bit == bit
+    assert abs(got_prob - want_prob) <= KERNEL_ATOL
+    assert np.allclose(
+        rt.snapshot().amplitudes, projected / np.sqrt(want_prob), rtol=0.0, atol=KERNEL_ATOL
+    )
+
+
+def insert_qubit(rest: np.ndarray, qubit: np.ndarray, q: int) -> np.ndarray:
+    """Amplitudes of ``rest`` with ``qubit`` inserted as qubit q, index by index."""
+    n = int(np.log2(rest.shape[0])) + 1
+    out = np.zeros(2**n, dtype=complex)
+    for i in range(2**n):
+        low, high = i & ((1 << q) - 1), i >> (q + 1)
+        out[i] = qubit[(i >> q) & 1] * rest[(high << q) | low]
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 7), st.integers(0, 2**32 - 1))
+def test_discard_leaves_the_partial_trace(n, seed):
+    rng = np.random.default_rng(seed)
+    rest = haar_random_state(n - 1, rng).amplitudes
+    qubit = haar_random_state(1, rng).amplitudes
+    for q in range(n):
+        state = StateVector(n, insert_qubit(rest, qubit, q))
+        rt, labels = QuantumRuntime.from_state(state, ReplayOutcomes(()), BOB)
+        rt.discard(labels[q])
+        v = rt.snapshot().amplitudes
+        want = partial_trace(state, [i for i in range(n) if i != q]).entries
+        assert np.allclose(np.outer(v, v.conj()), want, rtol=0.0, atol=KERNEL_ATOL)
+    # a Haar-random state entangles every qubit with the rest
+    rt, labels = QuantumRuntime.from_state(haar_random_state(n, rng), ReplayOutcomes(()), BOB)
+    for label in labels:
+        with pytest.raises(ValueError, match="entangled"):
+            rt.discard(label)

@@ -13,7 +13,15 @@ import pytest
 from adbqc import rng
 from adbqc.qsim import (
     BRANCH_PROB_FLOOR,
+    EQUATORIAL_BY_OCTANT,
     MAX_QUBITS,
+    PLUS_AMPS,
+    RZ_BY_OCTANT,
+    X_BASIS,
+    X_GATE,
+    Z_BASIS,
+    Z_GATE,
+    ZERO_AMPS,
     DensityMatrix,
     Gate,
     MeasurementBasis,
@@ -332,6 +340,24 @@ def test_rotated_basis_special_cases():
     rot = MeasurementBasis.rotated(np.pi / 2, 1.3)
     for a, b in zip(eq.eigenstates, rot.eigenstates):
         assert np.allclose(a, b, atol=1e-12)
+
+
+def test_shared_gates_and_bases_are_read_only():
+    """The built-once constants match fresh builds, and no caller can write
+    through them into every later run."""
+    gates = [(Z_GATE, Gate.z()), (X_GATE, Gate.x())]
+    gates += [(g, Gate.rz(k * np.pi / 4)) for k, g in enumerate(RZ_BY_OCTANT)]
+    bases = [(Z_BASIS, MeasurementBasis.z()), (X_BASIS, MeasurementBasis.x())]
+    bases += [(b, MeasurementBasis.equatorial(k * np.pi / 4))
+              for k, b in enumerate(EQUATORIAL_BY_OCTANT)]
+    arrays = [(ZERO_AMPS, np.array([1, 0])), (PLUS_AMPS, plus_state(np.pi / 2, 0.0))]
+    arrays += [(got.matrix, want.matrix) for got, want in gates]
+    arrays += [(got.eigenstates, want.eigenstates) for got, want in bases]
+    assert all(b.is_orthonormal() for b, _ in bases)
+    for got, want in arrays:
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0
 
 
 def test_sampled_outcomes_track_born_rule():
