@@ -115,18 +115,17 @@ def _bob_view_blocks(
     unseen outcome branches."""
 
     def run_fn(source: OutcomeSource):
-        rt, labels = QuantumRuntime.from_state(state, source, BOB)
-        tape = Transcript()
+        rt, labels = QuantumRuntime.from_state(state, source, BOB, Transcript())
 
         def checkpoint(at: int) -> None:
             if at == step:
-                key = tuple(tape.bob_classical_values())
+                key = tuple(rt.tape.bob_classical_values())
                 if leak:
                     key = key + (octant % 8,)
                 raise _Halt(key, rt.density_of(BOB))
 
         try:
-            p1_hrz_on_runtime(rt, labels[0], octant, tape, checkpoint=checkpoint)
+            p1_hrz_on_runtime(rt, labels[0], octant, checkpoint=checkpoint)
         except _Halt as halt:
             return halt
         raise AssertionError(f"checkpoint {step} never reached")
@@ -286,10 +285,9 @@ def audit_gadget_view_tv(
         for hidden in coins:
 
             def body(src: OutcomeSource):
-                rt, labels = QuantumRuntime.from_state(state, src, BOB)
-                tape = Transcript()
-                drive_gadget(gadget, rt, labels, octant, hidden, tape)
-                return tuple(tape.bob_classical_values())
+                rt, labels = QuantumRuntime.from_state(state, src, BOB, Transcript())
+                drive_gadget(gadget, rt, labels, octant, hidden)
+                return tuple(rt.tape.bob_classical_values())
 
             for br in enumerate_runs(body):
                 sig = br.value + ((octant,) if leak else ())

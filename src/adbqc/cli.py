@@ -34,7 +34,12 @@ from .blindness import (
 from .oracle import ORACLE_GADGETS, branch_table, table_passes
 from .protocols import AdversaryConfig, HONEST, RunManifest, config_from_dict, run
 from .protocols.config import _typed
-from .qsim import GADGET_FIDELITY_ATOL, PROBABILITY_SLACK, VARIANCE_FLOOR
+from .qsim import (
+    GADGET_FIDELITY_ATOL,
+    MONTE_CARLO_Z_BOUND,
+    PROBABILITY_SLACK,
+    VARIANCE_FLOOR,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -229,7 +234,7 @@ def cmd_attack(args) -> int:
                 estimate=analysis.estimate,
                 z_score=analysis.z_score,
             )
-            ok = ok and abs(analysis.z_score) <= 4.0
+            ok = ok and abs(analysis.z_score) <= MONTE_CARLO_Z_BOUND
         payload["passed"] = ok
         _emit(payload)
         return EXIT_OK if ok else EXIT_REJECT
@@ -255,7 +260,7 @@ def cmd_attack(args) -> int:
         sigma = math.sqrt(max(exact * (1.0 - exact), VARIANCE_FLOOR) / args.trials)
         z = (estimate - exact) / sigma
         payload.update(trials=args.trials, estimate=estimate, z_score=z)
-        ok = abs(z) <= 4.0
+        ok = abs(z) <= MONTE_CARLO_Z_BOUND
     payload["passed"] = ok
     _emit(payload)
     return EXIT_OK if ok else EXIT_REJECT

@@ -10,8 +10,9 @@ classical frame records. Gadgets act on labeled qubits of a
 - ``couple_in`` and ``measure_out``: the ancilla step every gadget shares.
   ``couple_in`` prepares an ancilla, hands it to the server and couples it
   to each target; ``measure_out`` has the server measure it, record and
-  announce the outcome, and drop it. Both record their transcript events.
-  ``local_mint`` names ancillas when no run session supplies labels.
+  announce the outcome, and drop it. A gadget needs only the runtime: it
+  names ancillas with ``rt.fresh`` and records through ``rt.tape``
+  (``rt.transfer`` records each handover itself).
 - ``couple`` and ``h_cancel``: one entangler coupling, and a |0> ancilla
   coupled then discarded, which leaves a deterministic H on the register.
 - ``sueki_hrz_on_runtime``: the prepare-only client's H R_Z(theta) gadget.
@@ -32,17 +33,15 @@ All angles at protocol boundaries are octant integers k, meaning k*pi/4.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .qsim import EQUATORIAL_BY_OCTANT, PLUS_AMPS, X_GATE, Z_BASIS, Z_GATE, ZERO_AMPS
 from .qsim import Gate, MeasurementBasis, StateVector, apply_gate, plus_state
 from .runtime import QuantumRuntime
-from .transcript import ALICE, BOB, Transcript
+from .transcript import ALICE, BOB
 
 OCTANT = math.pi / 4
 EVEN_OCTANTS = (0, 2, 4, 6)
@@ -118,23 +117,15 @@ def frame_conjugate(
 # ---------------------------------------------------------------------------
 # Gadget primitives on a runtime
 
-Mint = Callable[[str], str]
-
-
-def local_mint(target: str) -> Mint:
-    """Ancilla labels ``<prefix><n>_<target>``, numbered per gadget call."""
-    counter = itertools.count()
-    return lambda prefix: f"{prefix}{next(counter)}_{target}"
-
-
 def couple(rt: QuantumRuntime, ancilla: str, register: str) -> None:
-    """Apply the entangler with the ancilla as the high matrix bit."""
+    """Apply the entangler with the ancilla as the high matrix bit; the
+    server records the coupling."""
     rt.apply(ENTANGLER, [ancilla, register])
+    rt.tape.local(BOB, op="couple", qubits=[ancilla, register])
 
 
 def couple_in(
     rt: QuantumRuntime,
-    tape: Transcript,
     label: str,
     amplitudes: np.ndarray,
     which: str,
@@ -143,39 +134,28 @@ def couple_in(
 ) -> None:
     """Prepare an ancilla, hand it to the server and couple it to each target."""
     rt.add_qubit(label, amplitudes, prep_party)
-    tape.local(prep_party, op="prepare", qubit=label, which=which)
+    rt.tape.local(prep_party, op="prepare", qubit=label, which=which)
     if prep_party != BOB:
-        tape.transfer(prep_party, BOB, label)
-    rt.transfer(label, BOB)
+        rt.transfer(label, BOB)
     for target in targets:
         couple(rt, label, target)
-        tape.local(BOB, op="couple", qubits=[label, target])
 
 
-def measure_out(
-    rt: QuantumRuntime, tape: Transcript, label: str, basis: MeasurementBasis
-) -> int:
+def measure_out(rt: QuantumRuntime, label: str, basis: MeasurementBasis) -> int:
     """The server measures the ancilla, records and announces the outcome,
     and drops the ancilla."""
     s, _ = rt.measure(label, basis)
-    tape.outcome(BOB, s, qubit=label)
-    tape.msg(BOB, ALICE, outcome=s)
+    rt.tape.outcome(BOB, s, qubit=label)
+    rt.tape.msg(BOB, ALICE, outcome=s)
     rt.discard(label)
     return s
 
 
-def h_cancel(
-    rt: QuantumRuntime,
-    register: str,
-    label: str,
-    tape: Transcript | None = None,
-    prep_party: str = BOB,
-) -> None:
+def h_cancel(rt: QuantumRuntime, register: str, label: str, prep_party: str = BOB) -> None:
     """Couple a fresh |0> ancilla and discard it: a deterministic H."""
-    tape = tape or Transcript(record=False)
-    couple_in(rt, tape, label, ZERO_AMPS, "zero", prep_party, (register,))
+    couple_in(rt, label, ZERO_AMPS, "zero", prep_party, (register,))
     rt.discard(label)
-    tape.local(BOB, op="discard", qubit=label)
+    rt.tape.local(BOB, op="discard", qubit=label)
 
 
 @dataclass(frozen=True)
@@ -216,8 +196,6 @@ def sueki_hrz_on_runtime(
     hiding_octant: int,
     pad_bit: int,
     prep_sign: int = +1,
-    tape: Transcript | None = None,
-    mint: Mint | None = None,
 ) -> SuekiHrzResult:
     """Prepare-only client's H R_Z gadget; realizes X^(s2^pad) H R_Z(k pi/4).
 
@@ -225,60 +203,46 @@ def sueki_hrz_on_runtime(
     bit, prep sign) shape only the announced angle; the announced octant is
     uniform when hiding octant and pad bit are uniform.
     """
-    tape = tape or Transcript(record=False)
-    mint = mint or local_mint(target)
     k_target = target_octant % 8
     k_hide = hiding_octant % 8
 
     # hidden-rotation coupling
-    a_hide = mint("a")
+    a_hide = rt.fresh("a")
     hidden = plus_state(octant_angle(k_hide), math.pi / 2, prep_sign)
-    couple_in(rt, tape, a_hide, hidden, "hidden", ALICE, (target,))
-    s1 = measure_out(rt, tape, a_hide, Z_BASIS)
+    couple_in(rt, a_hide, hidden, "hidden", ALICE, (target,))
+    s1 = measure_out(rt, a_hide, Z_BASIS)
 
     # Hadamard-cancelling coupling
-    h_cancel(rt, target, mint("a"), tape, prep_party=ALICE)
+    h_cancel(rt, target, rt.fresh("a"), prep_party=ALICE)
 
     # announced angle folds the secrets with the first outcome
     k_public = announced_octant(k_target, k_hide, pad_bit, s1, prep_sign)
-    tape.msg(ALICE, BOB, theta_octant=k_public)
+    rt.tape.msg(ALICE, BOB, theta_octant=k_public)
 
     # driven coupling measured in the announced equatorial basis
-    a_drive = mint("a")
-    couple_in(rt, tape, a_drive, PLUS_AMPS, "plus", ALICE, (target,))
-    s2 = measure_out(rt, tape, a_drive, EQUATORIAL_BY_OCTANT[k_public])
+    a_drive = rt.fresh("a")
+    couple_in(rt, a_drive, PLUS_AMPS, "plus", ALICE, (target,))
+    s2 = measure_out(rt, a_drive, EQUATORIAL_BY_OCTANT[k_public])
 
     return SuekiHrzResult(k_public, (s1, s2), (s2 ^ pad_bit, 0))
 
 
-@dataclass(frozen=True)
-class CzResult:
-    outcome: int
-    frame_delta_z_first: int  # Z^s lands on the first target
-
-
 def cz_on_runtime(
-    rt: QuantumRuntime,
-    target_i: str,
-    target_j: str,
-    tape: Transcript | None = None,
-    prep_party: str = BOB,
-    mint: Mint | None = None,
-) -> CzResult:
-    """CZ between two register qubits; realizes Z_i^s CZ_ij exactly.
+    rt: QuantumRuntime, target_i: str, target_j: str, prep_party: str = BOB
+) -> int:
+    """CZ between two register qubits; realizes Z_i^s CZ_ij exactly and
+    returns s, the Z by-product on the first target.
 
     One |+> ancilla is coupled to both qubits and Z-measured (the outcome
     travels server to client); a |0> coupling on each qubit absorbs the
     leftover Hadamards.
     """
-    tape = tape or Transcript(record=False)
-    mint = mint or local_mint(target_i)
-    a_cz = mint("c")
-    couple_in(rt, tape, a_cz, PLUS_AMPS, "plus", prep_party, (target_i, target_j))
-    s = measure_out(rt, tape, a_cz, Z_BASIS)
-    h_cancel(rt, target_i, mint("c"), tape, prep_party)
-    h_cancel(rt, target_j, mint("c"), tape, prep_party)
-    return CzResult(s, s)
+    a_cz = rt.fresh("c")
+    couple_in(rt, a_cz, PLUS_AMPS, "plus", prep_party, (target_i, target_j))
+    s = measure_out(rt, a_cz, Z_BASIS)
+    h_cancel(rt, target_i, rt.fresh("c"), prep_party)
+    h_cancel(rt, target_j, rt.fresh("c"), prep_party)
+    return s
 
 
 # ---------------------------------------------------------------------------

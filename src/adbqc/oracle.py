@@ -32,7 +32,7 @@ from .qsim import (
     haar_random_state,
 )
 from .runtime import OutcomeSource, QuantumRuntime, enumerate_runs
-from .transcript import BOB, Transcript
+from .transcript import BOB
 
 ORACLE_GADGETS = ("hrz-sueki", "p1-a", "p1-b", "p2", "cz")
 
@@ -71,7 +71,6 @@ def drive_gadget(
     labels: list[str],
     octant: int,
     hidden: tuple[int, int, int] = (0, 0, +1),
-    tape: Transcript | None = None,
 ) -> tuple[PauliFrame, int | None]:
     """Apply one oracle gadget to ``labels``; the one map from a gadget
     name to its function.
@@ -81,15 +80,14 @@ def drive_gadget(
     that client announces (None for the other gadgets).
     """
     if gadget == "hrz-sueki":
-        res = sueki_hrz_on_runtime(rt, labels[0], octant, *hidden, tape)
+        res = sueki_hrz_on_runtime(rt, labels[0], octant, *hidden)
         return PauliFrame((res.frame_delta[0],), (res.frame_delta[1],)), res.theta_public
     if gadget == "cz":
-        res = cz_on_runtime(rt, labels[0], labels[1], tape)
-        return PauliFrame((0, 0), (res.frame_delta_z_first, 0)), None
+        return PauliFrame((0, 0), (cz_on_runtime(rt, labels[0], labels[1]), 0)), None
     if gadget not in ("p1-a", "p1-b", "p2"):
         raise ValueError(f"unknown gadget {gadget!r}")
     hrz = p2_hrz_on_runtime if gadget == "p2" else p1_hrz_on_runtime
-    return PauliFrame((hrz(rt, labels[0], octant, tape),), (0,)), None
+    return PauliFrame((hrz(rt, labels[0], octant),), (0,)), None
 
 
 def branch_table(

@@ -132,8 +132,6 @@ class AdversaryConfig:
       the fixed (kind, integer position) hits of ``pauli_positions``.
     - trap_tamper: every reported output bit is correct only with
       probability ``tamper_rate``, independently.
-    - entangled_probe: analysis-only; a probe state for the gate-driving
-      audit machinery. Not runnable inside a protocol run.
     """
 
     kind: str = "none"
@@ -142,7 +140,7 @@ class AdversaryConfig:
     pauli_positions: tuple[tuple[str, int], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "random_pauli", "trap_tamper", "entangled_probe"):
+        if self.kind not in ("none", "random_pauli", "trap_tamper"):
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         counts = _typed("pauli_counts", self.pauli_counts, _LIST, "a list")
         counts = tuple(_integer("pauli count", c) for c in counts)
@@ -236,11 +234,6 @@ class ProtocolConfig:
             if len(bases) != self.logical_width or any(b not in ("z", "x") for b in bases):
                 raise ValueError("output_bases needs one of z/x per computation qubit")
             object.__setattr__(self, "output_bases", bases)
-        if self.adversary.kind == "entangled_probe":
-            raise ValueError(
-                "the entangled-probe adversary is analysis-only; "
-                "use the blindness audit entry points"
-            )
         if self.adversary.kind == "random_pauli":
             if self.protocol != "p1":
                 raise ValueError(
@@ -402,9 +395,9 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        data = json.loads(text)
+        data = _typed("manifest", json.loads(text), dict, "an object")
         return cls(
-            config=config_from_dict(data["config"]),
+            config=config_from_dict(_required(data, "config", "manifest")),
             tool=data.get("tool", "adbqc"),
             version=data.get("version", "0.1.0"),
             created=data.get("created", ""),

@@ -7,16 +7,16 @@ the client's part of each H R_Z gadget (``HRZ_BY_PROTOCOL``), and, through
 the client's capability, who prepares the CZ ancilla and who measures the
 output register.
 
-A session bundles the joint quantum runtime, the transcript, and one named
-random stream per decision maker (client choices, server choices,
-adversary, measurement outcomes), all derived from the run seed so a rerun
-or an outcome-enumeration replay repeats every choice exactly.
+A session bundles the joint quantum runtime (which holds the transcript and
+mints the ancilla labels) and one named random stream per decision maker
+(client choices, server choices, adversary, measurement outcomes), all
+derived from the run seed so a rerun or an outcome-enumeration replay
+repeats every choice exactly.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,13 +36,8 @@ from .traps import TRAP_PREP_GATE, DecodedOutput, TrapLayout, decode_output, pla
 class Session:
     config: ProtocolConfig
     rt: QuantumRuntime
-    tape: Transcript
     alice_rng: np.random.Generator
     adversary_rng: np.random.Generator
-    counter: "itertools.count[int]" = field(default_factory=itertools.count)
-
-    def fresh(self, prefix: str) -> str:
-        return f"{prefix}{next(self.counter)}"
 
 
 def new_session(
@@ -51,8 +46,7 @@ def new_session(
     source = outcomes or SampledOutcomes(rng=stream(config.seed, "outcomes"))
     return Session(
         config=config,
-        rt=QuantumRuntime(source),
-        tape=Transcript(record=config.record_transcript),
+        rt=QuantumRuntime(source, Transcript(record=config.record_transcript)),
         alice_rng=stream(config.seed, "alice"),
         adversary_rng=stream(config.seed, "adversary"),
     )
@@ -69,7 +63,7 @@ def prepare_register(session: Session) -> list[str]:
         label = register_label(pos)
         session.rt.add_qubit(label, ZERO_AMPS, BOB)
         labels.append(label)
-    session.tape.local(BOB, op="prepare_register", width=session.config.num_qubits)
+    session.rt.tape.local(BOB, op="prepare_register", width=session.config.num_qubits)
     return labels
 
 
@@ -131,11 +125,9 @@ def run_grid(
                     frame = frame.flip_x(pos)
         for pi, pj in layer.czs:
             frame, _ = frame_conjugate(frame, "cz", (pi, pj))
-            res = cz_on_runtime(
-                session.rt, register_label(pi), register_label(pj),
-                session.tape, cz_prep_party, session.fresh,
-            )
-            if res.frame_delta_z_first:
+            if cz_on_runtime(
+                session.rt, register_label(pi), register_label(pj), cz_prep_party
+            ):
                 frame = frame.flip_z(pi)
     return frame
 
@@ -171,16 +163,17 @@ def _server_measures(session: Session, bases: tuple[str, ...]) -> tuple[int, ...
     """The client announces a basis per position; the server measures there
     and reports, possibly lying under the tamper model."""
     adv = session.config.adversary
+    tape = session.rt.tape
     raw = []
     for pos, basis_name in enumerate(bases):
         label = register_label(pos)
-        session.tape.msg(ALICE, to=BOB, op="measure", qubit=label, basis=basis_name)
+        tape.msg(ALICE, to=BOB, op="measure", qubit=label, basis=basis_name)
         basis = Z_BASIS if basis_name == "z" else X_BASIS
         bit, _ = session.rt.measure(label, basis)
         if adv.kind == "trap_tamper" and session.adversary_rng.random() >= adv.tamper_rate:
             bit ^= 1
-        session.tape.outcome(BOB, bit, qubit=label)
-        session.tape.msg(BOB, to=ALICE, op="report", qubit=label, bit=bit)
+        tape.outcome(BOB, bit, qubit=label)
+        tape.msg(BOB, to=ALICE, op="report", qubit=label, bit=bit)
         raw.append(bit)
     return tuple(raw)
 
@@ -189,12 +182,11 @@ def _client_measures(session: Session, bases: tuple[str, ...]) -> tuple[int, ...
     """The server hands the whole register over; the client measures it."""
     for pos in range(len(bases)):
         session.rt.transfer(register_label(pos), ALICE)
-        session.tape.transfer(BOB, ALICE, register_label(pos))
     raw = []
     for pos, basis_name in enumerate(bases):
         basis = Z_BASIS if basis_name == "z" else X_BASIS
         bit, _ = session.rt.measure(register_label(pos), basis)
-        session.tape.outcome(ALICE, bit, qubit=register_label(pos))
+        session.rt.tape.outcome(ALICE, bit, qubit=register_label(pos))
         raw.append(bit)
     return tuple(raw)
 
@@ -248,9 +240,9 @@ def run(config: ProtocolConfig, outcomes: OutcomeSource | None = None) -> RunRes
         trap_errors=decoded.trap_errors,
         trap_total=decoded.trap_total,
         computation_bits=decoded.computation_bits,
-        transcript_digest=session.tape.digest(),
+        transcript_digest=session.rt.tape.digest(),
     )
-    return RunResult(session.tape, report, layout, frame, raw, decoded, hits)
+    return RunResult(session.rt.tape, report, layout, frame, raw, decoded, hits)
 
 
 def _expect(config: ProtocolConfig, protocol: str) -> None:

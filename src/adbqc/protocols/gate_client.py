@@ -18,47 +18,35 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..gadgets import Mint, couple_in, local_mint, measure_out
+from ..gadgets import couple_in, measure_out
 from ..qsim import PLUS_AMPS, RZ_BY_OCTANT, X_BASIS
 from ..runtime import QuantumRuntime
-from ..transcript import ALICE, BOB, Transcript
+from ..transcript import ALICE, BOB
 
 if TYPE_CHECKING:
     from .driver import Session
 
 
-def p2_hrz_on_runtime(
-    rt: QuantumRuntime,
-    target: str,
-    octant: int,
-    tape: Transcript | None = None,
-    mint: Mint | None = None,
-) -> int:
+def p2_hrz_on_runtime(rt: QuantumRuntime, target: str, octant: int) -> int:
     """One gate-driven H R_Z(octant * pi/4); returns the X by-product.
 
     Exactly one qubit travels each way and one classical bit comes back.
     """
-    tape = tape or Transcript(record=False)
     octant %= 8
-    anc = (mint or local_mint(target))("g")
-    couple_in(rt, tape, anc, PLUS_AMPS, "plus", BOB, (target,))
+    anc = rt.fresh("g")
+    couple_in(rt, anc, PLUS_AMPS, "plus", BOB, (target,))
 
     # lent out for the client's whole contribution: k turns of its fixed rotation
     rt.transfer(anc, ALICE)
-    tape.transfer(BOB, ALICE, anc)
     rt.apply(RZ_BY_OCTANT[octant], [anc])
-    tape.local(ALICE, op="rotate", qubit=anc, turns=octant)
+    rt.tape.local(ALICE, op="rotate", qubit=anc, turns=octant)
     rt.transfer(anc, BOB)
-    tape.transfer(ALICE, BOB, anc)
 
-    return measure_out(rt, tape, anc, X_BASIS)
+    return measure_out(rt, anc, X_BASIS)
 
 
 def hrz(session: Session, label: str, octant: int) -> int:
     # private half-turn pad: one-time-pads the by-product bit (see module
     # docstring); the returned delta accounts for it, the server cannot
     pad = int(session.alice_rng.integers(2))
-    s = p2_hrz_on_runtime(
-        session.rt, label, (octant + 4 * pad) % 8, session.tape, mint=session.fresh
-    )
-    return s ^ pad
+    return p2_hrz_on_runtime(session.rt, label, (octant + 4 * pad) % 8) ^ pad

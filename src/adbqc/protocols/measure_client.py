@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from ..gadgets import Mint, couple, h_cancel, local_mint
+from ..gadgets import couple, h_cancel
 from ..qsim import EQUATORIAL_BY_OCTANT, RZ_BY_OCTANT, X_BASIS, Z_BASIS, StateVector
 from ..runtime import QuantumRuntime
-from ..transcript import ALICE, BOB, Transcript
+from ..transcript import ALICE, BOB
 
 if TYPE_CHECKING:
     from .driver import Session
@@ -64,8 +64,6 @@ def p1_hrz_on_runtime(
     rt: QuantumRuntime,
     target: str,
     octant: int,
-    tape: Transcript | None = None,
-    mint: Mint | None = None,
     checkpoint: Checkpoint | None = None,
 ) -> int:
     """One measurement-driven H R_Z(octant * pi/4); returns the X by-product.
@@ -75,8 +73,7 @@ def p1_hrz_on_runtime(
     the audit checkpoints: odd stages are server moves, even stages are
     client measurements or discards.
     """
-    tape = tape or Transcript(record=False)
-    names = mint or local_mint(target)
+    tape = rt.tape
     mark = checkpoint or (lambda step: None)
     octant %= 8
     case = classify_angle(octant)
@@ -88,7 +85,6 @@ def p1_hrz_on_runtime(
         # a Bell pair, one half handed to the client
         rt.load(BELL, [half, kept], BOB)
         tape.local(BOB, op="prepare_bell", qubits=[half, kept])
-        tape.transfer(BOB, ALICE, half)
         rt.transfer(half, ALICE)
         mark(step)
 
@@ -102,12 +98,10 @@ def p1_hrz_on_runtime(
         # the server couples the kept half, drives it one octant if asked,
         # and sends it over
         couple(rt, kept, target)
-        tape.local(BOB, op="couple", qubits=[kept, target])
         if drive:
             rt.apply(RZ_BY_OCTANT[1], [kept])
             tape.local(BOB, op="drive", qubit=kept)
         rt.transfer(kept, ALICE)
-        tape.transfer(BOB, ALICE, kept)
         mark(step + 2)
 
         # the active segment realizes the rotation on the kept half
@@ -123,18 +117,16 @@ def p1_hrz_on_runtime(
         mark(step + 3)
         return share
 
-    e1a, e1b = names("e"), names("e")
-    e2a, e2b = names("e"), names("e")
+    e1a, e1b = rt.fresh("e"), rt.fresh("e")
+    e2a, e2b = rt.fresh("e"), rt.fresh("e")
     # odd octants realize the rotation in the driven segment
     by_product = segment(1, e1a, e1b, drive=True, active=case == "b")
     # 5: server absorbs the stray Hadamard with a fresh |0> coupling
-    h_cancel(rt, target, names("h"), tape, prep_party=BOB)
+    h_cancel(rt, target, rt.fresh("h"))
     mark(5)
     # even octants realize it in the undriven one
     return by_product ^ segment(6, e2a, e2b, drive=False, active=case == "a")
 
 
 def hrz(session: Session, label: str, octant: int) -> int:
-    return p1_hrz_on_runtime(
-        session.rt, label, octant, session.tape, mint=session.fresh
-    )
+    return p1_hrz_on_runtime(session.rt, label, octant)

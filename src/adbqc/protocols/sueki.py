@@ -20,7 +20,5 @@ if TYPE_CHECKING:
 def hrz(session: Session, label: str, octant: int) -> int:
     """One hidden rotation: the client draws the pad and preparation angle."""
     hiding, pad, sign = draw_sueki_secrets(session.alice_rng)
-    res = sueki_hrz_on_runtime(
-        session.rt, label, octant, hiding, pad, sign, session.tape, session.fresh
-    )
+    res = sueki_hrz_on_runtime(session.rt, label, octant, hiding, pad, sign)
     return res.frame_delta[0]

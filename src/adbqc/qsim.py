@@ -7,9 +7,9 @@ Conventions, fixed across the whole package:
 - ``R_Z(t) = diag(1, e^{it})`` and
   ``R_X(t) = [[cos(t/2), -i sin(t/2)], [-i sin(t/2), cos(t/2)]]``.
 - The general single-qubit state family is
-  ``|+_{a,p}> = cos(a/2)|0> + e^{ip} sin(a/2)|1>`` and its orthogonal
-  partner ``|-_{a,p}> = sin(a/2)|0> - e^{ip} cos(a/2)|1>`` is only used
-  through measurement bases, which require a = pi/2.
+  ``|+_{a,p}> = cos(a/2)|0> + e^{ip} sin(a/2)|1>``. Its partner
+  ``|-_{a,p}> = sin(a/2)|0> - e^{ip} cos(a/2)|1>`` is orthogonal to it at
+  every a and p, and is only used through measurement bases.
 - Measurement outcome bit 0 always means the first basis eigenstate.
 - Multi-qubit gate matrices index their rows/columns with ``targets[0]``
   as the most significant bit.
@@ -25,7 +25,7 @@ built and validated once, below the classes, with read-only arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,6 +44,7 @@ GADGET_VIEW_TV_ATOL = 1e-9  # total variation between the server's views of two 
 PROBE_GRAM_ATOL = 1e-10  # entrywise gap between the simulated and closed-form probe Gram
 PROBABILITY_SLACK = 1e-12  # rounding allowed when checking or bounding a probability
 VARIANCE_FLOOR = 1e-12  # Bernoulli variance floor that keeps a z-score finite
+MONTE_CARLO_Z_BOUND = 4.0  # |z| a Monte Carlo estimate may show against its exact value
 BRANCH_PROB_FLOOR = 1e-12  # probability below which an outcome branch is not taken
 MAX_QUBITS = 16  # width of the largest joint state
 BRANCH_BUDGET = 2**16  # most outcome paths one enumeration may walk
@@ -152,7 +153,6 @@ class Gate:
 
     kind: str
     matrix: np.ndarray
-    angle: float | None = None
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -184,15 +184,15 @@ class Gate:
 
     @classmethod
     def rz(cls, theta: float) -> "Gate":
-        return cls("rz", rz_matrix(theta), angle=theta)
+        return cls("rz", rz_matrix(theta))
 
     @classmethod
     def rx(cls, theta: float) -> "Gate":
-        return cls("rx", rx_matrix(theta), angle=theta)
+        return cls("rx", rx_matrix(theta))
 
     @classmethod
     def hrz(cls, theta: float) -> "Gate":
-        return cls("hrz", _H @ rz_matrix(theta), angle=theta)
+        return cls("hrz", _H @ rz_matrix(theta))
 
     @classmethod
     def cz(cls) -> "Gate":
@@ -210,19 +210,19 @@ class Gate:
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Orthonormal single-qubit basis; row 0 of ``eigenstates`` is outcome 0."""
+    """Orthonormal single-qubit basis, checked when it is built; row 0 of
+    ``eigenstates`` is outcome 0."""
 
     kind: str
     eigenstates: np.ndarray
-    _orthonormal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         e = np.asarray(self.eigenstates, dtype=complex)
         if e.shape != (2, 2):
             raise ValueError(f"eigenstates must be 2x2, got {e.shape}")
+        if not np.allclose(e @ e.conj().T, np.eye(2), atol=ORTHONORMAL_ATOL):
+            raise ValueError(f"degenerate measurement basis: {self.kind}")
         object.__setattr__(self, "eigenstates", e)
-        gram_ok = np.allclose(e @ e.conj().T, np.eye(2), atol=ORTHONORMAL_ATOL)
-        object.__setattr__(self, "_orthonormal", bool(gram_ok))
 
     @classmethod
     def z(cls) -> "MeasurementBasis":
@@ -238,7 +238,7 @@ class MeasurementBasis:
 
     @classmethod
     def rotated(cls, polar: float, phase: float) -> "MeasurementBasis":
-        """Basis {cos(a/2)|0> +- e^{ip} sin(a/2)|1>}; orthogonal iff a = pi/2 mod pi."""
+        """Basis {|+_{a,p}>, |-_{a,p}>}; orthonormal at every polar angle a."""
         plus = plus_state(polar, phase, +1)
         minus = np.array(
             [math.sin(polar / 2), -np.exp(1j * phase) * math.cos(polar / 2)],
@@ -249,9 +249,6 @@ class MeasurementBasis:
     @classmethod
     def equatorial(cls, phase: float) -> "MeasurementBasis":
         return cls.rotated(math.pi / 2, phase)
-
-    def is_orthonormal(self) -> bool:
-        return self._orthonormal  # reached once, at construction
 
 
 # Built once and read-only; octant k means the angle k*pi/4.

@@ -1,13 +1,15 @@
 """Labeled-qubit runtime: the package's one measurement and enumeration core.
 
 A ``QuantumRuntime`` holds one joint statevector with string-labeled qubits
-and an owner tag per qubit, so two-party protocols can be written once and
-executed either by sampling measurement outcomes (``SampledOutcomes``) or by
-exhaustively enumerating every outcome path (``enumerate_runs``, which
-replays the whole computation once per path and therefore handles adaptive
-protocols where later steps depend on earlier outcomes). Gadgets, protocol
-runs, oracles and audits all measure through ``QuantumRuntime.measure``;
-``qsim`` only builds states and applies gates.
+and an owner tag per qubit. It is the one context a gadget runs in: it also
+holds the transcript (``tape``), mints ancilla labels (``fresh``) and
+records every handover (``transfer``). Two-party protocols are written once
+and executed either by sampling measurement outcomes (``SampledOutcomes``)
+or by exhaustively enumerating every outcome path (``enumerate_runs``,
+which replays the whole computation once per path and therefore handles
+adaptive protocols where later steps depend on earlier outcomes). Gadgets,
+protocol runs, oracles and audits all measure through
+``QuantumRuntime.measure``; ``qsim`` only builds states and applies gates.
 
 Each operation is a few numpy calls: ``measure`` and ``discard`` make one
 pass over the (hi, 2, lo) view that splits the amplitudes by the qubit's bit
@@ -17,6 +19,7 @@ pass over the (hi, 2, lo) view that splits the amplitudes by the qubit's bit
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -35,6 +38,7 @@ from .qsim import (
     _apply_matrix,
     partial_trace,
 )
+from .transcript import Transcript
 
 
 class OutcomeSource:
@@ -49,6 +53,12 @@ class OutcomeSource:
 
     def take(self, p0: float) -> int:
         raise NotImplementedError
+
+    def path_probability(self) -> float:
+        prob = 1.0
+        for bit, p0 in self.trace:
+            prob *= p0 if bit == 0 else 1.0 - p0
+        return prob
 
 
 class SampledOutcomes(OutcomeSource):
@@ -99,29 +109,26 @@ class ReplayOutcomes(OutcomeSource):
         self.trace.append((bit, p0))
         return bit
 
-    def path_probability(self) -> float:
-        prob = 1.0
-        for bit, p0 in self.trace:
-            prob *= p0 if bit == 0 else 1.0 - p0
-        return prob
-
 
 class QuantumRuntime:
-    """Joint state over labeled, owner-tagged qubits."""
+    """Joint state over labeled, owner-tagged qubits, with the transcript
+    its handovers are recorded on."""
 
-    def __init__(self, outcomes: OutcomeSource) -> None:
+    def __init__(self, outcomes: OutcomeSource, tape: Transcript | None = None) -> None:
         self.outcomes = outcomes
+        self.tape = tape or Transcript(record=False)
         self._amps: np.ndarray = np.ones(1, dtype=complex)
         self._labels: list[str] = []  # index in this list == qubit index
         self._owners: dict[str, str] = {}
-        self.path_probability: float = 1.0
+        self._minted = itertools.count()
 
     @classmethod
     def from_state(
-        cls, state: StateVector, outcomes: OutcomeSource, owner: str
+        cls, state: StateVector, outcomes: OutcomeSource, owner: str,
+        tape: Transcript | None = None,
     ) -> tuple["QuantumRuntime", list[str]]:
         """A runtime holding ``state`` as qubits labeled r0, r1, ... (qubit order)."""
-        rt = cls(outcomes)
+        rt = cls(outcomes, tape)
         labels = [f"r{i}" for i in range(state.num_qubits)]
         rt.load(state, labels, owner)
         return rt, labels
@@ -133,6 +140,10 @@ class QuantumRuntime:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(self._labels)
+
+    def fresh(self, prefix: str) -> str:
+        """A new ancilla label ``<prefix><n>``, numbered per runtime."""
+        return f"{prefix}{next(self._minted)}"
 
     def index_of(self, label: str) -> int:
         return self._labels.index(label)
@@ -170,8 +181,6 @@ class QuantumRuntime:
 
     def measure(self, label: str, basis: MeasurementBasis) -> tuple[int, float]:
         """Collapse ``label`` in ``basis``; returns (bit, probability of bit)."""
-        if not basis.is_orthonormal():
-            raise ValueError(f"degenerate measurement basis: {basis.kind}")
         v = self._amps.reshape(-1, 2, 1 << self.index_of(label))  # (hi, 2, lo)
         low, high = v[:, 0], v[:, 1]
         bras = basis.eigenstates.conj()
@@ -183,7 +192,6 @@ class QuantumRuntime:
             overlap = bras[1, 0] * low + bras[1, 1] * high
         post = basis.eigenstates[bit][:, None] * overlap[:, None, :]
         self._amps = post.reshape(-1) / math.sqrt(max(prob, BRANCH_PROB_FLOOR))
-        self.path_probability *= prob
         return bit, prob
 
     def discard(self, label: str) -> None:
@@ -204,8 +212,10 @@ class QuantumRuntime:
         del self._owners[label]
 
     def transfer(self, label: str, new_owner: str) -> None:
+        """Hand ``label`` to ``new_owner`` and record the handover."""
         if label not in self._owners:
             raise ValueError(f"unknown qubit {label!r}")
+        self.tape.transfer(self._owners[label], new_owner, label)
         self._owners[label] = new_owner
 
     def owned_by(self, owner: str) -> list[str]:

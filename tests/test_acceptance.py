@@ -90,8 +90,7 @@ def _drive_program(source, state, steps, bases):
     for step in steps:
         if step[0] == "cz":
             _, i, j = step
-            res = cz_on_runtime(rt, labels[i], labels[j])
-            z[i] ^= x[j] ^ res.frame_delta_z_first
+            z[i] ^= x[j] ^ cz_on_runtime(rt, labels[i], labels[j])
             z[j] ^= x[i]
         else:
             q, k = step

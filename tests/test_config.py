@@ -277,9 +277,10 @@ def test_adversary_protocol_pairing():
 
 
 def test_probe_adversary_not_runnable():
-    probe = AdversaryConfig(kind="entangled_probe")
-    with pytest.raises(ValueError, match="analysis-only"):
-        ProtocolConfig("p2", 4, 1, trap_count=2, adversary=probe)
+    """The probe analysis lives in the audits; as a run adversary it is an
+    unknown kind."""
+    with pytest.raises(ValueError, match="unknown adversary kind 'entangled_probe'"):
+        AdversaryConfig(kind="entangled_probe")
 
 
 def test_pauli_counts_bounded_by_register():
@@ -365,6 +366,18 @@ def test_manifest_roundtrip():
     assert again.tool == "adbqc"
     # serialization is deterministic
     assert RunManifest.from_json(text).to_json() == text
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"tool": "adbqc"}', "manifest needs config"),
+        ("[1, 2]", "manifest must be an object"),
+    ],
+)
+def test_manifest_from_json_names_what_is_wrong(text, message):
+    with pytest.raises(ValueError, match=message):
+        RunManifest.from_json(text)
 
 
 def test_report_as_dict():

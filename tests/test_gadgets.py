@@ -258,7 +258,7 @@ def test_sueki_gadget_branch_weights_on_zero_input():
     for coins in ((0.2, 0.2), (0.2, 0.8), (0.8, 0.2), (0.8, 0.8)):
         rt, labels = fresh_runtime(StateVector.zero(1), coins)
         sueki_hrz_on_runtime(rt, labels[0], 0, hiding_octant=2, pad_bit=0)
-        assert rt.path_probability == pytest.approx(0.25, abs=1e-12)
+        assert rt.outcomes.path_probability() == pytest.approx(0.25, abs=1e-12)
 
 
 def test_sueki_gadget_prep_sign_branches():
@@ -284,11 +284,9 @@ def test_sueki_gadget_prep_sign_branches():
 def test_cz_gadget_soundness(coin):
     state = haar_random_state(2, rng.stream(153, "cz-state"))
     rt, labels = fresh_runtime(state, (coin,))
-    res = cz_on_runtime(rt, labels[0], labels[1])
-    frame = PauliFrame((0, 0), (res.frame_delta_z_first, 0))
-    corrected = frame.matrix_on(rt.snapshot(labels))
+    s = cz_on_runtime(rt, labels[0], labels[1])
+    corrected = PauliFrame((0, 0), (s, 0)).matrix_on(rt.snapshot(labels))
     want = apply_gate(state, Gate.cz(), [0, 1])
-    assert res.frame_delta_z_first == res.outcome
     assert fidelity_up_to_phase(corrected, want) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -296,16 +294,15 @@ def test_cz_gadget_outcome_is_fair_coin():
     state = haar_random_state(2, rng.stream(154, "cz-prob"))
     for coin, want in ((0.25, 0), (0.75, 1)):
         rt, labels = fresh_runtime(state, (coin,))
-        res = cz_on_runtime(rt, labels[0], labels[1])
-        assert res.outcome == want
-        assert rt.path_probability == pytest.approx(0.5, abs=1e-12)
+        assert cz_on_runtime(rt, labels[0], labels[1]) == want
+        assert rt.outcomes.path_probability() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_h_cancel_is_deterministic():
     state = haar_random_state(1, rng.stream(155, "hcancel"))
     rt, labels = fresh_runtime(state, ())
     h_cancel(rt, labels[0], "anc")
-    assert rt.path_probability == pytest.approx(1.0)
+    assert rt.outcomes.path_probability() == pytest.approx(1.0)
     want = apply_gate(state, Gate.h(), [0])
     assert fidelity_up_to_phase(rt.snapshot(labels), want) == pytest.approx(1.0, abs=1e-12)
 

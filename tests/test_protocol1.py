@@ -75,10 +75,11 @@ def test_gadget_soundness_all_branches(octant):
     want = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
     for bits in itertools.product((0, 1), repeat=3):
         coins = tuple(0.2 if b == 0 else 0.8 for b in bits)
-        rt, labels = QuantumRuntime.from_state(state, SampledOutcomes(coins=coins), BOB)
-        tape = Transcript()
-        delta = p1_hrz_on_runtime(rt, labels[0], octant, tape)
-        outcomes = [ev for ev in tape.events if ev.kind == "outcome" and ev.party == ALICE]
+        rt, labels = QuantumRuntime.from_state(
+            state, SampledOutcomes(coins=coins), BOB, Transcript()
+        )
+        delta = p1_hrz_on_runtime(rt, labels[0], octant)
+        outcomes = [ev for ev in rt.tape.events if ev.kind == "outcome" and ev.party == ALICE]
         assert len(outcomes) == 3
         corrected = PauliFrame((delta,), (0,)).matrix_on(rt.snapshot(labels))
         assert fidelity_up_to_phase(corrected, want) == pytest.approx(1.0, abs=1e-9)
@@ -89,16 +90,13 @@ def test_first_bell_half_becomes_z_padded_plus():
     for coin, a_bit in ((0.2, 0), (0.8, 1)):
         rt = QuantumRuntime(SampledOutcomes(coins=(coin, 0.3, 0.3)))
         rt.load(StateVector.zero(1), ["r0"], BOB)
-        counter = itertools.count()
         grabbed = {}
 
         def check(step, rt=rt, grabbed=grabbed):
             if step == 2:
                 grabbed["kept"] = rt.snapshot(["e1"])
 
-        p1_hrz_on_runtime(
-            rt, "r0", 1, mint=lambda p: f"{p}{next(counter)}", checkpoint=check
-        )
+        p1_hrz_on_runtime(rt, "r0", 1, checkpoint=check)
         want = StateVector.of(plus_state(np.pi / 2, 0.0 if a_bit == 0 else np.pi))
         assert fidelity_up_to_phase(grabbed["kept"], want) == pytest.approx(1.0, abs=1e-12)
 
@@ -107,16 +105,13 @@ def test_case_a_first_bell_half_collapses_computationally():
     for coin, a_bit in ((0.2, 0), (0.8, 1)):
         rt = QuantumRuntime(SampledOutcomes(coins=(coin, 0.3, 0.3)))
         rt.load(StateVector.zero(1), ["r0"], BOB)
-        counter = itertools.count()
         grabbed = {}
 
         def check(step, rt=rt, grabbed=grabbed):
             if step == 2:
                 grabbed["kept"] = rt.snapshot(["e1"])
 
-        p1_hrz_on_runtime(
-            rt, "r0", 2, mint=lambda p: f"{p}{next(counter)}", checkpoint=check
-        )
+        p1_hrz_on_runtime(rt, "r0", 2, checkpoint=check)
         want = StateVector.of(np.array([1.0 - a_bit, float(a_bit)], dtype=complex))
         assert fidelity_up_to_phase(grabbed["kept"], want) == pytest.approx(1.0, abs=1e-12)
 

@@ -36,10 +36,11 @@ def test_gadget_soundness(octant, coin):
     """Returned-ancilla gadget equals H R_Z(k pi/4) after the X correction."""
     state = haar_random_state(1, rng.stream(300, "p2-state", octant))
     want = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
-    rt, labels = QuantumRuntime.from_state(state, SampledOutcomes(coins=(coin,)), BOB)
-    tape = Transcript()
-    delta = p2_hrz_on_runtime(rt, labels[0], octant, tape)
-    (announced,) = [ev.payload["bit"] for ev in tape.events if ev.kind == "outcome"]
+    rt, labels = QuantumRuntime.from_state(
+        state, SampledOutcomes(coins=(coin,)), BOB, Transcript()
+    )
+    delta = p2_hrz_on_runtime(rt, labels[0], octant)
+    (announced,) = [ev.payload["bit"] for ev in rt.tape.events if ev.kind == "outcome"]
     assert delta == announced
     corrected = PauliFrame((delta,), (0,)).matrix_on(rt.snapshot(labels))
     assert fidelity_up_to_phase(corrected, want) == pytest.approx(1.0, abs=1e-9)
@@ -52,7 +53,7 @@ def test_gadget_outcome_is_a_fair_coin(coin, outcome):
     rt.load(StateVector.zero(1), ["r0"], BOB)
     s = p2_hrz_on_runtime(rt, "r0", 1)
     assert s == outcome
-    assert rt.path_probability == pytest.approx(0.5, abs=1e-12)
+    assert rt.outcomes.path_probability() == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
