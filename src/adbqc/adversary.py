@@ -129,11 +129,16 @@ def simulate_escape(
         escaped += 0 if caught else 1
     exact = float(escape_probability_exact(num_qubits, pauli_counts))
     estimate = escaped / trials
+    z = monte_carlo_z(estimate, exact, trials)
+    return EscapeAnalysis(trials, escaped, estimate, exact, escape_bound(a + b + c), z)
+
+
+def monte_carlo_z(estimate: float, exact: float, trials: int) -> float:
+    """z-score of a Monte Carlo ``estimate`` of the Bernoulli probability
+    ``exact`` over ``trials``; 0 when the spread is 0, since at an exact 0
+    or 1 every trial agrees with it."""
     spread = math.sqrt(exact * (1.0 - exact) / trials)
-    z = 0.0 if spread == 0.0 else (estimate - exact) / spread
-    return EscapeAnalysis(
-        trials, escaped, estimate, exact, escape_bound(a + b + c), z
-    )
+    return 0.0 if spread == 0.0 else (estimate - exact) / spread
 
 
 # ---------------------------------------------------------------------------

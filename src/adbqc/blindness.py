@@ -31,7 +31,7 @@ from .adversary import (
     probe_gram_closed_form,
 )
 from .gadgets import announced_octant
-from .oracle import admissible_octants, drive_gadget
+from .oracle import check_octant, drive_gadget
 from .protocols.measure_client import p1_hrz_on_runtime
 from .protocols.reference import total_variation
 from .qsim import (
@@ -101,39 +101,36 @@ def audit_theta_uniformity() -> AuditResult:
 # No-signaling through the measure-only rotation gadget
 
 
-class _Halt(Exception):
-    def __init__(self, key: tuple, rho: np.ndarray) -> None:
-        self.key = key
-        self.rho = rho
-
-
 def _bob_view_blocks(
-    octant: int, state: StateVector, step: int, leak: bool
-) -> dict[tuple, np.ndarray]:
-    """Server view at a gadget checkpoint, as subnormalized density blocks
-    keyed by the server-visible classical record, summed over the client's
-    unseen outcome branches."""
+    octant: int, state: StateVector, steps: Sequence[int], leak: bool
+) -> dict[int, dict[tuple, np.ndarray]]:
+    """Server view at each checkpoint in ``steps``, as subnormalized density
+    blocks keyed by the server-visible classical record, summed over the
+    client's unseen outcome branches. One walk serves every step: the paths
+    through a checkpoint share its prefix's probability between them."""
 
-    def run_fn(source: OutcomeSource):
+    def run_fn(source: OutcomeSource) -> list[tuple[int, tuple, np.ndarray]]:
         rt, labels = QuantumRuntime.from_state(state, source, BOB, Transcript())
+        views = []
 
         def checkpoint(at: int) -> None:
-            if at == step:
+            if at in steps:
                 key = tuple(rt.tape.bob_classical_values())
                 if leak:
                     key = key + (octant % 8,)
-                raise _Halt(key, rt.density_of(BOB))
+                views.append((at, key, rt.density_of(BOB)))
 
-        try:
-            p1_hrz_on_runtime(rt, labels[0], octant, checkpoint=checkpoint)
-        except _Halt as halt:
-            return halt
-        raise AssertionError(f"checkpoint {step} never reached")
+        p1_hrz_on_runtime(rt, labels[0], octant, checkpoint=checkpoint)
+        return views
 
-    blocks: dict[tuple, np.ndarray] = {}
+    blocks: dict[int, dict[tuple, np.ndarray]] = {step: {} for step in steps}
     for branch in enumerate_runs(run_fn):
-        halt = branch.value
-        blocks[halt.key] = blocks.get(halt.key, 0.0) + branch.probability * halt.rho
+        for step, key, rho in branch.value:
+            view = blocks[step]
+            view[key] = view.get(key, 0.0) + branch.probability * rho
+    for step, view in blocks.items():
+        if not view:
+            raise ValueError(f"the measure-only gadget marks no step {step}")
     return blocks
 
 
@@ -155,20 +152,23 @@ def audit_no_signaling(
     """Exact check that the server's view of the measure-only rotation
     gadget is octant-independent at every stage.
 
-    Enumerates all client-outcome branches of the gadget truncated at each
-    checkpoint and compares the server's classical-quantum view across all
-    octant pairs by trace distance.
+    Enumerates all client-outcome branches of the gadget once per octant,
+    takes the server's classical-quantum view at each checkpoint in
+    ``steps`` (1 to 9) and compares it across all octant pairs by trace
+    distance.
     """
+    if len(octants) < 2 or not steps:
+        raise ValueError("the no-signaling audit needs two octants and a step to compare")
     if state is None:
         state = haar_random_state(1, stream(seed, "no-signaling-state"))
     octants = [k % 8 for k in octants]
+    views = {k: _bob_view_blocks(k, state, steps, leak) for k in octants}
     worst = 0.0
     worst_at: tuple | None = None
     for step in steps:
-        views = {k: _bob_view_blocks(k, state, step, leak) for k in octants}
         for i, ka in enumerate(octants):
             for kb in octants[i + 1 :]:
-                dist = block_trace_distance(views[ka], views[kb])
+                dist = block_trace_distance(views[ka][step], views[kb][step])
                 if dist > worst:
                     worst = dist
                     worst_at = (step, ka, kb)
@@ -212,6 +212,8 @@ def audit_transcript_tv(
     the hidden octants are appended to each signature, which any working
     audit must flag.
     """
+    if runs < 1 or resamples < 1:
+        raise ValueError("the transcript audit needs at least one run and one resample")
 
     def gather(config, base: int) -> list[tuple]:
         sigs = []
@@ -271,8 +273,7 @@ def audit_gadget_view_tv(
     if gadget == "cz":
         raise ValueError(f"gadget {gadget!r} has no angle to hide")
     for octant in (octant_a, octant_b):
-        if octant % 8 not in admissible_octants(gadget):
-            raise ValueError(f"octant {octant} is not admissible for gadget {gadget!r}")
+        check_octant(gadget, octant)
     if state is None:
         state = haar_random_state(1, stream(99, "gadget-view-input"))
     coins = [(0, 0, +1)]  # the prepare-only client's coins are enumerated
@@ -317,6 +318,8 @@ def audit_probe_gram(num_probes: int = 100, seed: int = 77) -> AuditResult:
     pattern across the eight octant hypotheses must match
     (1 - w) + w exp(i (k' - k) pi / 4) entrywise.
     """
+    if num_probes < 1:
+        raise ValueError("the probe audit needs at least one probe")
     rng = stream(seed, "probe-states")
     worst = 0.0
     sharpest = 0.0

@@ -1,25 +1,28 @@
-"""Command-line front door.
+"""Command-line front door: argument parsing, one config-file reader, calls
+into the library and JSON out. Every check and statistic is the library's.
 
 Four subcommands: ``run`` executes a protocol and prints the verification
 report, ``oracle`` prints per-branch gadget soundness tables, ``attack``
 prints escape / tamper analyses, and ``blindness`` runs the leakage audits.
-All reports are JSON on standard output with sorted keys, so identical
-inputs give identical bytes. Exit codes: 0 accepted / all checks pass,
-2 rejected / check failed, 1 usage or configuration error.
+``run --config`` and ``blindness --config-a/--config-b`` read a config file
+or a manifest. All reports are JSON on standard output with sorted keys, so
+identical inputs give identical bytes. Exit codes: 0 accepted / all checks
+pass, 2 rejected / check failed, 1 usage or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__, rng
 from .adversary import (
     escape_bound,
     escape_counts,
+    monte_carlo_z,
     simulate_escape,
     simulate_tamper_acceptance,
     tamper_acceptance_exact,
@@ -34,12 +37,7 @@ from .blindness import (
 from .oracle import ORACLE_GADGETS, branch_table, table_passes
 from .protocols import AdversaryConfig, HONEST, RunManifest, config_from_dict, run
 from .protocols.config import _typed
-from .qsim import (
-    GADGET_FIDELITY_ATOL,
-    MONTE_CARLO_Z_BOUND,
-    PROBABILITY_SLACK,
-    VARIANCE_FLOOR,
-)
+from .qsim import GADGET_FIDELITY_ATOL, MONTE_CARLO_Z_BOUND, PROBABILITY_SLACK
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -56,22 +54,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    # numpy scalars are the only report values json cannot write itself
+    print(json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.item()))
 
 
-def _jsonable(value):
-    """Recursively coerce report values into plain JSON types."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
-        return value
-    if isinstance(value, float):
-        return value
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return str(value)
+def _read_config(path: str) -> dict:
+    """The config object of a config file, or of a manifest, which nests it."""
+    with open(path) as fh:
+        data = _typed("config", json.load(fh), dict, "an object")
+    return _typed("config", data.get("config", data), dict, "an object")
 
 
 def parse_adversary(spec: str) -> AdversaryConfig:
@@ -105,38 +96,29 @@ def _add_run_parser(sub) -> None:
 
 
 def cmd_run(args) -> int:
-    base: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            data = _typed("config", json.load(fh), dict, "an object")
-        # a manifest nests the config; flags override its fields
-        base = _typed("config", data.get("config", data), dict, "an object")
-    if args.protocol is not None:
-        base["protocol"] = args.protocol
-    if args.qubits is not None:
-        base["num_register_qubits"] = args.qubits
-        base.pop("num_qubits", None)
-    if args.depth is not None:
-        base["depth"] = args.depth
-    if args.traps is not None:
-        base["trap_count"] = args.traps
-    if args.seed is not None:
-        base["seed"] = args.seed
+    base = _read_config(args.config) if args.config else {}
+    # flags override the file's fields
+    flags = {
+        "protocol": args.protocol,
+        "num_register_qubits": args.qubits,
+        "depth": args.depth,
+        "trap_count": args.traps,
+        "seed": args.seed,
+    }
+    base.update((key, value) for key, value in flags.items() if value is not None)
+    adversary = None
     if args.adversary is not None:
-        adv = parse_adversary(args.adversary)
-        base["adversary"] = {
-            "kind": adv.kind,
-            "params": {
-                "pauli_counts": list(adv.pauli_counts),
-                "tamper_rate": adv.tamper_rate,
-            },
-        }
+        adversary = parse_adversary(args.adversary)
+        base.pop("adversary", None)  # replaced below, so never read
     if "protocol" not in base:
         raise ValueError("--protocol is required (flag or config file)")
     if "num_register_qubits" not in base and "num_qubits" not in base:
         raise ValueError("--qubits is required (flag or config file)")
     base.setdefault("depth", 1)
     config = config_from_dict(base)
+    if adversary is not None:
+        # replace re-runs the config's checks, the protocol/adversary match too
+        config = replace(config, adversary=adversary)
 
     result = run(config)
     if args.manifest_out:
@@ -192,7 +174,6 @@ def cmd_oracle(args) -> int:
 
 def _add_attack_parser(sub) -> None:
     p = sub.add_parser("attack", help="escape / tamper analysis against the traps")
-    p.add_argument("--protocol", choices=("p1", "p2"), default=None)
     p.add_argument("--pauli", help="a,b,c counts of X / Z / XZ errors (p1)")
     p.add_argument("--tamper", type=float, help="per-bit report fidelity (p2)")
     p.add_argument("--qubits", type=int, default=9, help="register width (pauli)")
@@ -204,13 +185,11 @@ def _add_attack_parser(sub) -> None:
 def cmd_attack(args) -> int:
     if (args.pauli is None) == (args.tamper is None):
         raise ValueError("give exactly one of --pauli a,b,c or --tamper rate")
+    if args.trials < 0:
+        raise ValueError(f"--trials must be 0 (exact only) or more, got {args.trials}")
+    stream = rng.stream(args.seed, "adversary")
     if args.pauli is not None:
-        if args.protocol not in (None, "p1"):
-            raise ValueError("stray-Pauli attacks act on the p1 handover")
-        parts = args.pauli.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"--pauli needs three counts, got {args.pauli!r}")
-        counts = tuple(int(x) for x in parts)
+        counts = parse_adversary(f"pauli:{args.pauli}").pauli_counts
         good, total = escape_counts(args.qubits, counts)
         bound = escape_bound(sum(counts))
         payload = {
@@ -224,10 +203,8 @@ def cmd_attack(args) -> int:
             "bound_formula": "(2/3)^(alpha/3)",
         }
         ok = good / total <= bound + PROBABILITY_SLACK
-        if args.trials > 0:
-            analysis = simulate_escape(
-                args.qubits, counts, args.trials, rng.stream(args.seed, "adversary")
-            )
+        if args.trials:
+            analysis = simulate_escape(args.qubits, counts, args.trials, stream)
             payload.update(
                 trials=analysis.trials,
                 escaped=analysis.escaped,
@@ -235,32 +212,22 @@ def cmd_attack(args) -> int:
                 z_score=analysis.z_score,
             )
             ok = ok and abs(analysis.z_score) <= MONTE_CARLO_Z_BOUND
-        payload["passed"] = ok
-        _emit(payload)
-        return EXIT_OK if ok else EXIT_REJECT
-
-    if args.protocol not in (None, "p2"):
-        raise ValueError("report tampering corrupts the p2 server reports")
-    rate = args.tamper
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"tamper rate {rate} outside [0, 1]")
-    exact = tamper_acceptance_exact(rate, args.traps)
-    payload = {
-        "kind": "trap_tamper",
-        "protocol": "p2",
-        "tamper_rate": rate,
-        "trap_count": args.traps,
-        "exact_acceptance": exact,
-    }
-    ok = True
-    if args.trials > 0:
-        estimate = simulate_tamper_acceptance(
-            rate, args.traps, args.trials, rng.stream(args.seed, "adversary")
-        )
-        sigma = math.sqrt(max(exact * (1.0 - exact), VARIANCE_FLOOR) / args.trials)
-        z = (estimate - exact) / sigma
-        payload.update(trials=args.trials, estimate=estimate, z_score=z)
-        ok = abs(z) <= MONTE_CARLO_Z_BOUND
+    else:
+        rate = AdversaryConfig(kind="trap_tamper", tamper_rate=args.tamper).tamper_rate
+        exact = tamper_acceptance_exact(rate, args.traps)
+        payload = {
+            "kind": "trap_tamper",
+            "protocol": "p2",
+            "tamper_rate": rate,
+            "trap_count": args.traps,
+            "exact_acceptance": exact,
+        }
+        ok = True
+        if args.trials:
+            estimate = simulate_tamper_acceptance(rate, args.traps, args.trials, stream)
+            z = monte_carlo_z(estimate, exact, args.trials)
+            payload.update(trials=args.trials, estimate=estimate, z_score=z)
+            ok = abs(z) <= MONTE_CARLO_Z_BOUND
     payload["passed"] = ok
     _emit(payload)
     return EXIT_OK if ok else EXIT_REJECT
@@ -295,10 +262,8 @@ def cmd_blindness(args) -> int:
             raise ValueError("the sampled tv audit needs both --config-a and --config-b")
         if args.config_a:
             # sampled permutation test on whole-run transcripts
-            with open(args.config_a) as fh:
-                config_a = config_from_dict(json.load(fh))
-            with open(args.config_b) as fh:
-                config_b = config_from_dict(json.load(fh))
+            config_a = config_from_dict(_read_config(args.config_a))
+            config_b = config_from_dict(_read_config(args.config_b))
             if config_a.protocol != config_b.protocol:
                 raise ValueError("tv audit configs must share a protocol")
             res = audit_transcript_tv(

@@ -65,6 +65,12 @@ def admissible_octants(gadget: str) -> tuple[int, ...]:
     return tuple(range(8))
 
 
+def check_octant(gadget: str, octant: int) -> None:
+    """Refuse an octant ``gadget`` cannot realize; 8 is not 0."""
+    if octant not in admissible_octants(gadget):
+        raise ValueError(f"octant {octant} is not admissible for gadget {gadget!r}")
+
+
 def drive_gadget(
     gadget: str,
     rt: QuantumRuntime,
@@ -103,8 +109,7 @@ def branch_table(
     bit, prep sign); when omitted they are drawn from ``seed``, as is the
     Haar-random input ``state``. Branch probabilities are exact.
     """
-    if octant not in admissible_octants(gadget):
-        raise ValueError(f"octant {octant} is not admissible for gadget {gadget!r}")
+    check_octant(gadget, octant)
     num_qubits = 2 if gadget == "cz" else 1
     if state is None:
         state = haar_random_state(num_qubits, rng.stream(seed, "oracle-input"))

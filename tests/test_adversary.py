@@ -12,6 +12,7 @@ from adbqc.adversary import (
     escape_counts,
     escape_probability_exact,
     lent_weight_one,
+    monte_carlo_z,
     pauli_is_caught,
     probe_gram,
     probe_gram_closed_form,
@@ -153,6 +154,14 @@ def test_simulate_escape_honest_always_escapes():
     analysis = simulate_escape(3, (0, 0, 0), 50, rng.stream(401, "mc"))
     assert analysis.estimate == 1.0
     assert analysis.z_score == 0.0
+
+
+def test_monte_carlo_z_is_the_binomial_z_and_zero_without_spread():
+    assert monte_carlo_z(0.3, 0.25, 300) == pytest.approx(0.05 / np.sqrt(0.25 * 0.75 / 300))
+    assert monte_carlo_z(1.0, 1.0, 10) == 0.0
+    assert monte_carlo_z(0.0, 0.0, 10) == 0.0
+    analysis = simulate_escape(9, (3, 0, 0), 500, rng.stream(403, "mc"))
+    assert analysis.z_score == monte_carlo_z(analysis.estimate, analysis.exact, 500)
 
 
 def test_simulate_escape_rejects_overfull_attack():

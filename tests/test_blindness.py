@@ -20,6 +20,7 @@ from adbqc.blindness import (
     transcript_signature,
 )
 from adbqc.gadgets import announced_octant
+from adbqc.oracle import branch_table
 from adbqc.protocols import (
     GateRequest,
     ProtocolConfig,
@@ -70,6 +71,21 @@ def test_no_signaling_flags_a_classical_leak():
     result = audit_no_signaling(octants=(0, 4), steps=(9,), leak=True)
     assert not result.passed
     assert result.statistic == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "octants,steps",
+    [((3,), (5,)), ((), (5,)), ((0, 1), ())],
+    ids=["one-octant", "no-octant", "no-step"],
+)
+def test_no_signaling_refuses_to_compare_nothing(octants, steps):
+    with pytest.raises(ValueError, match="two octants and a step"):
+        audit_no_signaling(octants=octants, steps=steps)
+
+
+def test_no_signaling_refuses_a_step_the_gadget_never_marks():
+    with pytest.raises(ValueError, match="marks no step 10"):
+        audit_no_signaling(octants=(0, 1), steps=(10,))
 
 
 def test_block_trace_distance_handles_disjoint_keys():
@@ -133,8 +149,24 @@ def test_gadget_view_audit_validates_octant_parity():
         audit_gadget_view_tv("cz", 0, 0)
 
 
+@pytest.mark.parametrize("gadget,octant", [("p1-a", 8), ("p1-b", 9), ("p2", 8), ("p2", -1)])
+def test_gadget_view_audit_refuses_an_octant_the_oracle_refuses(gadget, octant):
+    # one octant check for the exact gadget tools: 8 is not 0 in either
+    with pytest.raises(ValueError, match=f"octant {octant} is not admissible"):
+        branch_table(gadget, octant)
+    with pytest.raises(ValueError, match=f"octant {octant} is not admissible"):
+        audit_gadget_view_tv(gadget, octant, 2 if gadget == "p1-a" else 1)
+
+
 # ---------------------------------------------------------------------------
 # Whole-run transcript statistics
+
+
+@pytest.mark.parametrize("runs,resamples", [(0, 10), (10, 0)])
+def test_transcript_audit_refuses_to_compare_nothing(runs, resamples):
+    config = ProtocolConfig("sueki", 1, 1)
+    with pytest.raises(ValueError, match="at least one run and one resample"):
+        audit_transcript_tv(run_sueki, config, config, runs=runs, resamples=resamples)
 
 
 def test_sueki_transcripts_hide_the_algorithm():
@@ -199,6 +231,12 @@ def test_probe_gram_audit():
     assert result.statistic <= 1e-10
     assert result.details["probes"] == 100
     assert result.details["max_distinguishability"] > 0.9
+
+
+@pytest.mark.parametrize("probes", [0, -3])
+def test_probe_gram_audit_refuses_to_check_no_probe(probes):
+    with pytest.raises(ValueError, match="at least one probe"):
+        audit_probe_gram(num_probes=probes)
 
 
 def test_capability_confinement_across_protocols():

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -120,6 +122,21 @@ def test_run_bad_adversary_spec(capsys):
     )
     assert code == EXIT_ERROR
     assert "adversary" in err
+
+
+def test_run_adversary_flag_replaces_the_file_adversary(capsys, tmp_path):
+    config = {"protocol": "p1", "num_register_qubits": 3, "depth": 1, "seed": 2,
+              "adversary": {"kind": "random_pauli", "pauli_counts": [1, 0, 0]}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, report, _ = run_json(capsys, "run", "--config", str(path), "--adversary", "none")
+    assert code == EXIT_OK and report["trap_errors"] == 0
+    # the replaced config is checked again, so a p2-only deviation is refused
+    code, out, err = run_cli(
+        capsys, "run", "--config", str(path), "--adversary", "tamper:0.5"
+    )
+    assert code == EXIT_ERROR and out == ""
+    assert "which only p2 has" in err
 
 
 def test_run_config_file_with_flag_override(capsys, tmp_path):
@@ -263,8 +280,11 @@ def test_attack_argument_validation(capsys):
     assert code == EXIT_ERROR
     code, _, err = run_cli(capsys, "attack", "--pauli", "1,0")
     assert code == EXIT_ERROR
-    code, _, err = run_cli(capsys, "attack", "--protocol", "p2", "--pauli", "1,0,0")
-    assert code == EXIT_ERROR
+    assert "pauli counts must be three values" in err
+    # attack takes no --protocol: --pauli implies p1 and --tamper p2
+    with pytest.raises(SystemExit) as info:
+        main(["attack", "--protocol", "p2", "--pauli", "1,0,0"])
+    assert info.value.code == EXIT_ERROR
 
 
 def test_parse_adversary_forms():
@@ -327,6 +347,53 @@ def test_blindness_sampled_tv_from_configs(capsys, tmp_path):
     assert payload["audit"] == "transcript_tv"
 
 
+def test_blindness_sampled_tv_reads_a_manifest(capsys, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    code, _, _ = run_cli(
+        capsys, "run", "--protocol", "p2", "--qubits", "2", "--traps", "1",
+        "--manifest-out", str(manifest),
+    )
+    assert code == EXIT_OK
+    config = tmp_path / "b.json"
+    config.write_text(json.dumps(json.loads(manifest.read_text())["config"]))
+    code, payload, _ = run_json(
+        capsys, "blindness", "--audit", "tv", "--runs", "20",
+        "--config-a", str(manifest), "--config-b", str(config),
+    )
+    assert code == EXIT_OK
+    assert payload["audit"] == "transcript_tv" and payload["details"]["runs"] == 20
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        pytest.param(("blindness", "--audit", "probe", "--samples", "0"),
+                     "at least one probe", id="no-probe"),
+        pytest.param(("blindness", "--audit", "tv", "--gadget", "p1-a", "--octant-a", "8",
+                      "--octant-b", "2"), "octant 8 is not admissible", id="octant-8"),
+        pytest.param(("attack", "--pauli", "3,0,0", "--trials", "-5"),
+                     "--trials must be 0", id="pauli-negative-trials"),
+        pytest.param(("attack", "--tamper", "0.5", "--trials", "-1"),
+                     "--trials must be 0", id="tamper-negative-trials"),
+    ],
+)
+def test_cli_refuses_a_check_that_compares_nothing(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("adbqc: error:") and message in err
+
+
+def test_sampled_tv_refuses_zero_runs(capsys, tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"protocol": "sueki", "num_register_qubits": 1, "depth": 1}))
+    code, out, err = run_cli(
+        capsys, "blindness", "--audit", "tv", "--runs", "0",
+        "--config-a", str(path), "--config-b", str(path),
+    )
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("adbqc: error:") and "at least one run" in err
+
+
 def test_blindness_tv_needs_both_configs(capsys, tmp_path):
     path = tmp_path / "a.json"
     path.write_text("{}")
@@ -360,6 +427,48 @@ def test_unknown_subcommand_exits_one(capsys):
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+
+def readme_examples() -> list[tuple[str, list[str]]]:
+    """(command, lines shown below it) for each ``$ adbqc`` line of the
+    README, with any trailing ``# comment`` stripped."""
+    examples, shown = [], None
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("$ adbqc "):
+            shown = []
+            examples.append((re.sub(r"\s+#.*", "", line[2:]), shown))
+        elif line.startswith("```"):
+            shown = None
+        elif shown is not None:
+            shown.append(line)
+    return examples
+
+
+_SHOWN_FIELD = re.compile(r'\s*"(\w+)": (.*?),?')
+
+
+def test_readme_command_examples_run_as_shown(capsys):
+    """Every README example exits 0 with JSON on stdout, and each
+    ``"key": value`` line shown below one matches that key of the output; a
+    string shown ending in ``..."`` is a prefix."""
+    examples = readme_examples()
+    assert len(examples) >= 8
+    with_output = 0
+    for command, shown in examples:
+        code, payload, _ = run_json(capsys, *shlex.split(command)[1:])
+        assert code == EXIT_OK, command
+        fields = [m.groups() for m in map(_SHOWN_FIELD.fullmatch, shown) if m]
+        for key, value in fields:
+            if value.endswith('..."'):
+                assert payload[key].startswith(value[1:-4]), (command, key)
+            else:
+                assert payload[key] == json.loads(value), (command, key)
+        with_output += bool(fields)
+    assert with_output == 2  # run --protocol p1 and attack --pauli
 
 
 def load_pyproject():
