@@ -9,11 +9,11 @@ Covers the three implemented deviations:
 - the entangled-probe analysis of the lent-ancilla gadget, quantifying
   what a server that entangles the lent qubit with a memory could learn.
 
-The Pauli analysis relies on the register layout using equal thirds:
-computation slots, |0> traps, |+> traps. An X (or XZ) error flips exactly
-the Z-basis readings, so it is caught by a |0> trap and invisible to a |+>
-trap; Z errors are the mirror image; XZ errors are caught by both. Escape
-therefore depends only on which role classes the error positions land in,
+The Pauli analysis relies on the measure-only register layout
+(``traps.thirds_roles``): computation slots, |0> traps, |+> traps. A trap
+catches an error that flips its reading (``traps.reading_flip``), so an X
+is caught by a |0> trap only, a Z by a |+> trap only and an XZ by both.
+Escape therefore depends only on which roles the error positions land in,
 and a uniformly random layout with uniformly random disjoint error
 positions is equivalent to fixed roles with uniform positions.
 """
@@ -27,25 +27,22 @@ from math import comb, factorial
 
 import numpy as np
 
-from .qsim import PROBABILITY_SLACK, Gate, StateVector, apply_gate
-
-# register position classes for the equal-thirds layout
-_COMPUTE, _ZERO_TRAP, _PLUS_TRAP = 0, 1, 2
+from .protocols.traps import TRAP_STATES, reading_flip, thirds_roles
+from .qsim import PROBABILITY_SLACK, RZ_BY_OCTANT, StateVector, apply_gate
 
 
-def pauli_is_caught(kind: str, role_class: int) -> bool:
-    """Whether an error of ``kind`` on a position of ``role_class`` trips it."""
-    if role_class == _ZERO_TRAP:
-        return "x" in kind
-    if role_class == _PLUS_TRAP:
-        return "z" in kind
-    return False
+def pauli_is_caught(kind: str, role: str) -> bool:
+    """Whether an error of ``kind`` ("x", "z" or "xz") on a position of
+    ``role`` ("compute" or a ``TRAP_STATES`` key) trips a trap there."""
+    if role == "compute":
+        return False
+    basis, _ = TRAP_STATES[role]
+    return bool(reading_flip(basis, "x" in kind, "z" in kind))
 
 
-def _thirds(num_qubits: int) -> int:
-    if num_qubits % 3 != 0 or num_qubits <= 0:
-        raise ValueError("the thirds layout needs a positive multiple of 3")
-    return num_qubits // 3
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
 
 
 def escape_counts(
@@ -60,7 +57,7 @@ def escape_counts(
     off the combinatorics (e.g. 120/504 for three X errors on nine slots:
     504 ordered triples of positions, 120 of which avoid the |0> traps).
     """
-    w = _thirds(num_qubits)
+    w = thirds_roles(num_qubits).count("compute")
     a, b, c = pauli_counts
     if min(a, b, c) < 0 or a + b + c > num_qubits:
         raise ValueError(f"bad pauli counts {pauli_counts} for N={num_qubits}")
@@ -116,11 +113,11 @@ def simulate_escape(
     asks ``pauli_is_caught`` of each hit (the layout symmetry above fixes
     the roles without loss of generality).
     """
-    w = _thirds(num_qubits)
+    _check_trials(trials)
+    roles = thirds_roles(num_qubits)
     a, b, c = pauli_counts
     if a + b + c > num_qubits:
         raise ValueError("more errors than positions")
-    roles = (_COMPUTE,) * w + (_ZERO_TRAP,) * w + (_PLUS_TRAP,) * w
     kinds = ("x",) * a + ("z",) * b + ("xz",) * c
     escaped = 0
     for _ in range(trials):
@@ -160,6 +157,7 @@ def simulate_tamper_acceptance(
 ) -> float:
     """Monte Carlo of the tamper channel: fraction of runs with no trap bit
     flipped. Honest trap readings are deterministic, so a flip is an error."""
+    _check_trials(trials)
     flips = rng.random((trials, trap_count)) >= tamper_rate
     return float(np.mean(~np.any(flips, axis=1)))
 
@@ -176,11 +174,7 @@ def probe_gram(probe: StateVector, lent_qubit: int) -> np.ndarray:
     the lent qubit k versus k' octants; |entries| < 1 mean the server can
     statistically distinguish angle hypotheses.
     """
-    states = []
-    for k in range(8):
-        states.append(
-            apply_gate(probe, Gate.rz(k * math.pi / 4.0), [lent_qubit]).amplitudes
-        )
+    states = [apply_gate(probe, rz, [lent_qubit]).amplitudes for rz in RZ_BY_OCTANT]
     gram = np.empty((8, 8), dtype=complex)
     for k in range(8):
         for kp in range(8):

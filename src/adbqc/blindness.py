@@ -101,13 +101,19 @@ def audit_theta_uniformity() -> AuditResult:
 # No-signaling through the measure-only rotation gadget
 
 
+class _PastLastStep(Exception):
+    """Ends a replay of the gadget at the last checkpoint an audit asks for."""
+
+
 def _bob_view_blocks(
     octant: int, state: StateVector, steps: Sequence[int], leak: bool
 ) -> dict[int, dict[tuple, np.ndarray]]:
     """Server view at each checkpoint in ``steps``, as subnormalized density
     blocks keyed by the server-visible classical record, summed over the
-    client's unseen outcome branches. One walk serves every step: the paths
-    through a checkpoint share its prefix's probability between them."""
+    client's unseen outcome branches. One walk serves every step: each
+    replay ends at the last requested checkpoint, and the paths through a
+    checkpoint share its prefix's probability between them."""
+    last = max(steps)
 
     def run_fn(source: OutcomeSource) -> list[tuple[int, tuple, np.ndarray]]:
         rt, labels = QuantumRuntime.from_state(state, source, BOB, Transcript())
@@ -115,12 +121,17 @@ def _bob_view_blocks(
 
         def checkpoint(at: int) -> None:
             if at in steps:
-                key = tuple(rt.tape.bob_classical_values())
+                key = rt.tape.bob_classical_values()
                 if leak:
                     key = key + (octant % 8,)
                 views.append((at, key, rt.density_of(BOB)))
+            if at == last:
+                raise _PastLastStep
 
-        p1_hrz_on_runtime(rt, labels[0], octant, checkpoint=checkpoint)
+        try:
+            p1_hrz_on_runtime(rt, labels[0], octant, checkpoint=checkpoint)
+        except _PastLastStep:
+            pass
         return views
 
     blocks: dict[int, dict[tuple, np.ndarray]] = {step: {} for step in steps}
@@ -185,11 +196,6 @@ def audit_no_signaling(
 # Transcript statistics for full protocol runs
 
 
-def transcript_signature(transcript: Transcript) -> tuple:
-    """The server-visible classical record of one run, as a flat tuple."""
-    return tuple(transcript.bob_classical_values())
-
-
 def _empirical_tv(group_a: list[tuple], group_b: list[tuple]) -> float:
     freq = [{k: c / len(g) for k, c in Counter(g).items()} for g in (group_a, group_b)]
     return total_variation(*freq)
@@ -219,7 +225,7 @@ def audit_transcript_tv(
         sigs = []
         for t in range(runs):
             res = run_protocol(config.with_seed(base + t))
-            sig = transcript_signature(res.transcript)
+            sig = res.transcript.bob_classical_values()
             if leak:
                 secret = tuple(
                     req.resolved_octants()
@@ -266,7 +272,7 @@ def audit_gadget_view_tv(
     Runs a single rotation gadget at two different octants and compares
     the exact distributions of everything the server sees classically
     (outcomes it measures plus messages it receives), with the client's
-    private coins marginalized by explicit enumeration. For the honest
+    secrets marginalized by explicit enumeration. For the honest
     gadgets the distance must vanish; with ``leak`` the secret octant is
     appended to every view, which must push the distance to one.
     """
@@ -276,19 +282,19 @@ def audit_gadget_view_tv(
         check_octant(gadget, octant)
     if state is None:
         state = haar_random_state(1, stream(99, "gadget-view-input"))
-    coins = [(0, 0, +1)]  # the prepare-only client's coins are enumerated
+    secrets = [(0, 0, +1)]  # the prepare-only client's secrets are enumerated
     if gadget == "hrz-sueki":
-        coins = [(h, p, s) for h in range(8) for p in (0, 1) for s in (+1, -1)]
-    weight = 1.0 / len(coins)
+        secrets = [(h, p, s) for h in range(8) for p in (0, 1) for s in (+1, -1)]
+    weight = 1.0 / len(secrets)
 
     def distribution(octant: int) -> dict:
         probs: dict = {}
-        for hidden in coins:
+        for hidden in secrets:
 
             def body(src: OutcomeSource):
                 rt, labels = QuantumRuntime.from_state(state, src, BOB, Transcript())
                 drive_gadget(gadget, rt, labels, octant, hidden)
-                return tuple(rt.tape.bob_classical_values())
+                return rt.tape.bob_classical_values()
 
             for br in enumerate_runs(body):
                 sig = br.value + ((octant,) if leak else ())
@@ -355,18 +361,6 @@ def client_quantum_actions(transcript: Transcript) -> set[str]:
             if op in ("prepare", "rotate", "discard", "measure"):
                 actions.add(op)
     return actions
-
-
-def client_to_server_traffic(transcript: Transcript) -> tuple[int, int]:
-    """(classical messages, qubit transfers) sent client to server."""
-    msgs = transfers = 0
-    for ev in transcript.events:
-        if ev.party == ALICE and ev.to == BOB:
-            if ev.kind == "msg":
-                msgs += 1
-            elif ev.kind == "transfer":
-                transfers += 1
-    return msgs, transfers
 
 
 def confirm_capability(transcript: Transcript, capability: str) -> AuditResult:

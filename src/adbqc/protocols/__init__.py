@@ -30,7 +30,6 @@ from .reference import (
     enumerated_distribution,
     reference_distribution,
     reference_state,
-    sampled_distribution,
     total_variation,
 )
 from .schedule import Layer, schedule
@@ -75,7 +74,6 @@ __all__ = [
     "run_protocol1",
     "run_protocol2",
     "run_sueki",
-    "sampled_distribution",
     "schedule",
     "solve_phase_choice",
     "total_variation",

@@ -369,7 +369,8 @@ def config_from_dict(data: dict) -> ProtocolConfig:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Self-contained description of a run.
+    """Self-contained description of a run, written as JSON; the command
+    line reads it back (``cli._read_config``, then ``config_from_dict``).
 
     Rerunning a manifest reproduces the transcript and report byte for
     byte; the creation timestamp is provenance only and takes no part in
@@ -391,14 +392,4 @@ class RunManifest:
             },
             sort_keys=True,
             indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        data = _typed("manifest", json.loads(text), dict, "an object")
-        return cls(
-            config=config_from_dict(_required(data, "config", "manifest")),
-            tool=data.get("tool", "adbqc"),
-            version=data.get("version", "0.1.0"),
-            created=data.get("created", ""),
         )

@@ -29,7 +29,7 @@ from ..transcript import ALICE, BOB, Transcript
 from . import gate_client, measure_client, sueki
 from .config import ProtocolConfig, VerificationReport
 from .schedule import Layer, schedule
-from .traps import TRAP_PREP_GATE, DecodedOutput, TrapLayout, decode_output, place_traps
+from .traps import TRAP_PREP_GATE, TrapLayout, decode_output, place_traps
 
 
 @dataclass
@@ -198,7 +198,6 @@ class RunResult:
     layout: TrapLayout
     frame: PauliFrame
     raw_bits: tuple[int, ...]
-    decoded: DecodedOutput
     attack_hits: tuple[tuple[str, int], ...]
 
 
@@ -242,7 +241,7 @@ def run(config: ProtocolConfig, outcomes: OutcomeSource | None = None) -> RunRes
         computation_bits=decoded.computation_bits,
         transcript_digest=session.rt.tape.digest(),
     )
-    return RunResult(session.rt.tape, report, layout, frame, raw, decoded, hits)
+    return RunResult(session.rt.tape, report, layout, frame, raw, hits)
 
 
 def _expect(config: ProtocolConfig, protocol: str) -> None:

@@ -8,7 +8,6 @@ logical register and the measurement statistics read off the final state.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import replace
 
 from ..gadgets import pattern_unitary
@@ -68,18 +67,6 @@ def enumerated_distribution(
         key = tuple(branch.value)
         out[key] = out.get(key, 0.0) + branch.probability
     return out
-
-
-def sampled_distribution(
-    run_protocol, config: ProtocolConfig, trials: int
-) -> dict[tuple[int, ...], float]:
-    """Monte Carlo decoded-output distribution over fresh seeds."""
-    quiet = replace(config, record_transcript=False)
-    counts: Counter = Counter()
-    for t in range(trials):
-        res = run_protocol(quiet.with_seed(config.seed + t))
-        counts[tuple(res.report.computation_bits)] += 1
-    return {bits: c / trials for bits, c in counts.items()}
 
 
 def total_variation(

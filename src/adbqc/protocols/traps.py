@@ -3,7 +3,10 @@
 A layout assigns each register position a role: computation slot or trap.
 Traps are single-qubit eigenstates prepared through the same gadget
 pipeline as everything else; at the end they are measured in their own
-basis and any frame-corrected mismatch is evidence of tampering.
+basis and any frame-corrected mismatch is evidence of tampering. The rule
+for which Pauli flips which reading (``reading_flip``) and the
+measure-only layout's roles (``thirds_roles``) live here once; decoding and
+the adversary's escape analyses both read them.
 
 The slot order is: computation slots first (in logical order), then traps.
 ``permutation[slot]`` is the physical register position of that slot, drawn
@@ -37,6 +40,21 @@ TRAP_PREP_GATE = {
 P2_TRAP_ROLES = ("zero", "one", "plus", "minus")
 
 
+def thirds_roles(num_qubits: int) -> tuple[str, ...]:
+    """Slot roles of the measure-only layout: equal thirds of computation
+    slots, |0> traps and |+> traps."""
+    if num_qubits % 3 != 0 or num_qubits <= 0:
+        raise ValueError("the thirds layout needs a positive multiple of 3")
+    width = num_qubits // 3
+    return ("compute",) * width + ("zero",) * width + ("plus",) * width
+
+
+def reading_flip(basis: str, x: int, z: int) -> int:
+    """Whether a pending X^x Z^z flips a reading in ``basis``: X flips a Z
+    reading, Z flips an X reading."""
+    return x if basis == "z" else z
+
+
 @dataclass(frozen=True)
 class TrapLayout:
     """Slot roles plus the slot-to-position permutation."""
@@ -65,9 +83,6 @@ class TrapLayout:
     def position_of_logical(self, q: int) -> int:
         return self.permutation[self.compute_slots[q]]
 
-    def role_at_position(self, pos: int) -> str:
-        return self.roles[self.permutation.index(pos)]
-
     def basis_plan(self, computation_plan: tuple[str, ...]) -> tuple[str, ...]:
         """Measurement basis per physical position."""
         bases = [""] * self.num_qubits
@@ -93,8 +108,7 @@ def place_traps(
     if protocol == "p1":
         if num_qubits % 3 != 0 or trap_count != 2 * num_qubits // 3:
             raise ValueError("p1 layouts need N divisible by 3 and 2N/3 traps")
-        width = num_qubits // 3
-        roles = ("compute",) * width + ("zero",) * width + ("plus",) * width
+        roles = thirds_roles(num_qubits)
     elif protocol == "p2":
         if not 0 < trap_count < num_qubits:
             raise ValueError("p2 trap count must satisfy 0 < traps < N")
@@ -124,17 +138,14 @@ def decode_output(
     layout: TrapLayout,
 ) -> DecodedOutput:
     """Frame-correct the raw output bits, unscramble the permutation and
-    check every trap.
-
-    A pending X flips Z-basis results; a pending Z flips X-basis results.
-    """
+    check every trap (``reading_flip`` says which pending Paulis flip a
+    reading)."""
     n = layout.num_qubits
     if len(raw_bits) != n or len(bases) != n or len(frame.x) != n:
         raise ValueError("raw bits, bases and frame must cover every position")
     corrected = []
     for pos in range(n):
-        flip = frame.x[pos] if bases[pos] == "z" else frame.z[pos]
-        corrected.append(raw_bits[pos] ^ flip)
+        corrected.append(raw_bits[pos] ^ reading_flip(bases[pos], frame.x[pos], frame.z[pos]))
     computation: list[int] = []
     errors = 0
     failed: list[int] = []

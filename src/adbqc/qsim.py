@@ -109,13 +109,6 @@ class StateVector:
         amps = amps / np.linalg.norm(amps)
         return cls(n, amps)
 
-    def tensor(self, other: "StateVector") -> "StateVector":
-        """Append ``other`` as the new most significant qubits."""
-        return StateVector(
-            self.num_qubits + other.num_qubits,
-            np.kron(other.amplitudes, self.amplitudes),
-        )
-
     def probability_weights(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -139,11 +132,6 @@ class DensityMatrix:
         if float(np.linalg.eigvalsh(m).min()) < PSD_FLOOR:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "entries", m)
-
-    @classmethod
-    def from_pure(cls, state: StateVector) -> "DensityMatrix":
-        v = state.amplitudes
-        return cls(state.num_qubits, np.outer(v, v.conj()))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -62,27 +62,15 @@ class OutcomeSource:
 
 
 class SampledOutcomes(OutcomeSource):
-    """Draws each outcome with Born probability from a generator or coin list."""
+    """Draws each outcome with Born probability: 0 when a uniform draw from
+    ``rng`` falls below the probability of 0."""
 
-    def __init__(self, rng: np.random.Generator | None = None,
-                 coins: Iterable[float] | None = None) -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
         super().__init__()
-        if (rng is None) == (coins is None):
-            raise ValueError("provide exactly one of rng or coins")
         self._rng = rng
-        self._coins = iter(coins) if coins is not None else None
 
     def take(self, p0: float) -> int:
-        if self._rng is not None:
-            coin = float(self._rng.random())
-        else:
-            try:
-                coin = float(next(self._coins))
-            except StopIteration:
-                raise ValueError("ran out of supplied coins") from None
-            if not 0.0 <= coin < 1.0:
-                raise ValueError(f"coin must lie in [0, 1), got {coin}")
-        bit = 0 if coin < p0 else 1
+        bit = 0 if float(self._rng.random()) < p0 else 1
         self.trace.append((bit, p0))
         return bit
 

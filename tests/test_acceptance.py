@@ -46,6 +46,7 @@ from adbqc.qsim import (
 )
 from adbqc.runtime import QuantumRuntime, enumerate_runs
 from adbqc.transcript import BOB
+from helpers import read_manifest
 
 from fractions import Fraction
 
@@ -264,9 +265,8 @@ def test_acceptance_9_determinism(acceptance):
     identical = True
     for config in configs:
         manifest = RunManifest(config=config, created="2026-08-16T00:00:00+00:00")
-        reloaded = RunManifest.from_json(manifest.to_json())
         first = runners[config.protocol](config)
-        again = runners[config.protocol](reloaded.config)
+        again = runners[config.protocol](read_manifest(manifest.to_json()))
         same_transcript = (
             first.transcript.to_jsonl().encode() == again.transcript.to_jsonl().encode()
         )

@@ -25,8 +25,6 @@ from adbqc.protocols.driver import apply_attack, new_session, register_label
 from adbqc.qsim import StateVector, fidelity_up_to_phase, haar_random_state, plus_state
 from adbqc.transcript import BOB
 
-_COMPUTE, _ZERO_TRAP, _PLUS_TRAP = 0, 1, 2
-
 
 # ---------------------------------------------------------------------------
 # Pauli application (the driver's attack) and the catch predicate
@@ -57,15 +55,21 @@ def test_apply_attack_examples():
 @pytest.mark.parametrize(
     "kind,role,caught",
     [
-        ("x", _COMPUTE, False),
-        ("x", _ZERO_TRAP, True),
-        ("x", _PLUS_TRAP, False),
-        ("z", _COMPUTE, False),
-        ("z", _ZERO_TRAP, False),
-        ("z", _PLUS_TRAP, True),
-        ("xz", _COMPUTE, False),
-        ("xz", _ZERO_TRAP, True),
-        ("xz", _PLUS_TRAP, True),
+        ("x", "compute", False),
+        ("x", "zero", True),
+        ("x", "one", True),
+        ("x", "plus", False),
+        ("x", "minus", False),
+        ("z", "compute", False),
+        ("z", "zero", False),
+        ("z", "one", False),
+        ("z", "plus", True),
+        ("z", "minus", True),
+        ("xz", "compute", False),
+        ("xz", "zero", True),
+        ("xz", "one", True),
+        ("xz", "plus", True),
+        ("xz", "minus", True),
     ],
 )
 def test_pauli_is_caught(kind, role, caught):
@@ -104,7 +108,7 @@ def test_escape_counts_by_brute_force():
     """Count ordered disjoint placements directly on a 6-slot register."""
     from itertools import permutations
 
-    roles = [_COMPUTE] * 2 + [_ZERO_TRAP] * 2 + [_PLUS_TRAP] * 2
+    roles = ["compute"] * 2 + ["zero"] * 2 + ["plus"] * 2
     for counts in [(1, 0, 0), (2, 0, 0), (1, 1, 0), (1, 1, 1), (0, 2, 1), (2, 2, 2)]:
         a, b, c = counts
         k = a + b + c
@@ -162,6 +166,14 @@ def test_monte_carlo_z_is_the_binomial_z_and_zero_without_spread():
     assert monte_carlo_z(0.0, 0.0, 10) == 0.0
     analysis = simulate_escape(9, (3, 0, 0), 500, rng.stream(403, "mc"))
     assert analysis.z_score == monte_carlo_z(analysis.estimate, analysis.exact, 500)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_monte_carlo_refuses_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        simulate_escape(9, (1, 0, 0), trials, rng.stream(404, "mc"))
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        simulate_tamper_acceptance(0.5, 4, trials, rng.stream(404, "mc"))
 
 
 def test_simulate_escape_rejects_overfull_attack():

@@ -1,0 +1,50 @@
+"""The names the benchmark looks up in the package still resolve.
+
+``bench/tracing.py`` wraps entry points it finds by module attribute, and
+``bench/workloads.py`` runs each protocol through the runner it names in
+``RUNNERS``. A refactor that drops or renames one of them fails here, in the
+tier-1 suite, and not only when the benchmark runs traced.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+import adbqc.protocols.driver
+import adbqc.protocols.measure_client
+import adbqc.protocols.sueki
+from adbqc import protocols
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# names that callers import by name and the tracer must reach there
+CALLER_NAMES = (
+    (adbqc.protocols.driver, "cz_on_runtime"),
+    (adbqc.protocols.measure_client, "h_cancel"),
+    (adbqc.protocols.sueki, "sueki_hrz_on_runtime"),
+)
+
+
+@pytest.fixture
+def bench_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module
+
+
+def test_every_runner_the_bench_names_resolves(bench_module):
+    runners = bench_module("workloads").RUNNERS
+    assert set(runners) == set(protocols.PROTOCOLS)
+    for name in runners.values():
+        assert callable(getattr(protocols, name))
+
+
+def test_the_bench_tracer_enters_and_leaves(bench_module):
+    tracer = bench_module("tracing").Tracer()
+    originals = [getattr(module, name) for module, name in CALLER_NAMES]
+    with tracer:
+        assert all(
+            getattr(module, name) is not original
+            for (module, name), original in zip(CALLER_NAMES, originals)
+        )
+    assert [getattr(module, name) for module, name in CALLER_NAMES] == originals

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adbqc import blindness, rng
 from adbqc.blindness import (
+    _bob_view_blocks,
     audit_gadget_view_tv,
     audit_no_signaling,
     audit_probe_gram,
@@ -17,7 +19,6 @@ from adbqc.blindness import (
     audit_transcript_tv,
     block_trace_distance,
     confirm_capability,
-    transcript_signature,
 )
 from adbqc.gadgets import announced_octant
 from adbqc.oracle import branch_table
@@ -28,7 +29,8 @@ from adbqc.protocols import (
     run_protocol2,
     run_sueki,
 )
-from adbqc.qsim import StateVector
+from adbqc.qsim import StateVector, haar_random_state
+from adbqc.runtime import enumerate_runs
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +88,26 @@ def test_no_signaling_refuses_to_compare_nothing(octants, steps):
 def test_no_signaling_refuses_a_step_the_gadget_never_marks():
     with pytest.raises(ValueError, match="marks no step 10"):
         audit_no_signaling(octants=(0, 1), steps=(10,))
+
+
+def test_shallow_no_signaling_ends_each_replay_at_its_last_step(monkeypatch):
+    """Asking for step 1 only replays the gadget up to step 1: it walks fewer
+    paths than the full audit and gives the same step-1 blocks."""
+    walked = []
+
+    def counted(run_fn):
+        branches = enumerate_runs(run_fn)
+        walked.append(len(branches))
+        return branches
+
+    monkeypatch.setattr(blindness, "enumerate_runs", counted)
+    state = haar_random_state(1, rng.stream(405, "shallow-no-signaling"))
+    shallow = _bob_view_blocks(1, state, (1,), leak=False)
+    full = _bob_view_blocks(1, state, tuple(range(1, 10)), leak=False)
+    assert walked[0] < walked[1]
+    assert shallow[1].keys() == full[1].keys()
+    for key, rho in shallow[1].items():
+        assert np.allclose(rho, full[1][key], atol=1e-12)
 
 
 def test_block_trace_distance_handles_disjoint_keys():
@@ -218,7 +240,7 @@ def test_measure_only_server_view_has_no_classical_values():
     """The measure-only client announces nothing, so the server's classical
     record is empty and run transcripts are blind by construction."""
     res = run_protocol1(ProtocolConfig("p1", 3, 1, seed=8))
-    assert transcript_signature(res.transcript) == ()
+    assert res.transcript.bob_classical_values() == ()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ The gadget algebra is checked against explicit matrix identities built with
 raw numpy, never against the gadget code itself.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from adbqc.qsim import (
     rx_matrix,
     rz_matrix,
 )
-from adbqc.runtime import QuantumRuntime, SampledOutcomes
+from adbqc.runtime import QuantumRuntime, ReplayOutcomes
 from adbqc.transcript import BOB
 
 H = Gate.h().matrix
@@ -52,8 +54,9 @@ def proportional(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool:
     return bool(np.allclose(a, phase * (na / nb) * b, atol=atol))
 
 
-def fresh_runtime(state: StateVector, coins) -> tuple[QuantumRuntime, list[str]]:
-    return QuantumRuntime.from_state(state, SampledOutcomes(coins=coins), BOB)
+def fresh_runtime(state: StateVector, outcomes) -> tuple[QuantumRuntime, list[str]]:
+    """A runtime holding ``state`` whose first measurements give ``outcomes``."""
+    return QuantumRuntime.from_state(state, ReplayOutcomes(outcomes), BOB)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +242,7 @@ def test_announced_octant_covers_octants_two_to_one():
 
 
 @pytest.mark.parametrize("octant", range(8))
-@pytest.mark.parametrize("coin_pair", [(0.001, 0.001), (0.001, 0.999), (0.999, 0.001), (0.999, 0.999)])
+@pytest.mark.parametrize("coin_pair", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_sueki_gadget_soundness(octant, coin_pair):
     """Every realized branch equals H R_Z(k pi/4) after the frame correction."""
     state = haar_random_state(1, rng.stream(151, "sueki-state", octant))
@@ -255,16 +258,16 @@ def test_sueki_gadget_soundness(octant, coin_pair):
 
 def test_sueki_gadget_branch_weights_on_zero_input():
     """Hiding octant 2 makes all four outcome branches weight 1/4."""
-    for coins in ((0.2, 0.2), (0.2, 0.8), (0.8, 0.2), (0.8, 0.8)):
-        rt, labels = fresh_runtime(StateVector.zero(1), coins)
+    for outcomes in itertools.product((0, 1), repeat=2):
+        rt, labels = fresh_runtime(StateVector.zero(1), outcomes)
         sueki_hrz_on_runtime(rt, labels[0], 0, hiding_octant=2, pad_bit=0)
         assert rt.outcomes.path_probability() == pytest.approx(0.25, abs=1e-12)
 
 
 def test_sueki_gadget_prep_sign_branches():
     state = haar_random_state(1, rng.stream(152, "sueki-sign"))
-    for coins in ((0.1, 0.1), (0.9, 0.9)):
-        rt, labels = fresh_runtime(state, coins)
+    for outcomes in ((0, 0), (1, 1)):
+        rt, labels = fresh_runtime(state, outcomes)
         res = sueki_hrz_on_runtime(
             rt, labels[0], 5, hiding_octant=6, pad_bit=0, prep_sign=-1
         )
@@ -283,7 +286,8 @@ def test_sueki_gadget_prep_sign_branches():
 @pytest.mark.parametrize("coin", [0.25, 0.75])
 def test_cz_gadget_soundness(coin):
     state = haar_random_state(2, rng.stream(153, "cz-state"))
-    rt, labels = fresh_runtime(state, (coin,))
+    # the outcome a uniform draw ``coin`` picks on the gadget's fair branch
+    rt, labels = fresh_runtime(state, (int(coin >= 0.5),))
     s = cz_on_runtime(rt, labels[0], labels[1])
     corrected = PauliFrame((0, 0), (s, 0)).matrix_on(rt.snapshot(labels))
     want = apply_gate(state, Gate.cz(), [0, 1])
@@ -292,8 +296,8 @@ def test_cz_gadget_soundness(coin):
 
 def test_cz_gadget_outcome_is_fair_coin():
     state = haar_random_state(2, rng.stream(154, "cz-prob"))
-    for coin, want in ((0.25, 0), (0.75, 1)):
-        rt, labels = fresh_runtime(state, (coin,))
+    for want in (0, 1):
+        rt, labels = fresh_runtime(state, (want,))
         assert cz_on_runtime(rt, labels[0], labels[1]) == want
         assert rt.outcomes.path_probability() == pytest.approx(0.5, abs=1e-12)
 

@@ -7,7 +7,7 @@ import pytest
 
 from adbqc import rng
 from adbqc.adversary import escape_probability_exact
-from adbqc.blindness import client_to_server_traffic, confirm_capability
+from adbqc.blindness import confirm_capability
 from adbqc.gadgets import PauliFrame, octant_angle
 from adbqc.protocols import (
     AdversaryConfig,
@@ -17,7 +17,6 @@ from adbqc.protocols import (
     decode_output,
     place_traps,
     run_protocol1,
-    sampled_distribution,
 )
 from adbqc.protocols.measure_client import (
     classify_angle,
@@ -34,8 +33,9 @@ from adbqc.qsim import (
     plus_state,
     trace_distance,
 )
-from adbqc.runtime import QuantumRuntime, SampledOutcomes, enumerate_runs
+from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
+from helpers import client_to_server_traffic, sampled_distribution
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +74,7 @@ def test_gadget_soundness_all_branches(octant):
     state = haar_random_state(1, rng.stream(200, "p1-state", octant))
     want = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
     for bits in itertools.product((0, 1), repeat=3):
-        coins = tuple(0.2 if b == 0 else 0.8 for b in bits)
-        rt, labels = QuantumRuntime.from_state(
-            state, SampledOutcomes(coins=coins), BOB, Transcript()
-        )
+        rt, labels = QuantumRuntime.from_state(state, ReplayOutcomes(bits), BOB, Transcript())
         delta = p1_hrz_on_runtime(rt, labels[0], octant)
         outcomes = [ev for ev in rt.tape.events if ev.kind == "outcome" and ev.party == ALICE]
         assert len(outcomes) == 3
@@ -87,8 +84,8 @@ def test_gadget_soundness_all_branches(octant):
 
 def test_first_bell_half_becomes_z_padded_plus():
     """Case b: after the client's X measurement the kept half is Z^a |+>."""
-    for coin, a_bit in ((0.2, 0), (0.8, 1)):
-        rt = QuantumRuntime(SampledOutcomes(coins=(coin, 0.3, 0.3)))
+    for a_bit in (0, 1):
+        rt = QuantumRuntime(ReplayOutcomes((a_bit,)))
         rt.load(StateVector.zero(1), ["r0"], BOB)
         grabbed = {}
 
@@ -102,8 +99,8 @@ def test_first_bell_half_becomes_z_padded_plus():
 
 
 def test_case_a_first_bell_half_collapses_computationally():
-    for coin, a_bit in ((0.2, 0), (0.8, 1)):
-        rt = QuantumRuntime(SampledOutcomes(coins=(coin, 0.3, 0.3)))
+    for a_bit in (0, 1):
+        rt = QuantumRuntime(ReplayOutcomes((a_bit,)))
         rt.load(StateVector.zero(1), ["r0"], BOB)
         grabbed = {}
 
@@ -119,7 +116,7 @@ def test_case_a_first_bell_half_collapses_computationally():
 def test_client_discard_leaves_server_density_unchanged():
     """The undriven ancilla factors out, so discarding it is invisible."""
     state = haar_random_state(1, rng.stream(201, "p1-discard"))
-    rt = QuantumRuntime(SampledOutcomes(coins=(0.2, 0.8, 0.2)))
+    rt = QuantumRuntime(ReplayOutcomes((0, 1, 0)))
     rt.load(state, ["r0"], BOB)
     captured = {}
 
@@ -201,12 +198,15 @@ def test_layout_permutation_is_uniform():
         assert abs(c - trials / 3) <= 4 * sigma
 
 
+def role_at(layout: TrapLayout, pos: int) -> str:
+    return layout.roles[layout.permutation.index(pos)]
+
+
 def test_layout_accessors():
     layout = TrapLayout(3, (2, 0, 1), ("compute", "zero", "plus"))
     assert layout.compute_slots == (0,)
     assert layout.position_of_logical(0) == 2
-    assert layout.role_at_position(0) == "zero"
-    assert layout.role_at_position(1) == "plus"
+    assert [role_at(layout, pos) for pos in (0, 1)] == ["zero", "plus"]
     assert layout.basis_plan(("x",)) == ("z", "x", "x")
 
 
@@ -292,7 +292,7 @@ def test_forced_single_pauli_exhaustive(kind, expected_escapes):
             kind="random_pauli", pauli_counts=counts, pauli_positions=((kind, pos),)
         )
         res = run_protocol1(p1_config(seed=31, adversary=adv))
-        role = res.layout.role_at_position(pos)
+        role = role_at(res.layout, pos)
         assert res.attack_hits == ((kind, pos),)
         # Z-basis zero traps flag bit flips, X-basis plus traps flag phase flips.
         caught = ("x" in kind and role == "zero") or ("z" in kind and role == "plus")

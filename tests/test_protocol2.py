@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adbqc import rng
-from adbqc.blindness import client_to_server_traffic, confirm_capability
+from adbqc.blindness import confirm_capability
 from adbqc.gadgets import PauliFrame, octant_angle
 from adbqc.protocols import (
     AdversaryConfig,
@@ -22,8 +22,15 @@ from adbqc.qsim import (
     fidelity_up_to_phase,
     haar_random_state,
 )
-from adbqc.runtime import QuantumRuntime, SampledOutcomes, enumerate_runs
+from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
+from helpers import client_to_server_traffic
+
+
+def fair_coin(coin: float) -> ReplayOutcomes:
+    """The outcome a uniform draw ``coin`` picks on a branch of weight 1/2
+    (0 below 1/2, 1 above), forced."""
+    return ReplayOutcomes((int(coin >= 0.5),))
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +43,7 @@ def test_gadget_soundness(octant, coin):
     """Returned-ancilla gadget equals H R_Z(k pi/4) after the X correction."""
     state = haar_random_state(1, rng.stream(300, "p2-state", octant))
     want = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
-    rt, labels = QuantumRuntime.from_state(
-        state, SampledOutcomes(coins=(coin,)), BOB, Transcript()
-    )
+    rt, labels = QuantumRuntime.from_state(state, fair_coin(coin), BOB, Transcript())
     delta = p2_hrz_on_runtime(rt, labels[0], octant)
     (announced,) = [ev.payload["bit"] for ev in rt.tape.events if ev.kind == "outcome"]
     assert delta == announced
@@ -49,7 +54,7 @@ def test_gadget_soundness(octant, coin):
 @pytest.mark.parametrize("coin,outcome", [(0.2, 0), (0.8, 1)])
 def test_gadget_outcome_is_a_fair_coin(coin, outcome):
     """The announced bit carries no angle information: both paths weigh 1/2."""
-    rt = QuantumRuntime(SampledOutcomes(coins=(coin,)))
+    rt = QuantumRuntime(fair_coin(coin))
     rt.load(StateVector.zero(1), ["r0"], BOB)
     s = p2_hrz_on_runtime(rt, "r0", 1)
     assert s == outcome

@@ -2,20 +2,16 @@
 
 import pytest
 
-from adbqc.blindness import (
-    client_quantum_actions,
-    client_to_server_traffic,
-    confirm_capability,
-)
+from adbqc.blindness import client_quantum_actions, confirm_capability
 from adbqc.protocols import (
     GateRequest,
     ProtocolConfig,
     enumerated_distribution,
     reference_distribution,
     run_sueki,
-    sampled_distribution,
     total_variation,
 )
+from helpers import client_to_server_traffic, sampled_distribution
 
 
 def sueki_config(algorithm, qubits=1, depth=1, seed=5, **kw) -> ProtocolConfig:

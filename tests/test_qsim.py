@@ -35,7 +35,14 @@ from adbqc.qsim import (
     rz_matrix,
     trace_distance,
 )
-from adbqc.runtime import QuantumRuntime, RunBranch, SampledOutcomes, enumerate_runs
+from adbqc.runtime import (
+    OutcomeSource,
+    QuantumRuntime,
+    ReplayOutcomes,
+    RunBranch,
+    SampledOutcomes,
+    enumerate_runs,
+)
 from adbqc.transcript import BOB
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -77,13 +84,15 @@ def projection_weight(psi: np.ndarray, qubit: int, eigen: np.ndarray) -> float:
     return acc
 
 
-def measure(state: StateVector, qubit: int, basis: MeasurementBasis, coin: float):
-    """One runtime measurement of ``state`` driven by ``coin``.
+def measure(
+    state: StateVector, qubit: int, basis: MeasurementBasis, outcomes: OutcomeSource
+):
+    """One runtime measurement of ``state`` whose outcome ``outcomes`` gives.
 
     Returns (outcome, probability of the outcome, post-measurement state);
     the measured qubit stays in the state, collapsed onto its eigenstate.
     """
-    rt, labels = QuantumRuntime.from_state(state, SampledOutcomes(coins=(coin,)), BOB)
+    rt, labels = QuantumRuntime.from_state(state, outcomes, BOB)
     outcome, probability = rt.measure(labels[qubit], basis)
     return outcome, probability, rt.snapshot()
 
@@ -148,13 +157,16 @@ def test_little_endian_indexing():
 
 
 def test_tensor_appends_high_bits():
-    low = StateVector.of([0.0, 1.0])  # |1>
-    high = StateVector.zero(1)
-    joint = low.tensor(high)
-    assert joint.num_qubits == 2
-    assert np.allclose(joint.amplitudes, [0, 1, 0, 0], atol=1e-12)
-    other = high.tensor(low)  # the argument becomes the new high bit
-    assert np.allclose(other.amplitudes, [0, 0, 1, 0], atol=1e-12)
+    """A qubit added to the runtime, or a state loaded into it, becomes its
+    most significant bits."""
+    one = StateVector.of([0.0, 1.0])
+    rt, _ = QuantumRuntime.from_state(one, ReplayOutcomes(()), BOB)
+    rt.add_qubit("high", ZERO_AMPS, BOB)
+    assert rt.num_qubits == 2
+    assert np.allclose(rt.snapshot().amplitudes, [0, 1, 0, 0], atol=1e-12)
+    rt, _ = QuantumRuntime.from_state(StateVector.zero(1), ReplayOutcomes(()), BOB)
+    rt.load(one, ["high"], BOB)
+    assert np.allclose(rt.snapshot().amplitudes, [0, 0, 1, 0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +268,15 @@ def test_apply_gate_rejects_bad_targets():
 
 def test_measure_plus_in_x_is_deterministic():
     plus = StateVector.of(plus_state(np.pi / 2, 0.0))
-    outcome, probability, _ = measure(plus, 0, MeasurementBasis.x(), coin=0.999999)
+    outcome, probability, _ = measure(plus, 0, MeasurementBasis.x(), ReplayOutcomes((0,)))
     assert outcome == 0
     assert probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_zero_in_x_is_fair():
-    out0, prob0, _ = measure(StateVector.zero(1), 0, MeasurementBasis.x(), coin=0.25)
-    out1, prob1, _ = measure(StateVector.zero(1), 0, MeasurementBasis.x(), coin=0.75)
+    zero = StateVector.zero(1)
+    out0, prob0, _ = measure(zero, 0, MeasurementBasis.x(), ReplayOutcomes((0,)))
+    out1, prob1, _ = measure(zero, 0, MeasurementBasis.x(), ReplayOutcomes((1,)))
     assert (out0, out1) == (0, 1)
     assert prob0 == pytest.approx(0.5, abs=1e-12)
     assert prob1 == pytest.approx(0.5, abs=1e-12)
@@ -272,28 +285,29 @@ def test_measure_zero_in_x_is_fair():
 def test_measure_tilted_state_in_z():
     """cos(pi/6)^2 = 3/4 lands on outcome 0."""
     state = StateVector.of(plus_state(np.pi / 3, np.pi / 2))
-    outcome, probability, _ = measure(state, 0, MeasurementBasis.z(), coin=0.74)
+    outcome, probability, _ = measure(state, 0, MeasurementBasis.z(), ReplayOutcomes((0,)))
     assert outcome == 0
     assert probability == pytest.approx(0.75, abs=1e-12)
-    outcome, probability, _ = measure(state, 0, MeasurementBasis.z(), coin=0.76)
+    outcome, probability, _ = measure(state, 0, MeasurementBasis.z(), ReplayOutcomes((1,)))
     assert outcome == 1
     assert probability == pytest.approx(0.25, abs=1e-12)
 
 
 def test_measure_coin_boundary_is_half_open():
-    """Outcome 0 exactly when coin < p0, checked where p0 is 0 or 1."""
+    """Outcome 0 exactly when the draw is below p0, so a sampled outcome
+    of probability 0 never occurs: checked where p0 is 1 and 0."""
     zero = StateVector.zero(1)
     one = StateVector.of([0.0, 1.0])
-    assert measure(zero, 0, MeasurementBasis.z(), coin=0.9999999)[0] == 0
-    assert measure(one, 0, MeasurementBasis.z(), coin=0.0)[0] == 1
+    gen = rng.stream(90, "qsim-boundary")
+    for _ in range(100):
+        assert measure(zero, 0, MeasurementBasis.z(), SampledOutcomes(gen))[0] == 0
+        assert measure(one, 0, MeasurementBasis.z(), SampledOutcomes(gen))[0] == 1
 
 
-@pytest.mark.parametrize("coin", [1.0, 1.5, -0.1])
-def test_supplied_coins_must_lie_in_unit_interval(coin):
-    """A coin of 1 would pick outcome 1 of |0> in Z: an impossible outcome."""
-    rt = QuantumRuntime(SampledOutcomes(coins=(coin,)))
-    rt.add_qubit("q", np.array([1, 0], dtype=complex), BOB)
-    with pytest.raises(ValueError, match=r"coin must lie in \[0, 1\)"):
+def test_forced_outcome_of_zero_probability_is_refused():
+    rt = QuantumRuntime(ReplayOutcomes((1,)))
+    rt.add_qubit("q", ZERO_AMPS, BOB)
+    with pytest.raises(ValueError, match="forced outcome 1 at step 0 has zero probability"):
         rt.measure("q", MeasurementBasis.z())
 
 
@@ -307,7 +321,7 @@ def test_measure_probability_matches_projection(trial):
     p0 = projection_weight(state.amplitudes, qubit, basis.eigenstates[0])
     p1 = projection_weight(state.amplitudes, qubit, basis.eigenstates[1])
     assert p0 + p1 == pytest.approx(1.0, abs=1e-10)
-    outcome, probability, post = measure(state, qubit, basis, coin=0.0 if p0 > 0 else 0.5)
+    outcome, probability, post = measure(state, qubit, basis, ReplayOutcomes(()))
     assert probability == pytest.approx(p0 if outcome == 0 else p1, abs=1e-10)
     assert post.num_qubits == n
     assert abs(np.linalg.norm(post.amplitudes) - 1.0) < 1e-9
@@ -315,7 +329,7 @@ def test_measure_probability_matches_projection(trial):
 
 def test_measure_post_state_is_eigenstate():
     state = haar_random_state(2, rng.stream(92, "post"))
-    rt, labels = QuantumRuntime.from_state(state, SampledOutcomes(coins=(0.3, 0.3)), BOB)
+    rt, labels = QuantumRuntime.from_state(state, ReplayOutcomes(()), BOB)
     outcome, _ = rt.measure(labels[1], MeasurementBasis.x())
     again, probability = rt.measure(labels[1], MeasurementBasis.x())
     assert again == outcome
@@ -363,7 +377,7 @@ def test_sampled_outcomes_track_born_rule():
     gen = rng.stream(93, "qsim-sampling")
     trials = 10_000
     zeros = sum(
-        measure(state, 0, MeasurementBasis.z(), coin=float(gen.random()))[0] == 0
+        measure(state, 0, MeasurementBasis.z(), SampledOutcomes(gen))[0] == 0
         for _ in range(trials)
     )
     sigma = np.sqrt(trials * 0.75 * 0.25)
@@ -416,7 +430,7 @@ def test_enumeration_matches_sequential_sampling():
     trials = 10_000
     counts = {b.outcomes: 0 for b in branches}
     for _ in range(trials):
-        source = SampledOutcomes(coins=[float(gen.random()), float(gen.random())])
+        source = SampledOutcomes(gen)
         run_program(initial, program, source)
         counts[source.bits] += 1
     for b in branches:
@@ -429,8 +443,7 @@ def test_enumeration_matches_sequential_sampling():
 
 
 def test_partial_trace_of_product_state():
-    one = StateVector.of([0.0, 1.0])
-    joint = StateVector.zero(1).tensor(one)  # |q1=1, q0=0>
+    joint = StateVector.of([0.0, 0.0, 1.0, 0.0])  # |q1=1, q0=0>
     rho0 = partial_trace(joint, keep=[0])
     assert np.allclose(rho0.entries, [[1, 0], [0, 0]], atol=1e-12)
     rho1 = partial_trace(joint, keep=[1])
@@ -474,8 +487,8 @@ def test_fidelity_of_zero_and_plus():
 
 
 def test_trace_distance_extremes():
-    zero = DensityMatrix.from_pure(StateVector.zero(1))
-    one = DensityMatrix.from_pure(StateVector.of([0.0, 1.0]))
+    zero = DensityMatrix(1, np.diag([1.0, 0.0]))
+    one = DensityMatrix(1, np.diag([0.0, 1.0]))
     mixed = DensityMatrix(1, np.eye(2, dtype=complex) / 2)
     assert trace_distance(zero, one) == pytest.approx(1.0, abs=1e-12)
     assert trace_distance(zero, zero) == pytest.approx(0.0, abs=1e-12)
