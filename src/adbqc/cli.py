@@ -35,8 +35,7 @@ from .blindness import (
     audit_transcript_tv,
 )
 from .oracle import ORACLE_GADGETS, branch_table, table_passes
-from .protocols import AdversaryConfig, HONEST, RunManifest, config_from_dict, run
-from .protocols.config import _typed
+from .protocols import AdversaryConfig, HONEST, RunManifest, config_from_dict, config_object, run
 from .qsim import GADGET_FIDELITY_ATOL, MONTE_CARLO_Z_BOUND, PROBABILITY_SLACK
 
 EXIT_OK = 0
@@ -59,10 +58,9 @@ def _emit(payload: dict) -> None:
 
 
 def _read_config(path: str) -> dict:
-    """The config object of a config file, or of a manifest, which nests it."""
+    """The config object of a config file or a manifest file."""
     with open(path) as fh:
-        data = _typed("config", json.load(fh), dict, "an object")
-    return _typed("config", data.get("config", data), dict, "an object")
+        return config_object(json.load(fh))
 
 
 def parse_adversary(spec: str) -> AdversaryConfig:

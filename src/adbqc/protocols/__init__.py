@@ -11,6 +11,7 @@ from .config import (
     RunManifest,
     VerificationReport,
     config_from_dict,
+    config_object,
     config_to_dict,
 )
 from .driver import (
@@ -60,6 +61,7 @@ __all__ = [
     "classify_angle",
     "compile_layers",
     "config_from_dict",
+    "config_object",
     "config_to_dict",
     "decode_output",
     "enumerated_distribution",

@@ -369,8 +369,8 @@ def config_from_dict(data: dict) -> ProtocolConfig:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Self-contained description of a run, written as JSON; the command
-    line reads it back (``cli._read_config``, then ``config_from_dict``).
+    """Self-contained description of a run, written as JSON and read back
+    by ``config_object``, then ``config_from_dict``.
 
     Rerunning a manifest reproduces the transcript and report byte for
     byte; the creation timestamp is provenance only and takes no part in
@@ -393,3 +393,12 @@ class RunManifest:
             sort_keys=True,
             indent=2,
         )
+
+
+def config_object(data) -> dict:
+    """The config object of a parsed config file, or of a manifest, which
+    nests it under ``config``: the one reader of what ``to_json`` writes."""
+    data = _typed("config", data, dict, "an object")
+    if data.keys() & {"tool", "version", "config"}:  # a manifest's keys
+        data = _required(data, "config", "manifest")
+    return _typed("config", data, dict, "an object")

@@ -106,9 +106,9 @@ def place_traps(
     uniformly from {|0>, |1>, |+>, |->}.
     """
     if protocol == "p1":
-        if num_qubits % 3 != 0 or trap_count != 2 * num_qubits // 3:
-            raise ValueError("p1 layouts need N divisible by 3 and 2N/3 traps")
         roles = thirds_roles(num_qubits)
+        if trap_count != 2 * num_qubits // 3:
+            raise ValueError("p1 layouts need 2N/3 traps")
     elif protocol == "p2":
         if not 0 < trap_count < num_qubits:
             raise ValueError("p2 trap count must satisfy 0 < traps < N")

@@ -1,21 +1,16 @@
 """Small readers over run results that only the tests need."""
 
-import tempfile
+import json
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
-from adbqc.cli import _read_config
-from adbqc.protocols import ProtocolConfig, config_from_dict
+from adbqc.protocols import ProtocolConfig, config_from_dict, config_object
 from adbqc.transcript import ALICE, BOB, Transcript
 
 
 def read_manifest(text: str) -> ProtocolConfig:
     """The config of manifest ``text``, read as ``adbqc run --config`` reads it."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "manifest.json"
-        path.write_text(text, encoding="utf-8")
-        return config_from_dict(_read_config(str(path)))
+    return config_from_dict(config_object(json.loads(text)))
 
 
 def client_to_server_traffic(transcript: Transcript) -> tuple[int, int]:

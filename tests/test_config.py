@@ -371,8 +371,9 @@ def test_manifest_roundtrip():
 @pytest.mark.parametrize(
     "text,message",
     [
-        ('{"tool": "adbqc"}', "config needs num_register_qubits"),
-        ("[1, 2]", "config must be an object"),
+        pytest.param('{"tool": "adbqc"}', "manifest needs config", id="no-config"),
+        pytest.param('{"config": 3}', "config must be an object", id="bad-config"),
+        pytest.param("[1, 2]", "config must be an object", id="not-an-object"),
     ],
 )
 def test_manifest_reader_names_what_is_wrong(text, message):

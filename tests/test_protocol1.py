@@ -178,9 +178,9 @@ def test_p1_layout_uses_equal_thirds():
 
 
 def test_p1_layout_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive multiple of 3"):
         place_traps(4, 2, "p1", rng.stream(203, "layout"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2N/3 traps"):
         place_traps(9, 3, "p1", rng.stream(203, "layout"))
     with pytest.raises(ValueError):
         place_traps(3, 2, "teleport", rng.stream(203, "layout"))

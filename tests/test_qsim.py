@@ -293,11 +293,25 @@ def test_measure_tilted_state_in_z():
     assert probability == pytest.approx(0.25, abs=1e-12)
 
 
+class _FixedDraw:
+    """Stands in for a generator: ``random()`` returns one chosen draw."""
+
+    def __init__(self, draw: float) -> None:
+        self.draw = draw
+
+    def random(self) -> float:
+        return self.draw
+
+
 def test_measure_coin_boundary_is_half_open():
     """Outcome 0 exactly when the draw is below p0, so a sampled outcome
-    of probability 0 never occurs: checked where p0 is 1 and 0."""
+    of probability 0 never occurs: checked where p0 is 1 and 0, at the
+    extreme draws and at sampled ones."""
     zero = StateVector.zero(1)
     one = StateVector.of([0.0, 1.0])
+    top = SampledOutcomes(_FixedDraw(1.0 - 2.0**-53))
+    assert measure(zero, 0, MeasurementBasis.z(), top)[0] == 0
+    assert measure(one, 0, MeasurementBasis.z(), SampledOutcomes(_FixedDraw(0.0)))[0] == 1
     gen = rng.stream(90, "qsim-boundary")
     for _ in range(100):
         assert measure(zero, 0, MeasurementBasis.z(), SampledOutcomes(gen))[0] == 0
