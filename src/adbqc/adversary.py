@@ -27,6 +27,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from .protocols.driver import pauli_hits
 from .protocols.traps import TRAP_STATES, reading_flip, thirds_roles
 from .qsim import PROBABILITY_SLACK, RZ_BY_OCTANT, StateVector, apply_gate
 
@@ -36,8 +37,7 @@ def pauli_is_caught(kind: str, role: str) -> bool:
     ``role`` ("compute" or a ``TRAP_STATES`` key) trips a trap there."""
     if role == "compute":
         return False
-    basis, _ = TRAP_STATES[role]
-    return bool(reading_flip(basis, "x" in kind, "z" in kind))
+    return bool(reading_flip(TRAP_STATES[role][0], "x" in kind, "z" in kind))
 
 
 def _check_trials(trials: int) -> None:
@@ -109,25 +109,20 @@ def simulate_escape(
 ) -> EscapeAnalysis:
     """Monte Carlo of the detection process over random error positions.
 
-    Samples the disjoint error positions exactly as a protocol run does and
-    asks ``pauli_is_caught`` of each hit (the layout symmetry above fixes
-    the roles without loss of generality).
+    Draws each trial's hits with ``driver.pauli_hits``, as a protocol run
+    does, and asks ``pauli_is_caught`` of each hit (the layout symmetry
+    above fixes the roles without loss of generality).
     """
     _check_trials(trials)
     roles = thirds_roles(num_qubits)
-    a, b, c = pauli_counts
-    if a + b + c > num_qubits:
-        raise ValueError("more errors than positions")
-    kinds = ("x",) * a + ("z",) * b + ("xz",) * c
     escaped = 0
     for _ in range(trials):
-        pos = rng.permutation(num_qubits)[: len(kinds)]
-        caught = any(pauli_is_caught(kind, roles[p]) for kind, p in zip(kinds, pos))
-        escaped += 0 if caught else 1
+        hits = pauli_hits(pauli_counts, num_qubits, rng)
+        escaped += not any(pauli_is_caught(kind, roles[p]) for kind, p in hits)
     exact = float(escape_probability_exact(num_qubits, pauli_counts))
     estimate = escaped / trials
     z = monte_carlo_z(estimate, exact, trials)
-    return EscapeAnalysis(trials, escaped, estimate, exact, escape_bound(a + b + c), z)
+    return EscapeAnalysis(trials, escaped, estimate, exact, escape_bound(sum(pauli_counts)), z)
 
 
 def monte_carlo_z(estimate: float, exact: float, trials: int) -> float:

@@ -10,9 +10,6 @@ Four angles of attack:
   the server-visible classical record does not separate two angle choices;
 - the entangled-probe analysis of the lent-ancilla gadget, with the
   closed-form Gram matrix as the oracle.
-
-Each audit also runs with a deliberately leaky variant in the tests, to
-show it would catch a real leak.
 """
 
 from __future__ import annotations
@@ -106,7 +103,7 @@ class _PastLastStep(Exception):
 
 
 def _bob_view_blocks(
-    octant: int, state: StateVector, steps: Sequence[int], leak: bool
+    octant: int, state: StateVector, steps: Sequence[int]
 ) -> dict[int, dict[tuple, np.ndarray]]:
     """Server view at each checkpoint in ``steps``, as subnormalized density
     blocks keyed by the server-visible classical record, summed over the
@@ -121,10 +118,7 @@ def _bob_view_blocks(
 
         def checkpoint(at: int) -> None:
             if at in steps:
-                key = rt.tape.bob_classical_values()
-                if leak:
-                    key = key + (octant % 8,)
-                views.append((at, key, rt.density_of(BOB)))
+                views.append((at, rt.tape.bob_classical_values(), rt.density_of(BOB)))
             if at == last:
                 raise _PastLastStep
 
@@ -157,7 +151,6 @@ def audit_no_signaling(
     state: StateVector | None = None,
     octants: Sequence[int] = tuple(range(8)),
     steps: Sequence[int] = tuple(range(1, 10)),
-    leak: bool = False,
     seed: int = 404,
 ) -> AuditResult:
     """Exact check that the server's view of the measure-only rotation
@@ -173,7 +166,7 @@ def audit_no_signaling(
     if state is None:
         state = haar_random_state(1, stream(seed, "no-signaling-state"))
     octants = [k % 8 for k in octants]
-    views = {k: _bob_view_blocks(k, state, steps, leak) for k in octants}
+    views = {k: _bob_view_blocks(k, state, steps) for k in octants}
     worst = 0.0
     worst_at: tuple | None = None
     for step in steps:
@@ -208,33 +201,23 @@ def audit_transcript_tv(
     runs: int = 200,
     resamples: int = 200,
     seed: int = 1000,
-    leak: bool = False,
 ) -> AuditResult:
     """Permutation test on server-visible transcripts of two angle choices.
 
     Two groups of runs (independent seeds) are reduced to their classical
     signatures; the observed total-variation distance is compared against a
-    null distribution obtained by pooling and resplitting. With ``leak``
-    the hidden octants are appended to each signature, which any working
-    audit must flag.
+    null distribution obtained by pooling and resplitting. A null threshold
+    of 1 or more, the largest total variation, could reject nothing (as when
+    every run's signature is unique), so it is refused.
     """
     if runs < 1 or resamples < 1:
         raise ValueError("the transcript audit needs at least one run and one resample")
 
     def gather(config, base: int) -> list[tuple]:
-        sigs = []
-        for t in range(runs):
-            res = run_protocol(config.with_seed(base + t))
-            sig = res.transcript.bob_classical_values()
-            if leak:
-                secret = tuple(
-                    req.resolved_octants()
-                    for req in config.algorithm
-                    if req.kind == "su"
-                )
-                sig = sig + (secret,)
-            sigs.append(sig)
-        return sigs
+        return [
+            run_protocol(config.with_seed(base + t)).transcript.bob_classical_values()
+            for t in range(runs)
+        ]
 
     group_a = gather(config_a, seed)
     group_b = gather(config_b, seed + runs)
@@ -250,6 +233,11 @@ def audit_transcript_tv(
         right = [pool[i] for i in perm[half:]]
         null[r] = _empirical_tv(left, right)
     threshold = float(np.mean(null) + NULL_SIGMAS * np.std(null))
+    if threshold >= 1.0:
+        raise ValueError(
+            f"the transcript audit's null threshold {threshold:.3f} is at least 1, "
+            "the largest total variation, so it could reject nothing"
+        )
     return AuditResult(
         name="transcript_tv",
         passed=observed <= threshold,
@@ -265,7 +253,6 @@ def audit_gadget_view_tv(
     octant_a: int,
     octant_b: int,
     state: StateVector | None = None,
-    leak: bool = False,
 ) -> AuditResult:
     """Exact total variation between the server's views of one gadget.
 
@@ -273,8 +260,7 @@ def audit_gadget_view_tv(
     the exact distributions of everything the server sees classically
     (outcomes it measures plus messages it receives), with the client's
     secrets marginalized by explicit enumeration. For the honest
-    gadgets the distance must vanish; with ``leak`` the secret octant is
-    appended to every view, which must push the distance to one.
+    gadgets the distance must vanish.
     """
     if gadget == "cz":
         raise ValueError(f"gadget {gadget!r} has no angle to hide")
@@ -297,8 +283,7 @@ def audit_gadget_view_tv(
                 return rt.tape.bob_classical_values()
 
             for br in enumerate_runs(body):
-                sig = br.value + ((octant,) if leak else ())
-                probs[sig] = probs.get(sig, 0.0) + weight * br.probability
+                probs[br.value] = probs.get(br.value, 0.0) + weight * br.probability
         return probs
 
     pa = distribution(octant_a)
@@ -357,9 +342,7 @@ def client_quantum_actions(transcript: Transcript) -> set[str]:
         if ev.kind == "outcome":
             actions.add("measure")
         elif ev.kind == "local":
-            op = ev.payload.get("op")
-            if op in ("prepare", "rotate", "discard", "measure"):
-                actions.add(op)
+            actions.add(ev.payload.get("op", "unnamed"))
     return actions
 
 

@@ -35,7 +35,9 @@ from .blindness import (
     audit_transcript_tv,
 )
 from .oracle import ORACLE_GADGETS, branch_table, table_passes
-from .protocols import AdversaryConfig, HONEST, RunManifest, config_from_dict, config_object, run
+from .protocols import (
+    HONEST, PROTOCOLS, AdversaryConfig, RunManifest, config_from_dict, config_object, run
+)
 from .qsim import GADGET_FIDELITY_ATOL, MONTE_CARLO_Z_BOUND, PROBABILITY_SLACK
 
 EXIT_OK = 0
@@ -82,7 +84,7 @@ def parse_adversary(spec: str) -> AdversaryConfig:
 
 def _add_run_parser(sub) -> None:
     p = sub.add_parser("run", help="execute one protocol run and print the report")
-    p.add_argument("--protocol", choices=("sueki", "p1", "p2"))
+    p.add_argument("--protocol", choices=PROTOCOLS)
     p.add_argument("--qubits", type=int, help="register width N")
     p.add_argument("--depth", type=int, help="number of gate layers")
     p.add_argument("--traps", type=int, help="trap count (p2 only; p1 fixes 2N/3)")

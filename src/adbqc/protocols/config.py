@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 from ..gadgets import NAMED_GATE_OCTANTS
 from ..qsim import MAX_QUBITS
+from .traps import resolve_trap_count
 
 PROTOCOLS = ("sueki", "p1", "p2")
 
@@ -203,23 +204,8 @@ class ProtocolConfig:
                 f"over the budget of {MAX_QUBITS}"
             )
         object.__setattr__(self, "algorithm", tuple(self.algorithm))
-        # resolve the trap count
-        if self.protocol == "sueki":
-            if self.trap_count not in (None, 0):
-                raise ValueError("the prepare-only protocol takes no traps")
-            object.__setattr__(self, "trap_count", 0)
-        elif self.protocol == "p1":
-            if self.num_qubits % 3 != 0:
-                raise ValueError("p1 needs a register width divisible by 3")
-            required = 2 * self.num_qubits // 3
-            if self.trap_count not in (None, required):
-                raise ValueError(f"p1 fixes trap_count to 2N/3 = {required}")
-            object.__setattr__(self, "trap_count", required)
-        else:  # p2
-            if self.trap_count is None:
-                raise ValueError("p2 needs an explicit trap count")
-            if not 0 < self.trap_count < self.num_qubits:
-                raise ValueError("p2 trap count must satisfy 0 < traps < N")
+        traps = resolve_trap_count(self.protocol, self.num_qubits, self.trap_count)
+        object.__setattr__(self, "trap_count", traps)
         if self.logical_width < 1:
             raise ValueError("no computation qubits left after traps")
         for req in self.algorithm:
@@ -255,7 +241,7 @@ class ProtocolConfig:
 
     @property
     def logical_width(self) -> int:
-        return self.num_qubits - (self.trap_count or 0)
+        return self.num_qubits - self.trap_count
 
     @property
     def capability(self) -> ClientCapability:

@@ -29,7 +29,7 @@ from ..transcript import ALICE, BOB, Transcript
 from . import gate_client, measure_client, sueki
 from .config import ProtocolConfig, VerificationReport
 from .schedule import Layer, schedule
-from .traps import TRAP_PREP_GATE, TrapLayout, decode_output, place_traps
+from .traps import TRAP_STATES, TrapLayout, decode_output, place_traps
 
 
 @dataclass
@@ -90,7 +90,7 @@ def compile_layers(
         if idx == config.depth - 1:
             for s in layout.trap_slots:
                 pos = layout.permutation[s]
-                patterns[pos] = NAMED_GATE_OCTANTS[TRAP_PREP_GATE[layout.roles[s]]]
+                patterns[pos] = NAMED_GATE_OCTANTS[TRAP_STATES[layout.roles[s]][2]]
         czs = tuple(
             (layout.position_of_logical(i), layout.position_of_logical(j))
             for i, j in layer.czs
@@ -132,21 +132,26 @@ def run_grid(
     return frame
 
 
-def sample_attack(
-    session: Session,
+def pauli_hits(
+    counts: tuple[int, int, int], num_qubits: int, rng: np.random.Generator
 ) -> tuple[tuple[str, int], ...]:
+    """(kind, position) hits of ``counts`` (X, Z, XZ) stray Paulis on disjoint
+    uniform positions: one permutation gives the X, then Z, then XZ hits."""
+    a, b, c = counts
+    if a + b + c > num_qubits:
+        raise ValueError("more Pauli errors than positions")
+    kinds = ("x",) * a + ("z",) * b + ("xz",) * c
+    return tuple(zip(kinds, rng.permutation(num_qubits).tolist()))
+
+
+def sample_attack(session: Session) -> tuple[tuple[str, int], ...]:
     """Resolve the random-Pauli adversary to concrete (kind, position) hits."""
     adv = session.config.adversary
     if adv.kind != "random_pauli":
         return ()
     if adv.pauli_positions is not None:
         return adv.pauli_positions
-    a, b, c = adv.pauli_counts
-    order = [int(p) for p in session.adversary_rng.permutation(session.config.num_qubits)]
-    hits = [("x", p) for p in order[:a]]
-    hits += [("z", p) for p in order[a : a + b]]
-    hits += [("xz", p) for p in order[a + b : a + b + c]]
-    return tuple(hits)
+    return pauli_hits(adv.pauli_counts, session.config.num_qubits, session.adversary_rng)
 
 
 def apply_attack(session: Session, hits: tuple[tuple[str, int], ...]) -> None:
@@ -159,6 +164,9 @@ def apply_attack(session: Session, hits: tuple[tuple[str, int], ...]) -> None:
             session.rt.apply(X_GATE, [label])
 
 
+OUTPUT_BASES = {"z": Z_BASIS, "x": X_BASIS}
+
+
 def _server_measures(session: Session, bases: tuple[str, ...]) -> tuple[int, ...]:
     """The client announces a basis per position; the server measures there
     and reports, possibly lying under the tamper model."""
@@ -168,8 +176,7 @@ def _server_measures(session: Session, bases: tuple[str, ...]) -> tuple[int, ...
     for pos, basis_name in enumerate(bases):
         label = register_label(pos)
         tape.msg(ALICE, to=BOB, op="measure", qubit=label, basis=basis_name)
-        basis = Z_BASIS if basis_name == "z" else X_BASIS
-        bit, _ = session.rt.measure(label, basis)
+        bit, _ = session.rt.measure(label, OUTPUT_BASES[basis_name])
         if adv.kind == "trap_tamper" and session.adversary_rng.random() >= adv.tamper_rate:
             bit ^= 1
         tape.outcome(BOB, bit, qubit=label)
@@ -184,8 +191,7 @@ def _client_measures(session: Session, bases: tuple[str, ...]) -> tuple[int, ...
         session.rt.transfer(register_label(pos), ALICE)
     raw = []
     for pos, basis_name in enumerate(bases):
-        basis = Z_BASIS if basis_name == "z" else X_BASIS
-        bit, _ = session.rt.measure(register_label(pos), basis)
+        bit, _ = session.rt.measure(register_label(pos), OUTPUT_BASES[basis_name])
         session.rt.tape.outcome(ALICE, bit, qubit=register_label(pos))
         raw.append(bit)
     return tuple(raw)
@@ -214,11 +220,9 @@ def run(config: ProtocolConfig, outcomes: OutcomeSource | None = None) -> RunRes
     measurement outcomes (exact enumeration replays through it)."""
     capability = config.capability.kind
     session = new_session(config, outcomes)
-    n = config.num_qubits
-    if config.trap_count:
-        layout = place_traps(n, config.trap_count, config.protocol, session.alice_rng)
-    else:  # all compute, identity placement: draws nothing
-        layout = TrapLayout(n, tuple(range(n)), ("compute",) * n)
+    layout = place_traps(
+        config.num_qubits, config.trap_count, config.protocol, session.alice_rng
+    )
     prepare_register(session)
     layers = compile_layers(config, layout)
     cz_prep_party = ALICE if capability == "prepare_only" else BOB

@@ -21,23 +21,38 @@ import numpy as np
 
 from ..gadgets import PauliFrame
 
-# trap role -> (measurement basis, expected frame-corrected bit)
+# trap role -> (measurement basis, expected frame-corrected bit, named gate
+# the final layer applies to |0> to prepare it)
 TRAP_STATES = {
-    "zero": ("z", 0),
-    "one": ("z", 1),
-    "plus": ("x", 0),
-    "minus": ("x", 1),
+    "zero": ("z", 0, "i"),
+    "one": ("z", 1, "x"),
+    "plus": ("x", 0, "h"),
+    "minus": ("x", 1, "hx"),
 }
 
-# trap role -> named preparation gate (applied to |0> by the final layer)
-TRAP_PREP_GATE = {
-    "zero": "i",
-    "one": "x",
-    "plus": "h",
-    "minus": "hx",
-}
 
-P2_TRAP_ROLES = ("zero", "one", "plus", "minus")
+def resolve_trap_count(protocol: str, num_qubits: int, trap_count: int | None) -> int:
+    """The trap count of a ``protocol`` run on ``num_qubits``: none for sueki,
+    2N/3 for p1 (N a multiple of 3), a given 0 < t < N for p2. ``None`` asks
+    for the fixed count; a count that breaks the rule is refused."""
+    if protocol == "sueki":
+        if trap_count not in (None, 0):
+            raise ValueError("the prepare-only protocol takes no traps")
+        return 0
+    if protocol == "p1":
+        if num_qubits % 3 != 0:
+            raise ValueError("p1 needs a register width divisible by 3")
+        required = 2 * num_qubits // 3
+        if trap_count not in (None, required):
+            raise ValueError(f"p1 needs 2N/3 traps, {required} for N={num_qubits}")
+        return required
+    if protocol == "p2":
+        if trap_count is None:
+            raise ValueError("p2 needs an explicit trap count")
+        if not 0 < trap_count < num_qubits:
+            raise ValueError("p2 trap count must satisfy 0 < traps < N")
+        return trap_count
+    raise ValueError(f"unknown protocol {protocol!r}")
 
 
 def thirds_roles(num_qubits: int) -> tuple[str, ...]:
@@ -99,26 +114,20 @@ class TrapLayout:
 def place_traps(
     num_qubits: int, trap_count: int, protocol: str, rng: np.random.Generator
 ) -> TrapLayout:
-    """Draw a fresh trap layout for one run.
-
-    The measure-only protocol (p1) uses equal thirds: computation, |0>
-    traps, |+> traps. The gate-only protocol (p2) draws each trap state
-    uniformly from {|0>, |1>, |+>, |->}.
-    """
+    """Draw a fresh trap layout for one run, once ``resolve_trap_count``
+    admits ``trap_count``. Sueki has no traps and keeps every slot in place,
+    drawing nothing; p1 uses equal thirds (computation, |0> traps, |+>
+    traps); p2 draws each trap state uniformly from ``TRAP_STATES``."""
+    trap_count = resolve_trap_count(protocol, num_qubits, trap_count)
+    if protocol == "sueki":
+        return TrapLayout(num_qubits, tuple(range(num_qubits)), ("compute",) * num_qubits)
     if protocol == "p1":
         roles = thirds_roles(num_qubits)
-        if trap_count != 2 * num_qubits // 3:
-            raise ValueError("p1 layouts need 2N/3 traps")
-    elif protocol == "p2":
-        if not 0 < trap_count < num_qubits:
-            raise ValueError("p2 trap count must satisfy 0 < traps < N")
-        width = num_qubits - trap_count
-        trap_roles = tuple(
-            P2_TRAP_ROLES[int(rng.integers(len(P2_TRAP_ROLES)))] for _ in range(trap_count)
-        )
-        roles = ("compute",) * width + trap_roles
     else:
-        raise ValueError(f"protocol {protocol!r} does not place traps")
+        trap_roles = tuple(TRAP_STATES)
+        roles = ("compute",) * (num_qubits - trap_count) + tuple(
+            trap_roles[int(rng.integers(len(trap_roles)))] for _ in range(trap_count)
+        )
     permutation = tuple(int(p) for p in rng.permutation(num_qubits))
     return TrapLayout(num_qubits, permutation, roles)
 
@@ -156,7 +165,7 @@ def decode_output(
             computation.append(corrected[pos])
         else:
             total += 1
-            expected_basis, expected_bit = TRAP_STATES[role]
+            expected_basis, expected_bit, _ = TRAP_STATES[role]
             if bases[pos] != expected_basis:
                 raise ValueError(
                     f"trap at position {pos} measured in {bases[pos]!r}, "

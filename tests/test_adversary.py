@@ -20,8 +20,10 @@ from adbqc.adversary import (
     simulate_tamper_acceptance,
     tamper_acceptance_exact,
 )
-from adbqc.protocols import ProtocolConfig
-from adbqc.protocols.driver import apply_attack, new_session, register_label
+from adbqc import adversary
+from adbqc.protocols import AdversaryConfig, ProtocolConfig
+from adbqc.protocols.driver import apply_attack, new_session, register_label, sample_attack
+from adbqc.protocols.traps import thirds_roles
 from adbqc.qsim import StateVector, fidelity_up_to_phase, haar_random_state, plus_state
 from adbqc.transcript import BOB
 
@@ -179,6 +181,29 @@ def test_monte_carlo_refuses_fewer_than_one_trial(trials):
 def test_simulate_escape_rejects_overfull_attack():
     with pytest.raises(ValueError):
         simulate_escape(3, (2, 2, 0), 10, rng.stream(402, "mc"))
+
+
+def test_run_and_monte_carlo_draw_the_same_hits(monkeypatch):
+    """A run's stray Paulis (``sample_attack``) and the Monte Carlo's
+    (``simulate_escape``) are the same hits when drawn from generators in the
+    same state: each trial asks about the run's kinds at the run's roles, in
+    order, and both generators end in the same state."""
+    counts, trials = (2, 1, 2), 50
+    config = ProtocolConfig(
+        "p1", 9, 1, seed=406,
+        adversary=AdversaryConfig(kind="random_pauli", pauli_counts=counts),
+    )
+    session = new_session(config)
+    roles = thirds_roles(9)
+    expected = [(kind, roles[p]) for _ in range(trials) for kind, p in sample_attack(session)]
+    asked = []
+    monkeypatch.setattr(
+        adversary, "pauli_is_caught", lambda kind, role: asked.append((kind, role)) or False
+    )
+    mc_rng = rng.stream(config.seed, "adversary")
+    simulate_escape(9, counts, trials, mc_rng)
+    assert asked == expected
+    assert mc_rng.bit_generator.state == session.adversary_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

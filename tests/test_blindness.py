@@ -18,19 +18,46 @@ from adbqc.blindness import (
     audit_theta_uniformity,
     audit_transcript_tv,
     block_trace_distance,
+    client_quantum_actions,
     confirm_capability,
 )
 from adbqc.gadgets import announced_octant
-from adbqc.oracle import branch_table
+from adbqc.oracle import branch_table, drive_gadget
 from adbqc.protocols import (
     GateRequest,
     ProtocolConfig,
+    p1_hrz_on_runtime,
     run_protocol1,
     run_protocol2,
     run_sueki,
 )
 from adbqc.qsim import StateVector, haar_random_state
 from adbqc.runtime import enumerate_runs
+from adbqc.transcript import ALICE, BOB, Transcript
+
+# Leaks for the power tests: each sends a secret to the server on the wire,
+# where the audits read the server's view, so an audit that misses it is blind.
+
+
+def leaky_p1_hrz(rt, target, octant, checkpoint=None):
+    """The measure-only gadget, sending its octant before it runs."""
+    rt.tape.msg(ALICE, to=BOB, op="leak", octant=octant % 8)
+    return p1_hrz_on_runtime(rt, target, octant, checkpoint=checkpoint)
+
+
+def leaky_drive_gadget(gadget, rt, labels, octant, hidden=(0, 0, +1)):
+    """An oracle gadget, sending its octant before it runs."""
+    rt.tape.msg(ALICE, to=BOB, op="leak", octant=octant)
+    return drive_gadget(gadget, rt, labels, octant, hidden)
+
+
+def run_p1_and_leak(config):
+    """A measure-only run whose client then sends the algorithm's octants."""
+    res = run_protocol1(config)
+    for req in config.algorithm:
+        for k in req.resolved_octants():
+            res.transcript.msg(ALICE, to=BOB, op="leak", octant=k)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +96,9 @@ def test_no_signaling_same_octant_is_exactly_zero():
     assert result.statistic == 0.0
 
 
-def test_no_signaling_flags_a_classical_leak():
-    result = audit_no_signaling(octants=(0, 4), steps=(9,), leak=True)
+def test_no_signaling_flags_a_classical_leak(monkeypatch):
+    monkeypatch.setattr(blindness, "p1_hrz_on_runtime", leaky_p1_hrz)
+    result = audit_no_signaling(octants=(0, 4), steps=(9,))
     assert not result.passed
     assert result.statistic == pytest.approx(1.0, abs=1e-9)
 
@@ -102,8 +130,8 @@ def test_shallow_no_signaling_ends_each_replay_at_its_last_step(monkeypatch):
 
     monkeypatch.setattr(blindness, "enumerate_runs", counted)
     state = haar_random_state(1, rng.stream(405, "shallow-no-signaling"))
-    shallow = _bob_view_blocks(1, state, (1,), leak=False)
-    full = _bob_view_blocks(1, state, tuple(range(1, 10)), leak=False)
+    shallow = _bob_view_blocks(1, state, (1,))
+    full = _bob_view_blocks(1, state, tuple(range(1, 10)))
     assert walked[0] < walked[1]
     assert shallow[1].keys() == full[1].keys()
     for key, rho in shallow[1].items():
@@ -134,8 +162,9 @@ def test_gadget_views_are_angle_independent(gadget, octant_a, octant_b):
     "gadget,octant_a,octant_b",
     [("hrz-sueki", 0, 4), ("p1-a", 2, 4), ("p1-b", 3, 5), ("p2", 1, 6)],
 )
-def test_gadget_view_audit_flags_a_leak(gadget, octant_a, octant_b):
-    result = audit_gadget_view_tv(gadget, octant_a, octant_b, leak=True)
+def test_gadget_view_audit_flags_a_leak(monkeypatch, gadget, octant_a, octant_b):
+    monkeypatch.setattr(blindness, "drive_gadget", leaky_drive_gadget)
+    result = audit_gadget_view_tv(gadget, octant_a, octant_b)
     assert not result.passed
     assert result.statistic == pytest.approx(1.0, abs=1e-12)
 
@@ -143,10 +172,17 @@ def test_gadget_view_audit_flags_a_leak(gadget, octant_a, octant_b):
 def test_exact_audit_statistics_do_not_depend_on_the_hash_seed():
     # the view keys hold label strings, so set iteration order, and with it
     # the order a plain float sum adds the per-key terms, follows the hash seed
+    # (the gadget-view run leaks its octant, so its distance is a sum of
+    # nonzero terms)
     script = (
-        "from adbqc.blindness import audit_gadget_view_tv, audit_no_signaling\n"
-        "print(repr(audit_gadget_view_tv('hrz-sueki', 1, 5, leak=True).statistic))\n"
-        "print(repr(audit_no_signaling(octants=(0, 1), steps=(2, 5)).statistic))\n"
+        "from adbqc import blindness, oracle\n"
+        "from adbqc.transcript import ALICE, BOB\n"
+        "def leaky(gadget, rt, labels, octant, hidden):\n"
+        "    rt.tape.msg(ALICE, to=BOB, op='leak', octant=octant)\n"
+        "    return oracle.drive_gadget(gadget, rt, labels, octant, hidden)\n"
+        "blindness.drive_gadget = leaky\n"
+        "print(repr(blindness.audit_gadget_view_tv('hrz-sueki', 1, 5).statistic))\n"
+        "print(repr(blindness.audit_no_signaling(octants=(0, 1), steps=(2, 5)).statistic))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
@@ -191,18 +227,23 @@ def test_transcript_audit_refuses_to_compare_nothing(runs, resamples):
         audit_transcript_tv(run_sueki, config, config, runs=runs, resamples=resamples)
 
 
-def test_sueki_transcripts_hide_the_algorithm():
+# The padded announcements (sueki) and reported bits (p2) make nearly every
+# whole-run signature unique, so the null threshold reaches 1 (sueki) or
+# passes it (p2, 1.012): an audit that could reject nothing is refused.
+
+
+def test_sueki_transcript_audit_refuses_unique_signatures():
     config_a = ProtocolConfig(
         "sueki", 1, 1, algorithm=(GateRequest.single(0, octants=(0, 0, 0)),)
     )
     config_b = ProtocolConfig(
         "sueki", 1, 1, algorithm=(GateRequest.single(0, octants=(0, 0, 2)),)
     )
-    result = audit_transcript_tv(run_sueki, config_a, config_b, runs=150, resamples=150)
-    assert result.passed
+    with pytest.raises(ValueError, match="could reject nothing"):
+        audit_transcript_tv(run_sueki, config_a, config_b, runs=150, resamples=150)
 
 
-def test_p2_transcripts_hide_the_algorithm():
+def test_p2_transcript_audit_refuses_unique_signatures():
     config_a = ProtocolConfig(
         "p2", 2, 1, trap_count=1,
         algorithm=(GateRequest.single(0, octants=(0, 0, 1)),),
@@ -211,15 +252,13 @@ def test_p2_transcripts_hide_the_algorithm():
         "p2", 2, 1, trap_count=1,
         algorithm=(GateRequest.single(0, octants=(0, 0, 5)),),
     )
-    result = audit_transcript_tv(
-        run_protocol2, config_a, config_b, runs=150, resamples=150
-    )
-    assert result.passed
+    with pytest.raises(ValueError, match="could reject nothing"):
+        audit_transcript_tv(run_protocol2, config_a, config_b, runs=150, resamples=150)
 
 
 def test_transcript_audit_flags_a_leak():
     """The measure-only transcript is empty, so the null band is exactly
-    zero width and an injected secret is flagged with certainty."""
+    zero width and a secret sent on the wire is flagged with certainty."""
     config_a = ProtocolConfig(
         "p1", 3, 1, algorithm=(GateRequest.single(0, octants=(0, 0, 0)),)
     )
@@ -229,9 +268,7 @@ def test_transcript_audit_flags_a_leak():
     honest = audit_transcript_tv(run_protocol1, config_a, config_b, runs=40, resamples=40)
     assert honest.passed
     assert honest.statistic == 0.0
-    leaky = audit_transcript_tv(
-        run_protocol1, config_a, config_b, runs=40, resamples=40, leak=True
-    )
+    leaky = audit_transcript_tv(run_p1_and_leak, config_a, config_b, runs=40, resamples=40)
     assert not leaky.passed
     assert leaky.statistic == pytest.approx(1.0)
 
@@ -277,6 +314,17 @@ def test_capability_confinement_across_protocols():
     assert not confirm_capability(p2.transcript, "prepare_only").passed
     with pytest.raises(ValueError):
         confirm_capability(p1.transcript, "telepathy")
+
+
+def test_capability_confinement_counts_every_client_operation():
+    """A client coupling qubits itself is outside all three capabilities."""
+    tape = Transcript()
+    tape.local(ALICE, op="couple", qubits=["a0", "q0"])
+    assert client_quantum_actions(tape) == {"couple"}
+    for capability in ("prepare_only", "measure_only", "gate_only"):
+        audit = confirm_capability(tape, capability)
+        assert not audit.passed
+        assert audit.details["violations"] == ["couple"]
 
 
 def test_no_signaling_accepts_a_chosen_input_state():

@@ -329,28 +329,37 @@ def test_blindness_exact_tv(capsys):
 
 
 def test_blindness_sampled_tv_from_configs(capsys, tmp_path):
-    def write(name, octants):
+    def write(name, protocol, width, octants):
         path = tmp_path / name
         path.write_text(json.dumps({
-            "protocol": "p2", "num_register_qubits": 2, "depth": 1,
-            "trap_count": 1,
+            "protocol": protocol, "num_register_qubits": width, "depth": 1,
             "algorithm": [{"kind": "su", "targets": [0], "octants": list(octants)}],
+            **({"trap_count": 1} if protocol == "p2" else {}),
         }))
         return str(path)
 
+    # the measure-only server sees no classical value, so every view matches
     code, payload, _ = run_json(
         capsys, "blindness", "--audit", "tv", "--runs", "40",
-        "--config-a", write("a.json", (0, 0, 1)),
-        "--config-b", write("b.json", (0, 0, 5)),
+        "--config-a", write("a.json", "p1", 3, (0, 0, 1)),
+        "--config-b", write("b.json", "p1", 3, (0, 0, 5)),
     )
     assert code == EXIT_OK
-    assert payload["audit"] == "transcript_tv"
+    assert payload["audit"] == "transcript_tv" and payload["statistic"] == 0.0
+    # p2's padded reports make every view unique: the audit could reject nothing
+    code, out, err = run_cli(
+        capsys, "blindness", "--audit", "tv", "--runs", "40",
+        "--config-a", write("a.json", "p2", 2, (0, 0, 1)),
+        "--config-b", write("b.json", "p2", 2, (0, 0, 5)),
+    )
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("adbqc: error:") and "could reject nothing" in err
 
 
 def test_blindness_sampled_tv_reads_a_manifest(capsys, tmp_path):
     manifest = tmp_path / "manifest.json"
     code, _, _ = run_cli(
-        capsys, "run", "--protocol", "p2", "--qubits", "2", "--traps", "1",
+        capsys, "run", "--protocol", "p1", "--qubits", "3",
         "--manifest-out", str(manifest),
     )
     assert code == EXIT_OK

@@ -409,8 +409,9 @@ def test_transcript_event_ordering_and_kinds():
 
 def test_transcript_rejects_floats_on_the_wire():
     tape = Transcript()
-    with pytest.raises(ValueError, match="wire-safe"):
-        tape.msg(ALICE, BOB, theta=0.785)
+    for value in (0.785, None, np.int64(1), [1]):
+        with pytest.raises(ValueError, match="wire-safe"):
+            tape.msg(ALICE, BOB, theta=value)
     tape.msg(ALICE, BOB, octant=1, label="q0", flag=True)  # wire-safe payloads
 
 

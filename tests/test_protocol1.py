@@ -178,7 +178,7 @@ def test_p1_layout_uses_equal_thirds():
 
 
 def test_p1_layout_validation():
-    with pytest.raises(ValueError, match="positive multiple of 3"):
+    with pytest.raises(ValueError, match="divisible by 3"):
         place_traps(4, 2, "p1", rng.stream(203, "layout"))
     with pytest.raises(ValueError, match="2N/3 traps"):
         place_traps(9, 3, "p1", rng.stream(203, "layout"))
