@@ -6,28 +6,3 @@ trap-based verification, adversary analyses and blindness audits on top.
 """
 
 __version__ = "0.1.0"
-
-from .qsim import (
-    DensityMatrix,
-    Gate,
-    MeasurementBasis,
-    StateVector,
-    apply_gate,
-    fidelity_up_to_phase,
-    haar_random_state,
-    partial_trace,
-    trace_distance,
-)
-
-__all__ = [
-    "__version__",
-    "DensityMatrix",
-    "Gate",
-    "MeasurementBasis",
-    "StateVector",
-    "apply_gate",
-    "fidelity_up_to_phase",
-    "haar_random_state",
-    "partial_trace",
-    "trace_distance",
-]

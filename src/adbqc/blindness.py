@@ -28,7 +28,7 @@ from .adversary import (
     probe_gram_closed_form,
 )
 from .gadgets import announced_octant
-from .oracle import check_octant, drive_gadget
+from .oracle import drive_gadget
 from .protocols.measure_client import p1_hrz_on_runtime
 from .protocols.reference import total_variation
 from .qsim import (
@@ -264,8 +264,6 @@ def audit_gadget_view_tv(
     """
     if gadget == "cz":
         raise ValueError(f"gadget {gadget!r} has no angle to hide")
-    for octant in (octant_a, octant_b):
-        check_octant(gadget, octant)
     if state is None:
         state = haar_random_state(1, stream(99, "gadget-view-input"))
     secrets = [(0, 0, +1)]  # the prepare-only client's secrets are enumerated

@@ -112,9 +112,8 @@ def cmd_run(args) -> int:
         base.pop("adversary", None)  # replaced below, so never read
     if "protocol" not in base:
         raise ValueError("--protocol is required (flag or config file)")
-    if "num_register_qubits" not in base and "num_qubits" not in base:
+    if "num_register_qubits" not in base:
         raise ValueError("--qubits is required (flag or config file)")
-    base.setdefault("depth", 1)
     config = config_from_dict(base)
     if adversary is not None:
         # replace re-runs the config's checks, the protocol/adversary match too
@@ -124,7 +123,6 @@ def cmd_run(args) -> int:
     if args.manifest_out:
         manifest = RunManifest(
             config=config,
-            version=__version__,
             created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         )
         with open(args.manifest_out, "w") as fh:

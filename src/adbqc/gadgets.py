@@ -18,7 +18,7 @@ classical frame records. Gadgets act on labeled qubits of a
 - ``sueki_hrz_on_runtime``: the prepare-only client's H R_Z(theta) gadget.
   A hiding angle and a pad bit make the announced angle uniform; the
   realized gate is X^(s2 xor pad) H R_Z(theta) exactly, on every outcome
-  branch.
+  branch. Like every H R_Z gadget it returns its X by-product bit.
 - ``cz_on_runtime``: CZ between two register qubits from one shared ancilla
   (outcome s leaves a Z^s by-product on the first qubit) followed by one
   Hadamard-cancelling |0> coupling on each qubit.
@@ -158,13 +158,6 @@ def h_cancel(rt: QuantumRuntime, register: str, label: str, prep_party: str = BO
     rt.tape.local(BOB, op="discard", qubit=label)
 
 
-@dataclass(frozen=True)
-class SuekiHrzResult:
-    theta_public: int  # announced octant
-    outcomes: tuple[int, int]
-    frame_delta: tuple[int, int]  # (x, z) delta on the target qubit
-
-
 def draw_sueki_secrets(rng: np.random.Generator) -> tuple[int, int, int]:
     """The prepare-only client's secrets for one rotation, in draw order:
     (hiding octant, pad bit, prep sign)."""
@@ -196,19 +189,17 @@ def sueki_hrz_on_runtime(
     hiding_octant: int,
     pad_bit: int,
     prep_sign: int = +1,
-) -> SuekiHrzResult:
-    """Prepare-only client's H R_Z gadget; realizes X^(s2^pad) H R_Z(k pi/4).
+) -> int:
+    """Prepare-only client's H R_Z gadget; realizes X^b H R_Z(k pi/4) exactly
+    and returns b = s2 xor pad, the X by-product.
 
     The client supplies all three ancillas. Its secrets (hiding octant, pad
     bit, prep sign) shape only the announced angle; the announced octant is
     uniform when hiding octant and pad bit are uniform.
     """
-    k_target = target_octant % 8
-    k_hide = hiding_octant % 8
-
     # hidden-rotation coupling
     a_hide = rt.fresh("a")
-    hidden = plus_state(octant_angle(k_hide), math.pi / 2, prep_sign)
+    hidden = plus_state(octant_angle(hiding_octant), math.pi / 2, prep_sign)
     couple_in(rt, a_hide, hidden, "hidden", ALICE, (target,))
     s1 = measure_out(rt, a_hide, Z_BASIS)
 
@@ -216,7 +207,7 @@ def sueki_hrz_on_runtime(
     h_cancel(rt, target, rt.fresh("a"), prep_party=ALICE)
 
     # announced angle folds the secrets with the first outcome
-    k_public = announced_octant(k_target, k_hide, pad_bit, s1, prep_sign)
+    k_public = announced_octant(target_octant, hiding_octant, pad_bit, s1, prep_sign)
     rt.tape.msg(ALICE, BOB, theta_octant=k_public)
 
     # driven coupling measured in the announced equatorial basis
@@ -224,7 +215,7 @@ def sueki_hrz_on_runtime(
     couple_in(rt, a_drive, PLUS_AMPS, "plus", ALICE, (target,))
     s2 = measure_out(rt, a_drive, EQUATORIAL_BY_OCTANT[k_public])
 
-    return SuekiHrzResult(k_public, (s1, s2), (s2 ^ pad_bit, 0))
+    return s2 ^ pad_bit
 
 
 def cz_on_runtime(

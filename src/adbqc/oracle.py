@@ -16,6 +16,7 @@ from .gadgets import (
     EVEN_OCTANTS,
     ODD_OCTANTS,
     PauliFrame,
+    announced_octant,
     cz_on_runtime,
     draw_sueki_secrets,
     octant_angle,
@@ -77,23 +78,20 @@ def drive_gadget(
     labels: list[str],
     octant: int,
     hidden: tuple[int, int, int] = (0, 0, +1),
-) -> tuple[PauliFrame, int | None]:
+) -> PauliFrame:
     """Apply one oracle gadget to ``labels``; the one map from a gadget
-    name to its function.
+    name to its function, and the one check of the name and octant.
 
     ``hidden`` holds the prepare-only client's (hiding octant, pad bit,
-    prep sign). Returns the by-product frame over ``labels`` and the octant
-    that client announces (None for the other gadgets).
+    prep sign). Returns the by-product frame over ``labels``.
     """
-    if gadget == "hrz-sueki":
-        res = sueki_hrz_on_runtime(rt, labels[0], octant, *hidden)
-        return PauliFrame((res.frame_delta[0],), (res.frame_delta[1],)), res.theta_public
+    check_octant(gadget, octant)
     if gadget == "cz":
-        return PauliFrame((0, 0), (cz_on_runtime(rt, labels[0], labels[1]), 0)), None
-    if gadget not in ("p1-a", "p1-b", "p2"):
-        raise ValueError(f"unknown gadget {gadget!r}")
+        return PauliFrame((0, 0), (cz_on_runtime(rt, labels[0], labels[1]), 0))
+    if gadget == "hrz-sueki":
+        return PauliFrame((sueki_hrz_on_runtime(rt, labels[0], octant, *hidden),), (0,))
     hrz = p2_hrz_on_runtime if gadget == "p2" else p1_hrz_on_runtime
-    return PauliFrame((hrz(rt, labels[0], octant),), (0,)), None
+    return PauliFrame((hrz(rt, labels[0], octant),), (0,))
 
 
 def branch_table(
@@ -109,7 +107,6 @@ def branch_table(
     bit, prep sign); when omitted they are drawn from ``seed``, as is the
     Haar-random input ``state``. Branch probabilities are exact.
     """
-    check_octant(gadget, octant)
     num_qubits = 2 if gadget == "cz" else 1
     if state is None:
         state = haar_random_state(num_qubits, rng.stream(seed, "oracle-input"))
@@ -123,17 +120,19 @@ def branch_table(
     else:
         target = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
 
-    def run(src: OutcomeSource):
+    def run(src: OutcomeSource) -> float:
         rt, labels = QuantumRuntime.from_state(state, src, BOB)
-        frame, announced = drive_gadget(gadget, rt, labels, octant, hidden)
-        out = frame.matrix_on(rt.snapshot(labels))
-        return fidelity_up_to_phase(out, target), announced
+        frame = drive_gadget(gadget, rt, labels, octant, hidden)
+        return fidelity_up_to_phase(frame.matrix_on(rt.snapshot(labels)), target)
 
-    rows = []
-    for br in enumerate_runs(run):
-        fid, announced = br.value
-        rows.append(BranchRow(br.outcomes, br.probability, float(fid), announced))
-    return tuple(rows)
+    # the prepare-only client announces by the gadget's rule from the first outcome
+    hiding, pad, sign = hidden
+    return tuple(
+        BranchRow(br.outcomes, br.probability, float(br.value),
+                  announced_octant(octant, hiding, pad, br.outcomes[0], sign)
+                  if gadget == "hrz-sueki" else None)
+        for br in enumerate_runs(run)
+    )
 
 
 def table_passes(rows) -> bool:

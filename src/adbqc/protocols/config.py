@@ -14,6 +14,7 @@ import json
 import numbers
 from dataclasses import dataclass, replace
 
+from .. import __version__
 from ..gadgets import NAMED_GATE_OCTANTS
 from ..qsim import MAX_QUBITS
 from .traps import resolve_trap_count
@@ -48,6 +49,17 @@ def _required(data: dict, key: str, where: str):
     if key not in data:
         raise ValueError(f"{where} needs {key}")
     return data[key]
+
+
+def _object(what: str, value, keys: tuple[str, ...], where: str | None = None) -> dict:
+    """``value`` if it is a dict whose every key is one of ``keys``; otherwise a
+    ValueError naming the field, or each unknown key and where (default
+    ``what``), in place of ignoring it."""
+    value = _typed(what, value, dict, "an object")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValueError(f"{where or what} has unknown key(s) {', '.join(map(repr, unknown))}")
+    return value
 
 
 def _integer(what: str, value) -> int:
@@ -130,7 +142,8 @@ class AdversaryConfig:
     - none: honest run.
     - random_pauli: X / Z / XZ errors on disjoint uniformly random output
       positions, counts given by ``pauli_counts`` (three integers), or at
-      the fixed (kind, integer position) hits of ``pauli_positions``.
+      the fixed (kind, integer position) hits of ``pauli_positions``, which
+      then set the counts (given counts must be zero or match them).
     - trap_tamper: every reported output bit is correct only with
       probability ``tamper_rate``, independently.
     """
@@ -160,6 +173,10 @@ class AdversaryConfig:
                     raise ValueError("pauli position kinds must be x, z or xz")
                 if len({p for _, p in positions}) != len(positions):
                     raise ValueError("pauli positions must be distinct")
+                listed = tuple(sum(k == kind for k, _ in positions) for kind in ("x", "z", "xz"))
+                if counts not in ((0, 0, 0), listed):
+                    raise ValueError(f"pauli counts {counts} differ from the positions' {listed}")
+                object.__setattr__(self, "pauli_counts", listed)
                 object.__setattr__(self, "pauli_positions", positions)
         elif self.pauli_positions is not None:
             raise ValueError("pauli_positions only applies to random_pauli")
@@ -311,12 +328,29 @@ def config_to_dict(config: ProtocolConfig) -> dict:
     return data
 
 
+_CONFIG_KEYS = ("protocol", "num_register_qubits", "depth", "trap_count", "seed",
+                "algorithm", "output_bases", "adversary", "record_transcript")
+
+
+def _request(i: int, entry) -> GateRequest:
+    """The request of algorithm entry ``i`` of a config dict."""
+    where = f"algorithm entry {i}"
+    entry = _object("algorithm entry", entry, ("kind", "targets", "octants", "name"), where)
+    return GateRequest(
+        kind=_required(entry, "kind", where),
+        targets=_required(entry, "targets", where),
+        octants=entry.get("octants"),
+        name=entry.get("name"),
+    )
+
+
 def config_from_dict(data: dict) -> ProtocolConfig:
-    data = _typed("config", data, dict, "an object")
-    adv_data = _typed("adversary", data.get("adversary") or {}, dict, "an object")
-    # accept the parameters nested under "params" or flattened beside "kind"
-    nested = _typed("adversary params", adv_data.get("params") or {}, dict, "an object")
-    params = {**adv_data, **nested}
+    """The config of a dict in the layout ``config_to_dict`` writes; an
+    unknown key at any level is refused, a missing optional one defaults."""
+    data = _object("config", data, _CONFIG_KEYS)
+    adv_data = _object("adversary", data.get("adversary", {}), ("kind", "params"))
+    params = _object("adversary params", adv_data.get("params", {}),
+                     ("pauli_counts", "tamper_rate", "pauli_positions"))
     adversary = AdversaryConfig(
         kind=adv_data.get("kind", "none"),
         pauli_counts=params.get("pauli_counts", (0, 0, 0)),
@@ -324,30 +358,18 @@ def config_from_dict(data: dict) -> ProtocolConfig:
         pauli_positions=params.get("pauli_positions"),
     )
     entries = _typed("algorithm", data.get("algorithm", ()), _LIST, "a list")
-    algorithm = tuple(
-        GateRequest(
-            kind=_required(r, "kind", f"algorithm entry {i}"),
-            targets=_required(r, "targets", f"algorithm entry {i}"),
-            octants=r.get("octants"),
-            name=r.get("name"),
-        )
-        for i, r in enumerate(_typed("algorithm entry", e, dict, "an object") for e in entries)
-    )
-    bases = data.get("output_bases")
-    width = data.get("num_register_qubits", data.get("num_qubits"))
-    if width is None:
-        raise ValueError("config needs num_register_qubits")
+    algorithm = tuple(_request(i, entry) for i, entry in enumerate(entries))
     record = data.get("record_transcript", True)
     if not isinstance(record, bool):
         raise ValueError(f"record_transcript must be true or false, got {record!r}")
     return ProtocolConfig(
         protocol=_required(data, "protocol", "config"),
-        num_qubits=width,
-        depth=_required(data, "depth", "config"),
+        num_qubits=_required(data, "num_register_qubits", "config"),
+        depth=data.get("depth", 1),
         trap_count=data.get("trap_count"),
         seed=data.get("seed", 0),
         algorithm=algorithm,
-        output_bases=bases or None,
+        output_bases=data.get("output_bases"),
         adversary=adversary,
         record_transcript=record,
     )
@@ -365,7 +387,7 @@ class RunManifest:
 
     config: ProtocolConfig
     tool: str = "adbqc"
-    version: str = "0.1.0"
+    version: str = __version__
     created: str = ""  # ISO-8601, filled when the manifest is first written
 
     def to_json(self) -> str:

@@ -20,5 +20,4 @@ if TYPE_CHECKING:
 def hrz(session: Session, label: str, octant: int) -> int:
     """One hidden rotation: the client draws the pad and preparation angle."""
     hiding, pad, sign = draw_sueki_secrets(session.alice_rng)
-    res = sueki_hrz_on_runtime(session.rt, label, octant, hiding, pad, sign)
-    return res.frame_delta[0]
+    return sueki_hrz_on_runtime(session.rt, label, octant, hiding, pad, sign)

@@ -52,18 +52,12 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 _H = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _CZ = np.diag([1, 1, 1, -1]).astype(complex)
 
 
 def rz_matrix(theta: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
-
-
-def rx_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
 def plus_state(polar: float, phase: float, sign: int = +1) -> np.ndarray:
@@ -158,10 +152,6 @@ class Gate:
         return cls("x", _X)
 
     @classmethod
-    def y(cls) -> "Gate":
-        return cls("y", _Y)
-
-    @classmethod
     def z(cls) -> "Gate":
         return cls("z", _Z)
 
@@ -172,10 +162,6 @@ class Gate:
     @classmethod
     def rz(cls, theta: float) -> "Gate":
         return cls("rz", rz_matrix(theta))
-
-    @classmethod
-    def rx(cls, theta: float) -> "Gate":
-        return cls("rx", rx_matrix(theta))
 
     @classmethod
     def hrz(cls, theta: float) -> "Gate":
@@ -218,10 +204,6 @@ class MeasurementBasis:
     @classmethod
     def x(cls) -> "MeasurementBasis":
         return cls("x", np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF)
-
-    @classmethod
-    def y(cls) -> "MeasurementBasis":
-        return cls("y", np.array([[1, 1j], [1, -1j]], dtype=complex) * SQRT_HALF)
 
     @classmethod
     def rotated(cls, polar: float, phase: float) -> "MeasurementBasis":

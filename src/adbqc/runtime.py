@@ -125,10 +125,6 @@ class QuantumRuntime:
     def num_qubits(self) -> int:
         return len(self._labels)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self._labels)
-
     def fresh(self, prefix: str) -> str:
         """A new ancilla label ``<prefix><n>``, numbered per runtime."""
         return f"{prefix}{next(self._minted)}"

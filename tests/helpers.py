@@ -1,11 +1,20 @@
-"""Small readers over run results that only the tests need."""
+"""Small readers over run results, and references, that only the tests need."""
 
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
+
 from adbqc.protocols import ProtocolConfig, config_from_dict, config_object
 from adbqc.transcript import ALICE, BOB, Transcript
+
+
+def rx_matrix(theta: float) -> np.ndarray:
+    """R_X(theta) in the package's convention: H R_Z(theta) H = e^{i theta/2} R_X(theta)."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
 def read_manifest(text: str) -> ProtocolConfig:

@@ -68,29 +68,32 @@ _BAD_CONFIG_FILES = [
      "must be an integer"),
     ({**_P1, "algorithm": [{"kind": "su", "targets": [0], "octants": [1.5, 0, 0]}]},
      "must be an integer"),
-    ({**_P1, "adversary": {"kind": "random_pauli", "pauli_counts": [1.5, 0, 0]}},
+    ({**_P1, "adversary": {"kind": "random_pauli", "params": {"pauli_counts": [1.5, 0, 0]}}},
      "must be an integer"),
     # wrong shapes, which used to end in a TypeError or AttributeError traceback
-    ({**_P1, "adversary": {"kind": "random_pauli", "pauli_counts": 3}},
+    ({**_P1, "adversary": {"kind": "random_pauli", "params": {"pauli_counts": 3}}},
      "pauli_counts must be a list"),
-    ({**_P1, "adversary": {"kind": "random_pauli", "pauli_counts": [1, 0, 0],
-                           "pauli_positions": [5]}},
+    ({**_P1, "adversary": {"kind": "random_pauli", "params": {"pauli_counts": [1, 0, 0],
+                                                         "pauli_positions": [5]}}},
      "pauli_positions entry must be a"),
     ({**_P1, "algorithm": [{"kind": "su", "targets": 0, "name": "h"}]},
      "targets must be a list"),
     ({"protocol": "p2", "num_register_qubits": 3, "trap_count": 1,
-      "adversary": {"kind": "trap_tamper", "tamper_rate": None}},
+      "adversary": {"kind": "trap_tamper", "params": {"tamper_rate": None}}},
      "tamper_rate must be a number"),
     ({**_P1, "algorithm": [5]}, "algorithm entry must be an object"),
     ({**_P1, "algorithm": 5}, "algorithm must be a list"),
     ({**_P1, "adversary": "none"}, "adversary must be an object"),
     ([_P1], "config must be an object"),
-    ({**_P1, "adversary": {"kind": "random_pauli", "pauli_positions": [["x"]]}},
+    ({**_P1, "adversary": {"kind": "random_pauli", "params": {"pauli_positions": [["x"]]}}},
      "pauli_positions entry must be a"),
-    # a required key is missing (the CLI itself asks for a protocol and
-    # defaults the depth to 1, so only algorithm entry keys reach the config)
+    # a required key is missing (the CLI itself asks for a protocol and a
+    # width, and the depth defaults to 1, so only algorithm entry keys reach
+    # the config)
     ({**_P1, "algorithm": [{"targets": [0], "name": "h"}]}, "algorithm entry 0 needs kind"),
     ({**_P1, "algorithm": [{"kind": "su", "name": "h"}]}, "algorithm entry 0 needs targets"),
+    # an unknown key, which used to be ignored (this ran in Z with seed 0)
+    ({**_P1, "output_base": ["x"], "sed": 5}, "config has unknown key(s) 'output_base', 'sed'"),
 ]
 
 
@@ -126,7 +129,7 @@ def test_run_bad_adversary_spec(capsys):
 
 def test_run_adversary_flag_replaces_the_file_adversary(capsys, tmp_path):
     config = {"protocol": "p1", "num_register_qubits": 3, "depth": 1, "seed": 2,
-              "adversary": {"kind": "random_pauli", "pauli_counts": [1, 0, 0]}}
+              "adversary": {"kind": "random_pauli", "params": {"pauli_counts": [1, 0, 0]}}}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     code, report, _ = run_json(capsys, "run", "--config", str(path), "--adversary", "none")
@@ -401,6 +404,20 @@ def test_sampled_tv_refuses_zero_runs(capsys, tmp_path):
     )
     assert code == EXIT_ERROR and out == ""
     assert err.startswith("adbqc: error:") and "at least one run" in err
+
+
+def test_run_and_blindness_read_a_config_without_depth_alike(capsys, tmp_path):
+    """Every config reader defaults the depth to 1."""
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"protocol": "p1", "num_register_qubits": 3, "seed": 4}))
+    code, report, _ = run_json(capsys, "run", "--config", str(path))
+    assert code == EXIT_OK
+    assert run_json(capsys, "run", "--config", str(path), "--depth", "1")[1] == report
+    code, payload, _ = run_json(
+        capsys, "blindness", "--audit", "tv", "--runs", "10",
+        "--config-a", str(path), "--config-b", str(path),
+    )
+    assert code == EXIT_OK and payload["details"]["runs"] == 10
 
 
 def test_blindness_tv_needs_both_configs(capsys, tmp_path):

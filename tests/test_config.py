@@ -173,11 +173,11 @@ NON_INTEGER_DICTS = [
     {"protocol": "p1", "num_register_qubits": 3, "depth": 1,
      "adversary": {"kind": "random_pauli", "params": {"pauli_counts": [1.5, 0, 0]}}},
     {"protocol": "p1", "num_register_qubits": 3, "depth": 1,
-     "adversary": {"kind": "random_pauli", "pauli_counts": [1, 0, 0],
-                   "pauli_positions": [["x", 0.7]]}},
+     "adversary": {"kind": "random_pauli",
+                   "params": {"pauli_counts": [1, 0, 0], "pauli_positions": [["x", 0.7]]}}},
     {"protocol": "p1", "num_register_qubits": 3, "depth": 1,
-     "adversary": {"kind": "random_pauli", "pauli_counts": [1, 0, 0],
-                   "pauli_positions": [["x", True]]}},
+     "adversary": {"kind": "random_pauli",
+                   "params": {"pauli_counts": [1, 0, 0], "pauli_positions": [["x", True]]}}},
 ]
 
 
@@ -185,15 +185,15 @@ NON_INTEGER_DICTS = [
 # raised TypeError or AttributeError partway through the build
 _P1 = {"protocol": "p1", "num_register_qubits": 3, "depth": 1}
 MALFORMED_INPUTS = [
-    ({**_P1, "adversary": {"kind": "random_pauli", "pauli_counts": 3}},
+    ({**_P1, "adversary": {"kind": "random_pauli", "params": {"pauli_counts": 3}}},
      "pauli_counts must be a list"),
-    ({**_P1, "adversary": {"kind": "random_pauli", "pauli_counts": [1, 0, 0],
-                           "pauli_positions": [5]}},
+    ({**_P1, "adversary": {"kind": "random_pauli", "params": {"pauli_counts": [1, 0, 0],
+                                                         "pauli_positions": [5]}}},
      "pauli_positions entry must be a"),
     ({**_P1, "algorithm": [{"kind": "su", "targets": 0, "name": "h"}]},
      "targets must be a list"),
     ({"protocol": "p2", "num_register_qubits": 3, "depth": 1, "trap_count": 1,
-      "adversary": {"kind": "trap_tamper", "tamper_rate": None}},
+      "adversary": {"kind": "trap_tamper", "params": {"tamper_rate": None}}},
      "tamper_rate must be a number"),
     ({**_P1, "algorithm": [5]}, "algorithm entry must be an object"),
     ({**_P1, "algorithm": 5}, "algorithm must be a list"),
@@ -201,17 +201,29 @@ MALFORMED_INPUTS = [
     ([_P1], "config must be an object"),
     ({**_P1, "output_bases": 5}, "output_bases must be a list"),
     ({**_P1, "output_bases": [0]}, "output basis must be a string"),
+    ({**_P1, "output_bases": []}, "output_bases needs one of z/x"),  # used to read as null
     ({**_P1, "adversary": {"kind": "none", "params": 5}},
      "adversary params must be an object"),
-    ({**_P1, "adversary": {"kind": "random_pauli", "pauli_positions": [["x"]]}},
+    ({**_P1, "adversary": {"kind": "random_pauli", "params": {"pauli_positions": [["x"]]}}},
      "pauli_positions entry must be a"),
     # a required key is missing
     ({"num_register_qubits": 3, "depth": 1}, "config needs protocol"),
-    ({"protocol": "p1", "num_register_qubits": 3}, "config needs depth"),
+    ({"protocol": "p1", "depth": 1}, "config needs num_register_qubits"),
     ({**_P1, "algorithm": [{"targets": [0], "name": "h"}]}, "algorithm entry 0 needs kind"),
     ({**_P1, "algorithm": [{"kind": "su", "targets": [0], "name": "h"},
                            {"kind": "su", "name": "h"}]},
      "algorithm entry 1 needs targets"),
+    # an unknown key, which used to be ignored, at each level
+    ({**_P1, "output_base": ["x"], "sed": 5}, r"config has unknown key\(s\) 'output_base', 'sed'"),
+    ({**_P1, "adversary": {"kind": "none", "params": {"rate": 1}}},
+     r"adversary params has unknown key\(s\) 'rate'"),
+    ({**_P1, "algorithm": [{"kind": "su", "targets": [0], "gate": "h"}]},
+     r"algorithm entry 0 has unknown key\(s\) 'gate'"),
+    # an empty non-object, which used to read as an honest adversary
+    ({**_P1, "adversary": []}, "adversary must be an object"),
+    ({**_P1, "adversary": None}, "adversary must be an object"),
+    ({**_P1, "adversary": {"kind": "random_pauli", "params": 0}},
+     "adversary params must be an object"),
 ]
 _REFUSALS = [(data, "must be an integer") for data in NON_INTEGER_DICTS] + MALFORMED_INPUTS
 
@@ -295,6 +307,18 @@ def test_pauli_counts_bounded_by_register():
         ProtocolConfig("p1", 3, 1, adversary=spot)
 
 
+def test_pauli_positions_set_the_counts():
+    """The counts are those of the listed hits, so a manifest never claims
+    hits the run does not make; other given counts are refused."""
+    hits = (("z", 0), ("xz", 2), ("z", 1))
+    listed = AdversaryConfig("random_pauli", pauli_positions=hits)
+    assert listed.pauli_counts == (0, 2, 1)
+    assert AdversaryConfig("random_pauli", pauli_counts=(0, 2, 1), pauli_positions=hits) == listed
+    refused = r"counts \(3, 0, 0\) differ from the positions' \(0, 1, 0\)"
+    with pytest.raises(ValueError, match=refused):
+        AdversaryConfig("random_pauli", pauli_counts=(3, 0, 0), pauli_positions=(("z", 0),))
+
+
 def test_with_seed_and_capability():
     cfg = ProtocolConfig("p1", 3, 1, seed=5)
     assert cfg.with_seed(11).seed == 11
@@ -339,9 +363,16 @@ def test_config_dict_roundtrip(config):
     assert config_from_dict(data) == config
 
 
-def test_config_from_dict_accepts_qubit_alias():
+def test_config_from_dict_refuses_the_qubit_alias():
     data = config_to_dict(ProtocolConfig("p1", 3, 1))
     data["num_qubits"] = data.pop("num_register_qubits")
+    with pytest.raises(ValueError, match="unknown key.*'num_qubits'"):
+        config_from_dict(data)
+
+
+def test_config_from_dict_defaults_depth_and_seed():
+    data = config_to_dict(ProtocolConfig("p1", 3, 1))
+    del data["depth"], data["seed"]
     assert config_from_dict(data) == ProtocolConfig("p1", 3, 1)
 
 
@@ -352,11 +383,12 @@ def test_config_from_dict_rejects_a_non_boolean_record_flag():
         config_from_dict(data)
 
 
-def test_config_from_dict_accepts_flattened_adversary():
+def test_config_from_dict_refuses_flattened_adversary():
     data = config_to_dict(ROUNDTRIP_CONFIGS[2])
     adv = data["adversary"]
     adv.update(adv.pop("params"))
-    assert config_from_dict(data) == ROUNDTRIP_CONFIGS[2]
+    with pytest.raises(ValueError, match="adversary has unknown key"):
+        config_from_dict(data)
 
 
 def test_manifest_roundtrip():

@@ -29,11 +29,11 @@ from adbqc.qsim import (
     fidelity_up_to_phase,
     haar_random_state,
     plus_state,
-    rx_matrix,
     rz_matrix,
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes
-from adbqc.transcript import BOB
+from adbqc.transcript import BOB, Transcript
+from helpers import rx_matrix
 
 H = Gate.h().matrix
 X = Gate.x().matrix
@@ -54,9 +54,18 @@ def proportional(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool:
     return bool(np.allclose(a, phase * (na / nb) * b, atol=atol))
 
 
-def fresh_runtime(state: StateVector, outcomes) -> tuple[QuantumRuntime, list[str]]:
+def fresh_runtime(
+    state: StateVector, outcomes, tape: Transcript | None = None
+) -> tuple[QuantumRuntime, list[str]]:
     """A runtime holding ``state`` whose first measurements give ``outcomes``."""
-    return QuantumRuntime.from_state(state, ReplayOutcomes(outcomes), BOB)
+    return QuantumRuntime.from_state(state, ReplayOutcomes(outcomes), BOB, tape)
+
+
+def announced(rt: QuantumRuntime) -> int:
+    """The one octant the client announced on the runtime's recording tape."""
+    (octant,) = (ev.payload["theta_octant"] for ev in rt.tape.events
+                 if ev.kind == "msg" and "theta_octant" in ev.payload)
+    return octant
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +255,10 @@ def test_announced_octant_covers_octants_two_to_one():
 def test_sueki_gadget_soundness(octant, coin_pair):
     """Every realized branch equals H R_Z(k pi/4) after the frame correction."""
     state = haar_random_state(1, rng.stream(151, "sueki-state", octant))
-    rt, labels = fresh_runtime(state, coin_pair)
-    res = sueki_hrz_on_runtime(rt, labels[0], octant, hiding_octant=3, pad_bit=1)
-    assert res.theta_public == announced_octant(octant, 3, 1, res.outcomes[0])
-    corrected = PauliFrame((res.frame_delta[0],), (res.frame_delta[1],)).matrix_on(
-        rt.snapshot(labels)
-    )
+    rt, labels = fresh_runtime(state, coin_pair, Transcript())
+    x = sueki_hrz_on_runtime(rt, labels[0], octant, hiding_octant=3, pad_bit=1)
+    assert announced(rt) == announced_octant(octant, 3, 1, rt.outcomes.bits[0])
+    corrected = PauliFrame((x,), (0,)).matrix_on(rt.snapshot(labels))
     want = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
     assert fidelity_up_to_phase(corrected, want) == pytest.approx(1.0, abs=1e-9)
 
@@ -267,14 +274,12 @@ def test_sueki_gadget_branch_weights_on_zero_input():
 def test_sueki_gadget_prep_sign_branches():
     state = haar_random_state(1, rng.stream(152, "sueki-sign"))
     for outcomes in ((0, 0), (1, 1)):
-        rt, labels = fresh_runtime(state, outcomes)
-        res = sueki_hrz_on_runtime(
+        rt, labels = fresh_runtime(state, outcomes, Transcript())
+        x = sueki_hrz_on_runtime(
             rt, labels[0], 5, hiding_octant=6, pad_bit=0, prep_sign=-1
         )
-        assert res.theta_public == announced_octant(5, 6, 0, res.outcomes[0], prep_sign=-1)
-        corrected = PauliFrame((res.frame_delta[0],), (res.frame_delta[1],)).matrix_on(
-            rt.snapshot(labels)
-        )
+        assert announced(rt) == announced_octant(5, 6, 0, rt.outcomes.bits[0], prep_sign=-1)
+        corrected = PauliFrame((x,), (0,)).matrix_on(rt.snapshot(labels))
         want = apply_gate(state, Gate.hrz(octant_angle(5)), [0])
         assert fidelity_up_to_phase(corrected, want) == pytest.approx(1.0, abs=1e-9)
 

@@ -59,14 +59,14 @@ def adversaries(draw, protocol: str, num_qubits: int) -> AdversaryConfig:
     if not draw(st.booleans()):
         return HONEST
     if protocol == "p1":
-        spots = draw(st.lists(st.integers(0, num_qubits - 1), unique=True))
+        if draw(st.booleans()):  # fixed hits, which set the counts
+            spots = draw(st.lists(st.integers(0, num_qubits - 1), unique=True))
+            positions = tuple((draw(st.sampled_from(("x", "z", "xz"))), p) for p in spots)
+            return AdversaryConfig("random_pauli", pauli_positions=positions)
         x = draw(st.integers(0, num_qubits))
         z = draw(st.integers(0, num_qubits - x))
         counts = (x, z, draw(st.integers(0, num_qubits - x - z)))
-        positions = None
-        if draw(st.booleans()):
-            positions = tuple((draw(st.sampled_from(("x", "z", "xz"))), p) for p in spots)
-        return AdversaryConfig("random_pauli", pauli_counts=counts, pauli_positions=positions)
+        return AdversaryConfig("random_pauli", pauli_counts=counts)
     if protocol == "p2":
         return AdversaryConfig("trap_tamper", tamper_rate=draw(st.floats(0.0, 1.0)))
     return HONEST

@@ -31,7 +31,6 @@ from adbqc.qsim import (
     haar_random_state,
     partial_trace,
     plus_state,
-    rx_matrix,
     rz_matrix,
     trace_distance,
 )
@@ -44,8 +43,10 @@ from adbqc.runtime import (
     enumerate_runs,
 )
 from adbqc.transcript import BOB
+from helpers import rx_matrix
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+Y_GATE = Gate.custom(np.array([[0, -1j], [1j, 0]]), "y")
 
 
 def embed_apply(matrix: np.ndarray, targets, psi: np.ndarray) -> np.ndarray:
@@ -177,11 +178,11 @@ def test_tensor_appends_high_bits():
     "gate",
     [
         Gate.x(),
-        Gate.y(),
+        Y_GATE,
         Gate.z(),
         Gate.h(),
         Gate.rz(0.4),
-        Gate.rx(1.1),
+        Gate.custom(rx_matrix(1.1), "rx"),
         Gate.hrz(np.pi / 4),
         Gate.cz(),
         Gate.entangler(),
@@ -239,7 +240,7 @@ def test_apply_gate_matches_bit_surgery_oracle(trial):
     n = int(gen.integers(1, 4))
     state = haar_random_state(n, gen)
     if n == 1 or gen.random() < 0.5:
-        gate = [Gate.h(), Gate.rz(float(gen.random() * 7)), Gate.x(), Gate.y()][
+        gate = [Gate.h(), Gate.rz(float(gen.random() * 7)), Gate.x(), Y_GATE][
             int(gen.integers(4))
         ]
         targets = [int(gen.integers(n))]
@@ -359,7 +360,8 @@ def test_degenerate_basis_rejected():
 def test_rotated_basis_special_cases():
     x = MeasurementBasis.rotated(np.pi / 2, 0.0)
     y = MeasurementBasis.rotated(np.pi / 2, np.pi / 2)
-    for got, want in ((x, MeasurementBasis.x()), (y, MeasurementBasis.y())):
+    y_basis = MeasurementBasis("y", np.array([[1, 1j], [1, -1j]]) * INV_SQRT2)
+    for got, want in ((x, MeasurementBasis.x()), (y, y_basis)):
         for a, b in zip(got.eigenstates, want.eigenstates):
             assert abs(abs(np.vdot(a, b)) - 1.0) < 1e-12
     eq = MeasurementBasis.equatorial(1.3)
