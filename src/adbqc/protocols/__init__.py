@@ -17,10 +17,9 @@ from .config import (
 from .driver import (
     RunResult,
     Session,
-    compile_layers,
+    compile_steps,
     new_session,
     run,
-    run_grid,
     run_protocol1,
     run_protocol2,
     run_sueki,
@@ -59,7 +58,7 @@ __all__ = [
     "TrapLayout",
     "VerificationReport",
     "classify_angle",
-    "compile_layers",
+    "compile_steps",
     "config_from_dict",
     "config_object",
     "config_to_dict",
@@ -72,7 +71,6 @@ __all__ = [
     "reference_distribution",
     "reference_state",
     "run",
-    "run_grid",
     "run_protocol1",
     "run_protocol2",
     "run_sueki",

@@ -403,10 +403,13 @@ class RunManifest:
         )
 
 
+MANIFEST_KEYS = ("tool", "version", "created", "config")  # what ``to_json`` writes
+
+
 def config_object(data) -> dict:
     """The config object of a parsed config file, or of a manifest, which
     nests it under ``config``: the one reader of what ``to_json`` writes."""
     data = _typed("config", data, dict, "an object")
-    if data.keys() & {"tool", "version", "config"}:  # a manifest's keys
-        data = _required(data, "config", "manifest")
+    if data.keys() & MANIFEST_KEYS:
+        data = _required(_object("manifest", data, MANIFEST_KEYS), "config", "manifest")
     return _typed("config", data, dict, "an object")

@@ -10,26 +10,38 @@ output register.
 A session bundles the joint quantum runtime (which holds the transcript and
 mints the ancilla labels) and one named random stream per decision maker
 (client choices, server choices, adversary, measurement outcomes), all
-derived from the run seed so a rerun or an outcome-enumeration replay
-repeats every choice exactly.
+derived from the run seed so a rerun repeats every choice exactly. The
+grid is one flat list of gadget steps, each driven by ``drive_step``; a
+sampled run drives them in order, and ``enumerate_run`` drives each on
+forks of the session, whose draws come from one shared ``DrawLog`` per
+stream, so every outcome path makes the choices a rerun would make.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import functools
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..gadgets import NAMED_GATE_OCTANTS, PauliFrame, cz_on_runtime, frame_conjugate
 from ..qsim import X_BASIS, X_GATE, Z_BASIS, Z_GATE, ZERO_AMPS
-from ..rng import stream
-from ..runtime import OutcomeSource, QuantumRuntime, SampledOutcomes
+from .. import runtime
+from ..rng import DrawLog, stream
+from ..runtime import (
+    OutcomeSource,
+    QuantumRuntime,
+    ReplayOutcomes,
+    RunBranch,
+    SampledOutcomes,
+    enumerate_runs,
+)
 from ..transcript import ALICE, BOB, Transcript
 from . import gate_client, measure_client, sueki
 from .config import ProtocolConfig, VerificationReport
-from .schedule import Layer, schedule
-from .traps import TRAP_STATES, TrapLayout, decode_output, place_traps
+from .schedule import schedule
+from .traps import TRAP_STATES, DecodedOutput, TrapLayout, decode_output, place_traps
 
 
 @dataclass
@@ -38,6 +50,15 @@ class Session:
     rt: QuantumRuntime
     alice_rng: np.random.Generator
     adversary_rng: np.random.Generator
+    frame: PauliFrame  # the client's pending correction
+
+    def fork(self, outcomes: OutcomeSource) -> "Session":
+        """A copy that goes on from here with ``outcomes``; its draws come
+        from the same ``DrawLog``s."""
+        return Session(
+            self.config, self.rt.fork(outcomes), self.alice_rng.fork(),
+            self.adversary_rng.fork(), self.frame,
+        )
 
 
 def new_session(
@@ -49,6 +70,7 @@ def new_session(
         rt=QuantumRuntime(source, Transcript(record=config.record_transcript)),
         alice_rng=stream(config.seed, "alice"),
         adversary_rng=stream(config.seed, "adversary"),
+        frame=PauliFrame.identity(config.num_qubits),
     )
 
 
@@ -67,23 +89,28 @@ def prepare_register(session: Session) -> list[str]:
     return labels
 
 
-@dataclass(frozen=True)
-class PhysicalLayer:
-    patterns: tuple[tuple[int, int, int], ...]  # octants per physical position
-    czs: tuple[tuple[int, int], ...]  # physical position pairs
+HrzFn = Callable[[Session, str, int], int]
 
 
-def compile_layers(
-    config: ProtocolConfig, layout: TrapLayout
-) -> tuple[PhysicalLayer, ...]:
-    """Map scheduled logical layers onto physical positions, pad idle
-    positions with identity patterns and append trap preparations in the
-    final layer."""
-    logical_layers: tuple[Layer, ...] = schedule(
-        config.algorithm, config.logical_width, config.depth
-    )
-    out = []
-    for idx, layer in enumerate(logical_layers):
+class Step(NamedTuple):
+    """One gadget invocation of the grid: an H R_Z on one position, or a CZ
+    on two (``octant`` is 0)."""
+
+    kind: str  # "hrz" or "cz"
+    positions: tuple[int, ...]
+    octant: int = 0
+
+
+def compile_steps(config: ProtocolConfig, layout: TrapLayout) -> tuple[Step, ...]:
+    """Map the scheduled logical layers onto physical positions as one flat
+    list of steps: per layer, every position's pattern, then the CZs.
+
+    A pattern is four H R_Z invocations with angles (0, b, g, d). Idle
+    positions get the identity pattern, and trap positions their
+    preparation in the final layer.
+    """
+    steps = []
+    for idx, layer in enumerate(schedule(config.algorithm, config.logical_width, config.depth)):
         patterns = [(0, 0, 0)] * config.num_qubits
         for q, octants in layer.patterns:
             patterns[layout.position_of_logical(q)] = octants
@@ -91,45 +118,35 @@ def compile_layers(
             for s in layout.trap_slots:
                 pos = layout.permutation[s]
                 patterns[pos] = NAMED_GATE_OCTANTS[TRAP_STATES[layout.roles[s]][2]]
-        czs = tuple(
-            (layout.position_of_logical(i), layout.position_of_logical(j))
+        for pos, (kb, kg, kd) in enumerate(patterns):
+            steps.extend(Step("hrz", (pos,), k) for k in (kd, kg, kb, 0))
+        steps.extend(
+            Step("cz", (layout.position_of_logical(i), layout.position_of_logical(j)))
             for i, j in layer.czs
         )
-        out.append(PhysicalLayer(tuple(patterns), czs))
-    return tuple(out)
+    return tuple(steps)
 
 
-HrzFn = Callable[[Session, str, int], int]
+def drive_step(session: Session, step: Step) -> None:
+    """Drive one step through its gadget and track the session's frame.
 
-
-def run_grid(
-    session: Session,
-    layers: tuple[PhysicalLayer, ...],
-    hrz: HrzFn,
-    cz_prep_party: str = BOB,
-) -> PauliFrame:
-    """Drive every pattern slot and CZ through gadgets, tracking the frame.
-
-    Each pattern is four H R_Z invocations with angles (0, b, g, d). The
-    frame is pushed through each gate (``frame_conjugate``), which also
+    The frame is pushed through the gate (``frame_conjugate``), which also
     gives the sign of the angle actually driven; the gadget's by-product
     then flips the frame's X (H R_Z) or first-qubit Z (CZ) record.
     """
-    frame = PauliFrame.identity(session.config.num_qubits)
-    for layer in layers:
-        for pos, (kb, kg, kd) in enumerate(layer.patterns):
-            label = register_label(pos)
-            for k in (kd, kg, kb, 0):
-                frame, sign = frame_conjugate(frame, "hrz", (pos,))
-                if hrz(session, label, (sign * k) % 8):
-                    frame = frame.flip_x(pos)
-        for pi, pj in layer.czs:
-            frame, _ = frame_conjugate(frame, "cz", (pi, pj))
-            if cz_on_runtime(
-                session.rt, register_label(pi), register_label(pj), cz_prep_party
-            ):
-                frame = frame.flip_z(pi)
-    return frame
+    config = session.config
+    frame, sign = frame_conjugate(session.frame, step.kind, step.positions)
+    if step.kind == "hrz":
+        (pos,) = step.positions
+        hrz = HRZ_BY_PROTOCOL[config.protocol]
+        if hrz(session, register_label(pos), (sign * step.octant) % 8):
+            frame = frame.flip_x(pos)
+    else:
+        pi, pj = step.positions
+        prep_party = ALICE if config.capability.kind == "prepare_only" else BOB
+        if cz_on_runtime(session.rt, register_label(pi), register_label(pj), prep_party):
+            frame = frame.flip_z(pi)
+    session.frame = frame
 
 
 def pauli_hits(
@@ -215,29 +232,42 @@ HRZ_BY_PROTOCOL: dict[str, HrzFn] = {
 }
 
 
-def run(config: ProtocolConfig, outcomes: OutcomeSource | None = None) -> RunResult:
-    """Execute one run of ``config``; ``outcomes`` overrides the sampled
-    measurement outcomes (exact enumeration replays through it)."""
-    capability = config.capability.kind
-    session = new_session(config, outcomes)
+def start_run(session: Session) -> tuple[TrapLayout, tuple[Step, ...]]:
+    """Draw the trap layout, prepare the register and compile the grid."""
+    config = session.config
     layout = place_traps(
         config.num_qubits, config.trap_count, config.protocol, session.alice_rng
     )
     prepare_register(session)
-    layers = compile_layers(config, layout)
-    cz_prep_party = ALICE if capability == "prepare_only" else BOB
-    frame = run_grid(session, layers, HRZ_BY_PROTOCOL[config.protocol], cz_prep_party)
+    return layout, compile_steps(config, layout)
 
+
+def finish_run(
+    session: Session, layout: TrapLayout
+) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...], DecodedOutput]:
+    """The server's deviation, the output measurements and the decoding:
+    returns the attack hits, the raw output bits and the decoded output."""
+    config = session.config
     # server-side deviation strikes just before the output stage
     hits = sample_attack(session)
     apply_attack(session, hits)
 
     bases = layout.basis_plan(config.plan())
-    if capability == "measure_only":
+    if config.capability.kind == "measure_only":
         raw = _client_measures(session, bases)
     else:
         raw = _server_measures(session, bases)
-    decoded = decode_output(raw, bases, frame, layout)
+    return hits, raw, decode_output(raw, bases, session.frame, layout)
+
+
+def run(config: ProtocolConfig, outcomes: OutcomeSource | None = None) -> RunResult:
+    """Execute one run of ``config``; ``outcomes`` overrides the sampled
+    measurement outcomes."""
+    session = new_session(config, outcomes)
+    layout, steps = start_run(session)
+    for step in steps:
+        drive_step(session, step)
+    hits, raw, decoded = finish_run(session, layout)
     report = VerificationReport(
         accepted=decoded.trap_errors == 0,
         trap_errors=decoded.trap_errors,
@@ -245,7 +275,54 @@ def run(config: ProtocolConfig, outcomes: OutcomeSource | None = None) -> RunRes
         computation_bits=decoded.computation_bits,
         transcript_digest=session.rt.tape.digest(),
     )
-    return RunResult(session.rt.tape, report, layout, frame, raw, hits)
+    return RunResult(session.rt.tape, report, layout, session.frame, raw, hits)
+
+
+def _fork_branches(session: Session, drive: Callable[[Session], object]) -> list[RunBranch]:
+    """``enumerate_runs`` of ``drive`` on forks of ``session``; each
+    branch's value is (the fork after ``drive``, what ``drive`` returned)."""
+
+    def on_fork(source: OutcomeSource):
+        fork = session.fork(source)
+        return fork, drive(fork)
+
+    return enumerate_runs(on_fork)
+
+
+def enumerate_run(config: ProtocolConfig) -> list[RunBranch]:
+    """Every outcome path of a quiet ``run(config)``, with its decoded
+    computation bits as the value, sorted by outcomes like ``enumerate_runs``.
+
+    A depth-first search over the steps: each gadget step, and then the
+    output stage, is enumerated on forks of the session it starts from, so
+    a step runs once per path through it, not once per path of the whole
+    run. The forks share the client and adversary draws through
+    ``DrawLog``s: every path draws what a replayed run would draw.
+    """
+    root = new_session(replace(config, record_transcript=False), ReplayOutcomes(()))
+    root.alice_rng = DrawLog(root.alice_rng)
+    root.adversary_rng = DrawLog(root.adversary_rng)
+    layout, steps = start_run(root)
+
+    def output(fork: Session) -> tuple[int, ...]:
+        return finish_run(fork, layout)[2].computation_bits
+
+    leaves: list[RunBranch] = []
+    stack = [(root, 0, (), 1.0)]  # (session, next step, outcomes, probability)
+    while stack:
+        session, at, bits, prob = stack.pop()
+        drive = functools.partial(drive_step, step=steps[at]) if at < len(steps) else output
+        for branch in _fork_branches(session, drive):
+            fork, value = branch.value
+            path = (bits + branch.outcomes, fork.rt.outcomes.path_probability(prob))
+            if at < len(steps):
+                stack.append((fork, at + 1, *path))
+                continue
+            leaves.append(RunBranch(*path, value))
+            if len(leaves) > runtime.BRANCH_BUDGET:
+                raise ValueError(f"branch budget of {runtime.BRANCH_BUDGET} exceeded")
+    leaves.sort(key=lambda br: br.outcomes)
+    return leaves
 
 
 def _expect(config: ProtocolConfig, protocol: str) -> None:

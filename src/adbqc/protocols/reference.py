@@ -12,8 +12,9 @@ from dataclasses import replace
 
 from ..gadgets import pattern_unitary
 from ..qsim import Gate, StateVector, apply_gate
-from ..runtime import OutcomeSource, enumerate_runs
+from ..runtime import ReplayOutcomes, RunBranch
 from .config import ProtocolConfig
+from .driver import enumerate_run
 from .schedule import schedule
 
 
@@ -53,17 +54,23 @@ def enumerated_distribution(
 ) -> dict[tuple[int, ...], float]:
     """Exact decoded-output distribution of a protocol, all branches.
 
-    ``run_protocol`` runs a config against an outcome source, like
-    ``protocols.run``; every outcome path is replayed and the decoded
-    computation bits accumulated with their path probabilities.
+    Every outcome path comes from ``enumerate_run``, which forks the run at
+    its gadget steps, and the decoded computation bits are accumulated with
+    their path probabilities. ``run_protocol`` runs a config against an
+    outcome source, like ``protocols.run``. It runs once, on the first
+    path, so a runner for another protocol is refused and the forks are
+    checked against a whole replayed run there.
     """
-    quiet = replace(config, record_transcript=False)
-
-    def run_fn(source: OutcomeSource):
-        return run_protocol(quiet, outcomes=source).report.computation_bits
-
+    source = ReplayOutcomes(())
+    result = run_protocol(replace(config, record_transcript=False), outcomes=source)
+    replayed = RunBranch(source.bits, source.path_probability(), result.report.computation_bits)
+    branches = enumerate_run(config)
+    if branches[0] != replayed:
+        raise AssertionError(
+            f"forked first path {branches[0]} differs from the replayed {replayed}"
+        )
     out: dict[tuple[int, ...], float] = {}
-    for branch in enumerate_runs(run_fn):
+    for branch in branches:
         key = tuple(branch.value)
         out[key] = out.get(key, 0.0) + branch.probability
     return out

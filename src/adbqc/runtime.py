@@ -6,8 +6,10 @@ holds the transcript (``tape``), mints ancilla labels (``fresh``) and
 records every handover (``transfer``). Two-party protocols are written once
 and executed either by sampling measurement outcomes (``SampledOutcomes``)
 or by exhaustively enumerating every outcome path (``enumerate_runs``,
-which replays the whole computation once per path and therefore handles
-adaptive protocols where later steps depend on earlier outcomes). Gadgets,
+which replays a computation once per path and therefore handles adaptive
+protocols where later steps depend on earlier outcomes). A protocol run is
+enumerated step by step: each gadget step is replayed on a ``fork`` of the
+runtime at the step's start, not the whole run once per path. Gadgets,
 protocol runs, oracles and audits all measure through
 ``QuantumRuntime.measure``; ``qsim`` only builds states and applies gates.
 
@@ -19,7 +21,6 @@ pass over the (hi, 2, lo) view that splits the amplitudes by the qubit's bit
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -54,8 +55,8 @@ class OutcomeSource:
     def take(self, p0: float) -> int:
         raise NotImplementedError
 
-    def path_probability(self) -> float:
-        prob = 1.0
+    def path_probability(self, prob: float = 1.0) -> float:
+        """``prob`` times the probability of each outcome taken, in order."""
         for bit, p0 in self.trace:
             prob *= p0 if bit == 0 else 1.0 - p0
         return prob
@@ -108,7 +109,7 @@ class QuantumRuntime:
         self._amps: np.ndarray = np.ones(1, dtype=complex)
         self._labels: list[str] = []  # index in this list == qubit index
         self._owners: dict[str, str] = {}
-        self._minted = itertools.count()
+        self._minted = 0  # ancilla labels handed out by ``fresh``
 
     @classmethod
     def from_state(
@@ -127,7 +128,20 @@ class QuantumRuntime:
 
     def fresh(self, prefix: str) -> str:
         """A new ancilla label ``<prefix><n>``, numbered per runtime."""
-        return f"{prefix}{next(self._minted)}"
+        self._minted += 1
+        return f"{prefix}{self._minted - 1}"
+
+    def fork(self, outcomes: OutcomeSource) -> "QuantumRuntime":
+        """A copy that takes its outcomes from ``outcomes``. It shares the
+        amplitude array, which every operation replaces and none writes in
+        place, and the transcript; it copies the labels, owners and label
+        counter."""
+        twin = QuantumRuntime(outcomes, self.tape)
+        twin._amps = self._amps
+        twin._labels = list(self._labels)
+        twin._owners = dict(self._owners)
+        twin._minted = self._minted
+        return twin
 
     def index_of(self, label: str) -> int:
         return self._labels.index(label)

@@ -406,6 +406,11 @@ def test_manifest_roundtrip():
         pytest.param('{"tool": "adbqc"}', "manifest needs config", id="no-config"),
         pytest.param('{"config": 3}', "config must be an object", id="bad-config"),
         pytest.param("[1, 2]", "config must be an object", id="not-an-object"),
+        pytest.param(
+            '{"tool": "adbqc", "config": {}, "confg": 1}',
+            "manifest has unknown key\\(s\\) 'confg'",
+            id="unknown-key",
+        ),
     ],
 )
 def test_manifest_reader_names_what_is_wrong(text, message):
