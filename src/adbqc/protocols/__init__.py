@@ -16,9 +16,6 @@ from .config import (
 )
 from .driver import (
     RunResult,
-    Session,
-    compile_steps,
-    new_session,
     run,
     run_protocol1,
     run_protocol2,
@@ -53,18 +50,15 @@ __all__ = [
     "ProtocolConfig",
     "RunManifest",
     "RunResult",
-    "Session",
     "TRAP_STATES",
     "TrapLayout",
     "VerificationReport",
     "classify_angle",
-    "compile_steps",
     "config_from_dict",
     "config_object",
     "config_to_dict",
     "decode_output",
     "enumerated_distribution",
-    "new_session",
     "p1_hrz_on_runtime",
     "p2_hrz_on_runtime",
     "place_traps",

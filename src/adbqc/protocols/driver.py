@@ -3,24 +3,25 @@
 Every protocol is the same ancilla-driven run: a session, a trap layout,
 the register, the compiled gadget grid, the server's deviation, the output
 measurements and the decoding. The protocols differ in two places only:
-the client's part of each H R_Z gadget (``HRZ_BY_PROTOCOL``), and, through
-the client's capability, who prepares the CZ ancilla and who measures the
-output register.
+the client's part of each H R_Z gadget (``CLIENT_BY_PROTOCOL``), and,
+through the client's capability, who prepares the CZ ancilla and who
+measures the output register.
 
-A session bundles the joint quantum runtime (which holds the transcript and
-mints the ancilla labels) and one named random stream per decision maker
-(client choices, server choices, adversary, measurement outcomes), all
-derived from the run seed so a rerun repeats every choice exactly. The
-grid is one flat list of gadget steps, each driven by ``drive_step``; a
-sampled run drives them in order, and ``enumerate_run`` drives each on
-forks of the session, whose draws come from one shared ``DrawLog`` per
-stream, so every outcome path makes the choices a rerun would make.
+No choice of the client or the adversary depends on what the server
+measures, so ``draw_plan`` draws them all from the run seed's "alice" and
+"adversary" streams before the run starts: a run is a function of its plan
+and its measurement outcomes. A session holds the config, the joint
+quantum runtime (which holds the transcript and mints the ancilla labels)
+and the client's Pauli frame. The grid is one flat list of gadget steps,
+each driven by ``drive_step``; a sampled run drives them in order, and
+``enumerate_run`` drives each on forks of the session.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from types import ModuleType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from ..gadgets import NAMED_GATE_OCTANTS, PauliFrame, cz_on_runtime, frame_conjugate
 from ..qsim import X_BASIS, X_GATE, Z_BASIS, Z_GATE, ZERO_AMPS
 from .. import runtime
-from ..rng import DrawLog, stream
+from ..rng import stream
 from ..runtime import (
     OutcomeSource,
     QuantumRuntime,
@@ -48,17 +49,11 @@ from .traps import TRAP_STATES, DecodedOutput, TrapLayout, decode_output, place_
 class Session:
     config: ProtocolConfig
     rt: QuantumRuntime
-    alice_rng: np.random.Generator
-    adversary_rng: np.random.Generator
     frame: PauliFrame  # the client's pending correction
 
     def fork(self, outcomes: OutcomeSource) -> "Session":
-        """A copy that goes on from here with ``outcomes``; its draws come
-        from the same ``DrawLog``s."""
-        return Session(
-            self.config, self.rt.fork(outcomes), self.alice_rng.fork(),
-            self.adversary_rng.fork(), self.frame,
-        )
+        """A copy that goes on from here with ``outcomes``."""
+        return Session(self.config, self.rt.fork(outcomes), self.frame)
 
 
 def new_session(
@@ -68,8 +63,6 @@ def new_session(
     return Session(
         config=config,
         rt=QuantumRuntime(source, Transcript(record=config.record_transcript)),
-        alice_rng=stream(config.seed, "alice"),
-        adversary_rng=stream(config.seed, "adversary"),
         frame=PauliFrame.identity(config.num_qubits),
     )
 
@@ -89,16 +82,14 @@ def prepare_register(session: Session) -> list[str]:
     return labels
 
 
-HrzFn = Callable[[Session, str, int], int]
-
-
 class Step(NamedTuple):
-    """One gadget invocation of the grid: an H R_Z on one position, or a CZ
-    on two (``octant`` is 0)."""
+    """One gadget invocation of the grid: an H R_Z on one position, with the
+    client's secrets for it, or a CZ on two (``octant`` is 0)."""
 
     kind: str  # "hrz" or "cz"
     positions: tuple[int, ...]
     octant: int = 0
+    secrets: tuple[int, ...] = ()
 
 
 def compile_steps(config: ProtocolConfig, layout: TrapLayout) -> tuple[Step, ...]:
@@ -138,8 +129,8 @@ def drive_step(session: Session, step: Step) -> None:
     frame, sign = frame_conjugate(session.frame, step.kind, step.positions)
     if step.kind == "hrz":
         (pos,) = step.positions
-        hrz = HRZ_BY_PROTOCOL[config.protocol]
-        if hrz(session, register_label(pos), (sign * step.octant) % 8):
+        hrz = CLIENT_BY_PROTOCOL[config.protocol].hrz
+        if hrz(session.rt, register_label(pos), (sign * step.octant) % 8, step.secrets):
             frame = frame.flip_x(pos)
     else:
         pi, pj = step.positions
@@ -161,14 +152,16 @@ def pauli_hits(
     return tuple(zip(kinds, rng.permutation(num_qubits).tolist()))
 
 
-def sample_attack(session: Session) -> tuple[tuple[str, int], ...]:
+def sample_attack(
+    config: ProtocolConfig, rng: np.random.Generator
+) -> tuple[tuple[str, int], ...]:
     """Resolve the random-Pauli adversary to concrete (kind, position) hits."""
-    adv = session.config.adversary
+    adv = config.adversary
     if adv.kind != "random_pauli":
         return ()
     if adv.pauli_positions is not None:
         return adv.pauli_positions
-    return pauli_hits(adv.pauli_counts, session.config.num_qubits, session.adversary_rng)
+    return pauli_hits(adv.pauli_counts, config.num_qubits, rng)
 
 
 def apply_attack(session: Session, hits: tuple[tuple[str, int], ...]) -> None:
@@ -184,18 +177,18 @@ def apply_attack(session: Session, hits: tuple[tuple[str, int], ...]) -> None:
 OUTPUT_BASES = {"z": Z_BASIS, "x": X_BASIS}
 
 
-def _server_measures(session: Session, bases: tuple[str, ...]) -> tuple[int, ...]:
+def _server_measures(
+    session: Session, bases: tuple[str, ...], flips: tuple[bool, ...]
+) -> tuple[int, ...]:
     """The client announces a basis per position; the server measures there
-    and reports, possibly lying under the tamper model."""
-    adv = session.config.adversary
+    and reports, lying where the tamper model flips the bit."""
     tape = session.rt.tape
     raw = []
     for pos, basis_name in enumerate(bases):
         label = register_label(pos)
         tape.msg(ALICE, to=BOB, op="measure", qubit=label, basis=basis_name)
         bit, _ = session.rt.measure(label, OUTPUT_BASES[basis_name])
-        if adv.kind == "trap_tamper" and session.adversary_rng.random() >= adv.tamper_rate:
-            bit ^= 1
+        bit ^= flips[pos]
         tape.outcome(BOB, bit, qubit=label)
         tape.msg(BOB, to=ALICE, op="report", qubit=label, bit=bit)
         raw.append(bit)
@@ -224,50 +217,70 @@ class RunResult:
     attack_hits: tuple[tuple[str, int], ...]
 
 
-# the client's part of each H R_Z gadget: prepare, measure or rotate
-HRZ_BY_PROTOCOL: dict[str, HrzFn] = {
-    "sueki": sueki.hrz,
-    "p1": measure_client.hrz,
-    "p2": gate_client.hrz,
+# the client's part of each H R_Z gadget (prepare, measure or rotate): its
+# ``draw_secrets(rng)`` and its ``hrz(rt, label, octant, secrets)``
+CLIENT_BY_PROTOCOL: dict[str, ModuleType] = {
+    "sueki": sueki,
+    "p1": measure_client,
+    "p2": gate_client,
 }
 
 
-def start_run(session: Session) -> tuple[TrapLayout, tuple[Step, ...]]:
-    """Draw the trap layout, prepare the register and compile the grid."""
-    config = session.config
-    layout = place_traps(
-        config.num_qubits, config.trap_count, config.protocol, session.alice_rng
+class Plan(NamedTuple):
+    """Every choice of a run that is not a measurement outcome."""
+
+    layout: TrapLayout
+    steps: tuple[Step, ...]  # each H R_Z step carries its client secrets
+    hits: tuple[tuple[str, int], ...]  # the stray Paulis
+    flips: tuple[bool, ...]  # per output position, whether a report is flipped
+
+
+def draw_plan(config: ProtocolConfig) -> Plan:
+    """Draw every choice of a run before it starts. From the "alice" stream:
+    the trap layout, then each H R_Z step's client secrets in step order;
+    from the "adversary" stream: the stray-Pauli hits, then the tamper flip
+    of each output position."""
+    alice = stream(config.seed, "alice")
+    layout = place_traps(config.num_qubits, config.trap_count, config.protocol, alice)
+    draw_secrets = CLIENT_BY_PROTOCOL[config.protocol].draw_secrets
+    steps = tuple(
+        step._replace(secrets=draw_secrets(alice)) if step.kind == "hrz" else step
+        for step in compile_steps(config, layout)
     )
-    prepare_register(session)
-    return layout, compile_steps(config, layout)
+    adversary = stream(config.seed, "adversary")
+    hits = sample_attack(config, adversary)
+    adv = config.adversary
+    flips = tuple(
+        adv.kind == "trap_tamper" and adversary.random() >= adv.tamper_rate
+        for _ in range(config.num_qubits)
+    )
+    return Plan(layout, steps, hits, flips)
 
 
-def finish_run(
-    session: Session, layout: TrapLayout
-) -> tuple[tuple[tuple[str, int], ...], tuple[int, ...], DecodedOutput]:
+def finish_run(session: Session, plan: Plan) -> tuple[tuple[int, ...], DecodedOutput]:
     """The server's deviation, the output measurements and the decoding:
-    returns the attack hits, the raw output bits and the decoded output."""
+    returns the raw output bits and the decoded output."""
     config = session.config
     # server-side deviation strikes just before the output stage
-    hits = sample_attack(session)
-    apply_attack(session, hits)
+    apply_attack(session, plan.hits)
 
-    bases = layout.basis_plan(config.plan())
+    bases = plan.layout.basis_plan(config.plan())
     if config.capability.kind == "measure_only":
         raw = _client_measures(session, bases)
     else:
-        raw = _server_measures(session, bases)
-    return hits, raw, decode_output(raw, bases, session.frame, layout)
+        raw = _server_measures(session, bases, plan.flips)
+    return raw, decode_output(raw, bases, session.frame, plan.layout)
 
 
 def run(config: ProtocolConfig, outcomes: OutcomeSource | None = None) -> RunResult:
     """Execute one run of ``config``; ``outcomes`` overrides the sampled
     measurement outcomes."""
     session = new_session(config, outcomes)
-    layout, steps = start_run(session)
-    for step in steps:
+    plan = draw_plan(config)
+    prepare_register(session)
+    for step in plan.steps:
         drive_step(session, step)
-    hits, raw, decoded = finish_run(session, layout)
+    raw, decoded = finish_run(session, plan)
     report = VerificationReport(
         accepted=decoded.trap_errors == 0,
         trap_errors=decoded.trap_errors,
@@ -275,7 +288,7 @@ def run(config: ProtocolConfig, outcomes: OutcomeSource | None = None) -> RunRes
         computation_bits=decoded.computation_bits,
         transcript_digest=session.rt.tape.digest(),
     )
-    return RunResult(session.rt.tape, report, layout, session.frame, raw, hits)
+    return RunResult(session.rt.tape, report, plan.layout, session.frame, raw, plan.hits)
 
 
 def _fork_branches(session: Session, drive: Callable[[Session], object]) -> list[RunBranch]:
@@ -296,16 +309,16 @@ def enumerate_run(config: ProtocolConfig) -> list[RunBranch]:
     A depth-first search over the steps: each gadget step, and then the
     output stage, is enumerated on forks of the session it starts from, so
     a step runs once per path through it, not once per path of the whole
-    run. The forks share the client and adversary draws through
-    ``DrawLog``s: every path draws what a replayed run would draw.
+    run. Every path shares the one plan, which ``draw_plan`` draws as a
+    replayed run would.
     """
     root = new_session(replace(config, record_transcript=False), ReplayOutcomes(()))
-    root.alice_rng = DrawLog(root.alice_rng)
-    root.adversary_rng = DrawLog(root.adversary_rng)
-    layout, steps = start_run(root)
+    plan = draw_plan(config)
+    prepare_register(root)
+    steps = plan.steps
 
     def output(fork: Session) -> tuple[int, ...]:
-        return finish_run(fork, layout)[2].computation_bits
+        return finish_run(fork, plan)[1].computation_bits
 
     leaves: list[RunBranch] = []
     stack = [(root, 0, (), 1.0)]  # (session, next step, outcomes, probability)

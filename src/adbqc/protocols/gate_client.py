@@ -16,15 +16,12 @@ absorbs the pads, so decoding is unchanged.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import numpy as np
 
 from ..gadgets import couple_in, measure_out
 from ..qsim import PLUS_AMPS, RZ_BY_OCTANT, X_BASIS
 from ..runtime import QuantumRuntime
 from ..transcript import ALICE, BOB
-
-if TYPE_CHECKING:
-    from .driver import Session
 
 
 def p2_hrz_on_runtime(rt: QuantumRuntime, target: str, octant: int) -> int:
@@ -45,8 +42,13 @@ def p2_hrz_on_runtime(rt: QuantumRuntime, target: str, octant: int) -> int:
     return measure_out(rt, anc, X_BASIS)
 
 
-def hrz(session: Session, label: str, octant: int) -> int:
-    # private half-turn pad: one-time-pads the by-product bit (see module
+def draw_secrets(rng: np.random.Generator) -> tuple[int]:
+    """The client's private half-turn pad bit for one rotation."""
+    return (int(rng.integers(2)),)
+
+
+def hrz(rt: QuantumRuntime, label: str, octant: int, secrets: tuple[int, ...]) -> int:
+    # the half-turn pad one-time-pads the by-product bit (see module
     # docstring); the returned delta accounts for it, the server cannot
-    pad = int(session.alice_rng.integers(2))
-    return p2_hrz_on_runtime(session.rt, label, (octant + 4 * pad) % 8) ^ pad
+    (pad,) = secrets
+    return p2_hrz_on_runtime(rt, label, (octant + 4 * pad) % 8) ^ pad

@@ -21,15 +21,14 @@ by-product is X^(z_bell ^ m ^ rho) with z_bell the Z-basis Bell outcome.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
+
+import numpy as np
 
 from ..gadgets import couple, h_cancel
 from ..qsim import EQUATORIAL_BY_OCTANT, RZ_BY_OCTANT, X_BASIS, Z_BASIS, StateVector
 from ..runtime import QuantumRuntime
 from ..transcript import ALICE, BOB
-
-if TYPE_CHECKING:
-    from .driver import Session
 
 BELL = StateVector.of([1, 0, 0, 1])
 
@@ -128,5 +127,10 @@ def p1_hrz_on_runtime(
     return by_product ^ segment(6, e2a, e2b, drive=False, active=case == "a")
 
 
-def hrz(session: Session, label: str, octant: int) -> int:
-    return p1_hrz_on_runtime(session.rt, label, octant)
+def draw_secrets(rng: np.random.Generator) -> tuple[()]:
+    """None: the client's basis choices follow from its Bell outcomes."""
+    return ()
+
+
+def hrz(rt: QuantumRuntime, label: str, octant: int, secrets: tuple[int, ...]) -> int:
+    return p1_hrz_on_runtime(rt, label, octant)

@@ -9,15 +9,12 @@ random preparation angle, the preparation sign, and a pad bit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from ..gadgets import draw_sueki_secrets, sueki_hrz_on_runtime
+from ..runtime import QuantumRuntime
 
-if TYPE_CHECKING:
-    from .driver import Session
+draw_secrets = draw_sueki_secrets  # (hiding octant, pad bit, prep sign)
 
 
-def hrz(session: Session, label: str, octant: int) -> int:
-    """One hidden rotation: the client draws the pad and preparation angle."""
-    hiding, pad, sign = draw_sueki_secrets(session.alice_rng)
-    return sueki_hrz_on_runtime(session.rt, label, octant, hiding, pad, sign)
+def hrz(rt: QuantumRuntime, label: str, octant: int, secrets: tuple[int, ...]) -> int:
+    """One hidden rotation under the client's secrets from ``draw_secrets``."""
+    return sueki_hrz_on_runtime(rt, label, octant, *secrets)

@@ -7,11 +7,12 @@ records every handover (``transfer``). Two-party protocols are written once
 and executed either by sampling measurement outcomes (``SampledOutcomes``)
 or by exhaustively enumerating every outcome path (``enumerate_runs``,
 which replays a computation once per path and therefore handles adaptive
-protocols where later steps depend on earlier outcomes). A protocol run is
-enumerated step by step: each gadget step is replayed on a ``fork`` of the
-runtime at the step's start, not the whole run once per path. Gadgets,
-protocol runs, oracles and audits all measure through
-``QuantumRuntime.measure``; ``qsim`` only builds states and applies gates.
+protocols where later steps depend on earlier outcomes). A protocol run
+draws its other random choices before it starts, so the outcome source is
+a runtime's only randomness, and each gadget step of the run is enumerated
+on ``fork``s of the runtime at the step's start. Gadgets, protocol runs,
+oracles and audits all measure through ``QuantumRuntime.measure``; ``qsim``
+only builds states and applies gates.
 
 Each operation is a few numpy calls: ``measure`` and ``discard`` make one
 pass over the (hi, 2, lo) view that splits the amplitudes by the qubit's bit

@@ -55,6 +55,8 @@ class Transcript:
         self.events.append(Event(len(self.events), kind, party, to, payload))
 
     def msg(self, party: str, to: str, **payload) -> None:
+        if not self.record:  # nothing is kept, so there is nothing to check
+            return
         for key, value in payload.items():
             if not isinstance(value, (int, str)):  # a bool is an int
                 raise ValueError(

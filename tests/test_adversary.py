@@ -193,9 +193,11 @@ def test_run_and_monte_carlo_draw_the_same_hits(monkeypatch):
         "p1", 9, 1, seed=406,
         adversary=AdversaryConfig(kind="random_pauli", pauli_counts=counts),
     )
-    session = new_session(config)
+    run_rng = rng.stream(config.seed, "adversary")
     roles = thirds_roles(9)
-    expected = [(kind, roles[p]) for _ in range(trials) for kind, p in sample_attack(session)]
+    expected = [
+        (kind, roles[p]) for _ in range(trials) for kind, p in sample_attack(config, run_rng)
+    ]
     asked = []
     monkeypatch.setattr(
         adversary, "pauli_is_caught", lambda kind, role: asked.append((kind, role)) or False
@@ -203,7 +205,7 @@ def test_run_and_monte_carlo_draw_the_same_hits(monkeypatch):
     mc_rng = rng.stream(config.seed, "adversary")
     simulate_escape(9, counts, trials, mc_rng)
     assert asked == expected
-    assert mc_rng.bit_generator.state == session.adversary_rng.bit_generator.state
+    assert mc_rng.bit_generator.state == run_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import adbqc.protocols.driver
+import adbqc.protocols.gate_client
 import adbqc.protocols.measure_client
 import adbqc.protocols.sueki
 from adbqc import protocols
@@ -23,6 +24,8 @@ CALLER_NAMES = (
     (adbqc.protocols.driver, "cz_on_runtime"),
     (adbqc.protocols.measure_client, "h_cancel"),
     (adbqc.protocols.sueki, "sueki_hrz_on_runtime"),
+    (adbqc.protocols.measure_client, "p1_hrz_on_runtime"),
+    (adbqc.protocols.gate_client, "p2_hrz_on_runtime"),
 )
 
 
@@ -48,3 +51,15 @@ def test_the_bench_tracer_enters_and_leaves(bench_module):
             for (module, name), original in zip(CALLER_NAMES, originals)
         )
     assert [getattr(module, name) for module, name in CALLER_NAMES] == originals
+
+
+def test_the_bench_tracer_counts_every_p1_hrz(bench_module):
+    """Each H R_Z step of a p1 run is one traced ``gadgets.hrz`` call: the
+    client adapter calls its gadget by the module-global name the tracer
+    replaces."""
+    config = protocols.ProtocolConfig("p1", 3, 1, seed=2)
+    steps = adbqc.protocols.driver.draw_plan(config).steps
+    tracer = bench_module("tracing").Tracer()
+    with tracer:
+        protocols.run_protocol1(config)
+    assert tracer.summary()["gadgets.hrz.calls"] == sum(step.kind == "hrz" for step in steps)

@@ -15,6 +15,7 @@ import pytest
 
 import adbqc.runtime
 from adbqc import protocols
+from adbqc.protocols import driver
 from adbqc.protocols import (
     AdversaryConfig,
     GateRequest,
@@ -24,7 +25,6 @@ from adbqc.protocols import (
     run_sueki,
 )
 from adbqc.qsim import PLUS_AMPS, X_BASIS, ZERO_AMPS, Gate
-from adbqc.rng import DrawLog, stream
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -121,21 +121,59 @@ def test_a_fork_leaves_its_parent_unchanged():
     assert fork.fresh("a") == "a2"
 
 
-def test_draw_log_forks_read_the_draws_a_fresh_generator_makes():
-    log = DrawLog(stream(3, "alice"))
-    fork = log.fork()
-    made = [log.integers(8), log.random(), log.permutation(4).tolist()]
-    read = [fork.integers(8), fork.random(), fork.permutation(4).tolist()]
-    rng = stream(3, "alice")
-    assert made == read == [rng.integers(8), rng.random(), rng.permutation(4).tolist()]
+# ---------------------------------------------------------------------------
+# The plan: every client and adversary draw happens before the run
 
 
-def test_draw_log_refuses_a_different_draw():
-    log = DrawLog(stream(3, "alice"))
-    fork = log.fork()
-    log.integers(8)
-    with pytest.raises(ValueError, match=r"draw 0 asks for \('integers', 2\)"):
-        fork.integers(2)
+class Refusing:
+    """A generator that refuses every draw once ``closed`` holds anything."""
+
+    def __init__(self, rng, closed):
+        self._rng, self._closed = rng, closed
+
+    def __getattr__(self, name):
+        if self._closed:
+            raise AssertionError(f"{name} drawn after the plan")
+        return getattr(self._rng, name)
+
+
+PLANNED = [
+    ProtocolConfig("sueki", 2, 1, seed=4, algorithm=(GateRequest.cz_pair(0, 1),)),
+    ProtocolConfig(
+        "p1", 3, 1, seed=2,
+        adversary=AdversaryConfig(kind="random_pauli", pauli_counts=(1, 0, 1)),
+    ),
+    ProtocolConfig(
+        "p2", 3, 1, trap_count=2, seed=6,
+        adversary=AdversaryConfig(kind="trap_tamper", tamper_rate=0.5),
+    ),
+]
+
+
+@pytest.mark.parametrize("config", PLANNED, ids=lambda config: config.protocol)
+def test_nothing_after_draw_plan_draws(monkeypatch, config):
+    """Once the plan is drawn, no stream opens and no client or adversary
+    generator draws; only the measurement outcomes are still sampled."""
+    want = run(config).report
+    closed = []
+    real_stream, real_draw_plan = driver.stream, driver.draw_plan
+
+    def guarded_stream(seed, purpose, index=0):
+        if purpose == "outcomes":
+            return real_stream(seed, purpose, index)
+        if closed:
+            raise AssertionError(f"stream {purpose!r} opened after the plan")
+        return Refusing(real_stream(seed, purpose, index), closed)
+
+    def draw_then_close(config):
+        plan = real_draw_plan(config)
+        closed.append(True)
+        return plan
+
+    monkeypatch.setattr(driver, "stream", guarded_stream)
+    monkeypatch.setattr(driver, "draw_plan", draw_then_close)
+    assert run(config).report == want
+    assert closed == [True]
 
 
 def test_branch_budget_is_enforced(monkeypatch):
