@@ -14,7 +14,8 @@ and its measurement outcomes. A session holds the config, the joint
 quantum runtime (which holds the transcript and mints the ancilla labels)
 and the client's Pauli frame. The grid is one flat list of gadget steps,
 each driven by ``drive_step``; a sampled run drives them in order, and
-``enumerate_run`` drives each on forks of the session.
+``enumerate_run`` drives each on forks of one session, checks that they
+agree up to the frame, and goes on with one.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..gadgets import NAMED_GATE_OCTANTS, PauliFrame, cz_on_runtime, frame_conjugate
-from ..qsim import X_BASIS, X_GATE, Z_BASIS, Z_GATE, ZERO_AMPS
-from .. import runtime
+from ..qsim import GADGET_FIDELITY_ATOL, X_BASIS, X_GATE, Z_BASIS, Z_GATE, ZERO_AMPS
+from ..qsim import StateVector, fidelity_up_to_phase
 from ..rng import stream
 from ..runtime import (
     OutcomeSource,
@@ -302,40 +303,39 @@ def _fork_branches(session: Session, drive: Callable[[Session], object]) -> list
     return enumerate_runs(on_fork)
 
 
+def _corrected_step(session: Session, step: Step) -> StateVector:
+    """``drive_step``, then the frame-corrected register state."""
+    drive_step(session, step)
+    return session.frame.matrix_on(session.rt.snapshot())
+
+
 def enumerate_run(config: ProtocolConfig) -> list[RunBranch]:
-    """Every outcome path of a quiet ``run(config)``, with its decoded
+    """Every output path of a quiet ``run(config)``, with its decoded
     computation bits as the value, sorted by outcomes like ``enumerate_runs``.
 
-    A depth-first search over the steps: each gadget step, and then the
-    output stage, is enumerated on forks of the session it starts from, so
-    a step runs once per path through it, not once per path of the whole
-    run. Every path shares the one plan, which ``draw_plan`` draws as a
-    replayed run would.
+    Each gadget realizes its gate on every outcome up to a by-product the
+    frame records, so every fork of a step must leave the same corrected
+    register state; the walk checks that and goes on with the first fork,
+    the greedy path. The output stage is then enumerated on that session:
+    each path is the kept outcomes plus an output path, with the output
+    path's probability.
     """
-    root = new_session(replace(config, record_transcript=False), ReplayOutcomes(()))
+    session = new_session(replace(config, record_transcript=False), ReplayOutcomes(()))
     plan = draw_plan(config)
-    prepare_register(root)
-    steps = plan.steps
-
-    def output(fork: Session) -> tuple[int, ...]:
-        return finish_run(fork, plan)[1].computation_bits
-
-    leaves: list[RunBranch] = []
-    stack = [(root, 0, (), 1.0)]  # (session, next step, outcomes, probability)
-    while stack:
-        session, at, bits, prob = stack.pop()
-        drive = functools.partial(drive_step, step=steps[at]) if at < len(steps) else output
-        for branch in _fork_branches(session, drive):
-            fork, value = branch.value
-            path = (bits + branch.outcomes, fork.rt.outcomes.path_probability(prob))
-            if at < len(steps):
-                stack.append((fork, at + 1, *path))
-                continue
-            leaves.append(RunBranch(*path, value))
-            if len(leaves) > runtime.BRANCH_BUDGET:
-                raise ValueError(f"branch budget of {runtime.BRANCH_BUDGET} exceeded")
-    leaves.sort(key=lambda br: br.outcomes)
-    return leaves
+    prepare_register(session)
+    kept: tuple[int, ...] = ()
+    for step in plan.steps:
+        first, *rest = _fork_branches(session, functools.partial(_corrected_step, step=step))
+        session, state = first.value
+        for branch in rest:
+            if fidelity_up_to_phase(state, branch.value[1]) < 1.0 - GADGET_FIDELITY_ATOL:
+                raise AssertionError(
+                    f"{step.kind} step on {step.positions} (octant {step.octant}): outcomes "
+                    f"{first.outcomes} and {branch.outcomes} leave different states"
+                )
+        kept += first.outcomes
+    leaves = _fork_branches(session, lambda fork: finish_run(fork, plan)[1].computation_bits)
+    return [RunBranch(kept + br.outcomes, br.probability, br.value[1]) for br in leaves]
 
 
 def _expect(config: ProtocolConfig, protocol: str) -> None:

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from ..gadgets import pattern_unitary
 from ..qsim import Gate, StateVector, apply_gate
-from ..runtime import ReplayOutcomes, RunBranch
+from ..runtime import ReplayOutcomes
 from .config import ProtocolConfig
 from .driver import enumerate_run
 from .schedule import schedule
@@ -54,20 +54,19 @@ def enumerated_distribution(
 ) -> dict[tuple[int, ...], float]:
     """Exact decoded-output distribution of a protocol, all branches.
 
-    Every outcome path comes from ``enumerate_run``, which forks the run at
-    its gadget steps, and the decoded computation bits are accumulated with
-    their path probabilities. ``run_protocol`` runs a config against an
-    outcome source, like ``protocols.run``. It runs once, on the first
-    path, so a runner for another protocol is refused and the forks are
-    checked against a whole replayed run there.
+    The paths come from ``enumerate_run``'s walk over the gadget steps.
+    ``run_protocol`` runs a config against an outcome source, like
+    ``protocols.run``. It runs once, on the greedy path, so a runner for
+    another protocol is refused and the walk's first path (outcomes and
+    decoded bits) is checked against a whole replayed run there.
     """
     source = ReplayOutcomes(())
     result = run_protocol(replace(config, record_transcript=False), outcomes=source)
-    replayed = RunBranch(source.bits, source.path_probability(), result.report.computation_bits)
+    replayed = (source.bits, result.report.computation_bits)
     branches = enumerate_run(config)
-    if branches[0] != replayed:
+    if (branches[0].outcomes, branches[0].value) != replayed:
         raise AssertionError(
-            f"forked first path {branches[0]} differs from the replayed {replayed}"
+            f"walked first path {branches[0]} differs from the replayed {replayed}"
         )
     out: dict[tuple[int, ...], float] = {}
     for branch in branches:

@@ -6,11 +6,11 @@ holds the transcript (``tape``), mints ancilla labels (``fresh``) and
 records every handover (``transfer``). Two-party protocols are written once
 and executed either by sampling measurement outcomes (``SampledOutcomes``)
 or by exhaustively enumerating every outcome path (``enumerate_runs``,
-which replays a computation once per path and therefore handles adaptive
-protocols where later steps depend on earlier outcomes). A protocol run
-draws its other random choices before it starts, so the outcome source is
-a runtime's only randomness, and each gadget step of the run is enumerated
-on ``fork``s of the runtime at the step's start. Gadgets, protocol runs,
+which replays a computation once per path, so later steps may depend on
+earlier outcomes). A protocol run draws its other random choices before it
+starts, so the outcome source is a runtime's only randomness. Its exact
+enumeration replays one gadget step at a time, on ``fork``s of the runtime
+at the step's start, and goes on with one fork. Gadgets, protocol runs,
 oracles and audits all measure through ``QuantumRuntime.measure``; ``qsim``
 only builds states and applies gates.
 
@@ -56,11 +56,9 @@ class OutcomeSource:
     def take(self, p0: float) -> int:
         raise NotImplementedError
 
-    def path_probability(self, prob: float = 1.0) -> float:
-        """``prob`` times the probability of each outcome taken, in order."""
-        for bit, p0 in self.trace:
-            prob *= p0 if bit == 0 else 1.0 - p0
-        return prob
+    def path_probability(self) -> float:
+        """The product of the probabilities of the outcomes taken, in order."""
+        return math.prod(p0 if bit == 0 else 1.0 - p0 for bit, p0 in self.trace)
 
 
 class SampledOutcomes(OutcomeSource):

@@ -63,3 +63,18 @@ def test_the_bench_tracer_counts_every_p1_hrz(bench_module):
     with tracer:
         protocols.run_protocol1(config)
     assert tracer.summary()["gadgets.hrz.calls"] == sum(step.kind == "hrz" for step in steps)
+
+
+def test_the_exact_walk_drives_each_hrz_step_twice(bench_module):
+    """``enumerated_distribution`` forks each H R_Z step into its two
+    outcome branches once, on one session, and replays one whole run: a
+    slide back to one replay per path multiplies the traced calls."""
+    config = protocols.ProtocolConfig(
+        "p2", 2, 1, trap_count=1,
+        algorithm=(protocols.GateRequest.single(0, octants=(1, 3, 5)),),
+    )
+    steps = adbqc.protocols.driver.draw_plan(config).steps
+    tracer = bench_module("tracing").Tracer()
+    with tracer:
+        protocols.enumerated_distribution(protocols.run_protocol2, config)
+    assert tracer.summary()["gadgets.hrz.calls"] == 3 * sum(step.kind == "hrz" for step in steps)

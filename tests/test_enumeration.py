@@ -1,9 +1,12 @@
-"""Forked exact enumeration against whole-run replay, and its primitives.
+"""The exact walk against whole-run replay and the reference, and its
+primitives.
 
-``enumerated_distribution`` enumerates a run by forking it at its gadget
-steps (``driver.enumerate_run``). The reference path replays the whole run
-once per outcome path through ``enumerate_runs``. Both must give the same
-distribution, float for float.
+``enumerated_distribution`` walks a run's gadget steps on one session
+(``driver.enumerate_run``): it forks each step, checks that every fork
+leaves the same frame-corrected register state, and goes on with one. The
+reference path replays the whole run once per outcome path through
+``enumerate_runs``. Both must give the same support and the same
+probabilities up to rounding, since they sum them in different orders.
 """
 
 import importlib
@@ -17,19 +20,36 @@ import adbqc.runtime
 from adbqc import protocols
 from adbqc.protocols import driver
 from adbqc.protocols import (
+    TRAP_STATES,
     AdversaryConfig,
     GateRequest,
     ProtocolConfig,
     enumerated_distribution,
+    reference_distribution,
+    reference_state,
     run,
     run_sueki,
+    total_variation,
 )
-from adbqc.qsim import PLUS_AMPS, X_BASIS, ZERO_AMPS, Gate
+from adbqc.qsim import (
+    GADGET_FIDELITY_ATOL,
+    PLUS_AMPS,
+    PROBABILITY_SLACK,
+    X_BASIS,
+    ZERO_AMPS,
+    Gate,
+    StateVector,
+    fidelity_up_to_phase,
+)
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
+from adbqc.transcript import BOB
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 SUEKI_H = ProtocolConfig("sueki", 1, 1, seed=5, algorithm=(GateRequest.single(0, name="h"),))
+SUEKI_HH_CZ = ProtocolConfig("sueki", 2, 1, seed=4, algorithm=(
+    GateRequest.single(0, name="h"), GateRequest.single(1, name="h"), GateRequest.cz_pair(0, 1),
+))
 
 
 @pytest.fixture
@@ -53,30 +73,37 @@ def runner(config):
             "p2": protocols.run_protocol2}[config.protocol]
 
 
+def assert_walk_matches_replay(config):
+    walked = enumerated_distribution(runner(config), config)
+    replayed = replayed_distribution(config)
+    assert walked.keys() == replayed.keys()
+    assert total_variation(walked, replayed) <= PROBABILITY_SLACK
+
+
 # ---------------------------------------------------------------------------
-# Forks against replay
+# The walk against replay
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_fork_equals_replay_on_the_exact_workload(workloads, seed):
     for config in next(workloads.exact_rounds(seed)).configs:
-        assert enumerated_distribution(runner(config), config) == replayed_distribution(config)
+        assert_walk_matches_replay(config)
 
 
 @pytest.mark.parametrize("index", [0, 2], ids=["sueki", "p2"])
 def test_fork_equals_replay_on_acceptance_9(workloads, index):
     config = ProtocolConfig(**workloads.ACCEPTANCE_9[index])
-    assert enumerated_distribution(runner(config), config) == replayed_distribution(config)
+    assert_walk_matches_replay(config)
 
 
 def test_fork_equals_replay_when_the_adversary_draws_after_the_forks():
-    """The tamper draws come after every gadget step's fork."""
+    """The tamper flips act in the output stage, after the walk."""
     config = ProtocolConfig(
         "p2", 2, 1, trap_count=1, seed=9,
         adversary=AdversaryConfig(kind="trap_tamper", tamper_rate=0.5),
         algorithm=(GateRequest.single(0, octants=(1, 3, 5)),),
     )
-    assert enumerated_distribution(runner(config), config) == replayed_distribution(config)
+    assert_walk_matches_replay(config)
 
 
 def test_a_runner_for_another_protocol_is_refused():
@@ -93,6 +120,89 @@ def test_a_runner_that_disagrees_with_the_forks_is_refused():
 
     with pytest.raises(AssertionError, match="differs from the replayed"):
         enumerated_distribution(flipped, SUEKI_H)
+
+
+def test_the_walk_catches_a_by_product_the_frame_does_not_record(monkeypatch):
+    """A CZ gadget whose Z by-product lands on its second target while the
+    frame flips the first leaves its outcome branches in different states."""
+    real = driver.cz_on_runtime
+    monkeypatch.setattr(
+        driver, "cz_on_runtime", lambda rt, i, j, party=BOB: real(rt, j, i, party)
+    )
+    with pytest.raises(AssertionError, match=r"cz step on \(0, 1\).*different states"):
+        enumerated_distribution(run_sueki, SUEKI_HH_CZ)
+
+
+# ---------------------------------------------------------------------------
+# The walk against the reference
+
+EXACT = {
+    "p1-N3-d1": ProtocolConfig("p1", 3, 1, seed=7, algorithm=(GateRequest.single(0, name="h"),)),
+    "p1-N6-d2-cz": ProtocolConfig("p1", 6, 2, seed=8, algorithm=(
+        GateRequest.single(0, name="h"), GateRequest.cz_pair(0, 1),
+        GateRequest.single(1, octants=(1, 3, 5)),
+    )),
+    "p1-N9-d3": ProtocolConfig("p1", 9, 3, seed=9, algorithm=(
+        GateRequest.single(0, name="h"), GateRequest.cz_pair(0, 1),
+        GateRequest.single(1, name="h"), GateRequest.cz_pair(1, 2),
+        GateRequest.single(2, octants=(2, 1, 7)),
+    ), output_bases=("x", "z", "z")),
+    "p2-N3-d2-cz": ProtocolConfig("p2", 3, 2, trap_count=1, seed=10, algorithm=(
+        GateRequest.single(0, name="h"), GateRequest.cz_pair(0, 1),
+        GateRequest.single(1, octants=(3, 5, 1)),
+    ), output_bases=("z", "x")),
+}
+
+
+@pytest.mark.parametrize("config", EXACT.values(), ids=EXACT.keys())
+def test_the_walk_decodes_to_the_reference(config):
+    dist = enumerated_distribution(runner(config), config)
+    assert total_variation(dist, reference_distribution(config)) <= PROBABILITY_SLACK
+
+
+# ---------------------------------------------------------------------------
+# The run's final state against the ideal
+
+
+def assert_final_state_is_ideal(config):
+    """Drive the greedy path and frame-correct the register: the compute
+    positions, in logical order, hold ``reference_state`` and each trap its
+    ``TRAP_STATES`` eigenstate, up to a global phase."""
+    session = driver.new_session(config, ReplayOutcomes(()))
+    plan = driver.draw_plan(config)
+    driver.prepare_register(session)
+    for step in plan.steps:
+        driver.drive_step(session, step)
+    corrected = session.frame.matrix_on(session.rt.snapshot())
+    rt, labels = QuantumRuntime.from_state(corrected, ReplayOutcomes(()), BOB)
+    layout = plan.layout
+    compute = rt.snapshot(
+        [labels[layout.position_of_logical(q)] for q in range(config.logical_width)]
+    )
+    assert fidelity_up_to_phase(compute, reference_state(config)) >= 1.0 - GADGET_FIDELITY_ATOL
+    for slot in layout.trap_slots:
+        basis, bit, _ = TRAP_STATES[layout.roles[slot]]
+        want = StateVector.of(driver.OUTPUT_BASES[basis].eigenstates[bit])
+        got = rt.snapshot([labels[layout.permutation[slot]]])
+        assert fidelity_up_to_phase(got, want) >= 1.0 - GADGET_FIDELITY_ATOL
+
+
+@pytest.mark.parametrize("index", range(3), ids=["sueki", "p1", "p2"])
+def test_the_final_state_is_ideal_on_acceptance_9(workloads, index):
+    assert_final_state_is_ideal(ProtocolConfig(**workloads.ACCEPTANCE_9[index]))
+
+
+# Every acceptance-9 compute qubit ends in a Z eigenstate, where a wrong
+# final R_Z changes nothing; these end off the Z axis before a Z reading.
+OFF_AXIS = {
+    "sueki": SUEKI_HH_CZ,
+    **{key: EXACT[key] for key in ("p1-N6-d2-cz", "p2-N3-d2-cz")},
+}
+
+
+@pytest.mark.parametrize("config", OFF_AXIS.values(), ids=OFF_AXIS.keys())
+def test_the_final_state_is_ideal_off_the_z_axis(config):
+    assert_final_state_is_ideal(config)
 
 
 # ---------------------------------------------------------------------------
@@ -180,5 +290,3 @@ def test_branch_budget_is_enforced(monkeypatch):
     monkeypatch.setattr(adbqc.runtime, "BRANCH_BUDGET", 4)
     with pytest.raises(ValueError, match="branch budget of 4 exceeded"):
         enumerate_runs(lambda src: run(SUEKI_H, src))
-    with pytest.raises(ValueError, match="branch budget of 4 exceeded"):
-        enumerated_distribution(run_sueki, SUEKI_H)

@@ -1,10 +1,11 @@
-"""Property-based checks over random valid configs, gate programs and the
-statevector kernels.
+"""Property-based checks over random valid configs, gate programs, exact
+runs and the statevector kernels.
 
 Configs cover every protocol, every adversary kind a run accepts (none for
 all, stray Paulis for p1, report tampering for p2) and both transcript
 settings; gate programs mix named, octant and CZ requests on one to five
-qubits. The runtime's gate, measurement and discard kernels are checked
+qubits. Small honest runs of every protocol, with random programs and
+output bases, decode exactly to the reference distribution. The runtime's gate, measurement and discard kernels are checked
 against dense references on Haar-random states and unitaries of one to
 seven qubits. Examples are derandomized, so each run of the suite checks
 the same cases.
@@ -26,9 +27,14 @@ from adbqc.protocols import (
     RunManifest,
     config_from_dict,
     config_to_dict,
+    enumerated_distribution,
+    reference_distribution,
+    run,
     schedule,
+    total_variation,
 )
 from adbqc.qsim import (
+    PROBABILITY_SLACK,
     Gate,
     MeasurementBasis,
     StateVector,
@@ -147,6 +153,34 @@ def test_schedule_keeps_program_order_per_qubit(program):
         ]
         assert executed[q] == wanted
 
+
+@st.composite
+def exact_configs(draw, protocol: str, n: int) -> ProtocolConfig:
+    """An honest ``protocol`` run on ``n`` qubits of a random program, at
+    the depth its schedule needs, with random output bases."""
+    traps = draw(st.integers(1, n - 1)) if protocol == "p2" else None
+    width = ProtocolConfig(protocol, n, 1, trap_count=traps).logical_width
+    requests = tuple(draw(st.lists(gate_requests(width), max_size=3)))
+    layers = schedule(requests, width, max(1, len(requests)))
+    depth = 1 + max((k for k, layer in enumerate(layers) if layer.patterns or layer.czs), default=0)
+    bases = tuple(draw(st.lists(st.sampled_from("zx"), min_size=width, max_size=width)))
+    return ProtocolConfig(
+        protocol, n, depth, trap_count=traps, seed=draw(st.integers(0, 2**31 - 1)),
+        algorithm=requests, output_bases=bases, record_transcript=False,
+    )
+
+
+EXACT_SHAPES = [("sueki", 1), ("sueki", 2), ("sueki", 3), ("p1", 3), ("p1", 6),
+                ("p2", 2), ("p2", 3), ("p2", 4)]
+
+
+@pytest.mark.parametrize("protocol, n", EXACT_SHAPES)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_exact_runs_decode_to_the_reference(protocol, n, data):
+    config = data.draw(exact_configs(protocol, n))
+    dist = enumerated_distribution(run, config)
+    assert total_variation(dist, reference_distribution(config)) <= PROBABILITY_SLACK
 
 
 # ---------------------------------------------------------------------------
