@@ -169,12 +169,8 @@ def probe_gram(probe: StateVector, lent_qubit: int) -> np.ndarray:
     the lent qubit k versus k' octants; |entries| < 1 mean the server can
     statistically distinguish angle hypotheses.
     """
-    states = [apply_gate(probe, rz, [lent_qubit]).amplitudes for rz in RZ_BY_OCTANT]
-    gram = np.empty((8, 8), dtype=complex)
-    for k in range(8):
-        for kp in range(8):
-            gram[k, kp] = np.vdot(states[k], states[kp])
-    return gram
+    states = np.stack([apply_gate(probe, rz, [lent_qubit]).amplitudes for rz in RZ_BY_OCTANT])
+    return states.conj() @ states.T
 
 
 def probe_gram_closed_form(weight_one: float) -> np.ndarray:

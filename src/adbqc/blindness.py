@@ -103,22 +103,28 @@ class _PastLastStep(Exception):
 
 
 def _bob_view_blocks(
-    octant: int, state: StateVector, steps: Sequence[int]
+    octant: int, state: StateVector, steps: Sequence[int], work: Counter | None = None
 ) -> dict[int, dict[tuple, np.ndarray]]:
     """Server view at each checkpoint in ``steps``, as subnormalized density
     blocks keyed by the server-visible classical record, summed over the
     client's unseen outcome branches. One walk serves every step: each
-    replay ends at the last requested checkpoint, and the paths through a
-    checkpoint share its prefix's probability between them."""
+    replay ends at the last requested checkpoint. A replay is a function of
+    its outcomes, so the view at a checkpoint is computed once per outcome
+    prefix, weighted by the prefix's probability. ``work`` counts the
+    ``branches`` walked and the ``views`` computed."""
     last = max(steps)
+    blocks: dict[int, dict[tuple, np.ndarray]] = {step: {} for step in steps}
+    seen: set[tuple[int, tuple[int, ...]]] = set()
 
-    def run_fn(source: OutcomeSource) -> list[tuple[int, tuple, np.ndarray]]:
+    def run_fn(source: OutcomeSource) -> None:
         rt, labels = QuantumRuntime.from_state(state, source, BOB, Transcript())
-        views = []
 
         def checkpoint(at: int) -> None:
-            if at in steps:
-                views.append((at, rt.tape.bob_classical_values(), rt.density_of(BOB)))
+            if at in steps and (at, source.bits) not in seen:
+                seen.add((at, source.bits))
+                view = blocks[at]
+                key = rt.tape.bob_classical_values()
+                view[key] = view.get(key, 0.0) + source.path_probability() * rt.density_of(BOB)
             if at == last:
                 raise _PastLastStep
 
@@ -126,16 +132,14 @@ def _bob_view_blocks(
             p1_hrz_on_runtime(rt, labels[0], octant, checkpoint=checkpoint)
         except _PastLastStep:
             pass
-        return views
 
-    blocks: dict[int, dict[tuple, np.ndarray]] = {step: {} for step in steps}
-    for branch in enumerate_runs(run_fn):
-        for step, key, rho in branch.value:
-            view = blocks[step]
-            view[key] = view.get(key, 0.0) + branch.probability * rho
+    branches = enumerate_runs(run_fn)
     for step, view in blocks.items():
         if not view:
             raise ValueError(f"the measure-only gadget marks no step {step}")
+    if work is not None:
+        work["branches"] += len(branches)
+        work["views"] += len(seen)
     return blocks
 
 
@@ -166,7 +170,8 @@ def audit_no_signaling(
     if state is None:
         state = haar_random_state(1, stream(seed, "no-signaling-state"))
     octants = [k % 8 for k in octants]
-    views = {k: _bob_view_blocks(k, state, steps) for k in octants}
+    work: Counter = Counter()
+    views = {k: _bob_view_blocks(k, state, steps, work) for k in octants}
     worst = 0.0
     worst_at: tuple | None = None
     for step in steps:
@@ -181,7 +186,8 @@ def audit_no_signaling(
         passed=worst <= NO_SIGNALING_ATOL,
         statistic=worst,
         threshold=NO_SIGNALING_ATOL,
-        details={"worst_at": worst_at, "steps": list(steps), "octants": octants},
+        details={"worst_at": worst_at, "steps": list(steps), "octants": octants,
+                 "branches": work["branches"], "views": work["views"]},
     )
 
 
@@ -270,8 +276,10 @@ def audit_gadget_view_tv(
     if gadget == "hrz-sueki":
         secrets = [(h, p, s) for h in range(8) for p in (0, 1) for s in (+1, -1)]
     weight = 1.0 / len(secrets)
+    branches = 0
 
     def distribution(octant: int) -> dict:
+        nonlocal branches
         probs: dict = {}
         for hidden in secrets:
 
@@ -280,7 +288,9 @@ def audit_gadget_view_tv(
                 drive_gadget(gadget, rt, labels, octant, hidden)
                 return rt.tape.bob_classical_values()
 
-            for br in enumerate_runs(body):
+            walked = enumerate_runs(body)
+            branches += len(walked)
+            for br in walked:
                 probs[br.value] = probs.get(br.value, 0.0) + weight * br.probability
         return probs
 
@@ -292,7 +302,8 @@ def audit_gadget_view_tv(
         passed=tv <= GADGET_VIEW_TV_ATOL,
         statistic=float(tv),
         threshold=GADGET_VIEW_TV_ATOL,
-        details={"gadget": gadget, "views_a": len(pa), "views_b": len(pb)},
+        details={"gadget": gadget, "views_a": len(pa), "views_b": len(pb),
+                 "branches": branches},
     )
 
 

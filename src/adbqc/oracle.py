@@ -1,15 +1,20 @@
 """Per-branch soundness tables for the measurement-driven gate gadgets.
 
-Each gadget is replayed over every outcome path on a fixed input state; a
-row records the path's outcomes, its exact probability, and the fidelity of
-the frame-corrected output against the ideal gate. The ``oracle`` CLI
+Each gadget is enumerated once over every outcome path, on its register
+maximally entangled with a reference, which gives each path's operator;
+a table on a given input state is then arithmetic. A row records the
+path's outcomes, its exact probability, and the fidelity of the
+frame-corrected output against the ideal gate. The ``oracle`` CLI
 subcommand prints these tables and the acceptance suite sweeps them over
 random inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import rng
 from .gadgets import (
@@ -25,11 +30,10 @@ from .gadgets import (
 from .protocols.gate_client import p2_hrz_on_runtime
 from .protocols.measure_client import p1_hrz_on_runtime
 from .qsim import (
+    BRANCH_PROB_FLOOR,
     GADGET_FIDELITY_ATOL,
     Gate,
     StateVector,
-    apply_gate,
-    fidelity_up_to_phase,
     haar_random_state,
 )
 from .runtime import OutcomeSource, QuantumRuntime, enumerate_runs
@@ -94,6 +98,51 @@ def drive_gadget(
     return PauliFrame((hrz(rt, labels[0], octant),), (0,))
 
 
+def _branches(gadget: str, octant: int, hidden: tuple[int, int, int]) -> list[tuple]:
+    """Every outcome path of one gadget application, whatever its input.
+
+    A path applies a fixed operator K to the register, so one enumeration on
+    the register maximally entangled with a reference finds them all: the
+    path's post-state is K / sqrt(d p) (d the register dimension, p the path
+    probability). Each path is (outcomes, U^dagger F K, announced octant),
+    F its by-product correction and U the ideal gate.
+    """
+    width = 2 if gadget == "cz" else 1
+    dim = 1 << width
+    entangled = StateVector(2 * width, np.eye(dim).reshape(-1) / math.sqrt(dim))
+    ideal = Gate.cz() if gadget == "cz" else Gate.hrz(octant_angle(octant))
+
+    def run(src: OutcomeSource) -> np.ndarray:
+        rt, labels = QuantumRuntime.from_state(entangled, src, BOB)
+        frame = drive_gadget(gadget, rt, labels[:width], octant, hidden)
+        frame = PauliFrame(frame.x + (0,) * width, frame.z + (0,) * width)
+        return frame.matrix_on(rt.snapshot(labels)).amplitudes
+
+    # the prepare-only client announces by the gadget's rule from the first outcome
+    hiding, pad, sign = hidden
+    undo = ideal.matrix.conj().T
+    return [
+        (br.outcomes, math.sqrt(dim * br.probability) * undo @ br.value.reshape(dim, dim).T,
+         announced_octant(octant, hiding, pad, br.outcomes[0], sign)
+         if gadget == "hrz-sueki" else None)
+        for br in enumerate_runs(run)
+    ]
+
+
+def _rows(branches: list[tuple], state: StateVector) -> tuple[BranchRow, ...]:
+    """The rows of ``branches`` on ``state``: with M = U^dagger F K, a path's
+    probability is |M psi|^2 and its fidelity |<psi|M psi>|^2 over that."""
+    psi = state.amplitudes
+    rows = []
+    for outcomes, operator, announced in branches:
+        out = operator @ psi
+        prob = float(np.vdot(out, out).real)
+        if prob > BRANCH_PROB_FLOOR:
+            fidelity = float(abs(np.vdot(psi, out)) ** 2) / prob
+            rows.append(BranchRow(outcomes, prob, fidelity, announced))
+    return tuple(rows)
+
+
 def branch_table(
     gadget: str,
     octant: int = 0,
@@ -114,25 +163,7 @@ def branch_table(
         raise ValueError(f"gadget {gadget!r} acts on {num_qubits} qubit(s)")
     if hidden is None:
         hidden = draw_sueki_secrets(rng.stream(seed, "oracle-secrets"))
-
-    if gadget == "cz":
-        target = apply_gate(state, Gate.cz(), [1, 0])
-    else:
-        target = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
-
-    def run(src: OutcomeSource) -> float:
-        rt, labels = QuantumRuntime.from_state(state, src, BOB)
-        frame = drive_gadget(gadget, rt, labels, octant, hidden)
-        return fidelity_up_to_phase(frame.matrix_on(rt.snapshot(labels)), target)
-
-    # the prepare-only client announces by the gadget's rule from the first outcome
-    hiding, pad, sign = hidden
-    return tuple(
-        BranchRow(br.outcomes, br.probability, float(br.value),
-                  announced_octant(octant, hiding, pad, br.outcomes[0], sign)
-                  if gadget == "hrz-sueki" else None)
-        for br in enumerate_runs(run)
-    )
+    return _rows(_branches(gadget, octant, hidden), state)
 
 
 def table_passes(rows) -> bool:
@@ -148,13 +179,18 @@ def soundness_sweep(states_per_octant: int = 4, seed: int = 2026) -> tuple[float
     """
     worst = 1.0
     count = 0
+    # a gadget's paths do not depend on its input, and only the
+    # prepare-only gadget reads the secrets
+    branches: dict[tuple, list[tuple]] = {}
     for gadget in ORACLE_GADGETS:
         width = 2 if gadget == "cz" else 1
         for octant in admissible_octants(gadget):
             for _ in range(states_per_octant):
                 state = haar_random_state(width, rng.stream(seed, "oracle-sweep", count))
                 hidden = draw_sueki_secrets(rng.stream(seed, "oracle-secrets", count))
-                rows = branch_table(gadget, octant, state=state, hidden=hidden)
-                worst = min(worst, min(row.fidelity for row in rows))
+                key = (gadget, octant, hidden if gadget == "hrz-sueki" else None)
+                if key not in branches:
+                    branches[key] = _branches(gadget, octant, hidden)
+                worst = min(worst, min(row.fidelity for row in _rows(branches[key], state)))
                 count += 1
     return worst, count

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 ALICE = "alice"  # client
 BOB = "bob"  # server
@@ -88,10 +89,28 @@ class Transcript:
         return tuple(flat)
 
     def to_jsonl(self) -> str:
+        """One line per event, byte-identical to ``json.dumps(ev.as_dict(),
+        sort_keys=True, separators=(",", ":"))``."""
         return "\n".join(
-            json.dumps(ev.as_dict(), sort_keys=True, separators=(",", ":"))
+            f'{{"from":{_json(ev.party)},"kind":{_json(ev.kind)},"payload":{{'
+            + ",".join(f"{_json(key)}:{_json(ev.payload[key])}" for key in sorted(ev.payload))
+            + f'}},"seq":{ev.seq},"to":{_json(ev.to)}}}'
             for ev in self.events
         )
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
+
+
+def _json(value) -> str:
+    """Compact JSON for the values events carry (strings, integers, None and
+    label lists); any other value goes through ``json.dumps``."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return str(value)
+    if value is None:
+        return "null"
+    if type(value) is list:
+        return "[" + ",".join(map(_json, value)) + "]"
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))

@@ -7,7 +7,13 @@ from dataclasses import replace
 
 import numpy as np
 
+from adbqc.blindness import _PastLastStep
+from adbqc.gadgets import announced_octant, octant_angle
+from adbqc.oracle import BranchRow, drive_gadget
 from adbqc.protocols import ProtocolConfig, config_from_dict, config_object
+from adbqc.protocols.measure_client import p1_hrz_on_runtime
+from adbqc.qsim import Gate, StateVector, apply_gate, fidelity_up_to_phase
+from adbqc.runtime import OutcomeSource, QuantumRuntime, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
 
 
@@ -36,3 +42,66 @@ def sampled_distribution(run_protocol, config, trials: int) -> dict[tuple[int, .
         for t in range(trials)
     )
     return {bits: c / trials for bits, c in counts.items()}
+
+
+def replayed_branch_table(
+    gadget: str, octant: int, state: StateVector, hidden: tuple[int, int, int]
+) -> tuple[BranchRow, ...]:
+    """``oracle.branch_table`` by replaying the gadget on ``state`` itself,
+    once per outcome path."""
+    if gadget == "cz":
+        target = apply_gate(state, Gate.cz(), [1, 0])
+    else:
+        target = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
+
+    def run(src: OutcomeSource) -> float:
+        rt, labels = QuantumRuntime.from_state(state, src, BOB)
+        frame = drive_gadget(gadget, rt, labels, octant, hidden)
+        return fidelity_up_to_phase(frame.matrix_on(rt.snapshot(labels)), target)
+
+    hiding, pad, sign = hidden
+    return tuple(
+        BranchRow(br.outcomes, br.probability, float(br.value),
+                  announced_octant(octant, hiding, pad, br.outcomes[0], sign)
+                  if gadget == "hrz-sueki" else None)
+        for br in enumerate_runs(run)
+    )
+
+
+def per_path_bob_view_blocks(
+    octant: int, state: StateVector, steps
+) -> dict[int, dict[tuple, np.ndarray]]:
+    """``blindness._bob_view_blocks`` with the server's view computed on
+    every path and weighted by the whole path's probability."""
+    last = max(steps)
+
+    def run_fn(source: OutcomeSource) -> list:
+        rt, labels = QuantumRuntime.from_state(state, source, BOB, Transcript())
+        views = []
+
+        def checkpoint(at: int) -> None:
+            if at in steps:
+                views.append((at, rt.tape.bob_classical_values(), rt.density_of(BOB)))
+            if at == last:
+                raise _PastLastStep
+
+        try:
+            p1_hrz_on_runtime(rt, labels[0], octant, checkpoint=checkpoint)
+        except _PastLastStep:
+            pass
+        return views
+
+    blocks: dict[int, dict[tuple, np.ndarray]] = {step: {} for step in steps}
+    for branch in enumerate_runs(run_fn):
+        for step, key, rho in branch.value:
+            view = blocks[step]
+            view[key] = view.get(key, 0.0) + branch.probability * rho
+    return blocks
+
+
+def json_dumps_jsonl(transcript: Transcript) -> str:
+    """``Transcript.to_jsonl`` by ``json.dumps`` on each event."""
+    return "\n".join(
+        json.dumps(ev.as_dict(), sort_keys=True, separators=(",", ":"))
+        for ev in transcript.events
+    )

@@ -32,8 +32,9 @@ from adbqc.protocols import (
     run_sueki,
 )
 from adbqc.qsim import StateVector, haar_random_state
-from adbqc.runtime import enumerate_runs
+from adbqc.runtime import QuantumRuntime, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
+from helpers import per_path_bob_view_blocks
 
 # Leaks for the power tests: each sends a secret to the server on the wire,
 # where the audits read the server's view, so an audit that misses it is blind.
@@ -138,6 +139,38 @@ def test_shallow_no_signaling_ends_each_replay_at_its_last_step(monkeypatch):
         assert np.allclose(rho, full[1][key], atol=1e-12)
 
 
+@pytest.mark.parametrize("octant", [0, 3])
+def test_views_per_prefix_equal_views_per_path(octant):
+    """One view per outcome prefix, weighted by the prefix probability, gives
+    the blocks that a view on every path, weighted by the path, gives."""
+    for i in range(2):
+        state = haar_random_state(1, rng.stream(406, "views-per-prefix", 2 * octant + i))
+        fast = _bob_view_blocks(octant, state, tuple(range(1, 10)))
+        slow = per_path_bob_view_blocks(octant, state, tuple(range(1, 10)))
+        assert fast.keys() == slow.keys()
+        for step, view in fast.items():
+            assert view.keys() == slow[step].keys()
+            for key, rho in view.items():
+                assert np.max(np.abs(rho - slow[step][key])) <= 1e-12
+
+
+def test_no_signaling_computes_one_view_per_prefix(monkeypatch):
+    """The default audit computes 272 views over its 64 paths: a path
+    through the same checkpoint prefix as an earlier one reuses its view."""
+    calls = Counter()
+    density_of = QuantumRuntime.density_of
+
+    def counted(self, owner):
+        calls["density_of"] += 1
+        return density_of(self, owner)
+
+    monkeypatch.setattr(QuantumRuntime, "density_of", counted)
+    result = audit_no_signaling()
+    assert calls["density_of"] == 272
+    assert result.details["views"] == 272
+    assert result.details["branches"] == 64
+
+
 def test_block_trace_distance_handles_disjoint_keys():
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     assert block_trace_distance({("a",): rho}, {("b",): rho}) == pytest.approx(1.0)
@@ -156,6 +189,13 @@ def test_gadget_views_are_angle_independent(gadget, octant_a, octant_b):
     result = audit_gadget_view_tv(gadget, octant_a, octant_b)
     assert result.passed
     assert result.statistic <= 1e-9
+
+
+@pytest.mark.parametrize("gadget,branches", [("hrz-sueki", 256), ("p2", 4)])
+def test_gadget_view_audit_counts_its_branches(gadget, branches):
+    """32 secret triples with 4 paths each, at two octants, for the
+    prepare-only gadget; 2 paths at each octant for the gate-lending one."""
+    assert audit_gadget_view_tv(gadget, 1, 2).details["branches"] == branches
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from adbqc import rng
+from adbqc import oracle, rng
 from adbqc.oracle import (
     GADGET_FIDELITY_ATOL,
     ORACLE_GADGETS,
@@ -13,6 +13,7 @@ from adbqc.oracle import (
     table_passes,
 )
 from adbqc.qsim import StateVector, haar_random_state
+from helpers import replayed_branch_table
 
 
 def test_gadget_roster():
@@ -93,3 +94,37 @@ def test_soundness_sweep_is_seeded():
     a = soundness_sweep(states_per_octant=1, seed=99)
     b = soundness_sweep(states_per_octant=1, seed=99)
     assert a == b
+
+
+SECRET_TRIPLES = ((0, 0, +1), (5, 1, -1))
+
+
+@pytest.mark.parametrize(
+    "gadget,octant", [(g, k) for g in ORACLE_GADGETS for k in admissible_octants(g)]
+)
+def test_tables_from_the_entangled_input_match_replay(gadget, octant):
+    """Each row built from the gadget's branch operators equals the row of a
+    replay of the gadget on the input itself."""
+    width = 2 if gadget == "cz" else 1
+    for i in range(2):
+        state = haar_random_state(width, rng.stream(172, "oracle-replay", 2 * octant + i))
+        for hidden in SECRET_TRIPLES:
+            fast = branch_table(gadget, octant, state, hidden=hidden)
+            slow = replayed_branch_table(gadget, octant, state, hidden)
+            assert [r.outcomes for r in fast] == [r.outcomes for r in slow]
+            assert [r.announced for r in fast] == [r.announced for r in slow]
+            for a, b in zip(fast, slow):
+                assert a.probability == pytest.approx(b.probability, abs=1e-12)
+                assert a.fidelity == pytest.approx(b.fidelity, abs=1e-12)
+
+
+def flip_the_by_product(gadget):
+    return lambda *args, **kwargs: gadget(*args, **kwargs) ^ 1
+
+
+@pytest.mark.parametrize("name", ["p2_hrz_on_runtime", "cz_on_runtime"])
+def test_soundness_sweep_catches_a_wrong_by_product(monkeypatch, name):
+    monkeypatch.setattr(oracle, name, flip_the_by_product(getattr(oracle, name)))
+    worst, count = soundness_sweep(1)
+    assert count == 25
+    assert worst < 1.0 - GADGET_FIDELITY_ATOL
