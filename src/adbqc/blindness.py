@@ -1,6 +1,6 @@
 """Audits that check what the server's view reveals about hidden angles.
 
-Four angles of attack:
+Six audits:
 
 - announced-angle uniformity for the prepare-only client (counting);
 - no-signaling for the measure-only client: the server's combined
@@ -8,8 +8,12 @@ Four angles of attack:
   identical whatever the octant (exact, via branch enumeration);
 - transcript statistics for full protocol runs: a permutation test that
   the server-visible classical record does not separate two angle choices;
+- gadget-view total variation: the exact distribution of what the server
+  sees classically in one rotation gadget, compared across two octants;
 - the entangled-probe analysis of the lent-ancilla gadget, with the
-  closed-form Gram matrix as the oracle.
+  closed-form Gram matrix as the oracle;
+- capability confinement: the client used no quantum operation outside
+  its class.
 """
 
 from __future__ import annotations
@@ -258,7 +262,6 @@ def audit_gadget_view_tv(
     gadget: str,
     octant_a: int,
     octant_b: int,
-    state: StateVector | None = None,
 ) -> AuditResult:
     """Exact total variation between the server's views of one gadget.
 
@@ -270,8 +273,7 @@ def audit_gadget_view_tv(
     """
     if gadget == "cz":
         raise ValueError(f"gadget {gadget!r} has no angle to hide")
-    if state is None:
-        state = haar_random_state(1, stream(99, "gadget-view-input"))
+    state = haar_random_state(1, stream(99, "gadget-view-input"))
     secrets = [(0, 0, +1)]  # the prepare-only client's secrets are enumerated
     if gadget == "hrz-sueki":
         secrets = [(h, p, s) for h in range(8) for p in (0, 1) for s in (+1, -1)]

@@ -72,15 +72,11 @@ def register_label(pos: int) -> str:
     return f"q{pos}"
 
 
-def prepare_register(session: Session) -> list[str]:
+def prepare_register(session: Session) -> None:
     """Server initializes every register qubit to |0>."""
-    labels = []
     for pos in range(session.config.num_qubits):
-        label = register_label(pos)
-        session.rt.add_qubit(label, ZERO_AMPS, BOB)
-        labels.append(label)
+        session.rt.add_qubit(register_label(pos), ZERO_AMPS, BOB)
     session.rt.tape.local(BOB, op="prepare_register", width=session.config.num_qubits)
-    return labels
 
 
 class Step(NamedTuple):

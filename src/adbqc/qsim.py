@@ -32,9 +32,6 @@ import numpy as np
 
 # The package's one tolerance table: every threshold a check compares with.
 NORM_ATOL = 1e-9  # |norm - 1| float rounding leaves on a pure state or qubit
-HERMITIAN_ATOL = 1e-10  # entrywise gap between a density matrix and its adjoint
-TRACE_ATOL = 1e-9  # gap of a density matrix's trace from 1, real and imaginary parts
-PSD_FLOOR = -1e-9  # smallest eigenvalue a density matrix may show
 UNITARITY_ATOL = 1e-9  # entrywise gap between U U^dagger and the identity
 ORTHONORMAL_ATOL = 1e-10  # entrywise gap between a basis's Gram matrix and the identity
 PRODUCT_ATOL = 1e-9  # purity defect of a qubit that counts as product with the rest
@@ -105,27 +102,6 @@ class StateVector:
 
     def probability_weights(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Mixed state; validated Hermitian, unit trace, positive semidefinite."""
-
-    num_qubits: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=complex)
-        dim = 2**self.num_qubits
-        if m.shape != (dim, dim):
-            raise ValueError(f"expected shape {(dim, dim)}, got {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=HERMITIAN_ATOL):
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_ATOL or abs(np.trace(m).imag) > TRACE_ATOL:
-            raise ValueError(f"trace {np.trace(m)} deviates from 1")
-        if float(np.linalg.eigvalsh(m).min()) < PSD_FLOOR:
-            raise ValueError("density matrix has a negative eigenvalue")
-        object.__setattr__(self, "entries", m)
 
 
 @dataclass(frozen=True)
@@ -264,7 +240,7 @@ def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int]) -> StateV
     )
 
 
-def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
+def partial_trace(state: StateVector, keep: Sequence[int]) -> np.ndarray:
     """Reduced density matrix on ``keep``; keep[i] becomes output qubit i."""
     keep = list(keep)
     n = state.num_qubits
@@ -276,7 +252,7 @@ def partial_trace(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     kept_axes = [n - 1 - q for q in reversed(keep)]
     other_axes = [ax for ax in range(n) if ax not in kept_axes]
     m = np.transpose(psi, kept_axes + other_axes).reshape(2 ** len(keep), -1)
-    return DensityMatrix(len(keep), m @ m.conj().T)
+    return m @ m.conj().T
 
 
 def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
@@ -286,11 +262,9 @@ def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def trace_distance(a: np.ndarray | DensityMatrix, b: np.ndarray | DensityMatrix) -> float:
-    """(1/2)||a - b||_1 for density matrices (or raw Hermitian arrays)."""
-    ma = a.entries if isinstance(a, DensityMatrix) else np.asarray(a)
-    mb = b.entries if isinstance(b, DensityMatrix) else np.asarray(b)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(ma - mb)).sum())
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """(1/2)||a - b||_1 for Hermitian arrays."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
 def haar_random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:

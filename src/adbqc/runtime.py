@@ -154,7 +154,7 @@ class QuantumRuntime:
             if lb in self._owners:
                 raise ValueError(f"label {lb!r} already in use")
         if self.num_qubits + state.num_qubits > MAX_QUBITS:
-            raise ValueError("qubit budget of 16 exceeded")
+            raise ValueError(f"qubit budget of {MAX_QUBITS} exceeded")
         self._amps = np.outer(state.amplitudes, self._amps).reshape(-1)
         self._labels.extend(labels)
         self._owners.update(dict.fromkeys(labels, owner))
@@ -164,7 +164,7 @@ class QuantumRuntime:
         if label in self._owners:
             raise ValueError(f"label {label!r} already in use")
         if self.num_qubits + 1 > MAX_QUBITS:
-            raise ValueError("qubit budget of 16 exceeded")
+            raise ValueError(f"qubit budget of {MAX_QUBITS} exceeded")
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (2,) or abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) > NORM_ATOL:
             raise ValueError("new qubit needs a normalized 2-vector")
@@ -218,16 +218,12 @@ class QuantumRuntime:
     def owned_by(self, owner: str) -> list[str]:
         return [lb for lb in self._labels if self._owners[lb] == owner]
 
-    def density(self, labels: Sequence[str]) -> np.ndarray:
-        """Reduced density matrix over ``labels`` in qubit-index order."""
-        keep = sorted(self.index_of(lb) for lb in labels)
+    def density_of(self, owner: str) -> np.ndarray:
+        """Reduced density matrix over ``owner``'s qubits in qubit-index order."""
+        keep = sorted(map(self.index_of, self.owned_by(owner)))
         if not keep:
             return np.ones((1, 1), dtype=complex)
-        state = StateVector(self.num_qubits, self._amps)
-        return partial_trace(state, keep).entries
-
-    def density_of(self, owner: str) -> np.ndarray:
-        return self.density(self.owned_by(owner))
+        return partial_trace(self.snapshot(), keep)
 
     def snapshot(self, labels: Sequence[str] | None = None) -> StateVector:
         """Current state over ``labels`` (little-endian in the given order).

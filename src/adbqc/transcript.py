@@ -33,15 +33,6 @@ class Event:
     to: str | None
     payload: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "kind": self.kind,
-            "from": self.party,
-            "to": self.to,
-            "payload": self.payload,
-        }
-
 
 class Transcript:
     """Ordered event log with monotonically increasing sequence numbers."""
@@ -89,8 +80,9 @@ class Transcript:
         return tuple(flat)
 
     def to_jsonl(self) -> str:
-        """One line per event, byte-identical to ``json.dumps(ev.as_dict(),
-        sort_keys=True, separators=(",", ":"))``."""
+        """One line per event: ``json.dumps`` of the event's fields, with
+        ``party`` under the key ``from``, ``sort_keys=True`` and
+        ``separators=(",", ":")``, byte for byte."""
         return "\n".join(
             f'{{"from":{_json(ev.party)},"kind":{_json(ev.kind)},"payload":{{'
             + ",".join(f"{_json(key)}:{_json(ev.payload[key])}" for key in sorted(ev.payload))

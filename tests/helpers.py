@@ -102,6 +102,10 @@ def per_path_bob_view_blocks(
 def json_dumps_jsonl(transcript: Transcript) -> str:
     """``Transcript.to_jsonl`` by ``json.dumps`` on each event."""
     return "\n".join(
-        json.dumps(ev.as_dict(), sort_keys=True, separators=(",", ":"))
+        json.dumps(
+            {"seq": ev.seq, "kind": ev.kind, "from": ev.party, "to": ev.to,
+             "payload": ev.payload},
+            sort_keys=True, separators=(",", ":"),
+        )
         for ev in transcript.events
     )

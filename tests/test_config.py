@@ -441,7 +441,7 @@ def test_transcript_event_ordering_and_kinds():
     tape.outcome(BOB, 1, qubit="q0")
     assert [ev.seq for ev in tape.events] == [0, 1, 2, 3]
     assert [ev.kind for ev in tape.events] == ["msg", "transfer", "local", "outcome"]
-    assert tape.events[0].as_dict()["from"] == ALICE
+    assert tape.events[0].party == ALICE
 
 
 def test_transcript_rejects_floats_on_the_wire():

@@ -7,8 +7,11 @@ settings; gate programs mix named, octant and CZ requests on one to five
 qubits. Small honest runs of every protocol, with random programs and
 output bases, decode exactly to the reference distribution. The runtime's gate, measurement and discard kernels are checked
 against dense references on Haar-random states and unitaries of one to
-seven qubits. Examples are derandomized, so each run of the suite checks
-the same cases.
+seven qubits. Reduced states from ``partial_trace`` on random keep lists
+are checked to be density matrices (Hermitian, unit trace, no negative
+eigenvalue) and against an einsum reference, and
+``QuantumRuntime.density_of`` against ``partial_trace`` for random owners.
+Examples are derandomized, so each run of the suite checks the same cases.
 """
 
 import numpy as np
@@ -43,7 +46,7 @@ from adbqc.qsim import (
     partial_trace,
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes
-from adbqc.transcript import BOB
+from adbqc.transcript import ALICE, BOB
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -272,10 +275,89 @@ def test_discard_leaves_the_partial_trace(n, seed):
         rt, labels = QuantumRuntime.from_state(state, ReplayOutcomes(()), BOB)
         rt.discard(labels[q])
         v = rt.snapshot().amplitudes
-        want = partial_trace(state, [i for i in range(n) if i != q]).entries
+        want = partial_trace(state, [i for i in range(n) if i != q])
         assert np.allclose(np.outer(v, v.conj()), want, rtol=0.0, atol=KERNEL_ATOL)
     # a Haar-random state entangles every qubit with the rest
     rt, labels = QuantumRuntime.from_state(haar_random_state(n, rng), ReplayOutcomes(()), BOB)
     for label in labels:
         with pytest.raises(ValueError, match="entangled"):
             rt.discard(label)
+
+
+# The bounds a reduced state is held to: Hermitian entrywise, unit trace
+# (real and imaginary parts), and no eigenvalue below the floor.
+HERMITIAN_ATOL = 1e-10
+TRACE_ATOL = 1e-9
+PSD_FLOOR = -1e-9
+
+
+def density_defects(rho: np.ndarray) -> list[str]:
+    """The conditions of a density matrix that ``rho`` breaks."""
+    defects = []
+    if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=HERMITIAN_ATOL):
+        defects.append("not hermitian")
+    trace = complex(np.trace(rho))
+    if abs(trace.real - 1.0) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
+        defects.append("trace")
+    if float(np.linalg.eigvalsh(rho).min()) < PSD_FLOOR:
+        defects.append("negative eigenvalue")
+    return defects
+
+
+def test_density_defects_flags_each_broken_condition():
+    assert "not hermitian" in density_defects(np.array([[1.0, 0.5j], [0.5j, 0.0]]))
+    assert density_defects(np.eye(2, dtype=complex)) == ["trace"]
+    assert density_defects(np.diag([1.5, -0.5]).astype(complex)) == ["negative eigenvalue"]
+    assert density_defects(np.eye(2, dtype=complex) / 2) == []
+
+
+def reduced_by_einsum(amps: np.ndarray, keep: list[int]) -> np.ndarray:
+    """Partial trace of |psi><psi| with one einsum: the row and column of each
+    traced-out qubit share a subscript; keep[-1] is the output's high bit."""
+    n = int(np.log2(amps.shape[0]))
+    rows = [chr(ord("a") + n - 1 - q) for q in range(n)]  # subscript of qubit q
+    cols = [rows[q] if q not in keep else chr(ord("A") + n - 1 - q) for q in range(n)]
+    spec = "".join(reversed(rows)) + "," + "".join(reversed(cols)) + "->"
+    spec += "".join(rows[q] for q in reversed(keep)) + "".join(cols[q] for q in reversed(keep))
+    psi = amps.reshape([2] * n)
+    return np.einsum(spec, psi, psi.conj()).reshape(2 ** len(keep), -1)
+
+
+@st.composite
+def reductions(draw) -> tuple[int, list[int], int]:
+    """(width, a non-empty keep list in any order, seed)."""
+    n = draw(st.integers(1, 7))
+    keep = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return n, keep, draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(reductions())
+@example((6, [0, 1, 2], 0))
+@example((6, [5, 3, 4], 1))
+@example((7, [6, 0], 2))
+def test_partial_trace_is_a_density_matrix(case):
+    n, keep, seed = case
+    state = haar_random_state(n, np.random.default_rng(seed))
+    rho = partial_trace(state, keep)
+    assert rho.shape == (2 ** len(keep),) * 2
+    assert density_defects(rho) == []
+    assert np.allclose(rho, reduced_by_einsum(state.amplitudes, keep), rtol=0.0, atol=KERNEL_ATOL)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.data())
+def test_density_of_is_the_partial_trace_on_the_owners_qubits(n, seed, data):
+    owners = data.draw(st.lists(st.sampled_from([ALICE, BOB]), min_size=n, max_size=n))
+    state = haar_random_state(n, np.random.default_rng(seed))
+    rt, labels = QuantumRuntime.from_state(state, ReplayOutcomes(()), BOB)
+    for label, owner in zip(labels, owners):
+        if owner == ALICE:
+            rt.transfer(label, ALICE)
+    for owner in (ALICE, BOB):
+        keep = [q for q in range(n) if owners[q] == owner]
+        got = rt.density_of(owner)
+        if keep:
+            assert np.array_equal(got, partial_trace(rt.snapshot(), keep))
+        else:
+            assert got.dtype == complex and got.tolist() == [[1]]

@@ -22,7 +22,6 @@ from adbqc.qsim import (
     Z_BASIS,
     Z_GATE,
     ZERO_AMPS,
-    DensityMatrix,
     Gate,
     MeasurementBasis,
     StateVector,
@@ -461,16 +460,16 @@ def test_enumeration_matches_sequential_sampling():
 def test_partial_trace_of_product_state():
     joint = StateVector.of([0.0, 0.0, 1.0, 0.0])  # |q1=1, q0=0>
     rho0 = partial_trace(joint, keep=[0])
-    assert np.allclose(rho0.entries, [[1, 0], [0, 0]], atol=1e-12)
+    assert np.allclose(rho0, [[1, 0], [0, 0]], atol=1e-12)
     rho1 = partial_trace(joint, keep=[1])
-    assert np.allclose(rho1.entries, [[0, 0], [0, 1]], atol=1e-12)
+    assert np.allclose(rho1, [[0, 0], [0, 1]], atol=1e-12)
 
 
 def test_partial_trace_of_bell_pair_is_maximally_mixed():
     bell = StateVector.of([INV_SQRT2, 0.0, 0.0, INV_SQRT2])
     for keep in ([0], [1]):
         rho = partial_trace(bell, keep=keep)
-        assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_matches_kron_oracle():
@@ -480,15 +479,15 @@ def test_partial_trace_matches_kron_oracle():
     psi = state.amplitudes.reshape(2, 2, 2)  # axes q2, q1, q0
     want = np.einsum("abc,dbc->ad", psi, psi.conj())  # keep q2
     rho = partial_trace(state, keep=[2])
-    assert np.allclose(rho.entries, want, atol=1e-12)
+    assert np.allclose(rho, want, atol=1e-12)
     # keep=[0, 1]: output bit 0 is q0, output bit 1 is q1.
     want01 = np.einsum("abc,ade->bcde", psi, psi.conj()).reshape(4, 4)
     rho01 = partial_trace(state, keep=[0, 1])
-    assert np.allclose(rho01.entries, want01, atol=1e-12)
+    assert np.allclose(rho01, want01, atol=1e-12)
     # Reversing keep swaps the two output qubits.
     swap = [0, 2, 1, 3]
     rho10 = partial_trace(state, keep=[1, 0])
-    assert np.allclose(rho10.entries, want01[np.ix_(swap, swap)], atol=1e-12)
+    assert np.allclose(rho10, want01[np.ix_(swap, swap)], atol=1e-12)
 
 
 def test_fidelity_ignores_global_phase():
@@ -503,9 +502,9 @@ def test_fidelity_of_zero_and_plus():
 
 
 def test_trace_distance_extremes():
-    zero = DensityMatrix(1, np.diag([1.0, 0.0]))
-    one = DensityMatrix(1, np.diag([0.0, 1.0]))
-    mixed = DensityMatrix(1, np.eye(2, dtype=complex) / 2)
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    one = np.diag([0.0, 1.0]).astype(complex)
+    mixed = np.eye(2, dtype=complex) / 2
     assert trace_distance(zero, one) == pytest.approx(1.0, abs=1e-12)
     assert trace_distance(zero, zero) == pytest.approx(0.0, abs=1e-12)
     assert trace_distance(zero, mixed) == pytest.approx(0.5, abs=1e-12)
@@ -523,16 +522,6 @@ def test_state_vector_validation():
     with pytest.raises(ValueError):
         StateVector.zero(MAX_QUBITS + 1)
     assert StateVector.of([2.0, 0.0]).amplitudes[0] == pytest.approx(1.0)
-
-
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix(1, np.array([[1.0, 0.5j], [0.5j, 0.0]]))  # not hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(1, np.eye(2, dtype=complex))  # trace 2
-    bad = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex)
-    with pytest.raises(ValueError):
-        DensityMatrix(1, bad)  # negative eigenvalue
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
