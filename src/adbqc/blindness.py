@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .adversary import (
 )
 from .gadgets import announced_octant
 from .oracle import drive_gadget
+from .protocols.driver import run
 from .protocols.measure_client import p1_hrz_on_runtime
 from .protocols.reference import total_variation
 from .qsim import (
@@ -167,13 +168,15 @@ def audit_no_signaling(
     Enumerates all client-outcome branches of the gadget once per octant,
     takes the server's classical-quantum view at each checkpoint in
     ``steps`` (1 to 9) and compares it across all octant pairs by trace
-    distance.
+    distance. Each octant is one of 0 to 7 (8 is not 0) and none repeats.
     """
     if len(octants) < 2 or not steps:
         raise ValueError("the no-signaling audit needs two octants and a step to compare")
+    if any(k not in range(8) for k in octants) or len(set(octants)) != len(octants):
+        raise ValueError(f"the no-signaling audit needs distinct octants in 0..7, got {octants}")
     if state is None:
         state = haar_random_state(1, stream(seed, "no-signaling-state"))
-    octants = [k % 8 for k in octants]
+    octants = list(octants)
     work: Counter = Counter()
     views = {k: _bob_view_blocks(k, state, steps, work) for k in octants}
     worst = 0.0
@@ -205,7 +208,6 @@ def _empirical_tv(group_a: list[tuple], group_b: list[tuple]) -> float:
 
 
 def audit_transcript_tv(
-    run_protocol: Callable,
     config_a,
     config_b,
     runs: int = 200,
@@ -214,18 +216,19 @@ def audit_transcript_tv(
 ) -> AuditResult:
     """Permutation test on server-visible transcripts of two angle choices.
 
-    Two groups of runs (independent seeds) are reduced to their classical
-    signatures; the observed total-variation distance is compared against a
-    null distribution obtained by pooling and resplitting. A null threshold
-    of 1 or more, the largest total variation, could reject nothing (as when
-    every run's signature is unique), so it is refused.
+    Two groups of protocol runs (``driver.run``, independent seeds) are
+    reduced to their classical signatures; the observed total-variation
+    distance is compared against a null distribution obtained by pooling
+    and resplitting. A null threshold of 1 or more, the largest total
+    variation, could reject nothing (as when every run's signature is
+    unique), so it is refused.
     """
     if runs < 1 or resamples < 1:
         raise ValueError("the transcript audit needs at least one run and one resample")
 
     def gather(config, base: int) -> list[tuple]:
         return [
-            run_protocol(config.with_seed(base + t)).transcript.bob_classical_values()
+            run(config.with_seed(base + t)).transcript.bob_classical_values()
             for t in range(runs)
         ]
 

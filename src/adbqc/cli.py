@@ -264,9 +264,7 @@ def cmd_blindness(args) -> int:
             config_b = config_from_dict(_read_config(args.config_b))
             if config_a.protocol != config_b.protocol:
                 raise ValueError("tv audit configs must share a protocol")
-            res = audit_transcript_tv(
-                run, config_a, config_b, runs=args.runs, seed=args.seed
-            )
+            res = audit_transcript_tv(config_a, config_b, runs=args.runs, seed=args.seed)
         else:
             # exact enumerated gadget-view distributions
             res = audit_gadget_view_tv(args.gadget, args.octant_a, args.octant_b)

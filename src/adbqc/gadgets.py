@@ -1,7 +1,8 @@
 """Measurement-driven gate gadgets and the algebra behind them.
 
 Each gadget couples ancilla qubits to register qubits with the fixed
-two-qubit entangler E = (H x H) CZ and consumes the ancillas by
+two-qubit entangler E = (H x H) CZ (``ENTANGLER``, a read-only array like
+every gate and basis of ``qsim``) and consumes the ancillas by
 measurement, leaving a gate on the register up to Pauli by-products that a
 classical frame records. Gadgets act on labeled qubits of a
 ``QuantumRuntime``; to run one on a bare state, load it with
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import EQUATORIAL_BY_OCTANT, PLUS_AMPS, X_GATE, Z_BASIS, Z_GATE, ZERO_AMPS
-from .qsim import Gate, MeasurementBasis, StateVector, apply_gate, plus_state
+from .qsim import CZ_GATE, EQUATORIAL_BY_OCTANT, H_GATE, PLUS_AMPS, X_GATE, Z_BASIS, Z_GATE
+from .qsim import ZERO_AMPS, StateVector, apply_gate, hrz_matrix, plus_state
 from .runtime import QuantumRuntime
 from .transcript import ALICE, BOB
 
@@ -47,7 +48,8 @@ OCTANT = math.pi / 4
 EVEN_OCTANTS = (0, 2, 4, 6)
 ODD_OCTANTS = (1, 3, 5, 7)
 
-ENTANGLER = Gate.entangler()
+ENTANGLER = np.kron(H_GATE, H_GATE) @ CZ_GATE  # E = (H x H) CZ, read-only like qsim's gates
+ENTANGLER.flags.writeable = False
 
 
 def octant_angle(k: int) -> float:
@@ -141,7 +143,7 @@ def couple_in(
         couple(rt, label, target)
 
 
-def measure_out(rt: QuantumRuntime, label: str, basis: MeasurementBasis) -> int:
+def measure_out(rt: QuantumRuntime, label: str, basis: np.ndarray) -> int:
     """The server measures the ancilla, records and announces the outcome,
     and drops the ancilla."""
     s, _ = rt.measure(label, basis)
@@ -259,5 +261,5 @@ def pattern_unitary(octants: tuple[int, int, int]) -> np.ndarray:
     kb, kg, kd = octants
     m = np.eye(2, dtype=complex)
     for k in (kd, kg, kb, 0):
-        m = Gate.hrz(octant_angle(k)).matrix @ m
+        m = hrz_matrix(octant_angle(k)) @ m
     return m

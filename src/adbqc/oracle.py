@@ -31,10 +31,11 @@ from .protocols.gate_client import p2_hrz_on_runtime
 from .protocols.measure_client import p1_hrz_on_runtime
 from .qsim import (
     BRANCH_PROB_FLOOR,
+    CZ_GATE,
     GADGET_FIDELITY_ATOL,
-    Gate,
     StateVector,
     haar_random_state,
+    hrz_matrix,
 )
 from .runtime import OutcomeSource, QuantumRuntime, enumerate_runs
 from .transcript import BOB
@@ -110,7 +111,7 @@ def _branches(gadget: str, octant: int, hidden: tuple[int, int, int]) -> list[tu
     width = 2 if gadget == "cz" else 1
     dim = 1 << width
     entangled = StateVector(2 * width, np.eye(dim).reshape(-1) / math.sqrt(dim))
-    ideal = Gate.cz() if gadget == "cz" else Gate.hrz(octant_angle(octant))
+    ideal = CZ_GATE if gadget == "cz" else hrz_matrix(octant_angle(octant))
 
     def run(src: OutcomeSource) -> np.ndarray:
         rt, labels = QuantumRuntime.from_state(entangled, src, BOB)
@@ -120,7 +121,7 @@ def _branches(gadget: str, octant: int, hidden: tuple[int, int, int]) -> list[tu
 
     # the prepare-only client announces by the gadget's rule from the first outcome
     hiding, pad, sign = hidden
-    undo = ideal.matrix.conj().T
+    undo = ideal.conj().T
     return [
         (br.outcomes, math.sqrt(dim * br.probability) * undo @ br.value.reshape(dim, dim).T,
          announced_octant(octant, hiding, pad, br.outcomes[0], sign)

@@ -11,7 +11,7 @@ import math
 from dataclasses import replace
 
 from ..gadgets import pattern_unitary
-from ..qsim import Gate, StateVector, apply_gate
+from ..qsim import CZ_GATE, H_GATE, StateVector, apply_gate
 from ..runtime import ReplayOutcomes
 from .config import ProtocolConfig
 from .driver import enumerate_run
@@ -24,9 +24,9 @@ def reference_state(config: ProtocolConfig) -> StateVector:
     state = StateVector.zero(width)
     for layer in schedule(config.algorithm, width, config.depth):
         for q, octants in layer.patterns:
-            state = apply_gate(state, Gate.custom(pattern_unitary(octants)), [q])
+            state = apply_gate(state, pattern_unitary(octants), [q])
         for i, j in layer.czs:
-            state = apply_gate(state, Gate.cz(), [i, j])
+            state = apply_gate(state, CZ_GATE, [i, j])
     return state
 
 
@@ -38,7 +38,7 @@ def reference_distribution(config: ProtocolConfig) -> dict[tuple[int, ...], floa
     state = reference_state(config)
     for q, basis in enumerate(config.plan()):
         if basis == "x":
-            state = apply_gate(state, Gate.h(), [q])
+            state = apply_gate(state, H_GATE, [q])
     weights = state.probability_weights()
     out: dict[tuple[int, ...], float] = {}
     for idx, w in enumerate(weights):

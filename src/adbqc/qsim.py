@@ -10,16 +10,19 @@ Conventions, fixed across the whole package:
   ``|+_{a,p}> = cos(a/2)|0> + e^{ip} sin(a/2)|1>``. Its partner
   ``|-_{a,p}> = sin(a/2)|0> - e^{ip} cos(a/2)|1>`` is orthogonal to it at
   every a and p, and is only used through measurement bases.
-- Measurement outcome bit 0 always means the first basis eigenstate.
-- Multi-qubit gate matrices index their rows/columns with ``targets[0]``
-  as the most significant bit.
+- A gate is its complex matrix; a multi-qubit one indexes its rows and
+  columns with ``targets[0]`` as the most significant bit.
+- A measurement basis is a 2x2 array whose row b is the eigenstate of
+  outcome b.
 
 States are value objects: every operation returns a new ``StateVector``.
 Measurement and outcome enumeration live in ``runtime``.
 Gates apply through one kernel, ``_apply_matrix`` (also behind
 ``QuantumRuntime.apply``): one ``matrix @ psi`` on the view with the target
-axes in front. The gates, bases and ancilla amplitudes every run reuses are
-built and validated once, below the classes, with read-only arrays.
+axes in front. Gates and bases are built from fixed formulas and checked
+nowhere in ``src/`` (the tests check that each is unitary or orthonormal);
+the ones every run reuses, and the ancilla amplitudes, are built once, at
+import, as read-only arrays.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ import numpy as np
 
 # The package's one tolerance table: every threshold a check compares with.
 NORM_ATOL = 1e-9  # |norm - 1| float rounding leaves on a pure state or qubit
-UNITARITY_ATOL = 1e-9  # entrywise gap between U U^dagger and the identity
-ORTHONORMAL_ATOL = 1e-10  # entrywise gap between a basis's Gram matrix and the identity
 PRODUCT_ATOL = 1e-9  # purity defect of a qubit that counts as product with the rest
 GADGET_FIDELITY_ATOL = 1e-9  # infidelity a gadget branch may show against its ideal gate
 NO_SIGNALING_ATOL = 1e-10  # trace distance between the server's views of two octants
@@ -47,14 +48,13 @@ BRANCH_BUDGET = 2**16  # most outcome paths one enumeration may walk
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-_H = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_CZ = np.diag([1, 1, 1, -1]).astype(complex)
-
 
 def rz_matrix(theta: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
+
+
+def hrz_matrix(theta: float) -> np.ndarray:
+    return H_GATE @ rz_matrix(theta)
 
 
 def plus_state(polar: float, phase: float, sign: int = +1) -> np.ndarray:
@@ -65,6 +65,29 @@ def plus_state(polar: float, phase: float, sign: int = +1) -> np.ndarray:
         [math.cos(polar / 2), sign * np.exp(1j * phase) * math.sin(polar / 2)],
         dtype=complex,
     )
+
+
+def equatorial_basis(phase: float) -> np.ndarray:
+    """The basis {|+_{pi/2,p}>, |-_{pi/2,p}>}; row b is the eigenstate of outcome b."""
+    minus = [math.sin(math.pi / 4), -np.exp(1j * phase) * math.cos(math.pi / 4)]
+    return np.array([plus_state(math.pi / 2, phase), minus], dtype=complex)
+
+
+# Built once and read-only: a gate is its matrix, a basis its 2x2 array of
+# eigenstate rows, and octant k means the angle k*pi/4.
+H_GATE = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=complex)
+X_GATE = np.array([[0, 1], [1, 0]], dtype=complex)
+Z_GATE = np.array([[1, 0], [0, -1]], dtype=complex)
+CZ_GATE = np.diag([1, 1, 1, -1]).astype(complex)
+RZ_BY_OCTANT = tuple(rz_matrix(k * math.pi / 4) for k in range(8))
+Z_BASIS = np.eye(2, dtype=complex)
+X_BASIS = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
+EQUATORIAL_BY_OCTANT = tuple(equatorial_basis(k * math.pi / 4) for k in range(8))
+ZERO_AMPS = np.array([1, 0], dtype=complex)
+PLUS_AMPS = plus_state(math.pi / 2, 0.0)
+for _shared in (H_GATE, X_GATE, Z_GATE, CZ_GATE, Z_BASIS, X_BASIS, ZERO_AMPS, PLUS_AMPS,
+                *RZ_BY_OCTANT, *EQUATORIAL_BY_OCTANT):
+    _shared.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -104,112 +127,6 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-@dataclass(frozen=True)
-class Gate:
-    """Unitary with a kind label; ``matrix`` rows use targets[0] as high bit."""
-
-    kind: str
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] & (m.shape[0] - 1):
-            raise ValueError(f"matrix shape {m.shape} is not square power of two")
-        if not np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=UNITARITY_ATOL):
-            raise ValueError(f"{self.kind} matrix is not unitary")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def num_qubits(self) -> int:
-        return int(round(math.log2(self.matrix.shape[0])))
-
-    @classmethod
-    def x(cls) -> "Gate":
-        return cls("x", _X)
-
-    @classmethod
-    def z(cls) -> "Gate":
-        return cls("z", _Z)
-
-    @classmethod
-    def h(cls) -> "Gate":
-        return cls("h", _H)
-
-    @classmethod
-    def rz(cls, theta: float) -> "Gate":
-        return cls("rz", rz_matrix(theta))
-
-    @classmethod
-    def hrz(cls, theta: float) -> "Gate":
-        return cls("hrz", _H @ rz_matrix(theta))
-
-    @classmethod
-    def cz(cls) -> "Gate":
-        return cls("cz", _CZ)
-
-    @classmethod
-    def entangler(cls) -> "Gate":
-        """Two-qubit ancilla-register coupling E = (H x H) CZ."""
-        return cls("entangler", np.kron(_H, _H) @ _CZ)
-
-    @classmethod
-    def custom(cls, matrix: np.ndarray, kind: str = "custom") -> "Gate":
-        return cls(kind, np.asarray(matrix, dtype=complex))
-
-
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Orthonormal single-qubit basis, checked when it is built; row 0 of
-    ``eigenstates`` is outcome 0."""
-
-    kind: str
-    eigenstates: np.ndarray
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.eigenstates, dtype=complex)
-        if e.shape != (2, 2):
-            raise ValueError(f"eigenstates must be 2x2, got {e.shape}")
-        if not np.allclose(e @ e.conj().T, np.eye(2), atol=ORTHONORMAL_ATOL):
-            raise ValueError(f"degenerate measurement basis: {self.kind}")
-        object.__setattr__(self, "eigenstates", e)
-
-    @classmethod
-    def z(cls) -> "MeasurementBasis":
-        return cls("z", np.eye(2, dtype=complex))
-
-    @classmethod
-    def x(cls) -> "MeasurementBasis":
-        return cls("x", np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF)
-
-    @classmethod
-    def rotated(cls, polar: float, phase: float) -> "MeasurementBasis":
-        """Basis {|+_{a,p}>, |-_{a,p}>}; orthonormal at every polar angle a."""
-        plus = plus_state(polar, phase, +1)
-        minus = np.array(
-            [math.sin(polar / 2), -np.exp(1j * phase) * math.cos(polar / 2)],
-            dtype=complex,
-        )
-        return cls("rotated", np.stack([plus, minus]))
-
-    @classmethod
-    def equatorial(cls, phase: float) -> "MeasurementBasis":
-        return cls.rotated(math.pi / 2, phase)
-
-
-# Built once and read-only; octant k means the angle k*pi/4.
-Z_GATE = Gate.z()
-X_GATE = Gate.x()
-RZ_BY_OCTANT = tuple(Gate.rz(k * math.pi / 4) for k in range(8))
-Z_BASIS = MeasurementBasis.z()
-X_BASIS = MeasurementBasis.x()
-EQUATORIAL_BY_OCTANT = tuple(MeasurementBasis.equatorial(k * math.pi / 4) for k in range(8))
-ZERO_AMPS = np.array([1, 0], dtype=complex)
-PLUS_AMPS = plus_state(math.pi / 2, 0.0)
-for _shared in (ZERO_AMPS, PLUS_AMPS, *(g.matrix for g in (Z_GATE, X_GATE, *RZ_BY_OCTANT)),
-                *(b.eigenstates for b in (Z_BASIS, X_BASIS, *EQUATORIAL_BY_OCTANT))):
-    _shared.flags.writeable = False
-
-
 def _apply_matrix(
     amps: np.ndarray, matrix: np.ndarray, targets: Sequence[int], n: int
 ) -> np.ndarray:
@@ -222,21 +139,20 @@ def _apply_matrix(
     return (matrix @ front).reshape(shape).transpose(inverse).reshape(-1)
 
 
-def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int]) -> StateVector:
-    """Apply ``gate`` to ``targets``; targets[0] is the gate's high bit."""
+def apply_gate(state: StateVector, matrix: np.ndarray, targets: Sequence[int]) -> StateVector:
+    """Apply ``matrix`` to ``targets``; targets[0] is the matrix's high bit."""
     targets = list(targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate targets: {targets}")
-    if len(targets) != gate.num_qubits:
-        raise ValueError(
-            f"gate acts on {gate.num_qubits} qubits, got targets {targets}"
-        )
+    dim = 1 << len(targets)
+    if matrix.shape != (dim, dim):
+        raise ValueError(f"a {matrix.shape} matrix cannot act on targets {targets}")
     for q in targets:
         if not 0 <= q < state.num_qubits:
             raise ValueError(f"target {q} out of range for {state.num_qubits} qubits")
     return StateVector(
         state.num_qubits,
-        _apply_matrix(state.amplitudes, gate.matrix, targets, state.num_qubits),
+        _apply_matrix(state.amplitudes, matrix, targets, state.num_qubits),
     )
 
 

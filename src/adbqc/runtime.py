@@ -34,8 +34,6 @@ from .qsim import (
     MAX_QUBITS,
     NORM_ATOL,
     PRODUCT_ATOL,
-    Gate,
-    MeasurementBasis,
     StateVector,
     _apply_matrix,
     partial_trace,
@@ -172,22 +170,24 @@ class QuantumRuntime:
         self._labels.append(label)
         self._owners[label] = owner
 
-    def apply(self, gate: Gate, labels: Sequence[str]) -> None:
+    def apply(self, matrix: np.ndarray, labels: Sequence[str]) -> None:
+        """Apply ``matrix`` to ``labels``; labels[0] is the matrix's high bit."""
         targets = [self.index_of(lb) for lb in labels]
-        self._amps = _apply_matrix(self._amps, gate.matrix, targets, self.num_qubits)
+        self._amps = _apply_matrix(self._amps, matrix, targets, self.num_qubits)
 
-    def measure(self, label: str, basis: MeasurementBasis) -> tuple[int, float]:
-        """Collapse ``label`` in ``basis``; returns (bit, probability of bit)."""
+    def measure(self, label: str, basis: np.ndarray) -> tuple[int, float]:
+        """Collapse ``label`` in ``basis``, a 2x2 array whose row b is the
+        eigenstate of outcome b; returns (bit, probability of bit)."""
         v = self._amps.reshape(-1, 2, 1 << self.index_of(label))  # (hi, 2, lo)
         low, high = v[:, 0], v[:, 1]
-        bras = basis.eigenstates.conj()
+        bras = basis.conj()
         overlap = bras[0, 0] * low + bras[0, 1] * high
         p0 = min(max(float(np.vdot(overlap, overlap).real), 0.0), 1.0)
         bit = self.outcomes.take(p0)
         prob = p0 if bit == 0 else 1.0 - p0
         if bit == 1:
             overlap = bras[1, 0] * low + bras[1, 1] * high
-        post = basis.eigenstates[bit][:, None] * overlap[:, None, :]
+        post = basis[bit][:, None] * overlap[:, None, :]
         self._amps = post.reshape(-1) / math.sqrt(max(prob, BRANCH_PROB_FLOOR))
         return bit, prob
 

@@ -12,7 +12,9 @@ from adbqc.gadgets import announced_octant, octant_angle
 from adbqc.oracle import BranchRow, drive_gadget
 from adbqc.protocols import ProtocolConfig, config_from_dict, config_object
 from adbqc.protocols.measure_client import p1_hrz_on_runtime
-from adbqc.qsim import Gate, StateVector, apply_gate, fidelity_up_to_phase
+from adbqc.qsim import (
+    CZ_GATE, StateVector, apply_gate, fidelity_up_to_phase, hrz_matrix, plus_state,
+)
 from adbqc.runtime import OutcomeSource, QuantumRuntime, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
 
@@ -21,6 +23,20 @@ def rx_matrix(theta: float) -> np.ndarray:
     """R_X(theta) in the package's convention: H R_Z(theta) H = e^{i theta/2} R_X(theta)."""
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+
+def identity_gap(rows: np.ndarray) -> float:
+    """Largest entry of |rows rows^dagger - I|: 0 exactly when ``rows`` is a
+    unitary matrix, or a basis of orthonormal eigenstate rows. ``src/``
+    checks no gate or basis, so the tests check each through this."""
+    return float(np.max(np.abs(rows @ rows.conj().T - np.eye(rows.shape[0]))))
+
+
+def rotated(polar: float, phase: float) -> np.ndarray:
+    """The basis {|+_{a,p}>, |-_{a,p}>}: row b is the eigenstate of outcome b,
+    and |-_{a,p}> = sin(a/2)|0> - e^{ip} cos(a/2)|1> is |+_{pi-a,p}> with the
+    sign flipped."""
+    return np.stack([plus_state(polar, phase), plus_state(math.pi - polar, phase, -1)])
 
 
 def read_manifest(text: str) -> ProtocolConfig:
@@ -50,9 +66,9 @@ def replayed_branch_table(
     """``oracle.branch_table`` by replaying the gadget on ``state`` itself,
     once per outcome path."""
     if gadget == "cz":
-        target = apply_gate(state, Gate.cz(), [1, 0])
+        target = apply_gate(state, CZ_GATE, [1, 0])
     else:
-        target = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
+        target = apply_gate(state, hrz_matrix(octant_angle(octant)), [0])
 
     def run(src: OutcomeSource) -> float:
         rt, labels = QuantumRuntime.from_state(state, src, BOB)

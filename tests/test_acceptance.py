@@ -38,11 +38,15 @@ from adbqc.protocols import (
 )
 from adbqc.protocols.measure_client import p1_hrz_on_runtime
 from adbqc.qsim import (
-    Gate,
-    MeasurementBasis,
+    CZ_GATE,
+    H_GATE,
+    X_BASIS,
+    X_GATE,
+    Z_BASIS,
     StateVector,
     apply_gate,
     haar_random_state,
+    rz_matrix,
 )
 from adbqc.runtime import QuantumRuntime, enumerate_runs
 from adbqc.transcript import BOB
@@ -69,13 +73,13 @@ def test_acceptance_1_gadget_soundness(acceptance):
 
 # program steps: (qubit, octant) rotation or ("cz", i, j); reference gates
 _PROGRAMS = {
-    "h": (1, ((0, 0),), ((Gate.h(), [0]),)),
-    "t": (1, ((0, 1), (0, 0)), ((Gate.rz(np.pi / 4), [0]),)),
-    "x": (1, ((0, 0), (0, 4)), ((Gate.x(), [0]),)),
+    "h": (1, ((0, 0),), ((H_GATE, [0]),)),
+    "t": (1, ((0, 1), (0, 0)), ((rz_matrix(np.pi / 4), [0]),)),
+    "x": (1, ((0, 0), (0, 4)), ((X_GATE, [0]),)),
     "cnot": (
         2,
         ((1, 0), ("cz", 0, 1), (1, 0)),
-        ((Gate.h(), [1]), (Gate.cz(), [0, 1]), (Gate.h(), [1])),
+        ((H_GATE, [1]), (CZ_GATE, [0, 1]), (H_GATE, [1])),
     ),
 }
 
@@ -101,10 +105,10 @@ def _drive_program(source, state, steps, bases):
     bits = []
     for q in range(n):
         if bases[q] == "x":
-            bit, _ = rt.measure(labels[q], MeasurementBasis.x())
+            bit, _ = rt.measure(labels[q], X_BASIS)
             bits.append(bit ^ z[q])
         else:
-            bit, _ = rt.measure(labels[q], MeasurementBasis.z())
+            bit, _ = rt.measure(labels[q], Z_BASIS)
             bits.append(bit ^ x[q])
     return tuple(bits)
 
@@ -114,7 +118,7 @@ def _born_distribution(state, gates, bases):
         state = apply_gate(state, gate, targets)
     for q, basis in enumerate(bases):
         if basis == "x":
-            state = apply_gate(state, Gate.h(), [q])
+            state = apply_gate(state, H_GATE, [q])
     probs = state.probability_weights()
     n = state.num_qubits
     dist = {}

@@ -93,8 +93,18 @@ def test_no_signaling_across_octants_and_stages():
 
 
 def test_no_signaling_same_octant_is_exactly_zero():
-    result = audit_no_signaling(octants=(3, 3), steps=(5,))
-    assert result.statistic == 0.0
+    state = haar_random_state(1, rng.stream(404, "no-signaling-state"))
+    first, again = (_bob_view_blocks(3, state, (5,))[5] for _ in range(2))
+    assert block_trace_distance(first, again) == 0.0
+
+
+@pytest.mark.parametrize(
+    "octants", [(3, 3), (1, 9), (0, 8), (-1, 2), (0, 1, 0)],
+    ids=["repeated", "nine-is-one", "eight-is-zero", "negative", "repeated-of-three"],
+)
+def test_no_signaling_refuses_an_octant_outside_0_to_7_or_repeated(octants):
+    with pytest.raises(ValueError, match="distinct octants in 0..7"):
+        audit_no_signaling(octants=octants, steps=(5,))
 
 
 def test_no_signaling_flags_a_classical_leak(monkeypatch):
@@ -264,7 +274,7 @@ def test_gadget_view_audit_refuses_an_octant_the_oracle_refuses(gadget, octant):
 def test_transcript_audit_refuses_to_compare_nothing(runs, resamples):
     config = ProtocolConfig("sueki", 1, 1)
     with pytest.raises(ValueError, match="at least one run and one resample"):
-        audit_transcript_tv(run_sueki, config, config, runs=runs, resamples=resamples)
+        audit_transcript_tv(config, config, runs=runs, resamples=resamples)
 
 
 # The padded announcements (sueki) and reported bits (p2) make nearly every
@@ -280,7 +290,7 @@ def test_sueki_transcript_audit_refuses_unique_signatures():
         "sueki", 1, 1, algorithm=(GateRequest.single(0, octants=(0, 0, 2)),)
     )
     with pytest.raises(ValueError, match="could reject nothing"):
-        audit_transcript_tv(run_sueki, config_a, config_b, runs=150, resamples=150)
+        audit_transcript_tv(config_a, config_b, runs=150, resamples=150)
 
 
 def test_p2_transcript_audit_refuses_unique_signatures():
@@ -293,10 +303,10 @@ def test_p2_transcript_audit_refuses_unique_signatures():
         algorithm=(GateRequest.single(0, octants=(0, 0, 5)),),
     )
     with pytest.raises(ValueError, match="could reject nothing"):
-        audit_transcript_tv(run_protocol2, config_a, config_b, runs=150, resamples=150)
+        audit_transcript_tv(config_a, config_b, runs=150, resamples=150)
 
 
-def test_transcript_audit_flags_a_leak():
+def test_transcript_audit_flags_a_leak(monkeypatch):
     """The measure-only transcript is empty, so the null band is exactly
     zero width and a secret sent on the wire is flagged with certainty."""
     config_a = ProtocolConfig(
@@ -305,10 +315,11 @@ def test_transcript_audit_flags_a_leak():
     config_b = ProtocolConfig(
         "p1", 3, 1, algorithm=(GateRequest.single(0, octants=(0, 0, 2)),)
     )
-    honest = audit_transcript_tv(run_protocol1, config_a, config_b, runs=40, resamples=40)
+    honest = audit_transcript_tv(config_a, config_b, runs=40, resamples=40)
     assert honest.passed
     assert honest.statistic == 0.0
-    leaky = audit_transcript_tv(run_p1_and_leak, config_a, config_b, runs=40, resamples=40)
+    monkeypatch.setattr(blindness, "run", run_p1_and_leak)
+    leaky = audit_transcript_tv(config_a, config_b, runs=40, resamples=40)
     assert not leaky.passed
     assert leaky.statistic == pytest.approx(1.0)
 

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from adbqc import rng
+from adbqc import gadgets, rng
 from adbqc.gadgets import (
     NAMED_GATE_OCTANTS,
     PauliFrame,
@@ -23,11 +23,15 @@ from adbqc.gadgets import (
     sueki_hrz_on_runtime,
 )
 from adbqc.qsim import (
-    Gate,
+    CZ_GATE,
+    H_GATE,
+    X_GATE,
+    Z_GATE,
     StateVector,
     apply_gate,
     fidelity_up_to_phase,
     haar_random_state,
+    hrz_matrix,
     plus_state,
     rz_matrix,
 )
@@ -35,9 +39,9 @@ from adbqc.runtime import QuantumRuntime, ReplayOutcomes
 from adbqc.transcript import BOB, Transcript
 from helpers import rx_matrix
 
-H = Gate.h().matrix
-X = Gate.x().matrix
-Z = Gate.z().matrix
+H = H_GATE
+X = X_GATE
+Z = Z_GATE
 I2 = np.eye(2, dtype=complex)
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -81,14 +85,14 @@ def test_octant_angle_wraps():
 def test_entangler_on_00():
     plus = plus_state(np.pi / 2, 0.0)
     want = np.kron(plus, plus)
-    got = Gate.entangler().matrix @ np.array([1, 0, 0, 0], dtype=complex)
+    got = gadgets.ENTANGLER @ np.array([1, 0, 0, 0], dtype=complex)
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_entangler_on_11_gives_minus_minus():
     minus = plus_state(np.pi / 2, np.pi)
     want = -np.kron(minus, minus)
-    got = Gate.entangler().matrix @ np.array([0, 0, 0, 1], dtype=complex)
+    got = gadgets.ENTANGLER @ np.array([0, 0, 0, 1], dtype=complex)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -184,12 +188,12 @@ def test_frame_flips():
 def test_frame_conjugation_matches_matrix_identity(x, z, kind):
     """gate . frame = frame' . gate' as matrices, up to global phase."""
     theta = 0.93
-    gate = Gate.hrz(theta)
+    gate = hrz_matrix(theta)
     frame = PauliFrame((x,), (z,))
     new_frame, sign = frame_conjugate(frame, kind, (0,))
-    new_gate = Gate.hrz(sign * theta)
-    lhs = gate.matrix @ pauli_matrix(x, z)
-    rhs = pauli_matrix(new_frame.x[0], new_frame.z[0]) @ new_gate.matrix
+    new_gate = hrz_matrix(sign * theta)
+    lhs = gate @ pauli_matrix(x, z)
+    rhs = pauli_matrix(new_frame.x[0], new_frame.z[0]) @ new_gate
     assert proportional(lhs, rhs)
 
 
@@ -201,7 +205,7 @@ def test_cz_frame_conjugation(bits):
     assert sign == +1
     assert new_frame.x == frame.x
     assert new_frame.z == (z0 ^ x1, z1 ^ x0)
-    cz = Gate.cz().matrix
+    cz = CZ_GATE
     before = np.kron(pauli_matrix(x1, z1), pauli_matrix(x0, z0))
     after = np.kron(
         pauli_matrix(new_frame.x[1], new_frame.z[1]),
@@ -220,8 +224,8 @@ def test_hrz_byproduct_identity():
     """H R_Z(theta + pi) = X H R_Z(theta), the outcome-1 correction rule."""
     for k in range(8):
         theta = octant_angle(k)
-        lhs = Gate.hrz(theta + np.pi).matrix
-        rhs = X @ Gate.hrz(theta).matrix
+        lhs = hrz_matrix(theta + np.pi)
+        rhs = X @ hrz_matrix(theta)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -259,7 +263,7 @@ def test_sueki_gadget_soundness(octant, coin_pair):
     x = sueki_hrz_on_runtime(rt, labels[0], octant, hiding_octant=3, pad_bit=1)
     assert announced(rt) == announced_octant(octant, 3, 1, rt.outcomes.bits[0])
     corrected = PauliFrame((x,), (0,)).matrix_on(rt.snapshot(labels))
-    want = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
+    want = apply_gate(state, hrz_matrix(octant_angle(octant)), [0])
     assert fidelity_up_to_phase(corrected, want) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -280,7 +284,7 @@ def test_sueki_gadget_prep_sign_branches():
         )
         assert announced(rt) == announced_octant(5, 6, 0, rt.outcomes.bits[0], prep_sign=-1)
         corrected = PauliFrame((x,), (0,)).matrix_on(rt.snapshot(labels))
-        want = apply_gate(state, Gate.hrz(octant_angle(5)), [0])
+        want = apply_gate(state, hrz_matrix(octant_angle(5)), [0])
         assert fidelity_up_to_phase(corrected, want) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -295,7 +299,7 @@ def test_cz_gadget_soundness(coin):
     rt, labels = fresh_runtime(state, (int(coin >= 0.5),))
     s = cz_on_runtime(rt, labels[0], labels[1])
     corrected = PauliFrame((0, 0), (s, 0)).matrix_on(rt.snapshot(labels))
-    want = apply_gate(state, Gate.cz(), [0, 1])
+    want = apply_gate(state, CZ_GATE, [0, 1])
     assert fidelity_up_to_phase(corrected, want) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -312,7 +316,7 @@ def test_h_cancel_is_deterministic():
     rt, labels = fresh_runtime(state, ())
     h_cancel(rt, labels[0], "anc")
     assert rt.outcomes.path_probability() == pytest.approx(1.0)
-    want = apply_gate(state, Gate.h(), [0])
+    want = apply_gate(state, H_GATE, [0])
     assert fidelity_up_to_phase(rt.snapshot(labels), want) == pytest.approx(1.0, abs=1e-12)
 
 

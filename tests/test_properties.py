@@ -11,17 +11,21 @@ seven qubits. Reduced states from ``partial_trace`` on random keep lists
 are checked to be density matrices (Hermitian, unit trace, no negative
 eigenvalue) and against an einsum reference, and
 ``QuantumRuntime.density_of`` against ``partial_trace`` for random owners.
+Every gate ``src/`` builds is checked unitary and every basis orthonormal,
+since nothing in ``src/`` checks them.
 Examples are derandomized, so each run of the suite checks the same cases.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import read_manifest
+from helpers import identity_gap, read_manifest
 from test_qsim import embed_apply
 
-from adbqc.gadgets import NAMED_GATE_OCTANTS
+from adbqc.gadgets import ENTANGLER, NAMED_GATE_OCTANTS, octant_angle, pattern_unitary
 from adbqc.protocols import (
     HONEST,
     AdversaryConfig,
@@ -37,13 +41,22 @@ from adbqc.protocols import (
     total_variation,
 )
 from adbqc.qsim import (
+    CZ_GATE,
+    EQUATORIAL_BY_OCTANT,
+    H_GATE,
     PROBABILITY_SLACK,
-    Gate,
-    MeasurementBasis,
+    RZ_BY_OCTANT,
+    X_BASIS,
+    X_GATE,
+    Z_BASIS,
+    Z_GATE,
     StateVector,
     apply_gate,
+    equatorial_basis,
     haar_random_state,
+    hrz_matrix,
     partial_trace,
+    rz_matrix,
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes
 from adbqc.transcript import ALICE, BOB
@@ -220,7 +233,7 @@ def test_apply_gate_matches_bit_surgery(placement):
     rng = np.random.default_rng(seed)
     state = haar_random_state(n, rng)
     u = haar_unitary(2 ** len(targets), rng)
-    got = apply_gate(state, Gate.custom(u), targets).amplitudes
+    got = apply_gate(state, u, targets).amplitudes
     want = embed_apply(u, targets, state.amplitudes)
     assert np.allclose(got, want, rtol=0.0, atol=KERNEL_ATOL)
 
@@ -240,8 +253,8 @@ def test_forced_measurement_matches_projector(case):
     n, q, bit, seed = case
     rng = np.random.default_rng(seed)
     state = haar_random_state(n, rng)
-    basis = MeasurementBasis("haar", haar_unitary(2, rng))  # rows: the two eigenstates
-    e = basis.eigenstates[bit]
+    basis = haar_unitary(2, rng)  # rows: the two eigenstates
+    e = basis[bit]
     projected = embed_apply(np.outer(e, e.conj()), [q], state.amplitudes)
     want_prob = float(np.vdot(projected, projected).real)
 
@@ -361,3 +374,47 @@ def test_density_of_is_the_partial_trace_on_the_owners_qubits(n, seed, data):
             assert np.array_equal(got, partial_trace(rt.snapshot(), keep))
         else:
             assert got.dtype == complex and got.tolist() == [[1]]
+
+
+# ---------------------------------------------------------------------------
+# Gates and bases: built from formulas that ``src/`` never checks
+
+UNITARY_ATOL = 1e-9
+ORTHONORMAL_ATOL = 1e-10
+
+
+def test_every_built_gate_is_unitary():
+    """The shared gates, the entangler, H R_Z at each octant, and the pattern
+    unitary of all 512 octant triples."""
+    gates = [H_GATE, X_GATE, Z_GATE, CZ_GATE, ENTANGLER, *RZ_BY_OCTANT]
+    gates += [hrz_matrix(octant_angle(k)) for k in range(8)]
+    gates += [pattern_unitary(octants) for octants in itertools.product(range(8), repeat=3)]
+    for gate in gates:
+        assert identity_gap(gate) <= UNITARY_ATOL
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(-20.0, 20.0))
+def test_rz_matrix_is_unitary(theta):
+    assert identity_gap(rz_matrix(theta)) <= UNITARY_ATOL
+
+
+def test_every_shared_basis_is_orthonormal():
+    for basis in (Z_BASIS, X_BASIS, *EQUATORIAL_BY_OCTANT):
+        assert identity_gap(basis) <= ORTHONORMAL_ATOL
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(-20.0, 20.0))
+def test_equatorial_basis_is_orthonormal(phase):
+    assert identity_gap(equatorial_basis(phase)) <= ORTHONORMAL_ATOL
+
+
+@pytest.mark.parametrize(
+    "matrix,targets",
+    [(np.eye(3), [0]), (np.eye(3), [0, 1]), (CZ_GATE, [0])],
+    ids=["3x3-one-target", "3x3-two-targets", "4x4-one-target"],
+)
+def test_apply_gate_refuses_a_matrix_of_the_wrong_size(matrix, targets):
+    with pytest.raises(ValueError, match="cannot act on targets"):
+        apply_gate(StateVector.zero(2), matrix, targets)

@@ -24,12 +24,13 @@ from adbqc.protocols.measure_client import (
     solve_phase_choice,
 )
 from adbqc.qsim import (
-    Gate,
-    MeasurementBasis,
+    X_BASIS,
+    Z_BASIS,
     StateVector,
     apply_gate,
     fidelity_up_to_phase,
     haar_random_state,
+    hrz_matrix,
     plus_state,
     trace_distance,
 )
@@ -72,7 +73,7 @@ def test_phase_choices_sweep_the_case_octants(case, bit):
 def test_gadget_soundness_all_branches(octant):
     """Frame-corrected output equals H R_Z(k pi/4) on every outcome path."""
     state = haar_random_state(1, rng.stream(200, "p1-state", octant))
-    want = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
+    want = apply_gate(state, hrz_matrix(octant_angle(octant)), [0])
     for bits in itertools.product((0, 1), repeat=3):
         rt, labels = QuantumRuntime.from_state(state, ReplayOutcomes(bits), BOB, Transcript())
         delta = p1_hrz_on_runtime(rt, labels[0], octant)
@@ -141,7 +142,7 @@ def run_composition(source, octant_seq, out_basis="z"):
         k_eff = k if x == 0 else (-k) % 8
         delta = p1_hrz_on_runtime(rt, "r0", k_eff)
         x, z = delta ^ z, x
-    basis = MeasurementBasis.z() if out_basis == "z" else MeasurementBasis.x()
+    basis = Z_BASIS if out_basis == "z" else X_BASIS
     bit, _ = rt.measure("r0", basis)
     return bit ^ (x if out_basis == "z" else z)
 

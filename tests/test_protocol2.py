@@ -16,11 +16,11 @@ from adbqc.protocols import (
 from adbqc.protocols.gate_client import p2_hrz_on_runtime
 from adbqc.protocols.reference import reference_distribution, total_variation
 from adbqc.qsim import (
-    Gate,
     StateVector,
     apply_gate,
     fidelity_up_to_phase,
     haar_random_state,
+    hrz_matrix,
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
@@ -42,7 +42,7 @@ def fair_coin(coin: float) -> ReplayOutcomes:
 def test_gadget_soundness(octant, coin):
     """Returned-ancilla gadget equals H R_Z(k pi/4) after the X correction."""
     state = haar_random_state(1, rng.stream(300, "p2-state", octant))
-    want = apply_gate(state, Gate.hrz(octant_angle(octant)), [0])
+    want = apply_gate(state, hrz_matrix(octant_angle(octant)), [0])
     rt, labels = QuantumRuntime.from_state(state, fair_coin(coin), BOB, Transcript())
     delta = p2_hrz_on_runtime(rt, labels[0], octant)
     (announced,) = [ev.payload["bit"] for ev in rt.tape.events if ev.kind == "outcome"]

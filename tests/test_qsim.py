@@ -10,10 +10,13 @@ directly.
 import numpy as np
 import pytest
 
-from adbqc import rng
+from adbqc import gadgets, qsim, rng
+from adbqc.gadgets import ENTANGLER
 from adbqc.qsim import (
     BRANCH_PROB_FLOOR,
+    CZ_GATE,
     EQUATORIAL_BY_OCTANT,
+    H_GATE,
     MAX_QUBITS,
     PLUS_AMPS,
     RZ_BY_OCTANT,
@@ -22,12 +25,12 @@ from adbqc.qsim import (
     Z_BASIS,
     Z_GATE,
     ZERO_AMPS,
-    Gate,
-    MeasurementBasis,
     StateVector,
     apply_gate,
+    equatorial_basis,
     fidelity_up_to_phase,
     haar_random_state,
+    hrz_matrix,
     partial_trace,
     plus_state,
     rz_matrix,
@@ -42,10 +45,10 @@ from adbqc.runtime import (
     enumerate_runs,
 )
 from adbqc.transcript import BOB
-from helpers import rx_matrix
+from helpers import identity_gap, rotated, rx_matrix
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
-Y_GATE = Gate.custom(np.array([[0, -1j], [1j, 0]]), "y")
+Y_GATE = np.array([[0, -1j], [1j, 0]])
 
 
 def embed_apply(matrix: np.ndarray, targets, psi: np.ndarray) -> np.ndarray:
@@ -85,7 +88,7 @@ def projection_weight(psi: np.ndarray, qubit: int, eigen: np.ndarray) -> float:
 
 
 def measure(
-    state: StateVector, qubit: int, basis: MeasurementBasis, outcomes: OutcomeSource
+    state: StateVector, qubit: int, basis: np.ndarray, outcomes: OutcomeSource
 ):
     """One runtime measurement of ``state`` whose outcome ``outcomes`` gives.
 
@@ -126,7 +129,7 @@ def test_rz_matrix_convention():
 
 def test_rx_matrix_is_hadamard_conjugate_of_rz():
     """H RZ(theta) H = e^{i theta/2} RX(theta) with the phase-shift RZ."""
-    h = Gate.h().matrix
+    h = H_GATE
     theta = 0.77
     want = np.exp(1j * theta / 2) * rx_matrix(theta)
     assert np.allclose(want, h @ rz_matrix(theta) @ h, atol=1e-12)
@@ -150,9 +153,9 @@ def test_plus_state_parameterization(polar, phase, sign, expected):
 
 def test_little_endian_indexing():
     """Qubit 0 is the least significant bit of the amplitude index."""
-    state = apply_gate(StateVector.zero(2), Gate.x(), [0])
+    state = apply_gate(StateVector.zero(2), X_GATE, [0])
     assert np.allclose(state.amplitudes, [0, 1, 0, 0], atol=1e-12)
-    state = apply_gate(StateVector.zero(2), Gate.x(), [1])
+    state = apply_gate(StateVector.zero(2), X_GATE, [1])
     assert np.allclose(state.amplitudes, [0, 0, 1, 0], atol=1e-12)
 
 
@@ -176,45 +179,44 @@ def test_tensor_appends_high_bits():
 @pytest.mark.parametrize(
     "gate",
     [
-        Gate.x(),
+        X_GATE,
         Y_GATE,
-        Gate.z(),
-        Gate.h(),
-        Gate.rz(0.4),
-        Gate.custom(rx_matrix(1.1), "rx"),
-        Gate.hrz(np.pi / 4),
-        Gate.cz(),
-        Gate.entangler(),
+        Z_GATE,
+        H_GATE,
+        rz_matrix(0.4),
+        rx_matrix(1.1),
+        hrz_matrix(np.pi / 4),
+        CZ_GATE,
+        ENTANGLER,
     ],
 )
 def test_gates_are_unitary(gate):
-    m = gate.matrix
-    assert np.allclose(m @ m.conj().T, np.eye(m.shape[0]), atol=1e-12)
+    assert identity_gap(gate) <= 1e-12
 
 
 def test_apply_x_flips_zero():
-    state = apply_gate(StateVector.zero(1), Gate.x(), [0])
+    state = apply_gate(StateVector.zero(1), X_GATE, [0])
     assert np.allclose(state.amplitudes, [0.0, 1.0], atol=1e-12)
 
 
 def test_rz_pi_turns_plus_into_minus():
     plus = StateVector.of(plus_state(np.pi / 2, 0.0))
-    state = apply_gate(plus, Gate.rz(np.pi), [0])
+    state = apply_gate(plus, rz_matrix(np.pi), [0])
     assert np.allclose(state.amplitudes, [INV_SQRT2, -INV_SQRT2], atol=1e-12)
 
 
 def test_entangler_order_matters():
     """E is (H x H) CZ, which differs from the reverse order CZ (H x H)."""
-    e = Gate.entangler().matrix
-    h2 = np.kron(Gate.h().matrix, Gate.h().matrix)
-    cz = Gate.cz().matrix
+    e = ENTANGLER
+    h2 = np.kron(H_GATE, H_GATE)
+    cz = CZ_GATE
     assert np.allclose(e, h2 @ cz, atol=1e-12)
     assert not np.allclose(e, cz @ h2, atol=1e-6)
 
 
 def test_entangler_on_plus_plus_is_maximally_entangled():
     state = StateVector.of(np.kron(plus_state(np.pi / 2, 0), plus_state(np.pi / 2, 0)))
-    out = apply_gate(state, Gate.entangler(), [1, 0])
+    out = apply_gate(state, ENTANGLER, [1, 0])
     coeffs = np.linalg.svd(out.amplitudes.reshape(2, 2), compute_uv=False)
     assert np.allclose(coeffs, [INV_SQRT2, INV_SQRT2], atol=1e-12)
 
@@ -223,13 +225,12 @@ def test_target_order_sets_matrix_high_bit():
     cnot = np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     )
-    gate = Gate.custom(cnot, "cnot")
-    one_low = apply_gate(StateVector.zero(2), Gate.x(), [0])  # |q1=0, q0=1>
+    one_low = apply_gate(StateVector.zero(2), X_GATE, [0])  # |q1=0, q0=1>
     # targets [1, 0]: qubit 1 is the control (high bit), stays |01>.
-    unchanged = apply_gate(one_low, gate, [1, 0])
+    unchanged = apply_gate(one_low, cnot, [1, 0])
     assert np.allclose(unchanged.amplitudes, one_low.amplitudes, atol=1e-12)
     # targets [0, 1]: qubit 0 is the control, so qubit 1 flips.
-    flipped = apply_gate(one_low, gate, [0, 1])
+    flipped = apply_gate(one_low, cnot, [0, 1])
     assert np.allclose(flipped.amplitudes, [0, 0, 0, 1], atol=1e-12)
 
 
@@ -239,15 +240,15 @@ def test_apply_gate_matches_bit_surgery_oracle(trial):
     n = int(gen.integers(1, 4))
     state = haar_random_state(n, gen)
     if n == 1 or gen.random() < 0.5:
-        gate = [Gate.h(), Gate.rz(float(gen.random() * 7)), Gate.x(), Y_GATE][
+        gate = [H_GATE, rz_matrix(float(gen.random() * 7)), X_GATE, Y_GATE][
             int(gen.integers(4))
         ]
         targets = [int(gen.integers(n))]
     else:
-        gate = [Gate.cz(), Gate.entangler()][int(gen.integers(2))]
+        gate = [CZ_GATE, ENTANGLER][int(gen.integers(2))]
         targets = list(gen.permutation(n)[:2])
     got = apply_gate(state, gate, targets)
-    want = embed_apply(gate.matrix, targets, state.amplitudes)
+    want = embed_apply(gate, targets, state.amplitudes)
     assert np.linalg.norm(got.amplitudes - want) < 1e-10
     assert abs(np.linalg.norm(got.amplitudes) - 1.0) < 1e-9
 
@@ -255,11 +256,11 @@ def test_apply_gate_matches_bit_surgery_oracle(trial):
 def test_apply_gate_rejects_bad_targets():
     state = StateVector.zero(2)
     with pytest.raises(ValueError):
-        apply_gate(state, Gate.cz(), [0, 0])
+        apply_gate(state, CZ_GATE, [0, 0])
     with pytest.raises(ValueError):
-        apply_gate(state, Gate.x(), [2])
+        apply_gate(state, X_GATE, [2])
     with pytest.raises(ValueError):
-        apply_gate(state, Gate.cz(), [0])
+        apply_gate(state, CZ_GATE, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +269,15 @@ def test_apply_gate_rejects_bad_targets():
 
 def test_measure_plus_in_x_is_deterministic():
     plus = StateVector.of(plus_state(np.pi / 2, 0.0))
-    outcome, probability, _ = measure(plus, 0, MeasurementBasis.x(), ReplayOutcomes((0,)))
+    outcome, probability, _ = measure(plus, 0, X_BASIS, ReplayOutcomes((0,)))
     assert outcome == 0
     assert probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_zero_in_x_is_fair():
     zero = StateVector.zero(1)
-    out0, prob0, _ = measure(zero, 0, MeasurementBasis.x(), ReplayOutcomes((0,)))
-    out1, prob1, _ = measure(zero, 0, MeasurementBasis.x(), ReplayOutcomes((1,)))
+    out0, prob0, _ = measure(zero, 0, X_BASIS, ReplayOutcomes((0,)))
+    out1, prob1, _ = measure(zero, 0, X_BASIS, ReplayOutcomes((1,)))
     assert (out0, out1) == (0, 1)
     assert prob0 == pytest.approx(0.5, abs=1e-12)
     assert prob1 == pytest.approx(0.5, abs=1e-12)
@@ -285,10 +286,10 @@ def test_measure_zero_in_x_is_fair():
 def test_measure_tilted_state_in_z():
     """cos(pi/6)^2 = 3/4 lands on outcome 0."""
     state = StateVector.of(plus_state(np.pi / 3, np.pi / 2))
-    outcome, probability, _ = measure(state, 0, MeasurementBasis.z(), ReplayOutcomes((0,)))
+    outcome, probability, _ = measure(state, 0, Z_BASIS, ReplayOutcomes((0,)))
     assert outcome == 0
     assert probability == pytest.approx(0.75, abs=1e-12)
-    outcome, probability, _ = measure(state, 0, MeasurementBasis.z(), ReplayOutcomes((1,)))
+    outcome, probability, _ = measure(state, 0, Z_BASIS, ReplayOutcomes((1,)))
     assert outcome == 1
     assert probability == pytest.approx(0.25, abs=1e-12)
 
@@ -310,19 +311,19 @@ def test_measure_coin_boundary_is_half_open():
     zero = StateVector.zero(1)
     one = StateVector.of([0.0, 1.0])
     top = SampledOutcomes(_FixedDraw(1.0 - 2.0**-53))
-    assert measure(zero, 0, MeasurementBasis.z(), top)[0] == 0
-    assert measure(one, 0, MeasurementBasis.z(), SampledOutcomes(_FixedDraw(0.0)))[0] == 1
+    assert measure(zero, 0, Z_BASIS, top)[0] == 0
+    assert measure(one, 0, Z_BASIS, SampledOutcomes(_FixedDraw(0.0)))[0] == 1
     gen = rng.stream(90, "qsim-boundary")
     for _ in range(100):
-        assert measure(zero, 0, MeasurementBasis.z(), SampledOutcomes(gen))[0] == 0
-        assert measure(one, 0, MeasurementBasis.z(), SampledOutcomes(gen))[0] == 1
+        assert measure(zero, 0, Z_BASIS, SampledOutcomes(gen))[0] == 0
+        assert measure(one, 0, Z_BASIS, SampledOutcomes(gen))[0] == 1
 
 
 def test_forced_outcome_of_zero_probability_is_refused():
     rt = QuantumRuntime(ReplayOutcomes((1,)))
     rt.add_qubit("q", ZERO_AMPS, BOB)
     with pytest.raises(ValueError, match="forced outcome 1 at step 0 has zero probability"):
-        rt.measure("q", MeasurementBasis.z())
+        rt.measure("q", Z_BASIS)
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -331,9 +332,9 @@ def test_measure_probability_matches_projection(trial):
     n = int(gen.integers(1, 4))
     state = haar_random_state(n, gen)
     qubit = int(gen.integers(n))
-    basis = MeasurementBasis.rotated(float(gen.random() * np.pi), float(gen.random() * 7))
-    p0 = projection_weight(state.amplitudes, qubit, basis.eigenstates[0])
-    p1 = projection_weight(state.amplitudes, qubit, basis.eigenstates[1])
+    basis = rotated(float(gen.random() * np.pi), float(gen.random() * 7))
+    p0 = projection_weight(state.amplitudes, qubit, basis[0])
+    p1 = projection_weight(state.amplitudes, qubit, basis[1])
     assert p0 + p1 == pytest.approx(1.0, abs=1e-10)
     outcome, probability, post = measure(state, qubit, basis, ReplayOutcomes(()))
     assert probability == pytest.approx(p0 if outcome == 0 else p1, abs=1e-10)
@@ -344,46 +345,65 @@ def test_measure_probability_matches_projection(trial):
 def test_measure_post_state_is_eigenstate():
     state = haar_random_state(2, rng.stream(92, "post"))
     rt, labels = QuantumRuntime.from_state(state, ReplayOutcomes(()), BOB)
-    outcome, _ = rt.measure(labels[1], MeasurementBasis.x())
-    again, probability = rt.measure(labels[1], MeasurementBasis.x())
+    outcome, _ = rt.measure(labels[1], X_BASIS)
+    again, probability = rt.measure(labels[1], X_BASIS)
     assert again == outcome
     assert probability == pytest.approx(1.0, abs=1e-10)
 
 
 def test_degenerate_basis_rejected():
+    """No gate or basis is checked when it is built: the tests' identity gap
+    is what flags a degenerate basis and a non-unitary matrix."""
     e = plus_state(np.pi / 2, 0.0)
-    with pytest.raises(ValueError, match="degenerate measurement basis: bad"):
-        MeasurementBasis(kind="bad", eigenstates=(e, e))
+    assert identity_gap(np.stack([e, e])) == pytest.approx(1.0, abs=1e-12)
+    assert identity_gap(np.array([[1, 1], [0, 1]])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rotated_basis_special_cases():
-    x = MeasurementBasis.rotated(np.pi / 2, 0.0)
-    y = MeasurementBasis.rotated(np.pi / 2, np.pi / 2)
-    y_basis = MeasurementBasis("y", np.array([[1, 1j], [1, -1j]]) * INV_SQRT2)
-    for got, want in ((x, MeasurementBasis.x()), (y, y_basis)):
-        for a, b in zip(got.eigenstates, want.eigenstates):
+    x = rotated(np.pi / 2, 0.0)
+    y = rotated(np.pi / 2, np.pi / 2)
+    y_basis = np.array([[1, 1j], [1, -1j]]) * INV_SQRT2
+    for got, want in ((x, X_BASIS), (y, y_basis)):
+        for a, b in zip(got, want):
             assert abs(abs(np.vdot(a, b)) - 1.0) < 1e-12
-    eq = MeasurementBasis.equatorial(1.3)
-    rot = MeasurementBasis.rotated(np.pi / 2, 1.3)
-    for a, b in zip(eq.eigenstates, rot.eigenstates):
-        assert np.allclose(a, b, atol=1e-12)
+    assert np.allclose(equatorial_basis(1.3), rotated(np.pi / 2, 1.3), atol=1e-12)
+
+
+def shared_arrays(module) -> dict[str, np.ndarray]:
+    """Every module-level array of ``module``, and every array inside a
+    module-level tuple, by name."""
+    found = {}
+    for name, value in vars(module).items():
+        items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+        for i, item in items:
+            if isinstance(item, np.ndarray):
+                found[name if i is None else f"{name}[{i}]"] = item
+    return found
 
 
 def test_shared_gates_and_bases_are_read_only():
-    """The built-once constants match fresh builds, and no caller can write
-    through them into every later run."""
-    gates = [(Z_GATE, Gate.z()), (X_GATE, Gate.x())]
-    gates += [(g, Gate.rz(k * np.pi / 4)) for k, g in enumerate(RZ_BY_OCTANT)]
-    bases = [(Z_BASIS, MeasurementBasis.z()), (X_BASIS, MeasurementBasis.x())]
-    bases += [(b, MeasurementBasis.equatorial(k * np.pi / 4))
-              for k, b in enumerate(EQUATORIAL_BY_OCTANT)]
-    arrays = [(ZERO_AMPS, np.array([1, 0])), (PLUS_AMPS, plus_state(np.pi / 2, 0.0))]
-    arrays += [(got.matrix, want.matrix) for got, want in gates]
-    arrays += [(got.eigenstates, want.eigenstates) for got, want in bases]
-    for got, want in arrays:
+    """Every run, and every fork of a run, shares the module-level arrays of
+    ``qsim`` and ``gadgets``, so each must refuse a write; the fixed ones
+    also match their formulas."""
+    arrays = {**shared_arrays(qsim), **shared_arrays(gadgets)}
+    assert {"CZ_GATE", "X_BASIS", "RZ_BY_OCTANT[7]", "EQUATORIAL_BY_OCTANT[7]",
+            "ENTANGLER", "PLUS_AMPS"} <= set(arrays)
+    accepted = []
+    for name, array in arrays.items():
+        index = (0,) * array.ndim
+        try:
+            array[index] = array[index]
+        except ValueError as refusal:
+            assert "read-only" in str(refusal)
+        else:
+            accepted.append(name)
+    assert accepted == []
+    fixed = [(Z_GATE, np.diag([1, -1])), (X_GATE, [[0, 1], [1, 0]]), (Z_BASIS, np.eye(2)),
+             (ZERO_AMPS, [1, 0]), (PLUS_AMPS, plus_state(np.pi / 2, 0.0))]
+    fixed += [(RZ_BY_OCTANT[k], rz_matrix(k * np.pi / 4)) for k in range(8)]
+    fixed += [(EQUATORIAL_BY_OCTANT[k], equatorial_basis(k * np.pi / 4)) for k in range(8)]
+    for got, want in fixed:
         assert np.array_equal(got, want)
-        with pytest.raises(ValueError, match="read-only"):
-            got[0] = 0
 
 
 def test_sampled_outcomes_track_born_rule():
@@ -392,7 +412,7 @@ def test_sampled_outcomes_track_born_rule():
     gen = rng.stream(93, "qsim-sampling")
     trials = 10_000
     zeros = sum(
-        measure(state, 0, MeasurementBasis.z(), SampledOutcomes(gen))[0] == 0
+        measure(state, 0, Z_BASIS, SampledOutcomes(gen))[0] == 0
         for _ in range(trials)
     )
     sigma = np.sqrt(trials * 0.75 * 0.25)
@@ -404,7 +424,7 @@ def test_sampled_outcomes_track_born_rule():
 
 
 def test_enumerate_branches_drops_zero_probability():
-    program = [("measure", 0, MeasurementBasis.z())]
+    program = [("measure", 0, Z_BASIS)]
     branches = enumerate_program(StateVector.zero(1), program)
     assert len(branches) == 1
     assert branches[0].outcomes == (0,)
@@ -414,10 +434,10 @@ def test_enumerate_branches_drops_zero_probability():
 
 def test_enumerate_branches_covers_all_paths():
     program = [
-        ("gate", Gate.h(), [0]),
-        ("measure", 0, MeasurementBasis.z()),
-        ("gate", Gate.h(), [1]),
-        ("measure", 1, MeasurementBasis.z()),
+        ("gate", H_GATE, [0]),
+        ("measure", 0, Z_BASIS),
+        ("gate", H_GATE, [1]),
+        ("measure", 1, Z_BASIS),
     ]
     branches = enumerate_program(StateVector.zero(2), program)
     assert len(branches) == 4
@@ -431,13 +451,13 @@ def test_enumerate_branches_covers_all_paths():
 def test_enumeration_matches_sequential_sampling():
     """Branch weights reproduce sequential sampling within four sigma."""
     program = [
-        ("gate", Gate.h(), [0]),
-        ("gate", Gate.cz(), [0, 1]),
-        ("gate", Gate.rz(np.pi / 3), [1]),
-        ("measure", 0, MeasurementBasis.x()),
-        ("measure", 1, MeasurementBasis.equatorial(np.pi / 4)),
+        ("gate", H_GATE, [0]),
+        ("gate", CZ_GATE, [0, 1]),
+        ("gate", rz_matrix(np.pi / 3), [1]),
+        ("measure", 0, X_BASIS),
+        ("measure", 1, equatorial_basis(np.pi / 4)),
     ]
-    initial = apply_gate(StateVector.zero(2), Gate.h(), [1])
+    initial = apply_gate(StateVector.zero(2), H_GATE, [1])
     branches = enumerate_program(initial, program)
     assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-12)
 
