@@ -43,7 +43,7 @@ PROBE_GRAM_ATOL = 1e-10  # entrywise gap between the simulated and closed-form p
 PROBABILITY_SLACK = 1e-12  # rounding allowed when checking or bounding a probability
 MONTE_CARLO_Z_BOUND = 4.0  # |z| a Monte Carlo estimate may show against its exact value
 BRANCH_PROB_FLOOR = 1e-12  # probability below which an outcome branch is not taken
-MAX_QUBITS = 16  # width of the largest joint state
+MAX_QUBITS = 16  # most qubits a state, or a runtime's factors together, may hold
 BRANCH_BUDGET = 2**16  # most outcome paths one enumeration may walk
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)

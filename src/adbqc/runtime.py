@@ -1,8 +1,8 @@
 """Labeled-qubit runtime: the package's one measurement and enumeration core.
 
-A ``QuantumRuntime`` holds one joint statevector with string-labeled qubits
-and an owner tag per qubit. It is the one context a gadget runs in: it also
-holds the transcript (``tape``), mints ancilla labels (``fresh``) and
+A ``QuantumRuntime`` holds string-labeled qubits, with an owner tag per
+qubit, as a product of factors. It is the one context a gadget runs in: it
+also holds the transcript (``tape``), mints ancilla labels (``fresh``) and
 records every handover (``transfer``). Two-party protocols are written once
 and executed either by sampling measurement outcomes (``SampledOutcomes``)
 or by exhaustively enumerating every outcome path (``enumerate_runs``,
@@ -14,10 +14,16 @@ at the step's start, and goes on with one fork. Gadgets, protocol runs,
 oracles and audits all measure through ``QuantumRuntime.measure``; ``qsim``
 only builds states and applies gates.
 
-Each operation is a few numpy calls: ``measure`` and ``discard`` make one
-pass over the (hi, 2, lo) view that splits the amplitudes by the qubit's bit
-(``discard`` reads its 2x2 reduced state from three ``vdot``s), and
-``add_qubit`` and ``load`` prepend with ``np.outer``.
+A factor is some qubits, in its own order, and one amplitude array that no
+operation writes in place; ``_labels`` still orders the qubits. An ancilla
+couples to one or two register qubits and is measured away, so each gadget
+works on its targets' factor: ``add_qubit`` and ``load`` start a factor,
+``apply`` first tensors the factors of its qubits into one, and ``measure``
+splits the qubit off. ``measure`` and ``discard`` make one pass over the
+(hi, 2, lo) view that splits the factor by the qubit's bit (``discard``
+reads its 2x2 reduced state from three ``vdot``s, or drops a lone factor).
+What a split leaves of no qubit is kept as a global phase, so ``snapshot``
+tensors back the amplitudes one joint vector would hold.
 """
 
 from __future__ import annotations
@@ -97,14 +103,16 @@ class ReplayOutcomes(OutcomeSource):
 
 
 class QuantumRuntime:
-    """Joint state over labeled, owner-tagged qubits, with the transcript
-    its handovers are recorded on."""
+    """Labeled, owner-tagged qubits held as a product of factors, with the
+    transcript their handovers are recorded on."""
 
     def __init__(self, outcomes: OutcomeSource, tape: Transcript | None = None) -> None:
         self.outcomes = outcomes
         self.tape = tape or Transcript(record=False)
-        self._amps: np.ndarray = np.ones(1, dtype=complex)
         self._labels: list[str] = []  # index in this list == qubit index
+        # label -> its factor: (labels, amplitudes), labels[i] the factor's qubit i
+        self._factors: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
+        self._phase = 1.0 + 0.0j  # what measurements and discards leave of no qubit
         self._owners: dict[str, str] = {}
         self._minted = 0  # ancilla labels handed out by ``fresh``
 
@@ -130,12 +138,13 @@ class QuantumRuntime:
 
     def fork(self, outcomes: OutcomeSource) -> "QuantumRuntime":
         """A copy that takes its outcomes from ``outcomes``. It shares the
-        amplitude array, which every operation replaces and none writes in
-        place, and the transcript; it copies the labels, owners and label
-        counter."""
+        factors' amplitude arrays, which every operation replaces and none
+        writes in place, and the transcript; it copies the labels, factor
+        table, owners and label counter."""
         twin = QuantumRuntime(outcomes, self.tape)
-        twin._amps = self._amps
         twin._labels = list(self._labels)
+        twin._factors = dict(self._factors)
+        twin._phase = self._phase
         twin._owners = dict(self._owners)
         twin._minted = self._minted
         return twin
@@ -143,8 +152,24 @@ class QuantumRuntime:
     def index_of(self, label: str) -> int:
         return self._labels.index(label)
 
+    def _factor(self, label: str) -> tuple[tuple[str, ...], np.ndarray]:
+        try:
+            return self._factors[label]
+        except KeyError:
+            raise ValueError(f"unknown qubit {label!r}") from None
+
+    def _store(self, labels: tuple[str, ...], amps: np.ndarray) -> None:
+        """Make ``amps`` the factor of ``labels``; a factor of no qubit is a
+        phase, folded into the global one."""
+        if not labels:
+            self._phase *= complex(amps[0])
+            return
+        factor = (labels, amps)
+        for lb in labels:
+            self._factors[lb] = factor
+
     def load(self, state: StateVector, labels: Sequence[str], owner: str) -> None:
-        """Tensor a multi-qubit state in; labels[i] names its qubit i."""
+        """Tensor a multi-qubit state in as one factor; labels[i] names its qubit i."""
         labels = list(labels)
         if len(labels) != state.num_qubits or len(set(labels)) != len(labels):
             raise ValueError("need one distinct label per loaded qubit")
@@ -153,32 +178,47 @@ class QuantumRuntime:
                 raise ValueError(f"label {lb!r} already in use")
         if self.num_qubits + state.num_qubits > MAX_QUBITS:
             raise ValueError(f"qubit budget of {MAX_QUBITS} exceeded")
-        self._amps = np.outer(state.amplitudes, self._amps).reshape(-1)
+        self._store(tuple(labels), state.amplitudes.copy())
         self._labels.extend(labels)
         self._owners.update(dict.fromkeys(labels, owner))
 
     def add_qubit(self, label: str, amplitudes: np.ndarray, owner: str) -> None:
-        """Append a fresh qubit (becomes the most significant one)."""
+        """Append a fresh qubit (becomes the most significant one) as a
+        factor of its own."""
         if label in self._owners:
             raise ValueError(f"label {label!r} already in use")
         if self.num_qubits + 1 > MAX_QUBITS:
             raise ValueError(f"qubit budget of {MAX_QUBITS} exceeded")
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (2,) or abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) > NORM_ATOL:
             raise ValueError("new qubit needs a normalized 2-vector")
-        self._amps = np.outer(amps, self._amps).reshape(-1)
+        self._factors[label] = ((label,), amps)
         self._labels.append(label)
         self._owners[label] = owner
 
     def apply(self, matrix: np.ndarray, labels: Sequence[str]) -> None:
-        """Apply ``matrix`` to ``labels``; labels[0] is the matrix's high bit."""
-        targets = [self.index_of(lb) for lb in labels]
-        self._amps = _apply_matrix(self._amps, matrix, targets, self.num_qubits)
+        """Apply ``matrix`` to ``labels``; labels[0] is the matrix's high bit.
+        The factors of ``labels`` are tensored into one first."""
+        k = len(labels)
+        if not k or len(set(labels)) != k:
+            raise ValueError(f"need one or more distinct labels, got {list(labels)}")
+        if matrix.shape != (1 << k, 1 << k):
+            raise ValueError(f"a {matrix.shape} matrix cannot act on labels {list(labels)}")
+        local, amps = self._factor(labels[0])
+        for lb in labels[1:]:
+            if lb not in local:
+                other, other_amps = self._factor(lb)
+                local, amps = local + other, np.multiply.outer(other_amps, amps).reshape(-1)
+        targets = [local.index(lb) for lb in labels]
+        self._store(local, _apply_matrix(amps, matrix, targets, len(local)))
 
     def measure(self, label: str, basis: np.ndarray) -> tuple[int, float]:
         """Collapse ``label`` in ``basis``, a 2x2 array whose row b is the
-        eigenstate of outcome b; returns (bit, probability of bit)."""
-        v = self._amps.reshape(-1, 2, 1 << self.index_of(label))  # (hi, 2, lo)
+        eigenstate of outcome b; returns (bit, probability of bit). The
+        qubit leaves its factor as a factor of its own."""
+        local, amps = self._factor(label)
+        q = local.index(label)
+        v = amps.reshape(-1, 2, 1 << q)  # (hi, 2, lo)
         low, high = v[:, 0], v[:, 1]
         bras = basis.conj()
         overlap = bras[0, 0] * low + bras[0, 1] * high
@@ -187,25 +227,34 @@ class QuantumRuntime:
         prob = p0 if bit == 0 else 1.0 - p0
         if bit == 1:
             overlap = bras[1, 0] * low + bras[1, 1] * high
-        post = basis[bit][:, None] * overlap[:, None, :]
-        self._amps = post.reshape(-1) / math.sqrt(max(prob, BRANCH_PROB_FLOOR))
+        rest = overlap.reshape(-1) / math.sqrt(max(prob, BRANCH_PROB_FLOOR))
+        self._store(local[:q] + local[q + 1:], rest)
+        self._factors[label] = ((label,), basis[bit].copy())
         return bit, prob
 
     def discard(self, label: str) -> None:
-        """Remove a qubit that is in a product state with the rest."""
-        q = self.index_of(label)
-        v = self._amps.reshape(-1, 2, 1 << q)  # (hi, 2, lo)
-        low, high = v[:, 0], v[:, 1]
-        w0, w1 = float(np.vdot(low, low).real), float(np.vdot(high, high).real)
-        coherence = abs(complex(np.vdot(high, low)))
-        purity = w0 * w0 + w1 * w1 + 2.0 * coherence * coherence
-        if purity < 1.0 - PRODUCT_ATOL:
-            raise ValueError(
-                f"qubit {label!r} is entangled (purity {purity}); cannot discard"
-            )
-        rest, weight = (low, w0) if w0 >= w1 else (high, w1)  # |0> half on a tie
-        self._amps = (rest / math.sqrt(weight)).reshape(-1)
-        self._labels.pop(q)
+        """Remove a qubit that is in a product state with the rest. A lone
+        factor is dropped and leaves its phase behind; a qubit that shares
+        its factor must pass the purity check within it."""
+        local, amps = self._factor(label)
+        if len(local) == 1:
+            lead = max(amps.tolist(), key=abs)  # the |0> amplitude on a tie
+            self._phase *= lead / abs(lead)
+        else:
+            q = local.index(label)
+            v = amps.reshape(-1, 2, 1 << q)  # (hi, 2, lo)
+            low, high = v[:, 0], v[:, 1]
+            w0, w1 = float(np.vdot(low, low).real), float(np.vdot(high, high).real)
+            coherence = abs(complex(np.vdot(high, low)))
+            purity = w0 * w0 + w1 * w1 + 2.0 * coherence * coherence
+            if purity < 1.0 - PRODUCT_ATOL:
+                raise ValueError(
+                    f"qubit {label!r} is entangled (purity {purity}); cannot discard"
+                )
+            rest, weight = (low, w0) if w0 >= w1 else (high, w1)  # |0> half on a tie
+            self._store(local[:q] + local[q + 1:], (rest / math.sqrt(weight)).reshape(-1))
+        del self._factors[label]
+        self._labels.remove(label)
         del self._owners[label]
 
     def transfer(self, label: str, new_owner: str) -> None:
@@ -225,6 +274,21 @@ class QuantumRuntime:
             return np.ones((1, 1), dtype=complex)
         return partial_trace(self.snapshot(), keep)
 
+    def _joint(self) -> np.ndarray:
+        """Every factor tensored back, in qubit order, times the global phase."""
+        amps, order = None, ()
+        for lb in self._labels:
+            if lb not in order:
+                local, factor_amps = self._factors[lb]
+                amps = factor_amps if amps is None else np.multiply.outer(factor_amps, amps)
+                order += local
+        if amps is None:
+            return np.full(1, self._phase)
+        if list(order) != self._labels:
+            axes = [len(order) - 1 - order.index(lb) for lb in reversed(self._labels)]
+            amps = amps.reshape((2,) * len(order)).transpose(axes)
+        return amps.reshape(-1) * self._phase
+
     def snapshot(self, labels: Sequence[str] | None = None) -> StateVector:
         """Current state over ``labels`` (little-endian in the given order).
 
@@ -232,10 +296,10 @@ class QuantumRuntime:
         default the whole register is returned.
         """
         if labels is None:
-            return StateVector(self.num_qubits, self._amps)
+            return StateVector(self.num_qubits, self._joint())
         wanted = list(labels)
         n = self.num_qubits
-        psi = self._amps.reshape([2] * n)
+        psi = self._joint().reshape([2] * n)
         axes = [n - 1 - self.index_of(lb) for lb in reversed(wanted)]
         other_axes = [ax for ax in range(n) if ax not in axes]
         m = np.transpose(psi, axes + other_axes).reshape(2 ** len(wanted), -1)

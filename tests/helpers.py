@@ -13,7 +13,8 @@ from adbqc.oracle import BranchRow, drive_gadget
 from adbqc.protocols import ProtocolConfig, config_from_dict, config_object
 from adbqc.protocols.measure_client import p1_hrz_on_runtime
 from adbqc.qsim import (
-    CZ_GATE, StateVector, apply_gate, fidelity_up_to_phase, hrz_matrix, plus_state,
+    CZ_GATE, PRODUCT_ATOL, StateVector, apply_gate, fidelity_up_to_phase, hrz_matrix,
+    partial_trace, plus_state,
 )
 from adbqc.runtime import OutcomeSource, QuantumRuntime, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
@@ -37,6 +38,54 @@ def rotated(polar: float, phase: float) -> np.ndarray:
     and |-_{a,p}> = sin(a/2)|0> - e^{ip} cos(a/2)|1> is |+_{pi-a,p}> with the
     sign flipped."""
     return np.stack([plus_state(polar, phase), plus_state(math.pi - polar, phase, -1)])
+
+
+class DenseRegister:
+    """The runtime's operations on one dense statevector over labeled qubits,
+    through ``qsim.apply_gate`` and projectors: the reference the factored
+    ``QuantumRuntime`` is checked against. Qubit i is ``labels[i]``."""
+
+    def __init__(self) -> None:
+        self.amps = np.ones(1, dtype=complex)
+        self.labels: list[str] = []
+
+    def state(self) -> StateVector:
+        return StateVector(len(self.labels), self.amps)
+
+    def _reads(self, label: str, bit: int) -> np.ndarray:
+        """Mask of the amplitudes whose ``label`` qubit reads ``bit``."""
+        q = self.labels.index(label)
+        return (np.arange(self.amps.shape[0]) >> q) & 1 == bit
+
+    def add(self, amplitudes: np.ndarray, labels: list[str]) -> None:
+        """Tensor ``amplitudes`` in as the new most significant qubits."""
+        self.amps = np.kron(amplitudes, self.amps)
+        self.labels += labels
+
+    def apply(self, matrix: np.ndarray, labels: list[str]) -> None:
+        targets = [self.labels.index(lb) for lb in labels]
+        self.amps = apply_gate(self.state(), matrix, targets).amplitudes
+
+    def measure(self, label: str, basis: np.ndarray, bit: int) -> float:
+        """Project ``label`` onto row ``bit`` of ``basis``; returns its probability."""
+        q = self.labels.index(label)
+        turned = apply_gate(self.state(), basis.conj(), [q]).amplitudes  # reads the outcome
+        kept = np.where(self._reads(label, bit), turned, 0)
+        prob = float(np.vdot(kept, kept).real)
+        post = StateVector(len(self.labels), kept / math.sqrt(prob))
+        self.amps = apply_gate(post, basis.T, [q]).amplitudes  # |bit> back to row bit
+        return prob
+
+    def discard(self, label: str) -> bool:
+        """Drop ``label`` if its reduced state is pure, keeping the heavier
+        of its halves (the |0> half on a tie); False if it is entangled."""
+        rho = partial_trace(self.state(), [self.labels.index(label)])
+        if float(np.trace(rho @ rho).real) < 1.0 - PRODUCT_ATOL:
+            return False
+        rest = self.amps[self._reads(label, 0 if rho[0, 0].real >= rho[1, 1].real else 1)]
+        self.amps = rest / np.linalg.norm(rest)
+        self.labels.remove(label)
+        return True
 
 
 def read_manifest(text: str) -> ProtocolConfig:

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from adbqc import gadgets, rng
+from adbqc import gadgets, rng, runtime
 from adbqc.gadgets import (
     NAMED_GATE_OCTANTS,
     PauliFrame,
@@ -22,6 +22,7 @@ from adbqc.gadgets import (
     pattern_unitary,
     sueki_hrz_on_runtime,
 )
+from adbqc.protocols import GateRequest, ProtocolConfig, run
 from adbqc.qsim import (
     CZ_GATE,
     H_GATE,
@@ -367,3 +368,26 @@ def test_pattern_unitary_matches_euler_product(trial):
 def test_pattern_unitary_realizes_named_gates(name):
     got = pattern_unitary(NAMED_GATE_OCTANTS[name])
     assert proportional(got, named_matrix(name))
+
+
+@pytest.mark.parametrize(
+    "protocol, num_qubits, traps", [("p2", 13, 6), ("p1", 12, None), ("sueki", 12, None)]
+)
+def test_one_cz_run_never_applies_a_gate_to_more_than_eight_amplitudes(
+    protocol, num_qubits, traps, monkeypatch
+):
+    """Each gadget acts on its targets' factor, not the whole register: with
+    one CZ the widest factor a gate meets is the two CZ targets and one
+    ancilla, whatever the register's width."""
+    lengths = []
+    kernel = runtime._apply_matrix
+
+    def recording(amps, *args):
+        lengths.append(amps.shape[0])
+        return kernel(amps, *args)
+
+    monkeypatch.setattr(runtime, "_apply_matrix", recording)
+    config = ProtocolConfig(protocol, num_qubits, 1, trap_count=traps, seed=3,
+                            algorithm=(GateRequest.cz_pair(0, 1),))
+    assert run(config).report.accepted
+    assert max(lengths) == 8

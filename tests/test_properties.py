@@ -7,7 +7,9 @@ settings; gate programs mix named, octant and CZ requests on one to five
 qubits. Small honest runs of every protocol, with random programs and
 output bases, decode exactly to the reference distribution. The runtime's gate, measurement and discard kernels are checked
 against dense references on Haar-random states and unitaries of one to
-seven qubits. Reduced states from ``partial_trace`` on random keep lists
+seven qubits, and random programs of every runtime operation (fresh qubits,
+loaded pairs, gates across factors, forced measurements, discards, forks)
+against one dense register. Reduced states from ``partial_trace`` on random keep lists
 are checked to be density matrices (Hermitian, unit trace, no negative
 eigenvalue) and against an einsum reference, and
 ``QuantumRuntime.density_of`` against ``partial_trace`` for random owners.
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import identity_gap, read_manifest
+from helpers import DenseRegister, identity_gap, read_manifest
 from test_qsim import embed_apply
 
 from adbqc.gadgets import ENTANGLER, NAMED_GATE_OCTANTS, octant_angle, pattern_unitary
@@ -44,12 +46,14 @@ from adbqc.qsim import (
     CZ_GATE,
     EQUATORIAL_BY_OCTANT,
     H_GATE,
+    PLUS_AMPS,
     PROBABILITY_SLACK,
     RZ_BY_OCTANT,
     X_BASIS,
     X_GATE,
     Z_BASIS,
     Z_GATE,
+    ZERO_AMPS,
     StateVector,
     apply_gate,
     equatorial_basis,
@@ -58,7 +62,7 @@ from adbqc.qsim import (
     partial_trace,
     rz_matrix,
 )
-from adbqc.runtime import QuantumRuntime, ReplayOutcomes
+from adbqc.runtime import OutcomeSource, QuantumRuntime, ReplayOutcomes
 from adbqc.transcript import ALICE, BOB
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -374,6 +378,88 @@ def test_density_of_is_the_partial_trace_on_the_owners_qubits(n, seed, data):
             assert np.array_equal(got, partial_trace(rt.snapshot(), keep))
         else:
             assert got.dtype == complex and got.tolist() == [[1]]
+
+
+class WantedOutcomes(OutcomeSource):
+    """Takes the bit in ``want`` unless its probability is below 1e-3."""
+
+    want = 0
+
+    def take(self, p0: float) -> int:
+        bit = self.want if (p0 if self.want == 0 else 1.0 - p0) >= 1e-3 else 1 - self.want
+        self.trace.append((bit, p0))
+        return bit
+
+
+# each list also draws a Haar-random one
+ONE_QUBIT_GATES = (H_GATE, X_GATE, RZ_BY_OCTANT[1])
+TWO_QUBIT_GATES = (CZ_GATE, ENTANGLER)
+FRESH_QUBITS = (ZERO_AMPS, PLUS_AMPS)
+BASES = (Z_BASIS, X_BASIS, EQUATORIAL_BY_OCTANT[3])
+RUNTIME_WIDTH = 6
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_factored_runtime_matches_a_dense_register(seed, data):
+    """Random programs of fresh qubits, loaded entangled pairs, gates within
+    and across factors, forced measurements, discards and forks leave the
+    runtime with the dense reference's amplitudes, global phase included,
+    and its outcome probabilities; ``discard`` refuses exactly the qubits
+    whose reduced state is mixed, and a fork never changes its parent."""
+    rng = np.random.default_rng(seed)
+    source = WantedOutcomes()
+    rt, ref = QuantumRuntime(source), DenseRegister()
+    left_behind = []  # (runtime that was forked, its amplitudes then)
+    minted = itertools.count()
+
+    def pick(options, haar):
+        choice = data.draw(st.integers(0, len(options)))
+        return options[choice] if choice < len(options) else haar()
+
+    for _ in range(data.draw(st.integers(1, 14))):
+        live = list(ref.labels)
+        ops = ["fork"]
+        ops += ["add"] * (len(live) < RUNTIME_WIDTH) + ["load"] * (len(live) <= RUNTIME_WIDTH - 2)
+        ops += ["gate1", "measure", "discard"] * bool(live) + ["gate2"] * (len(live) >= 2)
+        op = data.draw(st.sampled_from(ops))
+        if op == "add":
+            label = f"q{next(minted)}"
+            amps = pick(FRESH_QUBITS, lambda: haar_random_state(1, rng).amplitudes)
+            rt.add_qubit(label, amps, BOB)
+            ref.add(amps, [label])
+        elif op == "load":
+            pair = [f"q{next(minted)}", f"q{next(minted)}"]
+            state = haar_random_state(2, rng)
+            rt.load(state, pair, BOB)
+            ref.add(state.amplitudes, pair)
+        elif op in ("gate1", "gate2"):
+            k = 1 if op == "gate1" else 2
+            labels = data.draw(st.lists(st.sampled_from(live), min_size=k, max_size=k, unique=True))
+            gate = pick(ONE_QUBIT_GATES if k == 1 else TWO_QUBIT_GATES,
+                        lambda: haar_unitary(1 << k, rng))
+            rt.apply(gate, labels)
+            ref.apply(gate, labels)
+        elif op == "measure":
+            label = data.draw(st.sampled_from(live))
+            basis = pick(BASES, lambda: haar_unitary(2, rng))
+            source.want = data.draw(st.integers(0, 1))
+            bit, prob = rt.measure(label, basis)
+            assert abs(prob - ref.measure(label, basis, bit)) <= KERNEL_ATOL
+        elif op == "discard":
+            label = data.draw(st.sampled_from(live))
+            if ref.discard(label):
+                rt.discard(label)
+            else:
+                with pytest.raises(ValueError, match="entangled"):
+                    rt.discard(label)
+        else:
+            left_behind.append((rt, rt.snapshot().amplitudes.copy()))
+            rt = rt.fork(source)
+        assert rt.owned_by(BOB) == ref.labels
+        assert np.allclose(rt.snapshot().amplitudes, ref.amps, rtol=0.0, atol=KERNEL_ATOL)
+    for old, amps in left_behind:
+        assert np.array_equal(old.snapshot().amplitudes, amps)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,24 @@ def test_apply_gate_rejects_bad_targets():
         apply_gate(state, CZ_GATE, [0])
 
 
+@pytest.mark.parametrize(
+    "matrix,labels,message",
+    [(CZ_GATE, ["r0", "r0"], "distinct labels"), (CZ_GATE, ["r0"], "cannot act on"),
+     (H_GATE, ["r0", "r1"], "cannot act on"), (H_GATE, [], "distinct labels")],
+    ids=["repeated-label", "4x4-one-label", "2x2-two-labels", "no-label"],
+)
+def test_runtime_apply_refuses_what_apply_gate_refuses(matrix, labels, message):
+    """A wrong gate must not act on other qubits: on two |+> qubits CZ on
+    one label would otherwise hit both, and H on two labels only one."""
+    rt, _ = QuantumRuntime.from_state(
+        StateVector(2, np.full(4, 0.5, dtype=complex)), ReplayOutcomes(()), BOB
+    )
+    before = rt.snapshot().amplitudes
+    with pytest.raises(ValueError, match=message):
+        rt.apply(matrix, labels)
+    assert np.array_equal(rt.snapshot().amplitudes, before)
+
+
 # ---------------------------------------------------------------------------
 # Measurement
 
