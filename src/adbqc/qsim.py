@@ -19,7 +19,8 @@ States are value objects: every operation returns a new ``StateVector``.
 Measurement and outcome enumeration live in ``runtime``.
 Gates apply through one kernel, ``_apply_matrix`` (also behind
 ``QuantumRuntime.apply``): one ``matrix @ psi`` on the view with the target
-axes in front. Gates and bases are built from fixed formulas and checked
+axes in front. Both callers check a gate against its targets with
+``_check_gate``. Gates and bases are built from fixed formulas and checked
 nowhere in ``src/`` (the tests check that each is unitary or orthonormal);
 the ones every run reuses, and the ancilla amplitudes, are built once, at
 import, as read-only arrays.
@@ -139,14 +140,20 @@ def _apply_matrix(
     return (matrix @ front).reshape(shape).transpose(inverse).reshape(-1)
 
 
+def _check_gate(matrix: np.ndarray, targets: Sequence) -> None:
+    """Refuse no targets, repeated targets, or a matrix that is not
+    2^k x 2^k for its k targets (qubit indices or runtime labels)."""
+    k = len(targets)
+    if not k or len(set(targets)) != k:
+        raise ValueError(f"need one or more distinct targets, got {list(targets)}")
+    if matrix.shape != (1 << k, 1 << k):
+        raise ValueError(f"a {matrix.shape} matrix cannot act on targets {list(targets)}")
+
+
 def apply_gate(state: StateVector, matrix: np.ndarray, targets: Sequence[int]) -> StateVector:
     """Apply ``matrix`` to ``targets``; targets[0] is the matrix's high bit."""
     targets = list(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate targets: {targets}")
-    dim = 1 << len(targets)
-    if matrix.shape != (dim, dim):
-        raise ValueError(f"a {matrix.shape} matrix cannot act on targets {targets}")
+    _check_gate(matrix, targets)
     for q in targets:
         if not 0 <= q < state.num_qubits:
             raise ValueError(f"target {q} out of range for {state.num_qubits} qubits")

@@ -42,6 +42,7 @@ from .qsim import (
     PRODUCT_ATOL,
     StateVector,
     _apply_matrix,
+    _check_gate,
     partial_trace,
 )
 from .transcript import Transcript
@@ -199,11 +200,7 @@ class QuantumRuntime:
     def apply(self, matrix: np.ndarray, labels: Sequence[str]) -> None:
         """Apply ``matrix`` to ``labels``; labels[0] is the matrix's high bit.
         The factors of ``labels`` are tensored into one first."""
-        k = len(labels)
-        if not k or len(set(labels)) != k:
-            raise ValueError(f"need one or more distinct labels, got {list(labels)}")
-        if matrix.shape != (1 << k, 1 << k):
-            raise ValueError(f"a {matrix.shape} matrix cannot act on labels {list(labels)}")
+        _check_gate(matrix, labels)
         local, amps = self._factor(labels[0])
         for lb in labels[1:]:
             if lb not in local:
@@ -233,12 +230,16 @@ class QuantumRuntime:
         return bit, prob
 
     def discard(self, label: str) -> None:
-        """Remove a qubit that is in a product state with the rest. A lone
-        factor is dropped and leaves its phase behind; a qubit that shares
-        its factor must pass the purity check within it."""
+        """Remove a qubit that is in a product state with the rest. A qubit
+        that shares its factor must pass the purity check within it; a lone
+        factor is product with everything, so it is dropped and leaves its
+        phase behind. Both keep the heavier half, the |0> half on a tie."""
         local, amps = self._factor(label)
         if len(local) == 1:
-            lead = max(amps.tolist(), key=abs)  # the |0> amplitude on a tie
+            # its purity is 1 whatever it holds, so measure-then-discard
+            # skips the numpy pass below
+            a0, a1 = amps.tolist()
+            lead = a0 if abs(a0) >= abs(a1) else a1
             self._phase *= lead / abs(lead)
         else:
             q = local.index(label)

@@ -265,8 +265,8 @@ def test_apply_gate_rejects_bad_targets():
 
 @pytest.mark.parametrize(
     "matrix,labels,message",
-    [(CZ_GATE, ["r0", "r0"], "distinct labels"), (CZ_GATE, ["r0"], "cannot act on"),
-     (H_GATE, ["r0", "r1"], "cannot act on"), (H_GATE, [], "distinct labels")],
+    [(CZ_GATE, ["r0", "r0"], "distinct targets"), (CZ_GATE, ["r0"], "cannot act on"),
+     (H_GATE, ["r0", "r1"], "cannot act on"), (H_GATE, [], "distinct targets")],
     ids=["repeated-label", "4x4-one-label", "2x2-two-labels", "no-label"],
 )
 def test_runtime_apply_refuses_what_apply_gate_refuses(matrix, labels, message):
