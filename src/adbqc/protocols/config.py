@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from .. import __version__
 from ..gadgets import NAMED_GATE_OCTANTS
 from ..qsim import MAX_QUBITS
+from .schedule import schedule
 from .traps import resolve_trap_count
 
 PROTOCOLS = ("sueki", "p1", "p2")
@@ -231,6 +232,7 @@ class ProtocolConfig:
                     f"request targets {req.targets} outside logical width "
                     f"{self.logical_width}"
                 )
+        schedule(self.algorithm, self.logical_width, self.depth)  # refuses one deeper than depth
         if self.output_bases is not None:
             bases = _typed("output_bases", self.output_bases, _LIST, "a list")
             bases = tuple(_typed("output basis", b, str, "a string").lower() for b in bases)

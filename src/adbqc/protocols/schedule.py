@@ -10,8 +10,10 @@ following a CZ on the same qubit lands in a later layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .config import GateRequest
+if TYPE_CHECKING:  # config imports this module to refuse an algorithm that needs more layers
+    from .config import GateRequest
 
 
 @dataclass(frozen=True)

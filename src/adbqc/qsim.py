@@ -19,15 +19,16 @@ States are value objects: every operation returns a new ``StateVector``.
 Measurement and outcome enumeration live in ``runtime``.
 Gates apply through one kernel, ``_apply_matrix`` (also behind
 ``QuantumRuntime.apply``): one ``matrix @ psi`` on the view with the target
-axes in front. Both callers check a gate against its targets with
-``_check_gate``. Gates and bases are built from fixed formulas and checked
-nowhere in ``src/`` (the tests check that each is unitary or orthonormal);
-the ones every run reuses, and the ancilla amplitudes, are built once, at
-import, as read-only arrays.
+axes in front, its axis orders cached per (width, targets). Both callers
+check a gate against its targets with ``_check_gate``. Gates and bases are
+built from fixed formulas and checked nowhere in ``src/`` (the tests check
+that each is unitary or orthonormal); the ones every run reuses, and the
+ancilla amplitudes, are built once, at import, as read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -128,14 +129,21 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-def _apply_matrix(
-    amps: np.ndarray, matrix: np.ndarray, targets: Sequence[int], n: int
-) -> np.ndarray:
-    """``matrix`` on ``targets``: one gemm on the view with the target axes in front."""
+@functools.lru_cache(maxsize=1024)
+def _transpose_plan(n: int, targets: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
+    """The (2,) * n shape, the axis order with ``targets``' axes in front
+    (targets[0] first), and the order that undoes it."""
     perm = [n - 1 - q for q in targets]
     perm += [ax for ax in range(n) if ax not in perm]
     inverse = sorted(range(n), key=perm.__getitem__)
-    shape = (2,) * n
+    return (2,) * n, tuple(perm), tuple(inverse)
+
+
+def _apply_matrix(
+    amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...], n: int
+) -> np.ndarray:
+    """``matrix`` on ``targets``: one gemm on the view with the target axes in front."""
+    shape, perm, inverse = _transpose_plan(n, targets)
     front = amps.reshape(shape).transpose(perm).reshape(matrix.shape[0], -1)
     return (matrix @ front).reshape(shape).transpose(inverse).reshape(-1)
 
@@ -152,7 +160,7 @@ def _check_gate(matrix: np.ndarray, targets: Sequence) -> None:
 
 def apply_gate(state: StateVector, matrix: np.ndarray, targets: Sequence[int]) -> StateVector:
     """Apply ``matrix`` to ``targets``; targets[0] is the matrix's high bit."""
-    targets = list(targets)
+    targets = tuple(targets)
     _check_gate(matrix, targets)
     for q in targets:
         if not 0 <= q < state.num_qubits:

@@ -19,9 +19,11 @@ operation writes in place; ``_labels`` still orders the qubits. An ancilla
 couples to one or two register qubits and is measured away, so each gadget
 works on its targets' factor: ``add_qubit`` and ``load`` start a factor,
 ``apply`` first tensors the factors of its qubits into one, and ``measure``
-splits the qubit off. ``measure`` and ``discard`` make one pass over the
-(hi, 2, lo) view that splits the factor by the qubit's bit (``discard``
-reads its 2x2 reduced state from three ``vdot``s, or drops a lone factor).
+splits the qubit off. ``measure`` and ``discard`` work on the (hi, 2, lo)
+view that splits the factor by the qubit's bit: ``measure`` takes both
+outcomes' overlaps from one product with the conjugated basis, and
+``discard`` reads its 2x2 reduced state as the Gram matrix of the two
+halves, or drops a lone factor.
 What a split leaves of no qubit is kept as a global phase, so ``snapshot``
 tensors back the amplitudes one joint vector would hold.
 """
@@ -206,7 +208,7 @@ class QuantumRuntime:
             if lb not in local:
                 other, other_amps = self._factor(lb)
                 local, amps = local + other, np.multiply.outer(other_amps, amps).reshape(-1)
-        targets = [local.index(lb) for lb in labels]
+        targets = tuple(local.index(lb) for lb in labels)
         self._store(local, _apply_matrix(amps, matrix, targets, len(local)))
 
     def measure(self, label: str, basis: np.ndarray) -> tuple[int, float]:
@@ -215,16 +217,13 @@ class QuantumRuntime:
         qubit leaves its factor as a factor of its own."""
         local, amps = self._factor(label)
         q = local.index(label)
-        v = amps.reshape(-1, 2, 1 << q)  # (hi, 2, lo)
-        low, high = v[:, 0], v[:, 1]
-        bras = basis.conj()
-        overlap = bras[0, 0] * low + bras[0, 1] * high
-        p0 = min(max(float(np.vdot(overlap, overlap).real), 0.0), 1.0)
+        # (hi, 2, lo): [:, b] is the rest's overlap with row b of the basis
+        overlaps = basis.conj() @ amps.reshape(-1, 2, 1 << q)
+        zero = overlaps[:, 0]
+        p0 = min(max(float(np.vdot(zero, zero).real), 0.0), 1.0)
         bit = self.outcomes.take(p0)
         prob = p0 if bit == 0 else 1.0 - p0
-        if bit == 1:
-            overlap = bras[1, 0] * low + bras[1, 1] * high
-        rest = overlap.reshape(-1) / math.sqrt(max(prob, BRANCH_PROB_FLOOR))
+        rest = overlaps[:, bit].reshape(-1) / math.sqrt(max(prob, BRANCH_PROB_FLOOR))
         self._store(local[:q] + local[q + 1:], rest)
         self._factors[label] = ((label,), basis[bit].copy())
         return bit, prob
@@ -243,17 +242,17 @@ class QuantumRuntime:
             self._phase *= lead / abs(lead)
         else:
             q = local.index(label)
-            v = amps.reshape(-1, 2, 1 << q)  # (hi, 2, lo)
-            low, high = v[:, 0], v[:, 1]
-            w0, w1 = float(np.vdot(low, low).real), float(np.vdot(high, high).real)
-            coherence = abs(complex(np.vdot(high, low)))
-            purity = w0 * w0 + w1 * w1 + 2.0 * coherence * coherence
+            # row b: the rest's amplitudes where the qubit reads b, in (hi, lo) order
+            halves = amps.reshape(-1, 2, 1 << q).swapaxes(0, 1).reshape(2, -1)
+            (g00, g01), (_, g11) = (halves @ halves.conj().T).tolist()  # its reduced state
+            w0, w1 = g00.real, g11.real
+            purity = w0 * w0 + w1 * w1 + 2.0 * abs(g01) ** 2
             if purity < 1.0 - PRODUCT_ATOL:
                 raise ValueError(
                     f"qubit {label!r} is entangled (purity {purity}); cannot discard"
                 )
-            rest, weight = (low, w0) if w0 >= w1 else (high, w1)  # |0> half on a tie
-            self._store(local[:q] + local[q + 1:], (rest / math.sqrt(weight)).reshape(-1))
+            rest, weight = (halves[0], w0) if w0 >= w1 else (halves[1], w1)  # |0> half on a tie
+            self._store(local[:q] + local[q + 1:], rest / math.sqrt(weight))
         del self._factors[label]
         self._labels.remove(label)
         del self._owners[label]

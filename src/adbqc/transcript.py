@@ -12,10 +12,17 @@ Every run produces an ordered event log with four kinds:
 The server-side view of a transcript is what the protocols' blindness
 arguments quantify over: everything the server sends, receives or locally
 produces. Client-local events stay out of it.
+
+Recording only appends events. Encoding waits for ``to_jsonl`` or
+``digest``, so a transcript kept only to read ``bob_classical_values``
+never pays for it. Each line is filled into a template cached per event
+shape (kind, parties and payload keys), which holds the line's fixed text
+with the keys sorted and escaped; an event adds its escaped values and seq.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -25,7 +32,9 @@ ALICE = "alice"  # client
 BOB = "bob"  # server
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen __init__ sets each field through object.__setattr__,
+# several times slower, and it runs once per pushed event
+@dataclass(slots=True)
 class Event:
     seq: int
     kind: str
@@ -83,15 +92,30 @@ class Transcript:
         """One line per event: ``json.dumps`` of the event's fields, with
         ``party`` under the key ``from``, ``sort_keys=True`` and
         ``separators=(",", ":")``, byte for byte."""
-        return "\n".join(
-            f'{{"from":{_json(ev.party)},"kind":{_json(ev.kind)},"payload":{{'
-            + ",".join(f"{_json(key)}:{_json(ev.payload[key])}" for key in sorted(ev.payload))
-            + f'}},"seq":{ev.seq},"to":{_json(ev.to)}}}'
-            for ev in self.events
-        )
+        lines = []
+        for ev in self.events:
+            payload = ev.payload
+            keys, line = _template(ev.kind, ev.party, ev.to, tuple(payload))
+            lines.append(line % (*[_json(payload[key]) for key in keys], ev.seq))
+        return "\n".join(lines)
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=256)
+def _template(kind: str, party: str, to: str | None, keys: tuple) -> tuple[tuple, str]:
+    """The payload keys in sorted order, and the line of an event of this
+    shape with a ``%s`` hole per payload value, in that order, and a ``%d``
+    hole for its seq."""
+    keys = tuple(sorted(keys))
+
+    def fixed(value) -> str:
+        return _json(value).replace("%", "%%")
+
+    fields = ",".join(f"{fixed(key)}:%s" for key in keys)
+    return keys, (f'{{"from":{fixed(party)},"kind":{fixed(kind)},"payload":{{{fields}}},'
+                  f'"seq":%d,"to":{fixed(to)}}}')
 
 
 def _json(value) -> str:

@@ -262,6 +262,17 @@ def test_algorithm_targets_checked_against_logical_width():
     assert ok.logical_width == 3
 
 
+def test_algorithm_deeper_than_depth_is_refused_when_built():
+    chain = (GateRequest.cz_pair(0, 1), GateRequest.cz_pair(1, 2))  # two layers
+    with pytest.raises(ValueError, match="needs 2 layers, configured depth is 1"):
+        ProtocolConfig("sueki", 3, 1, algorithm=chain)
+    with pytest.raises(ValueError, match="needs 2 layers"):
+        config_from_dict({"protocol": "sueki", "num_register_qubits": 3, "depth": 1,
+                          "algorithm": [{"kind": "cz", "targets": [0, 1]},
+                                        {"kind": "cz", "targets": [1, 2]}]})
+    assert run(ProtocolConfig("sueki", 3, 2, seed=1, algorithm=chain)).report.accepted
+
+
 def test_output_bases_validation():
     cfg = ProtocolConfig("p2", 4, 1, trap_count=2, output_bases=("Z", "x"))
     assert cfg.output_bases == ("z", "x")

@@ -5,12 +5,15 @@ Configs cover every protocol, every adversary kind a run accepts (none for
 all, stray Paulis for p1, report tampering for p2) and both transcript
 settings; gate programs mix named, octant and CZ requests on one to five
 qubits. Small honest runs of every protocol, with random programs and
-output bases, decode exactly to the reference distribution. The runtime's gate, measurement and discard kernels are checked
-against dense references on Haar-random states and unitaries of one to
-seven qubits, and random programs of every runtime operation (fresh qubits,
-loaded pairs, gates across factors, forced measurements, discards, forks)
-against one dense register. Reduced states from ``partial_trace`` on random keep lists
-are checked to be density matrices (Hermitian, unit trace, no negative
+output bases, decode exactly to the reference distribution. The runtime's
+gate, measurement and discard kernels are checked against dense references
+on Haar-random states and unitaries of one to seven qubits, and random
+programs of every runtime operation (fresh qubits, loaded pairs, gates
+across factors, forced measurements in random bases, discards from shared
+and lone factors, forks) against one dense register; the gate kernel's
+cached transpose plans are checked against their formula for random widths
+and targets. Reduced states from ``partial_trace`` on random keep lists are
+checked to be density matrices (Hermitian, unit trace, no negative
 eigenvalue) and against an einsum reference, and
 ``QuantumRuntime.density_of`` against ``partial_trace`` for random owners.
 Every gate ``src/`` builds is checked unitary and every basis orthonormal,
@@ -46,6 +49,7 @@ from adbqc.qsim import (
     CZ_GATE,
     EQUATORIAL_BY_OCTANT,
     H_GATE,
+    MAX_QUBITS,
     PLUS_AMPS,
     PROBABILITY_SLACK,
     RZ_BY_OCTANT,
@@ -55,6 +59,7 @@ from adbqc.qsim import (
     Z_GATE,
     ZERO_AMPS,
     StateVector,
+    _transpose_plan,
     apply_gate,
     equatorial_basis,
     haar_random_state,
@@ -98,6 +103,12 @@ def adversaries(draw, protocol: str, num_qubits: int) -> AdversaryConfig:
     return HONEST
 
 
+def layers_needed(requests: tuple[GateRequest, ...], width: int) -> int:
+    """The fewest layers ``requests`` fit in: one past the last that ``schedule`` fills."""
+    layers = schedule(requests, width, max(1, len(requests)))
+    return 1 + max((k for k, layer in enumerate(layers) if layer.patterns or layer.czs), default=0)
+
+
 @st.composite
 def configs(draw) -> ProtocolConfig:
     protocol = draw(st.sampled_from(("sueki", "p1", "p2")))
@@ -114,13 +125,16 @@ def configs(draw) -> ProtocolConfig:
     bases = None
     if draw(st.booleans()):
         bases = tuple(draw(st.lists(st.sampled_from("zx"), min_size=width, max_size=width)))
+    depth = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**63 - 1))
+    algorithm = tuple(draw(st.lists(gate_requests(width), max_size=6)))
     return ProtocolConfig(
         protocol,
         n,
-        draw(st.integers(1, 4)),
+        max(depth, layers_needed(algorithm, width)),  # a config refuses fewer
         trap_count=traps,
-        seed=draw(st.integers(0, 2**63 - 1)),
-        algorithm=tuple(draw(st.lists(gate_requests(width), max_size=6))),
+        seed=seed,
+        algorithm=algorithm,
         output_bases=bases,
         adversary=draw(adversaries(protocol, n)),
         record_transcript=draw(st.booleans()),
@@ -181,8 +195,7 @@ def exact_configs(draw, protocol: str, n: int) -> ProtocolConfig:
     traps = draw(st.integers(1, n - 1)) if protocol == "p2" else None
     width = ProtocolConfig(protocol, n, 1, trap_count=traps).logical_width
     requests = tuple(draw(st.lists(gate_requests(width), max_size=3)))
-    layers = schedule(requests, width, max(1, len(requests)))
-    depth = 1 + max((k for k, layer in enumerate(layers) if layer.patterns or layer.czs), default=0)
+    depth = layers_needed(requests, width)
     bases = tuple(draw(st.lists(st.sampled_from("zx"), min_size=width, max_size=width)))
     return ProtocolConfig(
         protocol, n, depth, trap_count=traps, seed=draw(st.integers(0, 2**31 - 1)),
@@ -240,6 +253,30 @@ def test_apply_gate_matches_bit_surgery(placement):
     got = apply_gate(state, u, targets).amplitudes
     want = embed_apply(u, targets, state.amplitudes)
     assert np.allclose(got, want, rtol=0.0, atol=KERNEL_ATOL)
+
+
+@st.composite
+def target_lists(draw) -> tuple[int, tuple[int, ...]]:
+    """(width, one or more distinct targets in any order) up to ``MAX_QUBITS``."""
+    n = draw(st.integers(1, MAX_QUBITS))
+    return n, tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
+
+
+@PROPERTY_SETTINGS
+@given(target_lists())
+@example((16, (0, 15)))
+@example((3, (2, 0, 1)))
+def test_cached_transpose_plan_matches_its_formula(case):
+    n, targets = case
+    front = [n - 1 - q for q in targets]
+    perm = front + [ax for ax in range(n) if ax not in front]
+    want = ((2,) * n, tuple(perm), tuple(int(ax) for ax in np.argsort(perm)))
+    assert _transpose_plan(n, targets) == want  # filled on a miss
+    assert _transpose_plan(n, targets) == want  # read back on a hit
+    cube = np.arange(1 << n).reshape(want[0])
+    moved = cube.transpose(want[1])
+    assert np.array_equal(moved, np.moveaxis(cube, front, range(len(targets))))
+    assert np.array_equal(moved.transpose(want[2]), cube)
 
 
 @st.composite
@@ -391,9 +428,11 @@ class WantedOutcomes(OutcomeSource):
         return bit
 
 
-# each list also draws a Haar-random one
+# each list also draws a Haar-random one; H x X merges its qubits' factors
+# and leaves them product, so a discard then reads a shared factor's Gram
+# matrix and keeps a qubit's half
 ONE_QUBIT_GATES = (H_GATE, X_GATE, RZ_BY_OCTANT[1])
-TWO_QUBIT_GATES = (CZ_GATE, ENTANGLER)
+TWO_QUBIT_GATES = (CZ_GATE, ENTANGLER, np.kron(H_GATE, X_GATE))
 FRESH_QUBITS = (ZERO_AMPS, PLUS_AMPS)
 BASES = (Z_BASIS, X_BASIS, EQUATORIAL_BY_OCTANT[3])
 RUNTIME_WIDTH = 6
