@@ -29,7 +29,7 @@ import numpy as np
 
 from .protocols.driver import pauli_hits
 from .protocols.traps import TRAP_STATES, reading_flip, thirds_roles
-from .qsim import PROBABILITY_SLACK, RZ_BY_OCTANT, StateVector, apply_gate
+from .qsim import PROBABILITY_SLACK, RZ_BY_OCTANT, apply_gate
 
 
 def pauli_is_caught(kind: str, role: str) -> bool:
@@ -161,7 +161,7 @@ def simulate_tamper_acceptance(
 # Entangled probe of the lent-ancilla gadget
 
 
-def probe_gram(probe: StateVector, lent_qubit: int) -> np.ndarray:
+def probe_gram(probe: np.ndarray, lent_qubit: int) -> np.ndarray:
     """Gram matrix of the server's post-rotation states across octants.
 
     ``probe`` is the joint state of the lent qubit and the server's memory.
@@ -169,7 +169,7 @@ def probe_gram(probe: StateVector, lent_qubit: int) -> np.ndarray:
     the lent qubit k versus k' octants; |entries| < 1 mean the server can
     statistically distinguish angle hypotheses.
     """
-    states = np.stack([apply_gate(probe, rz, [lent_qubit]).amplitudes for rz in RZ_BY_OCTANT])
+    states = np.stack([apply_gate(probe, rz, [lent_qubit]) for rz in RZ_BY_OCTANT])
     return states.conj() @ states.T
 
 
@@ -188,9 +188,9 @@ def probe_gram_closed_form(weight_one: float) -> np.ndarray:
     return (1.0 - weight_one) + weight_one * np.exp(1j * delta * math.pi / 4.0)
 
 
-def lent_weight_one(probe: StateVector, lent_qubit: int) -> float:
+def lent_weight_one(probe: np.ndarray, lent_qubit: int) -> float:
     """Probability that the lent qubit of ``probe`` reads 1."""
-    weights = probe.probability_weights()
+    weights = np.abs(probe) ** 2
     idx = np.arange(weights.shape[0])
     mask = (idx >> lent_qubit) & 1 == 1
     return float(np.sum(weights[mask]))

@@ -40,7 +40,6 @@ from .qsim import (
     GADGET_VIEW_TV_ATOL,
     NO_SIGNALING_ATOL,
     PROBE_GRAM_ATOL,
-    StateVector,
     haar_random_state,
     trace_distance,
 )
@@ -108,7 +107,7 @@ class _PastLastStep(Exception):
 
 
 def _bob_view_blocks(
-    octant: int, state: StateVector, steps: Sequence[int], work: Counter | None = None
+    octant: int, state: np.ndarray, steps: Sequence[int], work: Counter | None = None
 ) -> dict[int, dict[tuple, np.ndarray]]:
     """Server view at each checkpoint in ``steps``, as subnormalized density
     blocks keyed by the server-visible classical record, summed over the
@@ -157,7 +156,7 @@ def block_trace_distance(
 
 
 def audit_no_signaling(
-    state: StateVector | None = None,
+    state: np.ndarray | None = None,
     octants: Sequence[int] = tuple(range(8)),
     steps: Sequence[int] = tuple(range(1, 10)),
     seed: int = 404,

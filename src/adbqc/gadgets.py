@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qsim import CZ_GATE, EQUATORIAL_BY_OCTANT, H_GATE, PLUS_AMPS, X_GATE, Z_BASIS, Z_GATE
-from .qsim import ZERO_AMPS, StateVector, apply_gate, hrz_matrix, plus_state
+from .qsim import ZERO_AMPS, apply_gate, hrz_matrix, plus_state
 from .runtime import QuantumRuntime
 from .transcript import ALICE, BOB
 
@@ -81,10 +81,13 @@ class PauliFrame:
         z[q] ^= 1
         return PauliFrame(self.x, tuple(z))
 
-    def matrix_on(self, state: StateVector) -> StateVector:
-        """Apply the recorded correction to a state (for oracle checks)."""
+    def matrix_on(self, state: np.ndarray) -> np.ndarray:
+        """Apply the recorded correction to a state on the frame's qubits."""
+        n = len(self.x)
+        if state.shape != (1 << n,):
+            raise ValueError(f"a frame on {n} qubits cannot act on a state of shape {state.shape}")
         out = state
-        for q in range(state.num_qubits):
+        for q in range(n):
             if self.z[q]:
                 out = apply_gate(out, Z_GATE, [q])
             if self.x[q]:

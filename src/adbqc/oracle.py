@@ -33,7 +33,6 @@ from .qsim import (
     BRANCH_PROB_FLOOR,
     CZ_GATE,
     GADGET_FIDELITY_ATOL,
-    StateVector,
     haar_random_state,
     hrz_matrix,
 )
@@ -110,14 +109,14 @@ def _branches(gadget: str, octant: int, hidden: tuple[int, int, int]) -> list[tu
     """
     width = 2 if gadget == "cz" else 1
     dim = 1 << width
-    entangled = StateVector(2 * width, np.eye(dim).reshape(-1) / math.sqrt(dim))
+    entangled = np.eye(dim).reshape(-1) / math.sqrt(dim)
     ideal = CZ_GATE if gadget == "cz" else hrz_matrix(octant_angle(octant))
 
     def run(src: OutcomeSource) -> np.ndarray:
         rt, labels = QuantumRuntime.from_state(entangled, src, BOB)
         frame = drive_gadget(gadget, rt, labels[:width], octant, hidden)
         frame = PauliFrame(frame.x + (0,) * width, frame.z + (0,) * width)
-        return frame.matrix_on(rt.snapshot(labels)).amplitudes
+        return frame.matrix_on(rt.snapshot(labels))
 
     # the prepare-only client announces by the gadget's rule from the first outcome
     hiding, pad, sign = hidden
@@ -130,10 +129,9 @@ def _branches(gadget: str, octant: int, hidden: tuple[int, int, int]) -> list[tu
     ]
 
 
-def _rows(branches: list[tuple], state: StateVector) -> tuple[BranchRow, ...]:
-    """The rows of ``branches`` on ``state``: with M = U^dagger F K, a path's
+def _rows(branches: list[tuple], psi: np.ndarray) -> tuple[BranchRow, ...]:
+    """The rows of ``branches`` on ``psi``: with M = U^dagger F K, a path's
     probability is |M psi|^2 and its fidelity |<psi|M psi>|^2 over that."""
-    psi = state.amplitudes
     rows = []
     for outcomes, operator, announced in branches:
         out = operator @ psi
@@ -147,7 +145,7 @@ def _rows(branches: list[tuple], state: StateVector) -> tuple[BranchRow, ...]:
 def branch_table(
     gadget: str,
     octant: int = 0,
-    state: StateVector | None = None,
+    state: np.ndarray | None = None,
     hidden: tuple[int, int, int] | None = None,
     seed: int = 2026,
 ) -> tuple[BranchRow, ...]:
@@ -160,7 +158,7 @@ def branch_table(
     num_qubits = 2 if gadget == "cz" else 1
     if state is None:
         state = haar_random_state(num_qubits, rng.stream(seed, "oracle-input"))
-    if state.num_qubits != num_qubits:
+    if state.shape != (1 << num_qubits,):
         raise ValueError(f"gadget {gadget!r} acts on {num_qubits} qubit(s)")
     if hidden is None:
         hidden = draw_sueki_secrets(rng.stream(seed, "oracle-secrets"))

@@ -147,6 +147,8 @@ class AdversaryConfig:
       then set the counts (given counts must be zero or match them).
     - trap_tamper: every reported output bit is correct only with
       probability ``tamper_rate``, independently.
+
+    Each kind refuses another kind's parameter unless it is left at its default.
     """
 
     kind: str = "none"
@@ -179,10 +181,12 @@ class AdversaryConfig:
                     raise ValueError(f"pauli counts {counts} differ from the positions' {listed}")
                 object.__setattr__(self, "pauli_counts", listed)
                 object.__setattr__(self, "pauli_positions", positions)
-        elif self.pauli_positions is not None:
-            raise ValueError("pauli_positions only applies to random_pauli")
+        elif self.pauli_positions is not None or any(counts):
+            raise ValueError("pauli counts and positions only apply to random_pauli")
         rate = _typed("tamper_rate", self.tamper_rate, numbers.Real, "a number")
         object.__setattr__(self, "tamper_rate", float(rate))
+        if self.kind != "trap_tamper" and self.tamper_rate != 0.0:
+            raise ValueError("a tamper rate only applies to trap_tamper")
         if self.kind == "trap_tamper" and not 0.0 <= self.tamper_rate <= 1.0:
             raise ValueError(f"tamper rate {self.tamper_rate} outside [0, 1]")
 

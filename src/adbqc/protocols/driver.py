@@ -29,7 +29,7 @@ import numpy as np
 
 from ..gadgets import NAMED_GATE_OCTANTS, PauliFrame, cz_on_runtime, frame_conjugate
 from ..qsim import GADGET_FIDELITY_ATOL, X_BASIS, X_GATE, Z_BASIS, Z_GATE, ZERO_AMPS
-from ..qsim import StateVector, fidelity_up_to_phase
+from ..qsim import fidelity_up_to_phase
 from ..rng import stream
 from ..runtime import (
     OutcomeSource,
@@ -299,7 +299,7 @@ def _fork_branches(session: Session, drive: Callable[[Session], object]) -> list
     return enumerate_runs(on_fork)
 
 
-def _corrected_step(session: Session, step: Step) -> StateVector:
+def _corrected_step(session: Session, step: Step) -> np.ndarray:
     """``drive_step``, then the frame-corrected register state."""
     drive_step(session, step)
     return session.frame.matrix_on(session.rt.snapshot())

@@ -26,11 +26,12 @@ from typing import Callable
 import numpy as np
 
 from ..gadgets import couple, h_cancel
-from ..qsim import EQUATORIAL_BY_OCTANT, RZ_BY_OCTANT, X_BASIS, Z_BASIS, StateVector
+from ..qsim import EQUATORIAL_BY_OCTANT, RZ_BY_OCTANT, SQRT_HALF, X_BASIS, Z_BASIS
 from ..runtime import QuantumRuntime
 from ..transcript import ALICE, BOB
 
-BELL = StateVector.of([1, 0, 0, 1])
+BELL = np.array([SQRT_HALF, 0, 0, SQRT_HALF], dtype=complex)  # (|00> + |11>)/sqrt(2)
+BELL.flags.writeable = False
 
 Checkpoint = Callable[[int], None]
 

@@ -10,18 +10,21 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from ..gadgets import pattern_unitary
-from ..qsim import CZ_GATE, H_GATE, StateVector, apply_gate
+from ..qsim import CZ_GATE, H_GATE, apply_gate
 from ..runtime import ReplayOutcomes
 from .config import ProtocolConfig
 from .driver import enumerate_run
 from .schedule import schedule
 
 
-def reference_state(config: ProtocolConfig) -> StateVector:
+def reference_state(config: ProtocolConfig) -> np.ndarray:
     """Run the algorithm as bare unitaries on |0...0> (logical width only)."""
     width = config.logical_width
-    state = StateVector.zero(width)
+    state = np.zeros(1 << width, dtype=complex)
+    state[0] = 1.0
     for layer in schedule(config.algorithm, width, config.depth):
         for q, octants in layer.patterns:
             state = apply_gate(state, pattern_unitary(octants), [q])
@@ -39,12 +42,12 @@ def reference_distribution(config: ProtocolConfig) -> dict[tuple[int, ...], floa
     for q, basis in enumerate(config.plan()):
         if basis == "x":
             state = apply_gate(state, H_GATE, [q])
-    weights = state.probability_weights()
+    weights = np.abs(state) ** 2
     out: dict[tuple[int, ...], float] = {}
     for idx, w in enumerate(weights):
         if w <= 0.0:
             continue
-        bits = tuple((idx >> q) & 1 for q in range(state.num_qubits))
+        bits = tuple((idx >> q) & 1 for q in range(config.logical_width))
         out[bits] = out.get(bits, 0.0) + float(w)
     return out
 

@@ -14,8 +14,10 @@ Conventions, fixed across the whole package:
   columns with ``targets[0]`` as the most significant bit.
 - A measurement basis is a 2x2 array whose row b is the eigenstate of
   outcome b.
+- A pure state on n qubits is a 1-D complex array of its 2^n amplitudes;
+  ``_width`` is the one rule that reads n from the length.
 
-States are value objects: every operation returns a new ``StateVector``.
+Every operation returns a new array and writes none of its inputs.
 Measurement and outcome enumeration live in ``runtime``.
 Gates apply through one kernel, ``_apply_matrix`` (also behind
 ``QuantumRuntime.apply``): one ``matrix @ psi`` on the view with the target
@@ -30,8 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,43 +93,6 @@ for _shared in (H_GATE, X_GATE, Z_GATE, CZ_GATE, Z_BASIS, X_BASIS, ZERO_AMPS, PL
     _shared.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized pure state on ``num_qubits`` qubits."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if self.num_qubits < 0 or self.num_qubits > MAX_QUBITS:
-            raise ValueError(f"num_qubits out of range: {self.num_qubits}")
-        if amps.shape[0] != 2**self.num_qubits:
-            raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes, got {amps.shape[0]}"
-            )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm {norm} deviates from 1")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def zero(cls, num_qubits: int) -> "StateVector":
-        amps = np.zeros(2**num_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(num_qubits, amps)
-
-    @classmethod
-    def of(cls, amplitudes: Iterable[complex]) -> "StateVector":
-        amps = np.asarray(list(amplitudes), dtype=complex)
-        n = int(round(math.log2(amps.shape[0])))
-        amps = amps / np.linalg.norm(amps)
-        return cls(n, amps)
-
-    def probability_weights(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
 @functools.lru_cache(maxsize=1024)
 def _transpose_plan(n: int, targets: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
     """The (2,) * n shape, the axis order with ``targets``' axes in front
@@ -158,39 +122,44 @@ def _check_gate(matrix: np.ndarray, targets: Sequence) -> None:
         raise ValueError(f"a {matrix.shape} matrix cannot act on targets {list(targets)}")
 
 
-def apply_gate(state: StateVector, matrix: np.ndarray, targets: Sequence[int]) -> StateVector:
+def _width(state: np.ndarray) -> int:
+    """n for a state of 2^n amplitudes; refuses any other shape."""
+    n = max(state.size.bit_length() - 1, 0)
+    if state.shape != (1 << n,) or n > MAX_QUBITS:
+        raise ValueError(f"a state needs 2^n amplitudes, n <= {MAX_QUBITS}; got {state.shape}")
+    return n
+
+
+def apply_gate(state: np.ndarray, matrix: np.ndarray, targets: Sequence[int]) -> np.ndarray:
     """Apply ``matrix`` to ``targets``; targets[0] is the matrix's high bit."""
     targets = tuple(targets)
     _check_gate(matrix, targets)
-    for q in targets:
-        if not 0 <= q < state.num_qubits:
-            raise ValueError(f"target {q} out of range for {state.num_qubits} qubits")
-    return StateVector(
-        state.num_qubits,
-        _apply_matrix(state.amplitudes, matrix, targets, state.num_qubits),
-    )
+    n = _width(state)
+    if any(not 0 <= q < n for q in targets):
+        raise ValueError(f"targets {list(targets)} out of range for {n} qubits")
+    return _apply_matrix(state, matrix, targets, n)
 
 
-def partial_trace(state: StateVector, keep: Sequence[int]) -> np.ndarray:
+def partial_trace(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """Reduced density matrix on ``keep``; keep[i] becomes output qubit i."""
     keep = list(keep)
-    n = state.num_qubits
+    n = _width(state)
     if len(set(keep)) != len(keep) or any(not 0 <= q < n for q in keep):
         raise ValueError(f"invalid keep list: {keep}")
     if not keep:
         raise ValueError("keep must name at least one qubit")
-    psi = state.amplitudes.reshape([2] * n)
+    psi = state.reshape([2] * n)
     kept_axes = [n - 1 - q for q in reversed(keep)]
     other_axes = [ax for ax in range(n) if ax not in kept_axes]
     m = np.transpose(psi, kept_axes + other_axes).reshape(2 ** len(keep), -1)
     return m @ m.conj().T
 
 
-def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
+def fidelity_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|^2: 1 iff the states agree up to a global phase."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states have different qubit counts")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    if a.shape != b.shape:
+        raise ValueError(f"states of shapes {a.shape} and {b.shape} cannot be compared")
+    return float(abs(np.vdot(a, b)) ** 2)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -198,8 +167,8 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
-def haar_random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
+def haar_random_state(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed pure state via a normalized complex Gaussian vector."""
     dim = 2**num_qubits
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return StateVector(num_qubits, v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)

@@ -25,7 +25,7 @@ outcomes' overlaps from one product with the conjugated basis, and
 ``discard`` reads its 2x2 reduced state as the Gram matrix of the two
 halves, or drops a lone factor.
 What a split leaves of no qubit is kept as a global phase, so ``snapshot``
-tensors back the amplitudes one joint vector would hold.
+returns, as a ``qsim`` state array, the amplitudes one joint vector would hold.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from .qsim import (
     MAX_QUBITS,
     NORM_ATOL,
     PRODUCT_ATOL,
-    StateVector,
     _apply_matrix,
     _check_gate,
+    _width,
     partial_trace,
 )
 from .transcript import Transcript
@@ -121,12 +121,12 @@ class QuantumRuntime:
 
     @classmethod
     def from_state(
-        cls, state: StateVector, outcomes: OutcomeSource, owner: str,
+        cls, state: np.ndarray, outcomes: OutcomeSource, owner: str,
         tape: Transcript | None = None,
     ) -> tuple["QuantumRuntime", list[str]]:
         """A runtime holding ``state`` as qubits labeled r0, r1, ... (qubit order)."""
         rt = cls(outcomes, tape)
-        labels = [f"r{i}" for i in range(state.num_qubits)]
+        labels = [f"r{i}" for i in range(_width(state))]
         rt.load(state, labels, owner)
         return rt, labels
 
@@ -171,17 +171,20 @@ class QuantumRuntime:
         for lb in labels:
             self._factors[lb] = factor
 
-    def load(self, state: StateVector, labels: Sequence[str], owner: str) -> None:
-        """Tensor a multi-qubit state in as one factor; labels[i] names its qubit i."""
+    def load(self, state: np.ndarray, labels: Sequence[str], owner: str) -> None:
+        """Tensor a copy of a normalized state in as one factor; labels[i] is its qubit i."""
         labels = list(labels)
-        if len(labels) != state.num_qubits or len(set(labels)) != len(labels):
+        amps = np.array(state, dtype=complex)
+        if amps.shape != (1 << len(labels),) or len(set(labels)) != len(labels):
             raise ValueError("need one distinct label per loaded qubit")
         for lb in labels:
             if lb in self._owners:
                 raise ValueError(f"label {lb!r} already in use")
-        if self.num_qubits + state.num_qubits > MAX_QUBITS:
+        if self.num_qubits + len(labels) > MAX_QUBITS:
             raise ValueError(f"qubit budget of {MAX_QUBITS} exceeded")
-        self._store(tuple(labels), state.amplitudes.copy())
+        if abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) > NORM_ATOL:
+            raise ValueError("a loaded state must be normalized")
+        self._store(tuple(labels), amps)
         self._labels.extend(labels)
         self._owners.update(dict.fromkeys(labels, owner))
 
@@ -289,14 +292,14 @@ class QuantumRuntime:
             amps = amps.reshape((2,) * len(order)).transpose(axes)
         return amps.reshape(-1) * self._phase
 
-    def snapshot(self, labels: Sequence[str] | None = None) -> StateVector:
+    def snapshot(self, labels: Sequence[str] | None = None) -> np.ndarray:
         """Current state over ``labels`` (little-endian in the given order).
 
         The remaining qubits must be product with the requested ones; by
         default the whole register is returned.
         """
         if labels is None:
-            return StateVector(self.num_qubits, self._joint())
+            return self._joint()
         wanted = list(labels)
         n = self.num_qubits
         psi = self._joint().reshape([2] * n)
@@ -312,7 +315,7 @@ class QuantumRuntime:
             residual = m - np.outer(vec, vec.conj() @ m)
             if float(np.linalg.norm(residual)) > math.sqrt(PRODUCT_ATOL):
                 raise ValueError(f"qubits {wanted} are entangled with the rest")
-        return StateVector(len(wanted), vec / np.linalg.norm(vec))
+        return vec / np.linalg.norm(vec)
 
 
 @dataclass(frozen=True)

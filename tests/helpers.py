@@ -6,17 +6,20 @@ from collections import Counter
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from adbqc.blindness import _PastLastStep
-from adbqc.gadgets import announced_octant, octant_angle
+from adbqc.gadgets import announced_octant, octant_angle, pattern_unitary
 from adbqc.oracle import BranchRow, drive_gadget
-from adbqc.protocols import ProtocolConfig, config_from_dict, config_object
+from adbqc.protocols import ProtocolConfig, config_from_dict, config_object, driver, run
+from adbqc.protocols.driver import RunResult
 from adbqc.protocols.measure_client import p1_hrz_on_runtime
+from adbqc.protocols.schedule import schedule
 from adbqc.qsim import (
-    CZ_GATE, PRODUCT_ATOL, StateVector, apply_gate, fidelity_up_to_phase, hrz_matrix,
-    partial_trace, plus_state,
+    CZ_GATE, GADGET_FIDELITY_ATOL, PLUS_AMPS, PRODUCT_ATOL, X_GATE, Z_GATE, apply_gate,
+    fidelity_up_to_phase, hrz_matrix, partial_trace, plus_state,
 )
-from adbqc.runtime import OutcomeSource, QuantumRuntime, enumerate_runs
+from adbqc.runtime import OutcomeSource, QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
 
 
@@ -24,6 +27,19 @@ def rx_matrix(theta: float) -> np.ndarray:
     """R_X(theta) in the package's convention: H R_Z(theta) H = e^{i theta/2} R_X(theta)."""
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+
+def zero_state(n: int) -> np.ndarray:
+    """|0...0> on ``n`` qubits."""
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
+    return state
+
+
+def normalized(amplitudes) -> np.ndarray:
+    """``amplitudes`` as a complex array scaled to unit norm."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    return amps / np.linalg.norm(amps)
 
 
 def identity_gap(rows: np.ndarray) -> float:
@@ -49,9 +65,6 @@ class DenseRegister:
         self.amps = np.ones(1, dtype=complex)
         self.labels: list[str] = []
 
-    def state(self) -> StateVector:
-        return StateVector(len(self.labels), self.amps)
-
     def _reads(self, label: str, bit: int) -> np.ndarray:
         """Mask of the amplitudes whose ``label`` qubit reads ``bit``."""
         q = self.labels.index(label)
@@ -64,28 +77,84 @@ class DenseRegister:
 
     def apply(self, matrix: np.ndarray, labels: list[str]) -> None:
         targets = [self.labels.index(lb) for lb in labels]
-        self.amps = apply_gate(self.state(), matrix, targets).amplitudes
+        self.amps = apply_gate(self.amps, matrix, targets)
 
     def measure(self, label: str, basis: np.ndarray, bit: int) -> float:
         """Project ``label`` onto row ``bit`` of ``basis``; returns its probability."""
         q = self.labels.index(label)
-        turned = apply_gate(self.state(), basis.conj(), [q]).amplitudes  # reads the outcome
+        turned = apply_gate(self.amps, basis.conj(), [q])  # reads the outcome
         kept = np.where(self._reads(label, bit), turned, 0)
         prob = float(np.vdot(kept, kept).real)
-        post = StateVector(len(self.labels), kept / math.sqrt(prob))
-        self.amps = apply_gate(post, basis.T, [q]).amplitudes  # |bit> back to row bit
+        self.amps = apply_gate(kept / math.sqrt(prob), basis.T, [q])  # |bit> back to row bit
         return prob
 
     def discard(self, label: str) -> bool:
         """Drop ``label`` if its reduced state is pure, keeping the heavier
         of its halves (the |0> half on a tie); False if it is entangled."""
-        rho = partial_trace(self.state(), [self.labels.index(label)])
+        rho = partial_trace(self.amps, [self.labels.index(label)])
         if float(np.trace(rho @ rho).real) < 1.0 - PRODUCT_ATOL:
             return False
         rest = self.amps[self._reads(label, 0 if rho[0, 0].real >= rho[1, 1].real else 1)]
         self.amps = rest / np.linalg.norm(rest)
         self.labels.remove(label)
         return True
+
+
+# The run as a channel: each compute position starts maximally entangled
+# with a reference qubit that neither party holds, so the frame-corrected
+# end state is (U x I)|Phi> exactly when the run realizes U on every input.
+REFERENCE = "reference"
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
+def ideal_channel_state(config: ProtocolConfig) -> np.ndarray:
+    """(U x I)|Phi>: logical qubit q (qubit q) paired with reference q
+    (qubit w + q), then the scheduled patterns and CZs on the logical half."""
+    w = config.logical_width
+    state = np.eye(1 << w, dtype=complex).reshape(-1) / math.sqrt(1 << w)
+    for layer in schedule(config.algorithm, w, config.depth):
+        for q, octants in layer.patterns:
+            state = apply_gate(state, pattern_unitary(octants), [q])
+        for i, j in layer.czs:
+            state = apply_gate(state, CZ_GATE, [i, j])
+    return state
+
+
+def assert_channel_is_ideal(config: ProtocolConfig) -> RunResult:
+    """``run(config)`` with ``driver.prepare_register`` monkeypatched to
+    entangle each compute position with a reference qubit ``ref<q>``; the
+    frame-corrected state of the compute positions (logical order) and the
+    references, taken just before the output stage, must be
+    (U x I)|Phi> up to a global phase. Returns the run's result."""
+    real_prepare, real_finish = driver.prepare_register, driver.finish_run
+    corrected = []
+
+    def prepare(session) -> None:
+        real_prepare(session)
+        layout = driver.draw_plan(session.config).layout
+        for q in range(session.config.logical_width):
+            session.rt.add_qubit(f"ref{q}", PLUS_AMPS, REFERENCE)
+            position = driver.register_label(layout.position_of_logical(q))
+            session.rt.apply(CNOT, [f"ref{q}", position])
+
+    def finish(session, plan):
+        rt, frame = session.rt.fork(ReplayOutcomes(())), session.frame
+        for pos in range(session.config.num_qubits):
+            for bit, gate in ((frame.z[pos], Z_GATE), (frame.x[pos], X_GATE)):
+                if bit:
+                    rt.apply(gate, [driver.register_label(pos)])
+        compute = [driver.register_label(plan.layout.position_of_logical(q))
+                   for q in range(session.config.logical_width)]
+        corrected.append(rt.snapshot(compute + rt.owned_by(REFERENCE)))
+        return real_finish(session, plan)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(driver, "prepare_register", prepare)
+        patch.setattr(driver, "finish_run", finish)
+        result = run(config)
+    (state,) = corrected
+    assert fidelity_up_to_phase(state, ideal_channel_state(config)) >= 1.0 - GADGET_FIDELITY_ATOL
+    return result
 
 
 def read_manifest(text: str) -> ProtocolConfig:
@@ -110,7 +179,7 @@ def sampled_distribution(run_protocol, config, trials: int) -> dict[tuple[int, .
 
 
 def replayed_branch_table(
-    gadget: str, octant: int, state: StateVector, hidden: tuple[int, int, int]
+    gadget: str, octant: int, state: np.ndarray, hidden: tuple[int, int, int]
 ) -> tuple[BranchRow, ...]:
     """``oracle.branch_table`` by replaying the gadget on ``state`` itself,
     once per outcome path."""
@@ -134,7 +203,7 @@ def replayed_branch_table(
 
 
 def per_path_bob_view_blocks(
-    octant: int, state: StateVector, steps
+    octant: int, state: np.ndarray, steps
 ) -> dict[int, dict[tuple, np.ndarray]]:
     """``blindness._bob_view_blocks`` with the server's view computed on
     every path and weighted by the whole path's probability."""

@@ -43,14 +43,13 @@ from adbqc.qsim import (
     X_BASIS,
     X_GATE,
     Z_BASIS,
-    StateVector,
     apply_gate,
     haar_random_state,
     rz_matrix,
 )
 from adbqc.runtime import QuantumRuntime, enumerate_runs
 from adbqc.transcript import BOB
-from helpers import read_manifest
+from helpers import read_manifest, zero_state
 
 from fractions import Fraction
 
@@ -86,7 +85,7 @@ _PROGRAMS = {
 
 def _drive_program(source, state, steps, bases):
     """Run the program through measurement gadgets and decode the output."""
-    n = state.num_qubits
+    n = len(state).bit_length() - 1
     rt = QuantumRuntime(source)
     labels = [f"r{i}" for i in range(n)]
     rt.load(state, labels, BOB)
@@ -119,8 +118,8 @@ def _born_distribution(state, gates, bases):
     for q, basis in enumerate(bases):
         if basis == "x":
             state = apply_gate(state, H_GATE, [q])
-    probs = state.probability_weights()
-    n = state.num_qubits
+    probs = np.abs(state) ** 2
+    n = len(state).bit_length() - 1
     dist = {}
     for idx, p in enumerate(probs):
         key = tuple((idx >> q) & 1 for q in range(n))
@@ -132,7 +131,7 @@ def test_acceptance_2_universality(acceptance):
     worst_tv = 0.0
     for name, (n, steps, gates) in _PROGRAMS.items():
         inputs = [
-            StateVector.zero(n),
+            zero_state(n),
             haar_random_state(n, rng.stream(500, "universality", n)),
         ]
         for state in inputs:

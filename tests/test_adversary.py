@@ -24,15 +24,16 @@ from adbqc import adversary
 from adbqc.protocols import AdversaryConfig, ProtocolConfig
 from adbqc.protocols.driver import apply_attack, new_session, register_label, sample_attack
 from adbqc.protocols.traps import thirds_roles
-from adbqc.qsim import StateVector, fidelity_up_to_phase, haar_random_state, plus_state
+from adbqc.qsim import fidelity_up_to_phase, haar_random_state, plus_state
 from adbqc.transcript import BOB
+from helpers import zero_state
 
 
 # ---------------------------------------------------------------------------
 # Pauli application (the driver's attack) and the catch predicate
 
 
-def attacked(amplitudes: np.ndarray, hits) -> StateVector:
+def attacked(amplitudes: np.ndarray, hits) -> np.ndarray:
     """Register qubit 0 in ``amplitudes`` after ``apply_attack`` on a p1 session."""
     session = new_session(ProtocolConfig("p1", 3, 1))
     session.rt.add_qubit(register_label(0), amplitudes, BOB)
@@ -42,16 +43,16 @@ def attacked(amplitudes: np.ndarray, hits) -> StateVector:
 
 def test_apply_attack_examples():
     plus = plus_state(np.pi / 2, 0.0)
-    minus = StateVector.of(plus_state(np.pi / 2, np.pi))
+    minus = plus_state(np.pi / 2, np.pi)
     flipped = attacked(plus, (("z", 0),))
     assert fidelity_up_to_phase(flipped, minus) == pytest.approx(1.0, abs=1e-12)
     # XZ|0> = X|0> = |1>, and XZ|+> = -|->
     one = attacked(np.array([1, 0], dtype=complex), (("xz", 0),))
-    assert abs(one.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(one[1]) == pytest.approx(1.0, abs=1e-12)
     y_on_plus = attacked(plus, (("xz", 0),))
     assert fidelity_up_to_phase(y_on_plus, minus) == pytest.approx(1.0, abs=1e-12)
     # Z then X: XZ|+> carries the sign -1 that ZX|+> would not
-    assert y_on_plus.amplitudes == pytest.approx(-minus.amplitudes, abs=1e-12)
+    assert y_on_plus == pytest.approx(-minus, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -251,7 +252,7 @@ def test_probe_gram_matches_closed_form_on_random_probes():
 
 
 def test_probe_gram_entangled_pair():
-    ghz = StateVector.of(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
+    ghz = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     gram = probe_gram(ghz, 0)
     assert lent_weight_one(ghz, 0) == pytest.approx(0.5)
     assert abs(gram[0, 4]) <= 1e-12
@@ -260,7 +261,7 @@ def test_probe_gram_entangled_pair():
 
 
 def test_probe_gram_product_zero_is_blind():
-    probe = StateVector.zero(2)
+    probe = zero_state(2)
     gram = probe_gram(probe, 0)
     assert np.max(np.abs(gram - 1.0)) <= 1e-12
     assert distinguishability(gram) == pytest.approx(0.0, abs=1e-9)
@@ -268,7 +269,7 @@ def test_probe_gram_product_zero_is_blind():
 
 def test_lent_weight_one_reads_the_right_qubit():
     # |01>: qubit 0 is 1, qubit 1 is 0 (amplitude index 1)
-    state = StateVector.of(np.array([0, 1, 0, 0], dtype=complex))
+    state = np.array([0, 1, 0, 0], dtype=complex)
     assert lent_weight_one(state, 0) == pytest.approx(1.0)
     assert lent_weight_one(state, 1) == pytest.approx(0.0)
 

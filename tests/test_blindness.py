@@ -31,10 +31,10 @@ from adbqc.protocols import (
     run_protocol2,
     run_sueki,
 )
-from adbqc.qsim import StateVector, haar_random_state
+from adbqc.qsim import haar_random_state
 from adbqc.runtime import QuantumRuntime, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
-from helpers import per_path_bob_view_blocks
+from helpers import per_path_bob_view_blocks, zero_state
 
 # Leaks for the power tests: each sends a secret to the server on the wire,
 # where the audits read the server's view, so an audit that misses it is blind.
@@ -380,6 +380,6 @@ def test_capability_confinement_counts_every_client_operation():
 
 def test_no_signaling_accepts_a_chosen_input_state():
     result = audit_no_signaling(
-        state=StateVector.zero(1), octants=(2, 7), steps=(9,)
+        state=zero_state(1), octants=(2, 7), steps=(9,)
     )
     assert result.passed

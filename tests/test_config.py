@@ -88,6 +88,24 @@ def test_adversary_validation():
         AdversaryConfig(kind="trap_tamper", tamper_rate=1.5)
 
 
+@pytest.mark.parametrize(
+    "kind,params",
+    [("none", {"pauli_counts": (1, 0, 0)}), ("none", {"tamper_rate": 0.3}),
+     ("trap_tamper", {"pauli_counts": (0, 0, 2)}), ("random_pauli", {"tamper_rate": 0.5})],
+    ids=["none-counts", "none-rate", "tamper-counts", "pauli-rate"],
+)
+def test_adversary_refuses_a_parameter_its_kind_ignores(kind, params):
+    """A kept parameter that the kind never reads would be dropped by
+    ``config_to_dict``, so the config would not read back as itself."""
+    with pytest.raises(ValueError, match="only appl"):
+        AdversaryConfig(kind, **params)
+    data = config_to_dict(ProtocolConfig("p1", 3, 1))
+    data["adversary"] = {"kind": kind, "params": {k: v if isinstance(v, float) else list(v)
+                                                   for k, v in params.items()}}
+    with pytest.raises(ValueError, match="only appl"):
+        config_from_dict(data)
+
+
 def test_capability_validation():
     with pytest.raises(ValueError):
         ClientCapability("omnipotent")

@@ -18,6 +18,7 @@ import pytest
 
 import adbqc.runtime
 from adbqc import protocols
+from adbqc.blindness import confirm_capability
 from adbqc.protocols import driver
 from adbqc.protocols import (
     TRAP_STATES,
@@ -39,11 +40,11 @@ from adbqc.qsim import (
     PROBABILITY_SLACK,
     X_BASIS,
     ZERO_AMPS,
-    StateVector,
     fidelity_up_to_phase,
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import BOB
+from helpers import assert_channel_is_ideal
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -183,7 +184,7 @@ def assert_final_state_is_ideal(config):
     assert fidelity_up_to_phase(compute, reference_state(config)) >= 1.0 - GADGET_FIDELITY_ATOL
     for slot in layout.trap_slots:
         basis, bit, _ = TRAP_STATES[layout.roles[slot]]
-        want = StateVector.of(driver.OUTPUT_BASES[basis][bit])
+        want = driver.OUTPUT_BASES[basis][bit]
         got = rt.snapshot([labels[layout.permutation[slot]]])
         assert fidelity_up_to_phase(got, want) >= 1.0 - GADGET_FIDELITY_ATOL
 
@@ -206,6 +207,23 @@ def test_the_final_state_is_ideal_off_the_z_axis(config):
     assert_final_state_is_ideal(config)
 
 
+CHANNEL = {"sueki-HH-CZ": SUEKI_HH_CZ, **EXACT}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["sueki", "p1", "p2", *CHANNEL])
+def test_the_run_realizes_its_channel(workloads, name, seed):
+    """``assert_channel_is_ideal`` on the acceptance-9 configs and the exact
+    ones, over three seeds each (so three layouts and sampled outcome
+    paths). The traps must still pass and the client keep to its
+    capability."""
+    acceptance_9 = {c["protocol"]: ProtocolConfig(**c) for c in workloads.ACCEPTANCE_9}
+    config = acceptance_9.get(name) or CHANNEL[name]
+    result = assert_channel_is_ideal(config.with_seed(config.seed + seed))
+    assert result.report.accepted
+    assert confirm_capability(result.transcript, config.capability.kind).passed
+
+
 # ---------------------------------------------------------------------------
 # Fork primitives
 
@@ -215,7 +233,7 @@ def test_a_fork_leaves_its_parent_unchanged():
     rt.add_qubit("q0", PLUS_AMPS, "bob")
     rt.add_qubit(rt.fresh("a"), PLUS_AMPS, "alice")
     rt.apply(CZ_GATE, ["q0", "a0"])
-    amps = rt.snapshot().amplitudes.copy()
+    amps = rt.snapshot().copy()
     owned = (rt.owned_by("bob"), rt.owned_by("alice"))
 
     fork = rt.fork(ReplayOutcomes((1,)))
@@ -225,7 +243,7 @@ def test_a_fork_leaves_its_parent_unchanged():
     fork.discard("a0")
     fork.apply(H_GATE, ["q0"])
 
-    assert np.array_equal(rt.snapshot().amplitudes, amps)
+    assert np.array_equal(rt.snapshot(), amps)
     assert (rt.owned_by("bob"), rt.owned_by("alice")) == owned
     assert rt.outcomes.trace == []
     assert rt.fresh("a") == "a1"

@@ -28,7 +28,6 @@ from adbqc.qsim import (
     H_GATE,
     X_GATE,
     Z_GATE,
-    StateVector,
     apply_gate,
     fidelity_up_to_phase,
     haar_random_state,
@@ -38,7 +37,7 @@ from adbqc.qsim import (
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes
 from adbqc.transcript import BOB, Transcript
-from helpers import rx_matrix
+from helpers import normalized, rx_matrix, zero_state
 
 H = H_GATE
 X = X_GATE
@@ -60,7 +59,7 @@ def proportional(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool:
 
 
 def fresh_runtime(
-    state: StateVector, outcomes, tape: Transcript | None = None
+    state: np.ndarray, outcomes, tape: Transcript | None = None
 ) -> tuple[QuantumRuntime, list[str]]:
     """A runtime holding ``state`` whose first measurements give ``outcomes``."""
     return QuantumRuntime.from_state(state, ReplayOutcomes(outcomes), BOB, tape)
@@ -173,8 +172,20 @@ def pauli_matrix(x: int, z: int) -> np.ndarray:
 
 def test_frame_matrix_applies_z_before_x():
     frame = PauliFrame((1,), (1,))
-    out = frame.matrix_on(StateVector.of([0.0, 1.0]))
-    assert np.allclose(out.amplitudes, [-1.0, 0.0], atol=1e-12)
+    out = frame.matrix_on(normalized([0.0, 1.0]))
+    assert np.allclose(out, [-1.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "frame,state",
+    [(PauliFrame((0, 1), (0, 0)), zero_state(1)), (PauliFrame((1,), (0,)), zero_state(2))],
+    ids=["wider-frame", "narrower-frame"],
+)
+def test_frame_matrix_refuses_a_state_of_another_width(frame, state):
+    """A wider frame would drop its X on the missing qubit without a word,
+    and a narrower one leave the extra qubits uncorrected."""
+    with pytest.raises(ValueError, match="frame on"):
+        frame.matrix_on(state)
 
 
 def test_frame_flips():
@@ -271,7 +282,7 @@ def test_sueki_gadget_soundness(octant, coin_pair):
 def test_sueki_gadget_branch_weights_on_zero_input():
     """Hiding octant 2 makes all four outcome branches weight 1/4."""
     for outcomes in itertools.product((0, 1), repeat=2):
-        rt, labels = fresh_runtime(StateVector.zero(1), outcomes)
+        rt, labels = fresh_runtime(zero_state(1), outcomes)
         sueki_hrz_on_runtime(rt, labels[0], 0, hiding_octant=2, pad_bit=0)
         assert rt.outcomes.path_probability() == pytest.approx(0.25, abs=1e-12)
 
@@ -324,7 +335,7 @@ def test_h_cancel_is_deterministic():
 def test_entangled_discard_is_rejected():
     """A |+> ancilla coupled to a |+> register qubit is entangled with it:
     the runtime refuses to discard it or to split the register off."""
-    rt, labels = fresh_runtime(StateVector.of([INV_SQRT2, INV_SQRT2]), ())
+    rt, labels = fresh_runtime(normalized([1.0, 1.0]), ())
     rt.add_qubit("anc", np.array([INV_SQRT2, INV_SQRT2], dtype=complex), BOB)
     couple(rt, "anc", labels[0])
     with pytest.raises(ValueError, match="entangled"):

@@ -12,8 +12,8 @@ from adbqc.oracle import (
     soundness_sweep,
     table_passes,
 )
-from adbqc.qsim import StateVector, haar_random_state
-from helpers import replayed_branch_table
+from adbqc.qsim import haar_random_state
+from helpers import replayed_branch_table, zero_state
 
 
 def test_gadget_roster():
@@ -34,7 +34,7 @@ def test_admissible_octants_unknown_gadget():
 
 
 def test_sueki_table_on_zero_input():
-    rows = branch_table("hrz-sueki", 0, StateVector.zero(1), hidden=(2, 0, +1))
+    rows = branch_table("hrz-sueki", 0, zero_state(1), hidden=(2, 0, +1))
     assert len(rows) == 4
     for row in rows:
         assert row.probability == pytest.approx(0.25, abs=1e-12)

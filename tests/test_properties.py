@@ -27,7 +27,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import DenseRegister, identity_gap, read_manifest
+from helpers import (
+    DenseRegister, assert_channel_is_ideal, identity_gap, read_manifest, zero_state,
+)
 from test_qsim import embed_apply
 
 from adbqc.gadgets import ENTANGLER, NAMED_GATE_OCTANTS, octant_angle, pattern_unitary
@@ -50,6 +52,7 @@ from adbqc.qsim import (
     EQUATORIAL_BY_OCTANT,
     H_GATE,
     MAX_QUBITS,
+    NORM_ATOL,
     PLUS_AMPS,
     PROBABILITY_SLACK,
     RZ_BY_OCTANT,
@@ -58,7 +61,6 @@ from adbqc.qsim import (
     Z_BASIS,
     Z_GATE,
     ZERO_AMPS,
-    StateVector,
     _transpose_plan,
     apply_gate,
     equatorial_basis,
@@ -214,6 +216,7 @@ def test_exact_runs_decode_to_the_reference(protocol, n, data):
     config = data.draw(exact_configs(protocol, n))
     dist = enumerated_distribution(run, config)
     assert total_variation(dist, reference_distribution(config)) <= PROBABILITY_SLACK
+    assert_channel_is_ideal(config)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +253,8 @@ def test_apply_gate_matches_bit_surgery(placement):
     rng = np.random.default_rng(seed)
     state = haar_random_state(n, rng)
     u = haar_unitary(2 ** len(targets), rng)
-    got = apply_gate(state, u, targets).amplitudes
-    want = embed_apply(u, targets, state.amplitudes)
+    got = apply_gate(state, u, targets)
+    want = embed_apply(u, targets, state)
     assert np.allclose(got, want, rtol=0.0, atol=KERNEL_ATOL)
 
 
@@ -296,7 +299,7 @@ def test_forced_measurement_matches_projector(case):
     state = haar_random_state(n, rng)
     basis = haar_unitary(2, rng)  # rows: the two eigenstates
     e = basis[bit]
-    projected = embed_apply(np.outer(e, e.conj()), [q], state.amplitudes)
+    projected = embed_apply(np.outer(e, e.conj()), [q], state)
     want_prob = float(np.vdot(projected, projected).real)
 
     rt, labels = QuantumRuntime.from_state(state, ReplayOutcomes([bit]), BOB)
@@ -304,7 +307,7 @@ def test_forced_measurement_matches_projector(case):
     assert got_bit == bit
     assert abs(got_prob - want_prob) <= KERNEL_ATOL
     assert np.allclose(
-        rt.snapshot().amplitudes, projected / np.sqrt(want_prob), rtol=0.0, atol=KERNEL_ATOL
+        rt.snapshot(), projected / np.sqrt(want_prob), rtol=0.0, atol=KERNEL_ATOL
     )
 
 
@@ -322,13 +325,13 @@ def insert_qubit(rest: np.ndarray, qubit: np.ndarray, q: int) -> np.ndarray:
 @given(st.integers(2, 7), st.integers(0, 2**32 - 1))
 def test_discard_leaves_the_partial_trace(n, seed):
     rng = np.random.default_rng(seed)
-    rest = haar_random_state(n - 1, rng).amplitudes
-    qubit = haar_random_state(1, rng).amplitudes
+    rest = haar_random_state(n - 1, rng)
+    qubit = haar_random_state(1, rng)
     for q in range(n):
-        state = StateVector(n, insert_qubit(rest, qubit, q))
+        state = insert_qubit(rest, qubit, q)
         rt, labels = QuantumRuntime.from_state(state, ReplayOutcomes(()), BOB)
         rt.discard(labels[q])
-        v = rt.snapshot().amplitudes
+        v = rt.snapshot()
         want = partial_trace(state, [i for i in range(n) if i != q])
         assert np.allclose(np.outer(v, v.conj()), want, rtol=0.0, atol=KERNEL_ATOL)
     # a Haar-random state entangles every qubit with the rest
@@ -396,7 +399,7 @@ def test_partial_trace_is_a_density_matrix(case):
     rho = partial_trace(state, keep)
     assert rho.shape == (2 ** len(keep),) * 2
     assert density_defects(rho) == []
-    assert np.allclose(rho, reduced_by_einsum(state.amplitudes, keep), rtol=0.0, atol=KERNEL_ATOL)
+    assert np.allclose(rho, reduced_by_einsum(state, keep), rtol=0.0, atol=KERNEL_ATOL)
 
 
 @PROPERTY_SETTINGS
@@ -464,14 +467,14 @@ def test_factored_runtime_matches_a_dense_register(seed, data):
         op = data.draw(st.sampled_from(ops))
         if op == "add":
             label = f"q{next(minted)}"
-            amps = pick(FRESH_QUBITS, lambda: haar_random_state(1, rng).amplitudes)
+            amps = pick(FRESH_QUBITS, lambda: haar_random_state(1, rng))
             rt.add_qubit(label, amps, BOB)
             ref.add(amps, [label])
         elif op == "load":
             pair = [f"q{next(minted)}", f"q{next(minted)}"]
             state = haar_random_state(2, rng)
             rt.load(state, pair, BOB)
-            ref.add(state.amplitudes, pair)
+            ref.add(state, pair)
         elif op in ("gate1", "gate2"):
             k = 1 if op == "gate1" else 2
             labels = data.draw(st.lists(st.sampled_from(live), min_size=k, max_size=k, unique=True))
@@ -493,12 +496,13 @@ def test_factored_runtime_matches_a_dense_register(seed, data):
                 with pytest.raises(ValueError, match="entangled"):
                     rt.discard(label)
         else:
-            left_behind.append((rt, rt.snapshot().amplitudes.copy()))
+            left_behind.append((rt, rt.snapshot().copy()))
             rt = rt.fork(source)
         assert rt.owned_by(BOB) == ref.labels
-        assert np.allclose(rt.snapshot().amplitudes, ref.amps, rtol=0.0, atol=KERNEL_ATOL)
+        assert np.allclose(rt.snapshot(), ref.amps, rtol=0.0, atol=KERNEL_ATOL)
+        assert abs(np.linalg.norm(rt.snapshot()) - 1.0) <= NORM_ATOL
     for old, amps in left_behind:
-        assert np.array_equal(old.snapshot().amplitudes, amps)
+        assert np.array_equal(old.snapshot(), amps)
 
 
 # ---------------------------------------------------------------------------
@@ -542,4 +546,4 @@ def test_equatorial_basis_is_orthonormal(phase):
 )
 def test_apply_gate_refuses_a_matrix_of_the_wrong_size(matrix, targets):
     with pytest.raises(ValueError, match="cannot act on targets"):
-        apply_gate(StateVector.zero(2), matrix, targets)
+        apply_gate(zero_state(2), matrix, targets)

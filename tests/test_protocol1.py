@@ -26,7 +26,6 @@ from adbqc.protocols.measure_client import (
 from adbqc.qsim import (
     X_BASIS,
     Z_BASIS,
-    StateVector,
     apply_gate,
     fidelity_up_to_phase,
     haar_random_state,
@@ -36,7 +35,7 @@ from adbqc.qsim import (
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
-from helpers import client_to_server_traffic, sampled_distribution
+from helpers import client_to_server_traffic, sampled_distribution, zero_state
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +86,7 @@ def test_first_bell_half_becomes_z_padded_plus():
     """Case b: after the client's X measurement the kept half is Z^a |+>."""
     for a_bit in (0, 1):
         rt = QuantumRuntime(ReplayOutcomes((a_bit,)))
-        rt.load(StateVector.zero(1), ["r0"], BOB)
+        rt.load(zero_state(1), ["r0"], BOB)
         grabbed = {}
 
         def check(step, rt=rt, grabbed=grabbed):
@@ -95,14 +94,14 @@ def test_first_bell_half_becomes_z_padded_plus():
                 grabbed["kept"] = rt.snapshot(["e1"])
 
         p1_hrz_on_runtime(rt, "r0", 1, checkpoint=check)
-        want = StateVector.of(plus_state(np.pi / 2, 0.0 if a_bit == 0 else np.pi))
+        want = plus_state(np.pi / 2, 0.0 if a_bit == 0 else np.pi)
         assert fidelity_up_to_phase(grabbed["kept"], want) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_case_a_first_bell_half_collapses_computationally():
     for a_bit in (0, 1):
         rt = QuantumRuntime(ReplayOutcomes((a_bit,)))
-        rt.load(StateVector.zero(1), ["r0"], BOB)
+        rt.load(zero_state(1), ["r0"], BOB)
         grabbed = {}
 
         def check(step, rt=rt, grabbed=grabbed):
@@ -110,7 +109,7 @@ def test_case_a_first_bell_half_collapses_computationally():
                 grabbed["kept"] = rt.snapshot(["e1"])
 
         p1_hrz_on_runtime(rt, "r0", 2, checkpoint=check)
-        want = StateVector.of(np.array([1.0 - a_bit, float(a_bit)], dtype=complex))
+        want = np.array([1.0 - a_bit, float(a_bit)], dtype=complex)
         assert fidelity_up_to_phase(grabbed["kept"], want) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -136,7 +135,7 @@ def test_client_discard_leaves_server_density_unchanged():
 def run_composition(source, octant_seq, out_basis="z"):
     """Drive a chain of rotations on one qubit, frame-tracked, then read out."""
     rt = QuantumRuntime(source)
-    rt.load(StateVector.zero(1), ["r0"], BOB)
+    rt.load(zero_state(1), ["r0"], BOB)
     x = z = 0
     for k in octant_seq:
         k_eff = k if x == 0 else (-k) % 8

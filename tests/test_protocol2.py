@@ -16,7 +16,6 @@ from adbqc.protocols import (
 from adbqc.protocols.gate_client import p2_hrz_on_runtime
 from adbqc.protocols.reference import reference_distribution, total_variation
 from adbqc.qsim import (
-    StateVector,
     apply_gate,
     fidelity_up_to_phase,
     haar_random_state,
@@ -24,7 +23,7 @@ from adbqc.qsim import (
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
-from helpers import client_to_server_traffic
+from helpers import client_to_server_traffic, zero_state
 
 
 def fair_coin(coin: float) -> ReplayOutcomes:
@@ -55,7 +54,7 @@ def test_gadget_soundness(octant, coin):
 def test_gadget_outcome_is_a_fair_coin(coin, outcome):
     """The announced bit carries no angle information: both paths weigh 1/2."""
     rt = QuantumRuntime(fair_coin(coin))
-    rt.load(StateVector.zero(1), ["r0"], BOB)
+    rt.load(zero_state(1), ["r0"], BOB)
     s = p2_hrz_on_runtime(rt, "r0", 1)
     assert s == outcome
     assert rt.outcomes.path_probability() == pytest.approx(0.5, abs=1e-12)

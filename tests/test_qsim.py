@@ -25,7 +25,6 @@ from adbqc.qsim import (
     Z_BASIS,
     Z_GATE,
     ZERO_AMPS,
-    StateVector,
     apply_gate,
     equatorial_basis,
     fidelity_up_to_phase,
@@ -45,7 +44,7 @@ from adbqc.runtime import (
     enumerate_runs,
 )
 from adbqc.transcript import BOB
-from helpers import identity_gap, rotated, rx_matrix
+from helpers import identity_gap, normalized, rotated, rx_matrix, zero_state
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 Y_GATE = np.array([[0, -1j], [1j, 0]])
@@ -88,7 +87,7 @@ def projection_weight(psi: np.ndarray, qubit: int, eigen: np.ndarray) -> float:
 
 
 def measure(
-    state: StateVector, qubit: int, basis: np.ndarray, outcomes: OutcomeSource
+    state: np.ndarray, qubit: int, basis: np.ndarray, outcomes: OutcomeSource
 ):
     """One runtime measurement of ``state`` whose outcome ``outcomes`` gives.
 
@@ -100,7 +99,7 @@ def measure(
     return outcome, probability, rt.snapshot()
 
 
-def run_program(initial: StateVector, program, source):
+def run_program(initial: np.ndarray, program, source):
     """Run ``("gate", gate, targets)`` / ``("measure", qubit, basis)`` steps
     on a runtime fed by ``source``; returns the final state."""
     rt, labels = QuantumRuntime.from_state(initial, source, BOB)
@@ -112,7 +111,7 @@ def run_program(initial: StateVector, program, source):
     return rt.snapshot()
 
 
-def enumerate_program(initial: StateVector, program) -> list[RunBranch]:
+def enumerate_program(initial: np.ndarray, program) -> list[RunBranch]:
     return enumerate_runs(lambda source: run_program(initial, program, source))
 
 
@@ -153,23 +152,23 @@ def test_plus_state_parameterization(polar, phase, sign, expected):
 
 def test_little_endian_indexing():
     """Qubit 0 is the least significant bit of the amplitude index."""
-    state = apply_gate(StateVector.zero(2), X_GATE, [0])
-    assert np.allclose(state.amplitudes, [0, 1, 0, 0], atol=1e-12)
-    state = apply_gate(StateVector.zero(2), X_GATE, [1])
-    assert np.allclose(state.amplitudes, [0, 0, 1, 0], atol=1e-12)
+    state = apply_gate(zero_state(2), X_GATE, [0])
+    assert np.allclose(state, [0, 1, 0, 0], atol=1e-12)
+    state = apply_gate(zero_state(2), X_GATE, [1])
+    assert np.allclose(state, [0, 0, 1, 0], atol=1e-12)
 
 
 def test_tensor_appends_high_bits():
     """A qubit added to the runtime, or a state loaded into it, becomes its
     most significant bits."""
-    one = StateVector.of([0.0, 1.0])
+    one = normalized([0.0, 1.0])
     rt, _ = QuantumRuntime.from_state(one, ReplayOutcomes(()), BOB)
     rt.add_qubit("high", ZERO_AMPS, BOB)
     assert rt.num_qubits == 2
-    assert np.allclose(rt.snapshot().amplitudes, [0, 1, 0, 0], atol=1e-12)
-    rt, _ = QuantumRuntime.from_state(StateVector.zero(1), ReplayOutcomes(()), BOB)
+    assert np.allclose(rt.snapshot(), [0, 1, 0, 0], atol=1e-12)
+    rt, _ = QuantumRuntime.from_state(zero_state(1), ReplayOutcomes(()), BOB)
     rt.load(one, ["high"], BOB)
-    assert np.allclose(rt.snapshot().amplitudes, [0, 0, 1, 0], atol=1e-12)
+    assert np.allclose(rt.snapshot(), [0, 0, 1, 0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +194,14 @@ def test_gates_are_unitary(gate):
 
 
 def test_apply_x_flips_zero():
-    state = apply_gate(StateVector.zero(1), X_GATE, [0])
-    assert np.allclose(state.amplitudes, [0.0, 1.0], atol=1e-12)
+    state = apply_gate(zero_state(1), X_GATE, [0])
+    assert np.allclose(state, [0.0, 1.0], atol=1e-12)
 
 
 def test_rz_pi_turns_plus_into_minus():
-    plus = StateVector.of(plus_state(np.pi / 2, 0.0))
+    plus = plus_state(np.pi / 2, 0.0)
     state = apply_gate(plus, rz_matrix(np.pi), [0])
-    assert np.allclose(state.amplitudes, [INV_SQRT2, -INV_SQRT2], atol=1e-12)
+    assert np.allclose(state, [INV_SQRT2, -INV_SQRT2], atol=1e-12)
 
 
 def test_entangler_order_matters():
@@ -215,9 +214,9 @@ def test_entangler_order_matters():
 
 
 def test_entangler_on_plus_plus_is_maximally_entangled():
-    state = StateVector.of(np.kron(plus_state(np.pi / 2, 0), plus_state(np.pi / 2, 0)))
+    state = np.kron(plus_state(np.pi / 2, 0), plus_state(np.pi / 2, 0))
     out = apply_gate(state, ENTANGLER, [1, 0])
-    coeffs = np.linalg.svd(out.amplitudes.reshape(2, 2), compute_uv=False)
+    coeffs = np.linalg.svd(out.reshape(2, 2), compute_uv=False)
     assert np.allclose(coeffs, [INV_SQRT2, INV_SQRT2], atol=1e-12)
 
 
@@ -225,13 +224,13 @@ def test_target_order_sets_matrix_high_bit():
     cnot = np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     )
-    one_low = apply_gate(StateVector.zero(2), X_GATE, [0])  # |q1=0, q0=1>
+    one_low = apply_gate(zero_state(2), X_GATE, [0])  # |q1=0, q0=1>
     # targets [1, 0]: qubit 1 is the control (high bit), stays |01>.
     unchanged = apply_gate(one_low, cnot, [1, 0])
-    assert np.allclose(unchanged.amplitudes, one_low.amplitudes, atol=1e-12)
+    assert np.allclose(unchanged, one_low, atol=1e-12)
     # targets [0, 1]: qubit 0 is the control, so qubit 1 flips.
     flipped = apply_gate(one_low, cnot, [0, 1])
-    assert np.allclose(flipped.amplitudes, [0, 0, 0, 1], atol=1e-12)
+    assert np.allclose(flipped, [0, 0, 0, 1], atol=1e-12)
 
 
 @pytest.mark.parametrize("trial", range(25))
@@ -248,13 +247,13 @@ def test_apply_gate_matches_bit_surgery_oracle(trial):
         gate = [CZ_GATE, ENTANGLER][int(gen.integers(2))]
         targets = list(gen.permutation(n)[:2])
     got = apply_gate(state, gate, targets)
-    want = embed_apply(gate, targets, state.amplitudes)
-    assert np.linalg.norm(got.amplitudes - want) < 1e-10
-    assert abs(np.linalg.norm(got.amplitudes) - 1.0) < 1e-9
+    want = embed_apply(gate, targets, state)
+    assert np.linalg.norm(got - want) < 1e-10
+    assert abs(np.linalg.norm(got) - 1.0) < 1e-9
 
 
 def test_apply_gate_rejects_bad_targets():
-    state = StateVector.zero(2)
+    state = zero_state(2)
     with pytest.raises(ValueError):
         apply_gate(state, CZ_GATE, [0, 0])
     with pytest.raises(ValueError):
@@ -273,12 +272,12 @@ def test_runtime_apply_refuses_what_apply_gate_refuses(matrix, labels, message):
     """A wrong gate must not act on other qubits: on two |+> qubits CZ on
     one label would otherwise hit both, and H on two labels only one."""
     rt, _ = QuantumRuntime.from_state(
-        StateVector(2, np.full(4, 0.5, dtype=complex)), ReplayOutcomes(()), BOB
+        np.full(4, 0.5, dtype=complex), ReplayOutcomes(()), BOB
     )
-    before = rt.snapshot().amplitudes
+    before = rt.snapshot()
     with pytest.raises(ValueError, match=message):
         rt.apply(matrix, labels)
-    assert np.array_equal(rt.snapshot().amplitudes, before)
+    assert np.array_equal(rt.snapshot(), before)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +285,14 @@ def test_runtime_apply_refuses_what_apply_gate_refuses(matrix, labels, message):
 
 
 def test_measure_plus_in_x_is_deterministic():
-    plus = StateVector.of(plus_state(np.pi / 2, 0.0))
+    plus = plus_state(np.pi / 2, 0.0)
     outcome, probability, _ = measure(plus, 0, X_BASIS, ReplayOutcomes((0,)))
     assert outcome == 0
     assert probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_zero_in_x_is_fair():
-    zero = StateVector.zero(1)
+    zero = zero_state(1)
     out0, prob0, _ = measure(zero, 0, X_BASIS, ReplayOutcomes((0,)))
     out1, prob1, _ = measure(zero, 0, X_BASIS, ReplayOutcomes((1,)))
     assert (out0, out1) == (0, 1)
@@ -303,7 +302,7 @@ def test_measure_zero_in_x_is_fair():
 
 def test_measure_tilted_state_in_z():
     """cos(pi/6)^2 = 3/4 lands on outcome 0."""
-    state = StateVector.of(plus_state(np.pi / 3, np.pi / 2))
+    state = plus_state(np.pi / 3, np.pi / 2)
     outcome, probability, _ = measure(state, 0, Z_BASIS, ReplayOutcomes((0,)))
     assert outcome == 0
     assert probability == pytest.approx(0.75, abs=1e-12)
@@ -326,8 +325,8 @@ def test_measure_coin_boundary_is_half_open():
     """Outcome 0 exactly when the draw is below p0, so a sampled outcome
     of probability 0 never occurs: checked where p0 is 1 and 0, at the
     extreme draws and at sampled ones."""
-    zero = StateVector.zero(1)
-    one = StateVector.of([0.0, 1.0])
+    zero = zero_state(1)
+    one = normalized([0.0, 1.0])
     top = SampledOutcomes(_FixedDraw(1.0 - 2.0**-53))
     assert measure(zero, 0, Z_BASIS, top)[0] == 0
     assert measure(one, 0, Z_BASIS, SampledOutcomes(_FixedDraw(0.0)))[0] == 1
@@ -351,13 +350,13 @@ def test_measure_probability_matches_projection(trial):
     state = haar_random_state(n, gen)
     qubit = int(gen.integers(n))
     basis = rotated(float(gen.random() * np.pi), float(gen.random() * 7))
-    p0 = projection_weight(state.amplitudes, qubit, basis[0])
-    p1 = projection_weight(state.amplitudes, qubit, basis[1])
+    p0 = projection_weight(state, qubit, basis[0])
+    p1 = projection_weight(state, qubit, basis[1])
     assert p0 + p1 == pytest.approx(1.0, abs=1e-10)
     outcome, probability, post = measure(state, qubit, basis, ReplayOutcomes(()))
     assert probability == pytest.approx(p0 if outcome == 0 else p1, abs=1e-10)
-    assert post.num_qubits == n
-    assert abs(np.linalg.norm(post.amplitudes) - 1.0) < 1e-9
+    assert post.shape == (1 << n,)
+    assert abs(np.linalg.norm(post) - 1.0) < 1e-9
 
 
 def test_measure_post_state_is_eigenstate():
@@ -426,7 +425,7 @@ def test_shared_gates_and_bases_are_read_only():
 
 def test_sampled_outcomes_track_born_rule():
     """10^4 coin draws against the 3/4 line stay within four sigma."""
-    state = StateVector.of(plus_state(np.pi / 3, np.pi / 2))
+    state = plus_state(np.pi / 3, np.pi / 2)
     gen = rng.stream(93, "qsim-sampling")
     trials = 10_000
     zeros = sum(
@@ -443,7 +442,7 @@ def test_sampled_outcomes_track_born_rule():
 
 def test_enumerate_branches_drops_zero_probability():
     program = [("measure", 0, Z_BASIS)]
-    branches = enumerate_program(StateVector.zero(1), program)
+    branches = enumerate_program(zero_state(1), program)
     assert len(branches) == 1
     assert branches[0].outcomes == (0,)
     assert branches[0].probability == pytest.approx(1.0)
@@ -457,7 +456,7 @@ def test_enumerate_branches_covers_all_paths():
         ("gate", H_GATE, [1]),
         ("measure", 1, Z_BASIS),
     ]
-    branches = enumerate_program(StateVector.zero(2), program)
+    branches = enumerate_program(zero_state(2), program)
     assert len(branches) == 4
     assert sorted(b.outcomes for b in branches) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-12)
@@ -475,7 +474,7 @@ def test_enumeration_matches_sequential_sampling():
         ("measure", 0, X_BASIS),
         ("measure", 1, equatorial_basis(np.pi / 4)),
     ]
-    initial = apply_gate(StateVector.zero(2), H_GATE, [1])
+    initial = apply_gate(zero_state(2), H_GATE, [1])
     branches = enumerate_program(initial, program)
     assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-12)
 
@@ -496,7 +495,7 @@ def test_enumeration_matches_sequential_sampling():
 
 
 def test_partial_trace_of_product_state():
-    joint = StateVector.of([0.0, 0.0, 1.0, 0.0])  # |q1=1, q0=0>
+    joint = normalized([0.0, 0.0, 1.0, 0.0])  # |q1=1, q0=0>
     rho0 = partial_trace(joint, keep=[0])
     assert np.allclose(rho0, [[1, 0], [0, 0]], atol=1e-12)
     rho1 = partial_trace(joint, keep=[1])
@@ -504,7 +503,7 @@ def test_partial_trace_of_product_state():
 
 
 def test_partial_trace_of_bell_pair_is_maximally_mixed():
-    bell = StateVector.of([INV_SQRT2, 0.0, 0.0, INV_SQRT2])
+    bell = normalized([INV_SQRT2, 0.0, 0.0, INV_SQRT2])
     for keep in ([0], [1]):
         rho = partial_trace(bell, keep=keep)
         assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
@@ -514,7 +513,7 @@ def test_partial_trace_matches_kron_oracle():
     """keep[i] becomes output qubit i, so keep order permutes the result."""
     gen = rng.stream(95, "qsim-ptrace")
     state = haar_random_state(3, gen)
-    psi = state.amplitudes.reshape(2, 2, 2)  # axes q2, q1, q0
+    psi = state.reshape(2, 2, 2)  # axes q2, q1, q0
     want = np.einsum("abc,dbc->ad", psi, psi.conj())  # keep q2
     rho = partial_trace(state, keep=[2])
     assert np.allclose(rho, want, atol=1e-12)
@@ -529,14 +528,14 @@ def test_partial_trace_matches_kron_oracle():
 
 
 def test_fidelity_ignores_global_phase():
-    zero = StateVector.zero(1)
-    spun = StateVector(1, np.exp(0.7j) * zero.amplitudes)
+    zero = zero_state(1)
+    spun = np.exp(0.7j) * zero
     assert fidelity_up_to_phase(zero, spun) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fidelity_of_zero_and_plus():
-    plus = StateVector.of(plus_state(np.pi / 2, 0.0))
-    assert fidelity_up_to_phase(StateVector.zero(1), plus) == pytest.approx(0.5, abs=1e-12)
+    plus = plus_state(np.pi / 2, 0.0)
+    assert fidelity_up_to_phase(zero_state(1), plus) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_trace_distance_extremes():
@@ -552,14 +551,60 @@ def test_trace_distance_extremes():
 # Validation and random states
 
 
-def test_state_vector_validation():
-    with pytest.raises(ValueError):
-        StateVector(1, np.array([1.0, 1.0], dtype=complex))  # not normalized
-    with pytest.raises(ValueError):
-        StateVector(2, np.array([1.0, 0.0], dtype=complex))  # wrong length
-    with pytest.raises(ValueError):
-        StateVector.zero(MAX_QUBITS + 1)
-    assert StateVector.of([2.0, 0.0]).amplitudes[0] == pytest.approx(1.0)
+@pytest.mark.parametrize(
+    "state,labels,message",
+    [(np.array([1.0, 1.0]), ["q"], "normalized"),
+     (np.array([1.0, 0.0]), ["q", "p"], "one distinct label"),
+     (np.array([1.0, 0.0, 0.0]), ["q", "p"], "one distinct label"),
+     (np.eye(2), ["q", "p"], "one distinct label"),
+     (zero_state(2), ["q", "q"], "one distinct label"),
+     (zero_state(1), ["r0"], "already in use"),
+     (zero_state(MAX_QUBITS), [f"x{i}" for i in range(MAX_QUBITS)], "qubit budget")],
+    ids=["unnormalized", "too-short", "not-a-power-of-two", "2-d", "repeated-label",
+         "label-in-use", "over-budget"],
+)
+def test_load_refuses_a_state_it_cannot_hold(state, labels, message):
+    """``load`` is where an outside state enters a runtime, so it checks
+    the length against the labels, the labels, the qubit budget and the
+    norm, and changes nothing when it refuses."""
+    rt, _ = QuantumRuntime.from_state(zero_state(1), ReplayOutcomes(()), BOB)
+    with pytest.raises(ValueError, match=message):
+        rt.load(state, labels, BOB)
+    assert rt.num_qubits == 1
+    assert np.array_equal(rt.snapshot(), zero_state(1))
+
+
+def test_load_copies_its_state():
+    """A runtime never shares a loaded array: writing it afterwards, or
+    writing the array a snapshot returns, leaves the runtime as it was."""
+    state = normalized([1.0, 1.0])
+    rt, _ = QuantumRuntime.from_state(state, ReplayOutcomes(()), BOB)
+    state[0] = 0.0
+    rt.snapshot()[0] = 0.0
+    assert np.allclose(rt.snapshot(), [INV_SQRT2, INV_SQRT2], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [np.ones(3) / np.sqrt(3), np.ones(0), np.eye(2) / np.sqrt(2), np.ones(()),
+     zero_state(MAX_QUBITS + 1)],
+    ids=["length-3", "empty", "2-d", "0-d", "over-max-qubits"],
+)
+def test_state_width_is_refused_unless_a_power_of_two(state):
+    """One width rule reads n from a state's 2^n amplitudes, and
+    ``apply_gate``, ``partial_trace`` and ``from_state`` all refuse what it
+    refuses."""
+    with pytest.raises(ValueError, match="2\\^n amplitudes"):
+        apply_gate(state, X_GATE, [0])
+    with pytest.raises(ValueError, match="2\\^n amplitudes"):
+        partial_trace(state, [0])
+    with pytest.raises(ValueError, match="2\\^n amplitudes"):
+        QuantumRuntime.from_state(state, ReplayOutcomes(()), BOB)
+
+
+def test_fidelity_refuses_states_of_different_widths():
+    with pytest.raises(ValueError, match="cannot be compared"):
+        fidelity_up_to_phase(zero_state(1), zero_state(2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -567,6 +612,6 @@ def test_haar_random_state_is_normalized_and_seeded(n):
     a = haar_random_state(n, rng.stream(96, "haar", 0))
     b = haar_random_state(n, rng.stream(96, "haar", 0))
     c = haar_random_state(n, rng.stream(96, "haar", 1))
-    assert abs(np.linalg.norm(a.amplitudes) - 1.0) < 1e-12
-    assert np.array_equal(a.amplitudes, b.amplitudes)
-    assert not np.allclose(a.amplitudes, c.amplitudes, atol=1e-3)
+    assert abs(np.linalg.norm(a) - 1.0) < 1e-12
+    assert np.array_equal(a, b)
+    assert not np.allclose(a, c, atol=1e-3)
