@@ -137,13 +137,17 @@ def monte_carlo_z(estimate: float, exact: float, trials: int) -> float:
 # Report tampering
 
 
-def tamper_acceptance_exact(tamper_rate: float, trap_count: int) -> float:
-    """Acceptance probability when every reported bit is correct only with
-    probability ``tamper_rate``: all ``trap_count`` trap bits must survive."""
+def _check_tamper(tamper_rate: float, trap_count: int) -> None:
     if not 0.0 <= tamper_rate <= 1.0:
         raise ValueError("tamper rate must be in [0, 1]")
     if trap_count < 0:
         raise ValueError("trap count must be non-negative")
+
+
+def tamper_acceptance_exact(tamper_rate: float, trap_count: int) -> float:
+    """Acceptance probability when every reported bit is correct only with
+    probability ``tamper_rate``: all ``trap_count`` trap bits must survive."""
+    _check_tamper(tamper_rate, trap_count)
     return tamper_rate**trap_count
 
 
@@ -152,6 +156,7 @@ def simulate_tamper_acceptance(
 ) -> float:
     """Monte Carlo of the tamper channel: fraction of runs with no trap bit
     flipped. Honest trap readings are deterministic, so a flip is an error."""
+    _check_tamper(tamper_rate, trap_count)
     _check_trials(trials)
     flips = rng.random((trials, trap_count)) >= tamper_rate
     return float(np.mean(~np.any(flips, axis=1)))

@@ -73,22 +73,17 @@ def audit_theta_uniformity() -> AuditResult:
     """The announced octant must cover all eight octants exactly twice over
     the client's sixteen (hiding octant, pad bit) secrets, for every target
     octant and first outcome: 8 targets x 2 outcomes x 8 coverage counts =
-    128 deterministic checks, zero tolerance. The mirrored preparation sign
-    is swept alongside without adding to the check count."""
+    128 deterministic checks, zero tolerance."""
     worst = 0
     checks = 0
-    for sign in (+1, -1):
-        for target in range(8):
-            for s1 in (0, 1):
-                seen = Counter(
-                    announced_octant(target, hide, pad, s1, sign)
-                    for hide in range(8)
-                    for pad in (0, 1)
-                )
-                for k in range(8):
-                    worst = max(worst, abs(seen.get(k, 0) - 2))
-                    if sign == +1:
-                        checks += 1
+    for target in range(8):
+        for s1 in (0, 1):
+            seen = Counter(
+                announced_octant(target, hide, pad, s1) for hide in range(8) for pad in (0, 1)
+            )
+            for k in range(8):
+                worst = max(worst, abs(seen.get(k, 0) - 2))
+                checks += 1
     return AuditResult(
         name="theta_uniformity",
         passed=worst == 0,
@@ -276,9 +271,9 @@ def audit_gadget_view_tv(
     if gadget == "cz":
         raise ValueError(f"gadget {gadget!r} has no angle to hide")
     state = haar_random_state(1, stream(99, "gadget-view-input"))
-    secrets = [(0, 0, +1)]  # the prepare-only client's secrets are enumerated
+    secrets = [(0, 0)]  # the prepare-only client's secrets are enumerated
     if gadget == "hrz-sueki":
-        secrets = [(h, p, s) for h in range(8) for p in (0, 1) for s in (+1, -1)]
+        secrets = [(h, p) for h in range(8) for p in (0, 1)]
     weight = 1.0 / len(secrets)
     branches = 0
 

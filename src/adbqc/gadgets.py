@@ -163,48 +163,38 @@ def h_cancel(rt: QuantumRuntime, register: str, label: str, prep_party: str = BO
     rt.tape.local(BOB, op="discard", qubit=label)
 
 
-def draw_sueki_secrets(rng: np.random.Generator) -> tuple[int, int, int]:
-    """The prepare-only client's secrets for one rotation, in draw order:
-    (hiding octant, pad bit, prep sign)."""
+def draw_sueki_secrets(rng: np.random.Generator) -> tuple[int, int]:
+    """The prepare-only client's secrets for one rotation: (hiding octant, pad bit)."""
     hiding = int(rng.integers(8))
     pad = int(rng.integers(2))
-    return hiding, pad, -1 if rng.integers(2) else +1
+    # A third coin mirrors the octant: no new secret (the mirrored preparation
+    # is the one at -hiding up to a global phase), but every pinned output
+    # (golden runs, pinned run outputs, smoke fingerprints) was drawn with it.
+    return (-hiding if rng.integers(2) else hiding) % 8, pad
 
 
-def announced_octant(
-    target_octant: int,
-    hiding_octant: int,
-    pad_bit: int,
-    s1: int,
-    prep_sign: int = +1,
-) -> int:
+def announced_octant(target_octant: int, hiding_octant: int, pad_bit: int, s1: int) -> int:
     """Octant the prepare-only client announces after the first outcome.
 
     Over uniform (hiding octant, pad bit) the result is uniform on all
     eight octants whatever the target octant: the map is exactly two-to-one.
     """
     sign1 = -1 if s1 else +1
-    return (-(target_octant % 8) - sign1 * (prep_sign * (hiding_octant % 8) + 4 * pad_bit)) % 8
+    return (-(target_octant % 8) - sign1 * (hiding_octant % 8 + 4 * pad_bit)) % 8
 
 
 def sueki_hrz_on_runtime(
-    rt: QuantumRuntime,
-    target: str,
-    target_octant: int,
-    hiding_octant: int,
-    pad_bit: int,
-    prep_sign: int = +1,
+    rt: QuantumRuntime, target: str, target_octant: int, hiding_octant: int, pad_bit: int
 ) -> int:
     """Prepare-only client's H R_Z gadget; realizes X^b H R_Z(k pi/4) exactly
     and returns b = s2 xor pad, the X by-product.
 
     The client supplies all three ancillas. Its secrets (hiding octant, pad
-    bit, prep sign) shape only the announced angle; the announced octant is
-    uniform when hiding octant and pad bit are uniform.
+    bit) shape only the announced angle, which is uniform when they are.
     """
     # hidden-rotation coupling
     a_hide = rt.fresh("a")
-    hidden = plus_state(octant_angle(hiding_octant), math.pi / 2, prep_sign)
+    hidden = plus_state(octant_angle(hiding_octant), math.pi / 2)
     couple_in(rt, a_hide, hidden, "hidden", ALICE, (target,))
     s1 = measure_out(rt, a_hide, Z_BASIS)
 
@@ -212,7 +202,7 @@ def sueki_hrz_on_runtime(
     h_cancel(rt, target, rt.fresh("a"), prep_party=ALICE)
 
     # announced angle folds the secrets with the first outcome
-    k_public = announced_octant(target_octant, hiding_octant, pad_bit, s1, prep_sign)
+    k_public = announced_octant(target_octant, hiding_octant, pad_bit, s1)
     rt.tape.msg(ALICE, BOB, theta_octant=k_public)
 
     # driven coupling measured in the announced equatorial basis

@@ -81,13 +81,13 @@ def drive_gadget(
     rt: QuantumRuntime,
     labels: list[str],
     octant: int,
-    hidden: tuple[int, int, int] = (0, 0, +1),
+    hidden: tuple[int, int] = (0, 0),
 ) -> PauliFrame:
     """Apply one oracle gadget to ``labels``; the one map from a gadget
     name to its function, and the one check of the name and octant.
 
-    ``hidden`` holds the prepare-only client's (hiding octant, pad bit,
-    prep sign). Returns the by-product frame over ``labels``.
+    ``hidden`` holds the prepare-only client's (hiding octant, pad bit).
+    Returns the by-product frame over ``labels``.
     """
     check_octant(gadget, octant)
     if gadget == "cz":
@@ -98,7 +98,7 @@ def drive_gadget(
     return PauliFrame((hrz(rt, labels[0], octant),), (0,))
 
 
-def _branches(gadget: str, octant: int, hidden: tuple[int, int, int]) -> list[tuple]:
+def _branches(gadget: str, octant: int, hidden: tuple[int, int]) -> list[tuple]:
     """Every outcome path of one gadget application, whatever its input.
 
     A path applies a fixed operator K to the register, so one enumeration on
@@ -119,11 +119,11 @@ def _branches(gadget: str, octant: int, hidden: tuple[int, int, int]) -> list[tu
         return frame.matrix_on(rt.snapshot(labels))
 
     # the prepare-only client announces by the gadget's rule from the first outcome
-    hiding, pad, sign = hidden
+    hiding, pad = hidden
     undo = ideal.conj().T
     return [
         (br.outcomes, math.sqrt(dim * br.probability) * undo @ br.value.reshape(dim, dim).T,
-         announced_octant(octant, hiding, pad, br.outcomes[0], sign)
+         announced_octant(octant, hiding, pad, br.outcomes[0])
          if gadget == "hrz-sueki" else None)
         for br in enumerate_runs(run)
     ]
@@ -146,14 +146,14 @@ def branch_table(
     gadget: str,
     octant: int = 0,
     state: np.ndarray | None = None,
-    hidden: tuple[int, int, int] | None = None,
+    hidden: tuple[int, int] | None = None,
     seed: int = 2026,
 ) -> tuple[BranchRow, ...]:
     """Enumerate every outcome branch of one gadget application.
 
     ``hidden`` pins the prepare-only client's secrets (hiding octant, pad
-    bit, prep sign); when omitted they are drawn from ``seed``, as is the
-    Haar-random input ``state``. Branch probabilities are exact.
+    bit); when omitted they are drawn from ``seed``, as is the Haar-random
+    input ``state``. Branch probabilities are exact.
     """
     num_qubits = 2 if gadget == "cz" else 1
     if state is None:
@@ -176,6 +176,8 @@ def soundness_sweep(states_per_octant: int = 4, seed: int = 2026) -> tuple[float
     the default four states per admissible octant the sweep uses exactly
     100 inputs: 8 + 4 + 4 + 8 + 1 = 25 combinations times four.
     """
+    if states_per_octant < 1:
+        raise ValueError("the soundness sweep needs at least one state per octant")
     worst = 1.0
     count = 0
     # a gadget's paths do not depend on its input, and only the

@@ -219,6 +219,8 @@ class ProtocolConfig:
             raise ValueError("need at least one register qubit")
         if self.depth < 1:
             raise ValueError("need at least one layer")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         peak = self.num_qubits + PEAK_ANCILLAS[self.protocol]
         if peak > MAX_QUBITS:
             raise ValueError(

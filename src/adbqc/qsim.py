@@ -60,13 +60,10 @@ def hrz_matrix(theta: float) -> np.ndarray:
     return H_GATE @ rz_matrix(theta)
 
 
-def plus_state(polar: float, phase: float, sign: int = +1) -> np.ndarray:
-    """Amplitudes of cos(polar/2)|0> + sign e^{i phase} sin(polar/2)|1>."""
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+def plus_state(polar: float, phase: float) -> np.ndarray:
+    """Amplitudes of cos(polar/2)|0> + e^{i phase} sin(polar/2)|1>."""
     return np.array(
-        [math.cos(polar / 2), sign * np.exp(1j * phase) * math.sin(polar / 2)],
-        dtype=complex,
+        [math.cos(polar / 2), np.exp(1j * phase) * math.sin(polar / 2)], dtype=complex
     )
 
 

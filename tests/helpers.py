@@ -51,9 +51,9 @@ def identity_gap(rows: np.ndarray) -> float:
 
 def rotated(polar: float, phase: float) -> np.ndarray:
     """The basis {|+_{a,p}>, |-_{a,p}>}: row b is the eigenstate of outcome b,
-    and |-_{a,p}> = sin(a/2)|0> - e^{ip} cos(a/2)|1> is |+_{pi-a,p}> with the
-    sign flipped."""
-    return np.stack([plus_state(polar, phase), plus_state(math.pi - polar, phase, -1)])
+    and |-_{a,p}> = sin(a/2)|0> - e^{ip} cos(a/2)|1>."""
+    minus = np.array([math.sin(polar / 2), -np.exp(1j * phase) * math.cos(polar / 2)])
+    return np.stack([plus_state(polar, phase), minus])
 
 
 class DenseRegister:
@@ -179,7 +179,7 @@ def sampled_distribution(run_protocol, config, trials: int) -> dict[tuple[int, .
 
 
 def replayed_branch_table(
-    gadget: str, octant: int, state: np.ndarray, hidden: tuple[int, int, int]
+    gadget: str, octant: int, state: np.ndarray, hidden: tuple[int, int]
 ) -> tuple[BranchRow, ...]:
     """``oracle.branch_table`` by replaying the gadget on ``state`` itself,
     once per outcome path."""
@@ -193,10 +193,10 @@ def replayed_branch_table(
         frame = drive_gadget(gadget, rt, labels, octant, hidden)
         return fidelity_up_to_phase(frame.matrix_on(rt.snapshot(labels)), target)
 
-    hiding, pad, sign = hidden
+    hiding, pad = hidden
     return tuple(
         BranchRow(br.outcomes, br.probability, float(br.value),
-                  announced_octant(octant, hiding, pad, br.outcomes[0], sign)
+                  announced_octant(octant, hiding, pad, br.outcomes[0])
                   if gadget == "hrz-sueki" else None)
         for br in enumerate_runs(run)
     )

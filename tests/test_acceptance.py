@@ -198,7 +198,7 @@ def test_acceptance_5_theta_disclosure_uniformity(acceptance):
     for target in range(8):
         for s1 in (0, 1):
             seen = Counter(
-                announced_octant(target, hide, pad, s1, +1)
+                announced_octant(target, hide, pad, s1)
                 for hide in range(8)
                 for pad in (0, 1)
             )

@@ -222,10 +222,12 @@ def test_tamper_acceptance_exact(rate, traps, want):
 
 
 def test_tamper_acceptance_validation():
-    with pytest.raises(ValueError):
-        tamper_acceptance_exact(1.5, 3)
-    with pytest.raises(ValueError):
-        tamper_acceptance_exact(0.5, -1)
+    """The Monte Carlo refuses what the closed form refuses."""
+    for rate, traps in ((1.5, 3), (-0.5, 3), (0.5, -1)):
+        with pytest.raises(ValueError, match="tamper rate|trap count"):
+            tamper_acceptance_exact(rate, traps)
+        with pytest.raises(ValueError, match="tamper rate|trap count"):
+            simulate_tamper_acceptance(rate, traps, 10, rng.stream(405, "mc"))
 
 
 def test_simulate_tamper_acceptance_tracks_exact():

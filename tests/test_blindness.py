@@ -46,7 +46,7 @@ def leaky_p1_hrz(rt, target, octant, checkpoint=None):
     return p1_hrz_on_runtime(rt, target, octant, checkpoint=checkpoint)
 
 
-def leaky_drive_gadget(gadget, rt, labels, octant, hidden=(0, 0, +1)):
+def leaky_drive_gadget(gadget, rt, labels, octant, hidden=(0, 0)):
     """An oracle gadget, sending its octant before it runs."""
     rt.tape.msg(ALICE, to=BOB, op="leak", octant=octant)
     return drive_gadget(gadget, rt, labels, octant, hidden)
@@ -76,7 +76,7 @@ def test_theta_uniformity_needs_the_full_secret_range():
     """Restricting the hiding octant to even values skews the announcement,
     so the coverage counting really is sensitive to a broken pad."""
     seen = Counter(
-        announced_octant(3, hide, pad, 0, +1) for hide in (0, 2, 4, 6) for pad in (0, 1)
+        announced_octant(3, hide, pad, 0) for hide in (0, 2, 4, 6) for pad in (0, 1)
     )
     worst = max(abs(seen.get(k, 0) - 1) for k in range(8))
     assert worst > 0
@@ -201,9 +201,9 @@ def test_gadget_views_are_angle_independent(gadget, octant_a, octant_b):
     assert result.statistic <= 1e-9
 
 
-@pytest.mark.parametrize("gadget,branches", [("hrz-sueki", 256), ("p2", 4)])
+@pytest.mark.parametrize("gadget,branches", [("hrz-sueki", 128), ("p2", 4)])
 def test_gadget_view_audit_counts_its_branches(gadget, branches):
-    """32 secret triples with 4 paths each, at two octants, for the
+    """16 secret pairs with 4 paths each, at two octants, for the
     prepare-only gadget; 2 paths at each octant for the gate-lending one."""
     assert audit_gadget_view_tv(gadget, 1, 2).details["branches"] == branches
 

@@ -113,6 +113,14 @@ def test_run_rejects_a_non_integer_config_field(capsys, tmp_path, config, messag
     assert "Traceback" not in err
 
 
+def test_run_refuses_a_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "run", "--protocol", "sueki", "--qubits", "1",
+                             "--seed", "-1")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "seed must be non-negative" in err
+
+
 def test_run_requires_a_protocol(capsys):
     code, _, err = run_cli(capsys, "run", "--qubits", "3")
     assert code == EXIT_ERROR

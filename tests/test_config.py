@@ -155,6 +155,7 @@ def test_trap_counts_by_protocol():
         dict(protocol="p1", num_qubits=3, depth=1,
              adversary=dict(kind="random_pauli", pauli_counts=(1, 0, 0),
                             pauli_positions=(("x", True),))),
+        dict(protocol="sueki", num_qubits=1, depth=1, seed=-1),  # used to fail inside run
     ],
 )
 def test_bad_configs_rejected(kwargs):
@@ -242,6 +243,8 @@ MALFORMED_INPUTS = [
     ({**_P1, "adversary": None}, "adversary must be an object"),
     ({**_P1, "adversary": {"kind": "random_pauli", "params": 0}},
      "adversary params must be an object"),
+    # a negative seed, which used to build and then fail inside the run
+    ({**_P1, "seed": -1}, "seed must be non-negative, got -1"),
 ]
 _REFUSALS = [(data, "must be an integer") for data in NON_INTEGER_DICTS] + MALFORMED_INPUTS
 

@@ -16,6 +16,7 @@ from adbqc.gadgets import (
     announced_octant,
     couple,
     cz_on_runtime,
+    draw_sueki_secrets,
     frame_conjugate,
     h_cancel,
     octant_angle,
@@ -254,10 +255,22 @@ def test_announced_octant_formula(trial):
     gen = rng.stream(150, "announce", trial)
     target, hide = int(gen.integers(8)), int(gen.integers(8))
     pad, s1 = int(gen.integers(2)), int(gen.integers(2))
-    sign = -1 if gen.random() < 0.5 else +1
     s1_sign = -1 if s1 else +1
-    want = (-target - s1_sign * (sign * hide + 4 * pad)) % 8
-    assert announced_octant(target, hide, pad, s1, sign) == want
+    want = (-target - s1_sign * (hide + 4 * pad)) % 8
+    assert announced_octant(target, hide, pad, s1) == want
+
+
+@pytest.mark.parametrize("trial", range(16))
+def test_draw_sueki_secrets_folds_its_mirror_coin(trial):
+    """Three draws, in order: hiding octant, pad bit, and a coin that mirrors
+    the octant. The golden runs and the pinned run outputs were drawn so."""
+    raw = rng.stream(153, "sueki-draws", trial)
+    hiding, pad, mirror = int(raw.integers(8)), int(raw.integers(2)), int(raw.integers(2))
+    gen = rng.stream(153, "sueki-draws", trial)
+    got = draw_sueki_secrets(gen)
+    cause = "draw_sueki_secrets must draw octant, pad and mirror coin and fold the coin in"
+    assert got == ((-hiding if mirror else hiding) % 8, pad), cause
+    assert gen.integers(1 << 30) == raw.integers(1 << 30), cause
 
 
 def test_announced_octant_covers_octants_two_to_one():
@@ -288,13 +301,13 @@ def test_sueki_gadget_branch_weights_on_zero_input():
 
 
 def test_sueki_gadget_prep_sign_branches():
+    """A mirrored preparation sign is the mirrored hiding octant: sign -1 at
+    hiding octant 6 is hiding octant 2."""
     state = haar_random_state(1, rng.stream(152, "sueki-sign"))
     for outcomes in ((0, 0), (1, 1)):
         rt, labels = fresh_runtime(state, outcomes, Transcript())
-        x = sueki_hrz_on_runtime(
-            rt, labels[0], 5, hiding_octant=6, pad_bit=0, prep_sign=-1
-        )
-        assert announced(rt) == announced_octant(5, 6, 0, rt.outcomes.bits[0], prep_sign=-1)
+        x = sueki_hrz_on_runtime(rt, labels[0], 5, hiding_octant=2, pad_bit=0)
+        assert announced(rt) == announced_octant(5, 2, 0, rt.outcomes.bits[0])
         corrected = PauliFrame((x,), (0,)).matrix_on(rt.snapshot(labels))
         want = apply_gate(state, hrz_matrix(octant_angle(5)), [0])
         assert fidelity_up_to_phase(corrected, want) == pytest.approx(1.0, abs=1e-9)

@@ -34,7 +34,7 @@ def test_admissible_octants_unknown_gadget():
 
 
 def test_sueki_table_on_zero_input():
-    rows = branch_table("hrz-sueki", 0, zero_state(1), hidden=(2, 0, +1))
+    rows = branch_table("hrz-sueki", 0, zero_state(1), hidden=(2, 0))
     assert len(rows) == 4
     for row in rows:
         assert row.probability == pytest.approx(0.25, abs=1e-12)
@@ -90,13 +90,19 @@ def test_soundness_sweep_small():
     assert worst >= 1.0 - GADGET_FIDELITY_ATOL
 
 
+@pytest.mark.parametrize("states", [0, -1])
+def test_soundness_sweep_refuses_fewer_than_one_state(states):
+    with pytest.raises(ValueError, match="at least one state per octant"):
+        soundness_sweep(states)
+
+
 def test_soundness_sweep_is_seeded():
     a = soundness_sweep(states_per_octant=1, seed=99)
     b = soundness_sweep(states_per_octant=1, seed=99)
     assert a == b
 
 
-SECRET_TRIPLES = ((0, 0, +1), (5, 1, -1))
+SECRET_PAIRS = ((0, 0), (3, 1))  # (3, 1) is hiding octant 5 mirrored
 
 
 @pytest.mark.parametrize(
@@ -108,7 +114,7 @@ def test_tables_from_the_entangled_input_match_replay(gadget, octant):
     width = 2 if gadget == "cz" else 1
     for i in range(2):
         state = haar_random_state(width, rng.stream(172, "oracle-replay", 2 * octant + i))
-        for hidden in SECRET_TRIPLES:
+        for hidden in SECRET_PAIRS:
             fast = branch_table(gadget, octant, state, hidden=hidden)
             slow = replayed_branch_table(gadget, octant, state, hidden)
             assert [r.outcomes for r in fast] == [r.outcomes for r in slow]

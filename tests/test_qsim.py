@@ -135,7 +135,7 @@ def test_rx_matrix_is_hadamard_conjugate_of_rz():
 
 
 @pytest.mark.parametrize(
-    "polar,phase,sign,expected",
+    "polar,phase,mirror,expected",
     [
         (np.pi / 2, 0.0, +1, np.array([INV_SQRT2, INV_SQRT2])),
         (np.pi / 2, np.pi, +1, np.array([INV_SQRT2, -INV_SQRT2])),
@@ -145,8 +145,10 @@ def test_rx_matrix_is_hadamard_conjugate_of_rz():
         (np.pi / 2, np.pi / 2, -1, np.array([INV_SQRT2, -1j * INV_SQRT2])),
     ],
 )
-def test_plus_state_parameterization(polar, phase, sign, expected):
-    got = plus_state(polar, phase, sign)
+def test_plus_state_parameterization(polar, phase, mirror, expected):
+    """A mirrored preparation (mirror -1) is the one at the negated polar
+    angle: cos(a/2)|0> - e^{ip} sin(a/2)|1>."""
+    got = plus_state(mirror * polar, phase)
     assert np.allclose(got, expected, atol=1e-12)
 
 
