@@ -181,15 +181,16 @@ def soundness_sweep(states_per_octant: int = 4, seed: int = 2026) -> tuple[float
     worst = 1.0
     count = 0
     # a gadget's paths do not depend on its input, and only the
-    # prepare-only gadget reads the secrets
+    # prepare-only gadget reads (and so draws) the secrets
     branches: dict[tuple, list[tuple]] = {}
     for gadget in ORACLE_GADGETS:
         width = 2 if gadget == "cz" else 1
         for octant in admissible_octants(gadget):
             for _ in range(states_per_octant):
                 state = haar_random_state(width, rng.stream(seed, "oracle-sweep", count))
-                hidden = draw_sueki_secrets(rng.stream(seed, "oracle-secrets", count))
-                key = (gadget, octant, hidden if gadget == "hrz-sueki" else None)
+                hidden = (draw_sueki_secrets(rng.stream(seed, "oracle-secrets", count))
+                          if gadget == "hrz-sueki" else (0, 0))
+                key = (gadget, octant, hidden)
                 if key not in branches:
                     branches[key] = _branches(gadget, octant, hidden)
                 worst = min(worst, min(row.fidelity for row in _rows(branches[key], state)))

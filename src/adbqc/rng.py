@@ -24,7 +24,10 @@ def stream(seed: int, purpose: str, index: int = 0) -> np.random.Generator:
     """Return the generator for (seed, purpose, index).
 
     The spawn key mixes a hash of the purpose string with the index, so
-    streams for different purposes or trial indices never collide.
+    streams for different purposes or trial indices never collide. A
+    negative seed is refused, naming the field.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     key = _purpose_words(purpose) + (index & 0xFFFFFFFF, index >> 32)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))

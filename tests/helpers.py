@@ -14,9 +14,10 @@ from adbqc.oracle import BranchRow, drive_gadget
 from adbqc.protocols import ProtocolConfig, config_from_dict, config_object, driver, run
 from adbqc.protocols.driver import RunResult
 from adbqc.protocols.measure_client import p1_hrz_on_runtime
+from adbqc.protocols.reference import reference_state
 from adbqc.protocols.schedule import schedule
 from adbqc.qsim import (
-    CZ_GATE, GADGET_FIDELITY_ATOL, PLUS_AMPS, PRODUCT_ATOL, X_GATE, Z_GATE, apply_gate,
+    CZ_GATE, GADGET_FIDELITY_ATOL, H_GATE, PLUS_AMPS, PRODUCT_ATOL, X_GATE, Z_GATE, apply_gate,
     fidelity_up_to_phase, hrz_matrix, partial_trace, plus_state,
 )
 from adbqc.runtime import OutcomeSource, QuantumRuntime, ReplayOutcomes, enumerate_runs
@@ -118,6 +119,23 @@ def ideal_channel_state(config: ProtocolConfig) -> np.ndarray:
         for i, j in layer.czs:
             state = apply_gate(state, CZ_GATE, [i, j])
     return state
+
+
+def looped_reference_distribution(config: ProtocolConfig) -> dict[tuple[int, ...], float]:
+    """``reference_distribution`` by a Python loop over all 2^w weights,
+    building one bit tuple per nonzero entry: the path its numpy keys replace."""
+    state = reference_state(config)
+    for q, basis in enumerate(config.plan()):
+        if basis == "x":
+            state = apply_gate(state, H_GATE, [q])
+    weights = np.abs(state) ** 2
+    out: dict[tuple[int, ...], float] = {}
+    for idx, w in enumerate(weights):
+        if w <= 0.0:
+            continue
+        bits = tuple((idx >> q) & 1 for q in range(config.logical_width))
+        out[bits] = out.get(bits, 0.0) + float(w)
+    return out
 
 
 def assert_channel_is_ideal(config: ProtocolConfig) -> RunResult:

@@ -121,6 +121,22 @@ def test_run_refuses_a_negative_seed(capsys):
     assert "seed must be non-negative" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("oracle", "--gadget", "p2"), id="oracle"),
+        pytest.param(("attack", "--tamper", "0.5", "--traps", "4", "--trials", "10"),
+                     id="attack"),
+        pytest.param(("blindness", "--audit", "probe"), id="blindness"),
+    ],
+)
+def test_subcommands_refuse_a_negative_seed(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("adbqc: error:") and "seed must be non-negative, got -1" in err
+
+
 def test_run_requires_a_protocol(capsys):
     code, _, err = run_cli(capsys, "run", "--qubits", "3")
     assert code == EXIT_ERROR

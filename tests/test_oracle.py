@@ -1,8 +1,11 @@
 """Independent branch-by-branch checks of every gadget family."""
 
+from collections import Counter
+
 import pytest
 
 from adbqc import oracle, rng
+from adbqc.gadgets import draw_sueki_secrets
 from adbqc.oracle import (
     GADGET_FIDELITY_ATOL,
     ORACLE_GADGETS,
@@ -100,6 +103,39 @@ def test_soundness_sweep_is_seeded():
     a = soundness_sweep(states_per_octant=1, seed=99)
     b = soundness_sweep(states_per_octant=1, seed=99)
     assert a == b
+
+
+def sweep_drawing_every_secret(states_per_octant: int = 4, seed: int = 2026):
+    """``soundness_sweep`` drawing secrets for every input, whether or not its
+    gadget reads them, and enumerating each input's gadget anew."""
+    worst, count = 1.0, 0
+    for gadget in ORACLE_GADGETS:
+        width = 2 if gadget == "cz" else 1
+        for octant in admissible_octants(gadget):
+            for _ in range(states_per_octant):
+                state = haar_random_state(width, rng.stream(seed, "oracle-sweep", count))
+                hidden = draw_sueki_secrets(rng.stream(seed, "oracle-secrets", count))
+                rows = branch_table(gadget, octant, state=state, hidden=hidden)
+                worst = min(worst, min(row.fidelity for row in rows))
+                count += 1
+    return worst, count
+
+
+def test_soundness_sweep_draws_secrets_only_where_they_are_read(monkeypatch):
+    """Only the 32 prepare-only inputs draw secrets, and the result is the
+    one the sweep gives when every input draws them."""
+    purposes = Counter()
+    stream = rng.stream
+
+    def counting(seed, purpose, index=0):
+        purposes[purpose] += 1
+        return stream(seed, purpose, index)
+
+    monkeypatch.setattr(rng, "stream", counting)
+    result = soundness_sweep()
+    monkeypatch.undo()
+    assert purposes == {"oracle-sweep": 100, "oracle-secrets": 32}
+    assert result == sweep_drawing_every_secret()
 
 
 SECRET_PAIRS = ((0, 0), (3, 1))  # (3, 1) is hiding octant 5 mirrored

@@ -5,7 +5,9 @@ Configs cover every protocol, every adversary kind a run accepts (none for
 all, stray Paulis for p1, report tampering for p2) and both transcript
 settings; gate programs mix named, octant and CZ requests on one to five
 qubits. Small honest runs of every protocol, with random programs and
-output bases, decode exactly to the reference distribution. The runtime's
+output bases, decode exactly to the reference distribution, and the
+reference distribution of prepare-only configs up to width 12 equals, key
+for key and bit for bit, a per-entry loop over the state's weights. The runtime's
 gate, measurement and discard kernels are checked against dense references
 on Haar-random states and unitaries of one to seven qubits, and random
 programs of every runtime operation (fresh qubits, loaded pairs, gates
@@ -28,7 +30,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import (
-    DenseRegister, assert_channel_is_ideal, identity_gap, read_manifest, zero_state,
+    DenseRegister, assert_channel_is_ideal, identity_gap, looped_reference_distribution,
+    read_manifest, zero_state,
 )
 from test_qsim import embed_apply
 
@@ -42,6 +45,7 @@ from adbqc.protocols import (
     config_from_dict,
     config_to_dict,
     enumerated_distribution,
+    reference,
     reference_distribution,
     run,
     schedule,
@@ -217,6 +221,60 @@ def test_exact_runs_decode_to_the_reference(protocol, n, data):
     dist = enumerated_distribution(run, config)
     assert total_variation(dist, reference_distribution(config)) <= PROBABILITY_SLACK
     assert_channel_is_ideal(config)
+
+
+@st.composite
+def reference_configs(draw) -> ProtocolConfig:
+    """A prepare-only config of width 1 to 12 and depth 1 to 3 running the
+    random requests that fit that depth, with random output bases. Few
+    requests on a wide register leave many exact zeros in the state."""
+    width = draw(st.integers(1, 12))
+    depth = draw(st.integers(1, 3))
+    algorithm = ()
+    for request in draw(st.lists(gate_requests(width), max_size=3 * width)):
+        if layers_needed(algorithm + (request,), width) <= depth:
+            algorithm += (request,)
+    bases = tuple(draw(st.lists(st.sampled_from("zx"), min_size=width, max_size=width)))
+    return ProtocolConfig("sueki", width, depth, algorithm=algorithm, output_bases=bases)
+
+
+def counted_reference(config: ProtocolConfig) -> tuple[dict, int]:
+    """``reference_distribution(config)`` and how many ``apply_gate`` calls it made."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return apply_gate(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference, "apply_gate", counting)
+        dist = reference_distribution(config)
+    return dist, len(calls)
+
+
+def scheduled_gate_count(config: ProtocolConfig) -> int:
+    """Patterns plus CZs of the config's schedule, plus one H per X-basis output."""
+    layers = schedule(config.algorithm, config.logical_width, config.depth)
+    return sum(len(layer.patterns) + len(layer.czs) for layer in layers) + config.plan().count("x")
+
+
+@PROPERTY_SETTINGS
+@given(reference_configs())
+@example(ProtocolConfig("sueki", 12, 1))  # |0...0>: one key and 4095 exact zeros
+def test_reference_distribution_matches_the_per_entry_loop(config):
+    """Same keys, same float bits, same order, and the same state arithmetic."""
+    dist, calls = counted_reference(config)
+    assert list(dist.items()) == list(looped_reference_distribution(config).items())
+    assert calls == scheduled_gate_count(config)
+
+
+def test_dense_reference_distribution_matches_the_per_entry_loop():
+    hadamards = tuple(GateRequest.single(q, name="h") for q in range(12))
+    config = ProtocolConfig("sueki", 12, 1, algorithm=hadamards)
+    dist, calls = counted_reference(config)
+    assert len(dist) == 4096
+    assert list(dist.items()) == list(looped_reference_distribution(config).items())
+    assert calls == 12
 
 
 # ---------------------------------------------------------------------------
