@@ -9,7 +9,8 @@ Six audits:
 - transcript statistics for full protocol runs: a permutation test that
   the server-visible classical record does not separate two angle choices;
 - gadget-view total variation: the exact distribution of what the server
-  sees classically in one rotation gadget, compared across two octants;
+  sees classically in one client's rotation step, over every secret the
+  client draws, compared across two octants;
 - the entangled-probe analysis of the lent-ancilla gadget, with the
   closed-form Gram matrix as the oracle;
 - capability confinement: the client used no quantum operation outside
@@ -32,8 +33,9 @@ from .adversary import (
     probe_gram_closed_form,
 )
 from .gadgets import announced_octant
-from .oracle import drive_gadget
-from .protocols.driver import run
+from .oracle import PROTOCOL_BY_GADGET, drive_gadget
+from .protocols import sueki
+from .protocols.driver import CLIENT_BY_PROTOCOL, run
 from .protocols.measure_client import p1_hrz_on_runtime
 from .protocols.reference import total_variation
 from .qsim import (
@@ -70,19 +72,18 @@ class AuditResult:
 
 
 def audit_theta_uniformity() -> AuditResult:
-    """The announced octant must cover all eight octants exactly twice over
-    the client's sixteen (hiding octant, pad bit) secrets, for every target
-    octant and first outcome: 8 targets x 2 outcomes x 8 coverage counts =
-    128 deterministic checks, zero tolerance."""
+    """The announced octant must cover all eight octants equally often (twice)
+    over the client's sixteen equally likely secrets ``sueki.SECRETS``, for
+    every target octant and first outcome: 8 targets x 2 outcomes x 8
+    coverage counts = 128 deterministic checks, zero tolerance."""
+    share = len(sueki.SECRETS) // 8
     worst = 0
     checks = 0
     for target in range(8):
         for s1 in (0, 1):
-            seen = Counter(
-                announced_octant(target, hide, pad, s1) for hide in range(8) for pad in (0, 1)
-            )
+            seen = Counter(announced_octant(target, *secrets, s1) for secrets in sueki.SECRETS)
             for k in range(8):
-                worst = max(worst, abs(seen.get(k, 0) - 2))
+                worst = max(worst, abs(seen.get(k, 0) - share))
                 checks += 1
     return AuditResult(
         name="theta_uniformity",
@@ -262,29 +263,29 @@ def audit_gadget_view_tv(
 ) -> AuditResult:
     """Exact total variation between the server's views of one gadget.
 
-    Runs a single rotation gadget at two different octants and compares
+    Runs one client's rotation step at two different octants and compares
     the exact distributions of everything the server sees classically
     (outcomes it measures plus messages it receives), with the client's
-    secrets marginalized by explicit enumeration. For the honest
-    gadgets the distance must vanish.
+    secrets marginalized over its equally likely ``SECRETS``. For the
+    honest clients the distance must vanish.
     """
     if gadget == "cz":
         raise ValueError(f"gadget {gadget!r} has no angle to hide")
+    if gadget not in PROTOCOL_BY_GADGET:
+        raise ValueError(f"unknown gadget {gadget!r}")
     state = haar_random_state(1, stream(99, "gadget-view-input"))
-    secrets = [(0, 0)]  # the prepare-only client's secrets are enumerated
-    if gadget == "hrz-sueki":
-        secrets = [(h, p) for h in range(8) for p in (0, 1)]
+    secrets = CLIENT_BY_PROTOCOL[PROTOCOL_BY_GADGET[gadget]].SECRETS
     weight = 1.0 / len(secrets)
     branches = 0
 
     def distribution(octant: int) -> dict:
         nonlocal branches
         probs: dict = {}
-        for hidden in secrets:
+        for drawn in secrets:
 
             def body(src: OutcomeSource):
                 rt, labels = QuantumRuntime.from_state(state, src, BOB, Transcript())
-                drive_gadget(gadget, rt, labels, octant, hidden)
+                drive_gadget(gadget, rt, labels, octant, drawn)
                 return rt.tape.bob_classical_values()
 
             walked = enumerate_runs(body)

@@ -39,14 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import CZ_GATE, EQUATORIAL_BY_OCTANT, H_GATE, PLUS_AMPS, X_GATE, Z_BASIS, Z_GATE
-from .qsim import ZERO_AMPS, apply_gate, hrz_matrix, plus_state
+from .qsim import CZ_GATE, EQUATORIAL_BY_OCTANT, H_GATE, HRZ_BY_OCTANT, PLUS_AMPS, X_GATE
+from .qsim import Z_BASIS, Z_GATE, ZERO_AMPS, apply_gate, plus_state
 from .runtime import QuantumRuntime
 from .transcript import ALICE, BOB
 
 OCTANT = math.pi / 4
-EVEN_OCTANTS = (0, 2, 4, 6)
-ODD_OCTANTS = (1, 3, 5, 7)
 
 ENTANGLER = np.kron(H_GATE, H_GATE) @ CZ_GATE  # E = (H x H) CZ, read-only like qsim's gates
 ENTANGLER.flags.writeable = False
@@ -254,5 +252,5 @@ def pattern_unitary(octants: tuple[int, int, int]) -> np.ndarray:
     kb, kg, kd = octants
     m = np.eye(2, dtype=complex)
     for k in (kd, kg, kb, 0):
-        m = hrz_matrix(octant_angle(k)) @ m
+        m = HRZ_BY_OCTANT[k % 8] @ m
     return m

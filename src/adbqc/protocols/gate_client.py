@@ -11,7 +11,8 @@ octants) to each rotation with probability one half. That flips the X
 by-product by a bit only the client knows, so the raw output bits the
 server measures and reports at the end are one-time padded: their
 statistics reveal nothing about the computation. The client's frame
-absorbs the pads, so decoding is unchanged.
+absorbs the pads, so decoding is unchanged. ``SECRETS`` holds the two
+equally likely pad bits ``draw_secrets`` draws.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ def p2_hrz_on_runtime(rt: QuantumRuntime, target: str, octant: int) -> int:
     rt.transfer(anc, BOB)
 
     return measure_out(rt, anc, X_BASIS)
+
+
+SECRETS = ((0,), (1,))
 
 
 def draw_secrets(rng: np.random.Generator) -> tuple[int]:

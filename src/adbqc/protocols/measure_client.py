@@ -17,6 +17,7 @@ a relabel bit rho so the realized rotation lands on the requested octant:
 
 where a / b is the X-basis Bell outcome of the active segment. The
 by-product is X^(z_bell ^ m ^ rho) with z_bell the Z-basis Bell outcome.
+Both cases are the one step ``hrz``, which needs no secrets (``SECRETS``).
 """
 
 from __future__ import annotations
@@ -126,6 +127,9 @@ def p1_hrz_on_runtime(
     mark(5)
     # even octants realize it in the undriven one
     return by_product ^ segment(6, e2a, e2b, drive=False, active=case == "a")
+
+
+SECRETS = ((),)
 
 
 def draw_secrets(rng: np.random.Generator) -> tuple[()]:

@@ -56,10 +56,6 @@ def rz_matrix(theta: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex)
 
 
-def hrz_matrix(theta: float) -> np.ndarray:
-    return H_GATE @ rz_matrix(theta)
-
-
 def plus_state(polar: float, phase: float) -> np.ndarray:
     """Amplitudes of cos(polar/2)|0> + e^{i phase} sin(polar/2)|1>."""
     return np.array(
@@ -80,13 +76,14 @@ X_GATE = np.array([[0, 1], [1, 0]], dtype=complex)
 Z_GATE = np.array([[1, 0], [0, -1]], dtype=complex)
 CZ_GATE = np.diag([1, 1, 1, -1]).astype(complex)
 RZ_BY_OCTANT = tuple(rz_matrix(k * math.pi / 4) for k in range(8))
+HRZ_BY_OCTANT = tuple(H_GATE @ rz for rz in RZ_BY_OCTANT)
 Z_BASIS = np.eye(2, dtype=complex)
 X_BASIS = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
 EQUATORIAL_BY_OCTANT = tuple(equatorial_basis(k * math.pi / 4) for k in range(8))
 ZERO_AMPS = np.array([1, 0], dtype=complex)
 PLUS_AMPS = plus_state(math.pi / 2, 0.0)
 for _shared in (H_GATE, X_GATE, Z_GATE, CZ_GATE, Z_BASIS, X_BASIS, ZERO_AMPS, PLUS_AMPS,
-                *RZ_BY_OCTANT, *EQUATORIAL_BY_OCTANT):
+                *RZ_BY_OCTANT, *HRZ_BY_OCTANT, *EQUATORIAL_BY_OCTANT):
     _shared.flags.writeable = False
 
 

@@ -173,34 +173,36 @@ class QuantumRuntime:
 
     def load(self, state: np.ndarray, labels: Sequence[str], owner: str) -> None:
         """Tensor a copy of a normalized state in as one factor; labels[i] is its qubit i."""
-        labels = list(labels)
+        labels = tuple(labels)
         amps = np.array(state, dtype=complex)
         if amps.shape != (1 << len(labels),) or len(set(labels)) != len(labels):
             raise ValueError("need one distinct label per loaded qubit")
-        for lb in labels:
-            if lb in self._owners:
-                raise ValueError(f"label {lb!r} already in use")
-        if self.num_qubits + len(labels) > MAX_QUBITS:
-            raise ValueError(f"qubit budget of {MAX_QUBITS} exceeded")
-        if abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) > NORM_ATOL:
-            raise ValueError("a loaded state must be normalized")
-        self._store(tuple(labels), amps)
+        self._admit(labels, amps)
+        self._store(labels, amps)
         self._labels.extend(labels)
         self._owners.update(dict.fromkeys(labels, owner))
 
     def add_qubit(self, label: str, amplitudes: np.ndarray, owner: str) -> None:
         """Append a fresh qubit (becomes the most significant one) as a
         factor of its own."""
-        if label in self._owners:
-            raise ValueError(f"label {label!r} already in use")
-        if self.num_qubits + 1 > MAX_QUBITS:
-            raise ValueError(f"qubit budget of {MAX_QUBITS} exceeded")
         amps = np.array(amplitudes, dtype=complex).reshape(-1)
-        if amps.shape != (2,) or abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) > NORM_ATOL:
-            raise ValueError("new qubit needs a normalized 2-vector")
+        if amps.shape != (2,):
+            raise ValueError("new qubit needs a 2-vector")
+        self._admit((label,), amps)
         self._factors[label] = ((label,), amps)
         self._labels.append(label)
         self._owners[label] = owner
+
+    def _admit(self, labels: tuple[str, ...], amps: np.ndarray) -> None:
+        """Refuse new qubits ``labels`` when one is in use, the qubit budget
+        would be exceeded, or their state ``amps`` is not normalized."""
+        for lb in labels:
+            if lb in self._owners:
+                raise ValueError(f"label {lb!r} already in use")
+        if len(self._labels) + len(labels) > MAX_QUBITS:
+            raise ValueError(f"qubit budget of {MAX_QUBITS} exceeded")
+        if abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) > NORM_ATOL:
+            raise ValueError("a new qubit's state must be normalized")
 
     def apply(self, matrix: np.ndarray, labels: Sequence[str]) -> None:
         """Apply ``matrix`` to ``labels``; labels[0] is the matrix's high bit.

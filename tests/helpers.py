@@ -18,10 +18,15 @@ from adbqc.protocols.reference import reference_state
 from adbqc.protocols.schedule import schedule
 from adbqc.qsim import (
     CZ_GATE, GADGET_FIDELITY_ATOL, H_GATE, PLUS_AMPS, PRODUCT_ATOL, X_GATE, Z_GATE, apply_gate,
-    fidelity_up_to_phase, hrz_matrix, partial_trace, plus_state,
+    fidelity_up_to_phase, partial_trace, plus_state, rz_matrix,
 )
 from adbqc.runtime import OutcomeSource, QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
+
+
+def hrz_matrix(theta: float) -> np.ndarray:
+    """H R_Z(theta), from the formula rather than ``qsim.HRZ_BY_OCTANT``."""
+    return H_GATE @ rz_matrix(theta)
 
 
 def rx_matrix(theta: float) -> np.ndarray:
@@ -197,7 +202,7 @@ def sampled_distribution(run_protocol, config, trials: int) -> dict[tuple[int, .
 
 
 def replayed_branch_table(
-    gadget: str, octant: int, state: np.ndarray, hidden: tuple[int, int]
+    gadget: str, octant: int, state: np.ndarray, secrets: tuple[int, ...]
 ) -> tuple[BranchRow, ...]:
     """``oracle.branch_table`` by replaying the gadget on ``state`` itself,
     once per outcome path."""
@@ -208,13 +213,12 @@ def replayed_branch_table(
 
     def run(src: OutcomeSource) -> float:
         rt, labels = QuantumRuntime.from_state(state, src, BOB)
-        frame = drive_gadget(gadget, rt, labels, octant, hidden)
+        frame = drive_gadget(gadget, rt, labels, octant, secrets)
         return fidelity_up_to_phase(frame.matrix_on(rt.snapshot(labels)), target)
 
-    hiding, pad = hidden
     return tuple(
         BranchRow(br.outcomes, br.probability, float(br.value),
-                  announced_octant(octant, hiding, pad, br.outcomes[0])
+                  announced_octant(octant, *secrets, br.outcomes[0])
                   if gadget == "hrz-sueki" else None)
         for br in enumerate_runs(run)
     )

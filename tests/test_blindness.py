@@ -46,10 +46,10 @@ def leaky_p1_hrz(rt, target, octant, checkpoint=None):
     return p1_hrz_on_runtime(rt, target, octant, checkpoint=checkpoint)
 
 
-def leaky_drive_gadget(gadget, rt, labels, octant, hidden=(0, 0)):
+def leaky_drive_gadget(gadget, rt, labels, octant, secrets):
     """An oracle gadget, sending its octant before it runs."""
     rt.tape.msg(ALICE, to=BOB, op="leak", octant=octant)
-    return drive_gadget(gadget, rt, labels, octant, hidden)
+    return drive_gadget(gadget, rt, labels, octant, secrets)
 
 
 def run_p1_and_leak(config):
@@ -191,9 +191,12 @@ def test_block_trace_distance_handles_disjoint_keys():
 # Per-gadget view distributions
 
 
+# a measure-only id names the step's case at both octants (``classify_angle``)
 @pytest.mark.parametrize(
     "gadget,octant_a,octant_b",
-    [("hrz-sueki", 2, 5), ("p1-a", 0, 6), ("p1-b", 1, 7), ("p2", 3, 4)],
+    [("hrz-sueki", 2, 5), pytest.param("p1", 0, 6, id="p1-a-0-6"),
+     pytest.param("p1", 1, 7, id="p1-b-1-7"), pytest.param("p1", 1, 6, id="p1-ba-1-6"),
+     ("p2", 3, 4)],
 )
 def test_gadget_views_are_angle_independent(gadget, octant_a, octant_b):
     result = audit_gadget_view_tv(gadget, octant_a, octant_b)
@@ -201,16 +204,18 @@ def test_gadget_views_are_angle_independent(gadget, octant_a, octant_b):
     assert result.statistic <= 1e-9
 
 
-@pytest.mark.parametrize("gadget,branches", [("hrz-sueki", 128), ("p2", 4)])
+@pytest.mark.parametrize("gadget,branches", [("hrz-sueki", 128), ("p1", 16), ("p2", 8)])
 def test_gadget_view_audit_counts_its_branches(gadget, branches):
-    """16 secret pairs with 4 paths each, at two octants, for the
-    prepare-only gadget; 2 paths at each octant for the gate-lending one."""
+    """At each of two octants: 16 secret pairs with 4 paths each for the
+    prepare-only step, 8 paths without secrets for the measure-only one,
+    and 2 pad bits with 2 paths each for the gate-lending one."""
     assert audit_gadget_view_tv(gadget, 1, 2).details["branches"] == branches
 
 
 @pytest.mark.parametrize(
     "gadget,octant_a,octant_b",
-    [("hrz-sueki", 0, 4), ("p1-a", 2, 4), ("p1-b", 3, 5), ("p2", 1, 6)],
+    [("hrz-sueki", 0, 4), pytest.param("p1", 2, 4, id="p1-a-2-4"),
+     pytest.param("p1", 3, 5, id="p1-b-3-5"), ("p2", 1, 6)],
 )
 def test_gadget_view_audit_flags_a_leak(monkeypatch, gadget, octant_a, octant_b):
     monkeypatch.setattr(blindness, "drive_gadget", leaky_drive_gadget)
@@ -227,9 +232,9 @@ def test_exact_audit_statistics_do_not_depend_on_the_hash_seed():
     script = (
         "from adbqc import blindness, oracle\n"
         "from adbqc.transcript import ALICE, BOB\n"
-        "def leaky(gadget, rt, labels, octant, hidden):\n"
+        "def leaky(gadget, rt, labels, octant, secrets):\n"
         "    rt.tape.msg(ALICE, to=BOB, op='leak', octant=octant)\n"
-        "    return oracle.drive_gadget(gadget, rt, labels, octant, hidden)\n"
+        "    return oracle.drive_gadget(gadget, rt, labels, octant, secrets)\n"
         "blindness.drive_gadget = leaky\n"
         "print(repr(blindness.audit_gadget_view_tv('hrz-sueki', 1, 5).statistic))\n"
         "print(repr(blindness.audit_no_signaling(octants=(0, 1), steps=(2, 5)).statistic))\n"
@@ -248,22 +253,23 @@ def test_exact_audit_statistics_do_not_depend_on_the_hash_seed():
     assert outputs[0] == outputs[1]
 
 
-def test_gadget_view_audit_validates_octant_parity():
-    with pytest.raises(ValueError):
-        audit_gadget_view_tv("p1-a", 1, 3)
-    with pytest.raises(ValueError):
-        audit_gadget_view_tv("p1-b", 0, 2)
-    with pytest.raises(ValueError):
-        audit_gadget_view_tv("cz", 0, 0)
+@pytest.mark.parametrize(
+    "gadget,message",
+    [("cz", "has no angle to hide"), ("p1-a", "unknown gadget"), ("teleport", "unknown gadget")],
+    ids=["cz", "p1-a", "teleport"],
+)
+def test_gadget_view_audit_refuses_a_gadget_without_a_client_angle(gadget, message):
+    with pytest.raises(ValueError, match=message):
+        audit_gadget_view_tv(gadget, 0, 2)
 
 
-@pytest.mark.parametrize("gadget,octant", [("p1-a", 8), ("p1-b", 9), ("p2", 8), ("p2", -1)])
+@pytest.mark.parametrize("gadget,octant", [("p1", 8), ("p1", 9), ("p2", 8), ("p2", -1)])
 def test_gadget_view_audit_refuses_an_octant_the_oracle_refuses(gadget, octant):
     # one octant check for the exact gadget tools: 8 is not 0 in either
     with pytest.raises(ValueError, match=f"octant {octant} is not admissible"):
         branch_table(gadget, octant)
     with pytest.raises(ValueError, match=f"octant {octant} is not admissible"):
-        audit_gadget_view_tv(gadget, octant, 2 if gadget == "p1-a" else 1)
+        audit_gadget_view_tv(gadget, octant, 1)
 
 
 # ---------------------------------------------------------------------------

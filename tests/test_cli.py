@@ -252,7 +252,7 @@ def test_oracle_sueki_announces_octants(capsys):
 
 def test_oracle_rejects_inadmissible_octant(capsys):
     code, _, err = run_cli(
-        capsys, "oracle", "--gadget", "p1-a", "--theta-octant", "1"
+        capsys, "oracle", "--gadget", "p1", "--theta-octant", "8"
     )
     assert code == EXIT_ERROR
     assert "error" in err
@@ -348,8 +348,8 @@ def test_blindness_probe(capsys):
 
 def test_blindness_exact_tv(capsys):
     code, payload, _ = run_json(
-        capsys, "blindness", "--audit", "tv", "--gadget", "p1-b",
-        "--octant-a", "1", "--octant-b", "5",
+        capsys, "blindness", "--audit", "tv", "--gadget", "p1",
+        "--octant-a", "1", "--octant-b", "4",
     )
     assert code == EXIT_OK
     assert payload["statistic"] <= 1e-9
@@ -405,7 +405,7 @@ def test_blindness_sampled_tv_reads_a_manifest(capsys, tmp_path):
     [
         pytest.param(("blindness", "--audit", "probe", "--samples", "0"),
                      "at least one probe", id="no-probe"),
-        pytest.param(("blindness", "--audit", "tv", "--gadget", "p1-a", "--octant-a", "8",
+        pytest.param(("blindness", "--audit", "tv", "--gadget", "p1", "--octant-a", "8",
                       "--octant-b", "2"), "octant 8 is not admissible", id="octant-8"),
         pytest.param(("attack", "--pauli", "3,0,0", "--trials", "-5"),
                      "--trials must be 0", id="pauli-negative-trials"),

@@ -32,13 +32,12 @@ from adbqc.qsim import (
     apply_gate,
     fidelity_up_to_phase,
     haar_random_state,
-    hrz_matrix,
     plus_state,
     rz_matrix,
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes
 from adbqc.transcript import BOB, Transcript
-from helpers import normalized, rx_matrix, zero_state
+from helpers import hrz_matrix, normalized, rx_matrix, zero_state
 
 H = H_GATE
 X = X_GATE

@@ -1,43 +1,68 @@
 """Independent branch-by-branch checks of every gadget family."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from adbqc import oracle, rng
-from adbqc.gadgets import draw_sueki_secrets
 from adbqc.oracle import (
     GADGET_FIDELITY_ATOL,
     ORACLE_GADGETS,
+    PROTOCOL_BY_GADGET,
     BranchRow,
-    admissible_octants,
     branch_table,
+    check_octant,
     soundness_sweep,
     table_passes,
 )
+from adbqc.protocols import gate_client, measure_client, sueki
+from adbqc.protocols.driver import CLIENT_BY_PROTOCOL
+from adbqc.protocols.measure_client import classify_angle
 from adbqc.qsim import haar_random_state
 from helpers import replayed_branch_table, zero_state
 
 
+def gadget_octant_id(gadget: str, octant: int) -> str:
+    """A test id; a measure-only one names the step's case (``classify_angle``)."""
+    return f"p1-{classify_angle(octant)}-{octant}" if gadget == "p1" else f"{gadget}-{octant}"
+
+
+GADGET_OCTANTS = [
+    pytest.param(g, k, id=gadget_octant_id(g, k))
+    for g in ORACLE_GADGETS
+    for k in ((0,) if g == "cz" else range(8))
+]
+
+
 def test_gadget_roster():
-    assert ORACLE_GADGETS == ("hrz-sueki", "p1-a", "p1-b", "p2", "cz")
+    assert ORACLE_GADGETS == ("hrz-sueki", "p1", "p2", "cz")
+    clients = [CLIENT_BY_PROTOCOL[p] for p in PROTOCOL_BY_GADGET.values()]
+    assert clients == [sueki, measure_client, gate_client]
 
 
 def test_admissible_octants():
-    assert admissible_octants("hrz-sueki") == tuple(range(8))
-    assert admissible_octants("p2") == tuple(range(8))
-    assert admissible_octants("p1-a") == (0, 2, 4, 6)
-    assert admissible_octants("p1-b") == (1, 3, 5, 7)
-    assert admissible_octants("cz") == (0,)
+    """Every H R_Z gadget realizes all eight octants, the coupling gadget
+    only 0; 8 is not 0."""
+    for gadget in ORACLE_GADGETS:
+        admitted = (0,) if gadget == "cz" else tuple(range(8))
+        for octant in range(-1, 10):
+            if octant in admitted:
+                check_octant(gadget, octant)
+            else:
+                with pytest.raises(ValueError, match=f"octant {octant} is not admissible"):
+                    check_octant(gadget, octant)
 
 
 def test_admissible_octants_unknown_gadget():
-    with pytest.raises(ValueError):
-        admissible_octants("teleport")
+    # the measure-only step is one gadget: its two cases are not gadgets
+    for gadget in ("teleport", "p1-a", "p1-b"):
+        with pytest.raises(ValueError, match="unknown gadget"):
+            check_octant(gadget, 0)
 
 
 def test_sueki_table_on_zero_input():
-    rows = branch_table("hrz-sueki", 0, zero_state(1), hidden=(2, 0))
+    rows = branch_table("hrz-sueki", 0, zero_state(1), secrets=(2, 0))
     assert len(rows) == 4
     for row in rows:
         assert row.probability == pytest.approx(0.25, abs=1e-12)
@@ -56,10 +81,12 @@ def test_gate_lending_table(octant):
         assert row.announced is None
 
 
-@pytest.mark.parametrize("gadget,octant", [("p1-a", 2), ("p1-a", 6), ("p1-b", 1), ("p1-b", 7)])
-def test_measure_only_tables(gadget, octant):
+@pytest.mark.parametrize("octant", [2, 6, 1, 7], ids=lambda k: gadget_octant_id("p1", k))
+def test_measure_only_tables(octant):
+    """Both cases of the measure-only step: even octants ride the undriven
+    segment, odd ones the driven one."""
     state = haar_random_state(1, rng.stream(170, "oracle-p1", octant))
-    rows = branch_table(gadget, octant, state)
+    rows = branch_table("p1", octant, state)
     assert sum(r.probability for r in rows) == pytest.approx(1.0, abs=1e-9)
     for row in rows:
         assert row.fidelity >= 1.0 - GADGET_FIDELITY_ATOL
@@ -74,9 +101,9 @@ def test_cz_table():
         assert row.fidelity >= 1.0 - GADGET_FIDELITY_ATOL
 
 
-@pytest.mark.parametrize("gadget,octant", [("p1-a", 1), ("p1-b", 2), ("cz", 3)])
+@pytest.mark.parametrize("gadget,octant", [("p1", 8), ("p1", -1), ("cz", 3)])
 def test_inadmissible_octants_rejected(gadget, octant):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"octant {octant} is not admissible"):
         branch_table(gadget, octant)
 
 
@@ -105,25 +132,28 @@ def test_soundness_sweep_is_seeded():
     assert a == b
 
 
-def sweep_drawing_every_secret(states_per_octant: int = 4, seed: int = 2026):
-    """``soundness_sweep`` drawing secrets for every input, whether or not its
-    gadget reads them, and enumerating each input's gadget anew."""
+def sweep_by_tables(states_per_octant: int = 4, seed: int = 2026):
+    """``soundness_sweep`` from one ``branch_table`` per input, each input's
+    client drawing its secrets from the sweep's one secrets stream."""
     worst, count = 1.0, 0
+    secrets_rng = rng.stream(seed, "oracle-secrets")
     for gadget in ORACLE_GADGETS:
-        width = 2 if gadget == "cz" else 1
-        for octant in admissible_octants(gadget):
+        protocol = PROTOCOL_BY_GADGET.get(gadget)
+        width = 1 if protocol else 2
+        for octant in range(8) if protocol else (0,):
             for _ in range(states_per_octant):
                 state = haar_random_state(width, rng.stream(seed, "oracle-sweep", count))
-                hidden = draw_sueki_secrets(rng.stream(seed, "oracle-secrets", count))
-                rows = branch_table(gadget, octant, state=state, hidden=hidden)
+                drawn = CLIENT_BY_PROTOCOL[protocol].draw_secrets(secrets_rng) if protocol else ()
+                rows = branch_table(gadget, octant, state=state, secrets=drawn)
                 worst = min(worst, min(row.fidelity for row in rows))
                 count += 1
     return worst, count
 
 
 def test_soundness_sweep_draws_secrets_only_where_they_are_read(monkeypatch):
-    """Only the 32 prepare-only inputs draw secrets, and the result is the
-    one the sweep gives when every input draws them."""
+    """One secrets stream serves the whole sweep: each input's client draws
+    from it in input order (the measure-only client and cz draw nothing),
+    and the result is the one of a table per input."""
     purposes = Counter()
     stream = rng.stream
 
@@ -134,25 +164,23 @@ def test_soundness_sweep_draws_secrets_only_where_they_are_read(monkeypatch):
     monkeypatch.setattr(rng, "stream", counting)
     result = soundness_sweep()
     monkeypatch.undo()
-    assert purposes == {"oracle-sweep": 100, "oracle-secrets": 32}
-    assert result == sweep_drawing_every_secret()
+    assert purposes == {"oracle-sweep": 100, "oracle-secrets": 1}
+    assert result == sweep_by_tables()
 
 
-SECRET_PAIRS = ((0, 0), (3, 1))  # (3, 1) is hiding octant 5 mirrored
+SECRETS_TRIED = {"hrz-sueki": ((0, 0), (3, 1)), "p1": ((),), "p2": ((0,), (1,)), "cz": ((),)}
 
 
-@pytest.mark.parametrize(
-    "gadget,octant", [(g, k) for g in ORACLE_GADGETS for k in admissible_octants(g)]
-)
+@pytest.mark.parametrize("gadget,octant", GADGET_OCTANTS)
 def test_tables_from_the_entangled_input_match_replay(gadget, octant):
     """Each row built from the gadget's branch operators equals the row of a
     replay of the gadget on the input itself."""
     width = 2 if gadget == "cz" else 1
     for i in range(2):
         state = haar_random_state(width, rng.stream(172, "oracle-replay", 2 * octant + i))
-        for hidden in SECRET_PAIRS:
-            fast = branch_table(gadget, octant, state, hidden=hidden)
-            slow = replayed_branch_table(gadget, octant, state, hidden)
+        for secrets in SECRETS_TRIED[gadget]:
+            fast = branch_table(gadget, octant, state, secrets=secrets)
+            slow = replayed_branch_table(gadget, octant, state, secrets)
             assert [r.outcomes for r in fast] == [r.outcomes for r in slow]
             assert [r.announced for r in fast] == [r.announced for r in slow]
             for a, b in zip(fast, slow):
@@ -164,9 +192,74 @@ def flip_the_by_product(gadget):
     return lambda *args, **kwargs: gadget(*args, **kwargs) ^ 1
 
 
-@pytest.mark.parametrize("name", ["p2_hrz_on_runtime", "cz_on_runtime"])
-def test_soundness_sweep_catches_a_wrong_by_product(monkeypatch, name):
-    monkeypatch.setattr(oracle, name, flip_the_by_product(getattr(oracle, name)))
+@pytest.mark.parametrize(
+    "module,name",
+    [(sueki, "sueki_hrz_on_runtime"), (measure_client, "p1_hrz_on_runtime"),
+     (gate_client, "p2_hrz_on_runtime"), (oracle, "cz_on_runtime")],
+    ids=["sueki_hrz_on_runtime", "p1_hrz_on_runtime", "p2_hrz_on_runtime", "cz_on_runtime"],
+)
+def test_soundness_sweep_catches_a_wrong_by_product(monkeypatch, module, name):
+    # each gadget function patched where the step that runs it looks it up
+    monkeypatch.setattr(module, name, flip_the_by_product(getattr(module, name)))
     worst, count = soundness_sweep(1)
     assert count == 25
     assert worst < 1.0 - GADGET_FIDELITY_ATOL
+
+
+def test_soundness_sweep_drives_the_clients_own_steps(monkeypatch):
+    """The sweep reaches the gate-only client's fold of its half-turn pad
+    into the by-product: without it, half the p2 inputs go wrong."""
+
+    def hrz_without_the_pad_fold(rt, label, octant, secrets):
+        (pad,) = secrets
+        return gate_client.p2_hrz_on_runtime(rt, label, (octant + 4 * pad) % 8)
+
+    monkeypatch.setattr(gate_client, "hrz", hrz_without_the_pad_fold)
+    worst, count = soundness_sweep(4)
+    assert count == 100
+    assert worst < 1.0 - GADGET_FIDELITY_ATOL
+
+
+def coin_support(draw) -> tuple[Counter, int]:
+    """Exact distribution of ``draw(gen)`` over every value of the uniform
+    ``gen.integers(high)`` coins it tosses, and the number of coin
+    sequences."""
+    support: Counter = Counter()
+    sequences = 0
+
+    def walk(prefix: list[int], weight: Fraction) -> None:
+        nonlocal sequences
+        asked: list[int] = []
+
+        class Coins:
+            def integers(self, high: int) -> int:
+                asked.append(high)
+                return prefix[len(asked) - 1] if len(asked) <= len(prefix) else 0
+
+        value = draw(Coins())
+        if len(asked) > len(prefix):
+            high = asked[len(prefix)]
+            for coin in range(high):
+                walk(prefix + [coin], weight / high)
+        else:
+            support[value] += weight
+            sequences += 1
+
+    walk([], Fraction(1))
+    return support, sequences
+
+
+@pytest.mark.parametrize(
+    "client,sequences",
+    [(sueki, 32), (measure_client, 1), (gate_client, 2)],
+    ids=["sueki", "p1", "p2"],
+)
+def test_secrets_are_what_draw_secrets_draws(client, sequences):
+    """``SECRETS`` is the support of ``draw_secrets``, each equally likely;
+    the prepare-only client's 32 (hiding, pad, mirror) coin triples fold
+    2-to-1 onto its 16 pairs."""
+    support, tossed = coin_support(client.draw_secrets)
+    assert tossed == sequences
+    assert len(set(client.SECRETS)) == len(client.SECRETS)
+    assert set(support) == set(client.SECRETS)
+    assert set(support.values()) == {Fraction(1, len(client.SECRETS))}

@@ -35,7 +35,7 @@ from helpers import (
 )
 from test_qsim import embed_apply
 
-from adbqc.gadgets import ENTANGLER, NAMED_GATE_OCTANTS, octant_angle, pattern_unitary
+from adbqc.gadgets import ENTANGLER, NAMED_GATE_OCTANTS, pattern_unitary
 from adbqc.protocols import (
     HONEST,
     AdversaryConfig,
@@ -55,6 +55,7 @@ from adbqc.qsim import (
     CZ_GATE,
     EQUATORIAL_BY_OCTANT,
     H_GATE,
+    HRZ_BY_OCTANT,
     MAX_QUBITS,
     NORM_ATOL,
     PLUS_AMPS,
@@ -69,7 +70,6 @@ from adbqc.qsim import (
     apply_gate,
     equatorial_basis,
     haar_random_state,
-    hrz_matrix,
     partial_trace,
     rz_matrix,
 )
@@ -574,7 +574,7 @@ def test_every_built_gate_is_unitary():
     """The shared gates, the entangler, H R_Z at each octant, and the pattern
     unitary of all 512 octant triples."""
     gates = [H_GATE, X_GATE, Z_GATE, CZ_GATE, ENTANGLER, *RZ_BY_OCTANT]
-    gates += [hrz_matrix(octant_angle(k)) for k in range(8)]
+    gates += HRZ_BY_OCTANT
     gates += [pattern_unitary(octants) for octants in itertools.product(range(8), repeat=3)]
     for gate in gates:
         assert identity_gap(gate) <= UNITARY_ATOL

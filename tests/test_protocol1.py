@@ -29,13 +29,12 @@ from adbqc.qsim import (
     apply_gate,
     fidelity_up_to_phase,
     haar_random_state,
-    hrz_matrix,
     plus_state,
     trace_distance,
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
-from helpers import client_to_server_traffic, sampled_distribution, zero_state
+from helpers import client_to_server_traffic, hrz_matrix, sampled_distribution, zero_state
 
 
 # ---------------------------------------------------------------------------

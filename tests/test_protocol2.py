@@ -19,11 +19,10 @@ from adbqc.qsim import (
     apply_gate,
     fidelity_up_to_phase,
     haar_random_state,
-    hrz_matrix,
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
-from helpers import client_to_server_traffic, zero_state
+from helpers import client_to_server_traffic, hrz_matrix, zero_state
 
 
 def fair_coin(coin: float) -> ReplayOutcomes:

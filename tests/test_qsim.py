@@ -17,6 +17,7 @@ from adbqc.qsim import (
     CZ_GATE,
     EQUATORIAL_BY_OCTANT,
     H_GATE,
+    HRZ_BY_OCTANT,
     MAX_QUBITS,
     PLUS_AMPS,
     RZ_BY_OCTANT,
@@ -29,7 +30,6 @@ from adbqc.qsim import (
     equatorial_basis,
     fidelity_up_to_phase,
     haar_random_state,
-    hrz_matrix,
     partial_trace,
     plus_state,
     rz_matrix,
@@ -186,7 +186,7 @@ def test_tensor_appends_high_bits():
         H_GATE,
         rz_matrix(0.4),
         rx_matrix(1.1),
-        hrz_matrix(np.pi / 4),
+        HRZ_BY_OCTANT[1],
         CZ_GATE,
         ENTANGLER,
     ],
@@ -405,7 +405,7 @@ def test_shared_gates_and_bases_are_read_only():
     ``qsim`` and ``gadgets``, so each must refuse a write; the fixed ones
     also match their formulas."""
     arrays = {**shared_arrays(qsim), **shared_arrays(gadgets)}
-    assert {"CZ_GATE", "X_BASIS", "RZ_BY_OCTANT[7]", "EQUATORIAL_BY_OCTANT[7]",
+    assert {"CZ_GATE", "X_BASIS", "RZ_BY_OCTANT[7]", "HRZ_BY_OCTANT[7]", "EQUATORIAL_BY_OCTANT[7]",
             "ENTANGLER", "PLUS_AMPS"} <= set(arrays)
     accepted = []
     for name, array in arrays.items():
@@ -420,6 +420,7 @@ def test_shared_gates_and_bases_are_read_only():
     fixed = [(Z_GATE, np.diag([1, -1])), (X_GATE, [[0, 1], [1, 0]]), (Z_BASIS, np.eye(2)),
              (ZERO_AMPS, [1, 0]), (PLUS_AMPS, plus_state(np.pi / 2, 0.0))]
     fixed += [(RZ_BY_OCTANT[k], rz_matrix(k * np.pi / 4)) for k in range(8)]
+    fixed += [(HRZ_BY_OCTANT[k], H_GATE @ rz_matrix(k * np.pi / 4)) for k in range(8)]
     fixed += [(EQUATORIAL_BY_OCTANT[k], equatorial_basis(k * np.pi / 4)) for k in range(8)]
     for got, want in fixed:
         assert np.array_equal(got, want)
