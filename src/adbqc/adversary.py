@@ -29,7 +29,7 @@ import numpy as np
 
 from .protocols.driver import pauli_hits
 from .protocols.traps import TRAP_STATES, reading_flip, thirds_roles
-from .qsim import PROBABILITY_SLACK, RZ_BY_OCTANT, apply_gate
+from .qsim import PROBABILITY_SLACK, RZ_BY_OCTANT
 
 
 def pauli_is_caught(kind: str, role: str) -> bool:
@@ -166,52 +166,51 @@ def simulate_tamper_acceptance(
 # Entangled probe of the lent-ancilla gadget
 
 
+_TURNS = np.stack(RZ_BY_OCTANT)[:, None]  # (8, 1, 2, 2): every octant's R_Z, over a batch axis
+
+
 def probe_gram(probe: np.ndarray, lent_qubit: int) -> np.ndarray:
     """Gram matrix of the server's post-rotation states across octants.
 
-    ``probe`` is the joint state of the lent qubit and the server's memory.
-    Entry (k, k') is the overlap of the joint states after the client turns
-    the lent qubit k versus k' octants; |entries| < 1 mean the server can
-    statistically distinguish angle hypotheses.
+    ``probe`` is the joint state of the lent qubit and the server's memory
+    (leading axes: a batch of probes, one matrix each). Entry (k, k') is the
+    overlap of the joint states after the client turns the lent qubit k
+    versus k' octants; |entries| < 1 mean the server can statistically
+    distinguish angle hypotheses.
     """
-    states = np.stack([apply_gate(probe, rz, [lent_qubit]) for rz in RZ_BY_OCTANT])
-    return states.conj() @ states.T
+    batch = probe.shape[:-1]  # each R_Z acts on the lent qubit's axis of the (hi, 2, lo) view
+    states = (_TURNS @ probe.reshape(*batch, 1, -1, 2, 1 << lent_qubit)).reshape(*batch, 8, -1)
+    return states.conj() @ np.swapaxes(states, -1, -2)
 
 
-def probe_gram_closed_form(weight_one: float) -> np.ndarray:
+def probe_gram_closed_form(weight_one: float | np.ndarray) -> np.ndarray:
     """Same Gram matrix from the lent qubit's |1> weight alone.
 
     G(k, k') = (1 - w) + w * exp(i (k' - k) pi / 4), with w the probability
-    of the lent qubit being |1>. An honest unentangled |+> lend leaves the
-    server no residual system at all; this form quantifies the best case
-    for a server that keeps one.
+    of the lent qubit being |1>; an array of weights gives one matrix each.
+    An honest unentangled |+> lend leaves the server no residual system at
+    all; this form quantifies the best case for a server that keeps one.
     """
-    if not -PROBABILITY_SLACK <= weight_one <= 1.0 + PROBABILITY_SLACK:
+    w = np.asarray(weight_one)[..., None, None]
+    if not np.all((-PROBABILITY_SLACK <= w) & (w <= 1.0 + PROBABILITY_SLACK)):
         raise ValueError("weight must be a probability")
-    ks = np.arange(8)
-    delta = ks[None, :] - ks[:, None]
-    return (1.0 - weight_one) + weight_one * np.exp(1j * delta * math.pi / 4.0)
+    delta = np.arange(8) - np.arange(8)[:, None]  # k' - k
+    return (1.0 - w) + w * np.exp(1j * delta * math.pi / 4.0)
 
 
-def lent_weight_one(probe: np.ndarray, lent_qubit: int) -> float:
-    """Probability that the lent qubit of ``probe`` reads 1."""
-    weights = np.abs(probe) ** 2
-    idx = np.arange(weights.shape[0])
-    mask = (idx >> lent_qubit) & 1 == 1
-    return float(np.sum(weights[mask]))
+def lent_weight_one(probe: np.ndarray, lent_qubit: int) -> float | np.ndarray:
+    """Probability that the lent qubit of ``probe`` (or of each in a batch) reads 1."""
+    split = probe.reshape(*probe.shape[:-1], -1, 2, 1 << lent_qubit)
+    return np.sum(np.abs(split[..., 1, :]) ** 2, axis=(-2, -1))
 
 
-def distinguishability(gram: np.ndarray) -> float:
+def distinguishability(gram: np.ndarray) -> float | np.ndarray:
     """Best single-shot distinguishing advantage over octant pairs.
 
     For pure states with overlap G the optimal measurement separates them
     with trace distance sqrt(1 - |G|^2); this returns the maximum over all
-    distinct pairs. 0 means perfectly blind, 1 means some pair is
-    perfectly distinguishable.
+    distinct pairs, one per Gram matrix of a batch. 0 means perfectly
+    blind, 1 means some pair is perfectly distinguishable.
     """
-    best = 0.0
-    for k in range(8):
-        for kp in range(k + 1, 8):
-            overlap = min(abs(gram[k, kp]), 1.0)
-            best = max(best, math.sqrt(1.0 - overlap**2))
-    return best
+    overlap = np.minimum(np.abs(gram[(..., *np.triu_indices(8, 1))]), 1.0)
+    return np.sqrt(1.0 - overlap**2).max(axis=-1)

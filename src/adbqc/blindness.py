@@ -5,14 +5,14 @@ Six audits:
 - announced-angle uniformity for the prepare-only client (counting);
 - no-signaling for the measure-only client: the server's combined
   classical/quantum view at every stage of the rotation gadget is
-  identical whatever the octant (exact, via branch enumeration);
+  identical whatever the octant (exact: branch enumeration, stacked distances);
 - transcript statistics for full protocol runs: a permutation test that
   the server-visible classical record does not separate two angle choices;
 - gadget-view total variation: the exact distribution of what the server
   sees classically in one client's rotation step, over every secret the
   client draws, compared across two octants;
 - the entangled-probe analysis of the lent-ancilla gadget, with the
-  closed-form Gram matrix as the oracle;
+  closed-form Gram matrix as the oracle, all probes in one batch;
 - capability confinement: the client used no quantum operation outside
   its class.
 """
@@ -35,6 +35,7 @@ from .adversary import (
 from .gadgets import announced_octant
 from .oracle import PROTOCOL_BY_GADGET, drive_gadget
 from .protocols import sueki
+from .protocols.config import _integer
 from .protocols.driver import CLIENT_BY_PROTOCOL, run
 from .protocols.measure_client import p1_hrz_on_runtime
 from .protocols.reference import total_variation
@@ -43,6 +44,7 @@ from .qsim import (
     NO_SIGNALING_ATOL,
     PROBE_GRAM_ATOL,
     haar_random_state,
+    haar_random_states,
     trace_distance,
 )
 from .rng import stream
@@ -143,12 +145,17 @@ def _bob_view_blocks(
     return blocks
 
 
-def block_trace_distance(
-    a: dict[tuple, np.ndarray], b: dict[tuple, np.ndarray]
-) -> float:
-    """Trace distance between two classical-quantum block states."""
-    keys = set(a) | set(b)
-    return math.fsum(trace_distance(a.get(k, 0.0), b.get(k, 0.0)) for k in keys)
+def block_trace_distances(pairs: Sequence[tuple[dict, dict]]) -> list[float]:
+    """Trace distance between the block states a, b of each pair: the ``math.fsum`` over view
+    keys of each block of a - b's distance from 0 (a missing block is 0), stacked by shape."""
+    diffs = [(i, np.subtract(a.get(key, 0.0), b.get(key, 0.0)))
+             for i, (a, b) in enumerate(pairs) for key in a.keys() | b.keys()]
+    parts: list[list[float]] = [[] for _ in pairs]
+    for shape in {diff.shape for _, diff in diffs}:
+        owners, stack = zip(*((i, diff) for i, diff in diffs if diff.shape == shape))
+        for i, dist in zip(owners, trace_distance(np.stack(stack), 0.0).tolist()):
+            parts[i].append(dist)
+    return [math.fsum(part) for part in parts]
 
 
 def audit_no_signaling(
@@ -163,26 +170,21 @@ def audit_no_signaling(
     Enumerates all client-outcome branches of the gadget once per octant,
     takes the server's classical-quantum view at each checkpoint in
     ``steps`` (1 to 9) and compares it across all octant pairs by trace
-    distance. Each octant is one of 0 to 7 (8 is not 0) and none repeats.
+    distance. Each octant is an integer 0..7 (no bool or float; 8 is not 0), none repeated.
     """
     if len(octants) < 2 or not steps:
         raise ValueError("the no-signaling audit needs two octants and a step to compare")
+    octants = [_integer("octant", k) for k in octants]
     if any(k not in range(8) for k in octants) or len(set(octants)) != len(octants):
         raise ValueError(f"the no-signaling audit needs distinct octants in 0..7, got {octants}")
     if state is None:
         state = haar_random_state(1, stream(seed, "no-signaling-state"))
-    octants = list(octants)
     work: Counter = Counter()
     views = {k: _bob_view_blocks(k, state, steps, work) for k in octants}
-    worst = 0.0
-    worst_at: tuple | None = None
-    for step in steps:
-        for i, ka in enumerate(octants):
-            for kb in octants[i + 1 :]:
-                dist = block_trace_distance(views[ka][step], views[kb][step])
-                if dist > worst:
-                    worst = dist
-                    worst_at = (step, ka, kb)
+    compared = [(s, a, b) for s in steps for i, a in enumerate(octants) for b in octants[i + 1:]]
+    dists = block_trace_distances([(views[a][s], views[b][s]) for s, a, b in compared])
+    worst = max(dists)
+    worst_at = compared[dists.index(worst)] if worst > 0.0 else None
     return AuditResult(
         name="no_signaling",
         passed=worst <= NO_SIGNALING_ATOL,
@@ -314,21 +316,17 @@ def audit_gadget_view_tv(
 def audit_probe_gram(num_probes: int = 100, seed: int = 77) -> AuditResult:
     """Check the closed-form probe Gram matrix against direct simulation.
 
-    Random two-qubit probes (lent qubit plus server memory): the overlap
-    pattern across the eight octant hypotheses must match
+    Random two-qubit probes (lent qubit plus server memory), in one batch:
+    the overlap pattern across the eight octant hypotheses must match
     (1 - w) + w exp(i (k' - k) pi / 4) entrywise.
     """
     if num_probes < 1:
         raise ValueError("the probe audit needs at least one probe")
-    rng = stream(seed, "probe-states")
-    worst = 0.0
-    sharpest = 0.0
-    for _ in range(num_probes):
-        probe = haar_random_state(2, rng)
-        direct = probe_gram(probe, lent_qubit=0)
-        closed = probe_gram_closed_form(lent_weight_one(probe, 0))
-        worst = max(worst, float(np.max(np.abs(direct - closed))))
-        sharpest = max(sharpest, distinguishability(direct))
+    probes = haar_random_states(num_probes, 2, stream(seed, "probe-states"))
+    direct = probe_gram(probes, lent_qubit=0)
+    closed = probe_gram_closed_form(lent_weight_one(probes, 0))
+    worst = float(np.max(np.abs(direct - closed)))
+    sharpest = float(np.max(distinguishability(direct)))
     return AuditResult(
         name="probe_gram",
         passed=worst <= PROBE_GRAM_ATOL,

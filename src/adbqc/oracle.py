@@ -21,6 +21,7 @@ import numpy as np
 
 from . import rng
 from .gadgets import PauliFrame, announced_octant, cz_on_runtime
+from .protocols.config import _integer
 from .protocols.driver import CLIENT_BY_PROTOCOL
 from .qsim import BRANCH_PROB_FLOOR, CZ_GATE, GADGET_FIDELITY_ATOL, HRZ_BY_OCTANT
 from .qsim import haar_random_state
@@ -48,10 +49,10 @@ def _octants(gadget: str) -> range:
 
 
 def check_octant(gadget: str, octant: int) -> None:
-    """Refuse an unknown gadget, or an octant it cannot realize; 8 is not 0."""
+    """Refuse an unknown gadget, or an octant it cannot realize or that is no int; 8 is not 0."""
     if gadget not in ORACLE_GADGETS:
         raise ValueError(f"unknown gadget {gadget!r}")
-    if octant not in _octants(gadget):
+    if _integer("octant", octant) not in _octants(gadget):
         raise ValueError(f"octant {octant} is not admissible for gadget {gadget!r}")
 
 

@@ -39,7 +39,9 @@ def reference_distribution(config: ProtocolConfig) -> dict[tuple[int, ...], floa
 
     Bit q of each key is logical qubit q, measured in its configured basis.
     Only nonzero weights get a key, in ascending index order, and each
-    value is the state's weight |a|^2 unchanged.
+    value is the state's weight |a|^2 unchanged. So a key may hold rounding
+    noise (about 1e-32 where the exact weight is 0): a support check reads
+    keys above a floor such as ``BRANCH_PROB_FLOOR``.
     """
     state = reference_state(config)
     for q, basis in enumerate(config.plan()):

@@ -21,11 +21,12 @@ Every operation returns a new array and writes none of its inputs.
 Measurement and outcome enumeration live in ``runtime``.
 Gates apply through one kernel, ``_apply_matrix`` (also behind
 ``QuantumRuntime.apply``): one ``matrix @ psi`` on the view with the target
-axes in front, its axis orders cached per (width, targets). Both callers
-check a gate against its targets with ``_check_gate``. Gates and bases are
-built from fixed formulas and checked nowhere in ``src/`` (the tests check
-that each is unitary or orthonormal); the ones every run reuses, and the
-ancilla amplitudes, are built once, at import, as read-only arrays.
+axes in front (as they lie for the top qubits, high to low), its axis orders
+cached per (width, targets). Both callers check a gate against its targets
+with ``_check_gate``. Gates and bases are built from fixed formulas and
+checked nowhere in ``src/`` (the tests check that each is unitary or
+orthonormal); the ones every run reuses, and the ancilla amplitudes, are
+built once, at import, as read-only arrays.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ MONTE_CARLO_Z_BOUND = 4.0  # |z| a Monte Carlo estimate may show against its exa
 BRANCH_PROB_FLOOR = 1e-12  # probability below which an outcome branch is not taken
 MAX_QUBITS = 16  # most qubits a state, or a runtime's factors together, may hold
 BRANCH_BUDGET = 2**16  # most outcome paths one enumeration may walk
+_IN_ORDER = tuple(tuple(range(n)) for n in range(MAX_QUBITS + 1))  # identity axis orders
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -100,8 +102,11 @@ def _transpose_plan(n: int, targets: tuple[int, ...]) -> tuple[tuple, tuple, tup
 def _apply_matrix(
     amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...], n: int
 ) -> np.ndarray:
-    """``matrix`` on ``targets``: one gemm on the view with the target axes in front."""
+    """``matrix`` on ``targets``: one gemm on the view with the target axes in
+    front, which is ``amps`` itself when they are the top qubits, high to low."""
     shape, perm, inverse = _transpose_plan(n, targets)
+    if perm == _IN_ORDER[n]:
+        return (matrix @ amps.reshape(matrix.shape[0], -1)).reshape(-1)
     front = amps.reshape(shape).transpose(perm).reshape(matrix.shape[0], -1)
     return (matrix @ front).reshape(shape).transpose(inverse).reshape(-1)
 
@@ -156,13 +161,20 @@ def fidelity_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.vdot(a, b)) ** 2)
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2)||a - b||_1 for Hermitian arrays."""
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """(1/2)||a - b||_1 for Hermitian matrices, or one per pair of two stacks."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
+
+
+def haar_random_states(count: int, num_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-random states as rows; row i is, bit for bit, the i-th of
+    ``count`` ``haar_random_state`` draws (same normals, same dot products)."""
+    draws = rng.normal(size=(count, 2, 2**num_qubits))
+    v = draws[:, 0] + 1j * draws[:, 1]
+    re, im = v.real[:, None], v.imag[:, None]
+    return v / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
 
 
 def haar_random_state(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed pure state via a normalized complex Gaussian vector."""
-    dim = 2**num_qubits
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+    return haar_random_states(1, num_qubits, rng)[0]

@@ -17,8 +17,8 @@ from adbqc.protocols.measure_client import p1_hrz_on_runtime
 from adbqc.protocols.reference import reference_state
 from adbqc.protocols.schedule import schedule
 from adbqc.qsim import (
-    CZ_GATE, GADGET_FIDELITY_ATOL, H_GATE, PLUS_AMPS, PRODUCT_ATOL, X_GATE, Z_GATE, apply_gate,
-    fidelity_up_to_phase, partial_trace, plus_state, rz_matrix,
+    CZ_GATE, GADGET_FIDELITY_ATOL, H_GATE, PLUS_AMPS, PRODUCT_ATOL, RZ_BY_OCTANT, X_GATE, Z_GATE,
+    apply_gate, fidelity_up_to_phase, partial_trace, plus_state, rz_matrix, trace_distance,
 )
 from adbqc.runtime import OutcomeSource, QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
@@ -253,6 +253,20 @@ def per_path_bob_view_blocks(
             view = blocks[step]
             view[key] = view.get(key, 0.0) + branch.probability * rho
     return blocks
+
+
+def block_trace_distance(a: dict[tuple, np.ndarray], b: dict[tuple, np.ndarray]) -> float:
+    """Trace distance between two classical-quantum block states, one
+    ``trace_distance`` call per view key: the per-pair formula that
+    ``blindness.block_trace_distances`` stacks."""
+    keys = set(a) | set(b)
+    return math.fsum(trace_distance(a.get(k, 0.0), b.get(k, 0.0)) for k in keys)
+
+
+def per_probe_gram(probe: np.ndarray, lent_qubit: int) -> np.ndarray:
+    """``adversary.probe_gram`` of one probe, by one ``apply_gate`` per octant."""
+    states = np.stack([apply_gate(probe, rz, [lent_qubit]) for rz in RZ_BY_OCTANT])
+    return states.conj() @ states.T
 
 
 def json_dumps_jsonl(transcript: Transcript) -> str:

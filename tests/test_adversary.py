@@ -24,9 +24,9 @@ from adbqc import adversary
 from adbqc.protocols import AdversaryConfig, ProtocolConfig
 from adbqc.protocols.driver import apply_attack, new_session, register_label, sample_attack
 from adbqc.protocols.traps import thirds_roles
-from adbqc.qsim import fidelity_up_to_phase, haar_random_state, plus_state
+from adbqc.qsim import fidelity_up_to_phase, haar_random_state, haar_random_states, plus_state
 from adbqc.transcript import BOB
-from helpers import zero_state
+from helpers import per_probe_gram, zero_state
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +253,24 @@ def test_probe_gram_matches_closed_form_on_random_probes():
         assert np.max(np.abs(gram - want)) <= 1e-10
 
 
+@pytest.mark.parametrize("num_qubits, lent", [(1, 0), (2, 0), (2, 1), (3, 1), (3, 2)])
+def test_batched_probe_grams_equal_per_probe_apply_gate_grams(num_qubits, lent):
+    """A batch of probes gets, probe by probe, the Gram matrix that eight
+    ``apply_gate`` calls give, and so do its weights and advantages."""
+    gen = rng.stream(405, "probe-batch", 3 * num_qubits + lent)
+    probes = haar_random_states(20, num_qubits, gen)
+    grams = probe_gram(probes, lent)
+    assert grams.shape == (20, 8, 8)
+    for probe, gram in zip(probes, grams):
+        assert np.max(np.abs(gram - per_probe_gram(probe, lent))) <= 1e-12
+        assert np.max(np.abs(probe_gram(probe, lent) - per_probe_gram(probe, lent))) <= 1e-12
+    weights = lent_weight_one(probes, lent)
+    assert weights.tolist() == [lent_weight_one(p, lent) for p in probes]
+    assert np.array_equal(probe_gram_closed_form(weights),
+                          np.stack([probe_gram_closed_form(w) for w in weights]))
+    assert distinguishability(grams).tolist() == [distinguishability(g) for g in grams]
+
+
 def test_probe_gram_entangled_pair():
     ghz = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     gram = probe_gram(ghz, 0)
@@ -286,3 +304,6 @@ def test_adjacent_octants_stay_confusable():
 def test_probe_gram_closed_form_validation():
     with pytest.raises(ValueError):
         probe_gram_closed_form(1.5)
+    for weights in ([0.2, 1.5], [0.2, float("nan")]):
+        with pytest.raises(ValueError, match="must be a probability"):
+            probe_gram_closed_form(np.array(weights))

@@ -17,7 +17,7 @@ from adbqc.blindness import (
     audit_probe_gram,
     audit_theta_uniformity,
     audit_transcript_tv,
-    block_trace_distance,
+    block_trace_distances,
     client_quantum_actions,
     confirm_capability,
 )
@@ -34,7 +34,7 @@ from adbqc.protocols import (
 from adbqc.qsim import haar_random_state
 from adbqc.runtime import QuantumRuntime, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
-from helpers import per_path_bob_view_blocks, zero_state
+from helpers import block_trace_distance, per_path_bob_view_blocks, zero_state
 
 # Leaks for the power tests: each sends a secret to the server on the wire,
 # where the audits read the server's view, so an audit that misses it is blind.
@@ -95,7 +95,7 @@ def test_no_signaling_across_octants_and_stages():
 def test_no_signaling_same_octant_is_exactly_zero():
     state = haar_random_state(1, rng.stream(404, "no-signaling-state"))
     first, again = (_bob_view_blocks(3, state, (5,))[5] for _ in range(2))
-    assert block_trace_distance(first, again) == 0.0
+    assert block_trace_distances([(first, again)]) == [0.0]
 
 
 @pytest.mark.parametrize(
@@ -181,10 +181,48 @@ def test_no_signaling_computes_one_view_per_prefix(monkeypatch):
     assert result.details["branches"] == 64
 
 
+def test_stacked_no_signaling_distances_equal_the_per_pair_formula():
+    """Every (step, octant pair) distance of the default audit, from one
+    stacked ``trace_distance`` per block shape, is the per-key sum that one
+    ``trace_distance`` call per block gives."""
+    state = haar_random_state(1, rng.stream(404, "no-signaling-state"))
+    steps = tuple(range(1, 10))
+    views = {k: _bob_view_blocks(k, state, steps) for k in range(8)}
+    pairs = [(views[ka][step], views[kb][step])
+             for step in steps for ka in range(8) for kb in range(ka + 1, 8)]
+    assert len(pairs) == 252
+    assert {rho.shape for a, _ in pairs for rho in a.values()} == {(2, 2), (4, 4)}
+    for got, (a, b) in zip(block_trace_distances(pairs), pairs):
+        assert abs(got - block_trace_distance(a, b)) <= 1e-12
+    # the views of another input differ, so the distances are not all 0
+    other = haar_random_state(1, rng.stream(404, "no-signaling-other-state"))
+    moved = {k: _bob_view_blocks(k, other, steps) for k in (0, 3)}
+    pairs = [(views[k][step], moved[k][step]) for step in steps for k in (0, 3)]
+    dists = block_trace_distances(pairs)
+    assert max(dists) > 0.1
+    for got, (a, b) in zip(dists, pairs):
+        assert abs(got - block_trace_distance(a, b)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "octants", [(0, 1.0), (0, True), (2.0, 5)], ids=["float", "bool", "float-first"]
+)
+def test_no_signaling_refuses_an_octant_that_is_not_an_integer(octants):
+    with pytest.raises(ValueError, match="octant must be an integer"):
+        audit_no_signaling(octants=octants, steps=(1,))
+
+
+def test_no_signaling_accepts_numpy_integer_octants():
+    result = audit_no_signaling(octants=(np.int64(0), np.int8(5)), steps=(1,))
+    assert result.passed and result.details["octants"] == [0, 5]
+
+
 def test_block_trace_distance_handles_disjoint_keys():
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    assert block_trace_distance({("a",): rho}, {("b",): rho}) == pytest.approx(1.0)
-    assert block_trace_distance({("a",): rho}, {("a",): rho}) == 0.0
+    a, b = {("a",): rho}, {("b",): rho}
+    far, same = block_trace_distances([(a, b), (a, a)])
+    assert far == pytest.approx(1.0)
+    assert same == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +385,16 @@ def test_probe_gram_audit():
     assert result.statistic <= 1e-10
     assert result.details["probes"] == 100
     assert result.details["max_distinguishability"] > 0.9
+
+
+def test_probe_gram_audit_fails_a_wrong_closed_form(monkeypatch):
+    """The batched audit still compares simulation with the closed form: a
+    closed form fed half the lent qubit's |1> weight fails it."""
+    weight = blindness.lent_weight_one
+    monkeypatch.setattr(blindness, "lent_weight_one", lambda probe, lent: 0.5 * weight(probe, lent))
+    result = audit_probe_gram()
+    assert not result.passed
+    assert result.statistic > 0.1
 
 
 @pytest.mark.parametrize("probes", [0, -3])

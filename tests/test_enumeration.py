@@ -33,6 +33,7 @@ from adbqc.protocols import (
     total_variation,
 )
 from adbqc.qsim import (
+    BRANCH_PROB_FLOOR,
     CZ_GATE,
     GADGET_FIDELITY_ATOL,
     H_GATE,
@@ -160,6 +161,18 @@ EXACT = {
 def test_the_walk_decodes_to_the_reference(config):
     dist = enumerated_distribution(runner(config), config)
     assert total_variation(dist, reference_distribution(config)) <= PROBABILITY_SLACK
+
+
+def test_reference_keys_above_the_floor_are_the_enumerated_support():
+    """The reference keeps a key at rounding level, (0, 0) at about 7e-33
+    here, so its support is read with the branch floor."""
+    config = ProtocolConfig("p1", 6, 2, seed=0, algorithm=(
+        GateRequest.single(0, name="x"), GateRequest.cz_pair(0, 1),
+    ))
+    ref = reference_distribution(config)
+    assert 0.0 < ref[(0, 0)] < BRANCH_PROB_FLOOR
+    support = {bits for bits, p in ref.items() if p > BRANCH_PROB_FLOOR}
+    assert support == set(enumerated_distribution(runner(config), config)) == {(1, 0)}
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from adbqc import oracle, rng
@@ -52,6 +53,22 @@ def test_admissible_octants():
             else:
                 with pytest.raises(ValueError, match=f"octant {octant} is not admissible"):
                     check_octant(gadget, octant)
+
+
+@pytest.mark.parametrize(
+    "gadget, octant", [("p2", 1.0), ("hrz-sueki", True), ("p1", 2.0), ("cz", False)]
+)
+def test_branch_table_refuses_an_octant_that_is_not_an_integer(gadget, octant):
+    """A float or bool octant is refused by the one check, as a config refuses
+    it, not indexed into an octant table or run as 0 or 1."""
+    with pytest.raises(ValueError, match="octant must be an integer"):
+        branch_table(gadget, octant)
+
+
+def test_check_octant_accepts_numpy_integers():
+    check_octant("p1", np.int64(7))
+    check_octant("cz", np.uint8(0))
+    assert branch_table("p2", np.int64(1)) == branch_table("p2", 1)
 
 
 def test_admissible_octants_unknown_gadget():

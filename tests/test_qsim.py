@@ -10,7 +10,7 @@ directly.
 import numpy as np
 import pytest
 
-from adbqc import gadgets, qsim, rng
+from adbqc import gadgets, qsim, rng, runtime
 from adbqc.gadgets import ENTANGLER
 from adbqc.qsim import (
     BRANCH_PROB_FLOOR,
@@ -30,6 +30,7 @@ from adbqc.qsim import (
     equatorial_basis,
     fidelity_up_to_phase,
     haar_random_state,
+    haar_random_states,
     partial_trace,
     plus_state,
     rz_matrix,
@@ -171,6 +172,27 @@ def test_tensor_appends_high_bits():
     rt, _ = QuantumRuntime.from_state(zero_state(1), ReplayOutcomes(()), BOB)
     rt.load(one, ["high"], BOB)
     assert np.allclose(rt.snapshot(), [0, 0, 1, 0], atol=1e-12)
+
+
+def test_coupled_ancilla_tops_the_factor_and_skips_the_transpose(monkeypatch):
+    """``apply`` tensors labels[0]'s factor on the high side, so an ancilla
+    coupled to a lone register qubit is their factor's top qubit and the
+    entangler's targets are its qubits high to low."""
+    reg_amps = normalized([0.6, 0.8j])
+    rt, (reg,) = QuantumRuntime.from_state(reg_amps, ReplayOutcomes(()), BOB)
+    rt.add_qubit("a", PLUS_AMPS, BOB)
+    seen = []
+    kernel = runtime._apply_matrix
+
+    def recording(amps, matrix, targets, n):
+        seen.append((targets, n))
+        return kernel(amps, matrix, targets, n)
+
+    monkeypatch.setattr(runtime, "_apply_matrix", recording)
+    rt.apply(ENTANGLER, ["a", reg])
+    assert seen == [((1, 0), 2)]
+    want = apply_gate(np.kron(PLUS_AMPS, reg_amps), ENTANGLER, [1, 0])
+    assert np.allclose(rt.snapshot(), want, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +572,17 @@ def test_trace_distance_extremes():
     assert trace_distance(zero, mixed) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_trace_distance_of_two_stacks_is_each_pairs_distance():
+    """Two stacks give one distance per pair, each bit for bit the distance
+    of the pair on its own."""
+    gen = rng.stream(97, "stacked-trace-distance")
+    rhos = [partial_trace(haar_random_state(3, gen), [0, 1]) for _ in range(12)]
+    a, b = np.stack(rhos[:6]), np.stack(rhos[6:])
+    stacked = trace_distance(a, b)
+    assert stacked.shape == (6,)
+    assert stacked.tolist() == [trace_distance(x, y) for x, y in zip(a, b)]
+
+
 # ---------------------------------------------------------------------------
 # Validation and random states
 
@@ -618,3 +651,19 @@ def test_haar_random_state_is_normalized_and_seeded(n):
     assert abs(np.linalg.norm(a) - 1.0) < 1e-12
     assert np.array_equal(a, b)
     assert not np.allclose(a, c, atol=1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_haar_draws_are_the_single_draws_bit_for_bit(n):
+    """One draw of ``count`` rows consumes the stream as ``count`` single
+    draws do, each normalized as ``np.linalg.norm`` of one vector does."""
+    gen = rng.stream(98, "haar-batch", n)
+    singles = []
+    for _ in range(100):
+        v = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+        singles.append(v / np.linalg.norm(v))
+    batched = haar_random_states(100, n, rng.stream(98, "haar-batch", n))
+    assert np.array_equal(batched, np.stack(singles))
+    one_at_a_time = rng.stream(98, "haar-batch", n)
+    assert np.array_equal(np.stack([haar_random_state(n, one_at_a_time) for _ in range(100)]),
+                          batched)
