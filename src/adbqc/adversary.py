@@ -167,6 +167,7 @@ def simulate_tamper_acceptance(
 
 
 _TURNS = np.stack(RZ_BY_OCTANT)[:, None]  # (8, 1, 2, 2): every octant's R_Z, over a batch axis
+_TURNS.flags.writeable = False
 
 
 def probe_gram(probe: np.ndarray, lent_qubit: int) -> np.ndarray:

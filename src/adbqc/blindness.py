@@ -147,14 +147,18 @@ def _bob_view_blocks(
 
 def block_trace_distances(pairs: Sequence[tuple[dict, dict]]) -> list[float]:
     """Trace distance between the block states a, b of each pair: the ``math.fsum`` over view
-    keys of each block of a - b's distance from 0 (a missing block is 0), stacked by shape."""
-    diffs = [(i, np.subtract(a.get(key, 0.0), b.get(key, 0.0)))
-             for i, (a, b) in enumerate(pairs) for key in a.keys() | b.keys()]
+    keys of each block pair's distance (a missing block is 0), one stacked call per shape."""
+    by_shape: dict[tuple, list] = {}
+    for i, (a, b) in enumerate(pairs):
+        for key in a.keys() | b.keys():
+            rho_a, rho_b = a.get(key), b.get(key)
+            rho_a = 0 * rho_b if rho_a is None else rho_a  # a missing block is 0
+            rho_b = 0 * rho_a if rho_b is None else rho_b
+            by_shape.setdefault(rho_a.shape, []).append((i, rho_a, rho_b))
     parts: list[list[float]] = [[] for _ in pairs]
-    for shape in {diff.shape for _, diff in diffs}:
-        owners, stack = zip(*((i, diff) for i, diff in diffs if diff.shape == shape))
-        for i, dist in zip(owners, trace_distance(np.stack(stack), 0.0).tolist()):
-            parts[i].append(dist)
+    for owners, a_blocks, b_blocks in (zip(*blocks) for blocks in by_shape.values()):
+        for i, dist in zip(owners, trace_distance(np.stack(a_blocks), np.stack(b_blocks))):
+            parts[i].append(float(dist))
     return [math.fsum(part) for part in parts]
 
 

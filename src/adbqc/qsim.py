@@ -21,12 +21,11 @@ Every operation returns a new array and writes none of its inputs.
 Measurement and outcome enumeration live in ``runtime``.
 Gates apply through one kernel, ``_apply_matrix`` (also behind
 ``QuantumRuntime.apply``): one ``matrix @ psi`` on the view with the target
-axes in front (as they lie for the top qubits, high to low), its axis orders
-cached per (width, targets). Both callers check a gate against its targets
-with ``_check_gate``. Gates and bases are built from fixed formulas and
-checked nowhere in ``src/`` (the tests check that each is unitary or
-orthonormal); the ones every run reuses, and the ancilla amplitudes, are
-built once, at import, as read-only arrays.
+axes in front, its axis orders cached per (width, targets). Both callers
+check a gate against its targets with ``_check_gate``. Gates and bases are
+built from fixed formulas and checked nowhere in ``src/`` (the tests check
+that each is unitary or orthonormal); the ones every run reuses, and the
+ancilla amplitudes, are built once, at import, as read-only arrays.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ MONTE_CARLO_Z_BOUND = 4.0  # |z| a Monte Carlo estimate may show against its exa
 BRANCH_PROB_FLOOR = 1e-12  # probability below which an outcome branch is not taken
 MAX_QUBITS = 16  # most qubits a state, or a runtime's factors together, may hold
 BRANCH_BUDGET = 2**16  # most outcome paths one enumeration may walk
-_IN_ORDER = tuple(tuple(range(n)) for n in range(MAX_QUBITS + 1))  # identity axis orders
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -102,11 +100,8 @@ def _transpose_plan(n: int, targets: tuple[int, ...]) -> tuple[tuple, tuple, tup
 def _apply_matrix(
     amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...], n: int
 ) -> np.ndarray:
-    """``matrix`` on ``targets``: one gemm on the view with the target axes in
-    front, which is ``amps`` itself when they are the top qubits, high to low."""
+    """``matrix`` on ``targets``: one gemm on the view with the target axes in front."""
     shape, perm, inverse = _transpose_plan(n, targets)
-    if perm == _IN_ORDER[n]:
-        return (matrix @ amps.reshape(matrix.shape[0], -1)).reshape(-1)
     front = amps.reshape(shape).transpose(perm).reshape(matrix.shape[0], -1)
     return (matrix @ front).reshape(shape).transpose(inverse).reshape(-1)
 

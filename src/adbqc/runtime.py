@@ -20,12 +20,12 @@ couples to one or two register qubits and is measured away, so each gadget
 works on its targets' factor: ``add_qubit`` and ``load`` start a factor,
 ``apply`` first tensors the factors of its qubits into one, and ``measure``
 splits the qubit off. ``apply`` keeps its first label's factor on top, so
-an ancilla coupled to a lone qubit needs no transpose. ``measure`` and
-``discard`` work on the (hi, 2, lo) view that splits the factor by the
-qubit's bit: ``measure`` takes both outcomes' overlaps from one product
-with the conjugated basis (a 2-D one for the top qubit), and ``discard``
-reads its 2x2 reduced state as the Gram matrix of the two halves, or drops
-a lone factor.
+an ancilla coupled to a lone qubit gets the identity axis order, which
+moves no amplitude. ``measure`` and ``discard`` work on the (hi, 2, lo)
+view that splits the factor by the qubit's bit: ``measure`` takes both
+outcomes' overlaps from one product with the conjugated basis, and
+``discard`` reads its 2x2 reduced state as the Gram matrix of the two
+halves, or drops a lone factor.
 What a split leaves of no qubit is kept as a global phase, so ``snapshot``
 returns, as a ``qsim`` state array, the amplitudes one joint vector would hold.
 """
@@ -224,14 +224,13 @@ class QuantumRuntime:
         qubit leaves its factor as a factor of its own."""
         local, amps = self._factor(label)
         q = local.index(label)
-        # (hi, 2, lo), or (2, lo) on top: [..., b, :] is the rest's overlap with basis row b
-        split = amps.reshape(2, -1) if q == len(local) - 1 else amps.reshape(-1, 2, 1 << q)
-        overlaps = basis.conj() @ split
-        zero = overlaps[..., 0, :]
+        # (hi, 2, lo): [:, b] is the rest's overlap with row b of the basis
+        overlaps = basis.conj() @ amps.reshape(-1, 2, 1 << q)
+        zero = overlaps[:, 0]
         p0 = min(max(float(np.vdot(zero, zero).real), 0.0), 1.0)
         bit = self.outcomes.take(p0)
         prob = p0 if bit == 0 else 1.0 - p0
-        rest = overlaps[..., bit, :].reshape(-1) / math.sqrt(max(prob, BRANCH_PROB_FLOOR))
+        rest = overlaps[:, bit].reshape(-1) / math.sqrt(max(prob, BRANCH_PROB_FLOOR))
         self._store(local[:q] + local[q + 1:], rest)
         self._factors[label] = ((label,), basis[bit].copy())
         return bit, prob

@@ -14,8 +14,9 @@ programs of every runtime operation (fresh qubits, loaded pairs, gates
 across factors, forced measurements in random bases, discards from shared
 and lone factors, forks) against one dense register; the gate kernel's
 cached transpose plans are checked against their formula for random widths
-and targets, and its no-transpose path (targets the top qubits, high to
-low) against the transposed one on reordered qubits. Reduced states from
+and targets, and a gate on the top qubits, high to low (the identity axis
+order), against the plain product and against the same gate on reordered
+qubits. Reduced states from
 ``partial_trace`` on random keep lists are checked to be density matrices
 (Hermitian, unit trace, no negative eigenvalue) and against an einsum
 reference, and
@@ -345,22 +346,23 @@ def test_cached_transpose_plan_matches_its_formula(case):
 
 @PROPERTY_SETTINGS
 @given(st.integers(1, 8), st.data())
-def test_gate_on_the_top_qubits_skips_the_transpose_and_equals_it(n, data):
-    """A gate on a factor's top k qubits, high to low, is one product on the
-    amplitudes as they lie; it equals the transposed path taken by the same
-    gate once the qubits are reordered so that its targets sit anywhere."""
+def test_gate_on_the_top_qubits_is_the_plain_product_and_equals_it_reordered(n, data):
+    """A gate on a factor's top k qubits, high to low, gets the identity axis
+    order: the kernel's result is bit for bit one product on the amplitudes
+    as they lie, and equals the transposed path taken by the same gate once
+    the qubits are reordered so that its targets sit anywhere."""
     k = data.draw(st.integers(1, n))
     order = data.draw(st.permutations(range(n)))  # qubit q moves to order[q]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     state, u = haar_random_state(n, rng), haar_unitary(1 << k, rng)
     top = tuple(range(n - 1, n - 1 - k, -1))
-    fast = _apply_matrix(state, u, top, n)
-    assert np.array_equal(fast, (u @ state.reshape(1 << k, -1)).reshape(-1))
+    on_top = _apply_matrix(state, u, top, n)
+    assert np.array_equal(on_top, (u @ state.reshape(1 << k, -1)).reshape(-1))
     axes = [n - 1 - q for q in range(n)], [n - 1 - order[q] for q in range(n)]
     moved = np.moveaxis(state.reshape((2,) * n), *axes).reshape(-1)
-    slow = _apply_matrix(moved, u, tuple(order[q] for q in top), n)
-    back = np.moveaxis(slow.reshape((2,) * n), axes[1], axes[0]).reshape(-1)
-    assert np.allclose(fast, back, rtol=0.0, atol=KERNEL_ATOL)
+    elsewhere = _apply_matrix(moved, u, tuple(order[q] for q in top), n)
+    back = np.moveaxis(elsewhere.reshape((2,) * n), axes[1], axes[0]).reshape(-1)
+    assert np.allclose(on_top, back, rtol=0.0, atol=KERNEL_ATOL)
 
 
 @st.composite

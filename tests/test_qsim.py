@@ -10,7 +10,7 @@ directly.
 import numpy as np
 import pytest
 
-from adbqc import gadgets, qsim, rng, runtime
+from adbqc import adversary, gadgets, qsim, rng, runtime
 from adbqc.gadgets import ENTANGLER
 from adbqc.qsim import (
     BRANCH_PROB_FLOOR,
@@ -176,8 +176,9 @@ def test_tensor_appends_high_bits():
 
 def test_coupled_ancilla_tops_the_factor_and_skips_the_transpose(monkeypatch):
     """``apply`` tensors labels[0]'s factor on the high side, so an ancilla
-    coupled to a lone register qubit is their factor's top qubit and the
-    entangler's targets are its qubits high to low."""
+    coupled to a lone register qubit is their factor's top qubit, the
+    entangler's targets are its qubits high to low and the kernel's axis
+    order is the identity."""
     reg_amps = normalized([0.6, 0.8j])
     rt, (reg,) = QuantumRuntime.from_state(reg_amps, ReplayOutcomes(()), BOB)
     rt.add_qubit("a", PLUS_AMPS, BOB)
@@ -191,6 +192,7 @@ def test_coupled_ancilla_tops_the_factor_and_skips_the_transpose(monkeypatch):
     monkeypatch.setattr(runtime, "_apply_matrix", recording)
     rt.apply(ENTANGLER, ["a", reg])
     assert seen == [((1, 0), 2)]
+    assert qsim._transpose_plan(2, (1, 0))[1:] == ((0, 1), (0, 1))
     want = apply_gate(np.kron(PLUS_AMPS, reg_amps), ENTANGLER, [1, 0])
     assert np.allclose(rt.snapshot(), want, rtol=0.0, atol=1e-12)
 
@@ -424,11 +426,11 @@ def shared_arrays(module) -> dict[str, np.ndarray]:
 
 def test_shared_gates_and_bases_are_read_only():
     """Every run, and every fork of a run, shares the module-level arrays of
-    ``qsim`` and ``gadgets``, so each must refuse a write; the fixed ones
-    also match their formulas."""
-    arrays = {**shared_arrays(qsim), **shared_arrays(gadgets)}
+    ``qsim`` and ``gadgets`` (and every probe audit ``adversary``'s), so each
+    must refuse a write; the fixed ones also match their formulas."""
+    arrays = {**shared_arrays(qsim), **shared_arrays(gadgets), **shared_arrays(adversary)}
     assert {"CZ_GATE", "X_BASIS", "RZ_BY_OCTANT[7]", "HRZ_BY_OCTANT[7]", "EQUATORIAL_BY_OCTANT[7]",
-            "ENTANGLER", "PLUS_AMPS"} <= set(arrays)
+            "ENTANGLER", "PLUS_AMPS", "_TURNS"} <= set(arrays)
     accepted = []
     for name, array in arrays.items():
         index = (0,) * array.ndim
