@@ -10,7 +10,7 @@ Six audits:
   the server-visible classical record does not separate two angle choices;
 - gadget-view total variation: the exact distribution of what the server
   sees classically in one client's rotation step, over every secret the
-  client draws, compared across two octants;
+  client draws, compared across two octants (from the oracle's paths);
 - the entangled-probe analysis of the lent-ancilla gadget, with the
   closed-form Gram matrix as the oracle, all probes in one batch;
 - capability confinement: the client used no quantum operation outside
@@ -33,7 +33,7 @@ from .adversary import (
     probe_gram_closed_form,
 )
 from .gadgets import announced_octant
-from .oracle import PROTOCOL_BY_GADGET, drive_gadget
+from .oracle import PROTOCOL_BY_GADGET, _branches
 from .protocols import sueki
 from .protocols.config import _integer
 from .protocols.driver import CLIENT_BY_PROTOCOL, run
@@ -122,8 +122,8 @@ def _bob_view_blocks(
         rt, labels = QuantumRuntime.from_state(state, source, BOB, Transcript())
 
         def checkpoint(at: int) -> None:
-            if at in steps and (at, source.bits) not in seen:
-                seen.add((at, source.bits))
+            if at in steps and (prefix := (at, source.bits)) not in seen:
+                seen.add(prefix)
                 view = blocks[at]
                 key = rt.tape.bob_classical_values()
                 view[key] = view.get(key, 0.0) + source.path_probability() * rt.density_of(BOB)
@@ -269,11 +269,13 @@ def audit_gadget_view_tv(
 ) -> AuditResult:
     """Exact total variation between the server's views of one gadget.
 
-    Runs one client's rotation step at two different octants and compares
-    the exact distributions of everything the server sees classically
-    (outcomes it measures plus messages it receives), with the client's
-    secrets marginalized over its equally likely ``SECRETS``. For the
-    honest clients the distance must vanish.
+    Compares the exact distributions of everything the server sees
+    classically (outcomes it measures plus messages it receives) in one
+    client's rotation step at two different octants, with the client's
+    secrets marginalized over its equally likely ``SECRETS``. Each
+    distribution sums, per server record, the probabilities |M psi|^2 of the
+    gadget's compiled paths (``oracle._branches``) on one Haar-random input.
+    For the honest clients the distance must vanish.
     """
     if gadget == "cz":
         raise ValueError(f"gadget {gadget!r} has no angle to hide")
@@ -288,16 +290,11 @@ def audit_gadget_view_tv(
         nonlocal branches
         probs: dict = {}
         for drawn in secrets:
-
-            def body(src: OutcomeSource):
-                rt, labels = QuantumRuntime.from_state(state, src, BOB, Transcript())
-                drive_gadget(gadget, rt, labels, octant, drawn)
-                return rt.tape.bob_classical_values()
-
-            walked = enumerate_runs(body)
-            branches += len(walked)
-            for br in walked:
-                probs[br.value] = probs.get(br.value, 0.0) + weight * br.probability
+            rows = _branches(gadget, octant, drawn)
+            branches += len(rows)
+            for _, operator, _, record in rows:
+                out = operator @ state
+                probs[record] = probs.get(record, 0.0) + weight * float(np.vdot(out, out).real)
         return probs
 
     pa = distribution(octant_a)

@@ -3,13 +3,14 @@
 Each H R_Z gadget is a client's own step, the ``hrz`` of its module in
 ``driver.CLIENT_BY_PROTOCOL`` that every run drives, under secrets in the
 shape of that client's ``draw_secrets``; ``cz`` is the coupling gadget.
-Each is enumerated once over every outcome path, on its register
-maximally entangled with a reference, which gives each path's operator;
-a table on a given input state is then arithmetic. A row records the
-path's outcomes, its exact probability, and the fidelity of the
-frame-corrected output against the ideal gate. The ``oracle`` CLI
-subcommand prints these tables and the acceptance suite sweeps them over
-random inputs.
+Each is enumerated over every outcome path once per process and
+(gadget, octant, secrets), on its register maximally entangled with a
+reference, which gives each path's operator and server record;
+``branch_table``, ``soundness_sweep`` and the gadget-view audit of
+``blindness`` read these paths, so a table on an input is arithmetic. A
+row records the path's outcomes, its exact probability, and the fidelity
+of the frame-corrected output against the ideal gate. The ``oracle`` CLI
+subcommand prints these tables and the acceptance suite sweeps them.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ from .protocols.driver import CLIENT_BY_PROTOCOL
 from .qsim import BRANCH_PROB_FLOOR, CZ_GATE, GADGET_FIDELITY_ATOL, HRZ_BY_OCTANT
 from .qsim import haar_random_state
 from .runtime import OutcomeSource, QuantumRuntime, enumerate_runs
-from .transcript import BOB
+from .transcript import BOB, Transcript
 
 # the protocol whose client step each H R_Z gadget drives
 PROTOCOL_BY_GADGET = {"hrz-sueki": "sueki", "p1": "p1", "p2": "p2"}
 ORACLE_GADGETS = (*PROTOCOL_BY_GADGET, "cz")
+# (gadget, octant, secrets) -> the gadget's paths (``_branches``), compiled on first use
+_ROWS: dict[tuple, tuple[tuple, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -78,41 +81,50 @@ def drive_gadget(
     return PauliFrame((client.hrz(rt, labels[0], octant, secrets),), (0,))
 
 
-def _branches(gadget: str, octant: int, secrets: tuple[int, ...]) -> list[tuple]:
+def _branches(gadget: str, octant: int, secrets: tuple[int, ...]) -> tuple[tuple, ...]:
     """Every outcome path of one gadget application, whatever its input.
 
     A path applies a fixed operator K to the register, so one enumeration on
     the register maximally entangled with a reference finds them all: the
     path's post-state is K / sqrt(d p) (d the register dimension, p the path
-    probability). Each path is (outcomes, U^dagger F K, announced octant),
-    F its by-product correction and U the ideal gate.
+    probability). Each path is (outcomes, U^dagger F K, announced octant,
+    server record), F its by-product correction and U the ideal gate, kept
+    read-only in ``_ROWS`` from a key's first call; every call first checks
+    the octant, and the secrets against the client's ``SECRETS``.
     """
+    check_octant(gadget, octant)
+    protocol = PROTOCOL_BY_GADGET.get(gadget)
+    octant, secrets = int(octant), tuple(_integer("secret", s) for s in secrets)
+    if secrets not in (CLIENT_BY_PROTOCOL[protocol].SECRETS if protocol else ((),)):
+        raise ValueError(f"secrets {secrets} are not among gadget {gadget!r}'s")
+    key = (gadget, octant, secrets)
+    if key in _ROWS:
+        return _ROWS[key]
     width = 2 if gadget == "cz" else 1
     dim = 1 << width
     entangled = np.eye(dim).reshape(-1) / math.sqrt(dim)
+    undo = (CZ_GATE if gadget == "cz" else HRZ_BY_OCTANT[octant]).conj().T
 
-    def run(src: OutcomeSource) -> np.ndarray:
-        rt, labels = QuantumRuntime.from_state(entangled, src, BOB)
+    def run(src: OutcomeSource) -> tuple:
+        rt, labels = QuantumRuntime.from_state(entangled, src, BOB, Transcript())
         frame = drive_gadget(gadget, rt, labels[:width], octant, secrets)
         frame = PauliFrame(frame.x + (0,) * width, frame.z + (0,) * width)
-        return frame.matrix_on(rt.snapshot(labels))
+        post = frame.matrix_on(rt.snapshot(labels)).reshape(dim, dim).T
+        operator = math.sqrt(dim * src.path_probability()) * undo @ post
+        operator.flags.writeable = False
+        # the prepare-only client announces by the gadget's rule from the first outcome
+        announced = announced_octant(octant, *secrets, src.bits[0]) if protocol == "sueki" else None
+        return src.bits, operator, announced, rt.tape.bob_classical_values()
 
-    paths = enumerate_runs(run)  # drive_gadget has checked the octant
-    undo = (CZ_GATE if gadget == "cz" else HRZ_BY_OCTANT[octant]).conj().T
-    # the prepare-only client announces by the gadget's rule from the first outcome
-    return [
-        (br.outcomes, math.sqrt(dim * br.probability) * undo @ br.value.reshape(dim, dim).T,
-         announced_octant(octant, *secrets, br.outcomes[0])
-         if gadget == "hrz-sueki" else None)
-        for br in paths
-    ]
+    _ROWS[key] = tuple(br.value for br in enumerate_runs(run))
+    return _ROWS[key]
 
 
-def _rows(branches: list[tuple], psi: np.ndarray) -> tuple[BranchRow, ...]:
+def _rows(branches: tuple[tuple, ...], psi: np.ndarray) -> tuple[BranchRow, ...]:
     """The rows of ``branches`` on ``psi``: with M = U^dagger F K, a path's
     probability is |M psi|^2 and its fidelity |<psi|M psi>|^2 over that."""
     rows = []
-    for outcomes, operator, announced in branches:
+    for outcomes, operator, announced, _ in branches:
         out = operator @ psi
         prob = float(np.vdot(out, out).real)
         if prob > BRANCH_PROB_FLOOR:
@@ -158,16 +170,12 @@ def soundness_sweep(states_per_octant: int = 4, seed: int = 2026) -> tuple[float
     worst = 1.0
     count = 0
     secrets_rng = rng.stream(seed, "oracle-secrets")
-    # a gadget's paths do not depend on its input, only on its secrets
-    branches: dict[tuple, list[tuple]] = {}
     for gadget in ORACLE_GADGETS:
         width = 2 if gadget == "cz" else 1
         for octant in _octants(gadget):
             for _ in range(states_per_octant):
                 state = haar_random_state(width, rng.stream(seed, "oracle-sweep", count))
-                key = (gadget, octant, _draw_secrets(gadget, secrets_rng))
-                if key not in branches:
-                    branches[key] = _branches(*key)
-                worst = min(worst, min(row.fidelity for row in _rows(branches[key], state)))
+                rows = _rows(_branches(gadget, octant, _draw_secrets(gadget, secrets_rng)), state)
+                worst = min(worst, min(row.fidelity for row in rows))
                 count += 1
     return worst, count

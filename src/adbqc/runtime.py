@@ -275,24 +275,26 @@ class QuantumRuntime:
         return [lb for lb in self._labels if self._owners[lb] == owner]
 
     def density_of(self, owner: str) -> np.ndarray:
-        """Reduced density matrix over ``owner``'s qubits in qubit-index order."""
-        keep = sorted(map(self.index_of, self.owned_by(owner)))
-        if not keep:
-            return np.ones((1, 1), dtype=complex)
-        return partial_trace(self.snapshot(), keep)
+        """Reduced density matrix over ``owner``'s qubits in qubit-index order,
+        from only the factors that hold them: the rest trace to 1."""
+        held = {self._factors[lb][0] for lb in self.owned_by(owner)}
+        labels = [lb for lb in self._labels if self._factors[lb][0] in held]
+        keep = [i for i, lb in enumerate(labels) if self._owners[lb] == owner]
+        return partial_trace(self._joint(labels), keep) if keep else np.ones((1, 1), complex)
 
-    def _joint(self) -> np.ndarray:
-        """Every factor tensored back, in qubit order, times the global phase."""
+    def _joint(self, labels: list[str]) -> np.ndarray:
+        """The factors of ``labels`` (whole factors) tensored back in that
+        order, times the global phase."""
         amps, order = None, ()
-        for lb in self._labels:
+        for lb in labels:
             if lb not in order:
                 local, factor_amps = self._factors[lb]
                 amps = factor_amps if amps is None else np.multiply.outer(factor_amps, amps)
                 order += local
         if amps is None:
             return np.full(1, self._phase)
-        if list(order) != self._labels:
-            axes = [len(order) - 1 - order.index(lb) for lb in reversed(self._labels)]
+        if list(order) != labels:
+            axes = [len(order) - 1 - order.index(lb) for lb in reversed(labels)]
             amps = amps.reshape((2,) * len(order)).transpose(axes)
         return amps.reshape(-1) * self._phase
 
@@ -303,10 +305,10 @@ class QuantumRuntime:
         default the whole register is returned.
         """
         if labels is None:
-            return self._joint()
+            return self._joint(self._labels)
         wanted = list(labels)
         n = self.num_qubits
-        psi = self._joint().reshape([2] * n)
+        psi = self._joint(self._labels).reshape([2] * n)
         axes = [n - 1 - self.index_of(lb) for lb in reversed(wanted)]
         other_axes = [ax for ax in range(n) if ax not in axes]
         m = np.transpose(psi, axes + other_axes).reshape(2 ** len(wanted), -1)

@@ -3,9 +3,15 @@
 The ``acceptance`` fixture records one verdict line per acceptance criterion
 and replays the lines into the terminal summary, so they are visible even
 when pytest captures stdout.
+
+The oracle compiles each gadget's outcome rows once per process
+(``oracle._ROWS``); a test that patches a gadget must compile its own rows
+and leave none behind, so the table is emptied around every test.
 """
 
 import pytest
+
+from adbqc import oracle
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -19,6 +25,13 @@ def acceptance():
         return line
 
     return report
+
+
+@pytest.fixture(autouse=True)
+def fresh_gadget_rows():
+    oracle._ROWS.clear()
+    yield
+    oracle._ROWS.clear()
 
 
 def pytest_terminal_summary(terminalreporter):

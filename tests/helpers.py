@@ -10,7 +10,7 @@ import pytest
 
 from adbqc.blindness import _PastLastStep
 from adbqc.gadgets import announced_octant, octant_angle, pattern_unitary
-from adbqc.oracle import BranchRow, drive_gadget
+from adbqc.oracle import PROTOCOL_BY_GADGET, BranchRow, drive_gadget
 from adbqc.protocols import ProtocolConfig, config_from_dict, config_object, driver, run
 from adbqc.protocols.driver import RunResult
 from adbqc.protocols.measure_client import p1_hrz_on_runtime
@@ -253,6 +253,37 @@ def per_path_bob_view_blocks(
             view = blocks[step]
             view[key] = view.get(key, 0.0) + branch.probability * rho
     return blocks
+
+
+def joint_density_of(rt: QuantumRuntime, owner: str) -> np.ndarray:
+    """``QuantumRuntime.density_of`` as the partial trace of the whole joint
+    state: the reference for its tensoring of the owner's factors only."""
+    keep = sorted(map(rt.index_of, rt.owned_by(owner)))
+    if not keep:
+        return np.ones((1, 1), dtype=complex)
+    return partial_trace(rt.snapshot(), keep)
+
+
+def replayed_view_distribution(gadget: str, octant: int, state: np.ndarray) -> tuple[dict, int]:
+    """The server's classical view distribution that ``blindness.audit_gadget_view_tv``
+    builds from compiled rows, by replaying the client's step on ``state``
+    once per outcome path under each of its equally likely ``SECRETS``;
+    returns (distribution, paths walked)."""
+    secrets = driver.CLIENT_BY_PROTOCOL[PROTOCOL_BY_GADGET[gadget]].SECRETS
+    weight = 1.0 / len(secrets)
+    probs: dict = {}
+    walked = 0
+    for drawn in secrets:
+
+        def body(src: OutcomeSource) -> tuple:
+            rt, labels = QuantumRuntime.from_state(state, src, BOB, Transcript())
+            drive_gadget(gadget, rt, labels, octant, drawn)
+            return rt.tape.bob_classical_values()
+
+        for br in enumerate_runs(body):
+            walked += 1
+            probs[br.value] = probs.get(br.value, 0.0) + weight * br.probability
+    return probs, walked
 
 
 def block_trace_distance(a: dict[tuple, np.ndarray], b: dict[tuple, np.ndarray]) -> float:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adbqc import blindness, rng
+from adbqc import blindness, oracle, rng
 from adbqc.blindness import (
     _bob_view_blocks,
     audit_gadget_view_tv,
@@ -34,7 +34,13 @@ from adbqc.protocols import (
 from adbqc.qsim import haar_random_state
 from adbqc.runtime import QuantumRuntime, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
-from helpers import block_trace_distance, per_path_bob_view_blocks, zero_state
+from helpers import (
+    block_trace_distance,
+    joint_density_of,
+    per_path_bob_view_blocks,
+    replayed_view_distribution,
+    zero_state,
+)
 
 # Leaks for the power tests: each sends a secret to the server on the wire,
 # where the audits read the server's view, so an audit that misses it is blind.
@@ -181,6 +187,25 @@ def test_no_signaling_computes_one_view_per_prefix(monkeypatch):
     assert result.details["branches"] == 64
 
 
+def test_views_from_the_servers_factors_equal_the_whole_partial_trace(monkeypatch):
+    """Each of the default audit's 272 server views, tensored from only the
+    factors that hold the server's qubits, is the partial trace of the whole
+    joint state in qubit-index order."""
+    gaps = []
+    density_of = QuantumRuntime.density_of
+
+    def checked(self, owner):
+        rho, whole = density_of(self, owner), joint_density_of(self, owner)
+        assert rho.shape == whole.shape
+        gaps.append(float(np.max(np.abs(rho - whole))))
+        return rho
+
+    monkeypatch.setattr(QuantumRuntime, "density_of", checked)
+    assert audit_no_signaling().passed
+    assert len(gaps) == 272
+    assert max(gaps) <= 1e-12
+
+
 def test_stacked_no_signaling_distances_equal_the_per_pair_formula():
     """Every (step, octant pair) distance of the default audit, from one
     stacked ``trace_distance`` per block shape, is the per-key sum that one
@@ -251,12 +276,37 @@ def test_gadget_view_audit_counts_its_branches(gadget, branches):
 
 
 @pytest.mark.parametrize(
+    "gadget,octant_pairs,branches",
+    [("hrz-sueki", ((0, 3), (2, 5), (6, 7)), 128),
+     ("p1", ((0, 6), (1, 7), (1, 6), (3, 4)), 16),
+     ("p2", ((1, 6), (3, 4), (0, 5)), 8)],
+)
+def test_view_distributions_from_rows_equal_the_replay(monkeypatch, gadget, octant_pairs, branches):
+    """Each distribution the audit sums from the compiled rows equals, to
+    1e-12 and over as many paths, the one a replay of the client's step on
+    the audit's input gives, once per outcome path and secret."""
+    compared = []
+    total_variation = blindness.total_variation
+    monkeypatch.setattr(blindness, "total_variation",
+                        lambda a, b: compared.append((a, b)) or total_variation(a, b))
+    state = haar_random_state(1, rng.stream(99, "gadget-view-input"))
+    for octants in octant_pairs:
+        result = audit_gadget_view_tv(gadget, *octants)
+        replayed = [replayed_view_distribution(gadget, k, state) for k in octants]
+        assert result.details["branches"] == branches == sum(walked for _, walked in replayed)
+        for got, (want, _) in zip(compared.pop(), replayed):
+            assert got.keys() == want.keys()
+            assert max(abs(got[view] - want[view]) for view in got) <= 1e-12
+
+
+@pytest.mark.parametrize(
     "gadget,octant_a,octant_b",
     [("hrz-sueki", 0, 4), pytest.param("p1", 2, 4, id="p1-a-2-4"),
      pytest.param("p1", 3, 5, id="p1-b-3-5"), ("p2", 1, 6)],
 )
 def test_gadget_view_audit_flags_a_leak(monkeypatch, gadget, octant_a, octant_b):
-    monkeypatch.setattr(blindness, "drive_gadget", leaky_drive_gadget)
+    # patched where the rows are compiled
+    monkeypatch.setattr(oracle, "drive_gadget", leaky_drive_gadget)
     result = audit_gadget_view_tv(gadget, octant_a, octant_b)
     assert not result.passed
     assert result.statistic == pytest.approx(1.0, abs=1e-12)
@@ -270,10 +320,11 @@ def test_exact_audit_statistics_do_not_depend_on_the_hash_seed():
     script = (
         "from adbqc import blindness, oracle\n"
         "from adbqc.transcript import ALICE, BOB\n"
+        "drive = oracle.drive_gadget\n"
         "def leaky(gadget, rt, labels, octant, secrets):\n"
         "    rt.tape.msg(ALICE, to=BOB, op='leak', octant=octant)\n"
-        "    return oracle.drive_gadget(gadget, rt, labels, octant, secrets)\n"
-        "blindness.drive_gadget = leaky\n"
+        "    return drive(gadget, rt, labels, octant, secrets)\n"
+        "oracle.drive_gadget = leaky\n"
         "print(repr(blindness.audit_gadget_view_tv('hrz-sueki', 1, 5).statistic))\n"
         "print(repr(blindness.audit_no_signaling(octants=(0, 1), steps=(2, 5)).statistic))\n"
     )

@@ -71,6 +71,63 @@ def test_check_octant_accepts_numpy_integers():
     assert branch_table("p2", np.int64(1)) == branch_table("p2", 1)
 
 
+def test_compiled_rows_do_not_serve_an_octant_the_check_refuses():
+    """Once octants 1 and 2 are compiled, a float or bool equal to one of
+    them, or an octant 8 away, is still refused, not served their rows
+    (``2.0 == 2`` and ``True == 1`` hash alike)."""
+    for octant in (1, 2):
+        branch_table("p2", octant)
+    assert len(oracle._ROWS) == 2
+    for octant in (2.0, True, 1.0):
+        with pytest.raises(ValueError, match="octant must be an integer"):
+            branch_table("p2", octant)
+    for octant in (9, 10, -7):
+        with pytest.raises(ValueError, match=f"octant {octant} is not admissible"):
+            branch_table("p2", octant)
+    assert len(oracle._ROWS) == 2
+
+
+def test_secrets_are_checked_before_the_lookup():
+    """A list of secrets reads the rows of its tuple; secrets outside the
+    client's ``SECRETS``, or a bool or float among them, are refused with a
+    ValueError, before any row is compiled."""
+    state = haar_random_state(1, rng.stream(173, "oracle-secrets-check"))
+    listed = branch_table("hrz-sueki", 3, state, secrets=[5, 1])
+    assert listed == branch_table("hrz-sueki", 3, state, secrets=(5, 1))
+    assert branch_table("p2", 1, state, secrets=[np.int64(1)]) == branch_table(
+        "p2", 1, state, secrets=(1,))
+    assert branch_table("p1", 3, state, secrets=[]) == branch_table("p1", 3, state, secrets=())
+    assert len(oracle._ROWS) == 3
+    for gadget, secrets in [("hrz-sueki", (8, 0)), ("hrz-sueki", (1,)), ("hrz-sueki", [2, 2]),
+                            ("p2", (2,)), ("p2", ()), ("p1", (0,)), ("cz", (0,))]:
+        with pytest.raises(ValueError, match="are not among"):
+            branch_table(gadget, 0, secrets=secrets)
+    for secrets in [(True,), (1.0,), [np.float64(0)]]:
+        with pytest.raises(ValueError, match="secret must be an integer"):
+            branch_table("p2", 1, secrets=secrets)
+    assert len(oracle._ROWS) == 3
+
+
+def test_every_key_compiles_once_into_read_only_rows(monkeypatch):
+    """The 153 (gadget, octant, secrets) keys compile into 610 paths, each a
+    tuple whose operator refuses a write; a second lookup replays nothing."""
+    keys = [(g, k, drawn) for g in ORACLE_GADGETS for k in ((0,) if g == "cz" else range(8))
+            for drawn in (CLIENT_BY_PROTOCOL[PROTOCOL_BY_GADGET[g]].SECRETS
+                          if g in PROTOCOL_BY_GADGET else ((),))]
+    assert len(keys) == 153
+    compiled = [oracle._branches(*key) for key in keys]
+    assert sum(map(len, compiled)) == 610
+    for rows in compiled:
+        assert isinstance(rows, tuple)
+        for row in rows:
+            assert isinstance(row, tuple)
+            with pytest.raises(ValueError, match="read-only"):
+                row[1][0, 0] = 0.0
+    monkeypatch.setattr(oracle, "enumerate_runs", None)  # a replay would fail
+    assert [oracle._branches(*key) for key in keys] == compiled
+    assert soundness_sweep(1)[1] == 25
+
+
 def test_admissible_octants_unknown_gadget():
     # the measure-only step is one gadget: its two cases are not gadgets
     for gadget in ("teleport", "p1-a", "p1-b"):

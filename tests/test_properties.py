@@ -33,8 +33,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import (
-    DenseRegister, assert_channel_is_ideal, identity_gap, looped_reference_distribution,
-    read_manifest, zero_state,
+    DenseRegister, assert_channel_is_ideal, identity_gap, joint_density_of,
+    looped_reference_distribution, read_manifest, zero_state,
 )
 from test_qsim import embed_apply
 
@@ -586,6 +586,30 @@ def test_factored_runtime_matches_a_dense_register(seed, data):
         assert abs(np.linalg.norm(rt.snapshot()) - 1.0) <= NORM_ATOL
     for old, amps in left_behind:
         assert np.array_equal(old.snapshot(), amps)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_density_of_reads_only_the_owners_factors(seed, data):
+    """On random factor layouts (either party's fresh qubits, gates that merge
+    factors, measurements that split a qubit off), each party's reduced state
+    from only the factors holding its qubits is the partial trace of the
+    whole joint state, in qubit-index order."""
+    rng = np.random.default_rng(seed)
+    rt = QuantumRuntime(WantedOutcomes())
+    labels = [f"q{i}" for i in range(data.draw(st.integers(1, RUNTIME_WIDTH)))]
+    for label in labels:
+        rt.add_qubit(label, haar_random_state(1, rng), data.draw(st.sampled_from([ALICE, BOB])))
+    for _ in range(data.draw(st.integers(0, 8))):
+        if len(labels) >= 2 and data.draw(st.booleans()):
+            rt.apply(haar_unitary(4, rng), data.draw(
+                st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True)))
+        else:
+            rt.measure(data.draw(st.sampled_from(labels)), haar_unitary(2, rng))
+    for owner in (ALICE, BOB):
+        got, whole = rt.density_of(owner), joint_density_of(rt, owner)
+        assert got.shape == whole.shape
+        assert np.max(np.abs(got - whole)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
