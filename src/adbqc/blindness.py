@@ -4,8 +4,8 @@ Six audits:
 
 - announced-angle uniformity for the prepare-only client (counting);
 - no-signaling for the measure-only client: the server's combined
-  classical/quantum view at every stage of the rotation gadget is
-  identical whatever the octant (exact: branch enumeration, stacked distances);
+  classical/quantum view at every stage of the rotation gadget is identical
+  whatever the octant (exact: views compiled once per octant, stacked distances);
 - transcript statistics for full protocol runs: a permutation test that
   the server-visible classical record does not separate two angle choices;
 - gadget-view total variation: the exact distribution of what the server
@@ -42,6 +42,7 @@ from .protocols.reference import total_variation
 from .qsim import (
     GADGET_VIEW_TV_ATOL,
     NO_SIGNALING_ATOL,
+    NORM_ATOL,
     PROBE_GRAM_ATOL,
     haar_random_state,
     haar_random_states,
@@ -100,49 +101,52 @@ def audit_theta_uniformity() -> AuditResult:
 # No-signaling through the measure-only rotation gadget
 
 
-class _PastLastStep(Exception):
-    """Ends a replay of the gadget at the last checkpoint an audit asks for."""
+_VIEWS: dict[int, tuple] = {}  # octant -> (paths, views per step, {step: {record: Choi J}})
 
 
-def _bob_view_blocks(
-    octant: int, state: np.ndarray, steps: Sequence[int], work: Counter | None = None
-) -> dict[int, dict[tuple, np.ndarray]]:
-    """Server view at each checkpoint in ``steps``, as subnormalized density
-    blocks keyed by the server-visible classical record, summed over the
-    client's unseen outcome branches. One walk serves every step: each
-    replay ends at the last requested checkpoint. A replay is a function of
-    its outcomes, so the view at a checkpoint is computed once per outcome
-    prefix, weighted by the prefix's probability. ``work`` counts the
-    ``branches`` walked and the ``views`` computed."""
-    last = max(steps)
-    blocks: dict[int, dict[tuple, np.ndarray]] = {step: {} for step in steps}
-    seen: set[tuple[int, tuple[int, ...]]] = set()
+def _compiled_views(octant: int) -> tuple[int, Counter, dict[int, dict[tuple, np.ndarray]]]:
+    """The server's view at each checkpoint of the measure-only gadget as a fixed
+    map of the input, compiled into ``_VIEWS`` once: one walk on the register
+    maximally entangled with a server-held reference (qubit 1) gives, per outcome
+    prefix of probability p, its Choi matrix J = 2 p rho, summed per (step, record)."""
+    if octant not in _VIEWS:
+        chois: dict[int, dict[tuple, np.ndarray]] = {}
+        seen: set[tuple[int, tuple[int, ...]]] = set()
 
-    def run_fn(source: OutcomeSource) -> None:
-        rt, labels = QuantumRuntime.from_state(state, source, BOB, Transcript())
+        def run_fn(source: OutcomeSource) -> None:
+            entangled = np.eye(2).reshape(-1) / math.sqrt(2)
+            rt, labels = QuantumRuntime.from_state(entangled, source, BOB, Transcript())
 
-        def checkpoint(at: int) -> None:
-            if at in steps and (prefix := (at, source.bits)) not in seen:
-                seen.add(prefix)
-                view = blocks[at]
-                key = rt.tape.bob_classical_values()
-                view[key] = view.get(key, 0.0) + source.path_probability() * rt.density_of(BOB)
-            if at == last:
-                raise _PastLastStep
+            def checkpoint(at: int) -> None:
+                if (prefix := (at, source.bits)) not in seen:
+                    seen.add(prefix)
+                    view, key = chois.setdefault(at, {}), rt.tape.bob_classical_values()
+                    rho = 2 * source.path_probability() * rt.density_of(BOB)
+                    view[key] = view.get(key, 0.0) + rho
 
-        try:
             p1_hrz_on_runtime(rt, labels[0], octant, checkpoint=checkpoint)
-        except _PastLastStep:
-            pass
 
-    branches = enumerate_runs(run_fn)
-    for step, view in blocks.items():
-        if not view:
-            raise ValueError(f"the measure-only gadget marks no step {step}")
-    if work is not None:
-        work["branches"] += len(branches)
-        work["views"] += len(seen)
-    return blocks
+        _VIEWS[octant] = (len(enumerate_runs(run_fn)), Counter(at for at, _ in seen), chois)
+        for choi in (choi for view in chois.values() for choi in view.values()):
+            choi.flags.writeable = False
+    return _VIEWS[octant]
+
+
+def _bob_view_blocks(octants: Sequence[int], state: np.ndarray, steps: Sequence[int]) -> dict:
+    """Each octant's server view at each checkpoint in ``steps``, blocks keyed by the server's
+    record: sum_ij psi_i conj(psi_j) <i|_ref J |j>_ref of each compiled J, one einsum per shape."""
+    by_shape: dict[tuple, list] = {}
+    for k, step in ((k, step) for k in octants for step in steps):
+        for key, choi in _compiled_views(k)[2][step].items():
+            by_shape.setdefault(choi.shape, []).append((k, step, key, choi))
+    views: dict[int, dict[int, dict]] = {k: {step: {} for step in steps} for k in octants}
+    for group in by_shape.values():
+        rest = group[0][3].shape[0] // 4  # the qubits above the reference
+        chois = np.stack([choi for *_, choi in group]).reshape(-1, rest, 2, 2, rest, 2, 2)
+        blocks = np.einsum("nairbjc,i,j->narbc", chois, state, np.conj(state))
+        for (k, step, key, _), block in zip(group, blocks.reshape(len(group), 2 * rest, -1)):
+            views[k][step][key] = block
+    return views
 
 
 def block_trace_distances(pairs: Sequence[tuple[dict, dict]]) -> list[float]:
@@ -171,20 +175,25 @@ def audit_no_signaling(
     """Exact check that the server's view of the measure-only rotation
     gadget is octant-independent at every stage.
 
-    Enumerates all client-outcome branches of the gadget once per octant,
-    takes the server's classical-quantum view at each checkpoint in
-    ``steps`` (1 to 9) and compares it across all octant pairs by trace
-    distance. Each octant is an integer 0..7 (no bool or float; 8 is not 0), none repeated.
+    Contracts each octant's compiled views with ``state`` (one normalized
+    qubit) at each checkpoint in ``steps`` (distinct integers 1 to 9) and
+    compares them across all octant pairs by trace distance. Each octant is
+    an integer 0..7 (no bool or float; 8 is not 0), none repeated.
     """
     if len(octants) < 2 or not steps:
         raise ValueError("the no-signaling audit needs two octants and a step to compare")
     octants = [_integer("octant", k) for k in octants]
     if any(k not in range(8) for k in octants) or len(set(octants)) != len(octants):
         raise ValueError(f"the no-signaling audit needs distinct octants in 0..7, got {octants}")
-    if state is None:
-        state = haar_random_state(1, stream(seed, "no-signaling-state"))
-    work: Counter = Counter()
-    views = {k: _bob_view_blocks(k, state, steps, work) for k in octants}
+    steps = [_integer("step", s) for s in steps]
+    if len(set(steps)) != len(steps):
+        raise ValueError(f"the no-signaling audit needs distinct steps, got {steps}")
+    if unmarked := [s for s in steps if s not in range(1, 10)]:
+        raise ValueError(f"the measure-only gadget marks no step {unmarked[0]}")
+    state = haar_random_state(1, stream(seed, "no-signaling-state")) if state is None else state
+    if np.shape(state) != (2,) or not abs(np.linalg.norm(state) - 1.0) <= NORM_ATOL:  # NaN too
+        raise ValueError("the no-signaling audit needs one normalized qubit as its state")
+    views = _bob_view_blocks(octants, state, steps)
     compared = [(s, a, b) for s in steps for i, a in enumerate(octants) for b in octants[i + 1:]]
     dists = block_trace_distances([(views[a][s], views[b][s]) for s, a, b in compared])
     worst = max(dists)
@@ -194,8 +203,9 @@ def audit_no_signaling(
         passed=worst <= NO_SIGNALING_ATOL,
         statistic=worst,
         threshold=NO_SIGNALING_ATOL,
-        details={"worst_at": worst_at, "steps": list(steps), "octants": octants,
-                 "branches": work["branches"], "views": work["views"]},
+        details={"worst_at": worst_at, "steps": steps, "octants": octants,
+                 "branches": sum(_VIEWS[k][0] for k in octants),
+                 "views": sum(_VIEWS[k][1][s] for k in octants for s in steps)},
     )
 
 

@@ -5,13 +5,15 @@ and replays the lines into the terminal summary, so they are visible even
 when pytest captures stdout.
 
 The oracle compiles each gadget's outcome rows once per process
-(``oracle._ROWS``); a test that patches a gadget must compile its own rows
-and leave none behind, so the table is emptied around every test.
+(``oracle._ROWS``), and the no-signaling audit each octant's server views
+(``blindness._VIEWS``); a test that patches a gadget must compile its own
+rows and views and leave none behind, so both tables are emptied around
+every test.
 """
 
 import pytest
 
-from adbqc import oracle
+from adbqc import blindness, oracle
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -30,8 +32,10 @@ def acceptance():
 @pytest.fixture(autouse=True)
 def fresh_gadget_rows():
     oracle._ROWS.clear()
+    blindness._VIEWS.clear()
     yield
     oracle._ROWS.clear()
+    blindness._VIEWS.clear()
 
 
 def pytest_terminal_summary(terminalreporter):

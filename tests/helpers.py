@@ -8,7 +8,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adbqc.blindness import _PastLastStep
 from adbqc.gadgets import announced_octant, octant_angle, pattern_unitary
 from adbqc.oracle import PROTOCOL_BY_GADGET, BranchRow, drive_gadget
 from adbqc.protocols import ProtocolConfig, config_from_dict, config_object, driver, run
@@ -224,11 +223,17 @@ def replayed_branch_table(
     )
 
 
+class _PastLastStep(Exception):
+    """Ends a replay of the gadget at the last checkpoint asked for."""
+
+
 def per_path_bob_view_blocks(
     octant: int, state: np.ndarray, steps
 ) -> dict[int, dict[tuple, np.ndarray]]:
-    """``blindness._bob_view_blocks`` with the server's view computed on
-    every path and weighted by the whole path's probability."""
+    """The server's view blocks that ``blindness._bob_view_blocks`` contracts
+    from compiled maps, by replaying the measure-only gadget on ``state``
+    itself: the view is computed on every path up to the last step in
+    ``steps`` and weighted by that path's probability."""
     last = max(steps)
 
     def run_fn(source: OutcomeSource) -> list:

@@ -37,6 +37,7 @@ from adbqc.transcript import ALICE, BOB, Transcript
 from helpers import (
     block_trace_distance,
     joint_density_of,
+    normalized,
     per_path_bob_view_blocks,
     replayed_view_distribution,
     zero_state,
@@ -99,8 +100,11 @@ def test_no_signaling_across_octants_and_stages():
 
 
 def test_no_signaling_same_octant_is_exactly_zero():
+    """An octant's views, compiled afresh, are bit for bit the first compile's."""
     state = haar_random_state(1, rng.stream(404, "no-signaling-state"))
-    first, again = (_bob_view_blocks(3, state, (5,))[5] for _ in range(2))
+    first = _bob_view_blocks((3,), state, (5,))[3][5]
+    blindness._VIEWS.clear()
+    again = _bob_view_blocks((3,), state, (5,))[3][5]
     assert block_trace_distances([(first, again)]) == [0.0]
 
 
@@ -133,11 +137,38 @@ def test_no_signaling_refuses_to_compare_nothing(octants, steps):
 def test_no_signaling_refuses_a_step_the_gadget_never_marks():
     with pytest.raises(ValueError, match="marks no step 10"):
         audit_no_signaling(octants=(0, 1), steps=(10,))
+    assert not blindness._VIEWS
 
 
-def test_shallow_no_signaling_ends_each_replay_at_its_last_step(monkeypatch):
-    """Asking for step 1 only replays the gadget up to step 1: it walks fewer
-    paths than the full audit and gives the same step-1 blocks."""
+@pytest.mark.parametrize(
+    "steps,message",
+    [((True,), "step must be an integer"), ((1.0,), "step must be an integer"),
+     ((2, 1.5), "step must be an integer"), ((1, 1), "distinct steps"),
+     ((3, 5, 3), "distinct steps"), ((0,), "marks no step 0"), ((9, -1), "marks no step -1")],
+    ids=["bool", "float", "float-second", "repeated", "repeated-of-three", "zero", "negative"],
+)
+def test_no_signaling_refuses_steps_that_are_not_distinct_integers_1_to_9(steps, message):
+    with pytest.raises(ValueError, match=message):
+        audit_no_signaling(octants=(0, 1), steps=steps)
+    assert not blindness._VIEWS
+
+
+@pytest.mark.parametrize(
+    "state",
+    [zero_state(2), np.array([1.0, 1.0], dtype=complex), np.ones(1, dtype=complex),
+     np.eye(2, dtype=complex), np.zeros(2, dtype=complex), np.array([np.nan, 0], dtype=complex)],
+    ids=["two-qubits", "unnormalized", "no-qubit", "matrix", "zero", "nan"],
+)
+def test_no_signaling_refuses_a_state_that_is_not_one_normalized_qubit(state):
+    with pytest.raises(ValueError, match="one normalized qubit"):
+        audit_no_signaling(state=state, octants=(0, 1), steps=(1,))
+    assert not blindness._VIEWS
+
+
+def test_shallow_no_signaling_compiles_every_step_once(monkeypatch):
+    """Asking for step 1 compiles each octant's views at all nine steps, one
+    walk of its 8 paths each: a later audit of every step on those octants
+    walks nothing and counts the same paths."""
     walked = []
 
     def counted(run_fn):
@@ -146,23 +177,27 @@ def test_shallow_no_signaling_ends_each_replay_at_its_last_step(monkeypatch):
         return branches
 
     monkeypatch.setattr(blindness, "enumerate_runs", counted)
-    state = haar_random_state(1, rng.stream(405, "shallow-no-signaling"))
-    shallow = _bob_view_blocks(1, state, (1,))
-    full = _bob_view_blocks(1, state, tuple(range(1, 10)))
-    assert walked[0] < walked[1]
-    assert shallow[1].keys() == full[1].keys()
-    for key, rho in shallow[1].items():
-        assert np.allclose(rho, full[1][key], atol=1e-12)
+    shallow = audit_no_signaling(octants=(0, 1), steps=(1,))
+    assert walked == [8, 8]
+    assert sorted(blindness._VIEWS[0][2]) == list(range(1, 10))
+    full = audit_no_signaling(octants=(0, 1))
+    assert walked == [8, 8]
+    assert shallow.details["branches"] == full.details["branches"] == 16
+    assert (shallow.details["views"], full.details["views"]) == (2, 68)
 
 
-@pytest.mark.parametrize("octant", [0, 3])
+@pytest.mark.parametrize("octant", range(8))
 def test_views_per_prefix_equal_views_per_path(octant):
-    """One view per outcome prefix, weighted by the prefix probability, gives
-    the blocks that a view on every path, weighted by the path, gives."""
-    for i in range(2):
-        state = haar_random_state(1, rng.stream(406, "views-per-prefix", 2 * octant + i))
-        fast = _bob_view_blocks(octant, state, tuple(range(1, 10)))
-        slow = per_path_bob_view_blocks(octant, state, tuple(range(1, 10)))
+    """The compiled views (one Choi matrix per outcome prefix, contracted with
+    the input) give, at every step, the blocks that a replay of the gadget on
+    the input itself gives with a view on every path, weighted by the path.
+    Every client outcome has probability 1/2 whatever the input, so the
+    replay on |0> or |+> prunes no path and reaches every record."""
+    steps = tuple(range(1, 10))
+    haar = haar_random_state(1, rng.stream(404, "no-signaling-state"))
+    for state in (haar, zero_state(1), normalized([1, 1])):
+        fast = _bob_view_blocks((octant,), state, steps)[octant]
+        slow = per_path_bob_view_blocks(octant, state, steps)
         assert fast.keys() == slow.keys()
         for step, view in fast.items():
             assert view.keys() == slow[step].keys()
@@ -171,8 +206,9 @@ def test_views_per_prefix_equal_views_per_path(octant):
 
 
 def test_no_signaling_computes_one_view_per_prefix(monkeypatch):
-    """The default audit computes 272 views over its 64 paths: a path
-    through the same checkpoint prefix as an earlier one reuses its view."""
+    """The default audit's first call computes 272 views over its 64 paths
+    (a path through the same checkpoint prefix as an earlier one reuses its
+    view); a second call computes none and reports the same counts."""
     calls = Counter()
     density_of = QuantumRuntime.density_of
 
@@ -181,16 +217,40 @@ def test_no_signaling_computes_one_view_per_prefix(monkeypatch):
         return density_of(self, owner)
 
     monkeypatch.setattr(QuantumRuntime, "density_of", counted)
-    result = audit_no_signaling()
+    first = audit_no_signaling()
     assert calls["density_of"] == 272
-    assert result.details["views"] == 272
-    assert result.details["branches"] == 64
+    second = audit_no_signaling()
+    assert calls["density_of"] == 272  # the second call computes none
+    for result in (first, second):
+        assert result.details["views"] == 272
+        assert result.details["branches"] == 64
+
+
+def test_a_second_no_signaling_call_replays_nothing(monkeypatch):
+    """Once every octant is compiled, the default audit runs no
+    ``enumerate_runs`` and no ``density_of``, and gives the same result."""
+    first = audit_no_signaling()
+    assert sorted(blindness._VIEWS) == list(range(8))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a compiled audit replayed the gadget")
+
+    monkeypatch.setattr(blindness, "enumerate_runs", refuse)
+    monkeypatch.setattr(QuantumRuntime, "density_of", refuse)
+    assert audit_no_signaling() == first
+
+
+def test_compiled_views_are_read_only():
+    audit_no_signaling(octants=(2, 5), steps=(1,))
+    for _, _, chois in blindness._VIEWS.values():
+        for choi in (choi for view in chois.values() for choi in view.values()):
+            assert not choi.flags.writeable
 
 
 def test_views_from_the_servers_factors_equal_the_whole_partial_trace(monkeypatch):
-    """Each of the default audit's 272 server views, tensored from only the
-    factors that hold the server's qubits, is the partial trace of the whole
-    joint state in qubit-index order."""
+    """Each of the 272 server views that the default audit compiles, tensored
+    from only the factors that hold the server's qubits, is the partial trace
+    of the whole joint state in qubit-index order."""
     gaps = []
     density_of = QuantumRuntime.density_of
 
@@ -212,7 +272,7 @@ def test_stacked_no_signaling_distances_equal_the_per_pair_formula():
     ``trace_distance`` call per block gives."""
     state = haar_random_state(1, rng.stream(404, "no-signaling-state"))
     steps = tuple(range(1, 10))
-    views = {k: _bob_view_blocks(k, state, steps) for k in range(8)}
+    views = _bob_view_blocks(range(8), state, steps)
     pairs = [(views[ka][step], views[kb][step])
              for step in steps for ka in range(8) for kb in range(ka + 1, 8)]
     assert len(pairs) == 252
@@ -221,7 +281,7 @@ def test_stacked_no_signaling_distances_equal_the_per_pair_formula():
         assert abs(got - block_trace_distance(a, b)) <= 1e-12
     # the views of another input differ, so the distances are not all 0
     other = haar_random_state(1, rng.stream(404, "no-signaling-other-state"))
-    moved = {k: _bob_view_blocks(k, other, steps) for k in (0, 3)}
+    moved = _bob_view_blocks((0, 3), other, steps)
     pairs = [(views[k][step], moved[k][step]) for step in steps for k in (0, 3)]
     dists = block_trace_distances(pairs)
     assert max(dists) > 0.1
