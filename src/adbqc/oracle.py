@@ -4,8 +4,9 @@ Each H R_Z gadget is a client's own step, the ``hrz`` of its module in
 ``driver.CLIENT_BY_PROTOCOL`` that every run drives, under secrets in the
 shape of that client's ``draw_secrets``; ``cz`` is the coupling gadget.
 Each is enumerated over every outcome path once per process and
-(gadget, octant, secrets), on its register maximally entangled with a
-reference, which gives each path's operator and server record;
+(gadget, octant, secrets) by ``driver.gadget_rows``, through the
+``driver.drive_gadget`` a run drives, on its register maximally entangled
+with a reference, which gives each path's operator and server record;
 ``branch_table``, ``soundness_sweep`` and the gadget-view audit of
 ``blindness`` read these paths, so a table on an input is arithmetic. A
 row records the path's outcomes, its exact probability, and the fidelity
@@ -15,25 +16,18 @@ subcommand prints these tables and the acceptance suite sweeps them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .gadgets import PauliFrame, announced_octant, cz_on_runtime
 from .protocols.config import _integer
-from .protocols.driver import CLIENT_BY_PROTOCOL
-from .qsim import BRANCH_PROB_FLOOR, CZ_GATE, GADGET_FIDELITY_ATOL, HRZ_BY_OCTANT
-from .qsim import haar_random_state
-from .runtime import OutcomeSource, QuantumRuntime, enumerate_runs
-from .transcript import BOB, Transcript
+from .protocols.driver import CLIENT_BY_PROTOCOL, gadget_rows
+from .qsim import BRANCH_PROB_FLOOR, GADGET_FIDELITY_ATOL, haar_random_state
 
 # the protocol whose client step each H R_Z gadget drives
 PROTOCOL_BY_GADGET = {"hrz-sueki": "sueki", "p1": "p1", "p2": "p2"}
 ORACLE_GADGETS = (*PROTOCOL_BY_GADGET, "cz")
-# (gadget, octant, secrets) -> the gadget's paths (``_branches``), compiled on first use
-_ROWS: dict[tuple, tuple[tuple, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -65,59 +59,18 @@ def _draw_secrets(gadget: str, gen: np.random.Generator) -> tuple[int, ...]:
     return CLIENT_BY_PROTOCOL[protocol].draw_secrets(gen) if protocol else ()
 
 
-def drive_gadget(
-    gadget: str, rt: QuantumRuntime, labels: list[str], octant: int, secrets: tuple[int, ...]
-) -> PauliFrame:
-    """Apply one oracle gadget to ``labels``; the one map from a gadget
-    name to the step it drives, and the one check of the name and octant.
-
-    ``secrets`` are the client's, in the shape of its ``draw_secrets``
-    (``()`` for cz). Returns the by-product frame over ``labels``.
-    """
-    check_octant(gadget, octant)
-    if gadget == "cz":
-        return PauliFrame((0, 0), (cz_on_runtime(rt, labels[0], labels[1]), 0))
-    client = CLIENT_BY_PROTOCOL[PROTOCOL_BY_GADGET[gadget]]
-    return PauliFrame((client.hrz(rt, labels[0], octant, secrets),), (0,))
-
-
 def _branches(gadget: str, octant: int, secrets: tuple[int, ...]) -> tuple[tuple, ...]:
-    """Every outcome path of one gadget application, whatever its input.
-
-    A path applies a fixed operator K to the register, so one enumeration on
-    the register maximally entangled with a reference finds them all: the
-    path's post-state is K / sqrt(d p) (d the register dimension, p the path
-    probability). Each path is (outcomes, U^dagger F K, announced octant,
-    server record), F its by-product correction and U the ideal gate, kept
-    read-only in ``_ROWS`` from a key's first call; every call first checks
-    the octant, and the secrets against the client's ``SECRETS``.
-    """
+    """Every outcome path of one gadget application, whatever its input:
+    the rows ``driver.gadget_rows`` compiles from the step a run drives,
+    once the octant, and the secrets against the client's ``SECRETS``, are
+    checked. Each path is (outcomes, U^dagger F K, announced octant, server
+    record), F its by-product correction and U the ideal gate."""
     check_octant(gadget, octant)
     protocol = PROTOCOL_BY_GADGET.get(gadget)
-    octant, secrets = int(octant), tuple(_integer("secret", s) for s in secrets)
+    secrets = tuple(_integer("secret", s) for s in secrets)
     if secrets not in (CLIENT_BY_PROTOCOL[protocol].SECRETS if protocol else ((),)):
         raise ValueError(f"secrets {secrets} are not among gadget {gadget!r}'s")
-    key = (gadget, octant, secrets)
-    if key in _ROWS:
-        return _ROWS[key]
-    width = 2 if gadget == "cz" else 1
-    dim = 1 << width
-    entangled = np.eye(dim).reshape(-1) / math.sqrt(dim)
-    undo = (CZ_GATE if gadget == "cz" else HRZ_BY_OCTANT[octant]).conj().T
-
-    def run(src: OutcomeSource) -> tuple:
-        rt, labels = QuantumRuntime.from_state(entangled, src, BOB, Transcript())
-        frame = drive_gadget(gadget, rt, labels[:width], octant, secrets)
-        frame = PauliFrame(frame.x + (0,) * width, frame.z + (0,) * width)
-        post = frame.matrix_on(rt.snapshot(labels)).reshape(dim, dim).T
-        operator = math.sqrt(dim * src.path_probability()) * undo @ post
-        operator.flags.writeable = False
-        # the prepare-only client announces by the gadget's rule from the first outcome
-        announced = announced_octant(octant, *secrets, src.bits[0]) if protocol == "sueki" else None
-        return src.bits, operator, announced, rt.tape.bob_classical_values()
-
-    _ROWS[key] = tuple(br.value for br in enumerate_runs(run))
-    return _ROWS[key]
+    return gadget_rows(protocol or gadget, int(octant), secrets)
 
 
 def _rows(branches: tuple[tuple, ...], psi: np.ndarray) -> tuple[BranchRow, ...]:

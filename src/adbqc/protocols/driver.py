@@ -13,23 +13,25 @@ measures, so ``draw_plan`` draws them all from the run seed's "alice" and
 and its measurement outcomes. A session holds the config, the joint
 quantum runtime (which holds the transcript and mints the ancilla labels)
 and the client's Pauli frame. The grid is one flat list of gadget steps,
-each driven by ``drive_step``; a sampled run drives them in order, and
-``enumerate_run`` drives each on forks of one session, checks that they
-agree up to the frame, and goes on with one.
+each driven by ``drive_step`` through ``drive_gadget``, the one map from a
+gadget to the step it drives. A sampled run drives them in order;
+``enumerate_run`` drives them once on the greedy path, checks each step's
+compiled rows (``gadget_rows``) once per process, and enumerates the output stage.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, replace
 from types import ModuleType
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from ..gadgets import NAMED_GATE_OCTANTS, PauliFrame, cz_on_runtime, frame_conjugate
-from ..qsim import GADGET_FIDELITY_ATOL, X_BASIS, X_GATE, Z_BASIS, Z_GATE, ZERO_AMPS
-from ..qsim import fidelity_up_to_phase
+from ..gadgets import NAMED_GATE_OCTANTS, PauliFrame, announced_octant, cz_on_runtime
+from ..gadgets import frame_conjugate
+from ..qsim import CZ_GATE, GADGET_FIDELITY_ATOL, HRZ_BY_OCTANT, X_BASIS, X_GATE, Z_BASIS
+from ..qsim import Z_GATE, ZERO_AMPS, fidelity_up_to_phase
 from ..rng import stream
 from ..runtime import (
     OutcomeSource,
@@ -115,26 +117,38 @@ def compile_steps(config: ProtocolConfig, layout: TrapLayout) -> tuple[Step, ...
     return tuple(steps)
 
 
-def drive_step(session: Session, step: Step) -> None:
-    """Drive one step through its gadget and track the session's frame.
+def drive_gadget(
+    rt: QuantumRuntime, gadget: str, frame: PauliFrame, positions: tuple[int, ...],
+    octant: int, secrets: tuple[int, ...], prep_party: str = BOB,
+) -> PauliFrame:
+    """Drive one gadget on the register qubits at ``positions`` and return
+    ``frame`` with its by-product recorded: a protocol's H R_Z (``gadget``
+    "sueki", "p1" or "p2", its client's ``hrz`` under ``secrets``) flips its
+    target's X record, and "cz" flips its first target's Z record."""
+    if gadget == "cz":
+        pi, pj = positions
+        z = cz_on_runtime(rt, register_label(pi), register_label(pj), prep_party)
+        return frame.flip_z(pi) if z else frame
+    (pos,) = positions
+    x = CLIENT_BY_PROTOCOL[gadget].hrz(rt, register_label(pos), octant, secrets)
+    return frame.flip_x(pos) if x else frame
 
-    The frame is pushed through the gate (``frame_conjugate``), which also
-    gives the sign of the angle actually driven; the gadget's by-product
-    then flips the frame's X (H R_Z) or first-qubit Z (CZ) record.
-    """
+
+def drive_step(session: Session, step: Step) -> tuple:
+    """Drive one step through ``drive_gadget`` and track the session's frame,
+    pushed through the gate by ``frame_conjugate``, which also gives the sign
+    of the angle actually driven; returns the row key (gadget, driven octant,
+    secrets) that ``enumerate_run`` checks."""
     config = session.config
     frame, sign = frame_conjugate(session.frame, step.kind, step.positions)
-    if step.kind == "hrz":
-        (pos,) = step.positions
-        hrz = CLIENT_BY_PROTOCOL[config.protocol].hrz
-        if hrz(session.rt, register_label(pos), (sign * step.octant) % 8, step.secrets):
-            frame = frame.flip_x(pos)
-    else:
-        pi, pj = step.positions
-        prep_party = ALICE if config.capability.kind == "prepare_only" else BOB
-        if cz_on_runtime(session.rt, register_label(pi), register_label(pj), prep_party):
-            frame = frame.flip_z(pi)
-    session.frame = frame
+    gadget = "cz" if step.kind == "cz" else config.protocol
+    octant = (sign * step.octant) % 8
+    # only the CZ gadget's ancillas depend on who prepares them
+    prep_party = ALICE if gadget == "cz" and config.capability.kind == "prepare_only" else BOB
+    session.frame = drive_gadget(
+        session.rt, gadget, frame, step.positions, octant, step.secrets, prep_party
+    )
+    return gadget, octant, step.secrets
 
 
 def pauli_hits(
@@ -221,6 +235,9 @@ CLIENT_BY_PROTOCOL: dict[str, ModuleType] = {
     "p1": measure_client,
     "p2": gate_client,
 }
+# (gadget, octant, secrets) -> the gadget's rows (``gadget_rows``), compiled on first use
+_ROWS: dict[tuple, tuple[tuple, ...]] = {}
+_CHECKED: set[tuple] = set()  # row keys ``_check_rows`` has passed
 
 
 class Plan(NamedTuple):
@@ -288,21 +305,56 @@ def run(config: ProtocolConfig, outcomes: OutcomeSource | None = None) -> RunRes
     return RunResult(session.rt.tape, report, plan.layout, session.frame, raw, plan.hits)
 
 
-def _fork_branches(session: Session, drive: Callable[[Session], object]) -> list[RunBranch]:
-    """``enumerate_runs`` of ``drive`` on forks of ``session``; each
-    branch's value is (the fork after ``drive``, what ``drive`` returned)."""
+def gadget_rows(gadget: str, octant: int, secrets: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Every outcome path of one ``drive_gadget`` step, whatever its input.
 
-    def on_fork(source: OutcomeSource):
-        fork = session.fork(source)
-        return fork, drive(fork)
+    A path applies a fixed operator K to the register, so one enumeration on
+    the register maximally entangled with a reference finds them all: the
+    path's post-state is K / sqrt(d p) (d the register dimension, p the path
+    probability). Each row is (outcomes, U^dagger F K, announced octant,
+    server record), F its by-product correction and U the ideal gate, kept
+    read-only in ``_ROWS`` from a key's first call. The key is not checked
+    here: ``oracle`` checks the ones its callers give.
+    """
+    key = (gadget, octant, secrets)
+    if key in _ROWS:
+        return _ROWS[key]
+    width = 2 if gadget == "cz" else 1
+    dim = 1 << width
+    labels = [register_label(i) for i in range(2 * width)]  # the register, then the reference
+    undo = (CZ_GATE if gadget == "cz" else HRZ_BY_OCTANT[octant]).conj().T
 
-    return enumerate_runs(on_fork)
+    def run_fn(src: OutcomeSource) -> tuple:
+        rt = QuantumRuntime(src, Transcript())
+        rt.load(np.eye(dim).reshape(-1) / math.sqrt(dim), labels, BOB)
+        frame = PauliFrame.identity(2 * width)  # the reference carries no by-product
+        frame = drive_gadget(rt, gadget, frame, tuple(range(width)), octant, secrets)
+        post = frame.matrix_on(rt.snapshot(labels)).reshape(dim, dim).T
+        operator = math.sqrt(dim * src.path_probability()) * undo @ post
+        operator.flags.writeable = False
+        # the prepare-only client announces by the gadget's rule from the first outcome
+        announced = announced_octant(octant, *secrets, src.bits[0]) if gadget == "sueki" else None
+        return src.bits, operator, announced, rt.tape.bob_classical_values()
+
+    _ROWS[key] = tuple(br.value for br in enumerate_runs(run_fn))
+    return _ROWS[key]
 
 
-def _corrected_step(session: Session, step: Step) -> np.ndarray:
-    """``drive_step``, then the frame-corrected register state."""
-    drive_step(session, step)
-    return session.frame.matrix_on(session.rt.snapshot())
+def _check_rows(key: tuple, step: Step) -> None:
+    """Refuse ``step`` unless every row of its ``key`` realizes the gate up
+    to the frame: M = U^dagger F K a scalar times I, read as the fidelity
+    of M and I as vectors. Each key is checked once per process."""
+    if key in _CHECKED:
+        return
+    for outcomes, operator, _, _ in gadget_rows(*key):
+        flat = operator.reshape(-1) / np.linalg.norm(operator)
+        ideal = np.eye(len(operator)).reshape(-1) / math.sqrt(len(operator))
+        if fidelity_up_to_phase(flat, ideal) < 1.0 - GADGET_FIDELITY_ATOL:
+            raise AssertionError(
+                f"{step.kind} step on {step.positions} (octant {step.octant}): outcomes "
+                f"{outcomes} and the gate leave different states"
+            )
+    _CHECKED.add(key)
 
 
 def enumerate_run(config: ProtocolConfig) -> list[RunBranch]:
@@ -310,28 +362,20 @@ def enumerate_run(config: ProtocolConfig) -> list[RunBranch]:
     computation bits as the value, sorted by outcomes like ``enumerate_runs``.
 
     Each gadget realizes its gate on every outcome up to a by-product the
-    frame records, so every fork of a step must leave the same corrected
-    register state; the walk checks that and goes on with the first fork,
-    the greedy path. The output stage is then enumerated on that session:
-    each path is the kept outcomes plus an output path, with the output
-    path's probability.
+    frame records, whatever the register holds, so no step needs to be
+    forked: the walk drives each step once, on the greedy path as ``run``
+    does, and checks the compiled rows of the step's key (``_check_rows``).
+    The output stage is then enumerated on that session: each path is the
+    kept outcomes plus an output path, with the output path's probability.
     """
     session = new_session(replace(config, record_transcript=False), ReplayOutcomes(()))
     plan = draw_plan(config)
     prepare_register(session)
-    kept: tuple[int, ...] = ()
     for step in plan.steps:
-        first, *rest = _fork_branches(session, functools.partial(_corrected_step, step=step))
-        session, state = first.value
-        for branch in rest:
-            if fidelity_up_to_phase(state, branch.value[1]) < 1.0 - GADGET_FIDELITY_ATOL:
-                raise AssertionError(
-                    f"{step.kind} step on {step.positions} (octant {step.octant}): outcomes "
-                    f"{first.outcomes} and {branch.outcomes} leave different states"
-                )
-        kept += first.outcomes
-    leaves = _fork_branches(session, lambda fork: finish_run(fork, plan)[1].computation_bits)
-    return [RunBranch(kept + br.outcomes, br.probability, br.value[1]) for br in leaves]
+        _check_rows(drive_step(session, step), step)
+    kept = session.rt.outcomes.bits
+    leaves = enumerate_runs(lambda src: finish_run(session.fork(src), plan)[1].computation_bits)
+    return [RunBranch(kept + br.outcomes, br.probability, br.value) for br in leaves]
 
 
 def _expect(config: ProtocolConfig, protocol: str) -> None:

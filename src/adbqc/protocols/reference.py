@@ -59,7 +59,7 @@ def enumerated_distribution(
 ) -> dict[tuple[int, ...], float]:
     """Exact decoded-output distribution of a protocol, all branches.
 
-    The paths come from ``enumerate_run``'s walk over the gadget steps.
+    The paths come from ``enumerate_run``, which drives each gadget step once.
     ``run_protocol`` runs a config against an outcome source, like
     ``protocols.run``. It runs once, on the greedy path, so a runner for
     another protocol is refused and the walk's first path (outcomes and

@@ -10,11 +10,13 @@ before it starts (``protocols.driver.draw_plan``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
 
+@functools.cache
 def _purpose_words(purpose: str) -> tuple[int, ...]:
     digest = hashlib.sha256(purpose.encode("utf-8")).digest()
     return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))

@@ -9,8 +9,8 @@ or by exhaustively enumerating every outcome path (``enumerate_runs``,
 which replays a computation once per path, so later steps may depend on
 earlier outcomes). A protocol run draws its other random choices before it
 starts, so the outcome source is a runtime's only randomness. Its exact
-enumeration replays one gadget step at a time, on ``fork``s of the runtime
-at the step's start, and goes on with one fork. Gadgets, protocol runs,
+enumeration drives each gadget step once and replays only the output stage,
+on ``fork``s of the runtime where that stage starts. Gadgets, protocol runs,
 oracles and audits all measure through ``QuantumRuntime.measure``; ``qsim``
 only builds states and applies gates.
 
@@ -197,13 +197,14 @@ class QuantumRuntime:
 
     def _admit(self, labels: tuple[str, ...], amps: np.ndarray) -> None:
         """Refuse new qubits ``labels`` when one is in use, the qubit budget
-        would be exceeded, or their state ``amps`` is not normalized."""
+        would be exceeded, or their state ``amps`` is not normalized (a NaN
+        norm fails the comparison, so it is refused too)."""
         for lb in labels:
             if lb in self._owners:
                 raise ValueError(f"label {lb!r} already in use")
         if len(self._labels) + len(labels) > MAX_QUBITS:
             raise ValueError(f"qubit budget of {MAX_QUBITS} exceeded")
-        if abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) > NORM_ATOL:
+        if not abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) <= NORM_ATOL:
             raise ValueError("a new qubit's state must be normalized")
 
     def apply(self, matrix: np.ndarray, labels: Sequence[str]) -> None:

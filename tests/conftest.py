@@ -4,16 +4,18 @@ The ``acceptance`` fixture records one verdict line per acceptance criterion
 and replays the lines into the terminal summary, so they are visible even
 when pytest captures stdout.
 
-The oracle compiles each gadget's outcome rows once per process
-(``oracle._ROWS``), and the no-signaling audit each octant's server views
-(``blindness._VIEWS``); a test that patches a gadget must compile its own
-rows and views and leave none behind, so both tables are emptied around
-every test.
+The driver compiles each gadget's outcome rows once per process
+(``driver._ROWS``) and the exact walk checks each key's rows once
+(``driver._CHECKED``), and the no-signaling audit compiles each octant's
+server views (``blindness._VIEWS``); a test that patches a gadget must
+compile and check its own rows and views and leave none behind, so all
+three tables are emptied around every test.
 """
 
 import pytest
 
-from adbqc import blindness, oracle
+from adbqc import blindness
+from adbqc.protocols import driver
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -31,11 +33,12 @@ def acceptance():
 
 @pytest.fixture(autouse=True)
 def fresh_gadget_rows():
-    oracle._ROWS.clear()
-    blindness._VIEWS.clear()
+    tables = (driver._ROWS, driver._CHECKED, blindness._VIEWS)
+    for table in tables:
+        table.clear()
     yield
-    oracle._ROWS.clear()
-    blindness._VIEWS.clear()
+    for table in tables:
+        table.clear()
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adbqc.gadgets import announced_octant, octant_angle, pattern_unitary
-from adbqc.oracle import PROTOCOL_BY_GADGET, BranchRow, drive_gadget
+from adbqc.gadgets import PauliFrame, announced_octant, octant_angle, pattern_unitary
+from adbqc.oracle import PROTOCOL_BY_GADGET, BranchRow
 from adbqc.protocols import ProtocolConfig, config_from_dict, config_object, driver, run
 from adbqc.protocols.driver import RunResult
 from adbqc.protocols.measure_client import p1_hrz_on_runtime
@@ -19,7 +19,7 @@ from adbqc.qsim import (
     CZ_GATE, GADGET_FIDELITY_ATOL, H_GATE, PLUS_AMPS, PRODUCT_ATOL, RZ_BY_OCTANT, X_GATE, Z_GATE,
     apply_gate, fidelity_up_to_phase, partial_trace, plus_state, rz_matrix, trace_distance,
 )
-from adbqc.runtime import OutcomeSource, QuantumRuntime, ReplayOutcomes, enumerate_runs
+from adbqc.runtime import OutcomeSource, QuantumRuntime, ReplayOutcomes, RunBranch, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
 
 
@@ -200,6 +200,58 @@ def sampled_distribution(run_protocol, config, trials: int) -> dict[tuple[int, .
     return {bits: c / trials for bits, c in counts.items()}
 
 
+def drive_gadget_on(
+    gadget: str, state: np.ndarray, src: OutcomeSource, octant: int, secrets: tuple[int, ...]
+) -> tuple[QuantumRuntime, list[str], PauliFrame]:
+    """``state`` loaded on the register qubits that ``driver.drive_gadget``
+    drives, then oracle ``gadget`` driven on them; returns the runtime, the
+    register labels and the by-product frame over them."""
+    rt = QuantumRuntime(src, Transcript())
+    labels = [driver.register_label(i) for i in range(len(state).bit_length() - 1)]
+    rt.load(state, labels, BOB)
+    frame = driver.drive_gadget(
+        rt, PROTOCOL_BY_GADGET.get(gadget, gadget), PauliFrame.identity(len(labels)),
+        tuple(range(len(labels))), octant, secrets,
+    )
+    return rt, labels, frame
+
+
+def forked_enumerate_run(config: ProtocolConfig) -> list[RunBranch]:
+    """``driver.enumerate_run`` by forking every step: each gadget step is
+    driven on forks of one session, one per outcome branch, every fork's
+    frame-corrected register state is compared with the first's, and the
+    walk goes on with the first fork, the greedy path. The reference the
+    walk's compiled-row check replaced."""
+    session = driver.new_session(replace(config, record_transcript=False), ReplayOutcomes(()))
+    plan = driver.draw_plan(config)
+    driver.prepare_register(session)
+
+    def forks(drive) -> list[RunBranch]:
+        def on_fork(source: OutcomeSource) -> tuple:
+            fork = session.fork(source)
+            return fork, drive(fork)
+
+        return enumerate_runs(on_fork)
+
+    def corrected_step(fork: driver.Session, step: driver.Step) -> np.ndarray:
+        driver.drive_step(fork, step)
+        return fork.frame.matrix_on(fork.rt.snapshot())
+
+    kept: tuple[int, ...] = ()
+    for step in plan.steps:
+        first, *rest = forks(lambda fork: corrected_step(fork, step))
+        session, state = first.value
+        for branch in rest:
+            if fidelity_up_to_phase(state, branch.value[1]) < 1.0 - GADGET_FIDELITY_ATOL:
+                raise AssertionError(
+                    f"{step.kind} step on {step.positions} (octant {step.octant}): outcomes "
+                    f"{first.outcomes} and {branch.outcomes} leave different states"
+                )
+        kept += first.outcomes
+    leaves = forks(lambda fork: driver.finish_run(fork, plan)[1].computation_bits)
+    return [RunBranch(kept + br.outcomes, br.probability, br.value[1]) for br in leaves]
+
+
 def replayed_branch_table(
     gadget: str, octant: int, state: np.ndarray, secrets: tuple[int, ...]
 ) -> tuple[BranchRow, ...]:
@@ -211,8 +263,7 @@ def replayed_branch_table(
         target = apply_gate(state, hrz_matrix(octant_angle(octant)), [0])
 
     def run(src: OutcomeSource) -> float:
-        rt, labels = QuantumRuntime.from_state(state, src, BOB)
-        frame = drive_gadget(gadget, rt, labels, octant, secrets)
+        rt, labels, frame = drive_gadget_on(gadget, state, src, octant, secrets)
         return fidelity_up_to_phase(frame.matrix_on(rt.snapshot(labels)), target)
 
     return tuple(
@@ -281,8 +332,7 @@ def replayed_view_distribution(gadget: str, octant: int, state: np.ndarray) -> t
     for drawn in secrets:
 
         def body(src: OutcomeSource) -> tuple:
-            rt, labels = QuantumRuntime.from_state(state, src, BOB, Transcript())
-            drive_gadget(gadget, rt, labels, octant, drawn)
+            rt, _, _ = drive_gadget_on(gadget, state, src, octant, drawn)
             return rt.tape.bob_classical_values()
 
         for br in enumerate_runs(body):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adbqc import blindness, oracle, rng
+from adbqc import blindness, rng
 from adbqc.blindness import (
     _bob_view_blocks,
     audit_gadget_view_tv,
@@ -22,15 +22,17 @@ from adbqc.blindness import (
     confirm_capability,
 )
 from adbqc.gadgets import announced_octant
-from adbqc.oracle import branch_table, drive_gadget
+from adbqc.oracle import branch_table
 from adbqc.protocols import (
     GateRequest,
     ProtocolConfig,
+    driver,
     p1_hrz_on_runtime,
     run_protocol1,
     run_protocol2,
     run_sueki,
 )
+from adbqc.protocols.driver import drive_gadget
 from adbqc.qsim import haar_random_state
 from adbqc.runtime import QuantumRuntime, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
@@ -53,10 +55,10 @@ def leaky_p1_hrz(rt, target, octant, checkpoint=None):
     return p1_hrz_on_runtime(rt, target, octant, checkpoint=checkpoint)
 
 
-def leaky_drive_gadget(gadget, rt, labels, octant, secrets):
-    """An oracle gadget, sending its octant before it runs."""
+def leaky_drive_gadget(rt, gadget, frame, positions, octant, secrets, prep_party=BOB):
+    """A gadget step, sending its octant before it runs."""
     rt.tape.msg(ALICE, to=BOB, op="leak", octant=octant)
-    return drive_gadget(gadget, rt, labels, octant, secrets)
+    return drive_gadget(rt, gadget, frame, positions, octant, secrets, prep_party)
 
 
 def run_p1_and_leak(config):
@@ -366,7 +368,7 @@ def test_view_distributions_from_rows_equal_the_replay(monkeypatch, gadget, octa
 )
 def test_gadget_view_audit_flags_a_leak(monkeypatch, gadget, octant_a, octant_b):
     # patched where the rows are compiled
-    monkeypatch.setattr(oracle, "drive_gadget", leaky_drive_gadget)
+    monkeypatch.setattr(driver, "drive_gadget", leaky_drive_gadget)
     result = audit_gadget_view_tv(gadget, octant_a, octant_b)
     assert not result.passed
     assert result.statistic == pytest.approx(1.0, abs=1e-12)
@@ -378,13 +380,14 @@ def test_exact_audit_statistics_do_not_depend_on_the_hash_seed():
     # (the gadget-view run leaks its octant, so its distance is a sum of
     # nonzero terms)
     script = (
-        "from adbqc import blindness, oracle\n"
+        "from adbqc import blindness\n"
+        "from adbqc.protocols import driver\n"
         "from adbqc.transcript import ALICE, BOB\n"
-        "drive = oracle.drive_gadget\n"
-        "def leaky(gadget, rt, labels, octant, secrets):\n"
-        "    rt.tape.msg(ALICE, to=BOB, op='leak', octant=octant)\n"
-        "    return drive(gadget, rt, labels, octant, secrets)\n"
-        "oracle.drive_gadget = leaky\n"
+        "drive = driver.drive_gadget\n"
+        "def leaky(rt, gadget, *rest):\n"
+        "    rt.tape.msg(ALICE, to=BOB, op='leak', octant=rest[2])\n"
+        "    return drive(rt, gadget, *rest)\n"
+        "driver.drive_gadget = leaky\n"
         "print(repr(blindness.audit_gadget_view_tv('hrz-sueki', 1, 5).statistic))\n"
         "print(repr(blindness.audit_no_signaling(octants=(0, 1), steps=(2, 5)).statistic))\n"
     )

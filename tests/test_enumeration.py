@@ -1,12 +1,15 @@
-"""The exact walk against whole-run replay and the reference, and its
-primitives.
+"""The exact walk against whole-run replay, the forked walk and the
+reference, and its primitives.
 
 ``enumerated_distribution`` walks a run's gadget steps on one session
-(``driver.enumerate_run``): it forks each step, checks that every fork
-leaves the same frame-corrected register state, and goes on with one. The
-reference path replays the whole run once per outcome path through
-``enumerate_runs``. Both must give the same support and the same
-probabilities up to rounding, since they sum them in different orders.
+(``driver.enumerate_run``): it drives each step once, on the greedy path,
+checks that every compiled row of the step's gadget realizes its gate up to
+the frame, and enumerates the output stage. The replay path runs the whole
+run once per outcome path through ``enumerate_runs``; both must give the
+same support and the same probabilities up to rounding, since they sum them
+in different orders. The forked walk (``helpers.forked_enumerate_run``)
+forks every step into its outcome branches and compares their states; the
+walk must give its branches bit for bit.
 """
 
 import importlib
@@ -19,7 +22,7 @@ import pytest
 import adbqc.runtime
 from adbqc import protocols
 from adbqc.blindness import confirm_capability
-from adbqc.protocols import driver
+from adbqc.protocols import driver, gate_client, sueki
 from adbqc.protocols import (
     TRAP_STATES,
     AdversaryConfig,
@@ -29,6 +32,7 @@ from adbqc.protocols import (
     reference_distribution,
     reference_state,
     run,
+    run_protocol2,
     run_sueki,
     total_variation,
 )
@@ -45,7 +49,7 @@ from adbqc.qsim import (
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import BOB
-from helpers import assert_channel_is_ideal
+from helpers import assert_channel_is_ideal, forked_enumerate_run
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -83,6 +87,11 @@ def assert_walk_matches_replay(config):
     assert total_variation(walked, replayed) <= PROBABILITY_SLACK
 
 
+def assert_walk_equals_the_forked_walk(config):
+    """Outcomes, probability and decoded bits of every branch, bit for bit."""
+    assert driver.enumerate_run(config) == forked_enumerate_run(config)
+
+
 # ---------------------------------------------------------------------------
 # The walk against replay
 
@@ -107,6 +116,17 @@ def test_fork_equals_replay_when_the_adversary_draws_after_the_forks():
         algorithm=(GateRequest.single(0, octants=(1, 3, 5)),),
     )
     assert_walk_matches_replay(config)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_walk_equals_the_forked_walk_on_the_exact_workload(workloads, seed):
+    for config in next(workloads.exact_rounds(seed)).configs:
+        assert_walk_equals_the_forked_walk(config)
+
+
+@pytest.mark.parametrize("index", [0, 2], ids=["sueki", "p2"])
+def test_the_walk_equals_the_forked_walk_on_acceptance_9(workloads, index):
+    assert_walk_equals_the_forked_walk(ProtocolConfig(**workloads.ACCEPTANCE_9[index]))
 
 
 def test_a_runner_for_another_protocol_is_refused():
@@ -136,6 +156,57 @@ def test_the_walk_catches_a_by_product_the_frame_does_not_record(monkeypatch):
         enumerated_distribution(run_sueki, SUEKI_HH_CZ)
 
 
+@pytest.mark.parametrize("name", ["sueki-HH-CZ", "p1-N9-d3"])
+def test_the_walk_checks_the_keys_the_run_drives(monkeypatch, name):
+    """The walk checks the rows of each (gadget, octant, secrets) the
+    client's step is called with on the greedy path, the octant signed by
+    the frame, and of the CZ where there is one; some steps here are driven
+    at the negated octant, so an unsigned key would check other rows."""
+    config = {"sueki-HH-CZ": SUEKI_HH_CZ, **EXACT}[name]
+    client = driver.CLIENT_BY_PROTOCOL[config.protocol]
+    real, driven = client.hrz, []
+
+    def recording(rt, label, octant, secrets):
+        driven.append(octant)
+        return real(rt, label, octant, secrets)
+
+    monkeypatch.setattr(client, "hrz", recording)
+    run(config, ReplayOutcomes(()))
+    steps = [step for step in driver.draw_plan(config).steps if step.kind == "hrz"]
+    assert driven != [step.octant for step in steps]
+    want = {(config.protocol, k, step.secrets) for k, step in zip(driven, steps)} | {("cz", 0, ())}
+    driver.enumerate_run(config)
+    assert driver._CHECKED == want
+
+
+def test_the_walk_catches_a_p2_by_product_without_its_pad(monkeypatch):
+    """The gate-only step without ``^ pad``: a pad-1 step's rows leave an
+    X the frame does not record on every outcome, so the forks agree with
+    each other, and the walk names the first step that draws pad 1."""
+    monkeypatch.setattr(
+        gate_client, "hrz",
+        lambda rt, label, octant, secrets:
+            gate_client.p2_hrz_on_runtime(rt, label, (octant + 4 * secrets[0]) % 8),
+    )
+    config = EXACT["p2-N3-d2-cz"]
+    first = next(step for step in driver.draw_plan(config).steps if step.secrets == (1,))
+    (pos,) = first.positions
+    want = rf"^hrz step on \({pos},\) \(octant {first.octant}\)"
+    with pytest.raises(AssertionError, match=want):
+        enumerated_distribution(run_protocol2, config)
+
+
+def test_the_walk_catches_a_flipped_sueki_by_product(monkeypatch):
+    """A prepare-only step that reports the wrong X by-product on every
+    outcome fails the walk's first step; the forked walk, which compares
+    the outcome branches only with each other, lets it through."""
+    real = sueki.hrz
+    monkeypatch.setattr(sueki, "hrz", lambda *args: real(*args) ^ 1)
+    forked_enumerate_run(SUEKI_H)
+    with pytest.raises(AssertionError, match=r"^hrz step on \(0,\) \(octant 2\)"):
+        enumerated_distribution(run_sueki, SUEKI_H)
+
+
 # ---------------------------------------------------------------------------
 # The walk against the reference
 
@@ -155,6 +226,11 @@ EXACT = {
         GateRequest.single(1, octants=(3, 5, 1)),
     ), output_bases=("z", "x")),
 }
+
+
+@pytest.mark.parametrize("config", EXACT.values(), ids=EXACT.keys())
+def test_the_walk_equals_the_forked_walk_on_the_exact_configs(config):
+    assert_walk_equals_the_forked_walk(config)
 
 
 @pytest.mark.parametrize("config", EXACT.values(), ids=EXACT.keys())

@@ -17,7 +17,7 @@ from adbqc.oracle import (
     soundness_sweep,
     table_passes,
 )
-from adbqc.protocols import gate_client, measure_client, sueki
+from adbqc.protocols import driver, gate_client, measure_client, sueki
 from adbqc.protocols.driver import CLIENT_BY_PROTOCOL
 from adbqc.protocols.measure_client import classify_angle
 from adbqc.qsim import haar_random_state
@@ -77,14 +77,14 @@ def test_compiled_rows_do_not_serve_an_octant_the_check_refuses():
     (``2.0 == 2`` and ``True == 1`` hash alike)."""
     for octant in (1, 2):
         branch_table("p2", octant)
-    assert len(oracle._ROWS) == 2
+    assert len(driver._ROWS) == 2
     for octant in (2.0, True, 1.0):
         with pytest.raises(ValueError, match="octant must be an integer"):
             branch_table("p2", octant)
     for octant in (9, 10, -7):
         with pytest.raises(ValueError, match=f"octant {octant} is not admissible"):
             branch_table("p2", octant)
-    assert len(oracle._ROWS) == 2
+    assert len(driver._ROWS) == 2
 
 
 def test_secrets_are_checked_before_the_lookup():
@@ -97,7 +97,7 @@ def test_secrets_are_checked_before_the_lookup():
     assert branch_table("p2", 1, state, secrets=[np.int64(1)]) == branch_table(
         "p2", 1, state, secrets=(1,))
     assert branch_table("p1", 3, state, secrets=[]) == branch_table("p1", 3, state, secrets=())
-    assert len(oracle._ROWS) == 3
+    assert len(driver._ROWS) == 3
     for gadget, secrets in [("hrz-sueki", (8, 0)), ("hrz-sueki", (1,)), ("hrz-sueki", [2, 2]),
                             ("p2", (2,)), ("p2", ()), ("p1", (0,)), ("cz", (0,))]:
         with pytest.raises(ValueError, match="are not among"):
@@ -105,7 +105,7 @@ def test_secrets_are_checked_before_the_lookup():
     for secrets in [(True,), (1.0,), [np.float64(0)]]:
         with pytest.raises(ValueError, match="secret must be an integer"):
             branch_table("p2", 1, secrets=secrets)
-    assert len(oracle._ROWS) == 3
+    assert len(driver._ROWS) == 3
 
 
 def test_every_key_compiles_once_into_read_only_rows(monkeypatch):
@@ -123,7 +123,7 @@ def test_every_key_compiles_once_into_read_only_rows(monkeypatch):
             assert isinstance(row, tuple)
             with pytest.raises(ValueError, match="read-only"):
                 row[1][0, 0] = 0.0
-    monkeypatch.setattr(oracle, "enumerate_runs", None)  # a replay would fail
+    monkeypatch.setattr(driver, "enumerate_runs", None)  # a replay would fail
     assert [oracle._branches(*key) for key in keys] == compiled
     assert soundness_sweep(1)[1] == 25
 
@@ -269,7 +269,7 @@ def flip_the_by_product(gadget):
 @pytest.mark.parametrize(
     "module,name",
     [(sueki, "sueki_hrz_on_runtime"), (measure_client, "p1_hrz_on_runtime"),
-     (gate_client, "p2_hrz_on_runtime"), (oracle, "cz_on_runtime")],
+     (gate_client, "p2_hrz_on_runtime"), (driver, "cz_on_runtime")],
     ids=["sueki_hrz_on_runtime", "p1_hrz_on_runtime", "p2_hrz_on_runtime", "cz_on_runtime"],
 )
 def test_soundness_sweep_catches_a_wrong_by_product(monkeypatch, module, name):

@@ -7,6 +7,8 @@ numpy (independent of the code under test) or are small enough to assert
 directly.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -612,6 +614,32 @@ def test_load_refuses_a_state_it_cannot_hold(state, labels, message):
     assert np.array_equal(rt.snapshot(), zero_state(1))
 
 
+NON_FINITE = {
+    "nan": np.array([np.nan, 0.0]),
+    "nan-beside-one": np.array([1.0, np.nan]),
+    "nan-phase": np.array([complex(np.nan, 0.0), 0.0]),
+    "inf": np.array([np.inf, 0.0]),
+}
+
+
+@pytest.mark.parametrize("amps", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_a_state_with_a_non_finite_norm_is_refused(amps):
+    """A NaN norm fails every comparison, so a norm check written as "too
+    far from 1" would admit it; ``load``, ``add_qubit`` and ``from_state``
+    each refuse it, and an infinite one, and change nothing."""
+    rt, _ = QuantumRuntime.from_state(zero_state(1), ReplayOutcomes(()), BOB)
+    with pytest.raises(ValueError, match="normalized"):
+        rt.load(amps, ["p"], BOB)
+    with pytest.raises(ValueError, match="normalized"):
+        rt.add_qubit("p", amps, BOB)
+    assert rt.num_qubits == 1
+    assert np.array_equal(rt.snapshot(), zero_state(1))
+    with pytest.raises(ValueError, match="normalized"):
+        QuantumRuntime.from_state(amps, ReplayOutcomes(()), BOB)
+    with pytest.raises(ValueError, match="normalized"):
+        QuantumRuntime.from_state(np.concatenate([amps, [0.0, 0.0]]), ReplayOutcomes(()), BOB)
+
+
 def test_load_copies_its_state():
     """A runtime never shares a loaded array: writing it afterwards, or
     writing the array a snapshot returns, leaves the runtime as it was."""
@@ -643,6 +671,37 @@ def test_state_width_is_refused_unless_a_power_of_two(state):
 def test_fidelity_refuses_states_of_different_widths():
     with pytest.raises(ValueError, match="cannot be compared"):
         fidelity_up_to_phase(zero_state(1), zero_state(2))
+
+
+def uncached_stream(seed: int, purpose: str, index: int = 0) -> np.random.Generator:
+    """``rng.stream`` from its formula, hashing the purpose on every call."""
+    digest = hashlib.sha256(purpose.encode("utf-8")).digest()
+    words = tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
+    key = words + (index & 0xFFFFFFFF, index >> 32)
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+@pytest.mark.parametrize(
+    "seed,purpose,index",
+    [(0, "outcomes", 0), (2026, "oracle-sweep", 99), (5, "alice", 0),
+     (7, "", 2**33 + 5), (1, "h\u00e9t\u00e9rodyne", 3)],
+)
+def test_a_stream_draws_what_the_uncached_formula_draws(seed, purpose, index):
+    """The purpose hash is cached per purpose; the first and every later
+    stream of a purpose draw what the formula draws, bit for bit."""
+    for _ in range(2):
+        got, want = rng.stream(seed, purpose, index), uncached_stream(seed, purpose, index)
+        assert np.array_equal(got.random(8), want.random(8))
+        assert np.array_equal(got.integers(2**63, size=4), want.integers(2**63, size=4))
+
+
+def test_a_purpose_is_hashed_once(monkeypatch):
+    hashed = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(rng.hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+    for index in range(3):
+        rng.stream(index, "a purpose no other test opens", index)
+    assert hashed == [b"a purpose no other test opens"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
