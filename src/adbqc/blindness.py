@@ -4,13 +4,14 @@ Six audits:
 
 - announced-angle uniformity for the prepare-only client (counting);
 - no-signaling for the measure-only client: the server's combined
-  classical/quantum view at every stage of the rotation gadget is identical
-  whatever the octant (exact: views compiled once per octant, stacked distances);
+  classical/quantum view at every stage of the rotation gadget, with the
+  gadget's input maximally entangled with a reference the server keeps, is
+  identical whatever the octant (exact: views compiled once per octant);
 - transcript statistics for full protocol runs: a permutation test that
   the server-visible classical record does not separate two angle choices;
-- gadget-view total variation: the exact distribution of what the server
-  sees classically in one client's rotation step, over every secret the
-  client draws, compared across two octants (from the oracle's paths);
+- gadget-view distance: what the server sees classically in one client's
+  rotation step, over every secret the client draws, compared across two
+  octants on every input at once (the POVM of the oracle's paths);
 - the entangled-probe analysis of the lent-ancilla gadget, with the
   closed-form Gram matrix as the oracle, all probes in one batch;
 - capability confinement: the client used no quantum operation outside
@@ -42,9 +43,7 @@ from .protocols.reference import total_variation
 from .qsim import (
     GADGET_VIEW_TV_ATOL,
     NO_SIGNALING_ATOL,
-    NORM_ATOL,
     PROBE_GRAM_ATOL,
-    haar_random_state,
     haar_random_states,
     trace_distance,
 )
@@ -101,16 +100,18 @@ def audit_theta_uniformity() -> AuditResult:
 # No-signaling through the measure-only rotation gadget
 
 
-_VIEWS: dict[int, tuple] = {}  # octant -> (paths, views per step, {step: {record: Choi J}})
+_VIEWS: dict[int, tuple] = {}  # octant -> (paths, views per step, {step: {record: p rho}})
 
 
 def _compiled_views(octant: int) -> tuple[int, Counter, dict[int, dict[tuple, np.ndarray]]]:
-    """The server's view at each checkpoint of the measure-only gadget as a fixed
-    map of the input, compiled into ``_VIEWS`` once: one walk on the register
-    maximally entangled with a server-held reference (qubit 1) gives, per outcome
-    prefix of probability p, its Choi matrix J = 2 p rho, summed per (step, record)."""
+    """The server's view at each checkpoint of the measure-only gadget, compiled
+    into ``_VIEWS`` once: one walk on the register maximally entangled with a
+    reference the server holds (qubit 1) gives, per outcome prefix of
+    probability p, the block p rho of the server's state, summed per (step,
+    record). These blocks are the view of a server that keeps the reference,
+    the strongest view of the gadget on any input."""
     if octant not in _VIEWS:
-        chois: dict[int, dict[tuple, np.ndarray]] = {}
+        blocks: dict[int, dict[tuple, np.ndarray]] = {}
         seen: set[tuple[int, tuple[int, ...]]] = set()
 
         def run_fn(source: OutcomeSource) -> None:
@@ -120,65 +121,48 @@ def _compiled_views(octant: int) -> tuple[int, Counter, dict[int, dict[tuple, np
             def checkpoint(at: int) -> None:
                 if (prefix := (at, source.bits)) not in seen:
                     seen.add(prefix)
-                    view, key = chois.setdefault(at, {}), rt.tape.bob_classical_values()
-                    rho = 2 * source.path_probability() * rt.density_of(BOB)
+                    view, key = blocks.setdefault(at, {}), rt.tape.bob_classical_values()
+                    rho = source.path_probability() * rt.density_of(BOB)
                     view[key] = view.get(key, 0.0) + rho
 
             p1_hrz_on_runtime(rt, labels[0], octant, checkpoint=checkpoint)
 
-        _VIEWS[octant] = (len(enumerate_runs(run_fn)), Counter(at for at, _ in seen), chois)
-        for choi in (choi for view in chois.values() for choi in view.values()):
-            choi.flags.writeable = False
+        _VIEWS[octant] = (len(enumerate_runs(run_fn)), Counter(at for at, _ in seen), blocks)
+        for block in (block for view in blocks.values() for block in view.values()):
+            block.flags.writeable = False
     return _VIEWS[octant]
 
 
-def _bob_view_blocks(octants: Sequence[int], state: np.ndarray, steps: Sequence[int]) -> dict:
-    """Each octant's server view at each checkpoint in ``steps``, blocks keyed by the server's
-    record: sum_ij psi_i conj(psi_j) <i|_ref J |j>_ref of each compiled J, one einsum per shape."""
-    by_shape: dict[tuple, list] = {}
-    for k, step in ((k, step) for k in octants for step in steps):
-        for key, choi in _compiled_views(k)[2][step].items():
-            by_shape.setdefault(choi.shape, []).append((k, step, key, choi))
-    views: dict[int, dict[int, dict]] = {k: {step: {} for step in steps} for k in octants}
-    for group in by_shape.values():
-        rest = group[0][3].shape[0] // 4  # the qubits above the reference
-        chois = np.stack([choi for *_, choi in group]).reshape(-1, rest, 2, 2, rest, 2, 2)
-        blocks = np.einsum("nairbjc,i,j->narbc", chois, state, np.conj(state))
-        for (k, step, key, _), block in zip(group, blocks.reshape(len(group), 2 * rest, -1)):
-            views[k][step][key] = block
-    return views
-
-
-def block_trace_distances(pairs: Sequence[tuple[dict, dict]]) -> list[float]:
-    """Trace distance between the block states a, b of each pair: the ``math.fsum`` over view
-    keys of each block pair's distance (a missing block is 0), one stacked call per shape."""
-    by_shape: dict[tuple, list] = {}
-    for i, (a, b) in enumerate(pairs):
-        for key in a.keys() | b.keys():
-            rho_a, rho_b = a.get(key), b.get(key)
-            rho_a = 0 * rho_b if rho_a is None else rho_a  # a missing block is 0
-            rho_b = 0 * rho_a if rho_b is None else rho_b
-            by_shape.setdefault(rho_a.shape, []).append((i, rho_a, rho_b))
-    parts: list[list[float]] = [[] for _ in pairs]
-    for owners, a_blocks, b_blocks in (zip(*blocks) for blocks in by_shape.values()):
-        for i, dist in zip(owners, trace_distance(np.stack(a_blocks), np.stack(b_blocks))):
-            parts[i].append(float(dist))
-    return [math.fsum(part) for part in parts]
+def block_trace_distances(views: Sequence[dict], pairs: Sequence[tuple[int, int]]) -> list[float]:
+    """Trace distance between the block states ``views[i]`` and ``views[j]`` of each
+    pair (i, j): the ``math.fsum`` over keys of each block pair's distance (a missing
+    block is 0). The blocks of each shape are stacked once, as (key, view), and one
+    ``trace_distance`` call per shape takes every pair at every key."""
+    by_shape: dict[tuple, tuple[dict, list]] = {}
+    for v, view in enumerate(views):
+        for key, block in view.items():
+            keys, cells = by_shape.setdefault(block.shape, ({}, []))
+            cells.append((keys.setdefault(key, len(keys)), v, block))
+    first, second = np.array(pairs).reshape(-1, 2).T
+    dists = [np.zeros((0, len(pairs)))]  # (key, pair) per shape
+    for shape, (keys, cells) in by_shape.items():
+        at_key, at_view, blocks = zip(*cells)
+        stacks = np.zeros((len(keys), len(views), *shape), dtype=complex)
+        stacks[at_key, at_view] = blocks
+        dists.append(trace_distance(stacks[:, first], stacks[:, second]))
+    return [math.fsum(column) for column in np.concatenate(dists).T.tolist()]
 
 
 def audit_no_signaling(
-    state: np.ndarray | None = None,
     octants: Sequence[int] = tuple(range(8)),
     steps: Sequence[int] = tuple(range(1, 10)),
-    seed: int = 404,
 ) -> AuditResult:
     """Exact check that the server's view of the measure-only rotation
-    gadget is octant-independent at every stage.
-
-    Contracts each octant's compiled views with ``state`` (one normalized
-    qubit) at each checkpoint in ``steps`` (distinct integers 1 to 9) and
-    compares them across all octant pairs by trace distance. Each octant is
-    an integer 0..7 (no bool or float; 8 is not 0), none repeated.
+    gadget is octant-independent at every stage, on every input: compares
+    each octant's compiled views at each checkpoint in ``steps`` (distinct
+    integers 1 to 9) across all octant pairs by trace distance, drawing no
+    random number. Each octant is an integer 0..7 (no bool or float; 8 is
+    not 0), none repeated.
     """
     if len(octants) < 2 or not steps:
         raise ValueError("the no-signaling audit needs two octants and a step to compare")
@@ -190,12 +174,10 @@ def audit_no_signaling(
         raise ValueError(f"the no-signaling audit needs distinct steps, got {steps}")
     if unmarked := [s for s in steps if s not in range(1, 10)]:
         raise ValueError(f"the measure-only gadget marks no step {unmarked[0]}")
-    state = haar_random_state(1, stream(seed, "no-signaling-state")) if state is None else state
-    if np.shape(state) != (2,) or not abs(np.linalg.norm(state) - 1.0) <= NORM_ATOL:  # NaN too
-        raise ValueError("the no-signaling audit needs one normalized qubit as its state")
-    views = _bob_view_blocks(octants, state, steps)
-    compared = [(s, a, b) for s in steps for i, a in enumerate(octants) for b in octants[i + 1:]]
-    dists = block_trace_distances([(views[a][s], views[b][s]) for s, a, b in compared])
+    pairs = [(i, j) for i in range(len(octants)) for j in range(i + 1, len(octants))]
+    compared = [(s, octants[i], octants[j]) for s in steps for i, j in pairs]
+    dists = [dist for s in steps for dist in
+             block_trace_distances([_compiled_views(k)[2][s] for k in octants], pairs)]
     worst = max(dists)
     worst_at = compared[dists.index(worst)] if worst > 0.0 else None
     return AuditResult(
@@ -277,46 +259,42 @@ def audit_gadget_view_tv(
     octant_a: int,
     octant_b: int,
 ) -> AuditResult:
-    """Exact total variation between the server's views of one gadget.
+    """Exact distance between the server's classical views of one gadget.
 
-    Compares the exact distributions of everything the server sees
-    classically (outcomes it measures plus messages it receives) in one
-    client's rotation step at two different octants, with the client's
-    secrets marginalized over its equally likely ``SECRETS``. Each
-    distribution sums, per server record, the probabilities |M psi|^2 of the
-    gadget's compiled paths (``oracle._branches``) on one Haar-random input.
-    For the honest clients the distance must vanish.
+    Compares what the server sees classically (outcomes it measures plus
+    messages it receives) in one client's rotation step at two octants, with
+    the client's secrets marginalized over its equally likely ``SECRETS``.
+    Per server record, E = sum M^dagger M over the gadget's compiled paths
+    (``oracle._branches``), averaged over the secrets and divided by the input
+    dimension, is that record's block when the server keeps a reference
+    maximally entangled with the input; the block trace distance between the
+    octants' E's is zero exactly when the record distributions agree on
+    every input. For the honest clients it must vanish.
     """
     if gadget == "cz":
         raise ValueError(f"gadget {gadget!r} has no angle to hide")
     if gadget not in PROTOCOL_BY_GADGET:
         raise ValueError(f"unknown gadget {gadget!r}")
-    state = haar_random_state(1, stream(99, "gadget-view-input"))
     secrets = CLIENT_BY_PROTOCOL[PROTOCOL_BY_GADGET[gadget]].SECRETS
-    weight = 1.0 / len(secrets)
-    branches = 0
 
-    def distribution(octant: int) -> dict:
-        nonlocal branches
-        probs: dict = {}
-        for drawn in secrets:
-            rows = _branches(gadget, octant, drawn)
-            branches += len(rows)
-            for _, operator, _, record in rows:
-                out = operator @ state
-                probs[record] = probs.get(record, 0.0) + weight * float(np.vdot(out, out).real)
-        return probs
+    def povm(octant: int) -> tuple[int, dict]:
+        rows = [row for drawn in secrets for row in _branches(gadget, octant, drawn)]
+        ops = np.stack([operator for _, operator, _, _ in rows])
+        slot: dict = {}  # server record -> its index
+        at = [slot.setdefault(record, len(slot)) for *_, record in rows]
+        elements = np.zeros((len(slot), *ops.shape[1:]), dtype=complex)
+        np.add.at(elements, at, ops.conj().swapaxes(1, 2) @ ops)
+        return len(rows), dict(zip(slot, elements / (len(secrets) * ops.shape[-1])))
 
-    pa = distribution(octant_a)
-    pb = distribution(octant_b)
-    tv = total_variation(pa, pb)
+    (paths_a, ea), (paths_b, eb) = povm(octant_a), povm(octant_b)
+    dist = block_trace_distances([ea, eb], [(0, 1)])[0]
     return AuditResult(
         name="gadget_view_tv",
-        passed=tv <= GADGET_VIEW_TV_ATOL,
-        statistic=float(tv),
+        passed=dist <= GADGET_VIEW_TV_ATOL,
+        statistic=dist,
         threshold=GADGET_VIEW_TV_ATOL,
-        details={"gadget": gadget, "views_a": len(pa), "views_b": len(pb),
-                 "branches": branches},
+        details={"gadget": gadget, "views_a": len(ea), "views_b": len(eb),
+                 "branches": paths_a + paths_b},
     )
 
 

@@ -240,7 +240,7 @@ def _add_blindness_parser(sub) -> None:
     p.add_argument("--audit", required=True, choices=("theta", "nosig", "tv", "probe"))
     p.add_argument("--samples", type=int, default=100, help="probe count (probe audit)")
     p.add_argument("--runs", type=int, default=200, help="runs per secret (sampled tv)")
-    p.add_argument("--seed", type=int, default=404)
+    p.add_argument("--seed", type=int, default=404, help="seed (probe and sampled tv audits)")
     p.add_argument("--gadget", default="p2", help="gadget for the exact tv audit")
     p.add_argument("--octant-a", type=int, default=1, help="first secret octant (tv)")
     p.add_argument("--octant-b", type=int, default=5, help="second secret octant (tv)")
@@ -252,7 +252,7 @@ def cmd_blindness(args) -> int:
     if args.audit == "theta":
         res = audit_theta_uniformity()
     elif args.audit == "nosig":
-        res = audit_no_signaling(seed=args.seed)
+        res = audit_no_signaling()
     elif args.audit == "probe":
         res = audit_probe_gram(num_probes=args.samples, seed=args.seed)
     else:

@@ -41,7 +41,7 @@ NORM_ATOL = 1e-9  # |norm - 1| float rounding leaves on a pure state or qubit
 PRODUCT_ATOL = 1e-9  # purity defect of a qubit that counts as product with the rest
 GADGET_FIDELITY_ATOL = 1e-9  # infidelity a gadget branch may show against its ideal gate
 NO_SIGNALING_ATOL = 1e-10  # trace distance between the server's views of two octants
-GADGET_VIEW_TV_ATOL = 1e-9  # total variation between the server's views of two octants
+GADGET_VIEW_TV_ATOL = 1e-9  # block trace distance between the server's record POVMs at two octants
 PROBE_GRAM_ATOL = 1e-10  # entrywise gap between the simulated and closed-form probe Gram
 PROBABILITY_SLACK = 1e-12  # rounding allowed when checking or bounding a probability
 MONTE_CARLO_Z_BOUND = 4.0  # |z| a Monte Carlo estimate may show against its exact value

@@ -281,10 +281,12 @@ class _PastLastStep(Exception):
 def per_path_bob_view_blocks(
     octant: int, state: np.ndarray, steps
 ) -> dict[int, dict[tuple, np.ndarray]]:
-    """The server's view blocks that ``blindness._bob_view_blocks`` contracts
-    from compiled maps, by replaying the measure-only gadget on ``state``
-    itself: the view is computed on every path up to the last step in
-    ``steps`` and weighted by that path's probability."""
+    """The server's view blocks of the measure-only gadget, by replaying it on
+    ``state`` itself (labels[0] the target, any further qubits the server's):
+    the view is computed on every path up to the last step in ``steps`` and
+    weighted by that path's probability. On the target maximally entangled
+    with one reference qubit these are the blocks ``blindness._compiled_views``
+    compiles once per prefix."""
     last = max(steps)
 
     def run_fn(source: OutcomeSource) -> list:
@@ -321,10 +323,10 @@ def joint_density_of(rt: QuantumRuntime, owner: str) -> np.ndarray:
 
 
 def replayed_view_distribution(gadget: str, octant: int, state: np.ndarray) -> tuple[dict, int]:
-    """The server's classical view distribution that ``blindness.audit_gadget_view_tv``
-    builds from compiled rows, by replaying the client's step on ``state``
-    once per outcome path under each of its equally likely ``SECRETS``;
-    returns (distribution, paths walked)."""
+    """The server's classical view distribution on ``state`` that the blocks of
+    ``blindness.audit_gadget_view_tv`` give, by replaying the client's step on
+    ``state`` once per outcome path under each of its equally likely
+    ``SECRETS``; returns (distribution, paths walked)."""
     secrets = driver.CLIENT_BY_PROTOCOL[PROTOCOL_BY_GADGET[gadget]].SECRETS
     weight = 1.0 / len(secrets)
     probs: dict = {}

@@ -9,9 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adbqc import blindness, rng
+from adbqc import blindness, cli, qsim, rng
 from adbqc.blindness import (
-    _bob_view_blocks,
     audit_gadget_view_tv,
     audit_no_signaling,
     audit_probe_gram,
@@ -33,7 +32,7 @@ from adbqc.protocols import (
     run_sueki,
 )
 from adbqc.protocols.driver import drive_gadget
-from adbqc.qsim import haar_random_state
+from adbqc.qsim import RZ_BY_OCTANT, haar_random_state
 from adbqc.runtime import QuantumRuntime, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
 from helpers import (
@@ -52,6 +51,13 @@ from helpers import (
 def leaky_p1_hrz(rt, target, octant, checkpoint=None):
     """The measure-only gadget, sending its octant before it runs."""
     rt.tape.msg(ALICE, to=BOB, op="leak", octant=octant % 8)
+    return p1_hrz_on_runtime(rt, target, octant, checkpoint=checkpoint)
+
+
+def rotating_p1_hrz(rt, target, octant, checkpoint=None):
+    """The measure-only gadget after turning its target by the octant: a leak
+    in the server's quantum view that leaves no classical trace."""
+    rt.apply(RZ_BY_OCTANT[octant % 8], [target])
     return p1_hrz_on_runtime(rt, target, octant, checkpoint=checkpoint)
 
 
@@ -103,11 +109,11 @@ def test_no_signaling_across_octants_and_stages():
 
 def test_no_signaling_same_octant_is_exactly_zero():
     """An octant's views, compiled afresh, are bit for bit the first compile's."""
-    state = haar_random_state(1, rng.stream(404, "no-signaling-state"))
-    first = _bob_view_blocks((3,), state, (5,))[3][5]
+    first = blindness._compiled_views(3)[2][5]
     blindness._VIEWS.clear()
-    again = _bob_view_blocks((3,), state, (5,))[3][5]
-    assert block_trace_distances([(first, again)]) == [0.0]
+    again = blindness._compiled_views(3)[2][5]
+    assert first is not again
+    assert block_trace_distances([first, again], [(0, 1)]) == [0.0]
 
 
 @pytest.mark.parametrize(
@@ -124,6 +130,24 @@ def test_no_signaling_flags_a_classical_leak(monkeypatch):
     result = audit_no_signaling(octants=(0, 4), steps=(9,))
     assert not result.passed
     assert result.statistic == pytest.approx(1.0, abs=1e-9)
+
+
+def test_no_signaling_flags_a_leak_without_a_classical_trace(monkeypatch):
+    """A step that turns its target by the octant before the honest gadget
+    sends nothing on the wire, and a |0> input hides the turn entirely. The
+    server that keeps the reference of an entangled input sees it: octants k
+    and k+4 differ by a half turn, which takes (R_Z(pi) x I)|Phi> to an
+    orthogonal state. The worst pair is the first largest of the per-pair
+    distances."""
+    monkeypatch.setattr(blindness, "p1_hrz_on_runtime", rotating_p1_hrz)
+    result = audit_no_signaling()
+    assert not result.passed
+    assert result.statistic >= 0.99
+    views = {k: blindness._compiled_views(k)[2] for k in range(8)}
+    compared = [(s, a, b) for s in range(1, 10) for a in range(8) for b in range(a + 1, 8)]
+    dists = [block_trace_distance(views[a][s], views[b][s]) for s, a, b in compared]
+    assert abs(result.statistic - max(dists)) <= 1e-12
+    assert result.details["worst_at"] == compared[dists.index(max(dists))]
 
 
 @pytest.mark.parametrize(
@@ -155,18 +179,6 @@ def test_no_signaling_refuses_steps_that_are_not_distinct_integers_1_to_9(steps,
     assert not blindness._VIEWS
 
 
-@pytest.mark.parametrize(
-    "state",
-    [zero_state(2), np.array([1.0, 1.0], dtype=complex), np.ones(1, dtype=complex),
-     np.eye(2, dtype=complex), np.zeros(2, dtype=complex), np.array([np.nan, 0], dtype=complex)],
-    ids=["two-qubits", "unnormalized", "no-qubit", "matrix", "zero", "nan"],
-)
-def test_no_signaling_refuses_a_state_that_is_not_one_normalized_qubit(state):
-    with pytest.raises(ValueError, match="one normalized qubit"):
-        audit_no_signaling(state=state, octants=(0, 1), steps=(1,))
-    assert not blindness._VIEWS
-
-
 def test_shallow_no_signaling_compiles_every_step_once(monkeypatch):
     """Asking for step 1 compiles each octant's views at all nine steps, one
     walk of its 8 paths each: a later audit of every step on those octants
@@ -190,21 +202,18 @@ def test_shallow_no_signaling_compiles_every_step_once(monkeypatch):
 
 @pytest.mark.parametrize("octant", range(8))
 def test_views_per_prefix_equal_views_per_path(octant):
-    """The compiled views (one Choi matrix per outcome prefix, contracted with
-    the input) give, at every step, the blocks that a replay of the gadget on
-    the input itself gives with a view on every path, weighted by the path.
-    Every client outcome has probability 1/2 whatever the input, so the
-    replay on |0> or |+> prunes no path and reaches every record."""
+    """The compiled views (one block per outcome prefix) are, at every step,
+    the blocks that a replay of the gadget on the entangled two-qubit input
+    gives with a view on every path, weighted by the path."""
     steps = tuple(range(1, 10))
-    haar = haar_random_state(1, rng.stream(404, "no-signaling-state"))
-    for state in (haar, zero_state(1), normalized([1, 1])):
-        fast = _bob_view_blocks((octant,), state, steps)[octant]
-        slow = per_path_bob_view_blocks(octant, state, steps)
-        assert fast.keys() == slow.keys()
-        for step, view in fast.items():
-            assert view.keys() == slow[step].keys()
-            for key, rho in view.items():
-                assert np.max(np.abs(rho - slow[step][key])) <= 1e-12
+    entangled = normalized([1, 0, 0, 1])
+    fast = blindness._compiled_views(octant)[2]
+    slow = per_path_bob_view_blocks(octant, entangled, steps)
+    assert fast.keys() == slow.keys()
+    for step, view in fast.items():
+        assert view.keys() == slow[step].keys()
+        for key, rho in view.items():
+            assert np.max(np.abs(rho - slow[step][key])) <= 1e-12
 
 
 def test_no_signaling_computes_one_view_per_prefix(monkeypatch):
@@ -244,9 +253,9 @@ def test_a_second_no_signaling_call_replays_nothing(monkeypatch):
 
 def test_compiled_views_are_read_only():
     audit_no_signaling(octants=(2, 5), steps=(1,))
-    for _, _, chois in blindness._VIEWS.values():
-        for choi in (choi for view in chois.values() for choi in view.values()):
-            assert not choi.flags.writeable
+    for _, _, blocks in blindness._VIEWS.values():
+        for block in (block for view in blocks.values() for block in view.values()):
+            assert not block.flags.writeable
 
 
 def test_views_from_the_servers_factors_equal_the_whole_partial_trace(monkeypatch):
@@ -269,26 +278,28 @@ def test_views_from_the_servers_factors_equal_the_whole_partial_trace(monkeypatc
 
 
 def test_stacked_no_signaling_distances_equal_the_per_pair_formula():
-    """Every (step, octant pair) distance of the default audit, from one
-    stacked ``trace_distance`` per block shape, is the per-key sum that one
+    """Every (step, octant pair) distance of the default audit, from each
+    step's views stacked once, is the per-key sum that one
     ``trace_distance`` call per block gives."""
-    state = haar_random_state(1, rng.stream(404, "no-signaling-state"))
     steps = tuple(range(1, 10))
-    views = _bob_view_blocks(range(8), state, steps)
-    pairs = [(views[ka][step], views[kb][step])
-             for step in steps for ka in range(8) for kb in range(ka + 1, 8)]
-    assert len(pairs) == 252
-    assert {rho.shape for a, _ in pairs for rho in a.values()} == {(2, 2), (4, 4)}
-    for got, (a, b) in zip(block_trace_distances(pairs), pairs):
-        assert abs(got - block_trace_distance(a, b)) <= 1e-12
-    # the views of another input differ, so the distances are not all 0
-    other = haar_random_state(1, rng.stream(404, "no-signaling-other-state"))
-    moved = _bob_view_blocks((0, 3), other, steps)
-    pairs = [(views[k][step], moved[k][step]) for step in steps for k in (0, 3)]
-    dists = block_trace_distances(pairs)
-    assert max(dists) > 0.1
-    for got, (a, b) in zip(dists, pairs):
-        assert abs(got - block_trace_distance(a, b)) <= 1e-12
+    pairs = [(ka, kb) for ka in range(8) for kb in range(ka + 1, 8)]
+    views = {k: blindness._compiled_views(k)[2] for k in range(8)}
+    assert len(steps) * len(pairs) == 252
+    assert {rho.shape for k in views for s in steps for rho in views[k][s].values()} == {
+        (4, 4), (8, 8)}
+    for step in steps:
+        got = block_trace_distances([views[k][step] for k in range(8)], pairs)
+        for dist, (ka, kb) in zip(got, pairs):
+            assert abs(dist - block_trace_distance(views[ka][step], views[kb][step])) <= 1e-12
+    # the views of a product input differ, so the distances are not all 0
+    product = normalized([1, 0, 1, 0])
+    for k in (0, 3):
+        moved = per_path_bob_view_blocks(k, product, steps)
+        dists = block_trace_distances([views[k][s] for s in steps] + [moved[s] for s in steps],
+                                      [(i, i + len(steps)) for i in range(len(steps))])
+        assert max(dists) > 0.1
+        for dist, s in zip(dists, steps):
+            assert abs(dist - block_trace_distance(views[k][s], moved[s])) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -307,7 +318,7 @@ def test_no_signaling_accepts_numpy_integer_octants():
 def test_block_trace_distance_handles_disjoint_keys():
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     a, b = {("a",): rho}, {("b",): rho}
-    far, same = block_trace_distances([(a, b), (a, a)])
+    far, same = block_trace_distances([a, b], [(0, 1), (0, 0)])
     assert far == pytest.approx(1.0)
     assert same == 0.0
 
@@ -344,21 +355,26 @@ def test_gadget_view_audit_counts_its_branches(gadget, branches):
      ("p2", ((1, 6), (3, 4), (0, 5)), 8)],
 )
 def test_view_distributions_from_rows_equal_the_replay(monkeypatch, gadget, octant_pairs, branches):
-    """Each distribution the audit sums from the compiled rows equals, to
-    1e-12 and over as many paths, the one a replay of the client's step on
-    the audit's input gives, once per outcome path and secret."""
+    """The audit's block E of each server record, times the dimension 2,
+    gives on an input psi the record's probability psi^dagger (2 E) psi: to
+    1e-12 and over as many paths, what a replay of the client's step on psi
+    gives, once per outcome path and secret, for |0>, |+> and a Haar draw."""
     compared = []
-    total_variation = blindness.total_variation
-    monkeypatch.setattr(blindness, "total_variation",
-                        lambda a, b: compared.append((a, b)) or total_variation(a, b))
-    state = haar_random_state(1, rng.stream(99, "gadget-view-input"))
+    distances = blindness.block_trace_distances
+    monkeypatch.setattr(blindness, "block_trace_distances",
+                        lambda views, pairs: compared.append(views) or distances(views, pairs))
+    haar = haar_random_state(1, rng.stream(99, "gadget-view-input"))
     for octants in octant_pairs:
         result = audit_gadget_view_tv(gadget, *octants)
-        replayed = [replayed_view_distribution(gadget, k, state) for k in octants]
-        assert result.details["branches"] == branches == sum(walked for _, walked in replayed)
-        for got, (want, _) in zip(compared.pop(), replayed):
-            assert got.keys() == want.keys()
-            assert max(abs(got[view] - want[view]) for view in got) <= 1e-12
+        povms = compared.pop()
+        for state in (zero_state(1), normalized([1, 1]), haar):
+            replayed = [replayed_view_distribution(gadget, k, state) for k in octants]
+            assert result.details["branches"] == branches == sum(walked for _, walked in replayed)
+            for povm, (want, _) in zip(povms, replayed):
+                assert povm.keys() == want.keys()
+                got = {view: 2 * np.vdot(state, element @ state).real
+                       for view, element in povm.items()}
+                assert max(abs(got[view] - want[view]) for view in got) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -546,8 +562,22 @@ def test_capability_confinement_counts_every_client_operation():
         assert audit.details["violations"] == ["couple"]
 
 
-def test_no_signaling_accepts_a_chosen_input_state():
-    result = audit_no_signaling(
-        state=zero_state(1), octants=(2, 7), steps=(9,)
-    )
-    assert result.passed
+def test_exact_view_audits_draw_no_random_number(monkeypatch, capsys):
+    """Both exact view audits compare views that hold for every input, so
+    they run and pass with every random draw refused, and the command line's
+    no-signaling audit prints the same bytes whatever its seed."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact view audit drew a random number")
+
+    for module, name in ((blindness, "stream"), (rng, "stream"), (blindness, "haar_random_states"),
+                         (qsim, "haar_random_state"), (qsim, "haar_random_states")):
+        monkeypatch.setattr(module, name, refuse)
+    assert audit_no_signaling().passed
+    for gadget in ("hrz-sueki", "p1", "p2"):
+        assert audit_gadget_view_tv(gadget, 0, 5).passed
+    printed = []
+    for seed in ("1", "2"):
+        assert cli.main(["blindness", "--audit", "nosig", "--seed", seed]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
