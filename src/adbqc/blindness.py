@@ -34,10 +34,10 @@ from .adversary import (
     probe_gram_closed_form,
 )
 from .gadgets import announced_octant
-from .oracle import PROTOCOL_BY_GADGET, _branches
+from .oracle import PROTOCOL_BY_GADGET, check_octant
 from .protocols import sueki
 from .protocols.config import _integer
-from .protocols.driver import CLIENT_BY_PROTOCOL, run
+from .protocols.driver import CLIENT_BY_PROTOCOL, gadget_rows, run
 from .protocols.measure_client import p1_hrz_on_runtime
 from .protocols.reference import total_variation
 from .qsim import (
@@ -265,8 +265,8 @@ def audit_gadget_view_tv(
     messages it receives) in one client's rotation step at two octants, with
     the client's secrets marginalized over its equally likely ``SECRETS``.
     Per server record, E = sum M^dagger M over the gadget's compiled paths
-    (``oracle._branches``), averaged over the secrets and divided by the input
-    dimension, is that record's block when the server keeps a reference
+    (``driver.gadget_rows``), averaged over the secrets and divided by the
+    input dimension, is that record's block when the server keeps a reference
     maximally entangled with the input; the block trace distance between the
     octants' E's is zero exactly when the record distributions agree on
     every input. For the honest clients it must vanish.
@@ -275,10 +275,12 @@ def audit_gadget_view_tv(
         raise ValueError(f"gadget {gadget!r} has no angle to hide")
     if gadget not in PROTOCOL_BY_GADGET:
         raise ValueError(f"unknown gadget {gadget!r}")
-    secrets = CLIENT_BY_PROTOCOL[PROTOCOL_BY_GADGET[gadget]].SECRETS
+    protocol = PROTOCOL_BY_GADGET[gadget]
+    secrets = CLIENT_BY_PROTOCOL[protocol].SECRETS
 
     def povm(octant: int) -> tuple[int, dict]:
-        rows = [row for drawn in secrets for row in _branches(gadget, octant, drawn)]
+        check_octant(gadget, octant)
+        rows = [row for drawn in secrets for row in gadget_rows(protocol, int(octant), drawn)]
         ops = np.stack([operator for _, operator, _, _ in rows])
         slot: dict = {}  # server record -> its index
         at = [slot.setdefault(record, len(slot)) for *_, record in rows]

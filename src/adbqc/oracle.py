@@ -59,20 +59,6 @@ def _draw_secrets(gadget: str, gen: np.random.Generator) -> tuple[int, ...]:
     return CLIENT_BY_PROTOCOL[protocol].draw_secrets(gen) if protocol else ()
 
 
-def _branches(gadget: str, octant: int, secrets: tuple[int, ...]) -> tuple[tuple, ...]:
-    """Every outcome path of one gadget application, whatever its input:
-    the rows ``driver.gadget_rows`` compiles from the step a run drives,
-    once the octant, and the secrets against the client's ``SECRETS``, are
-    checked. Each path is (outcomes, U^dagger F K, announced octant, server
-    record), F its by-product correction and U the ideal gate."""
-    check_octant(gadget, octant)
-    protocol = PROTOCOL_BY_GADGET.get(gadget)
-    secrets = tuple(_integer("secret", s) for s in secrets)
-    if secrets not in (CLIENT_BY_PROTOCOL[protocol].SECRETS if protocol else ((),)):
-        raise ValueError(f"secrets {secrets} are not among gadget {gadget!r}'s")
-    return gadget_rows(protocol or gadget, int(octant), secrets)
-
-
 def _rows(branches: tuple[tuple, ...], psi: np.ndarray) -> tuple[BranchRow, ...]:
     """The rows of ``branches`` on ``psi``: with M = U^dagger F K, a path's
     probability is |M psi|^2 and its fidelity |<psi|M psi>|^2 over that."""
@@ -94,7 +80,8 @@ def branch_table(
 
     ``secrets`` pins the client's secrets, in the shape of its
     ``draw_secrets``; when omitted they are drawn from ``seed``, as is the
-    Haar-random input ``state``. Branch probabilities are exact.
+    Haar-random input ``state``. Branch probabilities are exact. The rows
+    are ``driver.gadget_rows``'s, read once octant and secrets are checked.
     """
     num_qubits = 2 if gadget == "cz" else 1
     if state is None:
@@ -103,7 +90,12 @@ def branch_table(
         raise ValueError(f"gadget {gadget!r} acts on {num_qubits} qubit(s)")
     if secrets is None:
         secrets = _draw_secrets(gadget, rng.stream(seed, "oracle-secrets"))
-    return _rows(_branches(gadget, octant, secrets), state)
+    check_octant(gadget, octant)
+    protocol = PROTOCOL_BY_GADGET.get(gadget)
+    secrets = tuple(_integer("secret", s) for s in secrets)
+    if secrets not in (CLIENT_BY_PROTOCOL[protocol].SECRETS if protocol else ((),)):
+        raise ValueError(f"secrets {secrets} are not among gadget {gadget!r}'s")
+    return _rows(gadget_rows(protocol or gadget, int(octant), secrets), state)
 
 
 def table_passes(rows) -> bool:
@@ -116,7 +108,8 @@ def soundness_sweep(states_per_octant: int = 4, seed: int = 2026) -> tuple[float
     Returns (worst fidelity, number of random input states consumed). With
     the default four states per octant the sweep uses exactly 100 inputs:
     8 + 8 + 8 + 1 = 25 combinations times four. Each input's client secrets
-    come from the sweep's one secrets stream, in input order.
+    come from the sweep's one secrets stream, in input order. Its octants
+    and secrets are admissible, so it reads ``gadget_rows`` unchecked.
     """
     if states_per_octant < 1:
         raise ValueError("the soundness sweep needs at least one state per octant")
@@ -125,10 +118,11 @@ def soundness_sweep(states_per_octant: int = 4, seed: int = 2026) -> tuple[float
     secrets_rng = rng.stream(seed, "oracle-secrets")
     for gadget in ORACLE_GADGETS:
         width = 2 if gadget == "cz" else 1
+        name = PROTOCOL_BY_GADGET.get(gadget, gadget)  # as ``gadget_rows`` names it
         for octant in _octants(gadget):
             for _ in range(states_per_octant):
                 state = haar_random_state(width, rng.stream(seed, "oracle-sweep", count))
-                rows = _rows(_branches(gadget, octant, _draw_secrets(gadget, secrets_rng)), state)
+                rows = _rows(gadget_rows(name, octant, _draw_secrets(gadget, secrets_rng)), state)
                 worst = min(worst, min(row.fidelity for row in rows))
                 count += 1
     return worst, count

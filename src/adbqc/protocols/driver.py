@@ -400,3 +400,7 @@ def run_protocol2(
 ) -> RunResult:
     _expect(config, "p2")
     return run(config, outcomes)
+
+
+# each protocol's own runner, which ``enumerated_distribution`` accepts beside ``run``
+_RUNNER_BY_PROTOCOL = {"sueki": run_sueki, "p1": run_protocol1, "p2": run_protocol2}

@@ -65,12 +65,12 @@ def test_the_bench_tracer_counts_every_p1_hrz(bench_module):
     assert tracer.summary()["gadgets.hrz.calls"] == sum(step.kind == "hrz" for step in steps)
 
 
-def test_the_exact_walk_drives_each_hrz_step_twice(bench_module):
+def test_the_exact_walk_drives_each_hrz_step_once(bench_module):
     """Once each step's gadget rows are compiled, ``enumerated_distribution``
-    drives each H R_Z step twice: once in the walk, on one session, and once
-    in the one whole replayed run. A slide back to forking each step into
-    its outcome branches, or to one replay per path, multiplies the traced
-    calls."""
+    drives each H R_Z step once, in the walk on one session, and calls no
+    runner. A slide back to replaying a whole run beside the walk, to
+    forking each step into its outcome branches, or to one replay per path,
+    multiplies the traced calls."""
     config = protocols.ProtocolConfig(
         "p2", 2, 1, trap_count=1,
         algorithm=(protocols.GateRequest.single(0, octants=(1, 3, 5)),),
@@ -80,4 +80,6 @@ def test_the_exact_walk_drives_each_hrz_step_twice(bench_module):
     tracer = bench_module("tracing").Tracer()
     with tracer:
         protocols.enumerated_distribution(protocols.run_protocol2, config)
-    assert tracer.summary()["gadgets.hrz.calls"] == 2 * sum(step.kind == "hrz" for step in steps)
+    summary = tracer.summary()
+    assert summary["gadgets.hrz.calls"] == sum(step.kind == "hrz" for step in steps)
+    assert summary["protocols.run.calls"] == 0

@@ -1,17 +1,21 @@
-"""The exact walk against whole-run replay, the forked walk and the
-reference, and its primitives.
+"""The exact walk against whole-run replay, a greedy run, the forked walk
+and the reference, and its primitives.
 
-``enumerated_distribution`` walks a run's gadget steps on one session
-(``driver.enumerate_run``): it drives each step once, on the greedy path,
-checks that every compiled row of the step's gadget realizes its gate up to
-the frame, and enumerates the output stage. The replay path runs the whole
-run once per outcome path through ``enumerate_runs``; both must give the
-same support and the same probabilities up to rounding, since they sum them
-in different orders. The forked walk (``helpers.forked_enumerate_run``)
-forks every step into its outcome branches and compares their states; the
-walk must give its branches bit for bit.
+``enumerated_distribution`` sums the branches of one walk of a run's gadget
+steps on one session (``driver.enumerate_run``) and runs nothing else: the
+walk drives each step once, on the greedy path, checks that every compiled
+row of the step's gadget realizes its gate up to the frame, and enumerates
+the output stage. Its runner argument is only checked. The replay path runs
+the whole run once per outcome path through ``enumerate_runs``; both must
+give the same support and the same probabilities up to rounding, since
+they sum them in different orders. The walk's first branch must be the
+path and decoded bits of a greedy ``run``. The forked walk
+(``helpers.forked_enumerate_run``) forks every step into its outcome
+branches and compares their states; the walk must give its branches bit
+for bit.
 """
 
+import functools
 import importlib
 from dataclasses import replace
 from pathlib import Path
@@ -87,6 +91,15 @@ def assert_walk_matches_replay(config):
     assert total_variation(walked, replayed) <= PROBABILITY_SLACK
 
 
+def assert_first_branch_is_the_greedy_run(config):
+    """The walk's first branch takes the path of ``run`` on
+    ``ReplayOutcomes(())`` and decodes to its bits."""
+    source = ReplayOutcomes(())
+    report = run(config, source).report
+    first = driver.enumerate_run(config)[0]
+    assert (first.outcomes, first.value) == (source.bits, report.computation_bits)
+
+
 def assert_walk_equals_the_forked_walk(config):
     """Outcomes, probability and decoded bits of every branch, bit for bit."""
     assert driver.enumerate_run(config) == forked_enumerate_run(config)
@@ -119,6 +132,17 @@ def test_fork_equals_replay_when_the_adversary_draws_after_the_forks():
 
 
 @pytest.mark.parametrize("seed", range(6))
+def test_the_first_branch_is_the_greedy_run_on_the_exact_workload(workloads, seed):
+    for config in next(workloads.exact_rounds(seed)).configs:
+        assert_first_branch_is_the_greedy_run(config)
+
+
+@pytest.mark.parametrize("index", [0, 2], ids=["sueki", "p2"])
+def test_the_first_branch_is_the_greedy_run_on_acceptance_9(workloads, index):
+    assert_first_branch_is_the_greedy_run(ProtocolConfig(**workloads.ACCEPTANCE_9[index]))
+
+
+@pytest.mark.parametrize("seed", range(6))
 def test_the_walk_equals_the_forked_walk_on_the_exact_workload(workloads, seed):
     for config in next(workloads.exact_rounds(seed)).configs:
         assert_walk_equals_the_forked_walk(config)
@@ -129,20 +153,40 @@ def test_the_walk_equals_the_forked_walk_on_acceptance_9(workloads, index):
     assert_walk_equals_the_forked_walk(ProtocolConfig(**workloads.ACCEPTANCE_9[index]))
 
 
-def test_a_runner_for_another_protocol_is_refused():
-    config = ProtocolConfig("p2", 2, 1, trap_count=1)
-    with pytest.raises(ValueError, match="config is for protocol 'p2'"):
-        enumerated_distribution(run_sueki, config)
+P2_N2 = ProtocolConfig("p2", 2, 1, trap_count=1)
 
 
-def test_a_runner_that_disagrees_with_the_forks_is_refused():
-    def flipped(config, outcomes=None):
-        result = run(config, outcomes)
-        bits = tuple(1 - b for b in result.report.computation_bits)
-        return replace(result, report=replace(result.report, computation_bits=bits))
+def test_a_runner_for_another_protocol_is_refused(monkeypatch):
+    """Any runner but ``run`` and the config's own, a lambda that calls
+    ``run`` included, is refused before any step is driven."""
+    def refuse(*args):
+        raise AssertionError("a step was driven")
 
-    with pytest.raises(AssertionError, match="differs from the replayed"):
-        enumerated_distribution(flipped, SUEKI_H)
+    monkeypatch.setattr(driver, "drive_step", refuse)
+    for wrong, config in [
+        (run_sueki, P2_N2),
+        (run_protocol2, SUEKI_H),
+        (lambda config, outcomes=None: run(config, outcomes), SUEKI_H),
+    ]:
+        with pytest.raises(ValueError, match=f"^config is for protocol '{config.protocol}'$"):
+            enumerated_distribution(wrong, config)
+
+
+def never_called(fn):
+    """A ``functools.wraps`` wrapper of ``fn``, as the benchmark tracer
+    installs, that fails if it is called."""
+    return functools.wraps(fn)(lambda *args, **kwargs: pytest.fail(f"{fn.__name__} called"))
+
+
+@pytest.mark.parametrize("config", [SUEKI_H, SUEKI_HH_CZ, P2_N2],
+                         ids=["sueki-H", "sueki-HH-CZ", "p2"])
+def test_run_and_the_configs_own_runner_give_the_same_distribution(config):
+    """``run`` and the config's own runner are both accepted, a wrapper of
+    either counts as it, and none of them is called."""
+    own = runner(config)
+    want = enumerated_distribution(run, config)
+    for accepted in (own, never_called(run), never_called(own)):
+        assert enumerated_distribution(accepted, config) == want
 
 
 def test_the_walk_catches_a_by_product_the_frame_does_not_record(monkeypatch):
@@ -231,6 +275,11 @@ EXACT = {
 @pytest.mark.parametrize("config", EXACT.values(), ids=EXACT.keys())
 def test_the_walk_equals_the_forked_walk_on_the_exact_configs(config):
     assert_walk_equals_the_forked_walk(config)
+
+
+@pytest.mark.parametrize("config", EXACT.values(), ids=EXACT.keys())
+def test_the_first_branch_is_the_greedy_run_on_the_exact_configs(config):
+    assert_first_branch_is_the_greedy_run(config)
 
 
 @pytest.mark.parametrize("config", EXACT.values(), ids=EXACT.keys())

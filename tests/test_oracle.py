@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from adbqc import oracle, rng
+from adbqc import rng
 from adbqc.oracle import (
     GADGET_FIDELITY_ATOL,
     ORACLE_GADGETS,
@@ -111,11 +111,12 @@ def test_secrets_are_checked_before_the_lookup():
 def test_every_key_compiles_once_into_read_only_rows(monkeypatch):
     """The 153 (gadget, octant, secrets) keys compile into 610 paths, each a
     tuple whose operator refuses a write; a second lookup replays nothing."""
-    keys = [(g, k, drawn) for g in ORACLE_GADGETS for k in ((0,) if g == "cz" else range(8))
+    keys = [(PROTOCOL_BY_GADGET.get(g, g), k, drawn)
+            for g in ORACLE_GADGETS for k in ((0,) if g == "cz" else range(8))
             for drawn in (CLIENT_BY_PROTOCOL[PROTOCOL_BY_GADGET[g]].SECRETS
                           if g in PROTOCOL_BY_GADGET else ((),))]
     assert len(keys) == 153
-    compiled = [oracle._branches(*key) for key in keys]
+    compiled = [driver.gadget_rows(*key) for key in keys]
     assert sum(map(len, compiled)) == 610
     for rows in compiled:
         assert isinstance(rows, tuple)
@@ -124,7 +125,7 @@ def test_every_key_compiles_once_into_read_only_rows(monkeypatch):
             with pytest.raises(ValueError, match="read-only"):
                 row[1][0, 0] = 0.0
     monkeypatch.setattr(driver, "enumerate_runs", None)  # a replay would fail
-    assert [oracle._branches(*key) for key in keys] == compiled
+    assert [driver.gadget_rows(*key) for key in keys] == compiled
     assert soundness_sweep(1)[1] == 25
 
 
