@@ -1,11 +1,12 @@
 """Server deviation models and their detection statistics.
 
-Covers the three implemented deviations:
+Covers the three implemented deviations (``exact_escape`` takes the first
+two's exact rates from the protocol itself):
 
 - stray Paulis on the handed-over register (measure-only protocol), with
-  exact escape combinatorics, the closed-form bound, and a Monte Carlo;
+  exact escape combinatorics and the closed-form bound;
 - report tampering (gate-only protocol), where every reported bit is
-  correct only with some probability;
+  correct only with some probability, with its closed form;
 - the entangled-probe analysis of the lent-ancilla gadget, quantifying
   what a server that entangles the lent qubit with a memory could learn.
 
@@ -20,29 +21,16 @@ positions is equivalent to fixed roles with uniform positions.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import numpy as np
 
-from .protocols.driver import pauli_hits
-from .protocols.traps import TRAP_STATES, reading_flip, thirds_roles
-from .qsim import PROBABILITY_SLACK, RZ_BY_OCTANT
-
-
-def pauli_is_caught(kind: str, role: str) -> bool:
-    """Whether an error of ``kind`` ("x", "z" or "xz") on a position of
-    ``role`` ("compute" or a ``TRAP_STATES`` key) trips a trap there."""
-    if role == "compute":
-        return False
-    return bool(reading_flip(TRAP_STATES[role][0], "x" in kind, "z" in kind))
-
-
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+from .protocols.config import ProtocolConfig
+from .protocols.driver import enumerate_output, pauli_hits, walk_run
+from .protocols.traps import thirds_roles
+from .qsim import BRANCH_BUDGET, PROBABILITY_SLACK, RZ_BY_OCTANT
 
 
 def escape_counts(
@@ -76,14 +64,6 @@ def escape_counts(
     return good * order, total * order
 
 
-def escape_probability_exact(
-    num_qubits: int, pauli_counts: tuple[int, int, int]
-) -> Fraction:
-    """Exact probability that the trap check misses the whole attack."""
-    good, total = escape_counts(num_qubits, pauli_counts)
-    return Fraction(good, total)
-
-
 def escape_bound(total_errors: int) -> float:
     """Closed-form ceiling on the escape probability for ``total_errors``."""
     if total_errors < 0:
@@ -91,75 +71,65 @@ def escape_bound(total_errors: int) -> float:
     return (2.0 / 3.0) ** (total_errors / 3.0)
 
 
-@dataclass(frozen=True)
-class EscapeAnalysis:
-    trials: int
-    escaped: int
-    estimate: float
-    exact: float
-    bound: float
-    z_score: float
-
-
-def simulate_escape(
-    num_qubits: int,
-    pauli_counts: tuple[int, int, int],
-    trials: int,
-    rng: np.random.Generator,
-) -> EscapeAnalysis:
-    """Monte Carlo of the detection process over random error positions.
-
-    Draws each trial's hits with ``driver.pauli_hits``, as a protocol run
-    does, and asks ``pauli_is_caught`` of each hit (the layout symmetry
-    above fixes the roles without loss of generality).
-    """
-    _check_trials(trials)
-    roles = thirds_roles(num_qubits)
-    escaped = 0
-    for _ in range(trials):
-        hits = pauli_hits(pauli_counts, num_qubits, rng)
-        escaped += not any(pauli_is_caught(kind, roles[p]) for kind, p in hits)
-    exact = float(escape_probability_exact(num_qubits, pauli_counts))
-    estimate = escaped / trials
-    z = monte_carlo_z(estimate, exact, trials)
-    return EscapeAnalysis(trials, escaped, estimate, exact, escape_bound(sum(pauli_counts)), z)
-
-
-def monte_carlo_z(estimate: float, exact: float, trials: int) -> float:
-    """z-score of a Monte Carlo ``estimate`` of the Bernoulli probability
-    ``exact`` over ``trials``; 0 when the spread is 0, since at an exact 0
-    or 1 every trial agrees with it."""
-    spread = math.sqrt(exact * (1.0 - exact) / trials)
-    return 0.0 if spread == 0.0 else (estimate - exact) / spread
-
-
 # ---------------------------------------------------------------------------
 # Report tampering
-
-
-def _check_tamper(tamper_rate: float, trap_count: int) -> None:
-    if not 0.0 <= tamper_rate <= 1.0:
-        raise ValueError("tamper rate must be in [0, 1]")
-    if trap_count < 0:
-        raise ValueError("trap count must be non-negative")
 
 
 def tamper_acceptance_exact(tamper_rate: float, trap_count: int) -> float:
     """Acceptance probability when every reported bit is correct only with
     probability ``tamper_rate``: all ``trap_count`` trap bits must survive."""
-    _check_tamper(tamper_rate, trap_count)
+    if not 0.0 <= tamper_rate <= 1.0:
+        raise ValueError("tamper rate must be in [0, 1]")
+    if trap_count < 0:
+        raise ValueError("trap count must be non-negative")
     return tamper_rate**trap_count
 
 
-def simulate_tamper_acceptance(
-    tamper_rate: float, trap_count: int, trials: int, rng: np.random.Generator
-) -> float:
-    """Monte Carlo of the tamper channel: fraction of runs with no trap bit
-    flipped. Honest trap readings are deterministic, so a flip is an error."""
-    _check_tamper(tamper_rate, trap_count)
-    _check_trials(trials)
-    flips = rng.random((trials, trap_count)) >= tamper_rate
-    return float(np.mean(~np.any(flips, axis=1)))
+# ---------------------------------------------------------------------------
+# Both deviations, exactly, on the protocol
+
+
+def exact_escape(config: ProtocolConfig) -> tuple[float, float]:
+    """Exact P(accept) and P(accept and decoded bits wrong) of a run of
+    ``config`` under its adversary: one walk (``driver.walk_run``), then the
+    output stage (``driver.enumerate_output``) under each plan the adversary
+    can draw, weighted by its probability. The plans are every ordered
+    placement of the stray Paulis (``pauli_hits`` on distinct positions;
+    fixed ``pauli_positions`` are one), or every tamper flip pattern. Wrong
+    means decoded bits other than the honest plan's, so a config whose honest
+    output is not deterministic is refused, as is one with more than
+    ``BRANCH_BUDGET`` plans."""
+    adv, n = config.adversary, config.num_qubits
+    if adv.kind == "trap_tamper":
+        count, rate = 2**n, adv.tamper_rate
+        variants = (
+            (rate ** (n - sum(flips)) * (1.0 - rate) ** sum(flips), {"flips": flips})
+            for flips in itertools.product((False, True), repeat=n)
+        )
+    elif adv.pauli_positions is None:  # an honest config has one, empty, placement
+        k = sum(adv.pauli_counts)
+        count = perm(n, k)
+        variants = (
+            (1.0 / count, {"hits": pauli_hits(adv.pauli_counts, positions)})
+            for positions in itertools.permutations(range(n), k)
+        )
+    else:
+        count, variants = 1, [(1.0, {})]
+    if count > BRANCH_BUDGET:
+        raise ValueError(f"{count} attack plans exceed the budget of {BRANCH_BUDGET}")
+    session, plan = walk_run(config)
+    honest = enumerate_output(session, plan._replace(hits=(), flips=(False,) * n))
+    outputs = {br.value.computation_bits for br in honest}
+    if len(outputs) != 1:
+        raise ValueError("the honest output is not deterministic, so no output is wrong")
+    (right,) = outputs
+    accept = wrong = 0.0
+    for weight, changes in variants:
+        for br in enumerate_output(session, plan._replace(**changes)):
+            if br.value.trap_errors == 0:
+                accept += weight * br.probability
+                wrong += weight * br.probability * (br.value.computation_bits != right)
+    return accept, wrong
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,8 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 
-from . import __version__, rng
-from .adversary import (
-    escape_bound,
-    escape_counts,
-    monte_carlo_z,
-    simulate_escape,
-    simulate_tamper_acceptance,
-    tamper_acceptance_exact,
-)
+from . import __version__
+from .adversary import escape_bound, escape_counts, exact_escape, tamper_acceptance_exact
 from .blindness import (
     audit_gadget_view_tv,
     audit_no_signaling,
@@ -36,9 +29,10 @@ from .blindness import (
 )
 from .oracle import ORACLE_GADGETS, branch_table, table_passes
 from .protocols import (
-    HONEST, PROTOCOLS, AdversaryConfig, RunManifest, config_from_dict, config_object, run
+    HONEST, PROTOCOLS, AdversaryConfig, ProtocolConfig, RunManifest, config_from_dict,
+    config_object, run,
 )
-from .qsim import GADGET_FIDELITY_ATOL, MONTE_CARLO_Z_BOUND, PROBABILITY_SLACK
+from .qsim import GADGET_FIDELITY_ATOL, PROBABILITY_SLACK
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -176,20 +170,31 @@ def _add_attack_parser(sub) -> None:
     p.add_argument("--tamper", type=float, help="per-bit report fidelity (p2)")
     p.add_argument("--qubits", type=int, default=9, help="register width (pauli)")
     p.add_argument("--traps", type=int, default=4, help="trap count (tamper)")
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=7)
+
+
+def _protocol_rates(closed_form: float, **fields) -> tuple[dict, bool]:
+    """``exact_escape`` of the depth-1 config of ``fields`` (nulls where no
+    config holds the size or the budget refuses the attack), and whether its
+    acceptance is ``closed_form``."""
+    try:
+        accept, wrong = exact_escape(ProtocolConfig(depth=1, **fields))
+    except ValueError:
+        accept = wrong = None
+    ok = accept is None or abs(accept - closed_form) <= PROBABILITY_SLACK
+    return {"protocol_accept": accept, "protocol_accept_and_wrong": wrong}, ok
 
 
 def cmd_attack(args) -> int:
     if (args.pauli is None) == (args.tamper is None):
         raise ValueError("give exactly one of --pauli a,b,c or --tamper rate")
-    if args.trials < 0:
-        raise ValueError(f"--trials must be 0 (exact only) or more, got {args.trials}")
-    stream = rng.stream(args.seed, "adversary")
     if args.pauli is not None:
-        counts = parse_adversary(f"pauli:{args.pauli}").pauli_counts
+        adversary = parse_adversary(f"pauli:{args.pauli}")
+        counts = adversary.pauli_counts
         good, total = escape_counts(args.qubits, counts)
         bound = escape_bound(sum(counts))
+        rates, ok = _protocol_rates(
+            good / total, protocol="p1", num_qubits=args.qubits, adversary=adversary
+        )
         payload = {
             "kind": "random_pauli",
             "protocol": "p1",
@@ -199,33 +204,24 @@ def cmd_attack(args) -> int:
             "exact_fraction": f"{good}/{total}",
             "bound": bound,
             "bound_formula": "(2/3)^(alpha/3)",
+            **rates,
         }
-        ok = good / total <= bound + PROBABILITY_SLACK
-        if args.trials:
-            analysis = simulate_escape(args.qubits, counts, args.trials, stream)
-            payload.update(
-                trials=analysis.trials,
-                escaped=analysis.escaped,
-                estimate=analysis.estimate,
-                z_score=analysis.z_score,
-            )
-            ok = ok and abs(analysis.z_score) <= MONTE_CARLO_Z_BOUND
+        ok = ok and good / total <= bound + PROBABILITY_SLACK
     else:
-        rate = AdversaryConfig(kind="trap_tamper", tamper_rate=args.tamper).tamper_rate
-        exact = tamper_acceptance_exact(rate, args.traps)
+        adversary = AdversaryConfig(kind="trap_tamper", tamper_rate=args.tamper)
+        exact = tamper_acceptance_exact(adversary.tamper_rate, args.traps)
+        rates, ok = _protocol_rates(
+            exact, protocol="p2", num_qubits=args.traps + 1, trap_count=args.traps,
+            adversary=adversary,
+        )
         payload = {
             "kind": "trap_tamper",
             "protocol": "p2",
-            "tamper_rate": rate,
+            "tamper_rate": adversary.tamper_rate,
             "trap_count": args.traps,
             "exact_acceptance": exact,
+            **rates,
         }
-        ok = True
-        if args.trials:
-            estimate = simulate_tamper_acceptance(rate, args.traps, args.trials, stream)
-            z = monte_carlo_z(estimate, exact, args.trials)
-            payload.update(trials=args.trials, estimate=estimate, z_score=z)
-            ok = abs(z) <= MONTE_CARLO_Z_BOUND
     payload["passed"] = ok
     _emit(payload)
     return EXIT_OK if ok else EXIT_REJECT

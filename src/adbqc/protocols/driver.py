@@ -15,8 +15,9 @@ quantum runtime (which holds the transcript and mints the ancilla labels)
 and the client's Pauli frame. The grid is one flat list of gadget steps,
 each driven by ``drive_step`` through ``drive_gadget``, the one map from a
 gadget to the step it drives. A sampled run drives them in order;
-``enumerate_run`` drives them once on the greedy path, checks each step's
-compiled rows (``gadget_rows``) once per process, and enumerates the output stage.
+``enumerate_run`` drives them once on the greedy path (``walk_run``), checks
+each step's compiled rows (``gadget_rows``) once per process, and enumerates
+the output stage on forks of the walk's session (``enumerate_output``).
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def drive_step(session: Session, step: Step) -> tuple:
     """Drive one step through ``drive_gadget`` and track the session's frame,
     pushed through the gate by ``frame_conjugate``, which also gives the sign
     of the angle actually driven; returns the row key (gadget, driven octant,
-    secrets) that ``enumerate_run`` checks."""
+    secrets) that ``walk_run`` checks."""
     config = session.config
     frame, sign = frame_conjugate(session.frame, step.kind, step.positions)
     gadget = "cz" if step.kind == "cz" else config.protocol
@@ -152,27 +153,27 @@ def drive_step(session: Session, step: Step) -> tuple:
 
 
 def pauli_hits(
-    counts: tuple[int, int, int], num_qubits: int, rng: np.random.Generator
+    counts: tuple[int, int, int], positions: tuple[int, ...]
 ) -> tuple[tuple[str, int], ...]:
-    """(kind, position) hits of ``counts`` (X, Z, XZ) stray Paulis on disjoint
-    uniform positions: one permutation gives the X, then Z, then XZ hits."""
+    """(kind, position) hits of ``counts`` (X, Z, XZ) stray Paulis on the first
+    of the distinct ``positions``: X, then Z, then XZ. The one placement rule of
+    ``sample_attack``'s draw and ``adversary.exact_escape``'s enumeration."""
     a, b, c = counts
-    if a + b + c > num_qubits:
-        raise ValueError("more Pauli errors than positions")
-    kinds = ("x",) * a + ("z",) * b + ("xz",) * c
-    return tuple(zip(kinds, rng.permutation(num_qubits).tolist()))
+    return tuple(zip(("x",) * a + ("z",) * b + ("xz",) * c, positions))
 
 
 def sample_attack(
     config: ProtocolConfig, rng: np.random.Generator
 ) -> tuple[tuple[str, int], ...]:
-    """Resolve the random-Pauli adversary to concrete (kind, position) hits."""
+    """Resolve the random-Pauli adversary to concrete (kind, position) hits: its
+    fixed ``pauli_positions``, or ``pauli_hits`` on a uniform permutation, so
+    every ordered placement on distinct positions is equally likely."""
     adv = config.adversary
     if adv.kind != "random_pauli":
         return ()
     if adv.pauli_positions is not None:
         return adv.pauli_positions
-    return pauli_hits(adv.pauli_counts, config.num_qubits, rng)
+    return pauli_hits(adv.pauli_counts, rng.permutation(config.num_qubits).tolist())
 
 
 def apply_attack(session: Session, hits: tuple[tuple[str, int], ...]) -> None:
@@ -357,25 +358,38 @@ def _check_rows(key: tuple, step: Step) -> None:
     _CHECKED.add(key)
 
 
-def enumerate_run(config: ProtocolConfig) -> list[RunBranch]:
-    """Every output path of a quiet ``run(config)``, with its decoded
-    computation bits as the value, sorted by outcomes like ``enumerate_runs``.
+def walk_run(config: ProtocolConfig) -> tuple[Session, Plan]:
+    """Drive every gadget step of a quiet ``run(config)`` and return the
+    session and plan where ``finish_run`` starts.
 
     Each gadget realizes its gate on every outcome up to a by-product the
     frame records, whatever the register holds, so no step needs to be
     forked: the walk drives each step once, on the greedy path as ``run``
     does, and checks the compiled rows of the step's key (``_check_rows``).
-    The output stage is then enumerated on that session: each path is the
-    kept outcomes plus an output path, with the output path's probability.
     """
     session = new_session(replace(config, record_transcript=False), ReplayOutcomes(()))
     plan = draw_plan(config)
     prepare_register(session)
     for step in plan.steps:
         _check_rows(drive_step(session, step), step)
+    return session, plan
+
+
+def enumerate_output(session: Session, plan: Plan) -> list[RunBranch]:
+    """Every path of the output stage, ``finish_run(session, plan)``, each on
+    a fork of ``session``: the session's kept outcomes plus the output path,
+    with the output path's probability and the ``DecodedOutput`` as the value."""
     kept = session.rt.outcomes.bits
-    leaves = enumerate_runs(lambda src: finish_run(session.fork(src), plan)[1].computation_bits)
+    leaves = enumerate_runs(lambda src: finish_run(session.fork(src), plan)[1])
     return [RunBranch(kept + br.outcomes, br.probability, br.value) for br in leaves]
+
+
+def enumerate_run(config: ProtocolConfig) -> list[RunBranch]:
+    """Every output path of a quiet ``run(config)``, with its decoded
+    computation bits as the value, sorted by outcomes like ``enumerate_runs``:
+    the walk (``walk_run``), then its output stage (``enumerate_output``)."""
+    branches = enumerate_output(*walk_run(config))
+    return [RunBranch(br.outcomes, br.probability, br.value.computation_bits) for br in branches]
 
 
 def _expect(config: ProtocolConfig, protocol: str) -> None:

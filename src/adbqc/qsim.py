@@ -44,7 +44,6 @@ NO_SIGNALING_ATOL = 1e-10  # trace distance between the server's views of two oc
 GADGET_VIEW_TV_ATOL = 1e-9  # block trace distance between the server's record POVMs at two octants
 PROBE_GRAM_ATOL = 1e-10  # entrywise gap between the simulated and closed-form probe Gram
 PROBABILITY_SLACK = 1e-12  # rounding allowed when checking or bounding a probability
-MONTE_CARLO_Z_BOUND = 4.0  # |z| a Monte Carlo estimate may show against its exact value
 BRANCH_PROB_FLOOR = 1e-12  # probability below which an outcome branch is not taken
 MAX_QUBITS = 16  # most qubits a state, or a runtime's factors together, may hold
 BRANCH_BUDGET = 2**16  # most outcome paths one enumeration may walk

@@ -16,12 +16,10 @@ from adbqc import rng
 from adbqc.adversary import (
     escape_bound,
     escape_counts,
-    escape_probability_exact,
+    exact_escape,
     lent_weight_one,
     probe_gram,
     probe_gram_closed_form,
-    simulate_escape,
-    simulate_tamper_acceptance,
     tamper_acceptance_exact,
 )
 from adbqc.blindness import audit_no_signaling, audit_theta_uniformity
@@ -41,6 +39,7 @@ from adbqc.qsim import (
     CZ_GATE,
     H_GATE,
     X_BASIS,
+    PROBABILITY_SLACK,
     X_GATE,
     Z_BASIS,
     apply_gate,
@@ -157,37 +156,42 @@ def test_acceptance_3_verifiability_bound(acceptance):
         for a in range(num_qubits + 1):
             for b in range(num_qubits + 1 - a):
                 for c in range(num_qubits + 1 - a - b):
-                    exact = float(escape_probability_exact(num_qubits, (a, b, c)))
-                    if exact > escape_bound(a + b + c) + 1e-12:
+                    exact = Fraction(*escape_counts(num_qubits, (a, b, c)))
+                    if exact > escape_bound(a + b + c) + PROBABILITY_SLACK:
                         dominated = False
     spot_counts = escape_counts(9, (3, 0, 0))
-    spot_exact = escape_probability_exact(9, (3, 0, 0))
-    analysis = simulate_escape(9, (3, 0, 0), 10_000, rng.stream(501, "acc-mc"))
+    spot_exact = Fraction(*spot_counts)
+    # the protocol itself: every ordered placement of three X on a p1 N=9 run
+    adv = AdversaryConfig(kind="random_pauli", pauli_counts=(3, 0, 0))
+    accept, _ = exact_escape(ProtocolConfig("p1", 9, 1, adversary=adv))
     elapsed = time.perf_counter() - start
     ok = (
         dominated
         and spot_counts == (120, 504)
         and spot_exact == Fraction(5, 21)
-        and abs(analysis.z_score) <= 4.0
+        and abs(accept - spot_exact) <= PROBABILITY_SLACK
         and elapsed < 60.0
     )
     acceptance(3, "verifiability bound", ok)
     assert dominated
     assert spot_counts == (120, 504)
     assert spot_exact == Fraction(5, 21)
-    assert abs(analysis.z_score) <= 4.0
+    assert abs(accept - spot_exact) <= PROBABILITY_SLACK
     assert elapsed < 60.0
 
 
 def test_acceptance_4_protocol2_escape(acceptance):
-    trials = 10_000
+    """Each design point's closed form, and the protocol's exact acceptance
+    over every flip pattern of a p2 run with that many traps."""
     cases = {(0.5, 4): 0.0625, (0.3, 3): 0.027, (0.9, 8): 0.43046721}
     ok = True
-    for i, ((rate, traps), want) in enumerate(cases.items()):
+    for (rate, traps), want in cases.items():
         exact = tamper_acceptance_exact(rate, traps)
-        est = simulate_tamper_acceptance(rate, traps, trials, rng.stream(502, "acc-mc", i))
-        sigma = np.sqrt(exact * (1.0 - exact) / trials)
-        ok = ok and exact == pytest.approx(want, abs=1e-9) and abs(est - exact) <= 4 * sigma
+        adv = AdversaryConfig(kind="trap_tamper", tamper_rate=rate)
+        accept, _ = exact_escape(ProtocolConfig("p2", traps + 1, 1, trap_count=traps,
+                                                adversary=adv))
+        ok = ok and exact == pytest.approx(want, abs=1e-9)
+        ok = ok and abs(accept - exact) <= PROBABILITY_SLACK
     acceptance(4, "protocol 2 escape", ok)
     assert ok
 

@@ -1,5 +1,7 @@
-"""Deviation models: Pauli escape combinatorics, tampering, probe analysis."""
+"""Deviation models: Pauli escape combinatorics, tampering, probe analysis,
+and both deviations' exact rates on the protocol itself."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,27 +12,25 @@ from adbqc.adversary import (
     distinguishability,
     escape_bound,
     escape_counts,
-    escape_probability_exact,
+    exact_escape,
     lent_weight_one,
-    monte_carlo_z,
-    pauli_is_caught,
     probe_gram,
     probe_gram_closed_form,
-    simulate_escape,
-    simulate_tamper_acceptance,
     tamper_acceptance_exact,
 )
 from adbqc import adversary
-from adbqc.protocols import AdversaryConfig, ProtocolConfig
-from adbqc.protocols.driver import apply_attack, new_session, register_label, sample_attack
-from adbqc.protocols.traps import thirds_roles
+from adbqc.protocols import AdversaryConfig, GateRequest, ProtocolConfig
+from adbqc.protocols import driver
+from adbqc.protocols.driver import apply_attack, new_session, register_label
+from adbqc.protocols.traps import TRAP_STATES, reading_flip
+from adbqc.qsim import BRANCH_BUDGET, PROBABILITY_SLACK
 from adbqc.qsim import fidelity_up_to_phase, haar_random_state, haar_random_states, plus_state
 from adbqc.transcript import BOB
 from helpers import per_probe_gram, zero_state
 
 
 # ---------------------------------------------------------------------------
-# Pauli application (the driver's attack) and the catch predicate
+# Pauli application (the driver's attack) and what catches it
 
 
 def attacked(amplitudes: np.ndarray, hits) -> np.ndarray:
@@ -76,7 +76,16 @@ def test_apply_attack_examples():
     ],
 )
 def test_pauli_is_caught(kind, role, caught):
-    assert pauli_is_caught(kind, role) is caught
+    """One ``kind`` hit on a position of ``role``, applied to a p2 run's own
+    register before its output stage, is rejected on every output path
+    exactly when the role is a trap whose reading the hit flips."""
+    for seed in itertools.count():
+        session, plan = driver.walk_run(ProtocolConfig("p2", 2, 1, trap_count=1, seed=seed))
+        if role in plan.layout.roles:
+            break
+    pos = plan.layout.permutation[plan.layout.roles.index(role)]
+    branches = driver.enumerate_output(session, plan._replace(hits=((kind, pos),)))
+    assert {br.value.trap_errors > 0 for br in branches} == {caught}
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +100,11 @@ def test_escape_counts_spot_values():
 
 
 def test_escape_probability_exact_spot_values():
-    assert escape_probability_exact(9, (3, 0, 0)) == Fraction(5, 21)
-    assert escape_probability_exact(3, (1, 0, 0)) == Fraction(2, 3)
-    assert escape_probability_exact(3, (0, 1, 0)) == Fraction(2, 3)
-    assert escape_probability_exact(3, (0, 0, 1)) == Fraction(1, 3)
-    assert escape_probability_exact(6, (0, 0, 2)) == Fraction(2, 6 * 5)
+    assert Fraction(*escape_counts(9, (3, 0, 0))) == Fraction(5, 21)
+    assert Fraction(*escape_counts(3, (1, 0, 0))) == Fraction(2, 3)
+    assert Fraction(*escape_counts(3, (0, 1, 0))) == Fraction(2, 3)
+    assert Fraction(*escape_counts(3, (0, 0, 1))) == Fraction(1, 3)
+    assert Fraction(*escape_counts(6, (0, 0, 2))) == Fraction(2, 6 * 5)
 
 
 def test_escape_counts_validation():
@@ -120,12 +129,12 @@ def test_escape_counts_by_brute_force():
             total += 1
             kinds = ["x"] * a + ["z"] * b + ["xz"] * c
             caught = any(
-                pauli_is_caught(kind, roles[p]) for kind, p in zip(kinds, pos)
+                roles[p] != "compute"
+                and reading_flip(TRAP_STATES[roles[p]][0], "x" in kind, "z" in kind)
+                for kind, p in zip(kinds, pos)
             )
             good += 0 if caught else 1
-        # same ratio; the helper never counts interleavings within a kind
-        want = escape_probability_exact(6, counts)
-        assert Fraction(good, total) == want
+        assert (good, total) == escape_counts(6, counts)
 
 
 def test_escape_bound_values():
@@ -141,72 +150,8 @@ def test_bound_dominates_every_exact_rate(num_qubits):
     for a in range(num_qubits + 1):
         for b in range(num_qubits + 1 - a):
             for c in range(num_qubits + 1 - a - b):
-                exact = float(escape_probability_exact(num_qubits, (a, b, c)))
-                assert exact <= escape_bound(a + b + c) + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo cross-checks
-
-
-def test_simulate_escape_tracks_exact_rate():
-    analysis = simulate_escape(9, (3, 0, 0), 4000, rng.stream(400, "mc"))
-    assert analysis.trials == 4000
-    assert analysis.exact == pytest.approx(5 / 21)
-    assert analysis.bound == pytest.approx(2 / 3)
-    assert abs(analysis.z_score) <= 4.0
-
-
-def test_simulate_escape_honest_always_escapes():
-    analysis = simulate_escape(3, (0, 0, 0), 50, rng.stream(401, "mc"))
-    assert analysis.estimate == 1.0
-    assert analysis.z_score == 0.0
-
-
-def test_monte_carlo_z_is_the_binomial_z_and_zero_without_spread():
-    assert monte_carlo_z(0.3, 0.25, 300) == pytest.approx(0.05 / np.sqrt(0.25 * 0.75 / 300))
-    assert monte_carlo_z(1.0, 1.0, 10) == 0.0
-    assert monte_carlo_z(0.0, 0.0, 10) == 0.0
-    analysis = simulate_escape(9, (3, 0, 0), 500, rng.stream(403, "mc"))
-    assert analysis.z_score == monte_carlo_z(analysis.estimate, analysis.exact, 500)
-
-
-@pytest.mark.parametrize("trials", [0, -2])
-def test_monte_carlo_refuses_fewer_than_one_trial(trials):
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        simulate_escape(9, (1, 0, 0), trials, rng.stream(404, "mc"))
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        simulate_tamper_acceptance(0.5, 4, trials, rng.stream(404, "mc"))
-
-
-def test_simulate_escape_rejects_overfull_attack():
-    with pytest.raises(ValueError):
-        simulate_escape(3, (2, 2, 0), 10, rng.stream(402, "mc"))
-
-
-def test_run_and_monte_carlo_draw_the_same_hits(monkeypatch):
-    """A run's stray Paulis (``sample_attack``) and the Monte Carlo's
-    (``simulate_escape``) are the same hits when drawn from generators in the
-    same state: each trial asks about the run's kinds at the run's roles, in
-    order, and both generators end in the same state."""
-    counts, trials = (2, 1, 2), 50
-    config = ProtocolConfig(
-        "p1", 9, 1, seed=406,
-        adversary=AdversaryConfig(kind="random_pauli", pauli_counts=counts),
-    )
-    run_rng = rng.stream(config.seed, "adversary")
-    roles = thirds_roles(9)
-    expected = [
-        (kind, roles[p]) for _ in range(trials) for kind, p in sample_attack(config, run_rng)
-    ]
-    asked = []
-    monkeypatch.setattr(
-        adversary, "pauli_is_caught", lambda kind, role: asked.append((kind, role)) or False
-    )
-    mc_rng = rng.stream(config.seed, "adversary")
-    simulate_escape(9, counts, trials, mc_rng)
-    assert asked == expected
-    assert mc_rng.bit_generator.state == run_rng.bit_generator.state
+                exact = Fraction(*escape_counts(num_qubits, (a, b, c)))
+                assert exact <= escape_bound(a + b + c) + PROBABILITY_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +167,154 @@ def test_tamper_acceptance_exact(rate, traps, want):
 
 
 def test_tamper_acceptance_validation():
-    """The Monte Carlo refuses what the closed form refuses."""
     for rate, traps in ((1.5, 3), (-0.5, 3), (0.5, -1)):
         with pytest.raises(ValueError, match="tamper rate|trap count"):
             tamper_acceptance_exact(rate, traps)
-        with pytest.raises(ValueError, match="tamper rate|trap count"):
-            simulate_tamper_acceptance(rate, traps, 10, rng.stream(405, "mc"))
 
 
-def test_simulate_tamper_acceptance_tracks_exact():
-    trials = 10_000
-    est = simulate_tamper_acceptance(0.5, 4, trials, rng.stream(403, "mc"))
-    exact = 0.0625
-    sigma = np.sqrt(exact * (1 - exact) / trials)
-    assert abs(est - exact) <= 4 * sigma
+# ---------------------------------------------------------------------------
+# Exact rates on the protocol itself
+
+
+def pauli(num_qubits: int, depth: int, counts, **fields) -> ProtocolConfig:
+    adv = AdversaryConfig(kind="random_pauli", pauli_counts=counts)
+    return ProtocolConfig("p1", num_qubits, depth, adversary=adv, **fields)
+
+
+def tamper(num_qubits: int, traps: int, rate: float, **fields) -> ProtocolConfig:
+    adv = AdversaryConfig(kind="trap_tamper", tamper_rate=rate)
+    return ProtocolConfig("p2", num_qubits, 1, trap_count=traps, adversary=adv, **fields)
+
+
+X_THEN_CZ = (GateRequest.single(0, name="x"), GateRequest.cz_pair(0, 1))
+
+
+@pytest.mark.parametrize(
+    "num_qubits,depth,algorithm", [(3, 1, ()), (6, 2, X_THEN_CZ)], ids=["N3", "N6"]
+)
+def test_exact_escape_equals_the_closed_form(num_qubits, depth, algorithm):
+    """Every count of at most three stray Paulis, over every ordered placement
+    the run can draw, is accepted as often as the equal-thirds combinatorics say."""
+    for a, b, c in itertools.product(range(4), repeat=3):
+        if a + b + c <= 3:
+            config = pauli(num_qubits, depth, (a, b, c), algorithm=algorithm)
+            accept, _ = exact_escape(config)
+            want = Fraction(*escape_counts(num_qubits, (a, b, c)))
+            assert abs(accept - want) <= PROBABILITY_SLACK, (a, b, c)
+
+
+@pytest.mark.parametrize(
+    "counts,accept,wrong",
+    [
+        ((1, 0, 0), Fraction(2, 3), Fraction(1, 3)),
+        ((0, 1, 0), Fraction(2, 3), 0),
+        ((0, 0, 1), Fraction(1, 3), Fraction(1, 3)),
+        ((3, 0, 0), Fraction(1, 5), Fraction(1, 5)),
+    ],
+)
+def test_exact_escape_pins_accepted_and_wrong(counts, accept, wrong):
+    """On p1 N=6 the equal thirds are symmetric under swapping X with Z, so
+    P(accept) alone cannot tell them apart; P(accept and wrong) can: an X on
+    a computation slot flips its Z reading, a Z does not."""
+    got = exact_escape(pauli(6, 2, counts, algorithm=X_THEN_CZ))
+    assert got == pytest.approx((accept, wrong), abs=PROBABILITY_SLACK)
+
+
+def test_exact_escape_tamper_on_p2():
+    """Two traps at rate 0.7 pass with 0.7^2; a flip of either computation
+    bit leaves the output wrong."""
+    config = tamper(4, 2, 0.7, output_bases=("x", "z"),
+                    algorithm=(GateRequest.single(0, name="h"),))
+    accept, wrong = exact_escape(config)
+    assert accept == pytest.approx(0.49, abs=1e-12)
+    assert wrong == pytest.approx(0.49 * (1 - 0.7**2), abs=1e-12)
+
+
+@pytest.mark.parametrize("traps,rate", [(1, 0.7), (4, 0.5), (3, 0.0), (3, 1.0)])
+def test_exact_escape_tamper_matches_closed_form(traps, rate):
+    accept, wrong = exact_escape(tamper(traps + 1, traps, rate))
+    assert abs(accept - tamper_acceptance_exact(rate, traps)) <= PROBABILITY_SLACK
+    assert abs(wrong - rate**traps * (1 - rate)) <= PROBABILITY_SLACK
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ProtocolConfig("sueki", 2, 1), ProtocolConfig("p1", 6, 2, algorithm=X_THEN_CZ),
+     ProtocolConfig("p2", 3, 1, trap_count=2)],
+    ids=["sueki", "p1", "p2"],
+)
+def test_exact_escape_honest_always_accepts(config):
+    assert exact_escape(config) == pytest.approx((1.0, 0.0), abs=PROBABILITY_SLACK)
+
+
+def test_exact_escape_is_the_same_on_every_layout():
+    """Each of p1 N=3's six trap layouts (found among seeds) gives the
+    closed form, so their average does too: the symmetry the closed form
+    assumes, and one that an attacker who locates the traps breaks."""
+    for counts in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)]:
+        by_layout = {}
+        for seed in itertools.count():
+            config = pauli(3, 1, counts, seed=seed)
+            layout = driver.draw_plan(config).layout
+            if layout not in by_layout:
+                by_layout[layout] = exact_escape(config)[0]
+            if len(by_layout) == 6:
+                break
+        want = Fraction(*escape_counts(3, counts))
+        average = sum(by_layout.values()) / 6
+        assert abs(average - want) <= PROBABILITY_SLACK
+        assert all(abs(v - average) <= PROBABILITY_SLACK for v in by_layout.values())
+
+
+def test_exact_escape_takes_fixed_positions_as_one_placement():
+    """One fixed X is accepted with certainty, wrongly on a computation slot,
+    unless it lands on a |0> trap, which rejects it with certainty."""
+    layout = driver.draw_plan(ProtocolConfig("p1", 6, 2, algorithm=X_THEN_CZ)).layout
+    for slot, role in enumerate(layout.roles):
+        hit = ("x", layout.permutation[slot])
+        adv = AdversaryConfig(kind="random_pauli", pauli_positions=(hit,))
+        config = ProtocolConfig("p1", 6, 2, algorithm=X_THEN_CZ, adversary=adv)
+        want = {"compute": (1.0, 1.0), "zero": (0.0, 0.0), "plus": (1.0, 0.0)}[role]
+        assert exact_escape(config) == pytest.approx(want, abs=PROBABILITY_SLACK)
+
+
+def test_run_draws_only_enumerated_hits(monkeypatch):
+    """``exact_escape`` enumerates exactly the hits a run draws: on p1 N=3
+    with one X and one Z, every ``draw_plan`` over seeds 0..199 draws one of
+    its six ordered placements, and all six occur."""
+    enumerated = []
+    real = adversary.enumerate_output
+    monkeypatch.setattr(
+        adversary, "enumerate_output",
+        lambda session, plan: enumerated.append(plan.hits) or real(session, plan),
+    )
+    config = pauli(3, 1, (1, 1, 0))
+    exact_escape(config)
+    honest, *placements = enumerated
+    assert honest == () and len(set(placements)) == len(placements) == 6
+    drawn = {driver.draw_plan(config.with_seed(seed)).hits for seed in range(200)}
+    assert drawn == set(placements)
+
+
+def test_exact_escape_refuses_an_undetermined_honest_output():
+    config = pauli(3, 1, (1, 0, 0), algorithm=(GateRequest.single(0, name="h"),))
+    with pytest.raises(ValueError, match="not deterministic"):
+        exact_escape(config)
+
+
+def test_overfull_attack_is_refused_before_any_run():
+    """More stray Paulis than positions: the config refuses it, so neither a
+    run nor ``exact_escape`` ever draws from ``pauli_hits`` short of positions."""
+    with pytest.raises(ValueError, match="more Pauli errors than output positions"):
+        pauli(3, 1, (2, 2, 0))
+
+
+def test_exact_escape_refuses_more_placements_than_the_budget(monkeypatch):
+    """Refused before the walk: 12 * 11 * 10 * 9 * 8 ordered placements of five X."""
+    assert 12 * 11 * 10 * 9 * 8 > BRANCH_BUDGET
+    monkeypatch.setattr(adversary, "walk_run", lambda config: pytest.fail("walked"))
+    with pytest.raises(ValueError, match="budget"):
+        exact_escape(pauli(12, 1, (5, 0, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,6 @@ def test_run_refuses_a_negative_seed(capsys):
     "argv",
     [
         pytest.param(("oracle", "--gadget", "p2"), id="oracle"),
-        pytest.param(("attack", "--tamper", "0.5", "--traps", "4", "--trials", "10"),
-                     id="attack"),
         pytest.param(("blindness", "--audit", "probe"), id="blindness"),
     ],
 )
@@ -263,41 +261,64 @@ def test_oracle_rejects_inadmissible_octant(capsys):
 
 
 def test_attack_pauli_reports_the_exact_fraction(capsys):
-    code, payload, _ = run_json(
-        capsys, "attack", "--pauli", "3,0,0", "--trials", "2000"
-    )
+    code, payload, _ = run_json(capsys, "attack", "--pauli", "3,0,0")
     assert code == EXIT_OK
     assert payload["exact_fraction"] == "120/504"
     assert payload["exact"] == pytest.approx(5 / 21)
     assert payload["bound"] == pytest.approx(2 / 3)
-    assert abs(payload["z_score"]) <= 4.0
+    # p1 at N=9, d=1, over every ordered placement of the three X
+    assert payload["protocol_accept"] == pytest.approx(5 / 21, abs=1e-12)
+    assert payload["protocol_accept_and_wrong"] == pytest.approx(5 / 21 - 1 / 84, abs=1e-12)
     assert payload["passed"] is True
 
 
 def test_attack_pauli_exact_only(capsys):
-    code, payload, _ = run_json(
-        capsys, "attack", "--pauli", "1,1,1", "--qubits", "3", "--trials", "0"
-    )
+    code, payload, _ = run_json(capsys, "attack", "--pauli", "1,1,1", "--qubits", "3")
     assert code == EXIT_OK
     assert payload["exact"] == pytest.approx(1 / 6)
-    assert "estimate" not in payload
+    assert payload["protocol_accept"] == pytest.approx(1 / 6, abs=1e-12)
+    assert not {"estimate", "trials", "z_score"} & set(payload)
 
 
 def test_attack_tamper_exact(capsys):
-    code, payload, _ = run_json(
-        capsys, "attack", "--tamper", "0.5", "--traps", "4", "--trials", "0"
-    )
+    code, payload, _ = run_json(capsys, "attack", "--tamper", "0.5", "--traps", "4")
     assert code == EXIT_OK
     assert payload["exact_acceptance"] == pytest.approx(0.0625)
+    # p2 at N=5 with 4 traps: the computation bit is flipped half the time
+    assert payload["protocol_accept"] == pytest.approx(0.0625, abs=1e-12)
+    assert payload["protocol_accept_and_wrong"] == pytest.approx(0.03125, abs=1e-12)
 
 
-def test_attack_tamper_with_trials(capsys):
-    code, payload, _ = run_json(
-        capsys, "attack", "--tamper", "0.9", "--traps", "8", "--trials", "5000"
-    )
+def test_attack_tamper_runs_the_protocol(capsys):
+    code, payload, _ = run_json(capsys, "attack", "--tamper", "0.9", "--traps", "8")
     assert code == EXIT_OK
     assert payload["exact_acceptance"] == pytest.approx(0.43046721)
-    assert abs(payload["z_score"]) <= 4.0
+    assert payload["protocol_accept"] == pytest.approx(0.43046721, abs=1e-12)
+    assert payload["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("--pauli", "1,0,0", "--qubits", "15"), id="p1-over-max-qubits"),
+        pytest.param(("--pauli", "5,0,0", "--qubits", "12"), id="over-branch-budget"),
+        pytest.param(("--tamper", "0.5", "--traps", "0"), id="p2-without-traps"),
+    ],
+)
+def test_attack_protocol_fields_are_null_where_no_run_fits(capsys, argv):
+    """The closed form still prints and passes; the protocol's figures are
+    null where no config holds the size or the budget refuses the attack."""
+    code, payload, _ = run_json(capsys, "attack", *argv)
+    assert code == EXIT_OK and payload["passed"] is True
+    assert payload["protocol_accept"] is None and payload["protocol_accept_and_wrong"] is None
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--seed"])
+def test_attack_takes_no_monte_carlo_flags(capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["attack", "--pauli", "3,0,0", flag, "5"])
+    assert info.value.code == EXIT_ERROR
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_attack_argument_validation(capsys):
@@ -407,10 +428,6 @@ def test_blindness_sampled_tv_reads_a_manifest(capsys, tmp_path):
                      "at least one probe", id="no-probe"),
         pytest.param(("blindness", "--audit", "tv", "--gadget", "p1", "--octant-a", "8",
                       "--octant-b", "2"), "octant 8 is not admissible", id="octant-8"),
-        pytest.param(("attack", "--pauli", "3,0,0", "--trials", "-5"),
-                     "--trials must be 0", id="pauli-negative-trials"),
-        pytest.param(("attack", "--tamper", "0.5", "--trials", "-1"),
-                     "--trials must be 0", id="tamper-negative-trials"),
     ],
 )
 def test_cli_refuses_a_check_that_compares_nothing(capsys, argv, message):

@@ -1,12 +1,13 @@
 """Measure-only client protocol: gadget algebra, traps, attacks, decoding."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from adbqc import rng
-from adbqc.adversary import escape_probability_exact
+from adbqc.adversary import escape_counts
 from adbqc.blindness import confirm_capability
 from adbqc.gadgets import PauliFrame, octant_angle
 from adbqc.protocols import (
@@ -298,7 +299,7 @@ def test_forced_single_pauli_exhaustive(kind, expected_escapes):
         assert res.report.accepted == (not caught)
         escapes += int(res.report.accepted)
     assert escapes == expected_escapes
-    assert escape_probability_exact(3, counts) == pytest.approx(expected_escapes / 3)
+    assert Fraction(*escape_counts(3, counts)) == Fraction(expected_escapes, 3)
 
 
 def test_single_x_on_nine_positions_escapes_two_thirds():
@@ -315,7 +316,7 @@ def test_single_x_on_nine_positions_escapes_two_thirds():
 
 def test_uniform_pauli_attack_matches_exact_rate():
     """Quantum runs agree with the placement combinatorics at 250 trials."""
-    exact = float(escape_probability_exact(9, (3, 0, 0)))
+    exact = float(Fraction(*escape_counts(9, (3, 0, 0))))
     adv = AdversaryConfig(kind="random_pauli", pauli_counts=(3, 0, 0))
     trials = 250
     escaped = 0
