@@ -3,15 +3,16 @@
 Six audits:
 
 - announced-angle uniformity for the prepare-only client (counting);
-- no-signaling for the measure-only client: the server's combined
-  classical/quantum view at every stage of the rotation gadget, with the
-  gadget's input maximally entangled with a reference the server keeps, is
-  identical whatever the octant (exact: views compiled once per octant);
+- the server's view of one client's rotation step (``audit_gadget_view_tv``,
+  any client): its quantum state and classical record before each event it
+  can see and at the end, over every secret the client draws, with the
+  step's input maximally entangled with a reference the server keeps, must
+  be identical whatever the octant (exact: views compiled once per client
+  and octant, by one walk of the step that runs);
+- no-signaling for the measure-only client: the same audit's p1 case, over
+  any set of octants and checkpoints;
 - transcript statistics for full protocol runs: a permutation test that
   the server-visible classical record does not separate two angle choices;
-- gadget-view distance: what the server sees classically in one client's
-  rotation step, over every secret the client draws, compared across two
-  octants on every input at once (the POVM of the oracle's paths);
 - the entangled-probe analysis of the lent-ancilla gadget, with the
   closed-form Gram matrix as the oracle, all probes in one batch;
 - capability confinement: the client used no quantum operation outside
@@ -33,20 +34,13 @@ from .adversary import (
     probe_gram,
     probe_gram_closed_form,
 )
-from .gadgets import announced_octant
+from .gadgets import PauliFrame, announced_octant
 from .oracle import PROTOCOL_BY_GADGET, check_octant
 from .protocols import sueki
 from .protocols.config import _integer
-from .protocols.driver import CLIENT_BY_PROTOCOL, gadget_rows, run
-from .protocols.measure_client import p1_hrz_on_runtime
+from .protocols.driver import CLIENT_BY_PROTOCOL, drive_gadget, register_label, run
 from .protocols.reference import total_variation
-from .qsim import (
-    GADGET_VIEW_TV_ATOL,
-    NO_SIGNALING_ATOL,
-    PROBE_GRAM_ATOL,
-    haar_random_states,
-    trace_distance,
-)
+from .qsim import NO_SIGNALING_ATOL, PROBE_GRAM_ATOL, haar_random_states, trace_distance
 from .rng import stream
 from .runtime import OutcomeSource, QuantumRuntime, enumerate_runs
 from .transcript import ALICE, BOB, Transcript
@@ -97,40 +91,75 @@ def audit_theta_uniformity() -> AuditResult:
 
 
 # ---------------------------------------------------------------------------
-# No-signaling through the measure-only rotation gadget
+# The server's view of one client's rotation step
 
 
-_VIEWS: dict[int, tuple] = {}  # octant -> (paths, views per step, {step: {record: p rho}})
+# the rotation step's register maximally entangled with a reference, and no by-product yet
+_ENTANGLED = np.eye(2).reshape(-1) / math.sqrt(2)
+_NO_FRAME = PauliFrame.identity(1)
+# paths walked, views made per checkpoint, and {checkpoint: {server record: block}}
+_Views = tuple[int, Counter, dict[int, dict[tuple, np.ndarray]]]
+_VIEWS: dict[tuple[str, int], _Views] = {}  # (protocol, octant) -> its views
 
 
-def _compiled_views(octant: int) -> tuple[int, Counter, dict[int, dict[tuple, np.ndarray]]]:
-    """The server's view at each checkpoint of the measure-only gadget, compiled
-    into ``_VIEWS`` once: one walk on the register maximally entangled with a
-    reference the server holds (qubit 1) gives, per outcome prefix of
-    probability p, the block p rho of the server's state, summed per (step,
-    record). These blocks are the view of a server that keeps the reference,
-    the strongest view of the gadget on any input."""
-    if octant not in _VIEWS:
+class _Checkpoints(Transcript):
+    """A transcript that keeps no event: for each event the server can see,
+    it calls ``take(checkpoint, record)`` before the event counts, so
+    checkpoint k comes before the k-th visible event, and the record is the
+    server's classical record so far (``bob_classical_values``), both kept
+    up as the events arrive."""
+
+    def __init__(self, take) -> None:
+        super().__init__()
+        self.take = take
+        self.visible = 0
+        self.server_record: tuple = ()
+
+    def _push(self, kind: str, party: str, to: str | None, payload: dict) -> None:
+        if kind in ("msg", "transfer") or party == BOB:
+            self.visible += 1
+            self.take(self.visible, self.server_record)
+            if kind in ("msg", "outcome"):
+                self.server_record += tuple(payload[key] for key in sorted(payload))
+
+
+def _compiled_views(protocol: str, octant: int) -> _Views:
+    """The server's view at each checkpoint of ``protocol``'s rotation step
+    (``drive_gadget``), compiled into ``_VIEWS`` once: for each entry of the
+    client's ``SECRETS``, one walk on the register maximally entangled with a
+    reference the server holds adds, once per (checkpoint, outcome prefix) of
+    probability p, p ``density_of(BOB)`` / len(SECRETS) to that (checkpoint,
+    server record) block. A checkpoint comes before each event the server can
+    see, and one at the end. These blocks are the view of a server that keeps
+    the reference, the strongest view of the step on any input."""
+    if (protocol, octant) not in _VIEWS:
+        secrets = CLIENT_BY_PROTOCOL[protocol].SECRETS
         blocks: dict[int, dict[tuple, np.ndarray]] = {}
-        seen: set[tuple[int, tuple[int, ...]]] = set()
+        made: Counter = Counter()
+        paths = 0
+        for drawn in secrets:
+            seen: set[tuple[int, tuple[int, ...]]] = set()
 
-        def run_fn(source: OutcomeSource) -> None:
-            entangled = np.eye(2).reshape(-1) / math.sqrt(2)
-            rt, labels = QuantumRuntime.from_state(entangled, source, BOB, Transcript())
+            def run_fn(source: OutcomeSource) -> None:
+                def take(at: int, record: tuple) -> None:
+                    if (prefix := (at, source.bits)) not in seen:
+                        seen.add(prefix)
+                        view = blocks.setdefault(at, {})
+                        rho = source.path_probability() / len(secrets) * rt.density_of(BOB)
+                        view[record] = view.get(record, 0.0) + rho
 
-            def checkpoint(at: int) -> None:
-                if (prefix := (at, source.bits)) not in seen:
-                    seen.add(prefix)
-                    view, key = blocks.setdefault(at, {}), rt.tape.bob_classical_values()
-                    rho = source.path_probability() * rt.density_of(BOB)
-                    view[key] = view.get(key, 0.0) + rho
+                tape = _Checkpoints(take)
+                rt = QuantumRuntime(source, tape)
+                rt.load(_ENTANGLED, [register_label(0), register_label(1)], BOB)
+                drive_gadget(rt, protocol, _NO_FRAME, (0,), octant, drawn)
+                take(tape.visible + 1, tape.server_record)
 
-            p1_hrz_on_runtime(rt, labels[0], octant, checkpoint=checkpoint)
-
-        _VIEWS[octant] = (len(enumerate_runs(run_fn)), Counter(at for at, _ in seen), blocks)
+            paths += len(enumerate_runs(run_fn))
+            made.update(at for at, _ in seen)
+        _VIEWS[protocol, octant] = (paths, made, blocks)
         for block in (block for view in blocks.values() for block in view.values()):
             block.flags.writeable = False
-    return _VIEWS[octant]
+    return _VIEWS[protocol, octant]
 
 
 def block_trace_distances(views: Sequence[dict], pairs: Sequence[tuple[int, int]]) -> list[float]:
@@ -153,42 +182,55 @@ def block_trace_distances(views: Sequence[dict], pairs: Sequence[tuple[int, int]
     return [math.fsum(column) for column in np.concatenate(dists).T.tolist()]
 
 
+def _audit_views(
+    name: str, protocol: str, octants: list[int], steps: list[int] | None, details: dict
+) -> AuditResult:
+    """Compare the compiled views of ``protocol``'s step at each pair of
+    ``octants`` at each checkpoint in ``steps`` (every one when None) by
+    trace distance, with one ``block_trace_distances`` call per checkpoint."""
+    compiled = [_compiled_views(protocol, k) for k in octants]
+    checkpoints = range(1, 1 + max(at for _, _, views in compiled for at in views))
+    steps = list(checkpoints) if steps is None else steps
+    if outside := [s for s in steps if s not in checkpoints]:
+        raise ValueError(f"the {protocol} step has no checkpoint {outside[0]}")
+    pairs = [(i, j) for i in range(len(octants)) for j in range(i + 1, len(octants))]
+    compared = [(s, octants[i], octants[j]) for s in steps for i, j in pairs]
+    dists = [dist for s in steps for dist in
+             block_trace_distances([views.get(s, {}) for _, _, views in compiled], pairs)]
+    worst = max(dists)
+    return AuditResult(
+        name=name,
+        passed=worst <= NO_SIGNALING_ATOL,
+        statistic=worst,
+        threshold=NO_SIGNALING_ATOL,
+        details={**details, "worst_at": compared[dists.index(worst)] if worst > 0.0 else None,
+                 "steps": steps, "octants": octants,
+                 "branches": sum(paths for paths, _, _ in compiled),
+                 "views": sum(made[s] for _, made, _ in compiled for s in steps)},
+    )
+
+
 def audit_no_signaling(
     octants: Sequence[int] = tuple(range(8)),
-    steps: Sequence[int] = tuple(range(1, 10)),
+    steps: Sequence[int] | None = None,
 ) -> AuditResult:
-    """Exact check that the server's view of the measure-only rotation
-    gadget is octant-independent at every stage, on every input: compares
-    each octant's compiled views at each checkpoint in ``steps`` (distinct
-    integers 1 to 9) across all octant pairs by trace distance, drawing no
-    random number. Each octant is an integer 0..7 (no bool or float; 8 is
-    not 0), none repeated.
+    """Exact check that the server's view of the measure-only rotation step
+    is octant-independent at every checkpoint, on every input: the p1 case
+    of ``audit_gadget_view_tv``, over all pairs of ``octants`` and at each
+    checkpoint in ``steps`` (distinct integers 1 to 13, every one by
+    default), drawing no random number. Each octant is an integer 0..7 (no
+    bool or float; 8 is not 0), none repeated.
     """
-    if len(octants) < 2 or not steps:
+    if len(octants) < 2 or (steps is not None and not steps):
         raise ValueError("the no-signaling audit needs two octants and a step to compare")
     octants = [_integer("octant", k) for k in octants]
     if any(k not in range(8) for k in octants) or len(set(octants)) != len(octants):
         raise ValueError(f"the no-signaling audit needs distinct octants in 0..7, got {octants}")
-    steps = [_integer("step", s) for s in steps]
-    if len(set(steps)) != len(steps):
-        raise ValueError(f"the no-signaling audit needs distinct steps, got {steps}")
-    if unmarked := [s for s in steps if s not in range(1, 10)]:
-        raise ValueError(f"the measure-only gadget marks no step {unmarked[0]}")
-    pairs = [(i, j) for i in range(len(octants)) for j in range(i + 1, len(octants))]
-    compared = [(s, octants[i], octants[j]) for s in steps for i, j in pairs]
-    dists = [dist for s in steps for dist in
-             block_trace_distances([_compiled_views(k)[2][s] for k in octants], pairs)]
-    worst = max(dists)
-    worst_at = compared[dists.index(worst)] if worst > 0.0 else None
-    return AuditResult(
-        name="no_signaling",
-        passed=worst <= NO_SIGNALING_ATOL,
-        statistic=worst,
-        threshold=NO_SIGNALING_ATOL,
-        details={"worst_at": worst_at, "steps": steps, "octants": octants,
-                 "branches": sum(_VIEWS[k][0] for k in octants),
-                 "views": sum(_VIEWS[k][1][s] for k in octants for s in steps)},
-    )
+    if steps is not None:
+        steps = [_integer("step", s) for s in steps]
+        if len(set(steps)) != len(steps):
+            raise ValueError(f"the no-signaling audit needs distinct steps, got {steps}")
+    return _audit_views("no_signaling", "p1", octants, steps, {})
 
 
 # ---------------------------------------------------------------------------
@@ -259,45 +301,23 @@ def audit_gadget_view_tv(
     octant_a: int,
     octant_b: int,
 ) -> AuditResult:
-    """Exact distance between the server's classical views of one gadget.
+    """Exact distance between the server's views of one client's rotation step.
 
-    Compares what the server sees classically (outcomes it measures plus
-    messages it receives) in one client's rotation step at two octants, with
-    the client's secrets marginalized over its equally likely ``SECRETS``.
-    Per server record, E = sum M^dagger M over the gadget's compiled paths
-    (``driver.gadget_rows``), averaged over the secrets and divided by the
-    input dimension, is that record's block when the server keeps a reference
-    maximally entangled with the input; the block trace distance between the
-    octants' E's is zero exactly when the record distributions agree on
-    every input. For the honest clients it must vanish.
+    Compares the compiled views (``_compiled_views``) of the gadget's client
+    at two octants at every checkpoint: the server's quantum state and
+    classical record, with the client's secrets marginalized over its
+    equally likely ``SECRETS``, on the step's input maximally entangled with
+    a reference the server keeps. The distance is zero exactly when the
+    server's view agrees on every input. For the honest clients it must
+    vanish.
     """
     if gadget == "cz":
         raise ValueError(f"gadget {gadget!r} has no angle to hide")
-    if gadget not in PROTOCOL_BY_GADGET:
-        raise ValueError(f"unknown gadget {gadget!r}")
-    protocol = PROTOCOL_BY_GADGET[gadget]
-    secrets = CLIENT_BY_PROTOCOL[protocol].SECRETS
-
-    def povm(octant: int) -> tuple[int, dict]:
+    for octant in (octant_a, octant_b):
         check_octant(gadget, octant)
-        rows = [row for drawn in secrets for row in gadget_rows(protocol, int(octant), drawn)]
-        ops = np.stack([operator for _, operator, _, _ in rows])
-        slot: dict = {}  # server record -> its index
-        at = [slot.setdefault(record, len(slot)) for *_, record in rows]
-        elements = np.zeros((len(slot), *ops.shape[1:]), dtype=complex)
-        np.add.at(elements, at, ops.conj().swapaxes(1, 2) @ ops)
-        return len(rows), dict(zip(slot, elements / (len(secrets) * ops.shape[-1])))
-
-    (paths_a, ea), (paths_b, eb) = povm(octant_a), povm(octant_b)
-    dist = block_trace_distances([ea, eb], [(0, 1)])[0]
-    return AuditResult(
-        name="gadget_view_tv",
-        passed=dist <= GADGET_VIEW_TV_ATOL,
-        statistic=dist,
-        threshold=GADGET_VIEW_TV_ATOL,
-        details={"gadget": gadget, "views_a": len(ea), "views_b": len(eb),
-                 "branches": paths_a + paths_b},
-    )
+    octants = [int(octant_a), int(octant_b)]
+    return _audit_views("gadget_view_tv", PROTOCOL_BY_GADGET[gadget], octants, None,
+                        {"gadget": gadget})
 
 
 # ---------------------------------------------------------------------------

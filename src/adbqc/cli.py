@@ -237,9 +237,9 @@ def _add_blindness_parser(sub) -> None:
     p.add_argument("--samples", type=int, default=100, help="probe count (probe audit)")
     p.add_argument("--runs", type=int, default=200, help="runs per secret (sampled tv)")
     p.add_argument("--seed", type=int, default=404, help="seed (probe and sampled tv audits)")
-    p.add_argument("--gadget", default="p2", help="gadget for the exact tv audit")
-    p.add_argument("--octant-a", type=int, default=1, help="first secret octant (tv)")
-    p.add_argument("--octant-b", type=int, default=5, help="second secret octant (tv)")
+    p.add_argument("--gadget", default="p2", help="gadget for the exact view audit (tv)")
+    p.add_argument("--octant-a", type=int, default=1, help="first secret octant (view audit)")
+    p.add_argument("--octant-b", type=int, default=5, help="second secret octant (view audit)")
     p.add_argument("--config-a", help="first run config JSON (sampled tv audit)")
     p.add_argument("--config-b", help="second run config JSON (sampled tv audit)")
 
@@ -262,7 +262,7 @@ def cmd_blindness(args) -> int:
                 raise ValueError("tv audit configs must share a protocol")
             res = audit_transcript_tv(config_a, config_b, runs=args.runs, seed=args.seed)
         else:
-            # exact enumerated gadget-view distributions
+            # the exact server views of one client's rotation step
             res = audit_gadget_view_tv(args.gadget, args.octant_a, args.octant_b)
     _emit(
         {

@@ -5,8 +5,7 @@ two-qubit entangler E = (H x H) CZ (``ENTANGLER``, a read-only array like
 every gate and basis of ``qsim``) and consumes the ancillas by
 measurement, leaving a gate on the register up to Pauli by-products that a
 classical frame records. Gadgets act on labeled qubits of a
-``QuantumRuntime``; to run one on a bare state, load it with
-``QuantumRuntime.from_state``. The building blocks:
+``QuantumRuntime``, into which a bare state is ``load``-ed. The building blocks:
 
 - ``couple_in`` and ``measure_out``: the ancilla step every gadget shares.
   ``couple_in`` prepares an ancilla, hands it to the server and couples it

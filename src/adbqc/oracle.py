@@ -6,9 +6,8 @@ shape of that client's ``draw_secrets``; ``cz`` is the coupling gadget.
 Each is enumerated over every outcome path once per process and
 (gadget, octant, secrets) by ``driver.gadget_rows``, through the
 ``driver.drive_gadget`` a run drives, on its register maximally entangled
-with a reference, which gives each path's operator and server record;
-``branch_table``, ``soundness_sweep`` and the gadget-view audit of
-``blindness`` read these paths, so a table on an input is arithmetic. A
+with a reference, which gives each path's operator; ``branch_table`` and
+``soundness_sweep`` read these paths, so a table on an input is arithmetic. A
 row records the path's outcomes, its exact probability, and the fidelity
 of the frame-corrected output against the ideal gate. The ``oracle`` CLI
 subcommand prints these tables and the acceptance suite sweeps them.
@@ -23,7 +22,7 @@ import numpy as np
 from . import rng
 from .protocols.config import _integer
 from .protocols.driver import CLIENT_BY_PROTOCOL, gadget_rows
-from .qsim import BRANCH_PROB_FLOOR, GADGET_FIDELITY_ATOL, haar_random_state
+from .qsim import BRANCH_PROB_FLOOR, GADGET_FIDELITY_ATOL, _has_unit_norm, haar_random_state
 
 # the protocol whose client step each H R_Z gadget drives
 PROTOCOL_BY_GADGET = {"hrz-sueki": "sueki", "p1": "p1", "p2": "p2"}
@@ -63,7 +62,7 @@ def _rows(branches: tuple[tuple, ...], psi: np.ndarray) -> tuple[BranchRow, ...]
     """The rows of ``branches`` on ``psi``: with M = U^dagger F K, a path's
     probability is |M psi|^2 and its fidelity |<psi|M psi>|^2 over that."""
     rows = []
-    for outcomes, operator, announced, _ in branches:
+    for outcomes, operator, announced in branches:
         out = operator @ psi
         prob = float(np.vdot(out, out).real)
         if prob > BRANCH_PROB_FLOOR:
@@ -80,14 +79,18 @@ def branch_table(
 
     ``secrets`` pins the client's secrets, in the shape of its
     ``draw_secrets``; when omitted they are drawn from ``seed``, as is the
-    Haar-random input ``state``. Branch probabilities are exact. The rows
+    Haar-random input ``state``, which must be normalized (within
+    ``NORM_ATOL``; a NaN is refused). Branch probabilities are exact. The rows
     are ``driver.gadget_rows``'s, read once octant and secrets are checked.
     """
     num_qubits = 2 if gadget == "cz" else 1
     if state is None:
         state = haar_random_state(num_qubits, rng.stream(seed, "oracle-input"))
+    state = np.asarray(state)
     if state.shape != (1 << num_qubits,):
         raise ValueError(f"gadget {gadget!r} acts on {num_qubits} qubit(s)")
+    if not _has_unit_norm(state):
+        raise ValueError("the input state must be normalized")
     if secrets is None:
         secrets = _draw_secrets(gadget, rng.stream(seed, "oracle-secrets"))
     check_octant(gadget, octant)
@@ -107,21 +110,22 @@ def soundness_sweep(states_per_octant: int = 4, seed: int = 2026) -> tuple[float
 
     Returns (worst fidelity, number of random input states consumed). With
     the default four states per octant the sweep uses exactly 100 inputs:
-    8 + 8 + 8 + 1 = 25 combinations times four. Each input's client secrets
-    come from the sweep's one secrets stream, in input order. Its octants
+    8 + 8 + 8 + 1 = 25 combinations times four. The inputs come from the
+    sweep's one input stream and each input's client secrets from its one
+    secrets stream, both in input order. Its octants
     and secrets are admissible, so it reads ``gadget_rows`` unchecked.
     """
     if states_per_octant < 1:
         raise ValueError("the soundness sweep needs at least one state per octant")
     worst = 1.0
     count = 0
-    secrets_rng = rng.stream(seed, "oracle-secrets")
+    inputs, secrets_rng = rng.stream(seed, "oracle-sweep"), rng.stream(seed, "oracle-secrets")
     for gadget in ORACLE_GADGETS:
         width = 2 if gadget == "cz" else 1
         name = PROTOCOL_BY_GADGET.get(gadget, gadget)  # as ``gadget_rows`` names it
         for octant in _octants(gadget):
             for _ in range(states_per_octant):
-                state = haar_random_state(width, rng.stream(seed, "oracle-sweep", count))
+                state = haar_random_state(width, inputs)
                 rows = _rows(gadget_rows(name, octant, _draw_secrets(gadget, secrets_rng)), state)
                 worst = min(worst, min(row.fidelity for row in rows))
                 count += 1

@@ -312,10 +312,10 @@ def gadget_rows(gadget: str, octant: int, secrets: tuple[int, ...]) -> tuple[tup
     A path applies a fixed operator K to the register, so one enumeration on
     the register maximally entangled with a reference finds them all: the
     path's post-state is K / sqrt(d p) (d the register dimension, p the path
-    probability). Each row is (outcomes, U^dagger F K, announced octant,
-    server record), F its by-product correction and U the ideal gate, kept
-    read-only in ``_ROWS`` from a key's first call. The key is not checked
-    here: ``oracle`` checks the ones its callers give.
+    probability). Each row is (outcomes, U^dagger F K, announced octant), F
+    its by-product correction and U the ideal gate, kept read-only in
+    ``_ROWS`` from a key's first call. The key is not checked here:
+    ``oracle`` checks the ones its callers give.
     """
     key = (gadget, octant, secrets)
     if key in _ROWS:
@@ -326,7 +326,7 @@ def gadget_rows(gadget: str, octant: int, secrets: tuple[int, ...]) -> tuple[tup
     undo = (CZ_GATE if gadget == "cz" else HRZ_BY_OCTANT[octant]).conj().T
 
     def run_fn(src: OutcomeSource) -> tuple:
-        rt = QuantumRuntime(src, Transcript())
+        rt = QuantumRuntime(src)
         rt.load(np.eye(dim).reshape(-1) / math.sqrt(dim), labels, BOB)
         frame = PauliFrame.identity(2 * width)  # the reference carries no by-product
         frame = drive_gadget(rt, gadget, frame, tuple(range(width)), octant, secrets)
@@ -335,7 +335,7 @@ def gadget_rows(gadget: str, octant: int, secrets: tuple[int, ...]) -> tuple[tup
         operator.flags.writeable = False
         # the prepare-only client announces by the gadget's rule from the first outcome
         announced = announced_octant(octant, *secrets, src.bits[0]) if gadget == "sueki" else None
-        return src.bits, operator, announced, rt.tape.bob_classical_values()
+        return src.bits, operator, announced
 
     _ROWS[key] = tuple(br.value for br in enumerate_runs(run_fn))
     return _ROWS[key]
@@ -347,7 +347,7 @@ def _check_rows(key: tuple, step: Step) -> None:
     of M and I as vectors. Each key is checked once per process."""
     if key in _CHECKED:
         return
-    for outcomes, operator, _, _ in gadget_rows(*key):
+    for outcomes, operator, _ in gadget_rows(*key):
         flat = operator.reshape(-1) / np.linalg.norm(operator)
         ideal = np.eye(len(operator)).reshape(-1) / math.sqrt(len(operator))
         if fidelity_up_to_phase(flat, ideal) < 1.0 - GADGET_FIDELITY_ATOL:

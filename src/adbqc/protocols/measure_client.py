@@ -22,8 +22,6 @@ Both cases are the one step ``hrz``, which needs no secrets (``SECRETS``).
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ..gadgets import couple, h_cancel
@@ -33,8 +31,6 @@ from ..transcript import ALICE, BOB
 
 BELL = np.array([SQRT_HALF, 0, 0, SQRT_HALF], dtype=complex)  # (|00> + |11>)/sqrt(2)
 BELL.flags.writeable = False
-
-Checkpoint = Callable[[int], None]
 
 
 def classify_angle(octant: int) -> str:
@@ -61,40 +57,29 @@ def solve_phase_choice(octant: int, case: str, x_bell_bit: int) -> tuple[int, in
     raise AssertionError(f"no phase choice reaches octant {octant} in case {case}")
 
 
-def p1_hrz_on_runtime(
-    rt: QuantumRuntime,
-    target: str,
-    octant: int,
-    checkpoint: Checkpoint | None = None,
-) -> int:
+def p1_hrz_on_runtime(rt: QuantumRuntime, target: str, octant: int) -> int:
     """One measurement-driven H R_Z(octant * pi/4); returns the X by-product.
 
-    Two Bell-pair segments (stages 1-4, driven, and 6-9, undriven) flank a
-    Hadamard-cancelling coupling (stage 5). The nine numbered stages match
-    the audit checkpoints: odd stages are server moves, even stages are
-    client measurements or discards.
+    Two Bell-pair segments (the first driven, the second not) flank a
+    Hadamard-cancelling coupling.
     """
     tape = rt.tape
-    mark = checkpoint or (lambda step: None)
     octant %= 8
     case = classify_angle(octant)
 
-    def segment(step: int, half: str, kept: str, drive: bool, active: bool) -> int:
-        """Stages step..step+3 of one segment; returns its share of the
-        by-product: the Z-basis Bell outcome of the idle segment, or
-        m ^ rho of the active one."""
+    def segment(half: str, kept: str, drive: bool, active: bool) -> int:
+        """One segment; returns its share of the by-product: the Z-basis
+        Bell outcome of the idle segment, or m ^ rho of the active one."""
         # a Bell pair, one half handed to the client
         rt.load(BELL, [half, kept], BOB)
         tape.local(BOB, op="prepare_bell", qubits=[half, kept])
         rt.transfer(half, ALICE)
-        mark(step)
 
         # the client measures its half; the basis choice is its secret
         basis = X_BASIS if active else Z_BASIS
         bell_bit, _ = rt.measure(half, basis)
         tape.outcome(ALICE, bell_bit, qubit=half)
         rt.discard(half)
-        mark(step + 1)
 
         # the server couples the kept half, drives it one octant if asked,
         # and sends it over
@@ -103,7 +88,6 @@ def p1_hrz_on_runtime(
             rt.apply(RZ_BY_OCTANT[1], [kept])
             tape.local(BOB, op="drive", qubit=kept)
         rt.transfer(kept, ALICE)
-        mark(step + 2)
 
         # the active segment realizes the rotation on the kept half
         share = bell_bit
@@ -115,18 +99,16 @@ def p1_hrz_on_runtime(
         else:
             tape.local(ALICE, op="discard", qubit=kept)
         rt.discard(kept)
-        mark(step + 3)
         return share
 
     e1a, e1b = rt.fresh("e"), rt.fresh("e")
     e2a, e2b = rt.fresh("e"), rt.fresh("e")
     # odd octants realize the rotation in the driven segment
-    by_product = segment(1, e1a, e1b, drive=True, active=case == "b")
-    # 5: server absorbs the stray Hadamard with a fresh |0> coupling
+    by_product = segment(e1a, e1b, drive=True, active=case == "b")
+    # the server absorbs the stray Hadamard with a fresh |0> coupling
     h_cancel(rt, target, rt.fresh("h"))
-    mark(5)
     # even octants realize it in the undriven one
-    return by_product ^ segment(6, e2a, e2b, drive=False, active=case == "a")
+    return by_product ^ segment(e2a, e2b, drive=False, active=case == "a")
 
 
 SECRETS = ((),)

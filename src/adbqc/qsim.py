@@ -40,8 +40,7 @@ import numpy as np
 NORM_ATOL = 1e-9  # |norm - 1| float rounding leaves on a pure state or qubit
 PRODUCT_ATOL = 1e-9  # purity defect of a qubit that counts as product with the rest
 GADGET_FIDELITY_ATOL = 1e-9  # infidelity a gadget branch may show against its ideal gate
-NO_SIGNALING_ATOL = 1e-10  # trace distance between the server's views of two octants
-GADGET_VIEW_TV_ATOL = 1e-9  # block trace distance between the server's record POVMs at two octants
+NO_SIGNALING_ATOL = 1e-10  # trace distance between the server's views of a step at two octants
 PROBE_GRAM_ATOL = 1e-10  # entrywise gap between the simulated and closed-form probe Gram
 PROBABILITY_SLACK = 1e-12  # rounding allowed when checking or bounding a probability
 BRANCH_PROB_FLOOR = 1e-12  # probability below which an outcome branch is not taken
@@ -121,6 +120,12 @@ def _width(state: np.ndarray) -> int:
     if state.shape != (1 << n,) or n > MAX_QUBITS:
         raise ValueError(f"a state needs 2^n amplitudes, n <= {MAX_QUBITS}; got {state.shape}")
     return n
+
+
+def _has_unit_norm(amps: np.ndarray) -> bool:
+    """Whether ``amps`` has norm 1 within ``NORM_ATOL``: the one normalization
+    rule; a NaN norm fails the comparison, so it is refused too."""
+    return abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) <= NORM_ATOL
 
 
 def apply_gate(state: np.ndarray, matrix: np.ndarray, targets: Sequence[int]) -> np.ndarray:

@@ -42,11 +42,10 @@ from .qsim import (
     BRANCH_BUDGET,
     BRANCH_PROB_FLOOR,
     MAX_QUBITS,
-    NORM_ATOL,
     PRODUCT_ATOL,
     _apply_matrix,
     _check_gate,
-    _width,
+    _has_unit_norm,
     partial_trace,
 )
 from .transcript import Transcript
@@ -121,17 +120,6 @@ class QuantumRuntime:
         self._owners: dict[str, str] = {}
         self._minted = 0  # ancilla labels handed out by ``fresh``
 
-    @classmethod
-    def from_state(
-        cls, state: np.ndarray, outcomes: OutcomeSource, owner: str,
-        tape: Transcript | None = None,
-    ) -> tuple["QuantumRuntime", list[str]]:
-        """A runtime holding ``state`` as qubits labeled r0, r1, ... (qubit order)."""
-        rt = cls(outcomes, tape)
-        labels = [f"r{i}" for i in range(_width(state))]
-        rt.load(state, labels, owner)
-        return rt, labels
-
     @property
     def num_qubits(self) -> int:
         return len(self._labels)
@@ -197,14 +185,14 @@ class QuantumRuntime:
 
     def _admit(self, labels: tuple[str, ...], amps: np.ndarray) -> None:
         """Refuse new qubits ``labels`` when one is in use, the qubit budget
-        would be exceeded, or their state ``amps`` is not normalized (a NaN
-        norm fails the comparison, so it is refused too)."""
+        would be exceeded, or their state ``amps`` is not normalized
+        (``qsim._has_unit_norm``)."""
         for lb in labels:
             if lb in self._owners:
                 raise ValueError(f"label {lb!r} already in use")
         if len(self._labels) + len(labels) > MAX_QUBITS:
             raise ValueError(f"qubit budget of {MAX_QUBITS} exceeded")
-        if not abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) <= NORM_ATOL:
+        if not _has_unit_norm(amps):
             raise ValueError("a new qubit's state must be normalized")
 
     def apply(self, matrix: np.ndarray, labels: Sequence[str]) -> None:

@@ -12,15 +12,26 @@ from adbqc.gadgets import PauliFrame, announced_octant, octant_angle, pattern_un
 from adbqc.oracle import PROTOCOL_BY_GADGET, BranchRow
 from adbqc.protocols import ProtocolConfig, config_from_dict, config_object, driver, run
 from adbqc.protocols.driver import RunResult
-from adbqc.protocols.measure_client import p1_hrz_on_runtime
 from adbqc.protocols.reference import reference_state
 from adbqc.protocols.schedule import schedule
 from adbqc.qsim import (
     CZ_GATE, GADGET_FIDELITY_ATOL, H_GATE, PLUS_AMPS, PRODUCT_ATOL, RZ_BY_OCTANT, X_GATE, Z_GATE,
-    apply_gate, fidelity_up_to_phase, partial_trace, plus_state, rz_matrix, trace_distance,
+    _width, apply_gate, fidelity_up_to_phase, partial_trace, plus_state, rz_matrix,
+    trace_distance,
 )
 from adbqc.runtime import OutcomeSource, QuantumRuntime, ReplayOutcomes, RunBranch, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
+
+
+def from_state(
+    state: np.ndarray, outcomes: OutcomeSource, owner: str, tape: Transcript | None = None,
+) -> tuple[QuantumRuntime, list[str]]:
+    """A runtime holding ``state``, loaded as qubits labeled r0, r1, ... (qubit
+    order), its width read by ``qsim._width``."""
+    rt = QuantumRuntime(outcomes, tape)
+    labels = [f"r{i}" for i in range(_width(state))]
+    rt.load(state, labels, owner)
+    return rt, labels
 
 
 def hrz_matrix(theta: float) -> np.ndarray:
@@ -274,42 +285,49 @@ def replayed_branch_table(
     )
 
 
-class _PastLastStep(Exception):
-    """Ends a replay of the gadget at the last checkpoint asked for."""
+class ViewWatcher(Transcript):
+    """A transcript that, on each event the server can see (as ``bob_events``
+    tells it after the push), keeps the server's record from before the event
+    (``bob_classical_values``) and ``rt.density_of(BOB)``, which no push
+    changes: the view before that event."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.rt: QuantumRuntime | None = None
+        self.views: list[tuple[tuple, np.ndarray]] = []
+
+    def _push(self, kind: str, party: str, to: str | None, payload: dict) -> None:
+        record, seen = self.bob_classical_values(), len(self.bob_events())
+        super()._push(kind, party, to, payload)
+        if len(self.bob_events()) > seen:
+            self.views.append((record, self.rt.density_of(BOB)))
 
 
-def per_path_bob_view_blocks(
-    octant: int, state: np.ndarray, steps
+def per_path_server_views(
+    protocol: str, octant: int, state: np.ndarray, secrets: tuple[int, ...]
 ) -> dict[int, dict[tuple, np.ndarray]]:
-    """The server's view blocks of the measure-only gadget, by replaying it on
-    ``state`` itself (labels[0] the target, any further qubits the server's):
-    the view is computed on every path up to the last step in ``steps`` and
-    weighted by that path's probability. On the target maximally entangled
-    with one reference qubit these are the blocks ``blindness._compiled_views``
-    compiles once per prefix."""
-    last = max(steps)
+    """The server's view blocks of ``protocol``'s rotation step under one
+    ``secrets`` entry, by replaying ``driver.drive_gadget`` on ``state``
+    itself (qubit 0 the target, any further qubits the server's) once per
+    outcome path, with a ``ViewWatcher``: before each event the server can see,
+    and at the end, the view on every path, weighted by that path's
+    probability and keyed by checkpoint (from 1) and server record. On the target
+    maximally entangled with one reference qubit, averaged over the client's
+    ``SECRETS``, these are the blocks ``blindness._compiled_views`` compiles
+    once per prefix."""
 
     def run_fn(source: OutcomeSource) -> list:
-        rt, labels = QuantumRuntime.from_state(state, source, BOB, Transcript())
-        views = []
+        tape = ViewWatcher()
+        rt = tape.rt = QuantumRuntime(source, tape)
+        rt.load(state, [driver.register_label(i) for i in range(len(state).bit_length() - 1)], BOB)
+        driver.drive_gadget(rt, protocol, PauliFrame.identity(1), (0,), octant, secrets)
+        return tape.views + [(tape.bob_classical_values(), rt.density_of(BOB))]
 
-        def checkpoint(at: int) -> None:
-            if at in steps:
-                views.append((at, rt.tape.bob_classical_values(), rt.density_of(BOB)))
-            if at == last:
-                raise _PastLastStep
-
-        try:
-            p1_hrz_on_runtime(rt, labels[0], octant, checkpoint=checkpoint)
-        except _PastLastStep:
-            pass
-        return views
-
-    blocks: dict[int, dict[tuple, np.ndarray]] = {step: {} for step in steps}
+    blocks: dict[int, dict[tuple, np.ndarray]] = {}
     for branch in enumerate_runs(run_fn):
-        for step, key, rho in branch.value:
-            view = blocks[step]
-            view[key] = view.get(key, 0.0) + branch.probability * rho
+        for at, (record, rho) in enumerate(branch.value, start=1):
+            view = blocks.setdefault(at, {})
+            view[record] = view.get(record, 0.0) + branch.probability * rho
     return blocks
 
 
@@ -323,8 +341,8 @@ def joint_density_of(rt: QuantumRuntime, owner: str) -> np.ndarray:
 
 
 def replayed_view_distribution(gadget: str, octant: int, state: np.ndarray) -> tuple[dict, int]:
-    """The server's classical view distribution on ``state`` that the blocks of
-    ``blindness.audit_gadget_view_tv`` give, by replaying the client's step on
+    """The server's classical view distribution on ``state`` that the final
+    blocks of ``blindness.audit_gadget_view_tv`` give, by replaying the client's step on
     ``state`` once per outcome path under each of its equally likely
     ``SECRETS``; returns (distribution, paths walked)."""
     secrets = driver.CLIENT_BY_PROTOCOL[PROTOCOL_BY_GADGET[gadget]].SECRETS

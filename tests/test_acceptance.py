@@ -218,7 +218,7 @@ def test_acceptance_5_theta_disclosure_uniformity(acceptance):
 
 
 def test_acceptance_6_no_signaling(acceptance):
-    result = audit_no_signaling()  # all 8 octants, all 9 gadget stages
+    result = audit_no_signaling()  # all 8 octants, every checkpoint
     ok = result.passed and result.statistic <= 1e-10
     acceptance(6, "no-signaling audit", ok)
     assert result.passed

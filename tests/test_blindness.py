@@ -25,44 +25,40 @@ from adbqc.oracle import branch_table
 from adbqc.protocols import (
     GateRequest,
     ProtocolConfig,
-    driver,
+    gate_client,
+    measure_client,
     p1_hrz_on_runtime,
     run_protocol1,
     run_protocol2,
     run_sueki,
+    sueki,
 )
-from adbqc.protocols.driver import drive_gadget
-from adbqc.qsim import RZ_BY_OCTANT, haar_random_state
+from adbqc.protocols.driver import CLIENT_BY_PROTOCOL, drive_gadget
+from adbqc.qsim import NO_SIGNALING_ATOL, RZ_BY_OCTANT, haar_random_state
 from adbqc.runtime import QuantumRuntime, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
 from helpers import (
     block_trace_distance,
     joint_density_of,
     normalized,
-    per_path_bob_view_blocks,
+    per_path_server_views,
     replayed_view_distribution,
     zero_state,
 )
 
-# Leaks for the power tests: each sends a secret to the server on the wire,
-# where the audits read the server's view, so an audit that misses it is blind.
+# Leaks for the power tests: each puts a secret in the server's view, where
+# the audits read it, so an audit that misses it is blind.
 
 
-def leaky_p1_hrz(rt, target, octant, checkpoint=None):
-    """The measure-only gadget, sending its octant before it runs."""
-    rt.tape.msg(ALICE, to=BOB, op="leak", octant=octant % 8)
-    return p1_hrz_on_runtime(rt, target, octant, checkpoint=checkpoint)
-
-
-def rotating_p1_hrz(rt, target, octant, checkpoint=None):
-    """The measure-only gadget after turning its target by the octant: a leak
+def rotating_p1_hrz(rt, label, octant, secrets):
+    """The measure-only step after turning its target by the octant: a leak
     in the server's quantum view that leaves no classical trace."""
-    rt.apply(RZ_BY_OCTANT[octant % 8], [target])
-    return p1_hrz_on_runtime(rt, target, octant, checkpoint=checkpoint)
+    rt.apply(RZ_BY_OCTANT[octant % 8], [label])
+    return p1_hrz_on_runtime(rt, label, octant)
 
 
 def leaky_drive_gadget(rt, gadget, frame, positions, octant, secrets, prep_party=BOB):
-    """A gadget step, sending its octant before it runs."""
+    """A gadget step, sending its octant on the wire before it runs."""
     rt.tape.msg(ALICE, to=BOB, op="leak", octant=octant)
     return drive_gadget(rt, gadget, frame, positions, octant, secrets, prep_party)
 
@@ -109,9 +105,9 @@ def test_no_signaling_across_octants_and_stages():
 
 def test_no_signaling_same_octant_is_exactly_zero():
     """An octant's views, compiled afresh, are bit for bit the first compile's."""
-    first = blindness._compiled_views(3)[2][5]
+    first = blindness._compiled_views("p1", 3)[2][5]
     blindness._VIEWS.clear()
-    again = blindness._compiled_views(3)[2][5]
+    again = blindness._compiled_views("p1", 3)[2][5]
     assert first is not again
     assert block_trace_distances([first, again], [(0, 1)]) == [0.0]
 
@@ -126,7 +122,7 @@ def test_no_signaling_refuses_an_octant_outside_0_to_7_or_repeated(octants):
 
 
 def test_no_signaling_flags_a_classical_leak(monkeypatch):
-    monkeypatch.setattr(blindness, "p1_hrz_on_runtime", leaky_p1_hrz)
+    monkeypatch.setattr(blindness, "drive_gadget", leaky_drive_gadget)
     result = audit_no_signaling(octants=(0, 4), steps=(9,))
     assert not result.passed
     assert result.statistic == pytest.approx(1.0, abs=1e-9)
@@ -139,12 +135,12 @@ def test_no_signaling_flags_a_leak_without_a_classical_trace(monkeypatch):
     and k+4 differ by a half turn, which takes (R_Z(pi) x I)|Phi> to an
     orthogonal state. The worst pair is the first largest of the per-pair
     distances."""
-    monkeypatch.setattr(blindness, "p1_hrz_on_runtime", rotating_p1_hrz)
+    monkeypatch.setattr(measure_client, "hrz", rotating_p1_hrz)
     result = audit_no_signaling()
     assert not result.passed
     assert result.statistic >= 0.99
-    views = {k: blindness._compiled_views(k)[2] for k in range(8)}
-    compared = [(s, a, b) for s in range(1, 10) for a in range(8) for b in range(a + 1, 8)]
+    views = {k: blindness._compiled_views("p1", k)[2] for k in range(8)}
+    compared = [(s, a, b) for s in range(1, 14) for a in range(8) for b in range(a + 1, 8)]
     dists = [block_trace_distance(views[a][s], views[b][s]) for s, a, b in compared]
     assert abs(result.statistic - max(dists)) <= 1e-12
     assert result.details["worst_at"] == compared[dists.index(max(dists))]
@@ -161,28 +157,34 @@ def test_no_signaling_refuses_to_compare_nothing(octants, steps):
 
 
 def test_no_signaling_refuses_a_step_the_gadget_never_marks():
-    with pytest.raises(ValueError, match="marks no step 10"):
-        audit_no_signaling(octants=(0, 1), steps=(10,))
-    assert not blindness._VIEWS
+    """The measure-only step has 12 events the server can see, so
+    checkpoints 1 to 13; the range is known once the octants' views are
+    compiled."""
+    with pytest.raises(ValueError, match="the p1 step has no checkpoint 14$"):
+        audit_no_signaling(octants=(0, 1), steps=(14,))
+    assert sorted(blindness._VIEWS) == [("p1", 0), ("p1", 1)]
 
 
+# the measure-only step's checkpoints are 1 to 13
 @pytest.mark.parametrize(
     "steps,message",
     [((True,), "step must be an integer"), ((1.0,), "step must be an integer"),
      ((2, 1.5), "step must be an integer"), ((1, 1), "distinct steps"),
-     ((3, 5, 3), "distinct steps"), ((0,), "marks no step 0"), ((9, -1), "marks no step -1")],
+     ((3, 5, 3), "distinct steps"), ((0,), "has no checkpoint 0"),
+     ((13, -1), "has no checkpoint -1")],
     ids=["bool", "float", "float-second", "repeated", "repeated-of-three", "zero", "negative"],
 )
 def test_no_signaling_refuses_steps_that_are_not_distinct_integers_1_to_9(steps, message):
     with pytest.raises(ValueError, match=message):
         audit_no_signaling(octants=(0, 1), steps=steps)
-    assert not blindness._VIEWS
+    # only the range check needs the compiled views
+    assert bool(blindness._VIEWS) == ("checkpoint" in message)
 
 
 def test_shallow_no_signaling_compiles_every_step_once(monkeypatch):
-    """Asking for step 1 compiles each octant's views at all nine steps, one
-    walk of its 8 paths each: a later audit of every step on those octants
-    walks nothing and counts the same paths."""
+    """Asking for checkpoint 1 compiles each octant's views at all 13
+    checkpoints, one walk of its 8 paths each: a later audit of every
+    checkpoint on those octants walks nothing and counts the same paths."""
     walked = []
 
     def counted(run_fn):
@@ -193,31 +195,40 @@ def test_shallow_no_signaling_compiles_every_step_once(monkeypatch):
     monkeypatch.setattr(blindness, "enumerate_runs", counted)
     shallow = audit_no_signaling(octants=(0, 1), steps=(1,))
     assert walked == [8, 8]
-    assert sorted(blindness._VIEWS[0][2]) == list(range(1, 10))
+    assert sorted(blindness._VIEWS["p1", 0][2]) == list(range(1, 14))
     full = audit_no_signaling(octants=(0, 1))
     assert walked == [8, 8]
+    assert full.details["steps"] == list(range(1, 14))
     assert shallow.details["branches"] == full.details["branches"] == 16
-    assert (shallow.details["views"], full.details["views"]) == (2, 68)
+    assert (shallow.details["views"], full.details["views"]) == (2, 86)
 
 
 @pytest.mark.parametrize("octant", range(8))
 def test_views_per_prefix_equal_views_per_path(octant):
-    """The compiled views (one block per outcome prefix) are, at every step,
-    the blocks that a replay of the gadget on the entangled two-qubit input
-    gives with a view on every path, weighted by the path."""
-    steps = tuple(range(1, 10))
+    """For every client, the compiled views (one block per outcome prefix
+    and secrets entry) are, at every checkpoint, the blocks that a replay of
+    the client's step on the entangled two-qubit input gives with a view on
+    every path, weighted by the path and averaged over the client's
+    ``SECRETS``: 13 checkpoints for p1 and sueki, 7 for p2."""
     entangled = normalized([1, 0, 0, 1])
-    fast = blindness._compiled_views(octant)[2]
-    slow = per_path_bob_view_blocks(octant, entangled, steps)
-    assert fast.keys() == slow.keys()
-    for step, view in fast.items():
-        assert view.keys() == slow[step].keys()
-        for key, rho in view.items():
-            assert np.max(np.abs(rho - slow[step][key])) <= 1e-12
+    for protocol, checkpoints in (("p1", 13), ("p2", 7), ("sueki", 13)):
+        fast = blindness._compiled_views(protocol, octant)[2]
+        secrets = CLIENT_BY_PROTOCOL[protocol].SECRETS
+        slow: dict = {}
+        for drawn in secrets:
+            for at, view in per_path_server_views(protocol, octant, entangled, drawn).items():
+                mean = slow.setdefault(at, {})
+                for key, rho in view.items():
+                    mean[key] = mean.get(key, 0.0) + rho / len(secrets)
+        assert sorted(fast) == sorted(slow) == list(range(1, checkpoints + 1))
+        for at, view in fast.items():
+            assert view.keys() == slow[at].keys()
+            for key, rho in view.items():
+                assert np.max(np.abs(rho - slow[at][key])) <= 1e-12
 
 
 def test_no_signaling_computes_one_view_per_prefix(monkeypatch):
-    """The default audit's first call computes 272 views over its 64 paths
+    """The default audit's first call computes 344 views over its 64 paths
     (a path through the same checkpoint prefix as an earlier one reuses its
     view); a second call computes none and reports the same counts."""
     calls = Counter()
@@ -229,11 +240,11 @@ def test_no_signaling_computes_one_view_per_prefix(monkeypatch):
 
     monkeypatch.setattr(QuantumRuntime, "density_of", counted)
     first = audit_no_signaling()
-    assert calls["density_of"] == 272
+    assert calls["density_of"] == 344
     second = audit_no_signaling()
-    assert calls["density_of"] == 272  # the second call computes none
+    assert calls["density_of"] == 344  # the second call computes none
     for result in (first, second):
-        assert result.details["views"] == 272
+        assert result.details["views"] == 344
         assert result.details["branches"] == 64
 
 
@@ -241,7 +252,7 @@ def test_a_second_no_signaling_call_replays_nothing(monkeypatch):
     """Once every octant is compiled, the default audit runs no
     ``enumerate_runs`` and no ``density_of``, and gives the same result."""
     first = audit_no_signaling()
-    assert sorted(blindness._VIEWS) == list(range(8))
+    assert sorted(blindness._VIEWS) == [("p1", k) for k in range(8)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a compiled audit replayed the gadget")
@@ -259,7 +270,7 @@ def test_compiled_views_are_read_only():
 
 
 def test_views_from_the_servers_factors_equal_the_whole_partial_trace(monkeypatch):
-    """Each of the 272 server views that the default audit compiles, tensored
+    """Each of the 344 server views that the default audit compiles, tensored
     from only the factors that hold the server's qubits, is the partial trace
     of the whole joint state in qubit-index order."""
     gaps = []
@@ -273,20 +284,20 @@ def test_views_from_the_servers_factors_equal_the_whole_partial_trace(monkeypatc
 
     monkeypatch.setattr(QuantumRuntime, "density_of", checked)
     assert audit_no_signaling().passed
-    assert len(gaps) == 272
+    assert len(gaps) == 344
     assert max(gaps) <= 1e-12
 
 
 def test_stacked_no_signaling_distances_equal_the_per_pair_formula():
-    """Every (step, octant pair) distance of the default audit, from each
-    step's views stacked once, is the per-key sum that one
+    """Every (checkpoint, octant pair) distance of the default audit, from
+    each checkpoint's views stacked once, is the per-key sum that one
     ``trace_distance`` call per block gives."""
-    steps = tuple(range(1, 10))
+    steps = tuple(range(1, 14))
     pairs = [(ka, kb) for ka in range(8) for kb in range(ka + 1, 8)]
-    views = {k: blindness._compiled_views(k)[2] for k in range(8)}
-    assert len(steps) * len(pairs) == 252
+    views = {k: blindness._compiled_views("p1", k)[2] for k in range(8)}
+    assert len(steps) * len(pairs) == 364
     assert {rho.shape for k in views for s in steps for rho in views[k][s].values()} == {
-        (4, 4), (8, 8)}
+        (4, 4), (8, 8), (16, 16)}
     for step in steps:
         got = block_trace_distances([views[k][step] for k in range(8)], pairs)
         for dist, (ka, kb) in zip(got, pairs):
@@ -294,7 +305,7 @@ def test_stacked_no_signaling_distances_equal_the_per_pair_formula():
     # the views of a product input differ, so the distances are not all 0
     product = normalized([1, 0, 1, 0])
     for k in (0, 3):
-        moved = per_path_bob_view_blocks(k, product, steps)
+        moved = per_path_server_views("p1", k, product, ())
         dists = block_trace_distances([views[k][s] for s in steps] + [moved[s] for s in steps],
                                       [(i, i + len(steps)) for i in range(len(steps))])
         assert max(dists) > 0.1
@@ -324,7 +335,7 @@ def test_block_trace_distance_handles_disjoint_keys():
 
 
 # ---------------------------------------------------------------------------
-# Per-gadget view distributions
+# The server's view of each client's rotation step
 
 
 # a measure-only id names the step's case at both octants (``classify_angle``)
@@ -337,7 +348,50 @@ def test_block_trace_distance_handles_disjoint_keys():
 def test_gadget_views_are_angle_independent(gadget, octant_a, octant_b):
     result = audit_gadget_view_tv(gadget, octant_a, octant_b)
     assert result.passed
-    assert result.statistic <= 1e-9
+    assert result.statistic <= 1e-10
+
+
+@pytest.mark.parametrize("gadget,checkpoints", [("hrz-sueki", 13), ("p1", 13), ("p2", 7)])
+def test_every_clients_view_is_angle_independent_at_every_checkpoint(gadget, checkpoints):
+    """All 28 octant pairs of each client, at each checkpoint: one before
+    each event the server can see, and one at the end."""
+    worst = 0.0
+    for a in range(8):
+        for b in range(a + 1, 8):
+            result = audit_gadget_view_tv(gadget, a, b)
+            assert result.details["steps"] == list(range(1, checkpoints + 1))
+            worst = max(worst, result.statistic)
+    assert worst <= NO_SIGNALING_ATOL
+
+
+def fix_secrets(module, secrets):
+    return lambda patch: patch.setattr(module, "SECRETS", secrets)
+
+
+# each leak, with an octant pair it separates
+LEAKS = {
+    "p2-pad-0": ("p2", (1, 5), fix_secrets(gate_client, ((0,),))),
+    "sueki-pad-0": ("hrz-sueki", (1, 5),
+                    fix_secrets(sueki, tuple((hiding, 0) for hiding in range(8)))),
+    "sueki-hiding-0": ("hrz-sueki", (1, 2), fix_secrets(sueki, ((0, 0), (0, 1)))),
+    "p1-turned-target": ("p1", (1, 5),
+                         lambda patch: patch.setattr(measure_client, "hrz", rotating_p1_hrz)),
+    **{f"{gadget}-octant-on-the-wire": (
+        gadget, (2, 3), lambda patch: patch.setattr(blindness, "drive_gadget", leaky_drive_gadget))
+       for gadget in ("hrz-sueki", "p1", "p2")},
+}
+
+
+@pytest.mark.parametrize("leak", LEAKS)
+def test_view_audit_reads_each_leak(monkeypatch, leak):
+    """A client whose pad or hiding octant is fixed, a measure-only step that
+    turns its target first (no classical trace), and a step that sends its
+    octant on the wire each read at least 0.99."""
+    gadget, octants, patch = LEAKS[leak]
+    patch(monkeypatch)
+    result = audit_gadget_view_tv(gadget, *octants)
+    assert not result.passed
+    assert result.statistic >= 0.99
 
 
 @pytest.mark.parametrize("gadget,branches", [("hrz-sueki", 128), ("p1", 16), ("p2", 8)])
@@ -354,9 +408,11 @@ def test_gadget_view_audit_counts_its_branches(gadget, branches):
      ("p1", ((0, 6), (1, 7), (1, 6), (3, 4)), 16),
      ("p2", ((1, 6), (3, 4), (0, 5)), 8)],
 )
-def test_view_distributions_from_rows_equal_the_replay(monkeypatch, gadget, octant_pairs, branches):
-    """The audit's block E of each server record, times the dimension 2,
-    gives on an input psi the record's probability psi^dagger (2 E) psi: to
+def test_final_views_give_the_replayed_record_distribution(monkeypatch, gadget, octant_pairs,
+                                                           branches):
+    """The audit's last view of each server record, traced down to the
+    reference (qubit 1), is rho = E^T / 2 for the record's POVM element E, so
+    it gives on an input psi the record's probability psi^T (2 rho) psi^*: to
     1e-12 and over as many paths, what a replay of the client's step on psi
     gives, once per outcome path and secret, for |0>, |+> and a Haar draw."""
     compared = []
@@ -366,14 +422,17 @@ def test_view_distributions_from_rows_equal_the_replay(monkeypatch, gadget, octa
     haar = haar_random_state(1, rng.stream(99, "gadget-view-input"))
     for octants in octant_pairs:
         result = audit_gadget_view_tv(gadget, *octants)
-        povms = compared.pop()
+        last = compared[-1]  # the views at the last checkpoint
+        compared.clear()
         for state in (zero_state(1), normalized([1, 1]), haar):
             replayed = [replayed_view_distribution(gadget, k, state) for k in octants]
             assert result.details["branches"] == branches == sum(walked for _, walked in replayed)
-            for povm, (want, _) in zip(povms, replayed):
-                assert povm.keys() == want.keys()
-                got = {view: 2 * np.vdot(state, element @ state).real
-                       for view, element in povm.items()}
+            for views, (want, _) in zip(last, replayed):
+                assert views.keys() == want.keys()
+                reference = {record: np.einsum("iaja->ij", block.reshape(2, 2, 2, 2))
+                             for record, block in views.items()}
+                got = {record: 2 * np.vdot(state.conj(), rho @ state.conj()).real
+                       for record, rho in reference.items()}
                 assert max(abs(got[view] - want[view]) for view in got) <= 1e-12
 
 
@@ -383,8 +442,8 @@ def test_view_distributions_from_rows_equal_the_replay(monkeypatch, gadget, octa
      pytest.param("p1", 3, 5, id="p1-b-3-5"), ("p2", 1, 6)],
 )
 def test_gadget_view_audit_flags_a_leak(monkeypatch, gadget, octant_a, octant_b):
-    # patched where the rows are compiled
-    monkeypatch.setattr(driver, "drive_gadget", leaky_drive_gadget)
+    # patched where the views are compiled
+    monkeypatch.setattr(blindness, "drive_gadget", leaky_drive_gadget)
     result = audit_gadget_view_tv(gadget, octant_a, octant_b)
     assert not result.passed
     assert result.statistic == pytest.approx(1.0, abs=1e-12)
@@ -397,13 +456,12 @@ def test_exact_audit_statistics_do_not_depend_on_the_hash_seed():
     # nonzero terms)
     script = (
         "from adbqc import blindness\n"
-        "from adbqc.protocols import driver\n"
         "from adbqc.transcript import ALICE, BOB\n"
-        "drive = driver.drive_gadget\n"
+        "drive = blindness.drive_gadget\n"
         "def leaky(rt, gadget, *rest):\n"
         "    rt.tape.msg(ALICE, to=BOB, op='leak', octant=rest[2])\n"
         "    return drive(rt, gadget, *rest)\n"
-        "driver.drive_gadget = leaky\n"
+        "blindness.drive_gadget = leaky\n"
         "print(repr(blindness.audit_gadget_view_tv('hrz-sueki', 1, 5).statistic))\n"
         "print(repr(blindness.audit_no_signaling(octants=(0, 1), steps=(2, 5)).statistic))\n"
     )

@@ -53,7 +53,7 @@ from adbqc.qsim import (
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import BOB
-from helpers import assert_channel_is_ideal, forked_enumerate_run
+from helpers import assert_channel_is_ideal, forked_enumerate_run, from_state
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -314,7 +314,7 @@ def assert_final_state_is_ideal(config):
     for step in plan.steps:
         driver.drive_step(session, step)
     corrected = session.frame.matrix_on(session.rt.snapshot())
-    rt, labels = QuantumRuntime.from_state(corrected, ReplayOutcomes(()), BOB)
+    rt, labels = from_state(corrected, ReplayOutcomes(()), BOB)
     layout = plan.layout
     compute = rt.snapshot(
         [labels[layout.position_of_logical(q)] for q in range(config.logical_width)]

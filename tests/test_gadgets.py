@@ -37,7 +37,7 @@ from adbqc.qsim import (
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes
 from adbqc.transcript import BOB, Transcript
-from helpers import hrz_matrix, normalized, rx_matrix, zero_state
+from helpers import from_state, hrz_matrix, normalized, rx_matrix, zero_state
 
 H = H_GATE
 X = X_GATE
@@ -62,7 +62,7 @@ def fresh_runtime(
     state: np.ndarray, outcomes, tape: Transcript | None = None
 ) -> tuple[QuantumRuntime, list[str]]:
     """A runtime holding ``state`` whose first measurements give ``outcomes``."""
-    return QuantumRuntime.from_state(state, ReplayOutcomes(outcomes), BOB, tape)
+    return from_state(state, ReplayOutcomes(outcomes), BOB, tape)
 
 
 def announced(rt: QuantumRuntime) -> int:

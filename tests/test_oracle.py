@@ -71,6 +71,24 @@ def test_check_octant_accepts_numpy_integers():
     assert branch_table("p2", np.int64(1)) == branch_table("p2", 1)
 
 
+@pytest.mark.parametrize(
+    "gadget,state",
+    [("p2", np.array([2.0, 0.0])), ("p2", np.array([np.nan, 0.0])), ("hrz-sueki", np.zeros(2)),
+     ("cz", np.full(4, 0.6)), ("p1", np.array([1.0, np.inf]))],
+    ids=["norm-2", "nan", "zero", "cz-norm-1.2", "inf"],
+)
+def test_branch_table_refuses_a_state_that_is_not_normalized(gadget, state):
+    """Rows on a state of norm 2 would read probability 2 and fidelity 4, and
+    a NaN or all-zero state would give no row at all, which ``table_passes``
+    passes: each is refused, by the rule that admits a runtime's states."""
+    with pytest.raises(ValueError, match="input state must be normalized"):
+        branch_table(gadget, 0, state)
+
+
+def test_branch_table_reads_a_normalized_list_as_its_array():
+    assert branch_table("p2", 3, [0.6, 0.8]) == branch_table("p2", 3, np.array([0.6, 0.8]))
+
+
 def test_compiled_rows_do_not_serve_an_octant_the_check_refuses():
     """Once octants 1 and 2 are compiled, a float or bool equal to one of
     them, or an octant 8 away, is still refused, not served their rows
@@ -208,16 +226,17 @@ def test_soundness_sweep_is_seeded():
 
 
 def sweep_by_tables(states_per_octant: int = 4, seed: int = 2026):
-    """``soundness_sweep`` from one ``branch_table`` per input, each input's
-    client drawing its secrets from the sweep's one secrets stream."""
+    """``soundness_sweep`` from one ``branch_table`` per input, each input
+    drawn from the sweep's one input stream and its client's secrets from the
+    sweep's one secrets stream."""
     worst, count = 1.0, 0
-    secrets_rng = rng.stream(seed, "oracle-secrets")
+    inputs, secrets_rng = rng.stream(seed, "oracle-sweep"), rng.stream(seed, "oracle-secrets")
     for gadget in ORACLE_GADGETS:
         protocol = PROTOCOL_BY_GADGET.get(gadget)
         width = 1 if protocol else 2
         for octant in range(8) if protocol else (0,):
             for _ in range(states_per_octant):
-                state = haar_random_state(width, rng.stream(seed, "oracle-sweep", count))
+                state = haar_random_state(width, inputs)
                 drawn = CLIENT_BY_PROTOCOL[protocol].draw_secrets(secrets_rng) if protocol else ()
                 rows = branch_table(gadget, octant, state=state, secrets=drawn)
                 worst = min(worst, min(row.fidelity for row in rows))
@@ -226,9 +245,10 @@ def sweep_by_tables(states_per_octant: int = 4, seed: int = 2026):
 
 
 def test_soundness_sweep_draws_secrets_only_where_they_are_read(monkeypatch):
-    """One secrets stream serves the whole sweep: each input's client draws
-    from it in input order (the measure-only client and cz draw nothing),
-    and the result is the one of a table per input."""
+    """One input stream and one secrets stream serve the whole sweep: each
+    input is drawn from the first, and its client draws from the second, in
+    input order (the measure-only client and cz draw nothing), and the
+    result is the one of a table per input."""
     purposes = Counter()
     stream = rng.stream
 
@@ -239,7 +259,7 @@ def test_soundness_sweep_draws_secrets_only_where_they_are_read(monkeypatch):
     monkeypatch.setattr(rng, "stream", counting)
     result = soundness_sweep()
     monkeypatch.undo()
-    assert purposes == {"oracle-sweep": 100, "oracle-secrets": 1}
+    assert purposes == {"oracle-sweep": 1, "oracle-secrets": 1}
     assert result == sweep_by_tables()
 
 

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import (
-    DenseRegister, assert_channel_is_ideal, identity_gap, joint_density_of,
+    DenseRegister, assert_channel_is_ideal, from_state, identity_gap, joint_density_of,
     looped_reference_distribution, read_manifest, zero_state,
 )
 from test_qsim import embed_apply
@@ -385,7 +385,7 @@ def test_forced_measurement_matches_projector(case):
     projected = embed_apply(np.outer(e, e.conj()), [q], state)
     want_prob = float(np.vdot(projected, projected).real)
 
-    rt, labels = QuantumRuntime.from_state(state, ReplayOutcomes([bit]), BOB)
+    rt, labels = from_state(state, ReplayOutcomes([bit]), BOB)
     got_bit, got_prob = rt.measure(labels[q], basis)
     assert got_bit == bit
     assert abs(got_prob - want_prob) <= KERNEL_ATOL
@@ -412,13 +412,13 @@ def test_discard_leaves_the_partial_trace(n, seed):
     qubit = haar_random_state(1, rng)
     for q in range(n):
         state = insert_qubit(rest, qubit, q)
-        rt, labels = QuantumRuntime.from_state(state, ReplayOutcomes(()), BOB)
+        rt, labels = from_state(state, ReplayOutcomes(()), BOB)
         rt.discard(labels[q])
         v = rt.snapshot()
         want = partial_trace(state, [i for i in range(n) if i != q])
         assert np.allclose(np.outer(v, v.conj()), want, rtol=0.0, atol=KERNEL_ATOL)
     # a Haar-random state entangles every qubit with the rest
-    rt, labels = QuantumRuntime.from_state(haar_random_state(n, rng), ReplayOutcomes(()), BOB)
+    rt, labels = from_state(haar_random_state(n, rng), ReplayOutcomes(()), BOB)
     for label in labels:
         with pytest.raises(ValueError, match="entangled"):
             rt.discard(label)
@@ -490,7 +490,7 @@ def test_partial_trace_is_a_density_matrix(case):
 def test_density_of_is_the_partial_trace_on_the_owners_qubits(n, seed, data):
     owners = data.draw(st.lists(st.sampled_from([ALICE, BOB]), min_size=n, max_size=n))
     state = haar_random_state(n, np.random.default_rng(seed))
-    rt, labels = QuantumRuntime.from_state(state, ReplayOutcomes(()), BOB)
+    rt, labels = from_state(state, ReplayOutcomes(()), BOB)
     for label, owner in zip(labels, owners):
         if owner == ALICE:
             rt.transfer(label, ALICE)

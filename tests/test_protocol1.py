@@ -9,13 +9,14 @@ import pytest
 from adbqc import rng
 from adbqc.adversary import escape_counts
 from adbqc.blindness import confirm_capability
-from adbqc.gadgets import PauliFrame, octant_angle
+from adbqc.gadgets import PauliFrame, couple, octant_angle
 from adbqc.protocols import (
     AdversaryConfig,
     GateRequest,
     ProtocolConfig,
     TrapLayout,
     decode_output,
+    measure_client,
     place_traps,
     run_protocol1,
 )
@@ -35,7 +36,9 @@ from adbqc.qsim import (
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
-from helpers import client_to_server_traffic, hrz_matrix, sampled_distribution, zero_state
+from helpers import (
+    client_to_server_traffic, from_state, hrz_matrix, sampled_distribution, zero_state,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +77,7 @@ def test_gadget_soundness_all_branches(octant):
     state = haar_random_state(1, rng.stream(200, "p1-state", octant))
     want = apply_gate(state, hrz_matrix(octant_angle(octant)), [0])
     for bits in itertools.product((0, 1), repeat=3):
-        rt, labels = QuantumRuntime.from_state(state, ReplayOutcomes(bits), BOB, Transcript())
+        rt, labels = from_state(state, ReplayOutcomes(bits), BOB, Transcript())
         delta = p1_hrz_on_runtime(rt, labels[0], octant)
         outcomes = [ev for ev in rt.tape.events if ev.kind == "outcome" and ev.party == ALICE]
         assert len(outcomes) == 3
@@ -82,35 +85,40 @@ def test_gadget_soundness_all_branches(octant):
         assert fidelity_up_to_phase(corrected, want) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_first_bell_half_becomes_z_padded_plus():
+def kept_halves_before_coupling(monkeypatch) -> list:
+    """Each Bell half the server keeps, snapshotted just before it couples
+    the half to the target, in the step's order."""
+    kept_states = []
+
+    def snapshotting(rt, kept, target):
+        kept_states.append(rt.snapshot([kept]))
+        couple(rt, kept, target)
+
+    monkeypatch.setattr(measure_client, "couple", snapshotting)
+    return kept_states
+
+
+def test_first_bell_half_becomes_z_padded_plus(monkeypatch):
     """Case b: after the client's X measurement the kept half is Z^a |+>."""
+    kept_states = kept_halves_before_coupling(monkeypatch)
     for a_bit in (0, 1):
         rt = QuantumRuntime(ReplayOutcomes((a_bit,)))
         rt.load(zero_state(1), ["r0"], BOB)
-        grabbed = {}
-
-        def check(step, rt=rt, grabbed=grabbed):
-            if step == 2:
-                grabbed["kept"] = rt.snapshot(["e1"])
-
-        p1_hrz_on_runtime(rt, "r0", 1, checkpoint=check)
+        p1_hrz_on_runtime(rt, "r0", 1)
         want = plus_state(np.pi / 2, 0.0 if a_bit == 0 else np.pi)
-        assert fidelity_up_to_phase(grabbed["kept"], want) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity_up_to_phase(kept_states[0], want) == pytest.approx(1.0, abs=1e-12)
+        kept_states.clear()
 
 
-def test_case_a_first_bell_half_collapses_computationally():
+def test_case_a_first_bell_half_collapses_computationally(monkeypatch):
+    kept_states = kept_halves_before_coupling(monkeypatch)
     for a_bit in (0, 1):
         rt = QuantumRuntime(ReplayOutcomes((a_bit,)))
         rt.load(zero_state(1), ["r0"], BOB)
-        grabbed = {}
-
-        def check(step, rt=rt, grabbed=grabbed):
-            if step == 2:
-                grabbed["kept"] = rt.snapshot(["e1"])
-
-        p1_hrz_on_runtime(rt, "r0", 2, checkpoint=check)
+        p1_hrz_on_runtime(rt, "r0", 2)
         want = np.array([1.0 - a_bit, float(a_bit)], dtype=complex)
-        assert fidelity_up_to_phase(grabbed["kept"], want) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity_up_to_phase(kept_states[0], want) == pytest.approx(1.0, abs=1e-12)
+        kept_states.clear()
 
 
 def test_client_discard_leaves_server_density_unchanged():
@@ -118,14 +126,17 @@ def test_client_discard_leaves_server_density_unchanged():
     state = haar_random_state(1, rng.stream(201, "p1-discard"))
     rt = QuantumRuntime(ReplayOutcomes((0, 1, 0)))
     rt.load(state, ["r0"], BOB)
-    captured = {}
+    discard, around = rt.discard, {}
 
-    def check(step, rt=rt, captured=captured):
-        if step in (3, 4):
-            captured[step] = rt.density_of(BOB)
+    def watched(label: str) -> None:
+        before = rt.density_of(BOB)
+        discard(label)
+        around[label] = (before, rt.density_of(BOB))
 
-    p1_hrz_on_runtime(rt, "r0", 2, checkpoint=check)
-    assert trace_distance(captured[3], captured[4]) <= 1e-10
+    rt.discard = watched
+    p1_hrz_on_runtime(rt, "r0", 2)
+    # e1, the first segment's kept half, which the client holds when it drops it
+    assert trace_distance(*around["e1"]) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

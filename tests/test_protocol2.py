@@ -22,7 +22,7 @@ from adbqc.qsim import (
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
-from helpers import client_to_server_traffic, hrz_matrix, zero_state
+from helpers import client_to_server_traffic, from_state, hrz_matrix, zero_state
 
 
 def fair_coin(coin: float) -> ReplayOutcomes:
@@ -41,7 +41,7 @@ def test_gadget_soundness(octant, coin):
     """Returned-ancilla gadget equals H R_Z(k pi/4) after the X correction."""
     state = haar_random_state(1, rng.stream(300, "p2-state", octant))
     want = apply_gate(state, hrz_matrix(octant_angle(octant)), [0])
-    rt, labels = QuantumRuntime.from_state(state, fair_coin(coin), BOB, Transcript())
+    rt, labels = from_state(state, fair_coin(coin), BOB, Transcript())
     delta = p2_hrz_on_runtime(rt, labels[0], octant)
     (announced,) = [ev.payload["bit"] for ev in rt.tape.events if ev.kind == "outcome"]
     assert delta == announced

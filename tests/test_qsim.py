@@ -47,7 +47,7 @@ from adbqc.runtime import (
     enumerate_runs,
 )
 from adbqc.transcript import BOB
-from helpers import identity_gap, normalized, rotated, rx_matrix, zero_state
+from helpers import from_state, identity_gap, normalized, rotated, rx_matrix, zero_state
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 Y_GATE = np.array([[0, -1j], [1j, 0]])
@@ -97,7 +97,7 @@ def measure(
     Returns (outcome, probability of the outcome, post-measurement state);
     the measured qubit stays in the state, collapsed onto its eigenstate.
     """
-    rt, labels = QuantumRuntime.from_state(state, outcomes, BOB)
+    rt, labels = from_state(state, outcomes, BOB)
     outcome, probability = rt.measure(labels[qubit], basis)
     return outcome, probability, rt.snapshot()
 
@@ -105,7 +105,7 @@ def measure(
 def run_program(initial: np.ndarray, program, source):
     """Run ``("gate", gate, targets)`` / ``("measure", qubit, basis)`` steps
     on a runtime fed by ``source``; returns the final state."""
-    rt, labels = QuantumRuntime.from_state(initial, source, BOB)
+    rt, labels = from_state(initial, source, BOB)
     for step in program:
         if step[0] == "gate":
             rt.apply(step[1], [labels[q] for q in step[2]])
@@ -167,11 +167,11 @@ def test_tensor_appends_high_bits():
     """A qubit added to the runtime, or a state loaded into it, becomes its
     most significant bits."""
     one = normalized([0.0, 1.0])
-    rt, _ = QuantumRuntime.from_state(one, ReplayOutcomes(()), BOB)
+    rt, _ = from_state(one, ReplayOutcomes(()), BOB)
     rt.add_qubit("high", ZERO_AMPS, BOB)
     assert rt.num_qubits == 2
     assert np.allclose(rt.snapshot(), [0, 1, 0, 0], atol=1e-12)
-    rt, _ = QuantumRuntime.from_state(zero_state(1), ReplayOutcomes(()), BOB)
+    rt, _ = from_state(zero_state(1), ReplayOutcomes(()), BOB)
     rt.load(one, ["high"], BOB)
     assert np.allclose(rt.snapshot(), [0, 0, 1, 0], atol=1e-12)
 
@@ -182,7 +182,7 @@ def test_coupled_ancilla_tops_the_factor_and_skips_the_transpose(monkeypatch):
     entangler's targets are its qubits high to low and the kernel's axis
     order is the identity."""
     reg_amps = normalized([0.6, 0.8j])
-    rt, (reg,) = QuantumRuntime.from_state(reg_amps, ReplayOutcomes(()), BOB)
+    rt, (reg,) = from_state(reg_amps, ReplayOutcomes(()), BOB)
     rt.add_qubit("a", PLUS_AMPS, BOB)
     seen = []
     kernel = runtime._apply_matrix
@@ -299,7 +299,7 @@ def test_apply_gate_rejects_bad_targets():
 def test_runtime_apply_refuses_what_apply_gate_refuses(matrix, labels, message):
     """A wrong gate must not act on other qubits: on two |+> qubits CZ on
     one label would otherwise hit both, and H on two labels only one."""
-    rt, _ = QuantumRuntime.from_state(
+    rt, _ = from_state(
         np.full(4, 0.5, dtype=complex), ReplayOutcomes(()), BOB
     )
     before = rt.snapshot()
@@ -389,7 +389,7 @@ def test_measure_probability_matches_projection(trial):
 
 def test_measure_post_state_is_eigenstate():
     state = haar_random_state(2, rng.stream(92, "post"))
-    rt, labels = QuantumRuntime.from_state(state, ReplayOutcomes(()), BOB)
+    rt, labels = from_state(state, ReplayOutcomes(()), BOB)
     outcome, _ = rt.measure(labels[1], X_BASIS)
     again, probability = rt.measure(labels[1], X_BASIS)
     assert again == outcome
@@ -607,7 +607,7 @@ def test_load_refuses_a_state_it_cannot_hold(state, labels, message):
     """``load`` is where an outside state enters a runtime, so it checks
     the length against the labels, the labels, the qubit budget and the
     norm, and changes nothing when it refuses."""
-    rt, _ = QuantumRuntime.from_state(zero_state(1), ReplayOutcomes(()), BOB)
+    rt, _ = from_state(zero_state(1), ReplayOutcomes(()), BOB)
     with pytest.raises(ValueError, match=message):
         rt.load(state, labels, BOB)
     assert rt.num_qubits == 1
@@ -625,9 +625,9 @@ NON_FINITE = {
 @pytest.mark.parametrize("amps", NON_FINITE.values(), ids=NON_FINITE.keys())
 def test_a_state_with_a_non_finite_norm_is_refused(amps):
     """A NaN norm fails every comparison, so a norm check written as "too
-    far from 1" would admit it; ``load``, ``add_qubit`` and ``from_state``
-    each refuse it, and an infinite one, and change nothing."""
-    rt, _ = QuantumRuntime.from_state(zero_state(1), ReplayOutcomes(()), BOB)
+    far from 1" would admit it; ``load`` and ``add_qubit`` each refuse it,
+    and an infinite one, and change nothing, also as a whole loaded state."""
+    rt, _ = from_state(zero_state(1), ReplayOutcomes(()), BOB)
     with pytest.raises(ValueError, match="normalized"):
         rt.load(amps, ["p"], BOB)
     with pytest.raises(ValueError, match="normalized"):
@@ -635,16 +635,16 @@ def test_a_state_with_a_non_finite_norm_is_refused(amps):
     assert rt.num_qubits == 1
     assert np.array_equal(rt.snapshot(), zero_state(1))
     with pytest.raises(ValueError, match="normalized"):
-        QuantumRuntime.from_state(amps, ReplayOutcomes(()), BOB)
+        from_state(amps, ReplayOutcomes(()), BOB)
     with pytest.raises(ValueError, match="normalized"):
-        QuantumRuntime.from_state(np.concatenate([amps, [0.0, 0.0]]), ReplayOutcomes(()), BOB)
+        from_state(np.concatenate([amps, [0.0, 0.0]]), ReplayOutcomes(()), BOB)
 
 
 def test_load_copies_its_state():
     """A runtime never shares a loaded array: writing it afterwards, or
     writing the array a snapshot returns, leaves the runtime as it was."""
     state = normalized([1.0, 1.0])
-    rt, _ = QuantumRuntime.from_state(state, ReplayOutcomes(()), BOB)
+    rt, _ = from_state(state, ReplayOutcomes(()), BOB)
     state[0] = 0.0
     rt.snapshot()[0] = 0.0
     assert np.allclose(rt.snapshot(), [INV_SQRT2, INV_SQRT2], atol=1e-12)
@@ -658,14 +658,14 @@ def test_load_copies_its_state():
 )
 def test_state_width_is_refused_unless_a_power_of_two(state):
     """One width rule reads n from a state's 2^n amplitudes, and
-    ``apply_gate``, ``partial_trace`` and ``from_state`` all refuse what it
-    refuses."""
+    ``apply_gate``, ``partial_trace`` and the tests' ``from_state`` all
+    refuse what it refuses."""
     with pytest.raises(ValueError, match="2\\^n amplitudes"):
         apply_gate(state, X_GATE, [0])
     with pytest.raises(ValueError, match="2\\^n amplitudes"):
         partial_trace(state, [0])
     with pytest.raises(ValueError, match="2\\^n amplitudes"):
-        QuantumRuntime.from_state(state, ReplayOutcomes(()), BOB)
+        from_state(state, ReplayOutcomes(()), BOB)
 
 
 def test_fidelity_refuses_states_of_different_widths():
