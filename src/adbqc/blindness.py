@@ -129,9 +129,9 @@ def _compiled_views(protocol: str, octant: int) -> _Views:
     client's ``SECRETS``, one walk on the register maximally entangled with a
     reference the server holds adds, once per (checkpoint, outcome prefix) of
     probability p, p ``density_of(BOB)`` / len(SECRETS) to that (checkpoint,
-    server record) block. A checkpoint comes before each event the server can
-    see, and one at the end. These blocks are the view of a server that keeps
-    the reference, the strongest view of the step on any input."""
+    server record) block: the strongest view of the step on any input. A
+    checkpoint comes before each event the server can see, and one at the end;
+    one whose blocks equal the last one's bit for bit is the last one's dict."""
     if (protocol, octant) not in _VIEWS:
         secrets = CLIENT_BY_PROTOCOL[protocol].SECRETS
         blocks: dict[int, dict[tuple, np.ndarray]] = {}
@@ -156,38 +156,47 @@ def _compiled_views(protocol: str, octant: int) -> _Views:
 
             paths += len(enumerate_runs(run_fn))
             made.update(at for at, _ in seen)
+        for at in sorted(blocks):  # read-only; an unchanged checkpoint is its predecessor
+            view, last = blocks[at], blocks.get(at - 1, {})
+            for block in view.values():
+                block.flags.writeable = False
+            if view.keys() == last.keys() and all(np.array_equal(view[k], last[k]) for k in view):
+                blocks[at] = last
         _VIEWS[protocol, octant] = (paths, made, blocks)
-        for block in (block for view in blocks.values() for block in view.values()):
-            block.flags.writeable = False
     return _VIEWS[protocol, octant]
 
 
 def block_trace_distances(views: Sequence[dict], pairs: Sequence[tuple[int, int]]) -> list[float]:
     """Trace distance between the block states ``views[i]`` and ``views[j]`` of each
     pair (i, j): the ``math.fsum`` over keys of each block pair's distance (a missing
-    block is 0). The blocks of each shape are stacked once, as (key, view), and one
-    ``trace_distance`` call per shape takes every pair at every key."""
-    by_shape: dict[tuple, tuple[dict, list]] = {}
+    block is 0). Each distinct block is stacked once, and one ``trace_distance`` call per
+    shape takes every pair at each key where its blocks differ (equal ones are 0 apart)."""
+    by_shape: dict[tuple, tuple[dict, dict, dict]] = {}  # keys, distinct blocks' rows, cells
     for v, view in enumerate(views):
         for key, block in view.items():
-            keys, cells = by_shape.setdefault(block.shape, ({}, []))
-            cells.append((keys.setdefault(key, len(keys)), v, block))
+            keys, rows, cells = by_shape.setdefault(block.shape, ({}, {}, {}))
+            row = rows.setdefault(np.asarray(block, complex).tobytes(), 1 + len(rows))
+            cells[keys.setdefault(key, len(keys)), v] = row
     first, second = np.array(pairs).reshape(-1, 2).T
-    dists = [np.zeros((0, len(pairs)))]  # (key, pair) per shape
-    for shape, (keys, cells) in by_shape.items():
-        at_key, at_view, blocks = zip(*cells)
-        stacks = np.zeros((len(keys), len(views), *shape), dtype=complex)
-        stacks[at_key, at_view] = blocks
-        dists.append(trace_distance(stacks[:, first], stacks[:, second]))
-    return [math.fsum(column) for column in np.concatenate(dists).T.tolist()]
+    terms: list[list[float]] = [[] for _ in pairs]  # each pair's distances at the keys it differs
+    for shape, (keys, rows, cells) in by_shape.items():
+        row = np.zeros((len(keys), len(views)), dtype=int)
+        row[tuple(zip(*cells))] = list(cells.values())  # each (key, view)'s block row
+        zero = bytes(16 * math.prod(shape))  # row 0, the zero block: no block
+        stack = np.frombuffer(zero + b"".join(rows), dtype=complex).reshape(-1, *shape)
+        key, pair = np.nonzero(row[:, first] != row[:, second])
+        dists = trace_distance(stack[row[key, first[pair]]], stack[row[key, second[pair]]])
+        for p, dist in zip(pair.tolist(), dists.tolist()):
+            terms[p].append(dist)
+    return [math.fsum(dists) for dists in terms]
 
 
 def _audit_views(
     name: str, protocol: str, octants: list[int], steps: list[int] | None, details: dict
 ) -> AuditResult:
-    """Compare the compiled views of ``protocol``'s step at each pair of
-    ``octants`` at each checkpoint in ``steps`` (every one when None) by
-    trace distance, with one ``block_trace_distances`` call per checkpoint."""
+    """Compare the compiled views of ``protocol``'s step at each pair of ``octants`` at
+    each checkpoint in ``steps`` (every one when None) by trace distance, in one
+    ``block_trace_distances`` call that takes each distinct tuple of view objects once."""
     compiled = [_compiled_views(protocol, k) for k in octants]
     checkpoints = range(1, 1 + max(at for _, _, views in compiled for at in views))
     steps = list(checkpoints) if steps is None else steps
@@ -195,8 +204,13 @@ def _audit_views(
         raise ValueError(f"the {protocol} step has no checkpoint {outside[0]}")
     pairs = [(i, j) for i in range(len(octants)) for j in range(i + 1, len(octants))]
     compared = [(s, octants[i], octants[j]) for s in steps for i, j in pairs]
-    dists = [dist for s in steps for dist in
-             block_trace_distances([views.get(s, {}) for _, _, views in compiled], pairs)]
+    at_step = [[views.get(s, {}) for _, _, views in compiled] for s in steps]
+    distinct = {tuple(map(id, at)): at for at in at_step}  # an alias is compared once
+    n = len(octants)
+    once = block_trace_distances([view for at in distinct.values() for view in at], [
+        (d * n + i, d * n + j) for d in range(len(distinct)) for i, j in pairs])
+    by_ids = {ids: once[d * len(pairs):(d + 1) * len(pairs)] for d, ids in enumerate(distinct)}
+    dists = [dist for at in at_step for dist in by_ids[tuple(map(id, at))]]
     worst = max(dists)
     return AuditResult(
         name=name,

@@ -7,9 +7,10 @@ Each is enumerated over every outcome path once per process and
 (gadget, octant, secrets) by ``driver.gadget_rows``, through the
 ``driver.drive_gadget`` a run drives, on its register maximally entangled
 with a reference, which gives each path's operator; ``branch_table`` and
-``soundness_sweep`` read these paths, so a table on an input is arithmetic. A
-row records the path's outcomes, its exact probability, and the fidelity
-of the frame-corrected output against the ideal gate. The ``oracle`` CLI
+``soundness_sweep`` read these paths, so a table is one elementwise kernel
+(``_path_stats``) on its input, and the sweep one per input width. A row
+records the path's outcomes, its exact probability, and the fidelity of the
+frame-corrected output against the ideal gate. The ``oracle`` CLI
 subcommand prints these tables and the acceptance suite sweeps them.
 """
 
@@ -23,6 +24,7 @@ from . import rng
 from .protocols.config import _integer
 from .protocols.driver import CLIENT_BY_PROTOCOL, gadget_rows
 from .qsim import BRANCH_PROB_FLOOR, GADGET_FIDELITY_ATOL, _has_unit_norm, haar_random_state
+from .qsim import haar_random_states
 
 # the protocol whose client step each H R_Z gadget drives
 PROTOCOL_BY_GADGET = {"hrz-sueki": "sueki", "p1": "p1", "p2": "p2"}
@@ -58,17 +60,14 @@ def _draw_secrets(gadget: str, gen: np.random.Generator) -> tuple[int, ...]:
     return CLIENT_BY_PROTOCOL[protocol].draw_secrets(gen) if protocol else ()
 
 
-def _rows(branches: tuple[tuple, ...], psi: np.ndarray) -> tuple[BranchRow, ...]:
-    """The rows of ``branches`` on ``psi``: with M = U^dagger F K, a path's
-    probability is |M psi|^2 and its fidelity |<psi|M psi>|^2 over that."""
-    rows = []
-    for outcomes, operator, announced in branches:
-        out = operator @ psi
-        prob = float(np.vdot(out, out).real)
-        if prob > BRANCH_PROB_FLOOR:
-            fidelity = float(abs(np.vdot(psi, out)) ** 2) / prob
-            rows.append(BranchRow(outcomes, prob, fidelity, announced))
-    return tuple(rows)
+def _path_stats(per_input: list[tuple], states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each path's probability |M psi|^2 and fidelity |<psi|M psi>|^2 over it, for the
+    operators M = U^dagger F K of ``per_input[i]``'s rows on ``states[i]``, in one pass."""
+    psis = np.repeat(states, list(map(len, per_input)), axis=0)
+    out = (np.stack([op for rows in per_input for _, op, _ in rows]) * psis[:, None, :]).sum(-1)
+    prob = (out.real**2 + out.imag**2).sum(-1)
+    overlap = (psis.conj() * out).sum(-1)
+    return prob, (overlap.real**2 + overlap.imag**2) / np.maximum(prob, BRANCH_PROB_FLOOR)
 
 
 def branch_table(
@@ -81,7 +80,8 @@ def branch_table(
     ``draw_secrets``; when omitted they are drawn from ``seed``, as is the
     Haar-random input ``state``, which must be normalized (within
     ``NORM_ATOL``; a NaN is refused). Branch probabilities are exact. The rows
-    are ``driver.gadget_rows``'s, read once octant and secrets are checked.
+    are ``driver.gadget_rows``'s above ``BRANCH_PROB_FLOOR``, read once octant
+    and secrets are checked.
     """
     num_qubits = 2 if gadget == "cz" else 1
     if state is None:
@@ -98,7 +98,10 @@ def branch_table(
     secrets = tuple(_integer("secret", s) for s in secrets)
     if secrets not in (CLIENT_BY_PROTOCOL[protocol].SECRETS if protocol else ((),)):
         raise ValueError(f"secrets {secrets} are not among gadget {gadget!r}'s")
-    return _rows(gadget_rows(protocol or gadget, int(octant), secrets), state)
+    rows = gadget_rows(protocol or gadget, int(octant), secrets)
+    prob, fidelity = _path_stats([rows], state[None])  # the sweep's kernel, on one input
+    return tuple(BranchRow(row[0], float(p), float(f), row[2])
+                 for row, p, f in zip(rows, prob, fidelity) if p > BRANCH_PROB_FLOOR)
 
 
 def table_passes(rows) -> bool:
@@ -111,22 +114,20 @@ def soundness_sweep(states_per_octant: int = 4, seed: int = 2026) -> tuple[float
     Returns (worst fidelity, number of random input states consumed). With
     the default four states per octant the sweep uses exactly 100 inputs:
     8 + 8 + 8 + 1 = 25 combinations times four. The inputs come from the
-    sweep's one input stream and each input's client secrets from its one
-    secrets stream, both in input order. Its octants
-    and secrets are admissible, so it reads ``gadget_rows`` unchecked.
+    sweep's one input stream, one ``haar_random_states`` call per width (the
+    one-qubit inputs first), and each input's client secrets from its one
+    secrets stream, in input order. Its octants and secrets are admissible,
+    so it reads ``gadget_rows`` unchecked; one ``_path_stats`` per width.
     """
     if states_per_octant < 1:
         raise ValueError("the soundness sweep needs at least one state per octant")
-    worst = 1.0
-    count = 0
     inputs, secrets_rng = rng.stream(seed, "oracle-sweep"), rng.stream(seed, "oracle-secrets")
-    for gadget in ORACLE_GADGETS:
-        width = 2 if gadget == "cz" else 1
-        name = PROTOCOL_BY_GADGET.get(gadget, gadget)  # as ``gadget_rows`` names it
-        for octant in _octants(gadget):
-            for _ in range(states_per_octant):
-                state = haar_random_state(width, inputs)
-                rows = _rows(gadget_rows(name, octant, _draw_secrets(gadget, secrets_rng)), state)
-                worst = min(worst, min(row.fidelity for row in rows))
-                count += 1
-    return worst, count
+    drawn = [gadget_rows(PROTOCOL_BY_GADGET.get(gadget, gadget), octant,
+                         _draw_secrets(gadget, secrets_rng))  # each input's rows, in input order
+             for gadget in ORACLE_GADGETS for octant in _octants(gadget)
+             for _ in range(states_per_octant)]
+    worst, cz = 1.0, len(drawn) - states_per_octant  # the two-qubit cz inputs come last
+    for width, per_input in ((1, drawn[:cz]), (2, drawn[cz:])):
+        prob, fidelity = _path_stats(per_input, haar_random_states(len(per_input), width, inputs))
+        worst = min(worst, float(fidelity[prob > BRANCH_PROB_FLOOR].min()))
+    return worst, len(drawn)

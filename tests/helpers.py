@@ -8,16 +8,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from adbqc import blindness, rng
 from adbqc.gadgets import PauliFrame, announced_octant, octant_angle, pattern_unitary
-from adbqc.oracle import PROTOCOL_BY_GADGET, BranchRow
+from adbqc.oracle import ORACLE_GADGETS, PROTOCOL_BY_GADGET, BranchRow, branch_table
 from adbqc.protocols import ProtocolConfig, config_from_dict, config_object, driver, run
 from adbqc.protocols.driver import RunResult
 from adbqc.protocols.reference import reference_state
 from adbqc.protocols.schedule import schedule
 from adbqc.qsim import (
-    CZ_GATE, GADGET_FIDELITY_ATOL, H_GATE, PLUS_AMPS, PRODUCT_ATOL, RZ_BY_OCTANT, X_GATE, Z_GATE,
-    _width, apply_gate, fidelity_up_to_phase, partial_trace, plus_state, rz_matrix,
-    trace_distance,
+    CZ_GATE, GADGET_FIDELITY_ATOL, H_GATE, NO_SIGNALING_ATOL, PLUS_AMPS, PRODUCT_ATOL,
+    RZ_BY_OCTANT, X_GATE, Z_GATE, _width, apply_gate, fidelity_up_to_phase, haar_random_state,
+    partial_trace, plus_state, rz_matrix, trace_distance,
 )
 from adbqc.runtime import OutcomeSource, QuantumRuntime, ReplayOutcomes, RunBranch, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
@@ -367,6 +368,47 @@ def block_trace_distance(a: dict[tuple, np.ndarray], b: dict[tuple, np.ndarray])
     ``blindness.block_trace_distances`` stacks."""
     keys = set(a) | set(b)
     return math.fsum(trace_distance(a.get(k, 0.0), b.get(k, 0.0)) for k in keys)
+
+
+def per_checkpoint_view_audit(
+    protocol: str, octants, steps=None, details: dict | None = None
+) -> tuple[float, bool, dict]:
+    """(statistic, passed, details) of ``blindness._audit_views`` by one
+    ``block_trace_distance`` per checkpoint and octant pair, on the compiled
+    views: no stacking, and an aliased checkpoint compared again."""
+    compiled = [blindness._compiled_views(protocol, k) for k in octants]
+    if steps is None:
+        steps = range(1, 1 + max(at for _, _, views in compiled for at in views))
+    pairs = [(i, j) for i in range(len(octants)) for j in range(i + 1, len(octants))]
+    compared = [(s, octants[i], octants[j]) for s in steps for i, j in pairs]
+    dists = [block_trace_distance(compiled[i][2].get(s, {}), compiled[j][2].get(s, {}))
+             for s in steps for i, j in pairs]
+    worst = max(dists)
+    return worst, worst <= NO_SIGNALING_ATOL, {
+        **(details or {}), "worst_at": compared[dists.index(worst)] if worst > 0.0 else None,
+        "steps": list(steps), "octants": list(octants),
+        "branches": sum(paths for paths, _, _ in compiled),
+        "views": sum(made[s] for _, made, _ in compiled for s in steps)}
+
+
+def sweep_by_tables(states_per_octant: int = 4, seed: int = 2026) -> tuple[float, int]:
+    """``oracle.soundness_sweep`` by one ``branch_table`` per input, each input
+    drawn alone from the sweep's one input stream and its client's secrets
+    from the sweep's one secrets stream, in input order."""
+    worst, count = 1.0, 0
+    inputs, secrets_rng = rng.stream(seed, "oracle-sweep"), rng.stream(seed, "oracle-secrets")
+    for gadget in ORACLE_GADGETS:
+        protocol = PROTOCOL_BY_GADGET.get(gadget)
+        width = 1 if protocol else 2
+        for octant in range(8) if protocol else (0,):
+            for _ in range(states_per_octant):
+                state = haar_random_state(width, inputs)
+                client = driver.CLIENT_BY_PROTOCOL.get(protocol)
+                drawn = client.draw_secrets(secrets_rng) if client else ()
+                rows = branch_table(gadget, octant, state=state, secrets=drawn)
+                worst = min(worst, min(row.fidelity for row in rows))
+                count += 1
+    return worst, count
 
 
 def per_probe_gram(probe: np.ndarray, lent_qubit: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from adbqc.blindness import (
     confirm_capability,
 )
 from adbqc.gadgets import announced_octant
-from adbqc.oracle import branch_table
+from adbqc.oracle import PROTOCOL_BY_GADGET, branch_table
 from adbqc.protocols import (
     GateRequest,
     ProtocolConfig,
@@ -41,6 +41,7 @@ from helpers import (
     block_trace_distance,
     joint_density_of,
     normalized,
+    per_checkpoint_view_audit,
     per_path_server_views,
     replayed_view_distribution,
     zero_state,
@@ -174,7 +175,7 @@ def test_no_signaling_refuses_a_step_the_gadget_never_marks():
      ((13, -1), "has no checkpoint -1")],
     ids=["bool", "float", "float-second", "repeated", "repeated-of-three", "zero", "negative"],
 )
-def test_no_signaling_refuses_steps_that_are_not_distinct_integers_1_to_9(steps, message):
+def test_no_signaling_refuses_steps_that_are_not_distinct_integers_1_to_13(steps, message):
     with pytest.raises(ValueError, match=message):
         audit_no_signaling(octants=(0, 1), steps=steps)
     # only the range check needs the compiled views
@@ -334,6 +335,82 @@ def test_block_trace_distance_handles_disjoint_keys():
     assert same == 0.0
 
 
+# every checkpoint of each client whose blocks equal the last one's bit for bit
+ALIASED = {"p1": [2, 5, 10, 12], "sueki": [8], "p2": [3]}
+
+
+@pytest.mark.parametrize("protocol", ALIASED)
+def test_an_unchanged_checkpoint_is_its_predecessor(monkeypatch, protocol):
+    """At every octant, a checkpoint is the last one's dict exactly where a
+    compile that aliases nothing finds every block equal to the last
+    one's, and each of its blocks equals, bit for bit, that compile's."""
+    aliased = {k: blindness._compiled_views(protocol, k)[2] for k in range(8)}
+    blindness._VIEWS.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "array_equal", lambda a, b: False)
+        plain = {k: blindness._compiled_views(protocol, k)[2] for k in range(8)}
+    for k in range(8):
+        assert [at for at in aliased[k] if aliased[k][at] is aliased[k].get(at - 1)] == (
+            ALIASED[protocol])
+        assert not any(plain[k][at] is plain[k].get(at - 1) for at in plain[k])
+        for at, view in plain[k].items():
+            assert view.keys() == aliased[k][at].keys()
+            assert all(np.array_equal(view[key], aliased[k][at][key]) for key in view)
+            last = plain[k].get(at - 1, {})
+            unchanged = view.keys() == last.keys() and all(
+                np.array_equal(view[key], last[key]) for key in view)
+            assert unchanged == (at in ALIASED[protocol])
+
+
+def turning_the_first_handed_half(rt, label, octant, secrets):
+    """The measure-only step, turning the first Bell half by the octant just
+    before the server hands it over: a leak between checkpoints 1 and 2,
+    where the honest step changes nothing."""
+    transfer = rt.transfer
+
+    def turned(qubit, owner):
+        rt.apply(RZ_BY_OCTANT[octant], [qubit])
+        rt.transfer = transfer
+        return transfer(qubit, owner)
+
+    rt.transfer = turned
+    return p1_hrz_on_runtime(rt, label, octant)
+
+
+def test_a_leak_between_aliased_checkpoints_is_read(monkeypatch):
+    monkeypatch.setattr(measure_client, "hrz", turning_the_first_handed_half)
+    views = {k: blindness._compiled_views("p1", k)[2] for k in (1, 5)}
+    assert all(views[k][2] is not views[k][1] for k in views)
+    at_two = audit_no_signaling(octants=(1, 5), steps=(2,))
+    assert not at_two.passed
+    assert at_two.statistic >= 0.99
+    assert audit_gadget_view_tv("p1", 1, 5).statistic >= 0.99
+
+
+VIEW_AUDITS = {
+    "no-signaling": (audit_no_signaling, (), "p1", tuple(range(8)), None, {}),
+    "no-signaling-0-3": (lambda: audit_no_signaling(octants=(0, 3), steps=(2, 5, 12)), (),
+                         "p1", (0, 3), (2, 5, 12), {}),
+    **{f"{gadget}-{a}-{b}": (audit_gadget_view_tv, (gadget, a, b), PROTOCOL_BY_GADGET[gadget],
+                             (a, b), None, {"gadget": gadget})
+       for gadget in ("hrz-sueki", "p1", "p2") for a, b in ((1, 5), (0, 3), (4, 4))},
+}
+
+
+@pytest.mark.parametrize("case", VIEW_AUDITS)
+def test_view_audits_equal_one_comparison_per_checkpoint(case):
+    """Each exact view audit, with its distinct checkpoints compared in one
+    stacked call, gives bit for bit the statistic, verdict and details of
+    one ``block_trace_distance`` per checkpoint and octant pair; equal
+    octants read exactly 0."""
+    audit, args, protocol, octants, steps, details = VIEW_AUDITS[case]
+    result = audit(*args)
+    assert (result.statistic, result.passed, result.details) == per_checkpoint_view_audit(
+        protocol, octants, steps, details)
+    if len(set(octants)) == 1:
+        assert result.statistic == 0.0 and result.passed
+
+
 # ---------------------------------------------------------------------------
 # The server's view of each client's rotation step
 
@@ -408,22 +485,18 @@ def test_gadget_view_audit_counts_its_branches(gadget, branches):
      ("p1", ((0, 6), (1, 7), (1, 6), (3, 4)), 16),
      ("p2", ((1, 6), (3, 4), (0, 5)), 8)],
 )
-def test_final_views_give_the_replayed_record_distribution(monkeypatch, gadget, octant_pairs,
-                                                           branches):
+def test_final_views_give_the_replayed_record_distribution(gadget, octant_pairs, branches):
     """The audit's last view of each server record, traced down to the
     reference (qubit 1), is rho = E^T / 2 for the record's POVM element E, so
     it gives on an input psi the record's probability psi^T (2 rho) psi^*: to
     1e-12 and over as many paths, what a replay of the client's step on psi
     gives, once per outcome path and secret, for |0>, |+> and a Haar draw."""
-    compared = []
-    distances = blindness.block_trace_distances
-    monkeypatch.setattr(blindness, "block_trace_distances",
-                        lambda views, pairs: compared.append(views) or distances(views, pairs))
     haar = haar_random_state(1, rng.stream(99, "gadget-view-input"))
     for octants in octant_pairs:
         result = audit_gadget_view_tv(gadget, *octants)
-        last = compared[-1]  # the views at the last checkpoint
-        compared.clear()
+        # the views the audit compared at its last checkpoint
+        at = result.details["steps"][-1]
+        last = [blindness._compiled_views(PROTOCOL_BY_GADGET[gadget], k)[2][at] for k in octants]
         for state in (zero_state(1), normalized([1, 1]), haar):
             replayed = [replayed_view_distribution(gadget, k, state) for k in octants]
             assert result.details["branches"] == branches == sum(walked for _, walked in replayed)

@@ -20,8 +20,8 @@ from adbqc.oracle import (
 from adbqc.protocols import driver, gate_client, measure_client, sueki
 from adbqc.protocols.driver import CLIENT_BY_PROTOCOL
 from adbqc.protocols.measure_client import classify_angle
-from adbqc.qsim import haar_random_state
-from helpers import replayed_branch_table, zero_state
+from adbqc.qsim import Z_GATE, haar_random_state
+from helpers import replayed_branch_table, sweep_by_tables, zero_state
 
 
 def gadget_octant_id(gadget: str, octant: int) -> str:
@@ -225,25 +225,6 @@ def test_soundness_sweep_is_seeded():
     assert a == b
 
 
-def sweep_by_tables(states_per_octant: int = 4, seed: int = 2026):
-    """``soundness_sweep`` from one ``branch_table`` per input, each input
-    drawn from the sweep's one input stream and its client's secrets from the
-    sweep's one secrets stream."""
-    worst, count = 1.0, 0
-    inputs, secrets_rng = rng.stream(seed, "oracle-sweep"), rng.stream(seed, "oracle-secrets")
-    for gadget in ORACLE_GADGETS:
-        protocol = PROTOCOL_BY_GADGET.get(gadget)
-        width = 1 if protocol else 2
-        for octant in range(8) if protocol else (0,):
-            for _ in range(states_per_octant):
-                state = haar_random_state(width, inputs)
-                drawn = CLIENT_BY_PROTOCOL[protocol].draw_secrets(secrets_rng) if protocol else ()
-                rows = branch_table(gadget, octant, state=state, secrets=drawn)
-                worst = min(worst, min(row.fidelity for row in rows))
-                count += 1
-    return worst, count
-
-
 def test_soundness_sweep_draws_secrets_only_where_they_are_read(monkeypatch):
     """One input stream and one secrets stream serve the whole sweep: each
     input is drawn from the first, and its client draws from the second, in
@@ -261,6 +242,14 @@ def test_soundness_sweep_draws_secrets_only_where_they_are_read(monkeypatch):
     monkeypatch.undo()
     assert purposes == {"oracle-sweep": 1, "oracle-secrets": 1}
     assert result == sweep_by_tables()
+
+
+@pytest.mark.parametrize("states", [1, 4])
+@pytest.mark.parametrize("seed", [2026, 1, 99, 321])
+def test_soundness_sweep_equals_a_table_per_input(seed, states):
+    """The sweep's one kernel per width over every input's stacked rows gives,
+    bit for bit, what one ``branch_table`` per input gives."""
+    assert soundness_sweep(states, seed) == sweep_by_tables(states, seed)
 
 
 SECRETS_TRIED = {"hrz-sueki": ((0, 0), (3, 1)), "p1": ((),), "p2": ((0,), (1,)), "cz": ((),)}
@@ -310,6 +299,22 @@ def test_soundness_sweep_drives_the_clients_own_steps(monkeypatch):
         return gate_client.p2_hrz_on_runtime(rt, label, (octant + 4 * pad) % 8)
 
     monkeypatch.setattr(gate_client, "hrz", hrz_without_the_pad_fold)
+    worst, count = soundness_sweep(4)
+    assert count == 100
+    assert worst < 1.0 - GADGET_FIDELITY_ATOL
+
+
+@pytest.mark.parametrize(
+    "key,wrong", [(("p1", 3, ()), Z_GATE), (("cz", 0, ()), np.kron(Z_GATE, np.eye(2)))],
+    ids=["one-qubit", "two-qubit"],
+)
+def test_soundness_sweep_reads_every_gathered_row(monkeypatch, key, wrong):
+    """The last row of one key the sweep draws, its operator M replaced with
+    Z, fails the sweep at either width: an honest M is c I, which reads
+    fidelity 1 on any input, so only a wrong one shows that no gathered row
+    is dropped or read against another input's rows."""
+    *kept, (outcomes, _, announced) = driver.gadget_rows(*key)
+    monkeypatch.setitem(driver._ROWS, key, (*kept, (outcomes, wrong, announced)))
     worst, count = soundness_sweep(4)
     assert count == 100
     assert worst < 1.0 - GADGET_FIDELITY_ATOL
