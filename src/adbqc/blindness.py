@@ -43,7 +43,7 @@ from .protocols.reference import total_variation
 from .qsim import NO_SIGNALING_ATOL, PROBE_GRAM_ATOL, haar_random_states, trace_distance
 from .rng import stream
 from .runtime import OutcomeSource, QuantumRuntime, enumerate_runs
-from .transcript import ALICE, BOB, Transcript
+from .transcript import ALICE, BOB, Transcript, server_sees, server_values
 
 NULL_SIGMAS = 5.0
 
@@ -103,11 +103,11 @@ _VIEWS: dict[tuple[str, int], _Views] = {}  # (protocol, octant) -> its views
 
 
 class _Checkpoints(Transcript):
-    """A transcript that keeps no event: for each event the server can see,
-    it calls ``take(checkpoint, record)`` before the event counts, so
-    checkpoint k comes before the k-th visible event, and the record is the
-    server's classical record so far (``bob_classical_values``), both kept
-    up as the events arrive."""
+    """A transcript that keeps no event: for each event the server can see
+    (``server_sees``), it calls ``take(checkpoint, record)`` before the event
+    counts, so checkpoint k comes before the k-th visible event, and the
+    record is the server's classical record so far (the ``server_values``
+    that ``bob_classical_values`` joins), both kept up as the events arrive."""
 
     def __init__(self, take) -> None:
         super().__init__()
@@ -116,11 +116,10 @@ class _Checkpoints(Transcript):
         self.server_record: tuple = ()
 
     def _push(self, kind: str, party: str, to: str | None, payload: dict) -> None:
-        if kind in ("msg", "transfer") or party == BOB:
+        if server_sees(kind, party):
             self.visible += 1
             self.take(self.visible, self.server_record)
-            if kind in ("msg", "outcome"):
-                self.server_record += tuple(payload[key] for key in sorted(payload))
+            self.server_record += server_values(kind, payload)
 
 
 def _compiled_views(protocol: str, octant: int) -> _Views:

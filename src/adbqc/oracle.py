@@ -6,10 +6,10 @@ shape of that client's ``draw_secrets``; ``cz`` is the coupling gadget.
 Each is enumerated over every outcome path once per process and
 (gadget, octant, secrets) by ``driver.gadget_rows``, through the
 ``driver.drive_gadget`` a run drives, on its register maximally entangled
-with a reference, which gives each path's operator; ``branch_table`` and
-``soundness_sweep`` read these paths, so a table is one elementwise kernel
-(``_path_stats``) on its input, and the sweep one per input width. A row
-records the path's outcomes, its exact probability, and the fidelity of the
+with a reference, which gives each path's operator M. ``soundness_sweep``
+scores drawn keys' rows by the exact walk's check (``driver.row_fidelities``:
+M a scalar times I); ``branch_table`` reads them on one input (``_path_stats``),
+a row per path with its outcomes, probability, and fidelity of the
 frame-corrected output against the ideal gate. The ``oracle`` CLI
 subcommand prints these tables and the acceptance suite sweeps them.
 """
@@ -22,9 +22,8 @@ import numpy as np
 
 from . import rng
 from .protocols.config import _integer
-from .protocols.driver import CLIENT_BY_PROTOCOL, gadget_rows
+from .protocols.driver import CLIENT_BY_PROTOCOL, gadget_rows, row_fidelities
 from .qsim import BRANCH_PROB_FLOOR, GADGET_FIDELITY_ATOL, _has_unit_norm, haar_random_state
-from .qsim import haar_random_states
 
 # the protocol whose client step each H R_Z gadget drives
 PROTOCOL_BY_GADGET = {"hrz-sueki": "sueki", "p1": "p1", "p2": "p2"}
@@ -60,13 +59,12 @@ def _draw_secrets(gadget: str, gen: np.random.Generator) -> tuple[int, ...]:
     return CLIENT_BY_PROTOCOL[protocol].draw_secrets(gen) if protocol else ()
 
 
-def _path_stats(per_input: list[tuple], states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _path_stats(rows: tuple, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each path's probability |M psi|^2 and fidelity |<psi|M psi>|^2 over it, for the
-    operators M = U^dagger F K of ``per_input[i]``'s rows on ``states[i]``, in one pass."""
-    psis = np.repeat(states, list(map(len, per_input)), axis=0)
-    out = (np.stack([op for rows in per_input for _, op, _ in rows]) * psis[:, None, :]).sum(-1)
+    operators M = U^dagger F K of ``rows`` on ``state``, in one pass."""
+    out = (np.stack([op for _, op, _ in rows]) * state).sum(-1)
     prob = (out.real**2 + out.imag**2).sum(-1)
-    overlap = (psis.conj() * out).sum(-1)
+    overlap = (state.conj() * out).sum(-1)
     return prob, (overlap.real**2 + overlap.imag**2) / np.maximum(prob, BRANCH_PROB_FLOOR)
 
 
@@ -99,7 +97,7 @@ def branch_table(
     if secrets not in (CLIENT_BY_PROTOCOL[protocol].SECRETS if protocol else ((),)):
         raise ValueError(f"secrets {secrets} are not among gadget {gadget!r}'s")
     rows = gadget_rows(protocol or gadget, int(octant), secrets)
-    prob, fidelity = _path_stats([rows], state[None])  # the sweep's kernel, on one input
+    prob, fidelity = _path_stats(rows, state)
     return tuple(BranchRow(row[0], float(p), float(f), row[2])
                  for row, p, f in zip(rows, prob, fidelity) if p > BRANCH_PROB_FLOOR)
 
@@ -109,25 +107,23 @@ def table_passes(rows) -> bool:
 
 
 def soundness_sweep(states_per_octant: int = 4, seed: int = 2026) -> tuple[float, int]:
-    """Worst branch fidelity over every gadget, octant, and random input.
+    """Worst ``driver.row_fidelities`` value over every gadget and octant,
+    drawn ``states_per_octant`` times each with fresh client secrets.
 
-    Returns (worst fidelity, number of random input states consumed). With
-    the default four states per octant the sweep uses exactly 100 inputs:
-    8 + 8 + 8 + 1 = 25 combinations times four. The inputs come from the
-    sweep's one input stream, one ``haar_random_states`` call per width (the
-    one-qubit inputs first), and each input's client secrets from its one
-    secrets stream, in input order. Its octants and secrets are admissible,
-    so it reads ``gadget_rows`` unchecked; one ``_path_stats`` per width.
+    Returns (worst value, number of drawn (gadget, octant, secrets) items):
+    100 with the default four per octant, 8 + 8 + 8 + 1 = 25 times four.
+    The secrets come from the one ``oracle-secrets`` stream in item order; a
+    row's value holds for every input, so none is drawn. Each distinct key's
+    ``gadget_rows`` are read once, unchecked (its keys are admissible), in
+    one check per operator shape.
     """
     if states_per_octant < 1:
         raise ValueError("the soundness sweep needs at least one state per octant")
-    inputs, secrets_rng = rng.stream(seed, "oracle-sweep"), rng.stream(seed, "oracle-secrets")
-    drawn = [gadget_rows(PROTOCOL_BY_GADGET.get(gadget, gadget), octant,
-                         _draw_secrets(gadget, secrets_rng))  # each input's rows, in input order
+    secrets_rng = rng.stream(seed, "oracle-secrets")
+    drawn = [(PROTOCOL_BY_GADGET.get(gadget, gadget), octant, _draw_secrets(gadget, secrets_rng))
              for gadget in ORACLE_GADGETS for octant in _octants(gadget)
              for _ in range(states_per_octant)]
-    worst, cz = 1.0, len(drawn) - states_per_octant  # the two-qubit cz inputs come last
-    for width, per_input in ((1, drawn[:cz]), (2, drawn[cz:])):
-        prob, fidelity = _path_stats(per_input, haar_random_states(len(per_input), width, inputs))
-        worst = min(worst, float(fidelity[prob > BRANCH_PROB_FLOOR].min()))
+    keys = list(dict.fromkeys(drawn))  # each distinct key once; the two-qubit cz last
+    worst = min(float(row_fidelities([row for key in shape for row in gadget_rows(*key)]).min())
+                for shape in (keys[:-1], keys[-1:]))
     return worst, len(drawn)

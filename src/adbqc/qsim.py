@@ -153,13 +153,6 @@ def partial_trace(state: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     return m @ m.conj().T
 
 
-def fidelity_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|^2: 1 iff the states agree up to a global phase."""
-    if a.shape != b.shape:
-        raise ValueError(f"states of shapes {a.shape} and {b.shape} cannot be compared")
-    return float(abs(np.vdot(a, b)) ** 2)
-
-
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """(1/2)||a - b||_1 for Hermitian matrices, or one per pair of two stacks."""
     return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)

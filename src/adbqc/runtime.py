@@ -15,7 +15,7 @@ oracles and audits all measure through ``QuantumRuntime.measure``; ``qsim``
 only builds states and applies gates.
 
 A factor is some qubits, in its own order, and one amplitude array that no
-operation writes in place; ``_labels`` still orders the qubits. An ancilla
+operation writes in place; the owner table's keys order the qubits. An ancilla
 couples to one or two register qubits and is measured away, so each gadget
 works on its targets' factor: ``add_qubit`` and ``load`` start a factor,
 ``apply`` first tensors the factors of its qubits into one, and ``measure``
@@ -113,16 +113,15 @@ class QuantumRuntime:
     def __init__(self, outcomes: OutcomeSource, tape: Transcript | None = None) -> None:
         self.outcomes = outcomes
         self.tape = tape or Transcript(record=False)
-        self._labels: list[str] = []  # index in this list == qubit index
         # label -> its factor: (labels, amplitudes), labels[i] the factor's qubit i
         self._factors: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
         self._phase = 1.0 + 0.0j  # what measurements and discards leave of no qubit
-        self._owners: dict[str, str] = {}
+        self._owners: dict[str, str] = {}  # label -> owner, keys in qubit-index order
         self._minted = 0  # ancilla labels handed out by ``fresh``
 
     @property
     def num_qubits(self) -> int:
-        return len(self._labels)
+        return len(self._owners)
 
     def fresh(self, prefix: str) -> str:
         """A new ancilla label ``<prefix><n>``, numbered per runtime."""
@@ -132,10 +131,9 @@ class QuantumRuntime:
     def fork(self, outcomes: OutcomeSource) -> "QuantumRuntime":
         """A copy that takes its outcomes from ``outcomes``. It shares the
         factors' amplitude arrays, which every operation replaces and none
-        writes in place, and the transcript; it copies the labels, factor
-        table, owners and label counter."""
+        writes in place, and the transcript; it copies the factor table,
+        owners and label counter."""
         twin = QuantumRuntime(outcomes, self.tape)
-        twin._labels = list(self._labels)
         twin._factors = dict(self._factors)
         twin._phase = self._phase
         twin._owners = dict(self._owners)
@@ -143,7 +141,7 @@ class QuantumRuntime:
         return twin
 
     def index_of(self, label: str) -> int:
-        return self._labels.index(label)
+        return list(self._owners).index(label)
 
     def _factor(self, label: str) -> tuple[tuple[str, ...], np.ndarray]:
         try:
@@ -169,7 +167,6 @@ class QuantumRuntime:
             raise ValueError("need one distinct label per loaded qubit")
         self._admit(labels, amps)
         self._store(labels, amps)
-        self._labels.extend(labels)
         self._owners.update(dict.fromkeys(labels, owner))
 
     def add_qubit(self, label: str, amplitudes: np.ndarray, owner: str) -> None:
@@ -180,7 +177,6 @@ class QuantumRuntime:
             raise ValueError("new qubit needs a 2-vector")
         self._admit((label,), amps)
         self._factors[label] = ((label,), amps)
-        self._labels.append(label)
         self._owners[label] = owner
 
     def _admit(self, labels: tuple[str, ...], amps: np.ndarray) -> None:
@@ -190,7 +186,7 @@ class QuantumRuntime:
         for lb in labels:
             if lb in self._owners:
                 raise ValueError(f"label {lb!r} already in use")
-        if len(self._labels) + len(labels) > MAX_QUBITS:
+        if len(self._owners) + len(labels) > MAX_QUBITS:
             raise ValueError(f"qubit budget of {MAX_QUBITS} exceeded")
         if not _has_unit_norm(amps):
             raise ValueError("a new qubit's state must be normalized")
@@ -250,7 +246,6 @@ class QuantumRuntime:
             rest, weight = (halves[0], w0) if w0 >= w1 else (halves[1], w1)  # |0> half on a tie
             self._store(local[:q] + local[q + 1:], rest / math.sqrt(weight))
         del self._factors[label]
-        self._labels.remove(label)
         del self._owners[label]
 
     def transfer(self, label: str, new_owner: str) -> None:
@@ -261,13 +256,13 @@ class QuantumRuntime:
         self._owners[label] = new_owner
 
     def owned_by(self, owner: str) -> list[str]:
-        return [lb for lb in self._labels if self._owners[lb] == owner]
+        return [lb for lb, held_by in self._owners.items() if held_by == owner]
 
     def density_of(self, owner: str) -> np.ndarray:
         """Reduced density matrix over ``owner``'s qubits in qubit-index order,
         from only the factors that hold them: the rest trace to 1."""
         held = {self._factors[lb][0] for lb in self.owned_by(owner)}
-        labels = [lb for lb in self._labels if self._factors[lb][0] in held]
+        labels = [lb for lb in self._owners if self._factors[lb][0] in held]
         keep = [i for i, lb in enumerate(labels) if self._owners[lb] == owner]
         return partial_trace(self._joint(labels), keep) if keep else np.ones((1, 1), complex)
 
@@ -294,10 +289,10 @@ class QuantumRuntime:
         default the whole register is returned.
         """
         if labels is None:
-            return self._joint(self._labels)
+            return self._joint(list(self._owners))
         wanted = list(labels)
         n = self.num_qubits
-        psi = self._joint(self._labels).reshape([2] * n)
+        psi = self._joint(list(self._owners)).reshape([2] * n)
         axes = [n - 1 - self.index_of(lb) for lb in reversed(wanted)]
         other_axes = [ax for ax in range(n) if ax not in axes]
         m = np.transpose(psi, axes + other_axes).reshape(2 ** len(wanted), -1)

@@ -32,6 +32,16 @@ ALICE = "alice"  # client
 BOB = "bob"  # server
 
 
+def server_sees(kind: str, party: str) -> bool:
+    """Whether the server sees an event: all traffic plus its own local record."""
+    return kind in ("msg", "transfer") or party == BOB
+
+
+def server_values(kind: str, payload: dict) -> tuple:
+    """What a visible event adds to the server's record: msg/outcome payload values by key."""
+    return tuple(payload[key] for key in sorted(payload)) if kind in ("msg", "outcome") else ()
+
+
 # not frozen: a frozen __init__ sets each field through object.__setattr__,
 # several times slower, and it runs once per pushed event
 @dataclass(slots=True)
@@ -76,17 +86,13 @@ class Transcript:
         self._push("outcome", party, None, {"bit": int(bit), **extra})
 
     def bob_events(self) -> list[Event]:
-        """Events the server can see: all traffic plus its own local record."""
-        return [ev for ev in self.events if ev.kind in ("msg", "transfer") or ev.party == BOB]
+        """Events the server can see (``server_sees``)."""
+        return [ev for ev in self.events if server_sees(ev.kind, ev.party)]
 
     def bob_classical_values(self) -> tuple:
         """Flat tuple of the classical values in the server's view, in order."""
-        flat: list = []
-        for ev in self.bob_events():
-            if ev.kind in ("msg", "outcome"):
-                for key in sorted(ev.payload):
-                    flat.append(ev.payload[key])
-        return tuple(flat)
+        return tuple(v for ev in self.bob_events() for v in server_values(ev.kind, ev.payload))
+
 
     def to_jsonl(self) -> str:
         """One line per event: ``json.dumps`` of the event's fields, with

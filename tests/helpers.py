@@ -10,15 +10,15 @@ import pytest
 
 from adbqc import blindness, rng
 from adbqc.gadgets import PauliFrame, announced_octant, octant_angle, pattern_unitary
-from adbqc.oracle import ORACLE_GADGETS, PROTOCOL_BY_GADGET, BranchRow, branch_table
+from adbqc.oracle import ORACLE_GADGETS, PROTOCOL_BY_GADGET, BranchRow
 from adbqc.protocols import ProtocolConfig, config_from_dict, config_object, driver, run
 from adbqc.protocols.driver import RunResult
 from adbqc.protocols.reference import reference_state
 from adbqc.protocols.schedule import schedule
 from adbqc.qsim import (
     CZ_GATE, GADGET_FIDELITY_ATOL, H_GATE, NO_SIGNALING_ATOL, PLUS_AMPS, PRODUCT_ATOL,
-    RZ_BY_OCTANT, X_GATE, Z_GATE, _width, apply_gate, fidelity_up_to_phase, haar_random_state,
-    partial_trace, plus_state, rz_matrix, trace_distance,
+    RZ_BY_OCTANT, X_GATE, Z_GATE, _width, apply_gate, partial_trace, plus_state, rz_matrix,
+    trace_distance,
 )
 from adbqc.runtime import OutcomeSource, QuantumRuntime, ReplayOutcomes, RunBranch, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
@@ -33,6 +33,13 @@ def from_state(
     labels = [f"r{i}" for i in range(_width(state))]
     rt.load(state, labels, owner)
     return rt, labels
+
+
+def fidelity_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|^2: 1 iff the states agree up to a global phase."""
+    if a.shape != b.shape:
+        raise ValueError(f"states of shapes {a.shape} and {b.shape} cannot be compared")
+    return float(abs(np.vdot(a, b)) ** 2)
 
 
 def hrz_matrix(theta: float) -> np.ndarray:
@@ -391,22 +398,32 @@ def per_checkpoint_view_audit(
         "views": sum(made[s] for _, made, _ in compiled for s in steps)}
 
 
-def sweep_by_tables(states_per_octant: int = 4, seed: int = 2026) -> tuple[float, int]:
-    """``oracle.soundness_sweep`` by one ``branch_table`` per input, each input
-    drawn alone from the sweep's one input stream and its client's secrets
-    from the sweep's one secrets stream, in input order."""
+def looped_row_fidelities(rows) -> list[float]:
+    """``driver.row_fidelities`` by the per-row loop it replaced: each row's
+    M = U^dagger F K and I compared as unit vectors by ``fidelity_up_to_phase``."""
+    fidelities = []
+    for _, operator, _ in rows:
+        flat = operator.reshape(-1) / np.linalg.norm(operator)
+        ideal = np.eye(len(operator)).reshape(-1) / math.sqrt(len(operator))
+        fidelities.append(fidelity_up_to_phase(flat, ideal))
+    return fidelities
+
+
+def sweep_by_keys(states_per_octant: int = 4, seed: int = 2026) -> tuple[float, int]:
+    """``oracle.soundness_sweep`` by one ``driver.row_fidelities`` call per
+    drawn (gadget, octant, secrets) item, each item's client secrets drawn
+    from the sweep's one secrets stream, in item order: no key is merged
+    with another, and none is read only once."""
     worst, count = 1.0, 0
-    inputs, secrets_rng = rng.stream(seed, "oracle-sweep"), rng.stream(seed, "oracle-secrets")
+    secrets_rng = rng.stream(seed, "oracle-secrets")
     for gadget in ORACLE_GADGETS:
         protocol = PROTOCOL_BY_GADGET.get(gadget)
-        width = 1 if protocol else 2
+        client = driver.CLIENT_BY_PROTOCOL.get(protocol)
         for octant in range(8) if protocol else (0,):
             for _ in range(states_per_octant):
-                state = haar_random_state(width, inputs)
-                client = driver.CLIENT_BY_PROTOCOL.get(protocol)
                 drawn = client.draw_secrets(secrets_rng) if client else ()
-                rows = branch_table(gadget, octant, state=state, secrets=drawn)
-                worst = min(worst, min(row.fidelity for row in rows))
+                rows = driver.gadget_rows(protocol or gadget, octant, drawn)
+                worst = min(worst, float(driver.row_fidelities(rows).min()))
                 count += 1
     return worst, count
 

@@ -24,9 +24,9 @@ from adbqc.protocols import driver
 from adbqc.protocols.driver import apply_attack, new_session, register_label
 from adbqc.protocols.traps import TRAP_STATES, reading_flip
 from adbqc.qsim import BRANCH_BUDGET, PROBABILITY_SLACK
-from adbqc.qsim import fidelity_up_to_phase, haar_random_state, haar_random_states, plus_state
+from adbqc.qsim import haar_random_state, haar_random_states, plus_state
 from adbqc.transcript import BOB
-from helpers import per_probe_gram, zero_state
+from helpers import fidelity_up_to_phase, per_probe_gram, zero_state
 
 
 # ---------------------------------------------------------------------------

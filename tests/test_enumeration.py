@@ -49,11 +49,12 @@ from adbqc.qsim import (
     PROBABILITY_SLACK,
     X_BASIS,
     ZERO_AMPS,
-    fidelity_up_to_phase,
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import BOB
-from helpers import assert_channel_is_ideal, forked_enumerate_run, from_state
+from helpers import (
+    assert_channel_is_ideal, fidelity_up_to_phase, forked_enumerate_run, from_state,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 

@@ -30,14 +30,15 @@ from adbqc.qsim import (
     X_GATE,
     Z_GATE,
     apply_gate,
-    fidelity_up_to_phase,
     haar_random_state,
     plus_state,
     rz_matrix,
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes
 from adbqc.transcript import BOB, Transcript
-from helpers import from_state, hrz_matrix, normalized, rx_matrix, zero_state
+from helpers import (
+    fidelity_up_to_phase, from_state, hrz_matrix, normalized, rx_matrix, zero_state,
+)
 
 H = H_GATE
 X = X_GATE

@@ -21,7 +21,7 @@ from adbqc.protocols import driver, gate_client, measure_client, sueki
 from adbqc.protocols.driver import CLIENT_BY_PROTOCOL
 from adbqc.protocols.measure_client import classify_angle
 from adbqc.qsim import Z_GATE, haar_random_state
-from helpers import replayed_branch_table, sweep_by_tables, zero_state
+from helpers import looped_row_fidelities, replayed_branch_table, sweep_by_keys, zero_state
 
 
 def gadget_octant_id(gadget: str, octant: int) -> str:
@@ -128,7 +128,9 @@ def test_secrets_are_checked_before_the_lookup():
 
 def test_every_key_compiles_once_into_read_only_rows(monkeypatch):
     """The 153 (gadget, octant, secrets) keys compile into 610 paths, each a
-    tuple whose operator refuses a write; a second lookup replays nothing."""
+    tuple whose operator refuses a write; a second lookup replays nothing.
+    Every row passes the one soundness check, and its batched value is the
+    per-row loop's to 1e-15."""
     keys = [(PROTOCOL_BY_GADGET.get(g, g), k, drawn)
             for g in ORACLE_GADGETS for k in ((0,) if g == "cz" else range(8))
             for drawn in (CLIENT_BY_PROTOCOL[PROTOCOL_BY_GADGET[g]].SECRETS
@@ -136,6 +138,10 @@ def test_every_key_compiles_once_into_read_only_rows(monkeypatch):
     assert len(keys) == 153
     compiled = [driver.gadget_rows(*key) for key in keys]
     assert sum(map(len, compiled)) == 610
+    for shape in ([r for rows in compiled[:-1] for r in rows], compiled[-1]):  # cz last
+        fidelities = driver.row_fidelities(shape)
+        assert fidelities.min() >= 1.0 - GADGET_FIDELITY_ATOL
+        np.testing.assert_allclose(fidelities, looped_row_fidelities(shape), rtol=0, atol=1e-15)
     for rows in compiled:
         assert isinstance(rows, tuple)
         for row in rows:
@@ -226,10 +232,9 @@ def test_soundness_sweep_is_seeded():
 
 
 def test_soundness_sweep_draws_secrets_only_where_they_are_read(monkeypatch):
-    """One input stream and one secrets stream serve the whole sweep: each
-    input is drawn from the first, and its client draws from the second, in
-    input order (the measure-only client and cz draw nothing), and the
-    result is the one of a table per input."""
+    """One secrets stream serves the whole sweep, and it draws no input: each
+    item's client draws from the stream in item order (the measure-only
+    client and cz draw nothing), and the result is the per-key reference's."""
     purposes = Counter()
     stream = rng.stream
 
@@ -240,16 +245,17 @@ def test_soundness_sweep_draws_secrets_only_where_they_are_read(monkeypatch):
     monkeypatch.setattr(rng, "stream", counting)
     result = soundness_sweep()
     monkeypatch.undo()
-    assert purposes == {"oracle-sweep": 1, "oracle-secrets": 1}
-    assert result == sweep_by_tables()
+    assert purposes == {"oracle-secrets": 1}
+    assert result == sweep_by_keys()
 
 
 @pytest.mark.parametrize("states", [1, 4])
 @pytest.mark.parametrize("seed", [2026, 1, 99, 321])
 def test_soundness_sweep_equals_a_table_per_input(seed, states):
-    """The sweep's one kernel per width over every input's stacked rows gives,
-    bit for bit, what one ``branch_table`` per input gives."""
-    assert soundness_sweep(states, seed) == sweep_by_tables(states, seed)
+    """The sweep's one check per operator shape over the drawn keys' rows
+    gives, bit for bit, what one check per drawn (gadget, octant, secrets)
+    item, the sweep's input, gives."""
+    assert soundness_sweep(states, seed) == sweep_by_keys(states, seed)
 
 
 SECRETS_TRIED = {"hrz-sueki": ((0, 0), (3, 1)), "p1": ((),), "p2": ((0,), (1,)), "cz": ((),)}
@@ -292,7 +298,7 @@ def test_soundness_sweep_catches_a_wrong_by_product(monkeypatch, module, name):
 
 def test_soundness_sweep_drives_the_clients_own_steps(monkeypatch):
     """The sweep reaches the gate-only client's fold of its half-turn pad
-    into the by-product: without it, half the p2 inputs go wrong."""
+    into the by-product: without it, every p2 item that draws pad 1 goes wrong."""
 
     def hrz_without_the_pad_fold(rt, label, octant, secrets):
         (pad,) = secrets
@@ -310,9 +316,8 @@ def test_soundness_sweep_drives_the_clients_own_steps(monkeypatch):
 )
 def test_soundness_sweep_reads_every_gathered_row(monkeypatch, key, wrong):
     """The last row of one key the sweep draws, its operator M replaced with
-    Z, fails the sweep at either width: an honest M is c I, which reads
-    fidelity 1 on any input, so only a wrong one shows that no gathered row
-    is dropped or read against another input's rows."""
+    Z, fails the sweep at either width: an honest M is c I, which passes
+    the check, so only a wrong one shows that no gathered row is dropped."""
     *kept, (outcomes, _, announced) = driver.gadget_rows(*key)
     monkeypatch.setitem(driver._ROWS, key, (*kept, (outcomes, wrong, announced)))
     worst, count = soundness_sweep(4)

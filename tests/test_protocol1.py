@@ -29,7 +29,6 @@ from adbqc.qsim import (
     X_BASIS,
     Z_BASIS,
     apply_gate,
-    fidelity_up_to_phase,
     haar_random_state,
     plus_state,
     trace_distance,
@@ -37,7 +36,8 @@ from adbqc.qsim import (
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
 from helpers import (
-    client_to_server_traffic, from_state, hrz_matrix, sampled_distribution, zero_state,
+    client_to_server_traffic, fidelity_up_to_phase, from_state, hrz_matrix,
+    sampled_distribution, zero_state,
 )
 
 

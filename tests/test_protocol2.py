@@ -17,12 +17,13 @@ from adbqc.protocols.gate_client import p2_hrz_on_runtime
 from adbqc.protocols.reference import reference_distribution, total_variation
 from adbqc.qsim import (
     apply_gate,
-    fidelity_up_to_phase,
     haar_random_state,
 )
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
-from helpers import client_to_server_traffic, from_state, hrz_matrix, zero_state
+from helpers import (
+    client_to_server_traffic, fidelity_up_to_phase, from_state, hrz_matrix, zero_state,
+)
 
 
 def fair_coin(coin: float) -> ReplayOutcomes:

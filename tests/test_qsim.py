@@ -30,7 +30,6 @@ from adbqc.qsim import (
     ZERO_AMPS,
     apply_gate,
     equatorial_basis,
-    fidelity_up_to_phase,
     haar_random_state,
     haar_random_states,
     partial_trace,
@@ -47,7 +46,9 @@ from adbqc.runtime import (
     enumerate_runs,
 )
 from adbqc.transcript import BOB
-from helpers import from_state, identity_gap, normalized, rotated, rx_matrix, zero_state
+from helpers import (
+    fidelity_up_to_phase, from_state, identity_gap, normalized, rotated, rx_matrix, zero_state,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 Y_GATE = np.array([[0, -1j], [1j, 0]])
