@@ -8,7 +8,8 @@ Six audits:
   can see and at the end, over every secret the client draws, with the
   step's input maximally entangled with a reference the server keeps, must
   be identical whatever the octant (exact: views compiled once per client
-  and octant, by one walk of the step that runs);
+  and octant, by one walk of the step that runs, bit-equal blocks interned
+  as one object; each call decomposes each distinct pair of blocks once);
 - no-signaling for the measure-only client: the same audit's p1 case, over
   any set of octants and checkpoints;
 - transcript statistics for full protocol runs: a permutation test that
@@ -100,6 +101,7 @@ _NO_FRAME = PauliFrame.identity(1)
 # paths walked, views made per checkpoint, and {checkpoint: {server record: block}}
 _Views = tuple[int, Counter, dict[int, dict[tuple, np.ndarray]]]
 _VIEWS: dict[tuple[str, int], _Views] = {}  # (protocol, octant) -> its views
+_BLOCKS: dict[bytes, np.ndarray] = {}  # bytes -> the one compiled block: a read-only array on them
 
 
 class _Checkpoints(Transcript):
@@ -130,7 +132,8 @@ def _compiled_views(protocol: str, octant: int) -> _Views:
     probability p, p ``density_of(BOB)`` / len(SECRETS) to that (checkpoint,
     server record) block: the strongest view of the step on any input. A
     checkpoint comes before each event the server can see, and one at the end;
-    one whose blocks equal the last one's bit for bit is the last one's dict."""
+    one whose blocks equal the last one's bit for bit is the last one's dict.
+    Every block is interned (``_BLOCKS``): bit-equal blocks of all views are one object."""
     if (protocol, octant) not in _VIEWS:
         secrets = CLIENT_BY_PROTOCOL[protocol].SECRETS
         blocks: dict[int, dict[tuple, np.ndarray]] = {}
@@ -155,10 +158,11 @@ def _compiled_views(protocol: str, octant: int) -> _Views:
 
             paths += len(enumerate_runs(run_fn))
             made.update(at for at, _ in seen)
-        for at in sorted(blocks):  # read-only; an unchanged checkpoint is its predecessor
+        for at in sorted(blocks):  # interned; an unchanged checkpoint is its predecessor
             view, last = blocks[at], blocks.get(at - 1, {})
-            for block in view.values():
-                block.flags.writeable = False
+            for record, block in view.items():
+                shape, raw = block.shape, block.tobytes()
+                view[record] = _BLOCKS.setdefault(raw, np.frombuffer(raw, complex).reshape(shape))
             if view.keys() == last.keys() and all(np.array_equal(view[k], last[k]) for k in view):
                 blocks[at] = last
         _VIEWS[protocol, octant] = (paths, made, blocks)
@@ -168,26 +172,30 @@ def _compiled_views(protocol: str, octant: int) -> _Views:
 def block_trace_distances(views: Sequence[dict], pairs: Sequence[tuple[int, int]]) -> list[float]:
     """Trace distance between the block states ``views[i]`` and ``views[j]`` of each
     pair (i, j): the ``math.fsum`` over keys of each block pair's distance (a missing
-    block is 0). Each distinct block is stacked once, and one ``trace_distance`` call per
-    shape takes every pair at each key where its blocks differ (equal ones are 0 apart)."""
+    block is 0; one object is 0 from itself). Blocks are told apart by identity, as
+    compiled ones are interned (``_BLOCKS``), and per shape one ``trace_distance``
+    call takes each distinct ordered pair of blocks once, for every cell it fills."""
     by_shape: dict[tuple, tuple[dict, dict, dict]] = {}  # keys, distinct blocks' rows, cells
     for v, view in enumerate(views):
         for key, block in view.items():
-            keys, rows, cells = by_shape.setdefault(block.shape, ({}, {}, {}))
-            row = rows.setdefault(np.asarray(block, complex).tobytes(), 1 + len(rows))
-            cells[keys.setdefault(key, len(keys)), v] = row
-    first, second = np.array(pairs).reshape(-1, 2).T
-    terms: list[list[float]] = [[] for _ in pairs]  # each pair's distances at the keys it differs
+            keys, rows, cells = by_shape.get(block.shape) or by_shape.setdefault(
+                block.shape, ({}, {}, {}))
+            row = rows.get(id(block)) or rows.setdefault(id(block), (1 + len(rows), block))
+            cells[keys.setdefault(key, len(keys)), v] = row[0]
+    first, second = np.array(list(zip(*pairs)), dtype=int).reshape(2, -1)
+    terms: dict[int, list[float]] = {}  # each pair's distances at the keys where it differs
     for shape, (keys, rows, cells) in by_shape.items():
         row = np.zeros((len(keys), len(views)), dtype=int)
         row[tuple(zip(*cells))] = list(cells.values())  # each (key, view)'s block row
-        zero = bytes(16 * math.prod(shape))  # row 0, the zero block: no block
-        stack = np.frombuffer(zero + b"".join(rows), dtype=complex).reshape(-1, *shape)
-        key, pair = np.nonzero(row[:, first] != row[:, second])
-        dists = trace_distance(stack[row[key, first[pair]]], stack[row[key, second[pair]]])
-        for p, dist in zip(pair.tolist(), dists.tolist()):
-            terms[p].append(dist)
-    return [math.fsum(dists) for dists in terms]
+        stack = np.array([np.zeros(shape, complex), *(block for _, block in rows.values())])
+        key, pair = np.nonzero(row[:, first] != row[:, second])  # row 0, the zero block: no block
+        both = list(zip(row[key, first[pair]].tolist(), row[key, second[pair]].tolist()))
+        # ordered: eigvalsh(b - a) is eigvalsh(a - b) negated and reversed, whose sum can differ
+        a, b = np.array(list(distinct := dict.fromkeys(both)), dtype=int).reshape(-1, 2).T
+        dist = dict(zip(distinct, trace_distance(stack[a], stack[b]).tolist()))
+        for p, ab in zip(pair.tolist(), both):
+            terms.setdefault(p, []).append(dist[ab])
+    return [math.fsum(terms.get(p, ())) for p in range(len(pairs))]
 
 
 def _audit_views(

@@ -160,16 +160,6 @@ def h_cancel(rt: QuantumRuntime, register: str, label: str, prep_party: str = BO
     rt.tape.local(BOB, op="discard", qubit=label)
 
 
-def draw_sueki_secrets(rng: np.random.Generator) -> tuple[int, int]:
-    """The prepare-only client's secrets for one rotation: (hiding octant, pad bit)."""
-    hiding = int(rng.integers(8))
-    pad = int(rng.integers(2))
-    # A third coin mirrors the octant: no new secret (the mirrored preparation
-    # is the one at -hiding up to a global phase), but every pinned output
-    # (golden runs, pinned run outputs, smoke fingerprints) was drawn with it.
-    return (-hiding if rng.integers(2) else hiding) % 8, pad
-
-
 def announced_octant(target_octant: int, hiding_octant: int, pad_bit: int, s1: int) -> int:
     """Octant the prepare-only client announces after the first outcome.
 

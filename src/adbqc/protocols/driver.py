@@ -229,8 +229,8 @@ class RunResult:
     attack_hits: tuple[tuple[str, int], ...]
 
 
-# the client's part of each H R_Z gadget (prepare, measure or rotate): its
-# ``draw_secrets(rng)`` and its ``hrz(rt, label, octant, secrets)``
+# the client's part of each H R_Z gadget (prepare, measure or rotate): its per-step
+# ``COINS``, their ``fold(*coins)`` into secrets, and ``hrz(rt, label, octant, secrets)``
 CLIENT_BY_PROTOCOL: dict[str, ModuleType] = {
     "sueki": sueki,
     "p1": measure_client,
@@ -239,6 +239,15 @@ CLIENT_BY_PROTOCOL: dict[str, ModuleType] = {
 # (gadget, octant, secrets) -> the gadget's rows (``gadget_rows``), compiled on first use
 _ROWS: dict[tuple, tuple[tuple, ...]] = {}
 _CHECKED: set[tuple] = set()  # row keys ``_check_rows`` has passed
+
+
+def draw_secrets(client: ModuleType, rng: np.random.Generator, count: int) -> list[tuple]:
+    """``count`` steps' secrets of ``client``: every step's ``COINS`` in step order,
+    drawn by one ``Generator.integers`` call over their bounds (which takes each coin
+    from the stream as a scalar call per coin would), and each step's ``fold``ed."""
+    highs, width = client.COINS * count, len(client.COINS)
+    coins = rng.integers(np.array(highs)).tolist() if highs else []
+    return [client.fold(*coins[i * width:(i + 1) * width]) for i in range(count)]
 
 
 class Plan(NamedTuple):
@@ -252,16 +261,16 @@ class Plan(NamedTuple):
 
 def draw_plan(config: ProtocolConfig) -> Plan:
     """Draw every choice of a run before it starts. From the "alice" stream:
-    the trap layout, then each H R_Z step's client secrets in step order;
-    from the "adversary" stream: the stray-Pauli hits, then the tamper flip
-    of each output position."""
+    the trap layout, then every H R_Z step's client secrets in step order (one
+    ``draw_secrets``); from the "adversary" stream: the stray-Pauli hits, then
+    the tamper flip of each output position."""
     alice = stream(config.seed, "alice")
     layout = place_traps(config.num_qubits, config.trap_count, config.protocol, alice)
-    draw_secrets = CLIENT_BY_PROTOCOL[config.protocol].draw_secrets
-    steps = tuple(
-        step._replace(secrets=draw_secrets(alice)) if step.kind == "hrz" else step
-        for step in compile_steps(config, layout)
-    )
+    steps = compile_steps(config, layout)
+    drawn = iter(draw_secrets(CLIENT_BY_PROTOCOL[config.protocol], alice,
+                              sum(step.kind == "hrz" for step in steps)))
+    steps = tuple(step._replace(secrets=next(drawn)) if step.kind == "hrz" else step
+                  for step in steps)
     adversary = stream(config.seed, "adversary")
     hits = sample_attack(config, adversary)
     adv = config.adversary

@@ -12,12 +12,10 @@ by-product by a bit only the client knows, so the raw output bits the
 server measures and reports at the end are one-time padded: their
 statistics reveal nothing about the computation. The client's frame
 absorbs the pads, so decoding is unchanged. ``SECRETS`` holds the two
-equally likely pad bits ``draw_secrets`` draws.
+equally likely pad bits, each its one coin (``COINS``).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..gadgets import couple_in, measure_out
 from ..qsim import PLUS_AMPS, RZ_BY_OCTANT, X_BASIS
@@ -43,12 +41,12 @@ def p2_hrz_on_runtime(rt: QuantumRuntime, target: str, octant: int) -> int:
     return measure_out(rt, anc, X_BASIS)
 
 
+COINS = (2,)  # one rotation's private half-turn pad bit
 SECRETS = ((0,), (1,))
 
 
-def draw_secrets(rng: np.random.Generator) -> tuple[int]:
-    """The client's private half-turn pad bit for one rotation."""
-    return (int(rng.integers(2)),)
+def fold(pad: int) -> tuple[int]:
+    return (pad,)
 
 
 def hrz(rt: QuantumRuntime, label: str, octant: int, secrets: tuple[int, ...]) -> int:

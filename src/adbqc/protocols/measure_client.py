@@ -17,7 +17,7 @@ a relabel bit rho so the realized rotation lands on the requested octant:
 
 where a / b is the X-basis Bell outcome of the active segment. The
 by-product is X^(z_bell ^ m ^ rho) with z_bell the Z-basis Bell outcome.
-Both cases are the one step ``hrz``, which needs no secrets (``SECRETS``).
+Both cases are the one step ``hrz``: no secrets (``SECRETS``), no coin (``COINS``).
 """
 
 from __future__ import annotations
@@ -111,11 +111,11 @@ def p1_hrz_on_runtime(rt: QuantumRuntime, target: str, octant: int) -> int:
     return by_product ^ segment(e2a, e2b, drive=False, active=case == "a")
 
 
+COINS = ()  # none: the client's basis choices follow from its Bell outcomes
 SECRETS = ((),)
 
 
-def draw_secrets(rng: np.random.Generator) -> tuple[()]:
-    """None: the client's basis choices follow from its Bell outcomes."""
+def fold() -> tuple[()]:
     return ()
 
 

@@ -7,9 +7,10 @@ when pytest captures stdout.
 The driver compiles each gadget's outcome rows once per process
 (``driver._ROWS``) and the exact walk checks each key's rows once
 (``driver._CHECKED``), and the no-signaling audit compiles each octant's
-server views (``blindness._VIEWS``); a test that patches a gadget must
-compile and check its own rows and views and leave none behind, so all
-three tables are emptied around every test.
+server views (``blindness._VIEWS``) and interns their blocks
+(``blindness._BLOCKS``); a test that patches a gadget must compile and
+check its own rows and views and leave none behind, so all four tables are
+emptied around every test.
 """
 
 import pytest
@@ -33,7 +34,7 @@ def acceptance():
 
 @pytest.fixture(autouse=True)
 def fresh_gadget_rows():
-    tables = (driver._ROWS, driver._CHECKED, blindness._VIEWS)
+    tables = (driver._ROWS, driver._CHECKED, blindness._VIEWS, blindness._BLOCKS)
     for table in tables:
         table.clear()
     yield

@@ -377,6 +377,31 @@ def block_trace_distance(a: dict[tuple, np.ndarray], b: dict[tuple, np.ndarray])
     return math.fsum(trace_distance(a.get(k, 0.0), b.get(k, 0.0)) for k in keys)
 
 
+def bytes_interned_block_trace_distances(views, pairs) -> list[float]:
+    """``blindness.block_trace_distances`` as it was before compiled blocks were
+    interned: each call keys every block by its bytes, so bit-equal blocks share a
+    row and read 0 without an eigendecomposition, and every (pair, key) cell whose
+    rows differ gets its own ``trace_distance``, however many share its two blocks."""
+    by_shape: dict[tuple, tuple[dict, dict, dict]] = {}  # keys, distinct blocks' rows, cells
+    for v, view in enumerate(views):
+        for key, block in view.items():
+            keys, rows, cells = by_shape.setdefault(block.shape, ({}, {}, {}))
+            row = rows.setdefault(np.asarray(block, complex).tobytes(), 1 + len(rows))
+            cells[keys.setdefault(key, len(keys)), v] = row
+    first, second = np.array(pairs).reshape(-1, 2).T
+    terms: list[list[float]] = [[] for _ in pairs]
+    for shape, (keys, rows, cells) in by_shape.items():
+        row = np.zeros((len(keys), len(views)), dtype=int)
+        row[tuple(zip(*cells))] = list(cells.values())
+        zero = bytes(16 * math.prod(shape))  # row 0, the zero block: no block
+        stack = np.frombuffer(zero + b"".join(rows), dtype=complex).reshape(-1, *shape)
+        key, pair = np.nonzero(row[:, first] != row[:, second])
+        dists = trace_distance(stack[row[key, first[pair]]], stack[row[key, second[pair]]])
+        for p, dist in zip(pair.tolist(), dists.tolist()):
+            terms[p].append(dist)
+    return [math.fsum(dists) for dists in terms]
+
+
 def per_checkpoint_view_audit(
     protocol: str, octants, steps=None, details: dict | None = None
 ) -> tuple[float, bool, dict]:
@@ -421,11 +446,18 @@ def sweep_by_keys(states_per_octant: int = 4, seed: int = 2026) -> tuple[float, 
         client = driver.CLIENT_BY_PROTOCOL.get(protocol)
         for octant in range(8) if protocol else (0,):
             for _ in range(states_per_octant):
-                drawn = client.draw_secrets(secrets_rng) if client else ()
+                drawn = driver.draw_secrets(client, secrets_rng, 1)[0] if client else ()
                 rows = driver.gadget_rows(protocol or gadget, octant, drawn)
                 worst = min(worst, float(driver.row_fidelities(rows).min()))
                 count += 1
     return worst, count
+
+
+def coins_one_at_a_time(client, gen: np.random.Generator, count: int) -> list[tuple]:
+    """``driver.draw_secrets`` by one scalar ``gen.integers(high)`` call per coin:
+    ``count`` steps' ``COINS`` in step order, each step's folded by the client."""
+    return [client.fold(*(int(gen.integers(high)) for high in client.COINS))
+            for _ in range(count)]
 
 
 def per_probe_gram(probe: np.ndarray, lent_qubit: int) -> np.ndarray:

@@ -39,6 +39,7 @@ from adbqc.runtime import QuantumRuntime, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
 from helpers import (
     block_trace_distance,
+    bytes_interned_block_trace_distances,
     joint_density_of,
     normalized,
     per_checkpoint_view_audit,
@@ -105,11 +106,13 @@ def test_no_signaling_across_octants_and_stages():
 
 
 def test_no_signaling_same_octant_is_exactly_zero():
-    """An octant's views, compiled afresh, are bit for bit the first compile's."""
+    """An octant's views, compiled afresh with nothing interned, are bit for bit
+    the first compile's: other block objects, yet exactly 0 apart."""
     first = blindness._compiled_views("p1", 3)[2][5]
     blindness._VIEWS.clear()
+    blindness._BLOCKS.clear()
     again = blindness._compiled_views("p1", 3)[2][5]
-    assert first is not again
+    assert first is not again and first[()] is not again[()]
     assert block_trace_distances([first, again], [(0, 1)]) == [0.0]
 
 
@@ -270,6 +273,23 @@ def test_compiled_views_are_read_only():
             assert not block.flags.writeable
 
 
+def test_bit_equal_compiled_blocks_are_one_object():
+    """Bit-equal blocks of any compiled views, of one client or of two, are one
+    object: the one ``_BLOCKS`` holds for their bytes. Sueki octants k and k+4
+    share every block."""
+    audit_no_signaling(octants=(2, 5), steps=(1,))
+    audit_gadget_view_tv("hrz-sueki", 1, 5)
+    audit_gadget_view_tv("p2", 0, 3)
+    by_bytes: dict = {}
+    for _, _, blocks in blindness._VIEWS.values():
+        for block in (block for view in blocks.values() for block in view.values()):
+            assert by_bytes.setdefault(block.tobytes(), block) is block
+            assert blindness._BLOCKS[block.tobytes()] is block
+    assert len(by_bytes) == len(blindness._BLOCKS)
+    one, five = (blindness._VIEWS["sueki", k][2] for k in (1, 5))
+    assert all(one[at][key] is five[at][key] for at in one for key in one[at])
+
+
 def test_views_from_the_servers_factors_equal_the_whole_partial_trace(monkeypatch):
     """Each of the 344 server views that the default audit compiles, tensored
     from only the factors that hold the server's qubits, is the partial trace
@@ -312,6 +332,50 @@ def test_stacked_no_signaling_distances_equal_the_per_pair_formula():
         assert max(dists) > 0.1
         for dist, s in zip(dists, steps):
             assert abs(dist - block_trace_distance(views[k][s], moved[s])) <= 1e-12
+
+
+def test_block_trace_distances_equal_the_bytes_interned_reference(monkeypatch):
+    """On compiled views, blocks told apart by identity, with each distinct ordered
+    pair of blocks decomposed once per call, give exactly the distances of the
+    former call that interned every block by its bytes: all 364 (checkpoint,
+    octant pair) cells of the default no-signaling audit, every ordered sueki and
+    p2 octant pair at every checkpoint, and the 364 cells of a leaking step."""
+
+    def compare(protocol: str, pairs: list) -> list[float]:
+        compiled = [blindness._compiled_views(protocol, k)[2] for k in range(8)]
+        dists = []
+        for step in compiled[0]:
+            at = [views[step] for views in compiled]
+            got = block_trace_distances(at, pairs)
+            assert got == bytes_interned_block_trace_distances(at, pairs)
+            dists += got
+        return dists
+
+    pairs = [(a, b) for a in range(8) for b in range(a + 1, 8)]
+    assert len(compare("p1", pairs)) == 364
+    ordered = [(a, b) for a in range(8) for b in range(8) if a != b]
+    for protocol in ("sueki", "p2"):
+        assert 0.0 < max(compare(protocol, ordered)) <= NO_SIGNALING_ATOL
+    blindness._VIEWS.clear()
+    monkeypatch.setattr(measure_client, "hrz", rotating_p1_hrz)
+    leaked = compare("p1", pairs)
+    assert len(leaked) == 364 and max(leaked) >= 0.99
+
+
+def test_the_default_no_signaling_audit_decomposes_46_block_pairs(monkeypatch):
+    """The default audit's 156 (checkpoint, octant pair, key) cells whose blocks
+    are not one object hold only 46 distinct ordered pairs of blocks: 6 of
+    16x16, 22 of 8x8 and 18 of 4x4. ``trace_distance`` takes each once."""
+    audit_no_signaling()  # compiled first, so only the audit's own calls count
+    sizes: Counter = Counter()
+
+    def counted(a, b):
+        sizes[a.shape[-1]] += len(a)
+        return qsim.trace_distance(a, b)
+
+    monkeypatch.setattr(blindness, "trace_distance", counted)
+    assert audit_no_signaling().passed
+    assert sizes == {16: 6, 8: 22, 4: 18}
 
 
 @pytest.mark.parametrize(

@@ -16,14 +16,14 @@ from adbqc.gadgets import (
     announced_octant,
     couple,
     cz_on_runtime,
-    draw_sueki_secrets,
     frame_conjugate,
     h_cancel,
     octant_angle,
     pattern_unitary,
     sueki_hrz_on_runtime,
 )
-from adbqc.protocols import GateRequest, ProtocolConfig, run
+from adbqc.protocols import GateRequest, ProtocolConfig, run, sueki
+from adbqc.protocols.driver import draw_secrets
 from adbqc.qsim import (
     CZ_GATE,
     H_GATE,
@@ -267,8 +267,8 @@ def test_draw_sueki_secrets_folds_its_mirror_coin(trial):
     raw = rng.stream(153, "sueki-draws", trial)
     hiding, pad, mirror = int(raw.integers(8)), int(raw.integers(2)), int(raw.integers(2))
     gen = rng.stream(153, "sueki-draws", trial)
-    got = draw_sueki_secrets(gen)
-    cause = "draw_sueki_secrets must draw octant, pad and mirror coin and fold the coin in"
+    (got,) = draw_secrets(sueki, gen, 1)
+    cause = "the prepare-only client must draw octant, pad and mirror coin and fold the coin in"
     assert got == ((-hiding if mirror else hiding) % 8, pad), cause
     assert gen.integers(1 << 30) == raw.integers(1 << 30), cause
 

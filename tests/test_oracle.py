@@ -1,5 +1,6 @@
 """Independent branch-by-branch checks of every gadget family."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -21,7 +22,9 @@ from adbqc.protocols import driver, gate_client, measure_client, sueki
 from adbqc.protocols.driver import CLIENT_BY_PROTOCOL
 from adbqc.protocols.measure_client import classify_angle
 from adbqc.qsim import Z_GATE, haar_random_state
-from helpers import looped_row_fidelities, replayed_branch_table, sweep_by_keys, zero_state
+from helpers import (
+    coins_one_at_a_time, looped_row_fidelities, replayed_branch_table, sweep_by_keys, zero_state,
+)
 
 
 def gadget_octant_id(gadget: str, octant: int) -> str:
@@ -325,46 +328,35 @@ def test_soundness_sweep_reads_every_gathered_row(monkeypatch, key, wrong):
     assert worst < 1.0 - GADGET_FIDELITY_ATOL
 
 
-def coin_support(draw) -> tuple[Counter, int]:
-    """Exact distribution of ``draw(gen)`` over every value of the uniform
-    ``gen.integers(high)`` coins it tosses, and the number of coin
-    sequences."""
-    support: Counter = Counter()
-    sequences = 0
-
-    def walk(prefix: list[int], weight: Fraction) -> None:
-        nonlocal sequences
-        asked: list[int] = []
-
-        class Coins:
-            def integers(self, high: int) -> int:
-                asked.append(high)
-                return prefix[len(asked) - 1] if len(asked) <= len(prefix) else 0
-
-        value = draw(Coins())
-        if len(asked) > len(prefix):
-            high = asked[len(prefix)]
-            for coin in range(high):
-                walk(prefix + [coin], weight / high)
-        else:
-            support[value] += weight
-            sequences += 1
-
-    walk([], Fraction(1))
-    return support, sequences
-
-
 @pytest.mark.parametrize(
     "client,sequences",
     [(sueki, 32), (measure_client, 1), (gate_client, 2)],
     ids=["sueki", "p1", "p2"],
 )
 def test_secrets_are_what_draw_secrets_draws(client, sequences):
-    """``SECRETS`` is the support of ``draw_secrets``, each equally likely;
-    the prepare-only client's 32 (hiding, pad, mirror) coin triples fold
-    2-to-1 onto its 16 pairs."""
-    support, tossed = coin_support(client.draw_secrets)
-    assert tossed == sequences
+    """``SECRETS`` is the support of one step's ``driver.draw_secrets``: its
+    ``COINS``, every sequence equally likely, ``fold``ed; the prepare-only
+    client's 32 (hiding, pad, mirror) coin triples fold 2-to-1 onto its 16
+    pairs."""
+    tossed = list(itertools.product(*map(range, client.COINS)))
+    support = Counter(client.fold(*coins) for coins in tossed)
+    assert len(tossed) == sequences
     assert len(set(client.SECRETS)) == len(client.SECRETS)
     assert set(support) == set(client.SECRETS)
-    assert set(support.values()) == {Fraction(1, len(client.SECRETS))}
+    assert {Fraction(n, len(tossed)) for n in support.values()} == {
+        Fraction(1, len(client.SECRETS))}
+
+
+@pytest.mark.parametrize("client", [sueki, measure_client, gate_client], ids=["sueki", "p1", "p2"])
+def test_one_draw_takes_the_coins_of_one_draw_per_coin(client):
+    """``driver.draw_secrets`` draws every step's coins in one ``Generator.integers``
+    call over their bounds. Over seeds 0 to 199, after a permutation draw (as a
+    run's trap layout makes) and for 0 to 12 steps, it gives the secrets of one
+    scalar draw per coin and leaves the stream where they leave it: every pinned
+    run output rests on this, so a numpy that broadcasts otherwise fails here."""
+    for seed in range(200):
+        one, each = rng.stream(seed, "alice"), rng.stream(seed, "alice")
+        assert one.permutation(5).tolist() == each.permutation(5).tolist()
+        count = seed % 13
+        assert driver.draw_secrets(client, one, count) == coins_one_at_a_time(client, each, count)
+        assert one.integers(1 << 30) == each.integers(1 << 30)
