@@ -131,9 +131,9 @@ def _compiled_views(protocol: str, octant: int) -> _Views:
     reference the server holds adds, once per (checkpoint, outcome prefix) of
     probability p, p ``density_of(BOB)`` / len(SECRETS) to that (checkpoint,
     server record) block: the strongest view of the step on any input. A
-    checkpoint comes before each event the server can see, and one at the end;
-    one whose blocks equal the last one's bit for bit is the last one's dict.
-    Every block is interned (``_BLOCKS``): bit-equal blocks of all views are one object."""
+    checkpoint comes before each event the server can see, and one at the end.
+    Every block is interned (``_BLOCKS``): bit-equal blocks of all views are one object,
+    and a checkpoint whose blocks are the last one's objects is the last one's dict."""
     if (protocol, octant) not in _VIEWS:
         secrets = CLIENT_BY_PROTOCOL[protocol].SECRETS
         blocks: dict[int, dict[tuple, np.ndarray]] = {}
@@ -163,7 +163,7 @@ def _compiled_views(protocol: str, octant: int) -> _Views:
             for record, block in view.items():
                 shape, raw = block.shape, block.tobytes()
                 view[record] = _BLOCKS.setdefault(raw, np.frombuffer(raw, complex).reshape(shape))
-            if view.keys() == last.keys() and all(np.array_equal(view[k], last[k]) for k in view):
+            if view.keys() == last.keys() and all(view[k] is last[k] for k in view):
                 blocks[at] = last
         _VIEWS[protocol, octant] = (paths, made, blocks)
     return _VIEWS[protocol, octant]

@@ -53,10 +53,10 @@ def check_octant(gadget: str, octant: int) -> None:
         raise ValueError(f"octant {octant} is not admissible for gadget {gadget!r}")
 
 
-def _draw_secrets(gadget: str, gen: np.random.Generator, count: int = 1) -> list[tuple]:
-    """``count`` draws of the gadget's client secrets, as a run draws them; none for cz."""
+def _draw_secrets(gadget: str, gen: np.random.Generator) -> tuple[int, ...]:
+    """The gadget's client secrets, drawn as a run draws them; none for cz."""
     protocol = PROTOCOL_BY_GADGET.get(gadget)
-    return draw_secrets(CLIENT_BY_PROTOCOL[protocol], gen, count) if protocol else [()] * count
+    return draw_secrets(CLIENT_BY_PROTOCOL[protocol], gen) if protocol else ()
 
 
 def _path_stats(rows: tuple, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +90,7 @@ def branch_table(
     if not _has_unit_norm(state):
         raise ValueError("the input state must be normalized")
     if secrets is None:
-        secrets = _draw_secrets(gadget, rng.stream(seed, "oracle-secrets"))[0]
+        secrets = _draw_secrets(gadget, rng.stream(seed, "oracle-secrets"))
     check_octant(gadget, octant)
     protocol = PROTOCOL_BY_GADGET.get(gadget)
     secrets = tuple(_integer("secret", s) for s in secrets)
@@ -112,19 +112,17 @@ def soundness_sweep(states_per_octant: int = 4, seed: int = 2026) -> tuple[float
 
     Returns (worst value, number of drawn (gadget, octant, secrets) items):
     100 with the default four per octant, 8 + 8 + 8 + 1 = 25 times four.
-    The secrets come from the one ``oracle-secrets`` stream in item order, each
-    client's in one ``driver.draw_secrets``; a row's value holds for every input,
-    so none is drawn. Each distinct key's ``gadget_rows`` are read once, unchecked
-    (its keys are admissible), in one check per operator shape.
+    The secrets come from the one ``oracle-secrets`` stream in item order; a
+    row's value holds for every input, so none is drawn. Each distinct key's
+    ``gadget_rows`` are read once, unchecked (its keys are admissible), in
+    one check per operator shape.
     """
     if states_per_octant < 1:
         raise ValueError("the soundness sweep needs at least one state per octant")
     secrets_rng = rng.stream(seed, "oracle-secrets")
-    drawn = []
-    for gadget in ORACLE_GADGETS:  # each client's coins in one draw, in item order
-        octants = [octant for octant in _octants(gadget) for _ in range(states_per_octant)]
-        secrets = _draw_secrets(gadget, secrets_rng, len(octants))
-        drawn += zip([PROTOCOL_BY_GADGET.get(gadget, gadget)] * len(octants), octants, secrets)
+    drawn = [(PROTOCOL_BY_GADGET.get(gadget, gadget), octant, _draw_secrets(gadget, secrets_rng))
+             for gadget in ORACLE_GADGETS for octant in _octants(gadget)
+             for _ in range(states_per_octant)]
     keys = list(dict.fromkeys(drawn))  # each distinct key once; the two-qubit cz last
     worst = min(float(row_fidelities([row for key in shape for row in gadget_rows(*key)]).min())
                 for shape in (keys[:-1], keys[-1:]))

@@ -241,13 +241,9 @@ _ROWS: dict[tuple, tuple[tuple, ...]] = {}
 _CHECKED: set[tuple] = set()  # row keys ``_check_rows`` has passed
 
 
-def draw_secrets(client: ModuleType, rng: np.random.Generator, count: int) -> list[tuple]:
-    """``count`` steps' secrets of ``client``: every step's ``COINS`` in step order,
-    drawn by one ``Generator.integers`` call over their bounds (which takes each coin
-    from the stream as a scalar call per coin would), and each step's ``fold``ed."""
-    highs, width = client.COINS * count, len(client.COINS)
-    coins = rng.integers(np.array(highs)).tolist() if highs else []
-    return [client.fold(*coins[i * width:(i + 1) * width]) for i in range(count)]
+def draw_secrets(client: ModuleType, rng: np.random.Generator) -> tuple:
+    """One step's secrets of ``client``: its ``COINS`` in order, one scalar draw each, ``fold``ed."""
+    return client.fold(*[int(rng.integers(high)) for high in client.COINS])
 
 
 class Plan(NamedTuple):
@@ -261,16 +257,16 @@ class Plan(NamedTuple):
 
 def draw_plan(config: ProtocolConfig) -> Plan:
     """Draw every choice of a run before it starts. From the "alice" stream:
-    the trap layout, then every H R_Z step's client secrets in step order (one
-    ``draw_secrets``); from the "adversary" stream: the stray-Pauli hits, then
-    the tamper flip of each output position."""
+    the trap layout, then each H R_Z step's client secrets in step order;
+    from the "adversary" stream: the stray-Pauli hits, then the tamper flip
+    of each output position."""
     alice = stream(config.seed, "alice")
     layout = place_traps(config.num_qubits, config.trap_count, config.protocol, alice)
-    steps = compile_steps(config, layout)
-    drawn = iter(draw_secrets(CLIENT_BY_PROTOCOL[config.protocol], alice,
-                              sum(step.kind == "hrz" for step in steps)))
-    steps = tuple(step._replace(secrets=next(drawn)) if step.kind == "hrz" else step
-                  for step in steps)
+    client = CLIENT_BY_PROTOCOL[config.protocol]
+    steps = tuple(
+        step._replace(secrets=draw_secrets(client, alice)) if step.kind == "hrz" else step
+        for step in compile_steps(config, layout)
+    )
     adversary = stream(config.seed, "adversary")
     hits = sample_attack(config, adversary)
     adv = config.adversary

@@ -446,18 +446,11 @@ def sweep_by_keys(states_per_octant: int = 4, seed: int = 2026) -> tuple[float, 
         client = driver.CLIENT_BY_PROTOCOL.get(protocol)
         for octant in range(8) if protocol else (0,):
             for _ in range(states_per_octant):
-                drawn = driver.draw_secrets(client, secrets_rng, 1)[0] if client else ()
+                drawn = driver.draw_secrets(client, secrets_rng) if client else ()
                 rows = driver.gadget_rows(protocol or gadget, octant, drawn)
                 worst = min(worst, float(driver.row_fidelities(rows).min()))
                 count += 1
     return worst, count
-
-
-def coins_one_at_a_time(client, gen: np.random.Generator, count: int) -> list[tuple]:
-    """``driver.draw_secrets`` by one scalar ``gen.integers(high)`` call per coin:
-    ``count`` steps' ``COINS`` in step order, each step's folded by the client."""
-    return [client.fold(*(int(gen.integers(high)) for high in client.COINS))
-            for _ in range(count)]
 
 
 def per_probe_gram(probe: np.ndarray, lent_qubit: int) -> np.ndarray:

@@ -267,7 +267,7 @@ def test_draw_sueki_secrets_folds_its_mirror_coin(trial):
     raw = rng.stream(153, "sueki-draws", trial)
     hiding, pad, mirror = int(raw.integers(8)), int(raw.integers(2)), int(raw.integers(2))
     gen = rng.stream(153, "sueki-draws", trial)
-    (got,) = draw_secrets(sueki, gen, 1)
+    got = draw_secrets(sueki, gen)
     cause = "the prepare-only client must draw octant, pad and mirror coin and fold the coin in"
     assert got == ((-hiding if mirror else hiding) % 8, pad), cause
     assert gen.integers(1 << 30) == raw.integers(1 << 30), cause

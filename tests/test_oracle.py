@@ -23,7 +23,7 @@ from adbqc.protocols.driver import CLIENT_BY_PROTOCOL
 from adbqc.protocols.measure_client import classify_angle
 from adbqc.qsim import Z_GATE, haar_random_state
 from helpers import (
-    coins_one_at_a_time, looped_row_fidelities, replayed_branch_table, sweep_by_keys, zero_state,
+    looped_row_fidelities, replayed_branch_table, sweep_by_keys, zero_state,
 )
 
 
@@ -345,18 +345,3 @@ def test_secrets_are_what_draw_secrets_draws(client, sequences):
     assert set(support) == set(client.SECRETS)
     assert {Fraction(n, len(tossed)) for n in support.values()} == {
         Fraction(1, len(client.SECRETS))}
-
-
-@pytest.mark.parametrize("client", [sueki, measure_client, gate_client], ids=["sueki", "p1", "p2"])
-def test_one_draw_takes_the_coins_of_one_draw_per_coin(client):
-    """``driver.draw_secrets`` draws every step's coins in one ``Generator.integers``
-    call over their bounds. Over seeds 0 to 199, after a permutation draw (as a
-    run's trap layout makes) and for 0 to 12 steps, it gives the secrets of one
-    scalar draw per coin and leaves the stream where they leave it: every pinned
-    run output rests on this, so a numpy that broadcasts otherwise fails here."""
-    for seed in range(200):
-        one, each = rng.stream(seed, "alice"), rng.stream(seed, "alice")
-        assert one.permutation(5).tolist() == each.permutation(5).tolist()
-        count = seed % 13
-        assert driver.draw_secrets(client, one, count) == coins_one_at_a_time(client, each, count)
-        assert one.integers(1 << 30) == each.integers(1 << 30)
