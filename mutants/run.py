@@ -47,7 +47,7 @@ CATALOGUE = (
     Mutant(
         "check-returns-at-once",  # every row passes the soundness check
         "src/adbqc/protocols/driver.py",
-        "    ops = np.stack([op for _, op, _ in rows])\n",
+        "    ops = np.stack([op for _, op, _, _ in rows])\n",
         "    return np.ones(len(rows))\n",
         ("tests/test_oracle.py::test_soundness_sweep_catches_a_wrong_by_product"
          "[sueki_hrz_on_runtime]",
@@ -71,10 +71,21 @@ CATALOGUE = (
     Mutant(
         "unsigned-row-key",  # the walk checks the rows of the undriven octant
         "src/adbqc/protocols/driver.py",
-        "    return gadget, octant, step.secrets\n",
-        "    return gadget, step.octant, step.secrets\n",
+        "    return frame, (gadget, (sign * step.octant) % 8, step.secrets)\n",
+        "    return frame, (gadget, step.octant, step.secrets)\n",
         ("tests/test_enumeration.py::test_the_walk_checks_the_keys_the_run_drives[sueki-HH-CZ]",
          "tests/test_enumeration.py::test_the_walk_checks_the_keys_the_run_drives[p1-N9-d3]"),
+    ),
+    Mutant(
+        "walk-drops-the-by-product",  # the exact walk never flips the frame by a row's bit
+        "src/adbqc/protocols/driver.py",
+        "        session.frame = flip(step.positions[0]) if by_product else frame\n",
+        "        session.frame = frame\n",
+        ("tests/test_enumeration.py::test_the_walk_equals_the_driven_walk_on_the_exact_configs"
+         "[p1-N6-d2-cz]",
+         "tests/test_enumeration.py::test_the_walk_equals_the_driven_walk_on_the_exact_configs"
+         "[p2-N3-d2-cz]",
+         "tests/test_enumeration.py::test_the_walk_decodes_to_the_reference[p1-N6-d2-cz]"),
     ),
     Mutant(
         "sweep-drops-each-last-row",

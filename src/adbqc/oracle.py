@@ -62,7 +62,7 @@ def _draw_secrets(gadget: str, gen: np.random.Generator) -> tuple[int, ...]:
 def _path_stats(rows: tuple, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each path's probability |M psi|^2 and fidelity |<psi|M psi>|^2 over it, for the
     operators M = U^dagger F K of ``rows`` on ``state``, in one pass."""
-    out = (np.stack([op for _, op, _ in rows]) * state).sum(-1)
+    out = (np.stack([op for _, op, _, _ in rows]) * state).sum(-1)
     prob = (out.real**2 + out.imag**2).sum(-1)
     overlap = (state.conj() * out).sum(-1)
     return prob, (overlap.real**2 + overlap.imag**2) / np.maximum(prob, BRANCH_PROB_FLOOR)

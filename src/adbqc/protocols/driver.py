@@ -15,8 +15,8 @@ quantum runtime (which holds the transcript and mints the ancilla labels)
 and the client's Pauli frame. The grid is one flat list of gadget steps,
 each driven by ``drive_step`` through ``drive_gadget``, the one map from a
 gadget to the step it drives. A sampled run drives them in order;
-``enumerate_run`` drives them once on the greedy path (``walk_run``), checks
-each step's compiled rows (``gadget_rows``) once per process, and enumerates
+``enumerate_run`` applies each step's greedy compiled row (``walk_run``,
+which checks the rows, ``gadget_rows``, once per process), and enumerates
 the output stage on forks of the walk's session (``enumerate_output``).
 """
 
@@ -54,10 +54,11 @@ class Session:
     config: ProtocolConfig
     rt: QuantumRuntime
     frame: PauliFrame  # the client's pending correction
+    kept: tuple[int, ...] = ()  # the outcomes ``walk_run`` took, from the rows it applied
 
     def fork(self, outcomes: OutcomeSource) -> "Session":
         """A copy that goes on from here with ``outcomes``."""
-        return Session(self.config, self.rt.fork(outcomes), self.frame)
+        return replace(self, rt=self.rt.fork(outcomes))
 
 
 def new_session(
@@ -135,21 +136,25 @@ def drive_gadget(
     return frame.flip_x(pos) if x else frame
 
 
-def drive_step(session: Session, step: Step) -> tuple:
-    """Drive one step through ``drive_gadget`` and track the session's frame,
-    pushed through the gate by ``frame_conjugate``, which also gives the sign
-    of the angle actually driven; returns the row key (gadget, driven octant,
-    secrets) that ``walk_run`` checks."""
-    config = session.config
+def step_key(session: Session, step: Step) -> tuple[PauliFrame, tuple]:
+    """The session's frame pushed through the step's gate by ``frame_conjugate``,
+    and the step's row key (gadget, octant signed by the frame, secrets)."""
     frame, sign = frame_conjugate(session.frame, step.kind, step.positions)
-    gadget = "cz" if step.kind == "cz" else config.protocol
-    octant = (sign * step.octant) % 8
+    gadget = "cz" if step.kind == "cz" else session.config.protocol
+    return frame, (gadget, (sign * step.octant) % 8, step.secrets)
+
+
+def drive_step(session: Session, step: Step) -> tuple:
+    """Drive one step through ``drive_gadget`` and track the session's frame
+    (``step_key``); returns the step's row key."""
+    frame, key = step_key(session, step)
+    gadget, octant, secrets = key
     # only the CZ gadget's ancillas depend on who prepares them
-    prep_party = ALICE if gadget == "cz" and config.capability.kind == "prepare_only" else BOB
+    prep_party = ALICE if gadget == "cz" and session.config.capability.kind == "prepare_only" else BOB
     session.frame = drive_gadget(
-        session.rt, gadget, frame, step.positions, octant, step.secrets, prep_party
+        session.rt, gadget, frame, step.positions, octant, secrets, prep_party
     )
-    return gadget, octant, step.secrets
+    return key
 
 
 def pauli_hits(
@@ -238,6 +243,7 @@ CLIENT_BY_PROTOCOL: dict[str, ModuleType] = {
 }
 # (gadget, octant, secrets) -> the gadget's rows (``gadget_rows``), compiled on first use
 _ROWS: dict[tuple, tuple[tuple, ...]] = {}
+_GREEDY: dict[tuple, np.ndarray] = {}  # row key -> its first row's K / sqrt(p), with the rows
 _CHECKED: set[tuple] = set()  # row keys ``_check_rows`` has passed
 
 
@@ -317,10 +323,12 @@ def gadget_rows(gadget: str, octant: int, secrets: tuple[int, ...]) -> tuple[tup
     A path applies a fixed operator K to the register, so one enumeration on
     the register maximally entangled with a reference finds them all: the
     path's post-state is K / sqrt(d p) (d the register dimension, p the path
-    probability). Each row is (outcomes, U^dagger F K, announced octant), F
-    its by-product correction and U the ideal gate, kept read-only in
-    ``_ROWS`` from a key's first call. The key is not checked here:
-    ``oracle`` checks the ones its callers give.
+    probability). Each row is (outcomes, M = U^dagger F K, announced octant,
+    by-product bit: X on an H R_Z's target, Z on a CZ's first), F its
+    correction and U the ideal gate, kept read-only in ``_ROWS`` from a
+    key's first call; the first, greedy, row's K / sqrt(p) = F U M / sqrt(p)
+    goes to ``_GREEDY``. The key is not checked here: ``oracle`` checks the
+    ones its callers give.
     """
     key = (gadget, octant, secrets)
     if key in _ROWS:
@@ -328,7 +336,7 @@ def gadget_rows(gadget: str, octant: int, secrets: tuple[int, ...]) -> tuple[tup
     width = 2 if gadget == "cz" else 1
     dim = 1 << width
     labels = [register_label(i) for i in range(2 * width)]  # the register, then the reference
-    undo = (CZ_GATE if gadget == "cz" else HRZ_BY_OCTANT[octant]).conj().T
+    gate = CZ_GATE if gadget == "cz" else HRZ_BY_OCTANT[octant]
 
     def run_fn(src: OutcomeSource) -> tuple:
         rt = QuantumRuntime(src)
@@ -336,21 +344,25 @@ def gadget_rows(gadget: str, octant: int, secrets: tuple[int, ...]) -> tuple[tup
         frame = PauliFrame.identity(2 * width)  # the reference carries no by-product
         frame = drive_gadget(rt, gadget, frame, tuple(range(width)), octant, secrets)
         post = frame.matrix_on(rt.snapshot(labels)).reshape(dim, dim).T
-        operator = math.sqrt(dim * src.path_probability()) * undo @ post
+        operator = math.sqrt(dim * src.path_probability()) * gate.conj().T @ post
         operator.flags.writeable = False
         # the prepare-only client announces by the gadget's rule from the first outcome
         announced = announced_octant(octant, *secrets, src.bits[0]) if gadget == "sueki" else None
-        return src.bits, operator, announced
+        return src.bits, operator, announced, frame.z[0] if gadget == "cz" else frame.x[0]
 
-    _ROWS[key] = tuple(br.value for br in enumerate_runs(run_fn))
-    return _ROWS[key]
+    _ROWS[key] = rows = tuple(br.value for br in enumerate_runs(run_fn))
+    _, operator, _, by_product = rows[0]
+    pauli = np.kron(np.eye(2), Z_GATE) if gadget == "cz" else X_GATE  # on the low qubit
+    scale = math.sqrt(dim) / np.linalg.norm(operator)  # 1 / sqrt(p)
+    _GREEDY[key] = np.linalg.matrix_power(pauli, by_product) @ gate @ (operator * scale)
+    return rows
 
 
 def row_fidelities(rows: Sequence[tuple]) -> np.ndarray:
     """Each row's |tr M|^2 / (d ||M||_F^2), M = U^dagger F K (one shape for all):
     its path's fidelity with the gate on the register maximally entangled
     with a reference, 1 exactly when M is a scalar times I."""
-    ops = np.stack([op for _, op, _ in rows])
+    ops = np.stack([op for _, op, _, _ in rows])
     trace = np.trace(ops, axis1=1, axis2=2)
     norm = (ops.real**2 + ops.imag**2).sum((1, 2))
     return (trace.real**2 + trace.imag**2) / (ops.shape[1] * norm)
@@ -373,19 +385,27 @@ def _check_rows(key: tuple, step: Step) -> None:
 
 
 def walk_run(config: ProtocolConfig) -> tuple[Session, Plan]:
-    """Drive every gadget step of a quiet ``run(config)`` and return the
+    """Walk every gadget step of a quiet ``run(config)`` and return the
     session and plan where ``finish_run`` starts.
 
     Each gadget realizes its gate on every outcome up to a by-product the
-    frame records, whatever the register holds, so no step needs to be
-    forked: the walk drives each step once, on the greedy path as ``run``
-    does, and checks the compiled rows of the step's key (``_check_rows``).
+    frame records, whatever the register holds, so no step is driven: the
+    walk checks the compiled rows of the step's key (``_check_rows``) and
+    applies the greedy row, the path ``run`` takes on ``ReplayOutcomes(())``:
+    its operator (``_GREEDY``), its by-product and its outcomes.
     """
     session = new_session(replace(config, record_transcript=False), ReplayOutcomes(()))
     plan = draw_plan(config)
     prepare_register(session)
     for step in plan.steps:
-        _check_rows(drive_step(session, step), step)
+        frame, key = step_key(session, step)
+        _check_rows(key, step)
+        bits, _, _, by_product = gadget_rows(*key)[0]
+        # a row's operator reads the register little-endian, apply's labels[0] is its high bit
+        session.rt.apply(_GREEDY[key], [register_label(pos) for pos in reversed(step.positions)])
+        flip = frame.flip_z if step.kind == "cz" else frame.flip_x
+        session.frame = flip(step.positions[0]) if by_product else frame
+        session.kept += bits
     return session, plan
 
 
@@ -393,7 +413,7 @@ def enumerate_output(session: Session, plan: Plan) -> list[RunBranch]:
     """Every path of the output stage, ``finish_run(session, plan)``, each on
     a fork of ``session``: the session's kept outcomes plus the output path,
     with the output path's probability and the ``DecodedOutput`` as the value."""
-    kept = session.rt.outcomes.bits
+    kept = session.kept
     leaves = enumerate_runs(lambda src: finish_run(session.fork(src), plan)[1])
     return [RunBranch(kept + br.outcomes, br.probability, br.value) for br in leaves]
 

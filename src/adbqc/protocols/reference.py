@@ -59,11 +59,11 @@ def enumerated_distribution(
 ) -> dict[tuple[int, ...], float]:
     """Exact decoded-output distribution of a protocol, all branches.
 
-    The paths come from ``enumerate_run`` alone, which drives each gadget
-    step once. ``run_protocol`` is checked, never called: it must be ``run``
-    or the config's own runner (a ``functools.wraps`` wrapper, such as the
-    benchmark tracer's, counts as what it wraps), else the config is
-    refused before any step is driven. It stays only for the benchmark's
+    The paths come from ``enumerate_run`` alone, which applies each gadget
+    step's greedy compiled row. ``run_protocol`` is checked, never called:
+    it must be ``run`` or the config's own runner (a ``functools.wraps``
+    wrapper, such as the benchmark tracer's, counts as what it wraps), else
+    the config is refused before any step is walked. It stays only for the benchmark's
     call.
     """
     runner = inspect.unwrap(run_protocol)

@@ -9,8 +9,9 @@ or by exhaustively enumerating every outcome path (``enumerate_runs``,
 which replays a computation once per path, so later steps may depend on
 earlier outcomes). A protocol run draws its other random choices before it
 starts, so the outcome source is a runtime's only randomness. Its exact
-enumeration drives each gadget step once and replays only the output stage,
-on ``fork``s of the runtime where that stage starts. Gadgets, protocol runs,
+enumeration applies each gadget step's greedy compiled row, one ``apply``
+each, and replays only the output stage, on ``fork``s of the runtime where
+that stage starts. Gadgets, protocol runs,
 oracles and audits all measure through ``QuantumRuntime.measure``; ``qsim``
 only builds states and applies gates.
 

@@ -5,11 +5,12 @@ and replays the lines into the terminal summary, so they are visible even
 when pytest captures stdout.
 
 The driver compiles each gadget's outcome rows once per process
-(``driver._ROWS``) and the exact walk checks each key's rows once
+(``driver._ROWS``, with each key's greedy path operator in
+``driver._GREEDY``) and the exact walk checks each key's rows once
 (``driver._CHECKED``), and the no-signaling audit compiles each octant's
 server views (``blindness._VIEWS``) and interns their blocks
 (``blindness._BLOCKS``); a test that patches a gadget must compile and
-check its own rows and views and leave none behind, so all four tables are
+check its own rows and views and leave none behind, so all five tables are
 emptied around every test.
 """
 
@@ -34,7 +35,7 @@ def acceptance():
 
 @pytest.fixture(autouse=True)
 def fresh_gadget_rows():
-    tables = (driver._ROWS, driver._CHECKED, blindness._VIEWS, blindness._BLOCKS)
+    tables = (driver._ROWS, driver._GREEDY, driver._CHECKED, blindness._VIEWS, blindness._BLOCKS)
     for table in tables:
         table.clear()
     yield

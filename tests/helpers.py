@@ -235,6 +235,21 @@ def drive_gadget_on(
     return rt, labels, frame
 
 
+def driven_walk_run(config: ProtocolConfig) -> tuple[driver.Session, driver.Plan]:
+    """``driver.walk_run`` by driving every step: each gadget step goes
+    through ``driver.drive_step`` on the greedy path, ancillas, couplings,
+    measurements, discards and frame included, and its key's rows are
+    checked (``driver._check_rows``); the outcomes its runtime measured are
+    the session's kept ones. The reference the walk's applied rows replaced."""
+    session = driver.new_session(replace(config, record_transcript=False), ReplayOutcomes(()))
+    plan = driver.draw_plan(config)
+    driver.prepare_register(session)
+    for step in plan.steps:
+        driver._check_rows(driver.drive_step(session, step), step)
+    session.kept = session.rt.outcomes.bits
+    return session, plan
+
+
 def forked_enumerate_run(config: ProtocolConfig) -> list[RunBranch]:
     """``driver.enumerate_run`` by forking every step: each gadget step is
     driven on forks of one session, one per outcome branch, every fork's
@@ -427,7 +442,7 @@ def looped_row_fidelities(rows) -> list[float]:
     """``driver.row_fidelities`` by the per-row loop it replaced: each row's
     M = U^dagger F K and I compared as unit vectors by ``fidelity_up_to_phase``."""
     fidelities = []
-    for _, operator, _ in rows:
+    for _, operator, _, _ in rows:
         flat = operator.reshape(-1) / np.linalg.norm(operator)
         ideal = np.eye(len(operator)).reshape(-1) / math.sqrt(len(operator))
         fidelities.append(fidelity_up_to_phase(flat, ideal))

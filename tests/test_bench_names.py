@@ -65,21 +65,20 @@ def test_the_bench_tracer_counts_every_p1_hrz(bench_module):
     assert tracer.summary()["gadgets.hrz.calls"] == sum(step.kind == "hrz" for step in steps)
 
 
-def test_the_exact_walk_drives_each_hrz_step_once(bench_module):
+def test_the_exact_walk_drives_no_hrz_step_once_the_rows_are_compiled(bench_module):
     """Once each step's gadget rows are compiled, ``enumerated_distribution``
-    drives each H R_Z step once, in the walk on one session, and calls no
-    runner. A slide back to replaying a whole run beside the walk, to
-    forking each step into its outcome branches, or to one replay per path,
-    multiplies the traced calls."""
+    drives no H R_Z step: the walk applies each step's greedy row, and no
+    runner is called. A slide back to driving each step in the walk, to
+    replaying a whole run beside it, to forking each step into its outcome
+    branches, or to one replay per path, shows in the traced calls."""
     config = protocols.ProtocolConfig(
         "p2", 2, 1, trap_count=1,
         algorithm=(protocols.GateRequest.single(0, octants=(1, 3, 5)),),
     )
-    steps = adbqc.protocols.driver.draw_plan(config).steps
     protocols.enumerated_distribution(protocols.run_protocol2, config)  # compiles the rows
     tracer = bench_module("tracing").Tracer()
     with tracer:
         protocols.enumerated_distribution(protocols.run_protocol2, config)
     summary = tracer.summary()
-    assert summary["gadgets.hrz.calls"] == sum(step.kind == "hrz" for step in steps)
+    assert summary["gadgets.hrz.calls"] == 0
     assert summary["protocols.run.calls"] == 0

@@ -1,18 +1,22 @@
-"""The exact walk against whole-run replay, a greedy run, the forked walk
-and the reference, and its primitives.
+"""The exact walk against whole-run replay, a greedy run, the driven and
+forked walks and the reference, and its primitives.
 
 ``enumerated_distribution`` sums the branches of one walk of a run's gadget
 steps on one session (``driver.enumerate_run``) and runs nothing else: the
-walk drives each step once, on the greedy path, checks that every compiled
-row of the step's gadget realizes its gate up to the frame, and enumerates
-the output stage. Its runner argument is only checked. The replay path runs
-the whole run once per outcome path through ``enumerate_runs``; both must
-give the same support and the same probabilities up to rounding, since
-they sum them in different orders. The walk's first branch must be the
-path and decoded bits of a greedy ``run``. The forked walk
-(``helpers.forked_enumerate_run``) forks every step into its outcome
-branches and compares their states; the walk must give its branches bit
-for bit.
+walk checks that every compiled row of each step's gadget realizes its gate
+up to the frame, applies the step's greedy row (its path operator, its
+by-product and its outcomes) and enumerates the output stage. Its runner
+argument is only checked. The replay path runs the whole run once per
+outcome path through ``enumerate_runs``; both must give the same support
+and the same probabilities up to rounding, since they sum them in
+different orders. The walk's first branch must be the path and decoded
+bits of a greedy ``run``. The driven walk (``helpers.driven_walk_run``)
+drives every step through the runtime on the greedy path, and the forked
+walk (``helpers.forked_enumerate_run``) forks every step into its outcome
+branches and compares their states; the walk must give their outcomes and
+decoded bits bit for bit, and their probabilities to the last bits
+(``assert_same_branches``): its paths multiply compiled rows, theirs the
+measurements they drive.
 """
 
 import functools
@@ -53,7 +57,8 @@ from adbqc.qsim import (
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import BOB
 from helpers import (
-    assert_channel_is_ideal, fidelity_up_to_phase, forked_enumerate_run, from_state,
+    assert_channel_is_ideal, driven_walk_run, fidelity_up_to_phase, forked_enumerate_run,
+    from_state,
 )
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -101,9 +106,43 @@ def assert_first_branch_is_the_greedy_run(config):
     assert (first.outcomes, first.value) == (source.bits, report.computation_bits)
 
 
+# how far a walked branch's probability may lie from a driven one's: the
+# walk's paths apply each step's compiled row, theirs multiply measured ones
+BRANCH_ROUNDING = 1e-14
+
+
+def assert_same_branches(got, want):
+    """Outcomes and values of every branch bit for bit, and probabilities
+    within ``BRANCH_ROUNDING``."""
+    assert [(br.outcomes, br.value) for br in got] == [(br.outcomes, br.value) for br in want]
+    np.testing.assert_allclose([br.probability for br in got], [br.probability for br in want],
+                               rtol=0, atol=BRANCH_ROUNDING)
+
+
 def assert_walk_equals_the_forked_walk(config):
-    """Outcomes, probability and decoded bits of every branch, bit for bit."""
-    assert driver.enumerate_run(config) == forked_enumerate_run(config)
+    assert_same_branches(driver.enumerate_run(config), forked_enumerate_run(config))
+
+
+def assert_walk_equals_the_driven_walk(config):
+    """The walk and the driven walk check the same row keys and leave the
+    same frame, kept outcomes and register state, and their output stages
+    give the same branches. The register is compared up to a global phase:
+    the measure-only client discards a Bell half whose two halves weigh
+    exactly 1/2 each, so which one the runtime keeps, and the phase it
+    leaves, follows the rounding of the register it acts on."""
+    driver._CHECKED.clear()
+    driven, plan = driven_walk_run(config)
+    checked = set(driver._CHECKED)
+    driver._CHECKED.clear()
+    walked, _ = driver.walk_run(config)
+    assert driver._CHECKED == checked
+    assert walked.frame == driven.frame
+    assert (walked.kept, walked.rt.outcomes.bits) == (driven.kept, ())
+    got, want = walked.rt.snapshot(), driven.rt.snapshot()
+    phase = np.vdot(got, want)
+    np.testing.assert_allclose(got * phase / abs(phase), want, rtol=0, atol=1e-12)
+    assert_same_branches(driver.enumerate_output(walked, plan),
+                         driver.enumerate_output(driven, plan))
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +193,29 @@ def test_the_walk_equals_the_forked_walk_on_acceptance_9(workloads, index):
     assert_walk_equals_the_forked_walk(ProtocolConfig(**workloads.ACCEPTANCE_9[index]))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_the_walk_equals_the_driven_walk_on_the_exact_workload(workloads, seed):
+    for config in next(workloads.exact_rounds(seed)).configs:
+        assert_walk_equals_the_driven_walk(config)
+
+
+@pytest.mark.parametrize("index", range(3), ids=["sueki", "p1", "p2"])
+def test_the_walk_equals_the_driven_walk_on_acceptance_9(workloads, index):
+    assert_walk_equals_the_driven_walk(ProtocolConfig(**workloads.ACCEPTANCE_9[index]))
+
+
 P2_N2 = ProtocolConfig("p2", 2, 1, trap_count=1)
 
 
 def test_a_runner_for_another_protocol_is_refused(monkeypatch):
     """Any runner but ``run`` and the config's own, a lambda that calls
-    ``run`` included, is refused before any step is driven."""
+    ``run`` included, is refused before the walk checks or reads any step's
+    rows."""
     def refuse(*args):
-        raise AssertionError("a step was driven")
+        raise AssertionError("a step was walked")
 
-    monkeypatch.setattr(driver, "drive_step", refuse)
+    for name in ("_check_rows", "gadget_rows"):
+        monkeypatch.setattr(driver, name, refuse)
     for wrong, config in [
         (run_sueki, P2_N2),
         (run_protocol2, SUEKI_H),
@@ -276,6 +328,11 @@ EXACT = {
 @pytest.mark.parametrize("config", EXACT.values(), ids=EXACT.keys())
 def test_the_walk_equals_the_forked_walk_on_the_exact_configs(config):
     assert_walk_equals_the_forked_walk(config)
+
+
+@pytest.mark.parametrize("config", EXACT.values(), ids=EXACT.keys())
+def test_the_walk_equals_the_driven_walk_on_the_exact_configs(config):
+    assert_walk_equals_the_driven_walk(config)
 
 
 @pytest.mark.parametrize("config", EXACT.values(), ids=EXACT.keys())

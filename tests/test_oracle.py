@@ -23,7 +23,7 @@ from adbqc.protocols.driver import CLIENT_BY_PROTOCOL
 from adbqc.protocols.measure_client import classify_angle
 from adbqc.qsim import Z_GATE, haar_random_state
 from helpers import (
-    looped_row_fidelities, replayed_branch_table, sweep_by_keys, zero_state,
+    identity_gap, looped_row_fidelities, replayed_branch_table, sweep_by_keys, zero_state,
 )
 
 
@@ -133,7 +133,8 @@ def test_every_key_compiles_once_into_read_only_rows(monkeypatch):
     """The 153 (gadget, octant, secrets) keys compile into 610 paths, each a
     tuple whose operator refuses a write; a second lookup replays nothing.
     Every row passes the one soundness check, and its batched value is the
-    per-row loop's to 1e-15."""
+    per-row loop's to 1e-15. Each key's greedy path operator, which the
+    exact walk applies, is unitary to 1e-15."""
     keys = [(PROTOCOL_BY_GADGET.get(g, g), k, drawn)
             for g in ORACLE_GADGETS for k in ((0,) if g == "cz" else range(8))
             for drawn in (CLIENT_BY_PROTOCOL[PROTOCOL_BY_GADGET[g]].SECRETS
@@ -145,6 +146,7 @@ def test_every_key_compiles_once_into_read_only_rows(monkeypatch):
         fidelities = driver.row_fidelities(shape)
         assert fidelities.min() >= 1.0 - GADGET_FIDELITY_ATOL
         np.testing.assert_allclose(fidelities, looped_row_fidelities(shape), rtol=0, atol=1e-15)
+    assert max(identity_gap(driver._GREEDY[key]) for key in keys) <= 1e-15
     for rows in compiled:
         assert isinstance(rows, tuple)
         for row in rows:
@@ -321,8 +323,8 @@ def test_soundness_sweep_reads_every_gathered_row(monkeypatch, key, wrong):
     """The last row of one key the sweep draws, its operator M replaced with
     Z, fails the sweep at either width: an honest M is c I, which passes
     the check, so only a wrong one shows that no gathered row is dropped."""
-    *kept, (outcomes, _, announced) = driver.gadget_rows(*key)
-    monkeypatch.setitem(driver._ROWS, key, (*kept, (outcomes, wrong, announced)))
+    *kept, (outcomes, _, announced, by_product) = driver.gadget_rows(*key)
+    monkeypatch.setitem(driver._ROWS, key, (*kept, (outcomes, wrong, announced, by_product)))
     worst, count = soundness_sweep(4)
     assert count == 100
     assert worst < 1.0 - GADGET_FIDELITY_ATOL
