@@ -88,19 +88,28 @@ CATALOGUE = (
          "tests/test_enumeration.py::test_the_walk_decodes_to_the_reference[p1-N6-d2-cz]"),
     ),
     Mutant(
-        "sweep-drops-each-last-row",
+        "sweep-drops-each-last-row",  # the sweep reads every key's scores but the last row's
         "src/adbqc/oracle.py",
-        "for row in gadget_rows(*key)]",
-        "for row in gadget_rows(*key)[:-1]]",
+        "[row_scores(*key) for key",
+        "[row_scores(*key)[:-1] for key",
         ("tests/test_oracle.py::test_soundness_sweep_reads_every_gathered_row[one-qubit]",
          "tests/test_oracle.py::test_soundness_sweep_reads_every_gathered_row[two-qubit]",
          "tests/test_oracle.py::test_soundness_sweep_draws_secrets_only_where_they_are_read"),
     ),
     Mutant(
+        "scores-skip-the-last-row",  # a key's scores, compiled with its rows, miss its last row
+        "src/adbqc/protocols/driver.py",
+        "    _SCORES[key] = row_fidelities(rows)\n",
+        "    _SCORES[key] = row_fidelities(rows[:-1])\n",
+        ("tests/test_oracle.py::test_soundness_sweep_reads_every_gathered_row[one-qubit]",
+         "tests/test_oracle.py::test_soundness_sweep_reads_every_gathered_row[two-qubit]",
+         "tests/test_oracle.py::test_every_key_compiles_once_into_read_only_rows"),
+    ),
+    Mutant(
         "view-against-itself",  # block_trace_distances compares each view with itself
         "src/adbqc/blindness.py",
-        "    first, second = np.array(list(zip(*pairs)), dtype=int).reshape(2, -1)\n",
-        "    first, second = np.array(list(zip(*pairs)), dtype=int).reshape(2, -1)[[0, 0]]\n",
+        "    first, second = np.asarray(pairs, dtype=int).reshape(-1, 2).T\n",
+        "    first, second = np.asarray(pairs, dtype=int).reshape(-1, 2).T[[0, 0]]\n",
         ("tests/test_blindness.py::test_no_signaling_flags_a_classical_leak",
          "tests/test_blindness.py::test_no_signaling_flags_a_leak_without_a_classical_trace",
          "tests/test_blindness.py::test_block_trace_distance_handles_disjoint_keys",
@@ -119,13 +128,21 @@ CATALOGUE = (
     Mutant(
         "every-cell-reads-the-first-pair",  # the dedupe hands each cell one pair's distance
         "src/adbqc/blindness.py",
-        "            terms.setdefault(p, []).append(dist[ab])\n",
-        "            terms.setdefault(p, []).append(dist[both[0]])\n",
+        "    terms = once[inverse]  # each cell's terms, in pair order\n",
+        "    terms = once[0 * inverse]  # each cell's terms, in pair order\n",
         ("tests/test_blindness.py::test_block_trace_distances_equal_the_bytes_interned_reference",
          "tests/test_blindness.py::test_no_signaling_flags_a_leak_without_a_classical_trace",
          "tests/test_blindness.py::test_view_audits_equal_one_comparison_per_checkpoint"
          "[hrz-sueki-0-3]",
          "tests/test_blindness.py::test_gadget_view_audit_flags_a_leak[p2-1-6]"),
+    ),
+    Mutant(
+        "theta-count-drops-the-pad",  # the announced octant is counted as if no pad were drawn
+        "src/adbqc/blindness.py",
+        "announced_octant(targets[:, None], hiding, pad, s1)",
+        "announced_octant(targets[:, None], hiding, 0, s1)",
+        ("tests/test_blindness.py::test_theta_uniformity_counts_as_the_looped_count"
+         "[hiding-0-to-3]",),
     ),
 )
 

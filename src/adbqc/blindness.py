@@ -2,14 +2,15 @@
 
 Six audits:
 
-- announced-angle uniformity for the prepare-only client (counting);
+- announced-angle uniformity for the prepare-only client (one broadcast count);
 - the server's view of one client's rotation step (``audit_gadget_view_tv``,
   any client): its quantum state and classical record before each event it
   can see and at the end, over every secret the client draws, with the
   step's input maximally entangled with a reference the server keeps, must
   be identical whatever the octant (exact: views compiled once per client
   and octant, by one walk of the step that runs, bit-equal blocks interned
-  as one object; each call decomposes each distinct pair of blocks once);
+  as one row of a stack; each call pairs the views' compiled cells in numpy
+  and decomposes each distinct pair of blocks once);
 - no-signaling for the measure-only client: the same audit's p1 case, over
   any set of octants and checkpoints;
 - transcript statistics for full protocol runs: a permutation test that
@@ -72,22 +73,19 @@ def audit_theta_uniformity() -> AuditResult:
     """The announced octant must cover all eight octants equally often (twice)
     over the client's sixteen equally likely secrets ``sueki.SECRETS``, for
     every target octant and first outcome: 8 targets x 2 outcomes x 8
-    coverage counts = 128 deterministic checks, zero tolerance."""
-    share = len(sueki.SECRETS) // 8
-    worst = 0
-    checks = 0
-    for target in range(8):
-        for s1 in (0, 1):
-            seen = Counter(announced_octant(target, *secrets, s1) for secrets in sueki.SECRETS)
-            for k in range(8):
-                worst = max(worst, abs(seen.get(k, 0) - share))
-                checks += 1
+    coverage counts = 128 deterministic checks, zero tolerance, counted in
+    one ``announced_octant`` call per outcome over every target and secret."""
+    targets, (hiding, pad) = np.arange(8), np.array(sueki.SECRETS).T
+    seen = [announced_octant(targets[:, None], hiding, pad, s1) for s1 in (0, 1)]
+    # one count per (outcome, target, announced octant)
+    counts = np.bincount((np.arange(16)[:, None] * 8 + np.concatenate(seen)).ravel(), minlength=128)
+    worst = int(np.abs(counts - len(sueki.SECRETS) // 8).max())
     return AuditResult(
         name="theta_uniformity",
         passed=worst == 0,
         statistic=float(worst),
         threshold=0.0,
-        details={"checks": checks},
+        details={"checks": len(counts)},
     )
 
 
@@ -98,10 +96,38 @@ def audit_theta_uniformity() -> AuditResult:
 # the rotation step's register maximally entangled with a reference, and no by-product yet
 _ENTANGLED = np.eye(2).reshape(-1) / math.sqrt(2)
 _NO_FRAME = PauliFrame.identity(1)
-# paths walked, views made per checkpoint, and {checkpoint: {server record: block}}
-_Views = tuple[int, Counter, dict[int, dict[tuple, np.ndarray]]]
+
+
+class _View(dict):
+    """A view {server record: block} with its cells (``_intern``): per record, its
+    (d, record) slot, its block's dimension d and row, the rows of an int array."""
+
+    __slots__ = ("cells",)
+
+
+# paths walked, views made per checkpoint, and {checkpoint: view}
+_Views = tuple[int, Counter, dict[int, _View]]
 _VIEWS: dict[tuple[str, int], _Views] = {}  # (protocol, octant) -> its views
-_BLOCKS: dict[bytes, np.ndarray] = {}  # bytes -> the one compiled block: a read-only array on them
+_BLOCKS: dict[bytes, tuple[int, np.ndarray]] = {}  # bytes -> (row, the one block: an array on them)
+_STACKS: dict[int, list[np.ndarray]] = {}  # d -> its d x d blocks by row, row 0 the zero block
+_SLOTS: dict[tuple, int] = {}  # (d, server record) -> its slot
+
+
+def _intern(view: dict) -> _View:
+    """``view`` with its cells, each block interned: the one object of its bytes in
+    ``_BLOCKS``, a read-only array on them, which is its row of its dimension's
+    stack (``_STACKS``, whose row 0 is the zero block, no block)."""
+    interned, cells = _View(), []
+    for record, block in view.items():
+        d, raw = len(block), block.tobytes()
+        stack = _STACKS.setdefault(d, [np.zeros((d, d), complex)])
+        new = np.frombuffer(raw, complex).reshape(d, d)
+        row, interned[record] = _BLOCKS.setdefault(raw, (len(stack), new))
+        if row == len(stack):
+            stack.append(new)
+        cells.append((_SLOTS.setdefault((d, record), len(_SLOTS)), d, row))
+    interned.cells = np.array(cells, dtype=int).reshape(-1, 3).T
+    return interned
 
 
 class _Checkpoints(Transcript):
@@ -132,8 +158,8 @@ def _compiled_views(protocol: str, octant: int) -> _Views:
     probability p, p ``density_of(BOB)`` / len(SECRETS) to that (checkpoint,
     server record) block: the strongest view of the step on any input. A
     checkpoint comes before each event the server can see, and one at the end.
-    Every block is interned (``_BLOCKS``): bit-equal blocks of all views are one object,
-    and a checkpoint whose blocks are the last one's objects is the last one's dict."""
+    Every view is interned (``_intern``): bit-equal blocks of all views are one object,
+    and a checkpoint whose blocks are the last one's objects is the last one's view."""
     if (protocol, octant) not in _VIEWS:
         secrets = CLIENT_BY_PROTOCOL[protocol].SECRETS
         blocks: dict[int, dict[tuple, np.ndarray]] = {}
@@ -159,43 +185,42 @@ def _compiled_views(protocol: str, octant: int) -> _Views:
             paths += len(enumerate_runs(run_fn))
             made.update(at for at, _ in seen)
         for at in sorted(blocks):  # interned; an unchanged checkpoint is its predecessor
-            view, last = blocks[at], blocks.get(at - 1, {})
-            for record, block in view.items():
-                shape, raw = block.shape, block.tobytes()
-                view[record] = _BLOCKS.setdefault(raw, np.frombuffer(raw, complex).reshape(shape))
-            if view.keys() == last.keys() and all(view[k] is last[k] for k in view):
-                blocks[at] = last
+            view, last = _intern(blocks[at]), blocks.get(at - 1, {})
+            unchanged = view.keys() == last.keys() and all(view[k] is last[k] for k in view)
+            blocks[at] = last if unchanged else view
         _VIEWS[protocol, octant] = (paths, made, blocks)
     return _VIEWS[protocol, octant]
 
 
-def block_trace_distances(views: Sequence[dict], pairs: Sequence[tuple[int, int]]) -> list[float]:
-    """Trace distance between the block states ``views[i]`` and ``views[j]`` of each
-    pair (i, j): the ``math.fsum`` over keys of each block pair's distance (a missing
-    block is 0; one object is 0 from itself). Blocks are told apart by identity, as
-    compiled ones are interned (``_BLOCKS``), and per shape one ``trace_distance``
-    call takes each distinct ordered pair of blocks once, for every cell it fills."""
-    by_shape: dict[tuple, tuple[dict, dict, dict]] = {}  # keys, distinct blocks' rows, cells
-    for v, view in enumerate(views):
-        for key, block in view.items():
-            keys, rows, cells = by_shape.get(block.shape) or by_shape.setdefault(
-                block.shape, ({}, {}, {}))
-            row = rows.get(id(block)) or rows.setdefault(id(block), (1 + len(rows), block))
-            cells[keys.setdefault(key, len(keys)), v] = row[0]
-    first, second = np.array(list(zip(*pairs)), dtype=int).reshape(2, -1)
-    terms: dict[int, list[float]] = {}  # each pair's distances at the keys where it differs
-    for shape, (keys, rows, cells) in by_shape.items():
-        row = np.zeros((len(keys), len(views)), dtype=int)
-        row[tuple(zip(*cells))] = list(cells.values())  # each (key, view)'s block row
-        stack = np.array([np.zeros(shape, complex), *(block for _, block in rows.values())])
-        key, pair = np.nonzero(row[:, first] != row[:, second])  # row 0, the zero block: no block
-        both = list(zip(row[key, first[pair]].tolist(), row[key, second[pair]].tolist()))
-        # ordered: eigvalsh(b - a) is eigvalsh(a - b) negated and reversed, whose sum can differ
-        a, b = np.array(list(distinct := dict.fromkeys(both)), dtype=int).reshape(-1, 2).T
-        dist = dict(zip(distinct, trace_distance(stack[a], stack[b]).tolist()))
-        for p, ab in zip(pair.tolist(), both):
-            terms.setdefault(p, []).append(dist[ab])
-    return [math.fsum(terms.get(p, ())) for p in range(len(pairs))]
+def block_trace_distances(views: Sequence[_View], pairs) -> np.ndarray:
+    """Trace distance between the interned (``_intern``) block states ``views[i]`` and
+    ``views[j]`` of each pair (i, j), as an array: the exact (``math.fsum``) sum over
+    records of each block pair's distance (a missing block is the zero block; one block is
+    0 from itself). The views' cells grid each (slot, view)'s block row, and per dimension
+    one ``trace_distance`` call takes each distinct ordered pair of rows once."""
+    slot, dim, row = np.concatenate([view.cells for view in views], axis=1)
+    at = np.repeat(np.arange(len(views)), [len(view) for view in views])
+    taken = np.cumsum(np.bincount(slot, minlength=1) > 0)  # the views' slots, numbered from 1
+    slot, used = taken[slot] - 1, taken[-1]
+    rows, dims = np.zeros((used, len(views)), dtype=int), np.zeros(used, dtype=int)
+    rows[slot, at], dims[slot] = row, dim  # each (slot, view)'s block row, each slot's d
+    first, second = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    pair, cell = np.nonzero(rows[:, first].T != rows[:, second].T)  # each pair's slots that differ
+    d, a, b = dims[cell], rows[cell, first[pair]], rows[cell, second[pair]]
+    # ordered: eigvalsh(b - a) is eigvalsh(a - b) negated and reversed, whose sum can differ
+    base = 1 + max(map(len, _STACKS.values()), default=0)
+    distinct, inverse = np.unique((d * base + a) * base + b, return_inverse=True)
+    d, (a, b) = distinct // base**2, np.divmod(distinct % base**2, base)  # by dimension
+    once = np.empty(len(d))
+    for n in set(d.tolist()):
+        i, j = np.searchsorted(d, [n, n + 1]).tolist()
+        blocks_a, blocks_b = (np.array([_STACKS[n][r] for r in x[i:j].tolist()]) for x in (a, b))
+        once[i:j] = trace_distance(blocks_a, blocks_b)
+    terms = once[inverse]  # each cell's terms, in pair order
+    dists = np.bincount(pair, terms, len(first))  # one rounding: exact for two terms
+    for p in np.flatnonzero(np.bincount(pair, minlength=len(first)) > 2).tolist():
+        dists[p] = math.fsum(terms[slice(*np.searchsorted(pair, [p, p + 1]))].tolist())
+    return dists
 
 
 def _audit_views(
@@ -203,28 +228,25 @@ def _audit_views(
 ) -> AuditResult:
     """Compare the compiled views of ``protocol``'s step at each pair of ``octants`` at
     each checkpoint in ``steps`` (every one when None) by trace distance, in one
-    ``block_trace_distances`` call that takes each distinct tuple of view objects once."""
+    ``block_trace_distances`` call: an aliased checkpoint adds no distinct pair of blocks."""
     compiled = [_compiled_views(protocol, k) for k in octants]
     checkpoints = range(1, 1 + max(at for _, _, views in compiled for at in views))
     steps = list(checkpoints) if steps is None else steps
     if outside := [s for s in steps if s not in checkpoints]:
         raise ValueError(f"the {protocol} step has no checkpoint {outside[0]}")
-    pairs = [(i, j) for i in range(len(octants)) for j in range(i + 1, len(octants))]
-    compared = [(s, octants[i], octants[j]) for s in steps for i, j in pairs]
-    at_step = [[views.get(s, {}) for _, _, views in compiled] for s in steps]
-    distinct = {tuple(map(id, at)): at for at in at_step}  # an alias is compared once
-    n = len(octants)
-    once = block_trace_distances([view for at in distinct.values() for view in at], [
-        (d * n + i, d * n + j) for d in range(len(distinct)) for i, j in pairs])
-    by_ids = {ids: once[d * len(pairs):(d + 1) * len(pairs)] for d, ids in enumerate(distinct)}
-    dists = [dist for at in at_step for dist in by_ids[tuple(map(id, at))]]
-    worst = max(dists)
+    pairs = np.array([(i, j) for i in range(len(octants)) for j in range(i + 1, len(octants))])
+    dists = block_trace_distances(
+        [views.get(s) or _intern({}) for s in steps for _, _, views in compiled],
+        np.arange(len(steps))[:, None, None] * len(octants) + pairs)
+    at = int(np.argmax(dists))  # the first worst (step, pair)
+    worst = float(dists[at])
+    step, (i, j) = steps[at // len(pairs)], pairs[at % len(pairs)].tolist()
     return AuditResult(
         name=name,
         passed=worst <= NO_SIGNALING_ATOL,
         statistic=worst,
         threshold=NO_SIGNALING_ATOL,
-        details={**details, "worst_at": compared[dists.index(worst)] if worst > 0.0 else None,
+        details={**details, "worst_at": (step, octants[i], octants[j]) if worst > 0.0 else None,
                  "steps": steps, "octants": octants,
                  "branches": sum(paths for paths, _, _ in compiled),
                  "views": sum(made[s] for _, made, _ in compiled for s in steps)},

@@ -6,12 +6,13 @@ shape of that client's ``fold``ed ``COINS``; ``cz`` is the coupling gadget.
 Each is enumerated over every outcome path once per process and
 (gadget, octant, secrets) by ``driver.gadget_rows``, through the
 ``driver.drive_gadget`` a run drives, on its register maximally entangled
-with a reference, which gives each path's operator M. ``soundness_sweep``
-scores drawn keys' rows by the exact walk's check (``driver.row_fidelities``:
-M a scalar times I); ``branch_table`` reads them on one input (``_path_stats``),
-a row per path with its outcomes, probability, and fidelity of the
-frame-corrected output against the ideal gate. The ``oracle`` CLI
-subcommand prints these tables and the acceptance suite sweeps them.
+with a reference, which gives each path's operator M and its score by the
+exact walk's check (``driver.row_scores``: M a scalar times I), which
+``soundness_sweep`` reads for drawn keys. ``branch_table`` reads the rows
+on one input (``_path_stats``), a row per path with its outcomes,
+probability, and fidelity of the frame-corrected output against the ideal
+gate. The ``oracle`` CLI subcommand prints these tables and the acceptance
+suite sweeps them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .protocols.config import _integer
-from .protocols.driver import CLIENT_BY_PROTOCOL, draw_secrets, gadget_rows, row_fidelities
+from .protocols.driver import CLIENT_BY_PROTOCOL, draw_secrets, gadget_rows, row_scores
 from .qsim import BRANCH_PROB_FLOOR, GADGET_FIDELITY_ATOL, _has_unit_norm, haar_random_state
 
 # the protocol whose client step each H R_Z gadget drives
@@ -114,8 +115,8 @@ def soundness_sweep(states_per_octant: int = 4, seed: int = 2026) -> tuple[float
     100 with the default four per octant, 8 + 8 + 8 + 1 = 25 times four.
     The secrets come from the one ``oracle-secrets`` stream in item order; a
     row's value holds for every input, so none is drawn. Each distinct key's
-    ``gadget_rows`` are read once, unchecked (its keys are admissible), in
-    one check per operator shape.
+    scores, compiled with its rows (``driver.row_scores``), are read once,
+    unchecked (its keys are admissible).
     """
     if states_per_octant < 1:
         raise ValueError("the soundness sweep needs at least one state per octant")
@@ -123,7 +124,5 @@ def soundness_sweep(states_per_octant: int = 4, seed: int = 2026) -> tuple[float
     drawn = [(PROTOCOL_BY_GADGET.get(gadget, gadget), octant, _draw_secrets(gadget, secrets_rng))
              for gadget in ORACLE_GADGETS for octant in _octants(gadget)
              for _ in range(states_per_octant)]
-    keys = list(dict.fromkeys(drawn))  # each distinct key once; the two-qubit cz last
-    worst = min(float(row_fidelities([row for key in shape for row in gadget_rows(*key)]).min())
-                for shape in (keys[:-1], keys[-1:]))
-    return worst, len(drawn)
+    worst = np.concatenate([row_scores(*key) for key in dict.fromkeys(drawn)]).min()
+    return float(worst), len(drawn)

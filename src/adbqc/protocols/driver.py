@@ -244,6 +244,7 @@ CLIENT_BY_PROTOCOL: dict[str, ModuleType] = {
 # (gadget, octant, secrets) -> the gadget's rows (``gadget_rows``), compiled on first use
 _ROWS: dict[tuple, tuple[tuple, ...]] = {}
 _GREEDY: dict[tuple, np.ndarray] = {}  # row key -> its first row's K / sqrt(p), with the rows
+_SCORES: dict[tuple, np.ndarray] = {}  # row key -> its rows' ``row_fidelities``, with the rows
 _CHECKED: set[tuple] = set()  # row keys ``_check_rows`` has passed
 
 
@@ -264,8 +265,8 @@ class Plan(NamedTuple):
 def draw_plan(config: ProtocolConfig) -> Plan:
     """Draw every choice of a run before it starts. From the "alice" stream:
     the trap layout, then each H R_Z step's client secrets in step order;
-    from the "adversary" stream: the stray-Pauli hits, then the tamper flip
-    of each output position."""
+    from the "adversary" stream, opened only if read: the stray-Pauli hits,
+    then the tamper flip of each output position."""
     alice = stream(config.seed, "alice")
     layout = place_traps(config.num_qubits, config.trap_count, config.protocol, alice)
     client = CLIENT_BY_PROTOCOL[config.protocol]
@@ -273,9 +274,10 @@ def draw_plan(config: ProtocolConfig) -> Plan:
         step._replace(secrets=draw_secrets(client, alice)) if step.kind == "hrz" else step
         for step in compile_steps(config, layout)
     )
-    adversary = stream(config.seed, "adversary")
-    hits = sample_attack(config, adversary)
     adv = config.adversary
+    draws = adv.kind == "trap_tamper" or adv.kind == "random_pauli" and adv.pauli_positions is None
+    adversary = stream(config.seed, "adversary") if draws else None
+    hits = sample_attack(config, adversary)
     flips = tuple(
         adv.kind == "trap_tamper" and adversary.random() >= adv.tamper_rate
         for _ in range(config.num_qubits)
@@ -327,8 +329,8 @@ def gadget_rows(gadget: str, octant: int, secrets: tuple[int, ...]) -> tuple[tup
     by-product bit: X on an H R_Z's target, Z on a CZ's first), F its
     correction and U the ideal gate, kept read-only in ``_ROWS`` from a
     key's first call; the first, greedy, row's K / sqrt(p) = F U M / sqrt(p)
-    goes to ``_GREEDY``. The key is not checked here: ``oracle`` checks the
-    ones its callers give.
+    goes to ``_GREEDY`` and the rows' ``row_fidelities`` to ``_SCORES``. The
+    key is not checked here: ``oracle`` checks the ones its callers give.
     """
     key = (gadget, octant, secrets)
     if key in _ROWS:
@@ -355,7 +357,15 @@ def gadget_rows(gadget: str, octant: int, secrets: tuple[int, ...]) -> tuple[tup
     pauli = np.kron(np.eye(2), Z_GATE) if gadget == "cz" else X_GATE  # on the low qubit
     scale = math.sqrt(dim) / np.linalg.norm(operator)  # 1 / sqrt(p)
     _GREEDY[key] = np.linalg.matrix_power(pauli, by_product) @ gate @ (operator * scale)
+    _SCORES[key] = row_fidelities(rows)
+    _SCORES[key].flags.writeable = False
     return rows
+
+
+def row_scores(gadget: str, octant: int, secrets: tuple[int, ...]) -> np.ndarray:
+    """The ``row_fidelities`` of the key's ``gadget_rows``, compiled with them."""
+    gadget_rows(gadget, octant, secrets)
+    return _SCORES[gadget, octant, secrets]
 
 
 def row_fidelities(rows: Sequence[tuple]) -> np.ndarray:
@@ -369,17 +379,17 @@ def row_fidelities(rows: Sequence[tuple]) -> np.ndarray:
 
 
 def _check_rows(key: tuple, step: Step) -> None:
-    """Refuse ``step`` unless every row of its ``key`` passes ``row_fidelities``,
-    naming the worst row's outcomes. Each key is checked once per process."""
+    """Refuse ``step`` unless every row of its ``key`` passes by its score
+    (``row_scores``), naming the worst row's outcomes. Each key is checked
+    once per process."""
     if key in _CHECKED:
         return
-    rows = gadget_rows(*key)
-    fidelity = row_fidelities(rows)
+    fidelity = row_scores(*key)
     worst = int(np.argmin(fidelity))
     if fidelity[worst] < 1.0 - GADGET_FIDELITY_ATOL:
         raise AssertionError(
             f"{step.kind} step on {step.positions} (octant {step.octant}): outcomes "
-            f"{rows[worst][0]} and the gate leave different states"
+            f"{gadget_rows(*key)[worst][0]} and the gate leave different states"
         )
     _CHECKED.add(key)
 
@@ -394,7 +404,8 @@ def walk_run(config: ProtocolConfig) -> tuple[Session, Plan]:
     applies the greedy row, the path ``run`` takes on ``ReplayOutcomes(())``:
     its operator (``_GREEDY``), its by-product and its outcomes.
     """
-    session = new_session(replace(config, record_transcript=False), ReplayOutcomes(()))
+    session = Session(config, QuantumRuntime(ReplayOutcomes(())),  # records no transcript
+                      PauliFrame.identity(config.num_qubits))
     plan = draw_plan(config)
     prepare_register(session)
     for step in plan.steps:

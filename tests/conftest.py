@@ -6,12 +6,14 @@ when pytest captures stdout.
 
 The driver compiles each gadget's outcome rows once per process
 (``driver._ROWS``, with each key's greedy path operator in
-``driver._GREEDY``) and the exact walk checks each key's rows once
-(``driver._CHECKED``), and the no-signaling audit compiles each octant's
-server views (``blindness._VIEWS``) and interns their blocks
-(``blindness._BLOCKS``); a test that patches a gadget must compile and
-check its own rows and views and leave none behind, so all five tables are
-emptied around every test.
+``driver._GREEDY`` and its rows' scores in ``driver._SCORES``) and the
+exact walk checks each key's rows once (``driver._CHECKED``), and the
+no-signaling audit compiles each octant's server views
+(``blindness._VIEWS``) and interns their blocks (``blindness._BLOCKS``),
+as rows of per-dimension stacks (``blindness._STACKS``), and their server
+records (``blindness._SLOTS``); a test that patches a gadget must compile
+and check its own rows and views and leave none behind, so all eight
+tables are emptied around every test.
 """
 
 import pytest
@@ -35,7 +37,8 @@ def acceptance():
 
 @pytest.fixture(autouse=True)
 def fresh_gadget_rows():
-    tables = (driver._ROWS, driver._GREEDY, driver._CHECKED, blindness._VIEWS, blindness._BLOCKS)
+    tables = (driver._ROWS, driver._GREEDY, driver._SCORES, driver._CHECKED, blindness._VIEWS,
+              blindness._BLOCKS, blindness._STACKS, blindness._SLOTS)
     for table in tables:
         table.clear()
     yield

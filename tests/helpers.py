@@ -11,7 +11,7 @@ import pytest
 from adbqc import blindness, rng
 from adbqc.gadgets import PauliFrame, announced_octant, octant_angle, pattern_unitary
 from adbqc.oracle import ORACLE_GADGETS, PROTOCOL_BY_GADGET, BranchRow
-from adbqc.protocols import ProtocolConfig, config_from_dict, config_object, driver, run
+from adbqc.protocols import ProtocolConfig, config_from_dict, config_object, driver, run, sueki
 from adbqc.protocols.driver import RunResult
 from adbqc.protocols.reference import reference_state
 from adbqc.protocols.schedule import schedule
@@ -250,6 +250,27 @@ def driven_walk_run(config: ProtocolConfig) -> tuple[driver.Session, driver.Plan
     return session, plan
 
 
+def always_open_draw_plan(config: ProtocolConfig) -> driver.Plan:
+    """``driver.draw_plan`` that opens the "adversary" stream for every
+    adversary, the honest one too, and reads the hits and flips off it: the
+    reference the plan drawn without opening an unread stream must equal."""
+    alice = rng.stream(config.seed, "alice")
+    layout = driver.place_traps(config.num_qubits, config.trap_count, config.protocol, alice)
+    client = driver.CLIENT_BY_PROTOCOL[config.protocol]
+    steps = tuple(
+        step._replace(secrets=driver.draw_secrets(client, alice)) if step.kind == "hrz" else step
+        for step in driver.compile_steps(config, layout)
+    )
+    adversary = rng.stream(config.seed, "adversary")
+    hits = driver.sample_attack(config, adversary)
+    adv = config.adversary
+    flips = tuple(
+        adv.kind == "trap_tamper" and adversary.random() >= adv.tamper_rate
+        for _ in range(config.num_qubits)
+    )
+    return driver.Plan(layout, steps, hits, flips)
+
+
 def forked_enumerate_run(config: ProtocolConfig) -> list[RunBranch]:
     """``driver.enumerate_run`` by forking every step: each gadget step is
     driven on forks of one session, one per outcome branch, every fork's
@@ -436,6 +457,21 @@ def per_checkpoint_view_audit(
         "steps": list(steps), "octants": list(octants),
         "branches": sum(paths for paths, _, _ in compiled),
         "views": sum(made[s] for _, made, _ in compiled for s in steps)}
+
+
+def looped_theta_uniformity() -> tuple[float, bool, dict]:
+    """(statistic, passed, details) of ``blindness.audit_theta_uniformity`` by a
+    loop over the 8 targets and 2 first outcomes, one ``announced_octant`` call
+    per entry of ``sueki.SECRETS`` and one ``Counter`` per (target, outcome)."""
+    share = len(sueki.SECRETS) // 8
+    worst = checks = 0
+    for target in range(8):
+        for s1 in (0, 1):
+            seen = Counter(announced_octant(target, *secrets, s1) for secrets in sueki.SECRETS)
+            for k in range(8):
+                worst = max(worst, abs(seen.get(k, 0) - share))
+                checks += 1
+    return float(worst), worst == 0, {"checks": checks}
 
 
 def looped_row_fidelities(rows) -> list[float]:

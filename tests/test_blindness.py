@@ -41,6 +41,7 @@ from helpers import (
     block_trace_distance,
     bytes_interned_block_trace_distances,
     joint_density_of,
+    looped_theta_uniformity,
     normalized,
     per_checkpoint_view_audit,
     per_path_server_views,
@@ -85,6 +86,28 @@ def test_theta_uniformity_audit_passes():
     assert result.details["checks"] == 128
 
 
+# sets of (hiding octant, pad bit) secrets: the first three cover every octant
+# once per share, "hiding-0-to-3" only through its pad bits
+THETA_SECRETS = {
+    "all": sueki.SECRETS,
+    "hiding-0-to-3": tuple((hiding, pad) for hiding in range(4) for pad in (0, 1)),
+    "even-hiding": tuple((hiding, pad) for hiding in (0, 2, 4, 6) for pad in (0, 1)),
+    "no-pad": tuple((hiding, 0) for hiding in range(8)),
+    "odd": ((1, 0), (3, 1), (4, 1), (6, 0), (7, 1)),
+}
+
+
+@pytest.mark.parametrize("name", THETA_SECRETS)
+def test_theta_uniformity_counts_as_the_looped_count(monkeypatch, name):
+    """The audit's one broadcast count over every target, outcome and secret
+    gives the statistic, verdict and details of the count per (target,
+    outcome), on the client's secrets and on sets where the pad matters."""
+    monkeypatch.setattr(sueki, "SECRETS", THETA_SECRETS[name])
+    result = audit_theta_uniformity()
+    assert (result.statistic, result.passed, result.details) == looped_theta_uniformity()
+    assert result.passed == (name in ("all", "hiding-0-to-3", "no-pad"))
+
+
 def test_theta_uniformity_needs_the_full_secret_range():
     """Restricting the hiding octant to even values skews the announcement,
     so the coverage counting really is sensitive to a broken pad."""
@@ -113,7 +136,7 @@ def test_no_signaling_same_octant_is_exactly_zero():
     blindness._BLOCKS.clear()
     again = blindness._compiled_views("p1", 3)[2][5]
     assert first is not again and first[()] is not again[()]
-    assert block_trace_distances([first, again], [(0, 1)]) == [0.0]
+    assert block_trace_distances([first, again], [(0, 1)]).tolist() == [0.0]
 
 
 @pytest.mark.parametrize(
@@ -275,17 +298,26 @@ def test_compiled_views_are_read_only():
 
 def test_bit_equal_compiled_blocks_are_one_object():
     """Bit-equal blocks of any compiled views, of one client or of two, are one
-    object: the one ``_BLOCKS`` holds for their bytes. Sueki octants k and k+4
-    share every block."""
+    object: the one ``_BLOCKS`` holds for their bytes, which is itself (no copy)
+    its row of its dimension's stack, whose row 0 is the zero block. Each view's
+    cells name its records' slots and its blocks' dimensions and rows. Sueki
+    octants k and k+4 share every block."""
     audit_no_signaling(octants=(2, 5), steps=(1,))
     audit_gadget_view_tv("hrz-sueki", 1, 5)
     audit_gadget_view_tv("p2", 0, 3)
     by_bytes: dict = {}
     for _, _, blocks in blindness._VIEWS.values():
-        for block in (block for view in blocks.values() for block in view.values()):
-            assert by_bytes.setdefault(block.tobytes(), block) is block
-            assert blindness._BLOCKS[block.tobytes()] is block
+        for view in blocks.values():
+            rows = [blindness._BLOCKS[block.tobytes()][0] for block in view.values()]
+            slots = [blindness._SLOTS[len(block), record] for record, block in view.items()]
+            assert view.cells.tolist() == [slots, [len(block) for block in view.values()], rows]
+            for row, block in zip(rows, view.values()):
+                assert by_bytes.setdefault(block.tobytes(), block) is block
+                assert blindness._BLOCKS[block.tobytes()][1] is block
+                assert blindness._STACKS[len(block)][row] is block
     assert len(by_bytes) == len(blindness._BLOCKS)
+    assert sum(len(stack) - 1 for stack in blindness._STACKS.values()) == len(blindness._BLOCKS)
+    assert not any(stack[0].any() for stack in blindness._STACKS.values())
     one, five = (blindness._VIEWS["sueki", k][2] for k in (1, 5))
     assert all(one[at][key] is five[at][key] for at in one for key in one[at])
 
@@ -327,8 +359,9 @@ def test_stacked_no_signaling_distances_equal_the_per_pair_formula():
     product = normalized([1, 0, 1, 0])
     for k in (0, 3):
         moved = per_path_server_views("p1", k, product, ())
-        dists = block_trace_distances([views[k][s] for s in steps] + [moved[s] for s in steps],
-                                      [(i, i + len(steps)) for i in range(len(steps))])
+        dists = block_trace_distances(
+            [views[k][s] for s in steps] + [blindness._intern(moved[s]) for s in steps],
+            [(i, i + len(steps)) for i in range(len(steps))])
         assert max(dists) > 0.1
         for dist, s in zip(dists, steps):
             assert abs(dist - block_trace_distance(views[k][s], moved[s])) <= 1e-12
@@ -346,7 +379,7 @@ def test_block_trace_distances_equal_the_bytes_interned_reference(monkeypatch):
         dists = []
         for step in compiled[0]:
             at = [views[step] for views in compiled]
-            got = block_trace_distances(at, pairs)
+            got = block_trace_distances(at, pairs).tolist()
             assert got == bytes_interned_block_trace_distances(at, pairs)
             dists += got
         return dists
@@ -365,7 +398,8 @@ def test_block_trace_distances_equal_the_bytes_interned_reference(monkeypatch):
 def test_the_default_no_signaling_audit_decomposes_46_block_pairs(monkeypatch):
     """The default audit's 156 (checkpoint, octant pair, key) cells whose blocks
     are not one object hold only 46 distinct ordered pairs of blocks: 6 of
-    16x16, 22 of 8x8 and 18 of 4x4. ``trace_distance`` takes each once."""
+    16x16, 22 of 8x8 and 18 of 4x4. ``trace_distance`` takes each once, and a
+    second identical call takes each once again: no distance outlives a call."""
     audit_no_signaling()  # compiled first, so only the audit's own calls count
     sizes: Counter = Counter()
 
@@ -374,8 +408,9 @@ def test_the_default_no_signaling_audit_decomposes_46_block_pairs(monkeypatch):
         return qsim.trace_distance(a, b)
 
     monkeypatch.setattr(blindness, "trace_distance", counted)
-    assert audit_no_signaling().passed
-    assert sizes == {16: 6, 8: 22, 4: 18}
+    for calls in (1, 2):
+        assert audit_no_signaling().passed
+        assert sizes == {16: 6 * calls, 8: 22 * calls, 4: 18 * calls}
 
 
 @pytest.mark.parametrize(
@@ -393,7 +428,7 @@ def test_no_signaling_accepts_numpy_integer_octants():
 
 def test_block_trace_distance_handles_disjoint_keys():
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    a, b = {("a",): rho}, {("b",): rho}
+    a, b = blindness._intern({("a",): rho}), blindness._intern({("b",): rho})
     far, same = block_trace_distances([a, b], [(0, 1), (0, 0)])
     assert far == pytest.approx(1.0)
     assert same == 0.0
@@ -466,6 +501,17 @@ VIEW_AUDITS = {
                              (a, b), None, {"gadget": gadget})
        for gadget in ("hrz-sueki", "p1", "p2") for a, b in ((1, 5), (0, 3), (4, 4))},
 }
+
+
+@pytest.mark.parametrize("gadget", ["hrz-sueki", "p1", "p2"])
+def test_every_octant_pairs_view_audit_equals_one_comparison_per_checkpoint(gadget):
+    """For each client, the view audit of each of the 28 octant pairs gives bit
+    for bit what one ``block_trace_distance`` per checkpoint gives."""
+    for a in range(8):
+        for b in range(a + 1, 8):
+            result = audit_gadget_view_tv(gadget, a, b)
+            assert (result.statistic, result.passed, result.details) == per_checkpoint_view_audit(
+                PROTOCOL_BY_GADGET[gadget], (a, b), None, {"gadget": gadget})
 
 
 @pytest.mark.parametrize("case", VIEW_AUDITS)

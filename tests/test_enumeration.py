@@ -57,8 +57,8 @@ from adbqc.qsim import (
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import BOB
 from helpers import (
-    assert_channel_is_ideal, driven_walk_run, fidelity_up_to_phase, forked_enumerate_run,
-    from_state,
+    always_open_draw_plan, assert_channel_is_ideal, driven_walk_run, fidelity_up_to_phase,
+    forked_enumerate_run, from_state,
 )
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -499,6 +499,55 @@ def test_nothing_after_draw_plan_draws(monkeypatch, config):
     monkeypatch.setattr(driver, "draw_plan", draw_then_close)
     assert run(config).report == want
     assert closed == [True]
+
+
+ADVERSARIES = {
+    "none": AdversaryConfig(),
+    "pauli-counts": AdversaryConfig(kind="random_pauli", pauli_counts=(1, 0, 1)),
+    "pauli-positions": AdversaryConfig(kind="random_pauli", pauli_positions=(("x", 0), ("z", 2))),
+    "tamper": AdversaryConfig(kind="trap_tamper", tamper_rate=0.5),
+}
+
+
+@pytest.mark.parametrize("name", ADVERSARIES)
+def test_a_plan_opens_the_adversary_stream_only_to_draw_from_it(monkeypatch, name):
+    """Only a stray-Pauli adversary without fixed positions, or a tamper
+    adversary, draws from the "adversary" stream, and only they open it; every
+    plan is the one drawn with the stream open whatever the adversary."""
+    adversary = ADVERSARIES[name]  # stray Paulis act on p1's handed-over register
+    if adversary.kind == "random_pauli":
+        config = ProtocolConfig("p1", 3, 1, seed=2, adversary=adversary)
+    else:
+        config = ProtocolConfig("p2", 3, 1, trap_count=1, seed=6, adversary=adversary)
+    opened = []
+    real_stream = driver.stream
+
+    def counted(seed, purpose, index=0):
+        opened.append(purpose)
+        return real_stream(seed, purpose, index)
+
+    monkeypatch.setattr(driver, "stream", counted)
+    plan = driver.draw_plan(config)
+    monkeypatch.undo()
+    assert opened == ["alice"] + ["adversary"] * (name in ("pauli-counts", "tamper"))
+    assert plan == always_open_draw_plan(config)
+
+
+@pytest.mark.parametrize("config", EXACT.values(), ids=EXACT.keys())
+def test_the_walk_makes_no_config(monkeypatch, config):
+    """``walk_run`` builds its quiet session on the config itself, so no
+    config's fields are checked again, and its transcript records nothing."""
+    made = []
+    real_check = ProtocolConfig.__post_init__
+
+    def counted(self):
+        made.append(self)
+        real_check(self)
+
+    monkeypatch.setattr(ProtocolConfig, "__post_init__", counted)
+    session, _ = driver.walk_run(config)
+    assert made == [] and session.config is config
+    assert not session.rt.tape.record and session.rt.tape.events == []
 
 
 def test_branch_budget_is_enforced(monkeypatch):

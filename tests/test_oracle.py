@@ -2,12 +2,13 @@
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from adbqc import rng
+from adbqc import blindness, rng
 from adbqc.oracle import (
     GADGET_FIDELITY_ATOL,
     ORACLE_GADGETS,
@@ -147,6 +148,10 @@ def test_every_key_compiles_once_into_read_only_rows(monkeypatch):
         assert fidelities.min() >= 1.0 - GADGET_FIDELITY_ATOL
         np.testing.assert_allclose(fidelities, looped_row_fidelities(shape), rtol=0, atol=1e-15)
     assert max(identity_gap(driver._GREEDY[key]) for key in keys) <= 1e-15
+    for key, rows in zip(keys, compiled):  # each key's scores, compiled with its rows
+        assert driver.row_scores(*key).tobytes() == driver.row_fidelities(rows).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            driver.row_scores(*key)[0] = 0.0
     for rows in compiled:
         assert isinstance(rows, tuple)
         for row in rows:
@@ -218,6 +223,21 @@ def test_table_passes_flags_low_fidelity():
     assert not table_passes(broken)
 
 
+@pytest.mark.parametrize("fill", [True, False], ids=["fills-them", "finds-them-empty"])
+def test_every_compiled_table_is_emptied_around_each_test(fill):
+    """``conftest.fresh_gadget_rows`` empties every table compiled once per
+    process, so a test reads no rows, scores, views, blocks, stacks or slots
+    that the test before it compiled, and leaves none for the next."""
+    tables = (driver._ROWS, driver._GREEDY, driver._SCORES, driver._CHECKED, blindness._VIEWS,
+              blindness._BLOCKS, blindness._STACKS, blindness._SLOTS)
+    assert not any(tables)
+    if fill:
+        soundness_sweep(1)
+        blindness.audit_no_signaling(octants=(0, 1), steps=(1,))
+        driver.walk_run(driver.ProtocolConfig("p2", 2, 1, trap_count=1))
+        assert all(tables)
+
+
 def test_soundness_sweep_small():
     worst, count = soundness_sweep(states_per_octant=1, seed=321)
     assert count == 25
@@ -254,10 +274,10 @@ def test_soundness_sweep_draws_secrets_only_where_they_are_read(monkeypatch):
     assert result == sweep_by_keys()
 
 
-@pytest.mark.parametrize("states", [1, 4])
+@pytest.mark.parametrize("states", [1, 2, 3, 4])
 @pytest.mark.parametrize("seed", [2026, 1, 99, 321])
 def test_soundness_sweep_equals_a_table_per_input(seed, states):
-    """The sweep's one check per operator shape over the drawn keys' rows
+    """The sweep's read of the drawn keys' scores, compiled with their rows,
     gives, bit for bit, what one check per drawn (gadget, octant, secrets)
     item, the sweep's input, gives."""
     assert soundness_sweep(states, seed) == sweep_by_keys(states, seed)
@@ -320,11 +340,20 @@ def test_soundness_sweep_drives_the_clients_own_steps(monkeypatch):
     ids=["one-qubit", "two-qubit"],
 )
 def test_soundness_sweep_reads_every_gathered_row(monkeypatch, key, wrong):
-    """The last row of one key the sweep draws, its operator M replaced with
-    Z, fails the sweep at either width: an honest M is c I, which passes
-    the check, so only a wrong one shows that no gathered row is dropped."""
-    *kept, (outcomes, _, announced, by_product) = driver.gadget_rows(*key)
-    monkeypatch.setitem(driver._ROWS, key, (*kept, (outcomes, wrong, announced, by_product)))
+    """The last row of one key the sweep draws, compiled with its operator M
+    replaced with Z, fails the sweep at either width: an honest M is c I, which
+    passes the check, so only a wrong one shows that no row is dropped, from
+    the scores compiled with the rows or from the sweep's read of them."""
+    real = driver.enumerate_runs
+
+    def last_row_wrong(run_fn):
+        *kept, last = real(run_fn)
+        outcomes, _, announced, by_product = last.value
+        return [*kept, replace(last, value=(outcomes, wrong, announced, by_product))]
+
+    monkeypatch.setattr(driver, "enumerate_runs", last_row_wrong)
+    assert driver.gadget_rows(*key)[-1][1] is wrong
+    monkeypatch.undo()
     worst, count = soundness_sweep(4)
     assert count == 100
     assert worst < 1.0 - GADGET_FIDELITY_ATOL
