@@ -144,6 +144,28 @@ CATALOGUE = (
         ("tests/test_blindness.py::test_theta_uniformity_counts_as_the_looped_count"
          "[hiding-0-to-3]",),
     ),
+    Mutant(
+        "discard-tie-reads-rounding",  # which equal half a discard keeps follows rounding
+        "src/adbqc/runtime.py",
+        "if w0 >= w1 - PRODUCT_ATOL else",
+        "if w0 >= w1 else",
+        ("tests/test_enumeration.py::test_the_walk_equals_the_driven_walk_on_the_exact_configs"
+         "[p1-N9-d3]",
+         "tests/test_properties.py::"
+         "test_discarding_an_equatorial_qubit_leaves_the_rest_with_its_phase[0]",
+         "tests/test_properties.py::"
+         "test_discarding_an_equatorial_qubit_leaves_the_rest_with_its_phase[3]"),
+    ),
+    Mutant(
+        "halves-top-swapped",  # the top qubit's (2, rest) view reads its rows in swapped order
+        "src/adbqc/runtime.py",
+        "        return amps.reshape(2, -1)\n",
+        "        return amps.reshape(2, -1)[::-1]\n",
+        ("tests/test_properties.py::test_forced_measurement_matches_projector",
+         "tests/test_properties.py::test_measuring_the_top_qubit_equals_it_reordered",
+         "tests/test_properties.py::"
+         "test_discarding_an_equatorial_qubit_leaves_the_rest_with_its_phase[4]"),
+    ),
 )
 
 

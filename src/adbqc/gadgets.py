@@ -33,24 +33,17 @@ All angles at protocol boundaries are octant integers k, meaning k*pi/4.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import CZ_GATE, EQUATORIAL_BY_OCTANT, H_GATE, HRZ_BY_OCTANT, PLUS_AMPS, X_GATE
-from .qsim import Z_BASIS, Z_GATE, ZERO_AMPS, apply_gate, plus_state
+from .qsim import CZ_GATE, EQUATORIAL_BY_OCTANT, H_GATE, HIDDEN_BY_OCTANT, HRZ_BY_OCTANT
+from .qsim import PLUS_AMPS, X_GATE, Z_BASIS, Z_GATE, ZERO_AMPS, apply_gate
 from .runtime import QuantumRuntime
 from .transcript import ALICE, BOB
 
-OCTANT = math.pi / 4
-
 ENTANGLER = np.kron(H_GATE, H_GATE) @ CZ_GATE  # E = (H x H) CZ, read-only like qsim's gates
 ENTANGLER.flags.writeable = False
-
-
-def octant_angle(k: int) -> float:
-    return (k % 8) * OCTANT
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +172,9 @@ def sueki_hrz_on_runtime(
     The client supplies all three ancillas. Its secrets (hiding octant, pad
     bit) shape only the announced angle, which is uniform when they are.
     """
-    # hidden-rotation coupling
+    # hidden-rotation coupling, its ancilla read from qsim's read-only table
     a_hide = rt.fresh("a")
-    hidden = plus_state(octant_angle(hiding_octant), math.pi / 2)
-    couple_in(rt, a_hide, hidden, "hidden", ALICE, (target,))
+    couple_in(rt, a_hide, HIDDEN_BY_OCTANT[hiding_octant % 8], "hidden", ALICE, (target,))
     s1 = measure_out(rt, a_hide, Z_BASIS)
 
     # Hadamard-cancelling coupling

@@ -20,8 +20,10 @@ Conventions, fixed across the whole package:
 Every operation returns a new array and writes none of its inputs.
 Measurement and outcome enumeration live in ``runtime``.
 Gates apply through one kernel, ``_apply_matrix`` (also behind
-``QuantumRuntime.apply``): one ``matrix @ psi`` on the view with the target
-axes in front, its axis orders cached per (width, targets). Both callers
+``QuantumRuntime.apply``): on the top qubits, high to low (the identity axis
+order), one product on the amplitudes as they lie; on any other targets, one
+product on the view with the target axes in front, its axis orders cached
+per (width, targets). Both callers
 check a gate against its targets with ``_check_gate``. Gates and bases are
 built from fixed formulas and checked nowhere in ``src/`` (the tests check
 that each is unitary or orthonormal); the ones every run reuses, and the
@@ -78,10 +80,12 @@ HRZ_BY_OCTANT = tuple(H_GATE @ rz for rz in RZ_BY_OCTANT)
 Z_BASIS = np.eye(2, dtype=complex)
 X_BASIS = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
 EQUATORIAL_BY_OCTANT = tuple(equatorial_basis(k * math.pi / 4) for k in range(8))
+# the prepare-only client's hidden-rotation ancilla at each hiding octant
+HIDDEN_BY_OCTANT = tuple(plus_state(k * math.pi / 4, math.pi / 2) for k in range(8))
 ZERO_AMPS = np.array([1, 0], dtype=complex)
 PLUS_AMPS = plus_state(math.pi / 2, 0.0)
 for _shared in (H_GATE, X_GATE, Z_GATE, CZ_GATE, Z_BASIS, X_BASIS, ZERO_AMPS, PLUS_AMPS,
-                *RZ_BY_OCTANT, *HRZ_BY_OCTANT, *EQUATORIAL_BY_OCTANT):
+                *RZ_BY_OCTANT, *HRZ_BY_OCTANT, *EQUATORIAL_BY_OCTANT, *HIDDEN_BY_OCTANT):
     _shared.flags.writeable = False
 
 
@@ -98,7 +102,11 @@ def _transpose_plan(n: int, targets: tuple[int, ...]) -> tuple[tuple, tuple, tup
 def _apply_matrix(
     amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...], n: int
 ) -> np.ndarray:
-    """``matrix`` on ``targets``: one gemm on the view with the target axes in front."""
+    """``matrix`` on ``targets``: one gemm on the amplitudes as they lie when
+    the targets are the top qubits, high to low, else on the view with the
+    target axes in front."""
+    if targets == tuple(range(n - 1, n - 1 - len(targets), -1)):  # the identity axis order
+        return matrix.dot(amps.reshape(matrix.shape[0], -1)).reshape(-1)
     shape, perm, inverse = _transpose_plan(n, targets)
     front = amps.reshape(shape).transpose(perm).reshape(matrix.shape[0], -1)
     return (matrix @ front).reshape(shape).transpose(inverse).reshape(-1)

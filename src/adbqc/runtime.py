@@ -21,12 +21,14 @@ couples to one or two register qubits and is measured away, so each gadget
 works on its targets' factor: ``add_qubit`` and ``load`` start a factor,
 ``apply`` first tensors the factors of its qubits into one, and ``measure``
 splits the qubit off. ``apply`` keeps its first label's factor on top, so
-an ancilla coupled to a lone qubit gets the identity axis order, which
-moves no amplitude. ``measure`` and ``discard`` work on the (hi, 2, lo)
-view that splits the factor by the qubit's bit: ``measure`` takes both
-outcomes' overlaps from one product with the conjugated basis, and
-``discard`` reads its 2x2 reduced state as the Gram matrix of the two
-halves, or drops a lone factor.
+an ancilla (the first label of each coupling) coupled to a lone qubit gets
+the identity axis order, which ``qsim._apply_matrix`` serves with one
+product on the amplitudes as they lie. ``measure`` and ``discard`` work on
+the factor's (2, rest) halves, row b the rest's amplitudes where the qubit
+reads b; on the top qubit, where ancillas sit, that is the amplitudes as
+they lie, reshaped. ``measure`` takes both outcomes' overlaps from one
+product with the conjugated basis, and ``discard`` reads its 2x2 reduced
+state as the Gram matrix of the two halves, or drops a lone factor.
 What a split leaves of no qubit is kept as a global phase, so ``snapshot``
 returns, as a ``qsim`` state array, the amplitudes one joint vector would hold.
 """
@@ -200,7 +202,7 @@ class QuantumRuntime:
         for lb in labels[1:]:
             if lb not in local:
                 other, other_amps = self._factor(lb)
-                local, amps = other + local, np.multiply.outer(amps, other_amps).reshape(-1)
+                local, amps = other + local, (amps[:, None] * other_amps).reshape(-1)
         targets = tuple(map(local.index, labels))
         self._store(local, _apply_matrix(amps, matrix, targets, len(local)))
 
@@ -210,13 +212,12 @@ class QuantumRuntime:
         qubit leaves its factor as a factor of its own."""
         local, amps = self._factor(label)
         q = local.index(label)
-        # (hi, 2, lo): [:, b] is the rest's overlap with row b of the basis
-        overlaps = basis.conj() @ amps.reshape(-1, 2, 1 << q)
-        zero = overlaps[:, 0]
-        p0 = min(max(float(np.vdot(zero, zero).real), 0.0), 1.0)
+        # row b: the rest's overlap with row b of the basis
+        overlaps = basis.conj().dot(_halves(amps, q, len(local)))
+        p0 = min(max(float(np.vdot(overlaps[0], overlaps[0]).real), 0.0), 1.0)
         bit = self.outcomes.take(p0)
         prob = p0 if bit == 0 else 1.0 - p0
-        rest = overlaps[:, bit].reshape(-1) / math.sqrt(max(prob, BRANCH_PROB_FLOOR))
+        rest = overlaps[bit] / math.sqrt(max(prob, BRANCH_PROB_FLOOR))
         self._store(local[:q] + local[q + 1:], rest)
         self._factors[label] = ((label,), basis[bit].copy())
         return bit, prob
@@ -225,7 +226,10 @@ class QuantumRuntime:
         """Remove a qubit that is in a product state with the rest. A qubit
         that shares its factor must pass the purity check within it; a lone
         factor is product with everything, so it is dropped and leaves its
-        phase behind. Both keep the heavier half, the |0> half on a tie."""
+        phase behind. Both keep the heavier half; a shared factor keeps the
+        |0> half unless the |1> half is heavier by more than ``PRODUCT_ATOL``,
+        so on a product qubit's equal halves the phase left does not follow
+        rounding."""
         local, amps = self._factor(label)
         if len(local) == 1:
             # its purity is 1 whatever it holds, so measure-then-discard
@@ -235,16 +239,15 @@ class QuantumRuntime:
             self._phase *= lead / abs(lead)
         else:
             q = local.index(label)
-            # row b: the rest's amplitudes where the qubit reads b, in (hi, lo) order
-            halves = amps.reshape(-1, 2, 1 << q).swapaxes(0, 1).reshape(2, -1)
-            (g00, g01), (_, g11) = (halves @ halves.conj().T).tolist()  # its reduced state
+            halves = _halves(amps, q, len(local))
+            (g00, g01), (_, g11) = halves.dot(halves.conj().T).tolist()  # its reduced state
             w0, w1 = g00.real, g11.real
             purity = w0 * w0 + w1 * w1 + 2.0 * abs(g01) ** 2
             if purity < 1.0 - PRODUCT_ATOL:
                 raise ValueError(
                     f"qubit {label!r} is entangled (purity {purity}); cannot discard"
                 )
-            rest, weight = (halves[0], w0) if w0 >= w1 else (halves[1], w1)  # |0> half on a tie
+            rest, weight = (halves[0], w0) if w0 >= w1 - PRODUCT_ATOL else (halves[1], w1)
             self._store(local[:q] + local[q + 1:], rest / math.sqrt(weight))
         del self._factors[label]
         del self._owners[label]
@@ -307,6 +310,14 @@ class QuantumRuntime:
             if float(np.linalg.norm(residual)) > math.sqrt(PRODUCT_ATOL):
                 raise ValueError(f"qubits {wanted} are entangled with the rest")
         return vec / np.linalg.norm(vec)
+
+
+def _halves(amps: np.ndarray, q: int, n: int) -> np.ndarray:
+    """The (2, rest) view of an n-qubit factor split by its qubit q: row b
+    holds the rest's amplitudes where qubit q reads b, in (hi, lo) order."""
+    if q == n - 1:
+        return amps.reshape(2, -1)
+    return amps.reshape(-1, 2, 1 << q).swapaxes(0, 1).reshape(2, -1)
 
 
 @dataclass(frozen=True)

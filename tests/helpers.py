@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from adbqc import blindness, rng
-from adbqc.gadgets import PauliFrame, announced_octant, octant_angle, pattern_unitary
+from adbqc.gadgets import PauliFrame, announced_octant, pattern_unitary
 from adbqc.oracle import ORACLE_GADGETS, PROTOCOL_BY_GADGET, BranchRow
 from adbqc.protocols import ProtocolConfig, config_from_dict, config_object, driver, run, sueki
 from adbqc.protocols.driver import RunResult
@@ -40,6 +40,11 @@ def fidelity_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"states of shapes {a.shape} and {b.shape} cannot be compared")
     return float(abs(np.vdot(a, b)) ** 2)
+
+
+def octant_angle(k: int) -> float:
+    """The angle of octant k, k*pi/4, with k taken mod 8."""
+    return (k % 8) * (math.pi / 4)
 
 
 def hrz_matrix(theta: float) -> np.ndarray:

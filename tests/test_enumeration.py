@@ -125,11 +125,8 @@ def assert_walk_equals_the_forked_walk(config):
 
 def assert_walk_equals_the_driven_walk(config):
     """The walk and the driven walk check the same row keys and leave the
-    same frame, kept outcomes and register state, and their output stages
-    give the same branches. The register is compared up to a global phase:
-    the measure-only client discards a Bell half whose two halves weigh
-    exactly 1/2 each, so which one the runtime keeps, and the phase it
-    leaves, follows the rounding of the register it acts on."""
+    same frame, kept outcomes and register state, global phase included,
+    and their output stages give the same branches."""
     driver._CHECKED.clear()
     driven, plan = driven_walk_run(config)
     checked = set(driver._CHECKED)
@@ -138,9 +135,7 @@ def assert_walk_equals_the_driven_walk(config):
     assert driver._CHECKED == checked
     assert walked.frame == driven.frame
     assert (walked.kept, walked.rt.outcomes.bits) == (driven.kept, ())
-    got, want = walked.rt.snapshot(), driven.rt.snapshot()
-    phase = np.vdot(got, want)
-    np.testing.assert_allclose(got * phase / abs(phase), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(walked.rt.snapshot(), driven.rt.snapshot(), rtol=0, atol=1e-12)
     assert_same_branches(driver.enumerate_output(walked, plan),
                          driver.enumerate_output(driven, plan))
 

@@ -18,7 +18,6 @@ from adbqc.gadgets import (
     cz_on_runtime,
     frame_conjugate,
     h_cancel,
-    octant_angle,
     pattern_unitary,
     sueki_hrz_on_runtime,
 )
@@ -37,7 +36,8 @@ from adbqc.qsim import (
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes
 from adbqc.transcript import BOB, Transcript
 from helpers import (
-    fidelity_up_to_phase, from_state, hrz_matrix, normalized, rx_matrix, zero_state,
+    fidelity_up_to_phase, from_state, hrz_matrix, normalized, octant_angle, rx_matrix,
+    zero_state,
 )
 
 H = H_GATE

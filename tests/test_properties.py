@@ -16,7 +16,8 @@ and lone factors, forks) against one dense register; the gate kernel's
 cached transpose plans are checked against their formula for random widths
 and targets, and a gate on the top qubits, high to low (the identity axis
 order), against the plain product and against the same gate on reordered
-qubits. Reduced states from
+qubits, and so is a measurement of a factor's top qubit against the same
+measurement on reordered qubits. Reduced states from
 ``partial_trace`` on random keep lists are checked to be density matrices
 (Hermitian, unit trace, no negative eigenvalue) and against an einsum
 reference, and
@@ -77,7 +78,7 @@ from adbqc.qsim import (
     partial_trace,
     rz_matrix,
 )
-from adbqc.runtime import OutcomeSource, QuantumRuntime, ReplayOutcomes
+from adbqc.runtime import OutcomeSource, QuantumRuntime, ReplayOutcomes, SampledOutcomes
 from adbqc.transcript import ALICE, BOB
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -376,6 +377,8 @@ def measurements(draw) -> tuple[int, int, int, int]:
 @given(measurements())
 @example((7, 0, 1, 0))
 @example((7, 6, 0, 1))
+@example((2, 1, 1, 2))  # the top qubit of a 2-qubit factor
+@example((3, 2, 0, 3))  # the top qubit of a 3-qubit factor
 def test_forced_measurement_matches_projector(case):
     n, q, bit, seed = case
     rng = np.random.default_rng(seed)
@@ -405,7 +408,33 @@ def insert_qubit(rest: np.ndarray, qubit: np.ndarray, q: int) -> np.ndarray:
 
 
 @PROPERTY_SETTINGS
+@given(measurements())
+def test_measuring_the_top_qubit_equals_it_reordered(case):
+    """Measuring a factor's top qubit reads its (2, rest) halves as the
+    amplitudes lie, and takes the same bit with the same probability, and
+    leaves the same state, as measuring that qubit once the qubits are
+    reordered so that it sits at position q."""
+    n, q, _, seed = case
+    rng = np.random.default_rng(seed)
+    state, basis = haar_random_state(n, rng), haar_unitary(2, rng)
+    order = [p for p in range(n) if p != q] + [q]  # qubit i moves to order[i]; the top to q
+    axes = [n - 1 - i for i in range(n)], [n - 1 - order[i] for i in range(n)]
+    moved = np.moveaxis(state.reshape((2,) * n), *axes).reshape(-1)
+    results = []
+    for amps, position in ((state, n - 1), (moved, q)):
+        rt, labels = from_state(amps, SampledOutcomes(np.random.default_rng(seed)), BOB)
+        results.append((*rt.measure(labels[position], basis), rt.snapshot()))
+    (top_bit, top_prob, top_after), (bit, prob, after) = results
+    assert top_bit == bit
+    assert abs(top_prob - prob) <= KERNEL_ATOL
+    back = np.moveaxis(after.reshape((2,) * n), axes[1], axes[0]).reshape(-1)
+    assert np.allclose(top_after, back, rtol=0.0, atol=KERNEL_ATOL)
+
+
+@PROPERTY_SETTINGS
 @given(st.integers(2, 7), st.integers(0, 2**32 - 1))
+@example(2, 4)  # the qubit on top of a 2-qubit factor at q = 1
+@example(3, 5)  # the qubit on top of a 3-qubit factor at q = 2
 def test_discard_leaves_the_partial_trace(n, seed):
     rng = np.random.default_rng(seed)
     rest = haar_random_state(n - 1, rng)
@@ -422,6 +451,20 @@ def test_discard_leaves_the_partial_trace(n, seed):
     for label in labels:
         with pytest.raises(ValueError, match="entangled"):
             rt.discard(label)
+
+
+@pytest.mark.parametrize("octant", range(8))
+def test_discarding_an_equatorial_qubit_leaves_the_rest_with_its_phase(octant):
+    """Both halves of an equatorial qubit weigh 1/2, up to rounding, and its
+    |0> amplitude is real and positive; so at every position q of a Haar rest
+    the discard keeps the |0> half and leaves ``rest``, phase included."""
+    rng = np.random.default_rng(octant)
+    rest = haar_random_state(4, rng)
+    for qubit in EQUATORIAL_BY_OCTANT[octant]:
+        for q in range(5):
+            rt, labels = from_state(insert_qubit(rest, qubit, q), ReplayOutcomes(()), BOB)
+            rt.discard(labels[q])
+            assert np.allclose(rt.snapshot(), rest, rtol=0.0, atol=KERNEL_ATOL)
 
 
 # The bounds a reduced state is held to: Hermitian entrywise, unit trace

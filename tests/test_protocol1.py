@@ -9,7 +9,7 @@ import pytest
 from adbqc import rng
 from adbqc.adversary import escape_counts
 from adbqc.blindness import confirm_capability
-from adbqc.gadgets import PauliFrame, couple, octant_angle
+from adbqc.gadgets import PauliFrame, couple
 from adbqc.protocols import (
     AdversaryConfig,
     GateRequest,
@@ -36,7 +36,7 @@ from adbqc.qsim import (
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
 from helpers import (
-    client_to_server_traffic, fidelity_up_to_phase, from_state, hrz_matrix,
+    client_to_server_traffic, fidelity_up_to_phase, from_state, hrz_matrix, octant_angle,
     sampled_distribution, zero_state,
 )
 

@@ -5,7 +5,7 @@ import pytest
 
 from adbqc import rng
 from adbqc.blindness import confirm_capability
-from adbqc.gadgets import PauliFrame, octant_angle
+from adbqc.gadgets import PauliFrame
 from adbqc.protocols import (
     AdversaryConfig,
     GateRequest,
@@ -22,7 +22,8 @@ from adbqc.qsim import (
 from adbqc.runtime import QuantumRuntime, ReplayOutcomes, enumerate_runs
 from adbqc.transcript import ALICE, BOB, Transcript
 from helpers import (
-    client_to_server_traffic, fidelity_up_to_phase, from_state, hrz_matrix, zero_state,
+    client_to_server_traffic, fidelity_up_to_phase, from_state, hrz_matrix, octant_angle,
+    zero_state,
 )
 
 

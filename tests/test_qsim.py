@@ -8,6 +8,7 @@ directly.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from adbqc.qsim import (
     CZ_GATE,
     EQUATORIAL_BY_OCTANT,
     H_GATE,
+    HIDDEN_BY_OCTANT,
     HRZ_BY_OCTANT,
     MAX_QUBITS,
     PLUS_AMPS,
@@ -47,7 +49,8 @@ from adbqc.runtime import (
 )
 from adbqc.transcript import BOB
 from helpers import (
-    fidelity_up_to_phase, from_state, identity_gap, normalized, rotated, rx_matrix, zero_state,
+    fidelity_up_to_phase, from_state, identity_gap, normalized, octant_angle, rotated, rx_matrix,
+    zero_state,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -433,7 +436,7 @@ def test_shared_gates_and_bases_are_read_only():
     must refuse a write; the fixed ones also match their formulas."""
     arrays = {**shared_arrays(qsim), **shared_arrays(gadgets), **shared_arrays(adversary)}
     assert {"CZ_GATE", "X_BASIS", "RZ_BY_OCTANT[7]", "HRZ_BY_OCTANT[7]", "EQUATORIAL_BY_OCTANT[7]",
-            "ENTANGLER", "PLUS_AMPS", "_TURNS"} <= set(arrays)
+            "HIDDEN_BY_OCTANT[7]", "ENTANGLER", "PLUS_AMPS", "_TURNS"} <= set(arrays)
     accepted = []
     for name, array in arrays.items():
         index = (0,) * array.ndim
@@ -449,6 +452,7 @@ def test_shared_gates_and_bases_are_read_only():
     fixed += [(RZ_BY_OCTANT[k], rz_matrix(k * np.pi / 4)) for k in range(8)]
     fixed += [(HRZ_BY_OCTANT[k], H_GATE @ rz_matrix(k * np.pi / 4)) for k in range(8)]
     fixed += [(EQUATORIAL_BY_OCTANT[k], equatorial_basis(k * np.pi / 4)) for k in range(8)]
+    fixed += [(HIDDEN_BY_OCTANT[k], plus_state(octant_angle(k), math.pi / 2)) for k in range(8)]
     for got, want in fixed:
         assert np.array_equal(got, want)
 
