@@ -166,6 +166,37 @@ CATALOGUE = (
          "tests/test_properties.py::"
          "test_discarding_an_equatorial_qubit_leaves_the_rest_with_its_phase[4]"),
     ),
+    Mutant(
+        "cz-gate-writable",  # the shared CZ gate is left out of the read-only loop
+        "src/adbqc/qsim.py",
+        "(H_GATE, X_GATE, Z_GATE, CZ_GATE, Z_BASIS,",
+        "(H_GATE, X_GATE, Z_GATE, Z_BASIS,",
+        ("tests/test_qsim.py::test_shared_gates_and_bases_are_read_only",),
+    ),
+    Mutant(
+        "partial-trace-unconjugated",  # the reduced state is m m^T, not m m^dagger
+        "src/adbqc/qsim.py",
+        "    return m @ m.conj().T\n",
+        "    return m @ m.T\n",
+        ("tests/test_qsim.py::test_partial_trace_matches_kron_oracle",),
+    ),
+    Mutant(
+        "template-percent-unescaped",  # a "%" in a key or party reaches the template raw
+        "src/adbqc/transcript.py",
+        '        return _json(value).replace("%", "%%")\n',
+        "        return _json(value)\n",
+        ("tests/test_transcript.py::test_templated_lines_match_json_dumps",
+         "tests/test_transcript.py::"
+         "test_format_specifiers_in_strings_labels_and_keys_stay_literal"),
+    ),
+    Mutant(
+        "label-list-unescaped",  # labels are joined between raw quotes, unescaped
+        "src/adbqc/transcript.py",
+        '",".join(map(encode_basestring_ascii, value))',
+        """",".join(map(lambda label: '"' + label + '"', value))""",
+        ("tests/test_transcript.py::test_jsonl_escapes_strings_as_json_dumps_does",
+         "tests/test_transcript.py::test_templated_lines_match_json_dumps"),
+    ),
 )
 
 

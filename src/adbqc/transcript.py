@@ -15,9 +15,10 @@ produces. Client-local events stay out of it.
 
 Recording only appends events. Encoding waits for ``to_jsonl`` or
 ``digest``, so a transcript kept only to read ``bob_classical_values``
-never pays for it. Each line is filled into a template cached per event
-shape (kind, parties and payload keys), which holds the line's fixed text
-with the keys sorted and escaped; an event adds its escaped values and seq.
+never pays for it. Each line's template is cached per event shape (kind,
+parties and payload keys) and holds its fixed text, keys sorted and escaped;
+one pass collects every event's template, escaped values and seq, and one
+``%`` call fills them all.
 """
 
 from __future__ import annotations
@@ -97,13 +98,19 @@ class Transcript:
     def to_jsonl(self) -> str:
         """One line per event: ``json.dumps`` of the event's fields, with
         ``party`` under the key ``from``, ``sort_keys=True`` and
-        ``separators=(",", ":")``, byte for byte."""
-        lines = []
+        ``separators=(",", ":")``, byte for byte. One pass encodes the values
+        (``_json``, its str and int branches inline); one ``%`` fills them in."""
+        lines, values = [], []
         for ev in self.events:
             payload = ev.payload
             keys, line = _template(ev.kind, ev.party, ev.to, tuple(payload))
-            lines.append(line % (*[_json(payload[key]) for key in keys], ev.seq))
-        return "\n".join(lines)
+            lines.append(line)
+            for key in keys:
+                value = payload[key]
+                values.append(encode_basestring_ascii(value) if type(value) is str else
+                              str(value) if type(value) is int else _json(value))
+            values.append(ev.seq)
+        return "\n".join(lines) % tuple(values)
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
@@ -126,7 +133,8 @@ def _template(kind: str, party: str, to: str | None, keys: tuple) -> tuple[tuple
 
 def _json(value) -> str:
     """Compact JSON for the values events carry (strings, integers, None and
-    label lists); any other value goes through ``json.dumps``."""
+    label lists, joined in C unless an element is not a string); any other
+    value goes through ``json.dumps``."""
     if type(value) is str:
         return encode_basestring_ascii(value)
     if type(value) is int:
@@ -134,5 +142,8 @@ def _json(value) -> str:
     if value is None:
         return "null"
     if type(value) is list:
-        return "[" + ",".join(map(_json, value)) + "]"
+        try:
+            return "[" + ",".join(map(encode_basestring_ascii, value)) + "]"
+        except TypeError:  # an element that is not a string
+            return "[" + ",".join(map(_json, value)) + "]"
     return json.dumps(value, sort_keys=True, separators=(",", ":"))

@@ -33,6 +33,29 @@ def test_jsonl_is_byte_identical_to_json_dumps(name):
         assert tape.digest() == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def test_a_whole_wide_run_is_one_format_call_equal_to_json_dumps():
+    tape = run_sueki(ProtocolConfig("sueki", 12, 2)).transcript
+    assert len(tape.events) > 1000
+    assert tape.to_jsonl() == json_dumps_jsonl(tape)
+
+
+def test_an_empty_transcript_encodes_to_nothing():
+    tape = Transcript()
+    assert tape.to_jsonl() == ""
+    assert tape.digest() == hashlib.sha256(b"").hexdigest()
+
+
+def test_format_specifiers_in_strings_labels_and_keys_stay_literal():
+    """Every line is filled by one ``%`` call, so a ``%`` in a value, a label
+    or a key must reach the line as written."""
+    tape = Transcript()
+    tape.msg(ALICE, BOB, note="100% %s %% %d", **{"%s": "%d", "k%%": 1})
+    tape.local(BOB, op="%", qubits=["%s", "%%", "%d", "%"], **{"%d": ["a%", 2]})
+    tape.transfer(BOB, ALICE, "%s%d")
+    tape.outcome(ALICE, 0, qubit="%%s")
+    assert tape.to_jsonl() == json_dumps_jsonl(tape)
+
+
 def test_jsonl_escapes_strings_as_json_dumps_does():
     tape = Transcript()
     tape.msg(ALICE, BOB, note='quote " back \\ tab \t line \n', accent="é \U0001f600",
@@ -49,7 +72,11 @@ KEYS = st.sampled_from(["a", "op", "qubits", "%s", 'k"\\', "é"])
 PARTIES = st.sampled_from([ALICE, BOB, 'c%d "é"'])
 TEXT = st.text(max_size=6)
 WIRE_VALUES = st.one_of(TEXT, st.booleans(), st.integers(-(2**80), 2**80))
-LOCAL_VALUES = st.one_of(WIRE_VALUES, st.none(), st.lists(TEXT, max_size=3))
+# label lists (one C-level join) and lists holding anything else, nested
+# lists and the empty list included (encoded element by element)
+LABELS = st.lists(TEXT, max_size=3)
+LOCAL_VALUES = st.one_of(WIRE_VALUES, st.none(), LABELS,
+                         st.lists(st.one_of(WIRE_VALUES, st.none(), LABELS), max_size=3))
 EVENTS = st.one_of(
     st.tuples(st.just("msg"), PARTIES, PARTIES, st.dictionaries(KEYS, WIRE_VALUES, max_size=3)),
     st.tuples(st.just("transfer"), PARTIES, PARTIES, TEXT),
