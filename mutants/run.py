@@ -197,6 +197,33 @@ CATALOGUE = (
         ("tests/test_transcript.py::test_jsonl_escapes_strings_as_json_dumps_does",
          "tests/test_transcript.py::test_templated_lines_match_json_dumps"),
     ),
+    Mutant(
+        "pattern-table-writable",  # a pattern unitary every later call shares accepts writes
+        "src/adbqc/gadgets.py",
+        "        m.flags.writeable = False\n",
+        "",
+        ("tests/test_gadgets.py::test_pattern_unitary_shares_one_read_only_entry_per_triple_mod_8",),
+    ),
+    Mutant(
+        "first-rz-dropped-in-compile-steps",  # each pattern runs without its R_Z(delta)
+        "src/adbqc/protocols/driver.py",
+        'Step("hrz", (pos,), k) for k in (kd, kg, kb, 0))',
+        'Step("hrz", (pos,), k) for k in (kg, kb, 0))',
+        ("tests/test_enumeration.py::test_the_walk_decodes_to_the_reference[p1-N6-d2-cz]",
+         "tests/test_enumeration.py::test_the_final_state_is_ideal_off_the_z_axis[sueki]",
+         "tests/test_protocols_sueki.py::test_generic_octant_pattern_matches_reference",
+         "tests/test_adversary.py::test_exact_escape_honest_always_accepts[p2]"),
+    ),
+    Mutant(
+        "hrz-order-swapped",  # the H R_Z table, and every pattern built from it, holds R_Z H
+        "src/adbqc/qsim.py",
+        "tuple(H_GATE @ rz for rz in RZ_BY_OCTANT)",
+        "tuple(rz @ H_GATE for rz in RZ_BY_OCTANT)",
+        ("tests/test_gadgets.py::test_pattern_unitary_is_the_product_bit_for_bit",
+         "tests/test_gadgets.py::test_pattern_unitary_matches_euler_product[0]",
+         "tests/test_oracle.py::test_soundness_sweep_small",
+         "tests/test_protocols_sueki.py::test_generic_octant_pattern_matches_reference"),
+    ),
 )
 
 

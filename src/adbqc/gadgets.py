@@ -24,9 +24,9 @@ classical frame records. Gadgets act on labeled qubits of a
   Hadamard-cancelling |0> coupling on each qubit.
 - ``frame_conjugate`` and ``PauliFrame``: pushing X/Z records through the
   gates the gadgets realize.
-- ``NAMED_GATE_OCTANTS`` and ``pattern_unitary``: named gates as the
-  octants (beta, gamma, delta) of R_Z R_X R_Z, and the unitary that four
-  H R_Z invocations with those octants realize.
+- ``NAMED_GATE_OCTANTS`` and ``pattern_unitary``: named gates as the octants
+  (beta, gamma, delta) of R_Z R_X R_Z, and the unitary four H R_Z invocations
+  with those octants realize, one read-only table entry per triple mod 8.
 
 All angles at protocol boundaries are octant integers k, meaning k*pi/4.
 """
@@ -224,14 +224,20 @@ NAMED_GATE_OCTANTS: dict[str, tuple[int, int, int]] = {
     "hx": (6, 2, 2),
 }
 
+_PATTERNS: dict[tuple[int, int, int], np.ndarray] = {}  # octants mod 8 -> read-only, on first use
+
 
 def pattern_unitary(octants: tuple[int, int, int]) -> np.ndarray:
     """Unitary realized by the four-invocation pattern HRZ(0),HRZ(b),HRZ(g),HRZ(d).
 
-    Equals R_Z(b) R_X(g) R_Z(d) up to the global phase e^{i g/2}.
+    Equals R_Z(b) R_X(g) R_Z(d) up to the global phase e^{i g/2}; shared from ``_PATTERNS``.
     """
     kb, kg, kd = octants
-    m = np.eye(2, dtype=complex)
-    for k in (kd, kg, kb, 0):
-        m = HRZ_BY_OCTANT[k % 8] @ m
+    key = (kb % 8, kg % 8, kd % 8)
+    if (m := _PATTERNS.get(key)) is None:
+        m = np.eye(2, dtype=complex)
+        for k in (kd, kg, kb, 0):
+            m = HRZ_BY_OCTANT[k % 8] @ m
+        m.flags.writeable = False
+        _PATTERNS[key] = m
     return m

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .. import __version__
 from ..gadgets import NAMED_GATE_OCTANTS
 from ..qsim import MAX_QUBITS
-from .schedule import schedule
+from .schedule import Layer, schedule
 from .traps import resolve_trap_count
 
 PROTOCOLS = ("sueki", "p1", "p2")
@@ -196,7 +196,8 @@ HONEST = AdversaryConfig()
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Everything that defines one run; the seed makes it reproducible."""
+    """Everything that defines one run; the seed makes it reproducible. The checks
+    keep the algorithm's ``schedule``, which refuses one deeper than ``depth``, as ``layers``."""
 
     protocol: str
     num_qubits: int
@@ -207,6 +208,7 @@ class ProtocolConfig:
     output_bases: tuple[str, ...] | None = None
     adversary: AdversaryConfig = HONEST
     record_transcript: bool = True
+    layers: tuple[Layer, ...] = field(init=False, repr=False, compare=False)  # not an input
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
@@ -238,7 +240,7 @@ class ProtocolConfig:
                     f"request targets {req.targets} outside logical width "
                     f"{self.logical_width}"
                 )
-        schedule(self.algorithm, self.logical_width, self.depth)  # refuses one deeper than depth
+        object.__setattr__(self, "layers", schedule(self.algorithm, self.logical_width, self.depth))
         if self.output_bases is not None:
             bases = _typed("output_bases", self.output_bases, _LIST, "a list")
             bases = tuple(_typed("output basis", b, str, "a string").lower() for b in bases)

@@ -45,7 +45,6 @@ from ..runtime import (
 from ..transcript import ALICE, BOB, Transcript
 from . import gate_client, measure_client, sueki
 from .config import ProtocolConfig, VerificationReport
-from .schedule import schedule
 from .traps import TRAP_STATES, DecodedOutput, TrapLayout, decode_output, place_traps
 
 
@@ -102,7 +101,7 @@ def compile_steps(config: ProtocolConfig, layout: TrapLayout) -> tuple[Step, ...
     preparation in the final layer.
     """
     steps = []
-    for idx, layer in enumerate(schedule(config.algorithm, config.logical_width, config.depth)):
+    for idx, layer in enumerate(config.layers):
         patterns = [(0, 0, 0)] * config.num_qubits
         for q, octants in layer.patterns:
             patterns[layout.position_of_logical(q)] = octants

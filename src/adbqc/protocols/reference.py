@@ -1,9 +1,9 @@
 """Direct (single-party) simulation of a configured algorithm.
 
 Gives the ground-truth output distribution a protocol run must reproduce:
-the scheduled patterns and CZs are applied as plain unitaries on the
-logical register and the measurement statistics read off the final state.
-The keys are built in one numpy pass over the nonzero weights.
+the patterns (from ``pattern_unitary``'s table) and CZs of ``config.layers``
+run as plain unitaries on the logical register, whose final weights give the
+statistics. The keys are built in one numpy pass over the nonzero weights.
 ``enumerated_distribution`` sums ``driver.enumerate_run``'s paths into such keys.
 """
 
@@ -18,15 +18,13 @@ from ..gadgets import pattern_unitary
 from ..qsim import CZ_GATE, H_GATE, apply_gate
 from .config import ProtocolConfig
 from .driver import _RUNNER_BY_PROTOCOL, enumerate_run, run
-from .schedule import schedule
 
 
 def reference_state(config: ProtocolConfig) -> np.ndarray:
     """Run the algorithm as bare unitaries on |0...0> (logical width only)."""
-    width = config.logical_width
-    state = np.zeros(1 << width, dtype=complex)
+    state = np.zeros(1 << config.logical_width, dtype=complex)
     state[0] = 1.0
-    for layer in schedule(config.algorithm, width, config.depth):
+    for layer in config.layers:
         for q, octants in layer.patterns:
             state = apply_gate(state, pattern_unitary(octants), [q])
         for i, j in layer.czs:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # config imports this module to refuse an algorithm that needs more layers
+if TYPE_CHECKING:  # config imports this module to keep each config's layers as it checks them
     from .config import GateRequest
 
 

@@ -2,6 +2,7 @@
 and both deviations' exact rates on the protocol itself."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from adbqc.adversary import (
     tamper_acceptance_exact,
 )
 from adbqc import adversary
-from adbqc.protocols import AdversaryConfig, GateRequest, ProtocolConfig
+from adbqc.protocols import AdversaryConfig, GateRequest, ProtocolConfig, run
 from adbqc.protocols import driver
 from adbqc.protocols.driver import apply_attack, new_session, register_label
 from adbqc.protocols.traps import TRAP_STATES, reading_flip
@@ -315,6 +316,65 @@ def test_exact_escape_refuses_more_placements_than_the_budget(monkeypatch):
     monkeypatch.setattr(adversary, "walk_run", lambda config: pytest.fail("walked"))
     with pytest.raises(ValueError, match="budget"):
         exact_escape(pauli(12, 1, (5, 0, 0)))
+
+
+# ---------------------------------------------------------------------------
+# The located attacker: the server reads the computation's positions off its
+# own record. These tests pin the leak as it stands; once the register's
+# entangling pattern and output bases are hidden (ROADMAP item 2(b)/(c)),
+# the first is re-pinned to the closed form's P(accept) = 2/3 and the second
+# finds traps and computation positions among both bases.
+
+LEAK_SEEDS = range(100)
+
+
+def labelled_positions(num_qubits: int) -> dict[str, int]:
+    return {register_label(pos): pos for pos in range(num_qubits)}
+
+
+def located_position(config: ProtocolConfig) -> int:
+    """The attacker's one X: the lower register position a ``c`` ancilla (the
+    CZ gadget's, or one cancelling its Hadamards) is coupled to, as the
+    server's own events of an honest run show it."""
+    positions = labelled_positions(config.num_qubits)
+    coupled = {
+        positions[ev.payload["qubits"][1]]
+        for ev in run(config).transcript.bob_events()
+        if ev.payload.get("op") == "couple" and ev.payload["qubits"][0].startswith("c")
+    }
+    return min(coupled)
+
+
+def test_the_located_attacker_always_escapes_and_always_corrupts():
+    """On p1 N=6 d=2 running X(0), CZ(0,1), the CZ graph names both
+    computation positions: the position the server reads off its record is
+    the plan's lower computation position on every seed, and one X there is
+    accepted with certainty and always leaves the decoded bits wrong."""
+    for seed in LEAK_SEEDS:
+        config = ProtocolConfig("p1", 6, 2, seed=seed, algorithm=X_THEN_CZ)
+        pos = located_position(config)
+        layout = driver.draw_plan(config).layout
+        assert pos == min(layout.position_of_logical(0), layout.position_of_logical(1)), seed
+        attack = AdversaryConfig("random_pauli", pauli_positions=(("x", pos),))
+        assert exact_escape(replace(config, adversary=attack)) == (1.0, 1.0), seed
+
+
+def test_the_announced_x_bases_name_the_traps():
+    """On p2 N=4 d=1 with two traps running H(0), every position the client
+    announces an X-basis measurement for is a trap: 109 announcements over
+    the seeds, all of them traps."""
+    positions = labelled_positions(4)
+    announced = 0
+    for seed in LEAK_SEEDS:
+        config = ProtocolConfig("p2", 4, 1, trap_count=2, seed=seed,
+                                algorithm=(GateRequest.single(0, name="h"),))
+        result = run(config)
+        traps = {result.layout.permutation[s] for s in result.layout.trap_slots}
+        for ev in result.transcript.bob_events():
+            if ev.kind == "msg" and ev.payload.get("basis") == "x":
+                assert positions[ev.payload["qubit"]] in traps, seed
+                announced += 1
+    assert announced == 109
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Run configuration, manifest serialization, and transcript plumbing."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from adbqc.protocols import (
     config_from_dict,
     config_to_dict,
     run,
+    schedule,
 )
 from adbqc.transcript import ALICE, BOB, Transcript
 from helpers import read_manifest
@@ -292,6 +294,24 @@ def test_algorithm_deeper_than_depth_is_refused_when_built():
                           "algorithm": [{"kind": "cz", "targets": [0, 1]},
                                         {"kind": "cz", "targets": [1, 2]}]})
     assert run(ProtocolConfig("sueki", 3, 2, seed=1, algorithm=chain)).report.accepted
+
+
+def test_replace_schedules_again_and_the_layers_are_no_input():
+    """``replace`` builds a new config, whose checks schedule its own algorithm
+    and depth; the kept layers stay out of equality, repr and the dict."""
+    chain = (GateRequest.cz_pair(0, 1), GateRequest.cz_pair(1, 2))  # two layers
+    config = ProtocolConfig("sueki", 3, 1, algorithm=(H_REQ,))
+    deeper = replace(config, depth=3)
+    assert len(deeper.layers) == 3 and deeper.layers == schedule((H_REQ,), 3, 3)
+    chained = replace(deeper, algorithm=chain)
+    assert chained.layers == schedule(chain, 3, 3) != deeper.layers
+    with pytest.raises(ValueError, match="needs 2 layers, configured depth is 1"):
+        replace(config, algorithm=chain)
+    with pytest.raises(ValueError, match="init=False"):
+        replace(config, layers=())
+    twin = replace(config)
+    assert twin == config and hash(twin) == hash(config) and twin.layers == config.layers
+    assert "layers" not in repr(config) and "layers" not in config_to_dict(config)
 
 
 def test_output_bases_validation():

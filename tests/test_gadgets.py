@@ -388,6 +388,32 @@ def test_pattern_unitary_matches_euler_product(trial):
     assert np.allclose(got, want, atol=1e-12)
 
 
+def multiplied_pattern(octants) -> np.ndarray:
+    """The pattern's product as written out per call: H R_Z at octants d, g,
+    b and 0, in turn, on the identity, each H R_Z from its formula."""
+    kb, kg, kd = octants
+    m = np.eye(2, dtype=complex)
+    for k in (kd, kg, kb, 0):
+        m = hrz_matrix(octant_angle(k)) @ m
+    return m
+
+
+def test_pattern_unitary_is_the_product_bit_for_bit():
+    for octants in itertools.product(range(8), repeat=3):
+        assert (pattern_unitary(octants) == multiplied_pattern(octants)).all(), octants
+
+
+def test_pattern_unitary_shares_one_read_only_entry_per_triple_mod_8():
+    for octants in itertools.product(range(8), repeat=3):
+        m = pattern_unitary(octants)
+        assert not m.flags.writeable, octants
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0
+        for shift in (8, 16, -8):
+            assert pattern_unitary(tuple(k + shift for k in octants)) is m
+    assert len(gadgets._PATTERNS) == 512
+
+
 @pytest.mark.parametrize("name", sorted(NAMED_GATE_OCTANTS))
 def test_pattern_unitary_realizes_named_gates(name):
     got = pattern_unitary(NAMED_GATE_OCTANTS[name])

@@ -159,6 +159,12 @@ def test_config_dict_roundtrip_property(config):
 
 
 @PROPERTY_SETTINGS
+@given(configs())
+def test_config_keeps_the_schedule_of_its_algorithm(config):
+    assert config.layers == schedule(config.algorithm, config.logical_width, config.depth)
+
+
+@PROPERTY_SETTINGS
 @given(configs(), st.text(max_size=24))
 def test_manifest_json_roundtrip_property(config, created):
     text = RunManifest(config, created=created).to_json()
