@@ -167,10 +167,10 @@ CATALOGUE = (
          "test_discarding_an_equatorial_qubit_leaves_the_rest_with_its_phase[4]"),
     ),
     Mutant(
-        "cz-gate-writable",  # the shared CZ gate is left out of the read-only loop
+        "cz-gate-writable",  # the CZ gate is built without ``share``, so it stays writable
         "src/adbqc/qsim.py",
-        "(H_GATE, X_GATE, Z_GATE, CZ_GATE, Z_BASIS,",
-        "(H_GATE, X_GATE, Z_GATE, Z_BASIS,",
+        "CZ_GATE = share(np.diag([1, 1, 1, -1]).astype(complex))",
+        "CZ_GATE = np.diag([1, 1, 1, -1]).astype(complex)",
         ("tests/test_qsim.py::test_shared_gates_and_bases_are_read_only",),
     ),
     Mutant(
@@ -217,12 +217,51 @@ CATALOGUE = (
     Mutant(
         "hrz-order-swapped",  # the H R_Z table, and every pattern built from it, holds R_Z H
         "src/adbqc/qsim.py",
-        "tuple(H_GATE @ rz for rz in RZ_BY_OCTANT)",
-        "tuple(rz @ H_GATE for rz in RZ_BY_OCTANT)",
+        "tuple(share(H_GATE @ rz) for rz in RZ_BY_OCTANT)",
+        "tuple(share(rz @ H_GATE) for rz in RZ_BY_OCTANT)",
         ("tests/test_gadgets.py::test_pattern_unitary_is_the_product_bit_for_bit",
          "tests/test_gadgets.py::test_pattern_unitary_matches_euler_product[0]",
          "tests/test_oracle.py::test_soundness_sweep_small",
          "tests/test_protocols_sueki.py::test_generic_octant_pattern_matches_reference"),
+    ),
+    Mutant(
+        "check-gate-not-distinct",  # a gate may name one target twice
+        "src/adbqc/qsim.py",
+        "    if not k or k > 1 and len(set(targets)) != k:\n",
+        "    if not k:\n",
+        ("tests/test_qsim.py::test_runtime_apply_refuses_what_apply_gate_refuses[repeated-label]",),
+    ),
+    Mutant(
+        "admit-without-norm-check",  # a new qubit's state is admitted whatever its norm
+        "src/adbqc/runtime.py",
+        "        if not _has_unit_norm(amps):\n"
+        "            raise ValueError(\"a new qubit's state must be normalized\")\n",
+        "",
+        ("tests/test_qsim.py::test_load_refuses_a_state_it_cannot_hold[unnormalized]",
+         "tests/test_qsim.py::test_a_state_with_a_non_finite_norm_is_refused[nan]"),
+    ),
+    Mutant(
+        "equatorial-minus-unsigned",  # |-_{pi/2,p}> loses its sign: the bases stop being bases
+        "src/adbqc/qsim.py",
+        "    minus = [math.sin(math.pi / 4), -np.exp(1j * phase) * math.cos(math.pi / 4)]\n",
+        "    minus = [math.sin(math.pi / 4), np.exp(1j * phase) * math.cos(math.pi / 4)]\n",
+        ("tests/test_acceptance.py::test_acceptance_1_gadget_soundness",
+         "tests/test_gadgets.py::test_sueki_gadget_soundness[coin_pair1-0]"),
+    ),
+    Mutant(
+        "shared-conjugate-unconjugated",  # a shared basis is measured through itself, unconjugated
+        "src/adbqc/qsim.py",
+        "    conj = array.conj()\n",
+        "    conj = array\n",
+        ("tests/test_qsim.py::test_every_shared_array_is_held_with_its_read_only_conjugate",
+         "tests/test_properties.py::test_a_shared_basis_measures_as_a_writable_copy_of_it"),
+    ),
+    Mutant(
+        "add-qubit-holds-a-writable-array",  # a caller's writable array becomes a factor as given
+        "src/adbqc/runtime.py",
+        "amps = amplitudes if id(amplitudes) in SHARED else np.array(amplitudes, complex).reshape(-1)",
+        "amps = np.asarray(amplitudes, complex).reshape(-1)",
+        ("tests/test_qsim.py::test_a_written_caller_array_leaves_the_runtime_as_it_was",),
     ),
 )
 

@@ -38,12 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qsim import CZ_GATE, EQUATORIAL_BY_OCTANT, H_GATE, HIDDEN_BY_OCTANT, HRZ_BY_OCTANT
-from .qsim import PLUS_AMPS, X_GATE, Z_BASIS, Z_GATE, ZERO_AMPS, apply_gate
+from .qsim import PLUS_AMPS, X_GATE, Z_BASIS, Z_GATE, ZERO_AMPS, apply_gate, share
 from .runtime import QuantumRuntime
 from .transcript import ALICE, BOB
 
-ENTANGLER = np.kron(H_GATE, H_GATE) @ CZ_GATE  # E = (H x H) CZ, read-only like qsim's gates
-ENTANGLER.flags.writeable = False
+ENTANGLER = share(np.kron(H_GATE, H_GATE) @ CZ_GATE)  # E = (H x H) CZ, shared like qsim's gates
 
 
 # ---------------------------------------------------------------------------
@@ -94,19 +93,19 @@ def frame_conjugate(
     the hrz angle so that gate-then-frame equals frame-then-original-gate
     up to global phase.
     """
-    x, z = list(frame.x), list(frame.z)
-    sign = +1
-    if gate_kind == "hrz":
+    x, z = frame.x, frame.z
+    if gate_kind == "hrz":  # H swaps the target's records; a frame they agree on stays
         (q,) = targets
-        sign = -1 if x[q] else +1
-        x[q], z[q] = z[q], x[q]
-    elif gate_kind == "cz":
+        if x[q] != z[q]:
+            x, z = list(x), list(z)
+            x[q], z[q] = z[q], x[q]
+            frame = PauliFrame(tuple(x), tuple(z))
+        return frame, -1 if frame.z[q] else +1  # the new Z record is the old X record
+    if gate_kind == "cz":  # each target's Z record takes the other's X record
         i, j = targets
-        z[i] ^= x[j]
-        z[j] ^= x[i]
-    else:
-        raise ValueError(f"frame conjugation not defined for gate {gate_kind!r}")
-    return PauliFrame(tuple(x), tuple(z)), sign
+        frame = frame.flip_z(i) if x[j] else frame
+        return (frame.flip_z(j) if x[i] else frame), +1
+    raise ValueError(f"frame conjugation not defined for gate {gate_kind!r}")
 
 
 # ---------------------------------------------------------------------------

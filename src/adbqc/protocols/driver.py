@@ -270,7 +270,7 @@ def draw_plan(config: ProtocolConfig) -> Plan:
     layout = place_traps(config.num_qubits, config.trap_count, config.protocol, alice)
     client = CLIENT_BY_PROTOCOL[config.protocol]
     steps = tuple(
-        step._replace(secrets=draw_secrets(client, alice)) if step.kind == "hrz" else step
+        Step(*step[:3], draw_secrets(client, alice)) if step.kind == "hrz" else step
         for step in compile_steps(config, layout)
     )
     adv = config.adversary

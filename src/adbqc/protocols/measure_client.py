@@ -25,12 +25,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..gadgets import couple, h_cancel
-from ..qsim import EQUATORIAL_BY_OCTANT, RZ_BY_OCTANT, SQRT_HALF, X_BASIS, Z_BASIS
+from ..qsim import EQUATORIAL_BY_OCTANT, RZ_BY_OCTANT, SQRT_HALF, X_BASIS, Z_BASIS, share
 from ..runtime import QuantumRuntime
 from ..transcript import ALICE, BOB
 
-BELL = np.array([SQRT_HALF, 0, 0, SQRT_HALF], dtype=complex)  # (|00> + |11>)/sqrt(2)
-BELL.flags.writeable = False
+BELL = share(np.array([SQRT_HALF, 0, 0, SQRT_HALF], dtype=complex))  # (|00> + |11>)/sqrt(2)
 
 
 def classify_angle(octant: int) -> str:

@@ -17,17 +17,18 @@ Conventions, fixed across the whole package:
 - A pure state on n qubits is a 1-D complex array of its 2^n amplitudes;
   ``_width`` is the one rule that reads n from the length.
 
-Every operation returns a new array and writes none of its inputs.
-Measurement and outcome enumeration live in ``runtime``.
-Gates apply through one kernel, ``_apply_matrix`` (also behind
-``QuantumRuntime.apply``): on the top qubits, high to low (the identity axis
-order), one product on the amplitudes as they lie; on any other targets, one
-product on the view with the target axes in front, its axis orders cached
-per (width, targets). Both callers
-check a gate against its targets with ``_check_gate``. Gates and bases are
-built from fixed formulas and checked nowhere in ``src/`` (the tests check
-that each is unitary or orthonormal); the ones every run reuses, and the
-ancilla amplitudes, are built once, at import, as read-only arrays.
+Every operation returns a new array and writes none of its inputs. Measurement
+and outcome enumeration live in ``runtime``. Gates apply through one kernel,
+``_apply_matrix`` (also behind ``QuantumRuntime.apply``): on the top qubits,
+high to low (the identity axis order, ``_TOP``), one product on the amplitudes
+as they lie; on any other targets, one product on the view with the target axes
+in front, its axis orders cached per (width, targets). Both callers check a
+gate against its targets with ``_check_gate``. Gates and bases are built from
+fixed formulas and checked nowhere in ``src/`` (the tests check that each is
+unitary or orthonormal); the ones every run reuses, and the ancilla states, are
+built once, at import, and ``share``d: read-only, held as given by a runtime
+factor (a state, or a basis row; it copies any other input), and kept with
+their conjugates in ``SHARED``.
 """
 
 from __future__ import annotations
@@ -69,24 +70,32 @@ def equatorial_basis(phase: float) -> np.ndarray:
     return np.array([plus_state(math.pi / 2, phase), minus], dtype=complex)
 
 
-# Built once and read-only: a gate is its matrix, a basis its 2x2 array of
+def share(array: np.ndarray) -> np.ndarray:
+    """Make ``array``, a gate, basis or state kept for good, read-only and shared; returns it."""
+    conj = array.conj()
+    array.flags.writeable = conj.flags.writeable = False
+    SHARED[id(array)] = array, conj
+    return array
+
+
+SHARED: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # id -> (shared array, its conjugate)
+# Built once and shared: a gate is its matrix, a basis its 2x2 array of
 # eigenstate rows, and octant k means the angle k*pi/4.
-H_GATE = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=complex)
-X_GATE = np.array([[0, 1], [1, 0]], dtype=complex)
-Z_GATE = np.array([[1, 0], [0, -1]], dtype=complex)
-CZ_GATE = np.diag([1, 1, 1, -1]).astype(complex)
-RZ_BY_OCTANT = tuple(rz_matrix(k * math.pi / 4) for k in range(8))
-HRZ_BY_OCTANT = tuple(H_GATE @ rz for rz in RZ_BY_OCTANT)
-Z_BASIS = np.eye(2, dtype=complex)
-X_BASIS = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF
-EQUATORIAL_BY_OCTANT = tuple(equatorial_basis(k * math.pi / 4) for k in range(8))
+H_GATE = share(np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=complex))
+X_GATE = share(np.array([[0, 1], [1, 0]], dtype=complex))
+Z_GATE = share(np.array([[1, 0], [0, -1]], dtype=complex))
+CZ_GATE = share(np.diag([1, 1, 1, -1]).astype(complex))
+RZ_BY_OCTANT = tuple(share(rz_matrix(k * math.pi / 4)) for k in range(8))
+HRZ_BY_OCTANT = tuple(share(H_GATE @ rz) for rz in RZ_BY_OCTANT)
+Z_BASIS = share(np.eye(2, dtype=complex))
+X_BASIS = share(np.array([[1, 1], [1, -1]], dtype=complex) * SQRT_HALF)
+EQUATORIAL_BY_OCTANT = tuple(share(equatorial_basis(k * math.pi / 4)) for k in range(8))
 # the prepare-only client's hidden-rotation ancilla at each hiding octant
-HIDDEN_BY_OCTANT = tuple(plus_state(k * math.pi / 4, math.pi / 2) for k in range(8))
-ZERO_AMPS = np.array([1, 0], dtype=complex)
-PLUS_AMPS = plus_state(math.pi / 2, 0.0)
-for _shared in (H_GATE, X_GATE, Z_GATE, CZ_GATE, Z_BASIS, X_BASIS, ZERO_AMPS, PLUS_AMPS,
-                *RZ_BY_OCTANT, *HRZ_BY_OCTANT, *EQUATORIAL_BY_OCTANT, *HIDDEN_BY_OCTANT):
-    _shared.flags.writeable = False
+HIDDEN_BY_OCTANT = tuple(share(plus_state(k * math.pi / 4, math.pi / 2)) for k in range(8))
+ZERO_AMPS = share(np.array([1, 0], dtype=complex))
+PLUS_AMPS = share(plus_state(math.pi / 2, 0.0))
+_TOP = tuple(tuple(tuple(range(n - 1, n - 1 - k, -1)) for k in range(n + 1))
+             for n in range(MAX_QUBITS + 1))  # _TOP[n][k]: the top k of n qubits, high to low
 
 
 @functools.lru_cache(maxsize=1024)
@@ -105,7 +114,7 @@ def _apply_matrix(
     """``matrix`` on ``targets``: one gemm on the amplitudes as they lie when
     the targets are the top qubits, high to low, else on the view with the
     target axes in front."""
-    if targets == tuple(range(n - 1, n - 1 - len(targets), -1)):  # the identity axis order
+    if targets == _TOP[n][len(targets)]:  # the identity axis order
         return matrix.dot(amps.reshape(matrix.shape[0], -1)).reshape(-1)
     shape, perm, inverse = _transpose_plan(n, targets)
     front = amps.reshape(shape).transpose(perm).reshape(matrix.shape[0], -1)
@@ -116,7 +125,7 @@ def _check_gate(matrix: np.ndarray, targets: Sequence) -> None:
     """Refuse no targets, repeated targets, or a matrix that is not
     2^k x 2^k for its k targets (qubit indices or runtime labels)."""
     k = len(targets)
-    if not k or len(set(targets)) != k:
+    if not k or k > 1 and len(set(targets)) != k:
         raise ValueError(f"need one or more distinct targets, got {list(targets)}")
     if matrix.shape != (1 << k, 1 << k):
         raise ValueError(f"a {matrix.shape} matrix cannot act on targets {list(targets)}")

@@ -16,21 +16,23 @@ oracles and audits all measure through ``QuantumRuntime.measure``; ``qsim``
 only builds states and applies gates.
 
 A factor is some qubits, in its own order, and one amplitude array that no
-operation writes in place; the owner table's keys order the qubits. An ancilla
-couples to one or two register qubits and is measured away, so each gadget
-works on its targets' factor: ``add_qubit`` and ``load`` start a factor,
-``apply`` first tensors the factors of its qubits into one, and ``measure``
-splits the qubit off. ``apply`` keeps its first label's factor on top, so
-an ancilla (the first label of each coupling) coupled to a lone qubit gets
-the identity axis order, which ``qsim._apply_matrix`` serves with one
-product on the amplitudes as they lie. ``measure`` and ``discard`` work on
-the factor's (2, rest) halves, row b the rest's amplitudes where the qubit
-reads b; on the top qubit, where ancillas sit, that is the amplitudes as
-they lie, reshaped. ``measure`` takes both outcomes' overlaps from one
-product with the conjugated basis, and ``discard`` reads its 2x2 reduced
-state as the Gram matrix of the two halves, or drops a lone factor.
-What a split leaves of no qubit is kept as a global phase, so ``snapshot``
-returns, as a ``qsim`` state array, the amplitudes one joint vector would hold.
+operation writes in place, so a shared state (``qsim.share``: ``qsim``'s and
+the clients' read-only states) or a shared basis's row is held as given, and
+any other input copied; the owner table's keys order the qubits. Each gadget
+works on its targets' factor (an ancilla couples to one or two register qubits
+and is measured away): ``add_qubit`` and ``load`` start a factor, ``apply``
+first tensors the factors of its qubits into one, and ``measure`` splits the
+qubit off. ``apply`` keeps its first label's factor on top, so an ancilla (the
+first label of each coupling) coupled to a lone qubit gets the identity axis
+order, which ``qsim._apply_matrix`` serves with one product on the amplitudes
+as they lie. ``measure`` and ``discard`` work on the factor's (2, rest) halves,
+row b the rest's amplitudes where the qubit reads b; on the top qubit, where
+ancillas sit, that is the amplitudes as they lie, reshaped. ``measure`` takes
+both outcomes' overlaps from one product with the conjugated basis (a shared
+one's is built once, at import), and ``discard`` reads its 2x2 reduced state as
+the Gram matrix of the two halves, or drops a lone factor. What a split leaves
+of no qubit is kept as a global phase, so ``snapshot`` returns, as a ``qsim``
+state array, the amplitudes one joint vector would hold.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .qsim import (
     BRANCH_PROB_FLOOR,
     MAX_QUBITS,
     PRODUCT_ATOL,
+    SHARED,
     _apply_matrix,
     _check_gate,
     _has_unit_norm,
@@ -163,9 +166,9 @@ class QuantumRuntime:
             self._factors[lb] = factor
 
     def load(self, state: np.ndarray, labels: Sequence[str], owner: str) -> None:
-        """Tensor a copy of a normalized state in as one factor; labels[i] is its qubit i."""
+        """Load a normalized state, copied unless shared, as one factor; labels[i] is qubit i."""
         labels = tuple(labels)
-        amps = np.array(state, dtype=complex)
+        amps = state if id(state) in SHARED else np.array(state, dtype=complex)
         if amps.shape != (1 << len(labels),) or len(set(labels)) != len(labels):
             raise ValueError("need one distinct label per loaded qubit")
         self._admit(labels, amps)
@@ -174,8 +177,8 @@ class QuantumRuntime:
 
     def add_qubit(self, label: str, amplitudes: np.ndarray, owner: str) -> None:
         """Append a fresh qubit (becomes the most significant one) as a
-        factor of its own."""
-        amps = np.array(amplitudes, dtype=complex).reshape(-1)
+        factor of its own, a copy of ``amplitudes`` unless they are shared."""
+        amps = amplitudes if id(amplitudes) in SHARED else np.array(amplitudes, complex).reshape(-1)
         if amps.shape != (2,):
             raise ValueError("new qubit needs a 2-vector")
         self._admit((label,), amps)
@@ -203,6 +206,9 @@ class QuantumRuntime:
             if lb not in local:
                 other, other_amps = self._factor(lb)
                 local, amps = other + local, (amps[:, None] * other_amps).reshape(-1)
+        if len(local) == 1:  # a one-qubit gate on a lone factor: the one product, taken directly
+            self._factors[local[0]] = local, matrix.dot(amps)
+            return
         targets = tuple(map(local.index, labels))
         self._store(local, _apply_matrix(amps, matrix, targets, len(local)))
 
@@ -212,14 +218,15 @@ class QuantumRuntime:
         qubit leaves its factor as a factor of its own."""
         local, amps = self._factor(label)
         q = local.index(label)
+        basis, conj = SHARED.get(id(basis)) or (basis.copy(), basis.conj())  # copied unless shared
         # row b: the rest's overlap with row b of the basis
-        overlaps = basis.conj().dot(_halves(amps, q, len(local)))
+        overlaps = conj.dot(_halves(amps, q, len(local)))
         p0 = min(max(float(np.vdot(overlaps[0], overlaps[0]).real), 0.0), 1.0)
         bit = self.outcomes.take(p0)
         prob = p0 if bit == 0 else 1.0 - p0
         rest = overlaps[bit] / math.sqrt(max(prob, BRANCH_PROB_FLOOR))
         self._store(local[:q] + local[q + 1:], rest)
-        self._factors[label] = ((label,), basis[bit].copy())
+        self._factors[label] = ((label,), basis[bit])
         return bit, prob
 
     def discard(self, label: str) -> None:

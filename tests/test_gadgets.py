@@ -189,17 +189,37 @@ def test_frame_matrix_refuses_a_state_of_another_width(frame, state):
         frame.matrix_on(state)
 
 
+def frames(n: int):
+    """Every frame on ``n`` qubits."""
+    for bits in itertools.product((0, 1), repeat=2 * n):
+        yield PauliFrame(bits[:n], bits[n:])
+
+
 def test_frame_flips():
+    """On every frame of 1 to 4 qubits, flipping qubit q's X (Z) record, at
+    every q, puts one more X (Z) on q into the correction ``matrix_on``
+    applies, and changes nothing else, up to global phase."""
     frame = PauliFrame.identity(2).flip_x(0).flip_z(1)
     assert frame.x == (1, 0)
     assert frame.z == (0, 1)
+    gen = np.random.default_rng(192)
+    for n in range(1, 5):
+        for frame in frames(n):
+            for q in range(n):
+                state = haar_random_state(n, gen)
+                for flipped, pauli in ((frame.flip_x(q), X), (frame.flip_z(q), Z)):
+                    want = frame.matrix_on(apply_gate(state, pauli, [q]))
+                    assert proportional(flipped.matrix_on(state), want)
+                    assert len(flipped.x) == len(flipped.z) == n
 
 
 @pytest.mark.parametrize("x", (0, 1))
 @pytest.mark.parametrize("z", (0, 1))
 @pytest.mark.parametrize("kind", ["hrz"])
 def test_frame_conjugation_matches_matrix_identity(x, z, kind):
-    """gate . frame = frame' . gate' as matrices, up to global phase."""
+    """gate . frame = frame' . gate' up to global phase: as 2x2 matrices, and
+    on a Haar state of every frame of 1 to 4 qubits whose target, at every
+    position, holds (x, z), with ``matrix_on`` applying each frame."""
     theta = 0.93
     gate = hrz_matrix(theta)
     frame = PauliFrame((x,), (z,))
@@ -208,6 +228,17 @@ def test_frame_conjugation_matches_matrix_identity(x, z, kind):
     lhs = gate @ pauli_matrix(x, z)
     rhs = pauli_matrix(new_frame.x[0], new_frame.z[0]) @ new_gate
     assert proportional(lhs, rhs)
+    gen = np.random.default_rng(2 * x + z)
+    for n in range(1, 5):
+        for frame in frames(n):
+            for q in range(n):
+                if (frame.x[q], frame.z[q]) != (x, z):
+                    continue
+                state = haar_random_state(n, gen)
+                new_frame, sign = frame_conjugate(frame, kind, (q,))
+                lhs = apply_gate(frame.matrix_on(state), gate, [q])
+                rhs = new_frame.matrix_on(apply_gate(state, hrz_matrix(sign * theta), [q]))
+                assert proportional(lhs, rhs)
 
 
 @pytest.mark.parametrize("bits", range(16))
@@ -225,6 +256,17 @@ def test_cz_frame_conjugation(bits):
         pauli_matrix(new_frame.x[0], new_frame.z[0]),
     )
     assert proportional(cz @ before, after @ cz)
+    # the same records on targets i, j of a frame of 2 to 4 qubits, the rest random
+    gen = np.random.default_rng(bits)
+    for n in range(2, 5):
+        for i, j in itertools.permutations(range(n), 2):
+            x, z = gen.integers(2, size=(2, n)).tolist()
+            x[i], z[i], x[j], z[j] = x0, z0, x1, z1
+            frame, state = PauliFrame(tuple(x), tuple(z)), haar_random_state(n, gen)
+            new_frame, sign = frame_conjugate(frame, "cz", (i, j))
+            assert sign == +1
+            lhs = apply_gate(frame.matrix_on(state), cz, [i, j])
+            assert proportional(lhs, new_frame.matrix_on(apply_gate(state, cz, [i, j])))
 
 
 def test_frame_conjugate_rejects_unknown_gate():

@@ -276,7 +276,7 @@ def test_soundness_sweep_draws_secrets_only_where_they_are_read(monkeypatch):
 
 @pytest.mark.parametrize("states", [1, 2, 3, 4])
 @pytest.mark.parametrize("seed", [2026, 1, 99, 321])
-def test_soundness_sweep_equals_a_table_per_input(seed, states):
+def test_soundness_sweep_equals_one_check_per_drawn_key(seed, states):
     """The sweep's read of the drawn keys' scores, compiled with their rows,
     gives, bit for bit, what one check per drawn (gadget, octant, secrets)
     item, the sweep's input, gives."""

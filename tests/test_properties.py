@@ -17,7 +17,8 @@ cached transpose plans are checked against their formula for random widths
 and targets, and a gate on the top qubits, high to low (the identity axis
 order), against the plain product and against the same gate on reordered
 qubits, and so is a measurement of a factor's top qubit against the same
-measurement on reordered qubits. Reduced states from
+measurement on reordered qubits, and a measurement in a shared basis against
+one in a writable copy of it, bit for bit. Reduced states from
 ``partial_trace`` on random keep lists are checked to be density matrices
 (Hermitian, unit trace, no negative eigenvalue) and against an einsum
 reference, and
@@ -401,6 +402,25 @@ def test_forced_measurement_matches_projector(case):
     assert np.allclose(
         rt.snapshot(), projected / np.sqrt(want_prob), rtol=0.0, atol=KERNEL_ATOL
     )
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 3), st.data())
+def test_a_shared_basis_measures_as_a_writable_copy_of_it(n, data):
+    """A shared basis, read through the conjugate built at import, gives the
+    same bit, probability and snapshot, bit for bit, as a writable copy of
+    it, which ``measure`` conjugates on the call; on factors of one to three
+    qubits at every position."""
+    q = data.draw(st.integers(0, n - 1))
+    basis = data.draw(st.sampled_from([Z_BASIS, X_BASIS, *EQUATORIAL_BY_OCTANT]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    state = haar_random_state(n, np.random.default_rng(seed))
+    results = []
+    for given_basis in (basis, np.array(basis)):
+        rt, labels = from_state(state, SampledOutcomes(np.random.default_rng(seed)), BOB)
+        bit, prob = rt.measure(labels[q], given_basis)
+        results.append((bit, prob, rt.snapshot().tobytes()))
+    assert results[0] == results[1]
 
 
 def insert_qubit(rest: np.ndarray, qubit: np.ndarray, q: int) -> np.ndarray:

@@ -15,6 +15,7 @@ import pytest
 
 from adbqc import adversary, gadgets, qsim, rng, runtime
 from adbqc.gadgets import ENTANGLER
+from adbqc.protocols import measure_client
 from adbqc.qsim import (
     BRANCH_PROB_FLOOR,
     CZ_GATE,
@@ -653,6 +654,77 @@ def test_load_copies_its_state():
     state[0] = 0.0
     rt.snapshot()[0] = 0.0
     assert np.allclose(rt.snapshot(), [INV_SQRT2, INV_SQRT2], atol=1e-12)
+
+
+def test_a_written_caller_array_leaves_the_runtime_as_it_was():
+    """``add_qubit`` and ``load`` copy any array that is not shared, so
+    writing a complex array, of any shape they accept, after handing it in
+    leaves the runtime as it was."""
+    qubit, column = np.array([0.6, 0.8j]), np.array([[0.8], [-0.6j]])
+    pair = normalized([1.0, 0.0, 0.0, 1.0j])
+    rt = QuantumRuntime(ReplayOutcomes(()))
+    rt.add_qubit("a", qubit, BOB)
+    rt.add_qubit("c", column, BOB)
+    rt.load(pair, ["p", "q"], BOB)
+    want = np.kron(pair, np.kron([0.8, -0.6j], [0.6, 0.8j]))
+    for array in (qubit, column, pair):
+        array[...] = 0.0
+    assert np.allclose(rt.snapshot(), want, rtol=0.0, atol=1e-12)
+
+
+def test_shared_states_and_basis_rows_are_held_as_given():
+    """A factor holds a shared state, and the row of a shared basis its qubit
+    was measured onto, without a copy; a writable copy of a basis leaves a
+    copied row."""
+    rt = QuantumRuntime(ReplayOutcomes(()))
+    held = {"z": ZERO_AMPS, "p": PLUS_AMPS, "h": HIDDEN_BY_OCTANT[3]}
+    for label, amps in held.items():
+        rt.add_qubit(label, amps, BOB)
+    rt.load(measure_client.BELL, ["e0", "e1"], BOB)
+    held["e0"] = measure_client.BELL
+    for label, array in held.items():
+        assert np.shares_memory(rt._factors[label][1], array)
+    for label, basis in (("z", Z_BASIS), ("p", X_BASIS), ("h", EQUATORIAL_BY_OCTANT[5])):
+        bit, _ = rt.measure(label, basis)
+        assert np.shares_memory(rt._factors[label][1], basis)
+        assert np.array_equal(rt._factors[label][1], basis[bit])
+    copy = np.array(X_BASIS)
+    bit, _ = rt.measure("e0", copy)
+    assert not np.shares_memory(rt._factors["e0"][1], copy)
+    assert np.array_equal(rt._factors["e0"][1], X_BASIS[bit])
+
+
+def test_every_shared_array_is_held_with_its_read_only_conjugate():
+    """``qsim.SHARED`` holds each shared gate, basis and state under its id,
+    with its conjugate bit for bit; both refuse a write."""
+    shared = (H_GATE, CZ_GATE, ENTANGLER, ZERO_AMPS, PLUS_AMPS, Z_BASIS, X_BASIS,
+              measure_client.BELL, *RZ_BY_OCTANT, *HIDDEN_BY_OCTANT, *EQUATORIAL_BY_OCTANT)
+    assert {id(array) for array in shared} <= set(qsim.SHARED)
+    for key, (array, conj) in qsim.SHARED.items():
+        assert key == id(array)
+        assert conj.tobytes() == np.conjugate(array).tobytes()
+        assert not array.flags.writeable and not conj.flags.writeable
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_one_qubit_gate_on_a_lone_factor_is_the_general_product_bit_for_bit(seed):
+    """On a lone factor a one-qubit gate is one product taken directly: bit
+    for bit what ``_apply_matrix`` gives, on a loaded state, a shared state
+    and a shared basis row a measurement left."""
+    gen = np.random.default_rng(seed)
+    gates = [H_GATE, X_GATE, Z_GATE, Y_GATE, *RZ_BY_OCTANT, *HRZ_BY_OCTANT]
+    gates += [np.linalg.qr(gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)))[0]]
+    for gate in gates:
+        rt, (label,) = from_state(haar_random_state(1, gen), SampledOutcomes(gen), BOB)
+        rt.add_qubit("a", PLUS_AMPS, BOB)
+        rt.add_qubit("m", ZERO_AMPS, BOB)
+        rt.measure("m", EQUATORIAL_BY_OCTANT[seed + 1])
+        for lb in (label, "a", "m"):
+            amps = rt._factors[lb][1]
+            rt.apply(gate, [lb])
+            assert rt._factors[lb][0] == (lb,)
+            want = qsim._apply_matrix(amps, gate, (0,), 1)
+            assert rt._factors[lb][1].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
