@@ -137,6 +137,26 @@ CATALOGUE = (
          "tests/test_blindness.py::test_gadget_view_audit_flags_a_leak[p2-1-6]"),
     ),
     Mutant(
+        "walk-on-00",  # the one walk loads |00> in place of the entangled pair
+        "src/adbqc/protocols/driver.py",
+        "        rt.load(np.eye(dim).reshape(-1) / math.sqrt(dim), labels, BOB)\n",
+        "        rt.load(np.eye(dim * dim)[0], labels, BOB)\n",
+        ("tests/test_oracle.py::test_every_key_compiles_once_into_read_only_rows",
+         "tests/test_oracle.py::test_tables_from_the_entangled_input_match_replay[p1-a-0]",
+         "tests/test_blindness.py::test_no_signaling_flags_a_leak_without_a_classical_trace",
+         "tests/test_blindness.py::test_views_per_prefix_equal_views_per_path[0]"),
+    ),
+    Mutant(
+        "checkpoint-after-the-event",  # a checkpoint's record already holds its event's values
+        "src/adbqc/protocols/driver.py",
+        "            self.take(self.visible, self.server_record, self.rt.outcomes, self.rt)\n"
+        "            self.server_record += server_values(kind, payload)\n",
+        "            self.server_record += server_values(kind, payload)\n"
+        "            self.take(self.visible, self.server_record, self.rt.outcomes, self.rt)\n",
+        ("tests/test_blindness.py::test_views_per_prefix_equal_views_per_path[0]",
+         "tests/test_blindness.py::test_an_unchanged_checkpoint_is_its_predecessor[sueki]"),
+    ),
+    Mutant(
         "theta-count-drops-the-pad",  # the announced octant is counted as if no pad were drawn
         "src/adbqc/blindness.py",
         "announced_octant(targets[:, None], hiding, pad, s1)",

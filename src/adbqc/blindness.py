@@ -8,9 +8,10 @@ Six audits:
   can see and at the end, over every secret the client draws, with the
   step's input maximally entangled with a reference the server keeps, must
   be identical whatever the octant (exact: views compiled once per client
-  and octant, by one walk of the step that runs, bit-equal blocks interned
-  as one row of a stack; each call pairs the views' compiled cells in numpy
-  and decomposes each distinct pair of blocks once);
+  and octant, taken at the checkpoints of ``driver.walk_gadget``, the walk
+  that also compiles the step's rows, bit-equal blocks interned as one row
+  of a stack; each call pairs the views' compiled cells in numpy and
+  decomposes each distinct pair of blocks once);
 - no-signaling for the measure-only client: the same audit's p1 case, over
   any set of octants and checkpoints;
 - transcript statistics for full protocol runs: a permutation test that
@@ -36,16 +37,15 @@ from .adversary import (
     probe_gram,
     probe_gram_closed_form,
 )
-from .gadgets import PauliFrame, announced_octant
+from .gadgets import announced_octant
 from .oracle import PROTOCOL_BY_GADGET, check_octant
 from .protocols import sueki
 from .protocols.config import _integer
-from .protocols.driver import CLIENT_BY_PROTOCOL, drive_gadget, register_label, run
+from .protocols.driver import CLIENT_BY_PROTOCOL, run, walk_gadget
 from .protocols.reference import total_variation
 from .qsim import NO_SIGNALING_ATOL, PROBE_GRAM_ATOL, haar_random_states, trace_distance
 from .rng import stream
-from .runtime import OutcomeSource, QuantumRuntime, enumerate_runs
-from .transcript import ALICE, BOB, Transcript, server_sees, server_values
+from .transcript import ALICE, BOB, Transcript
 
 NULL_SIGMAS = 5.0
 
@@ -93,11 +93,6 @@ def audit_theta_uniformity() -> AuditResult:
 # The server's view of one client's rotation step
 
 
-# the rotation step's register maximally entangled with a reference, and no by-product yet
-_ENTANGLED = np.eye(2).reshape(-1) / math.sqrt(2)
-_NO_FRAME = PauliFrame.identity(1)
-
-
 class _View(dict):
     """A view {server record: block} with its cells (``_intern``): per record, its
     (d, record) slot, its block's dimension d and row, the rows of an int array."""
@@ -130,34 +125,15 @@ def _intern(view: dict) -> _View:
     return interned
 
 
-class _Checkpoints(Transcript):
-    """A transcript that keeps no event: for each event the server can see
-    (``server_sees``), it calls ``take(checkpoint, record)`` before the event
-    counts, so checkpoint k comes before the k-th visible event, and the
-    record is the server's classical record so far (the ``server_values``
-    that ``bob_classical_values`` joins), both kept up as the events arrive."""
-
-    def __init__(self, take) -> None:
-        super().__init__()
-        self.take = take
-        self.visible = 0
-        self.server_record: tuple = ()
-
-    def _push(self, kind: str, party: str, to: str | None, payload: dict) -> None:
-        if server_sees(kind, party):
-            self.visible += 1
-            self.take(self.visible, self.server_record)
-            self.server_record += server_values(kind, payload)
-
-
 def _compiled_views(protocol: str, octant: int) -> _Views:
     """The server's view at each checkpoint of ``protocol``'s rotation step
     (``drive_gadget``), compiled into ``_VIEWS`` once: for each entry of the
-    client's ``SECRETS``, one walk on the register maximally entangled with a
-    reference the server holds adds, once per (checkpoint, outcome prefix) of
-    probability p, p ``density_of(BOB)`` / len(SECRETS) to that (checkpoint,
-    server record) block: the strongest view of the step on any input. A
-    checkpoint comes before each event the server can see, and one at the end.
+    client's ``SECRETS``, one ``walk_gadget`` on the register maximally entangled
+    with a reference the server holds, whose rows it ignores, adds, once per
+    (checkpoint, outcome prefix) of probability p, p ``density_of(BOB)`` /
+    len(SECRETS) to that (checkpoint, server record) block: the strongest view
+    of the step on any input. A checkpoint comes before each event the server
+    can see, and one at the end.
     Every view is interned (``_intern``): bit-equal blocks of all views are one object,
     and a checkpoint whose blocks are the last one's objects is the last one's view."""
     if (protocol, octant) not in _VIEWS:
@@ -168,21 +144,14 @@ def _compiled_views(protocol: str, octant: int) -> _Views:
         for drawn in secrets:
             seen: set[tuple[int, tuple[int, ...]]] = set()
 
-            def run_fn(source: OutcomeSource) -> None:
-                def take(at: int, record: tuple) -> None:
-                    if (prefix := (at, source.bits)) not in seen:
-                        seen.add(prefix)
-                        view = blocks.setdefault(at, {})
-                        rho = source.path_probability() / len(secrets) * rt.density_of(BOB)
-                        view[record] = view.get(record, 0.0) + rho
+            def take(at: int, record: tuple, source, rt) -> None:
+                if (prefix := (at, source.bits)) not in seen:
+                    seen.add(prefix)
+                    view = blocks.setdefault(at, {})
+                    rho = source.path_probability() / len(secrets) * rt.density_of(BOB)
+                    view[record] = view.get(record, 0.0) + rho
 
-                tape = _Checkpoints(take)
-                rt = QuantumRuntime(source, tape)
-                rt.load(_ENTANGLED, [register_label(0), register_label(1)], BOB)
-                drive_gadget(rt, protocol, _NO_FRAME, (0,), octant, drawn)
-                take(tape.visible + 1, tape.server_record)
-
-            paths += len(enumerate_runs(run_fn))
+            paths += len(walk_gadget(protocol, octant, drawn, take))
             made.update(at for at, _ in seen)
         for at in sorted(blocks):  # interned; an unchanged checkpoint is its predecessor
             view, last = _intern(blocks[at]), blocks.get(at - 1, {})

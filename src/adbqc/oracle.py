@@ -6,13 +6,14 @@ shape of that client's ``fold``ed ``COINS``; ``cz`` is the coupling gadget.
 Each is enumerated over every outcome path once per process and
 (gadget, octant, secrets) by ``driver.gadget_rows``, through the
 ``driver.drive_gadget`` a run drives, on its register maximally entangled
-with a reference, which gives each path's operator M and its score by the
-exact walk's check (``driver.row_scores``: M a scalar times I), which
-``soundness_sweep`` reads for drawn keys. ``branch_table`` reads the rows
-on one input (``_path_stats``), a row per path with its outcomes,
-probability, and fidelity of the frame-corrected output against the ideal
-gate. The ``oracle`` CLI subcommand prints these tables and the acceptance
-suite sweeps them.
+with a reference (``driver.walk_gadget``, the walk the view audits take
+their checkpoints on), which gives each path's operator M and its score by
+the exact walk's check (``driver.row_scores``: M a scalar times I), which
+``soundness_sweep`` reads for drawn keys. ``branch_table`` reads the rows on
+one input (``_path_stats``), a row per path with its outcomes, probability,
+and fidelity of the frame-corrected output against the ideal gate. The
+``oracle`` CLI subcommand prints these tables and the acceptance suite
+sweeps them.
 """
 
 from __future__ import annotations

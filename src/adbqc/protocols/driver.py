@@ -18,6 +18,8 @@ gadget to the step it drives. A sampled run drives them in order;
 ``enumerate_run`` applies each step's greedy compiled row (``walk_run``,
 which checks the rows, ``gadget_rows``, once per process), and enumerates
 the output stage on forks of the walk's session (``enumerate_output``).
+One walk of a step on its entangled register (``walk_gadget``) compiles its
+rows and, hooked at each checkpoint of the server's view, ``blindness``'s views.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from ..runtime import (
     SampledOutcomes,
     enumerate_runs,
 )
-from ..transcript import ALICE, BOB, Transcript
+from ..transcript import ALICE, BOB, Transcript, server_sees, server_values
 from . import gate_client, measure_client, sueki
 from .config import ProtocolConfig, VerificationReport
 from .traps import TRAP_STATES, DecodedOutput, TrapLayout, decode_output, place_traps
@@ -318,32 +320,40 @@ def run(config: ProtocolConfig, outcomes: OutcomeSource | None = None) -> RunRes
     return RunResult(session.rt.tape, report, plan.layout, session.frame, raw, plan.hits)
 
 
-def gadget_rows(gadget: str, octant: int, secrets: tuple[int, ...]) -> tuple[tuple, ...]:
-    """Every outcome path of one ``drive_gadget`` step, whatever its input.
+class _Checkpoints(Transcript):
+    """The tape of one ``walk_gadget`` path, keeping no event: before each event the
+    server can see (``server_sees``) counts, it calls ``take(checkpoint, record, source,
+    rt)``: checkpoint k before the k-th visible event, the record the server's classical
+    record so far (``server_values``), and ``rt`` the runtime it records, on ``source``."""
 
-    A path applies a fixed operator K to the register, so one enumeration on
-    the register maximally entangled with a reference finds them all: the
-    path's post-state is K / sqrt(d p) (d the register dimension, p the path
-    probability). Each row is (outcomes, M = U^dagger F K, announced octant,
-    by-product bit: X on an H R_Z's target, Z on a CZ's first), F its
-    correction and U the ideal gate, kept read-only in ``_ROWS`` from a
-    key's first call; the first, greedy, row's K / sqrt(p) = F U M / sqrt(p)
-    goes to ``_GREEDY`` and the rows' ``row_fidelities`` to ``_SCORES``. The
-    key is not checked here: ``oracle`` checks the ones its callers give.
-    """
-    key = (gadget, octant, secrets)
-    if key in _ROWS:
-        return _ROWS[key]
+    def __init__(self, take, source: OutcomeSource) -> None:
+        super().__init__()
+        self.take, self.visible, self.server_record = take, 0, ()
+        self.rt = QuantumRuntime(source, self)
+
+    def _push(self, kind: str, party: str, to: str | None, payload: dict) -> None:
+        if server_sees(kind, party):
+            self.visible += 1
+            self.take(self.visible, self.server_record, self.rt.outcomes, self.rt)
+            self.server_record += server_values(kind, payload)
+
+
+def walk_gadget(gadget: str, octant: int, secrets: tuple[int, ...], take) -> list[RunBranch]:
+    """Every outcome path of one ``drive_gadget`` step on its register maximally
+    entangled with a reference, with its row (``gadget_rows``) as the value. Each
+    path runs on a ``_Checkpoints`` tape calling ``take``, which only reads, and
+    the walk calls ``take`` once more at the end."""
     width = 2 if gadget == "cz" else 1
     dim = 1 << width
     labels = [register_label(i) for i in range(2 * width)]  # the register, then the reference
     gate = CZ_GATE if gadget == "cz" else HRZ_BY_OCTANT[octant]
 
     def run_fn(src: OutcomeSource) -> tuple:
-        rt = QuantumRuntime(src)
+        rt = _Checkpoints(take, src).rt
         rt.load(np.eye(dim).reshape(-1) / math.sqrt(dim), labels, BOB)
         frame = PauliFrame.identity(2 * width)  # the reference carries no by-product
         frame = drive_gadget(rt, gadget, frame, tuple(range(width)), octant, secrets)
+        take(rt.tape.visible + 1, rt.tape.server_record, src, rt)
         post = frame.matrix_on(rt.snapshot(labels)).reshape(dim, dim).T
         operator = math.sqrt(dim * src.path_probability()) * gate.conj().T @ post
         operator.flags.writeable = False
@@ -351,10 +361,30 @@ def gadget_rows(gadget: str, octant: int, secrets: tuple[int, ...]) -> tuple[tup
         announced = announced_octant(octant, *secrets, src.bits[0]) if gadget == "sueki" else None
         return src.bits, operator, announced, frame.z[0] if gadget == "cz" else frame.x[0]
 
-    _ROWS[key] = rows = tuple(br.value for br in enumerate_runs(run_fn))
+    return enumerate_runs(run_fn)
+
+
+def gadget_rows(gadget: str, octant: int, secrets: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Every outcome path of one ``drive_gadget`` step, whatever its input.
+
+    A path applies a fixed operator K to the register, so one walk on the
+    register maximally entangled with a reference (``walk_gadget``, taking no
+    view) finds them all: the path's post-state is K / sqrt(d p) (d the register
+    dimension, p the path probability). Each row is (outcomes, M = U^dagger F K,
+    announced octant, by-product bit: X on an H R_Z's target, Z on a CZ's first),
+    F its correction and U the ideal gate, kept read-only in ``_ROWS`` from a
+    key's first call; the first, greedy, row's K / sqrt(p) = F U M / sqrt(p)
+    goes to ``_GREEDY`` and the rows' ``row_fidelities`` to ``_SCORES``. The
+    key is not checked here: ``oracle`` checks the ones its callers give.
+    """
+    key = (gadget, octant, secrets)
+    if key in _ROWS:
+        return _ROWS[key]
+    _ROWS[key] = rows = tuple(br.value for br in walk_gadget(*key, lambda *_: None))
     _, operator, _, by_product = rows[0]
+    gate = CZ_GATE if gadget == "cz" else HRZ_BY_OCTANT[octant]
     pauli = np.kron(np.eye(2), Z_GATE) if gadget == "cz" else X_GATE  # on the low qubit
-    scale = math.sqrt(dim) / np.linalg.norm(operator)  # 1 / sqrt(p)
+    scale = math.sqrt(len(operator)) / np.linalg.norm(operator)  # 1 / sqrt(p)
     _GREEDY[key] = np.linalg.matrix_power(pauli, by_product) @ gate @ (operator * scale)
     _SCORES[key] = row_fidelities(rows)
     _SCORES[key].flags.writeable = False

@@ -7,13 +7,15 @@ when pytest captures stdout.
 The driver compiles each gadget's outcome rows once per process
 (``driver._ROWS``, with each key's greedy path operator in
 ``driver._GREEDY`` and its rows' scores in ``driver._SCORES``) and the
-exact walk checks each key's rows once (``driver._CHECKED``), and the
+exact walk checks each key's rows once (``driver._CHECKED``); the
 no-signaling audit compiles each octant's server views
 (``blindness._VIEWS``) and interns their blocks (``blindness._BLOCKS``),
 as rows of per-dimension stacks (``blindness._STACKS``), and their server
-records (``blindness._SLOTS``); a test that patches a gadget must compile
-and check its own rows and views and leave none behind, so all eight
-tables are emptied around every test.
+records (``blindness._SLOTS``). Rows and views both come from the one walk
+of a step, ``driver.walk_gadget``. A test that patches a gadget, or the
+``drive_gadget`` the walk calls, must compile and check its own rows and
+views and leave none behind, so all eight tables are emptied around every
+test.
 """
 
 import pytest

@@ -25,6 +25,7 @@ from adbqc.oracle import PROTOCOL_BY_GADGET, branch_table
 from adbqc.protocols import (
     GateRequest,
     ProtocolConfig,
+    driver,
     gate_client,
     measure_client,
     p1_hrz_on_runtime,
@@ -149,7 +150,7 @@ def test_no_signaling_refuses_an_octant_outside_0_to_7_or_repeated(octants):
 
 
 def test_no_signaling_flags_a_classical_leak(monkeypatch):
-    monkeypatch.setattr(blindness, "drive_gadget", leaky_drive_gadget)
+    monkeypatch.setattr(driver, "drive_gadget", leaky_drive_gadget)
     result = audit_no_signaling(octants=(0, 4), steps=(9,))
     assert not result.passed
     assert result.statistic == pytest.approx(1.0, abs=1e-9)
@@ -219,7 +220,7 @@ def test_shallow_no_signaling_compiles_every_step_once(monkeypatch):
         walked.append(len(branches))
         return branches
 
-    monkeypatch.setattr(blindness, "enumerate_runs", counted)
+    monkeypatch.setattr(driver, "enumerate_runs", counted)
     shallow = audit_no_signaling(octants=(0, 1), steps=(1,))
     assert walked == [8, 8]
     assert sorted(blindness._VIEWS["p1", 0][2]) == list(range(1, 14))
@@ -284,9 +285,41 @@ def test_a_second_no_signaling_call_replays_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a compiled audit replayed the gadget")
 
-    monkeypatch.setattr(blindness, "enumerate_runs", refuse)
+    monkeypatch.setattr(driver, "enumerate_runs", refuse)
     monkeypatch.setattr(QuantumRuntime, "density_of", refuse)
     assert audit_no_signaling() == first
+
+
+def test_rows_and_views_compile_through_the_one_walk(monkeypatch):
+    """The views of all 24 (protocol, octant) pairs take 152 walks with a view
+    hook, one per ``SECRETS`` entry (8 x (16 + 1 + 2)), and the rows of all 153
+    keys take 153 walks without one. Every row a hooked walk returns is, bit for
+    bit, its key's compiled row: a view hook cannot change a row."""
+    walks = []
+    walk = driver.walk_gadget
+
+    def recorded(gadget, octant, secrets, take):
+        branches = walk(gadget, octant, secrets, take)
+        walks.append(((gadget, octant, secrets), [br.value for br in branches]))
+        return branches
+
+    monkeypatch.setattr(driver, "walk_gadget", recorded)
+    monkeypatch.setattr(blindness, "walk_gadget", recorded)
+    for protocol in CLIENT_BY_PROTOCOL:
+        for octant in range(8):
+            blindness._compiled_views(protocol, octant)
+    hooked, walks[:] = list(walks), []
+    keys = [(protocol, octant, drawn) for protocol, client in CLIENT_BY_PROTOCOL.items()
+            for octant in range(8) for drawn in client.SECRETS]
+    rows = {key: driver.gadget_rows(*key) for key in [*keys, ("cz", 0, ())]}
+    assert (len(hooked), len(walks), len(rows)) == (152, 153, 153)
+    assert sorted(key for key, _ in hooked) == sorted(keys)
+    assert sorted(key for key, _ in walks) == sorted(rows)
+    for key, got in hooked:
+        assert len(got) == len(rows[key])
+        for (bits, op, announced, by_product), want in zip(got, rows[key]):
+            assert (bits, announced, by_product) == (want[0], want[2], want[3])
+            assert op.dtype == want[1].dtype and op.tobytes() == want[1].tobytes()
 
 
 def test_compiled_views_are_read_only():
@@ -571,7 +604,7 @@ LEAKS = {
     "p1-turned-target": ("p1", (1, 5),
                          lambda patch: patch.setattr(measure_client, "hrz", rotating_p1_hrz)),
     **{f"{gadget}-octant-on-the-wire": (
-        gadget, (2, 3), lambda patch: patch.setattr(blindness, "drive_gadget", leaky_drive_gadget))
+        gadget, (2, 3), lambda patch: patch.setattr(driver, "drive_gadget", leaky_drive_gadget))
        for gadget in ("hrz-sueki", "p1", "p2")},
 }
 
@@ -632,8 +665,8 @@ def test_final_views_give_the_replayed_record_distribution(gadget, octant_pairs,
      pytest.param("p1", 3, 5, id="p1-b-3-5"), ("p2", 1, 6)],
 )
 def test_gadget_view_audit_flags_a_leak(monkeypatch, gadget, octant_a, octant_b):
-    # patched where the views are compiled
-    monkeypatch.setattr(blindness, "drive_gadget", leaky_drive_gadget)
+    # patched where the views' walk drives the step
+    monkeypatch.setattr(driver, "drive_gadget", leaky_drive_gadget)
     result = audit_gadget_view_tv(gadget, octant_a, octant_b)
     assert not result.passed
     assert result.statistic == pytest.approx(1.0, abs=1e-12)
@@ -646,12 +679,13 @@ def test_exact_audit_statistics_do_not_depend_on_the_hash_seed():
     # nonzero terms)
     script = (
         "from adbqc import blindness\n"
+        "from adbqc.protocols import driver\n"
         "from adbqc.transcript import ALICE, BOB\n"
-        "drive = blindness.drive_gadget\n"
+        "drive = driver.drive_gadget\n"
         "def leaky(rt, gadget, *rest):\n"
         "    rt.tape.msg(ALICE, to=BOB, op='leak', octant=rest[2])\n"
         "    return drive(rt, gadget, *rest)\n"
-        "blindness.drive_gadget = leaky\n"
+        "driver.drive_gadget = leaky\n"
         "print(repr(blindness.audit_gadget_view_tv('hrz-sueki', 1, 5).statistic))\n"
         "print(repr(blindness.audit_no_signaling(octants=(0, 1), steps=(2, 5)).statistic))\n"
     )
